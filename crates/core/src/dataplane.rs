@@ -38,7 +38,10 @@ use std::time::Instant;
 
 use bytes::{Bytes, BytesMut};
 
-use here_hypervisor::memory::{materialize_content_into, GuestMemory, PageVersion, PAGE_SIZE};
+use here_hypervisor::memory::{
+    materialize_content_into, materialize_group_into, GuestMemory, PageVersion, GROUP_PAGES,
+    PAGE_SIZE,
+};
 use here_hypervisor::vcpu::VcpuStateBlob;
 use here_hypervisor::PageId;
 use here_vmstate::cir::CpuStateCir;
@@ -698,10 +701,14 @@ fn encode_shard(
         }
         PayloadMode::Materialized => {
             let mut writer = PageDataWriter::new(out);
-            let mut scratch = [0u8; PAGE_SIZE as usize];
-            for &(page, rec) in shard {
-                materialize_content_into(page, rec, &mut scratch);
-                writer.push(page, rec, &scratch);
+            let mut groups = shard.chunks_exact(GROUP_PAGES);
+            for group in &mut groups {
+                writer.push_group(group.try_into().expect("exact chunk"));
+            }
+            let mut image = [0u8; PAGE_SIZE as usize];
+            for &(page, rec) in groups.remainder() {
+                materialize_content_into(page, rec, &mut image);
+                writer.push(page, rec, &image);
             }
             writer.finish();
         }
@@ -842,10 +849,10 @@ pub fn encode_pages_round(
 /// [`ScatterStream`].
 ///
 /// Legacy shard framing: byte-identical to the pre-pool encoder at every
-/// lane count. In `Materialized` mode the lanes also materialize every
-/// 4 KiB page image (into a per-lane stack buffer — no per-page heap
-/// traffic) and fold it into the record's streaming checksum as it is
-/// appended.
+/// lane count. In `Materialized` mode the lanes also generate every
+/// 4 KiB page image, four pages in lock-step straight into the lane
+/// buffer, folding the record's streaming checksum in the same pass
+/// ([`PageDataWriter::push_group`]).
 ///
 /// # Panics
 ///
@@ -944,11 +951,55 @@ pub fn translate_vcpus_parallel(
     Ok(out)
 }
 
+/// Page images the content check compares against, kept across records
+/// so no 4 KiB buffer is zeroed per page.
+struct VerifyScratch {
+    /// Up to [`GROUP_PAGES`] expected images, back to back.
+    expected: [u8; GROUP_PAGES * PAGE_SIZE as usize],
+    /// The replica's current image of a page a v3 delta patches.
+    base: [u8; PAGE_SIZE as usize],
+}
+
+impl VerifyScratch {
+    fn new() -> Self {
+        VerifyScratch {
+            expected: [0; GROUP_PAGES * PAGE_SIZE as usize],
+            base: [0; PAGE_SIZE as usize],
+        }
+    }
+
+    /// Fills `expected` with the images `group`'s version records
+    /// mandate: four at a time from the lock-step generator the encode
+    /// lanes use, a short tail from the one-page reference.
+    fn expect_group(&mut self, group: &[(PageId, PageVersion, Bytes)]) {
+        match <&[_; GROUP_PAGES]>::try_from(group) {
+            Ok(full) => materialize_group_into(
+                &full.each_ref().map(|&(page, rec, _)| (page, rec)),
+                &mut self.expected,
+                0,
+                PAGE_SIZE as usize,
+            ),
+            Err(_) => {
+                for (k, &(page, rec, _)) in group.iter().enumerate() {
+                    materialize_content_into(page, rec, self.page_mut(k));
+                }
+            }
+        }
+    }
+
+    fn page_mut(&mut self, k: usize) -> &mut [u8; PAGE_SIZE as usize] {
+        let at = k * PAGE_SIZE as usize;
+        (&mut self.expected[at..at + PAGE_SIZE as usize])
+            .try_into()
+            .expect("page-sized slot")
+    }
+}
+
 fn install_record(
     record: Record,
     replica: &mut GuestMemory,
     verify_content: bool,
-    expected: &mut [u8; PAGE_SIZE as usize],
+    scratch: &mut VerifyScratch,
 ) -> CoreResult<u64> {
     let mut pages_installed = 0u64;
     match record {
@@ -959,18 +1010,23 @@ fn install_record(
             }
         }
         Record::PageDataBatch(batch) => {
-            for &(page, rec, ref content) in batch.pages() {
+            for group in batch.pages().chunks(GROUP_PAGES) {
                 if verify_content {
-                    materialize_content_into(page, rec, expected);
-                    if !simd::active().bytes_equal(&content[..], &expected[..]) {
-                        return Err(CoreError::InvalidScenario(format!(
-                            "page {} content diverged from its version record",
-                            page.frame()
-                        )));
+                    scratch.expect_group(group);
+                    let images = scratch.expected.chunks_exact(PAGE_SIZE as usize);
+                    for ((page, _, content), expected) in group.iter().zip(images) {
+                        if !simd::active().bytes_equal(&content[..], expected) {
+                            return Err(CoreError::InvalidScenario(format!(
+                                "page {} content diverged from its version record",
+                                page.frame()
+                            )));
+                        }
                     }
                 }
-                replica.install_page(page, rec)?;
-                pages_installed += 1;
+                for &(page, rec, _) in group {
+                    replica.install_page(page, rec)?;
+                    pages_installed += 1;
+                }
             }
         }
         Record::PageColumns(batch) => {
@@ -980,15 +1036,15 @@ fn install_record(
                     // delta, against the replica's current copy of the
                     // page) and check it against the deterministic image
                     // the new `(frame, version)` record mandates.
-                    let mut base = [0u8; PAGE_SIZE as usize];
                     let base_ref = if matches!(payload, PagePayload::Delta(_)) {
                         let prev = replica.page(*page)?;
-                        materialize_content_into(*page, prev, &mut base);
-                        Some(&base[..])
+                        materialize_content_into(*page, prev, &mut scratch.base);
+                        Some(&scratch.base[..])
                     } else {
                         None
                     };
                     if let Some(got) = payload.materialize(base_ref)? {
+                        let expected = scratch.page_mut(0);
                         materialize_content_into(*page, *rec, expected);
                         if !simd::active().bytes_equal(&got, &expected[..]) {
                             return Err(CoreError::InvalidScenario(format!(
@@ -1026,9 +1082,9 @@ pub fn decode_and_restore(
 ) -> CoreResult<u64> {
     let mut dec = StreamDecoder::new_scattered(stream)?;
     let mut pages_installed = 0u64;
-    let mut expected = [0u8; PAGE_SIZE as usize];
+    let mut scratch = VerifyScratch::new();
     while let Some(record) = dec.next_record()? {
-        pages_installed += install_record(record, replica, verify_content, &mut expected)?;
+        pages_installed += install_record(record, replica, verify_content, &mut scratch)?;
     }
     Ok(pages_installed)
 }
@@ -1076,10 +1132,10 @@ impl<'a> SegmentRestorer<'a> {
         let mut stream = ScatterStream::from(self.preamble.clone());
         stream.push(segment.clone());
         let mut dec = StreamDecoder::new_scattered(stream)?;
-        let mut expected = [0u8; PAGE_SIZE as usize];
+        let mut scratch = VerifyScratch::new();
         while let Some(record) = dec.next_record()? {
             self.installed +=
-                install_record(record, self.replica, self.verify_content, &mut expected)?;
+                install_record(record, self.replica, self.verify_content, &mut scratch)?;
         }
         Ok(())
     }
@@ -1098,7 +1154,7 @@ mod tests {
     use here_hypervisor::vcpu::XenVcpuState;
     use here_hypervisor::PageId;
     use here_sim_core::rate::ByteSize;
-    use here_vmstate::wire::write_preamble;
+    use here_vmstate::wire::{write_preamble, PREAMBLE_BYTES};
 
     fn delta_of(n: u64) -> MemoryDelta {
         (0..n)
@@ -1166,6 +1222,60 @@ mod tests {
                 encode_pages_parallel(&delta, lanes, PayloadMode::Materialized, &mut pool, &lp);
             let got = decoded_pages(splice(segs));
             assert!(got == reference, "lanes={lanes} decoded differently");
+        }
+    }
+
+    /// The encoder of the commit before the lock-step kernel, kept as the
+    /// reference: one record per task, every page generated by the
+    /// one-page reference and appended with `push`, on the calling thread.
+    fn one_page_at_a_time(delta: &MemoryDelta, plan: &EncodePlan) -> Vec<u8> {
+        let mut tasks = Vec::new();
+        plan_tasks(delta.len(), plan, &mut tasks);
+        let mut out = BytesMut::new();
+        let mut image = [0u8; PAGE_SIZE as usize];
+        for (lo, hi) in tasks {
+            let mut writer = PageDataWriter::new(&mut out);
+            for &(page, rec) in &delta.entries()[lo..hi] {
+                materialize_content_into(page, rec, &mut image);
+                writer.push(page, rec, &image);
+            }
+            writer.finish();
+        }
+        out.to_vec()
+    }
+
+    #[test]
+    fn materialized_rounds_are_byte_identical_to_single_lane_inline_encode() {
+        // 1499 pages: across the plans below, tasks end 0, 1, 2 and 3
+        // pages past a group boundary.
+        let delta = delta_of(1499);
+        let mut pool = BufferPool::new();
+        let lp = LanePool::new();
+        for lanes in [1u32, 2, 4] {
+            for chunk_pages in [None, Some(64), Some(512)] {
+                for window in [None, Some(1), Some(4)] {
+                    let plan = EncodePlan {
+                        lanes,
+                        mode: PayloadMode::Materialized,
+                        chunk_pages,
+                        window,
+                    };
+                    let mut segments = Vec::new();
+                    encode_pages_round(&delta, &plan, &mut pool, &lp, |i, seg| {
+                        assert_eq!(i, segments.len(), "{plan:?} delivered out of order");
+                        segments.push(seg);
+                    });
+                    let stream = splice(segments);
+                    let got = stream.gather();
+                    assert!(
+                        got[PREAMBLE_BYTES..] == one_page_at_a_time(&delta, &plan)[..],
+                        "{plan:?} moved the wire"
+                    );
+                    let mut replica = GuestMemory::new(ByteSize::from_mib(16)).unwrap();
+                    let installed = decode_and_restore(stream, &mut replica, true).unwrap();
+                    assert_eq!(installed, delta.len() as u64, "{plan:?}");
+                }
+            }
         }
     }
 

@@ -6,10 +6,10 @@ use here_core::dataplane::{
 };
 use here_core::transfer::{collect_chunked, collect_chunked_into, CollectScratch};
 use here_hypervisor::dirty::DirtyBitmap;
-use here_hypervisor::memory::GuestMemory;
+use here_hypervisor::memory::{materialize_content, GuestMemory, PageVersion, GROUP_PAGES};
 use here_hypervisor::{PageId, VcpuId, PAGE_SIZE};
 use here_sim_core::rate::ByteSize;
-use here_vmstate::wire::{ScatterStream, StreamEncoder};
+use here_vmstate::wire::{PageDataWriter, ScatterStream, StreamEncoder};
 use here_vmstate::MemoryDelta;
 use proptest::prelude::*;
 
@@ -99,5 +99,55 @@ proptest! {
                 pool.recycle(seg);
             }
         }
+    }
+
+    /// However a shard is split between lock-step group appends and
+    /// single pre-built pages, the record is the one the all-`push`
+    /// writer produces, and it restores under the byte-for-byte check.
+    #[test]
+    fn page_data_writer_interleavings_are_byte_identical(
+        raw in proptest::collection::vec((0u64..64, any::<u32>(), any::<u16>(), 0u8..4), 0..=13),
+        grouped in proptest::collection::vec(any::<bool>(), 13),
+    ) {
+        let shard: Vec<(PageId, PageVersion)> = raw
+            .iter()
+            .map(|&(frame, version, last_writer, kind)| {
+                let version = match kind {
+                    0 => 0,
+                    1 => u32::MAX,
+                    _ => version,
+                };
+                (PageId::new(frame), PageVersion { version, last_writer })
+            })
+            .collect();
+        let encode = |grouped: &[bool]| {
+            let mut enc = StreamEncoder::new();
+            let mut writer = PageDataWriter::new(enc.buffer_mut());
+            let mut at = 0;
+            while at < shard.len() {
+                match shard[at..].first_chunk::<GROUP_PAGES>() {
+                    Some(group) if grouped[at] => {
+                        writer.push_group(group);
+                        at += GROUP_PAGES;
+                    }
+                    _ => {
+                        let (page, rec) = shard[at];
+                        writer.push(page, rec, &materialize_content(page, rec)[..]);
+                        at += 1;
+                    }
+                }
+            }
+            assert_eq!(writer.finish(), shard.len() as u64);
+            enc.finish()
+        };
+        let reference = encode(&[false; 13]);
+        let mixed = encode(&grouped);
+        prop_assert!(mixed == reference, "interleaving {:?} moved the wire", grouped);
+
+        let mut replica = GuestMemory::new(ByteSize::from_bytes(64 * PAGE_SIZE))
+            .expect("replica size is valid");
+        let installed = decode_and_restore(ScatterStream::from(mixed), &mut replica, true)
+            .expect("grouped record must pass the content check");
+        prop_assert_eq!(installed, shard.len() as u64);
     }
 }

@@ -1,50 +1,54 @@
-//! Runtime-selected wide kernels for the data plane's byte-at-a-time
-//! hot loops.
+//! The data plane's two byte-walking hot loops: folding record bytes
+//! into the [`StreamingChecksum`] and comparing a decoded 4 KiB page
+//! payload against its expected image.
 //!
-//! Two inner loops dominate encode/decode wall time once framing is
-//! zero-copy: folding record bytes into the [`StreamingChecksum`] and
-//! comparing a decoded 4 KiB page payload against its expected image.
-//! Both used to walk one byte per iteration. This module lifts them
-//! behind the [`WideOps`] trait with three implementations:
+//! **The fold is not dispatched.** The FNV-style fold is a strict
+//! sequential dependency chain (`state = (state ^ word) * prime`, one
+//! xor and one multiply, ~1.3 ns a word), so no vector width can shorten
+//! it and the digest is part of the wire format. [`fold_words`] is a
+//! plain inlinable function folding eight bytes per multiply; what makes
+//! it cheaper is running it *beside* an independent chain (see
+//! [`PageDataWriter::push_group`]), not a wider register.
 //!
-//! - [`ScalarOps`] — the byte-serial reference. Every other
-//!   implementation must produce bit-identical results to it; the
-//!   equivalence proptests below pin that.
-//! - [`WideWordOps`] — portable word-wide kernels: eight checksum bytes
-//!   per multiply with a 4× unrolled fold loop, and 16-byte (`u128`)
-//!   compare strides. No `unsafe`, works on every architecture.
-//! - [`Sse2Ops`] (x86-64 only) — the same fold loop plus an SSE2
-//!   `bytes_equal` comparing 16 bytes per vector op, selected only when
-//!   the CPU reports SSE2 at runtime.
-//!
-//! The FNV-style fold is a strict sequential dependency chain
-//! (`state = (state ^ word) * prime`), so no implementation may
-//! reorder or lane-split the folds — wide variants win by moving more
-//! bytes per fold and cutting loop overhead, not by parallelising the
-//! chain. That is what keeps every digest bit-identical to the scalar
-//! reference.
+//! **The compare is.** [`WideOps`] selects a `bytes_equal` once at
+//! first use: [`Sse2Ops`] (x86-64 with SSE2, 16 bytes per vector op) or
+//! the portable `u128`-stride [`WideWordOps`]. [`ScalarOps`] is the
+//! byte-serial reference the proptests below compare against.
 //!
 //! [`StreamingChecksum`]: crate::wire::StreamingChecksum
+//! [`PageDataWriter::push_group`]: crate::wire::PageDataWriter::push_group
 
 use std::sync::OnceLock;
 
 const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// One step of the record-checksum chain.
 #[inline]
-fn fold64(state: u64, word: u64) -> u64 {
+pub(crate) fn fold64(state: u64, word: u64) -> u64 {
     (state ^ word).wrapping_mul(FNV64_PRIME)
 }
 
-/// Wide kernels for the two hot loops, with a scalar reference fallback.
-///
-/// Implementations must be pure: same inputs, same outputs, on every
-/// host — results feed checksums that cross the simulated wire.
-pub trait WideOps: Send + Sync {
-    /// Folds the longest multiple-of-8 prefix of `bytes` into `state` as
-    /// little-endian `u64` words. Returns the new state and the number
-    /// of bytes consumed (`bytes.len() - bytes.len() % 8`).
-    fn fold_words(&self, state: u64, bytes: &[u8]) -> (u64, usize);
+/// Folds the longest multiple-of-8 prefix of `bytes` into `state` as
+/// little-endian `u64` words. Returns the new state and the number of
+/// bytes consumed (`bytes.len() - bytes.len() % 8`).
+#[inline]
+pub fn fold_words(state: u64, bytes: &[u8]) -> (u64, usize) {
+    let consumed = bytes.len() - bytes.len() % 8;
+    let state = bytes[..consumed]
+        .chunks_exact(8)
+        .fold(state, |state, word| {
+            fold64(
+                state,
+                u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
+            )
+        });
+    (state, consumed)
+}
 
+/// The dispatched page compare, with a scalar reference fallback.
+///
+/// Implementations must be pure: same inputs, same outputs, on every host.
+pub trait WideOps: Send + Sync {
     /// `true` when `a` and `b` hold identical bytes.
     fn bytes_equal(&self, a: &[u8], b: &[u8]) -> bool;
 
@@ -52,23 +56,11 @@ pub trait WideOps: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// Byte-serial reference implementation (v1-era loops).
+/// Byte-serial reference implementation (v1-era loop).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ScalarOps;
 
 impl WideOps for ScalarOps {
-    fn fold_words(&self, mut state: u64, bytes: &[u8]) -> (u64, usize) {
-        let consumed = bytes.len() - bytes.len() % 8;
-        for chunk in bytes[..consumed].chunks_exact(8) {
-            let mut word = 0u64;
-            for (i, &b) in chunk.iter().enumerate() {
-                word |= u64::from(b) << (8 * i);
-            }
-            state = fold64(state, word);
-        }
-        (state, consumed)
-    }
-
     fn bytes_equal(&self, a: &[u8], b: &[u8]) -> bool {
         if a.len() != b.len() {
             return false;
@@ -86,59 +78,26 @@ impl WideOps for ScalarOps {
     }
 }
 
-/// Portable word-wide implementation: `u64` folds unrolled 4×, `u128`
-/// compare strides. The compiler lowers both to vector loads where the
-/// target supports them.
+/// Portable implementation: `u128` compare strides, which the compiler
+/// lowers to vector loads where the target supports them.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct WideWordOps;
 
-#[inline]
-fn word_at(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"))
-}
-
-fn fold_words_wide(mut state: u64, bytes: &[u8]) -> (u64, usize) {
-    let consumed = bytes.len() - bytes.len() % 8;
-    let mut at = 0;
-    // The fold chain is sequential; unrolling only amortises bounds
-    // checks and loop control across four folds.
-    while at + 32 <= consumed {
-        state = fold64(state, word_at(bytes, at));
-        state = fold64(state, word_at(bytes, at + 8));
-        state = fold64(state, word_at(bytes, at + 16));
-        state = fold64(state, word_at(bytes, at + 24));
-        at += 32;
-    }
-    while at < consumed {
-        state = fold64(state, word_at(bytes, at));
-        at += 8;
-    }
-    (state, consumed)
-}
-
-fn bytes_equal_u128(a: &[u8], b: &[u8]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut at = 0;
-    while at + 16 <= a.len() {
-        let x = u128::from_le_bytes(a[at..at + 16].try_into().expect("16-byte slice"));
-        let y = u128::from_le_bytes(b[at..at + 16].try_into().expect("16-byte slice"));
-        if x != y {
+impl WideOps for WideWordOps {
+    fn bytes_equal(&self, a: &[u8], b: &[u8]) -> bool {
+        if a.len() != b.len() {
             return false;
         }
-        at += 16;
-    }
-    a[at..] == b[at..]
-}
-
-impl WideOps for WideWordOps {
-    fn fold_words(&self, state: u64, bytes: &[u8]) -> (u64, usize) {
-        fold_words_wide(state, bytes)
-    }
-
-    fn bytes_equal(&self, a: &[u8], b: &[u8]) -> bool {
-        bytes_equal_u128(a, b)
+        let mut at = 0;
+        while at + 16 <= a.len() {
+            let x = u128::from_le_bytes(a[at..at + 16].try_into().expect("16-byte slice"));
+            let y = u128::from_le_bytes(b[at..at + 16].try_into().expect("16-byte slice"));
+            if x != y {
+                return false;
+            }
+            at += 16;
+        }
+        a[at..] == b[at..]
     }
 
     fn name(&self) -> &'static str {
@@ -146,8 +105,8 @@ impl WideOps for WideWordOps {
     }
 }
 
-/// x86-64 SSE2 implementation: the wide fold loop plus a vectorised
-/// 16-bytes-per-op compare. Only selected when the CPU reports SSE2.
+/// x86-64 SSE2 implementation: a vectorised 16-bytes-per-op compare.
+/// Only selected when the CPU reports SSE2.
 #[cfg(target_arch = "x86_64")]
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Sse2Ops;
@@ -174,10 +133,6 @@ unsafe fn bytes_equal_sse2(a: &[u8], b: &[u8]) -> bool {
 
 #[cfg(target_arch = "x86_64")]
 impl WideOps for Sse2Ops {
-    fn fold_words(&self, state: u64, bytes: &[u8]) -> (u64, usize) {
-        fold_words_wide(state, bytes)
-    }
-
     fn bytes_equal(&self, a: &[u8], b: &[u8]) -> bool {
         // SAFETY: `Sse2Ops` is only selected after `is_x86_feature_detected!`
         // confirmed SSE2 support (see `select`).
@@ -221,6 +176,20 @@ mod tests {
         v
     }
 
+    /// Byte-serial reference fold (v1-era loop): the word fold must stay
+    /// bit-identical to it.
+    fn fold_words_scalar(mut state: u64, bytes: &[u8]) -> (u64, usize) {
+        let consumed = bytes.len() - bytes.len() % 8;
+        for chunk in bytes[..consumed].chunks_exact(8) {
+            let mut word = 0u64;
+            for (i, &b) in chunk.iter().enumerate() {
+                word |= u64::from(b) << (8 * i);
+            }
+            state = fold64(state, word);
+        }
+        (state, consumed)
+    }
+
     #[test]
     fn active_is_a_wide_implementation() {
         // Every CI/dev target we build on has at least the portable wide
@@ -230,15 +199,10 @@ mod tests {
 
     #[test]
     fn fold_consumes_the_aligned_prefix_only() {
-        for ops in impls() {
-            let bytes = [1u8; 21];
-            let (_, consumed) = ops.fold_words(7, &bytes);
-            assert_eq!(consumed, 16, "{}", ops.name());
-            let (_, consumed) = ops.fold_words(7, &bytes[..8]);
-            assert_eq!(consumed, 8, "{}", ops.name());
-            let (state, consumed) = ops.fold_words(7, &bytes[..3]);
-            assert_eq!((state, consumed), (7, 0), "{}", ops.name());
-        }
+        let bytes = [1u8; 21];
+        assert_eq!(fold_words(7, &bytes).1, 16);
+        assert_eq!(fold_words(7, &bytes[..8]).1, 8);
+        assert_eq!(fold_words(7, &bytes[..3]), (7, 0));
     }
 
     #[test]
@@ -256,25 +220,11 @@ mod tests {
         fn wide_folds_match_scalar(
             state in any::<u64>(),
             bytes in proptest::collection::vec(any::<u8>(), 0..512),
-        ) {
-            let reference = ScalarOps.fold_words(state, &bytes);
-            for ops in impls() {
-                prop_assert_eq!(ops.fold_words(state, &bytes), reference, "{}", ops.name());
-            }
-        }
-
-        #[test]
-        fn wide_folds_match_scalar_unaligned(
-            state in any::<u64>(),
-            bytes in proptest::collection::vec(any::<u8>(), 64..256),
             offset in 0usize..8,
         ) {
             // Odd start offsets exercise unaligned loads in every stride.
             let view = &bytes[offset.min(bytes.len())..];
-            let reference = ScalarOps.fold_words(state, view);
-            for ops in impls() {
-                prop_assert_eq!(ops.fold_words(state, view), reference, "{}", ops.name());
-            }
+            prop_assert_eq!(fold_words(state, view), fold_words_scalar(state, view));
         }
 
         #[test]

@@ -32,9 +32,12 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use here_hypervisor::arch::{ArchRegs, Segment, GPR_COUNT};
 use here_hypervisor::devices::DeviceIdentity;
 use here_hypervisor::kind::HypervisorKind;
-use here_hypervisor::memory::{PageId, PageVersion, PAGE_SIZE};
+use here_hypervisor::memory::{
+    materialize_group_interleaved, PageId, PageVersion, GROUP_PAGES, PAGE_SIZE, PAGE_WORDS,
+};
 
 use crate::cir::{CpuStateCir, MemoryDelta};
+use crate::simd::{fold64, fold_words};
 
 /// Stream magic: `"HERE"`.
 pub const MAGIC: u32 = 0x4845_5245;
@@ -820,12 +823,6 @@ pub fn fnv32(bytes: &[u8]) -> u32 {
 }
 
 const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fold64(state: u64, word: u64) -> u64 {
-    (state ^ word).wrapping_mul(FNV64_PRIME)
-}
 
 /// Incremental word-folded checksum used for v2 record framing.
 ///
@@ -868,10 +865,7 @@ impl StreamingChecksum {
                 self.pending_len = 0;
             }
         }
-        // The aligned body goes through the runtime-selected wide kernel;
-        // every implementation folds the identical word sequence, so the
-        // digest stays bit-equal to the byte-serial reference.
-        let (state, consumed) = crate::simd::active().fold_words(self.state, rest);
+        let (state, consumed) = fold_words(self.state, rest);
         self.state = state;
         for &b in &rest[consumed..] {
             self.pending |= u64::from(b) << (8 * self.pending_len);
@@ -1055,21 +1049,38 @@ pub fn encode_page_batch_into(entries: &[(PageId, PageVersion)], out: &mut Bytes
     patch_frame(out, frame_at, payload_at, TAG_PAGE_BATCH, sum);
 }
 
-/// Streams a [`PageDataBatch`] record into a lane buffer one page at a
-/// time, hashing bytes as they are appended.
+/// Bytes one page occupies in a page-data record: metadata, then content.
+const PAGE_RECORD_BYTES: usize = PAGE_META_BYTES + PAGE_CONTENT_BYTES;
+
+/// Bytes one [`PageDataWriter::push_group`] appends: 2055 whole `u64`
+/// words, so a record made of groups never leaves the checksum a partial
+/// word.
+const GROUP_RECORD_BYTES: usize = GROUP_PAGES * PAGE_RECORD_BYTES;
+
+/// Bytes of the previous group folded per generator iteration: four
+/// words, since a group is 2055 words and the generator loop runs 512
+/// times; the last seven words are folded after it.
+const FOLD_STEP_BYTES: usize = 32;
+
+/// Streams a [`PageDataBatch`] record into a lane buffer, hashing bytes as
+/// they are appended.
 ///
 /// The record checksum is accumulated incrementally by a
 /// [`StreamingChecksum`], so `finish` never re-reads the (potentially
-/// multi-MiB) payload; it only patches the 9 placeholder header bytes.
-/// Dropping the writer without calling [`finish`](PageDataWriter::finish)
-/// leaves a zero-tag frame in the buffer, which the decoder rejects — a
-/// half-written batch cannot masquerade as a valid record.
+/// multi-MiB) payload; it folds at most the last group and patches the 9
+/// placeholder header bytes. Dropping the writer without calling
+/// [`finish`](PageDataWriter::finish) leaves a zero-tag frame in the
+/// buffer, which the decoder rejects — a half-written batch cannot
+/// masquerade as a valid record.
 #[derive(Debug)]
 pub struct PageDataWriter<'a> {
     out: &'a mut BytesMut,
     frame_at: usize,
     payload_at: usize,
     sum: StreamingChecksum,
+    /// `out[folded_to..]` is written but not yet in `sum`: empty, or the
+    /// group the next `push_group` folds while it generates its own.
+    folded_to: usize,
     count: u64,
 }
 
@@ -1083,11 +1094,23 @@ impl<'a> PageDataWriter<'a> {
             frame_at,
             payload_at,
             sum: StreamingChecksum::new(),
+            folded_to: payload_at,
             count: 0,
         }
     }
 
-    /// Appends one page's metadata and content.
+    fn put_meta(&mut self, page: PageId, rec: PageVersion) {
+        self.out.put_u64(page.frame());
+        self.out.put_u32(rec.version);
+        self.out.put_u16(rec.last_writer);
+    }
+
+    fn fold_written(&mut self) {
+        self.sum.update(&self.out[self.folded_to..]);
+        self.folded_to = self.out.len();
+    }
+
+    /// Appends one page's metadata and pre-built content.
     ///
     /// # Panics
     ///
@@ -1098,15 +1121,53 @@ impl<'a> PageDataWriter<'a> {
             PAGE_CONTENT_BYTES,
             "page content must be exactly one page"
         );
-        let meta_at = self.out.len();
-        self.out.reserve(PAGE_META_BYTES + PAGE_CONTENT_BYTES);
-        self.out.put_u64(page.frame());
-        self.out.put_u32(rec.version);
-        self.out.put_u16(rec.last_writer);
-        self.sum.update(&self.out[meta_at..]);
+        self.out.reserve(PAGE_RECORD_BYTES);
+        self.put_meta(page, rec);
+        self.fold_written();
+        // Folding the caller's copy, not the bytes just stored, keeps the
+        // checksum loads off the store buffer.
         self.out.extend_from_slice(content);
         self.sum.update(content);
+        self.folded_to = self.out.len();
         self.count += 1;
+    }
+
+    /// Appends [`GROUP_PAGES`] pages whose content is the deterministic
+    /// image of their version records, generated in lock-step straight
+    /// into the lane buffer (no scratch image, no copy).
+    ///
+    /// The checksum is software-pipelined: the loop that generates this
+    /// group also folds the previous group's bytes, whose chain depends
+    /// on nothing the generator computes, so the two latencies overlap.
+    /// The fold order, and hence the digest, is that of the all-`push`
+    /// writer.
+    pub fn push_group(&mut self, pages: &[(PageId, PageVersion); GROUP_PAGES]) {
+        if self.sum.pending_len != 0 {
+            // Only after `push`es that left a partial word: fold bytewise
+            // now, nothing to overlap.
+            self.fold_written();
+        }
+        let group_at = self.out.len();
+        self.out.reserve(GROUP_RECORD_BYTES);
+        for &(page, rec) in pages {
+            self.put_meta(page, rec);
+            let content_at = self.out.len();
+            self.out.resize(content_at + PAGE_CONTENT_BYTES, 0);
+        }
+        let (done, group) = self.out.split_at_mut(group_at);
+        let prev = &done[self.folded_to..];
+        debug_assert!(prev.is_empty() || prev.len() == GROUP_RECORD_BYTES);
+        let mut state = self.sum.state;
+        materialize_group_interleaved(pages, group, PAGE_META_BYTES, PAGE_RECORD_BYTES, |i| {
+            if let Some(step) = prev.get(i * FOLD_STEP_BYTES..(i + 1) * FOLD_STEP_BYTES) {
+                state = fold_words(state, step).0;
+            }
+        });
+        let in_loop = prev.len().min(PAGE_WORDS * FOLD_STEP_BYTES);
+        self.sum.state = fold_words(state, &prev[in_loop..]).0;
+        self.sum.total += prev.len() as u64;
+        self.folded_to = group_at;
+        self.count += GROUP_PAGES as u64;
     }
 
     /// Pages appended so far.
@@ -1115,7 +1176,8 @@ impl<'a> PageDataWriter<'a> {
     }
 
     /// Closes the record, patching the frame header; returns the page count.
-    pub fn finish(self) -> u64 {
+    pub fn finish(mut self) -> u64 {
+        self.fold_written();
         patch_frame(
             self.out,
             self.frame_at,
@@ -1669,6 +1731,7 @@ fn decode_arch_regs(p: &mut Bytes) -> WireResult<ArchRegs> {
 mod tests {
     use super::*;
     use here_hypervisor::arch::Gpr;
+    use here_hypervisor::memory::materialize_content;
 
     fn sample_records() -> Vec<Record> {
         let mut regs = ArchRegs::reset_state();
@@ -2223,6 +2286,96 @@ mod tests {
             dec.next_record().unwrap_err(),
             WireError::UnknownRecord(0x09)
         );
+    }
+
+    /// The fixed 9-page shard behind the golden frame header: a pristine
+    /// page and a wrapped version ride in the first group.
+    fn golden_shard() -> Vec<(PageId, PageVersion)> {
+        [1u32, 2, 0, u32::MAX, 5, 6, 7, 8, 9]
+            .iter()
+            .enumerate()
+            .map(|(i, &version)| {
+                (
+                    PageId::new(1000 + 37 * i as u64),
+                    PageVersion {
+                        version,
+                        last_writer: (i % 4) as u16,
+                    },
+                )
+            })
+            .collect()
+    }
+
+    /// Encodes `shard` as one record, appending a lock-step group wherever
+    /// `grouped` says so and four pages remain, and single pre-built
+    /// pages everywhere else.
+    fn write_shard(
+        shard: &[(PageId, PageVersion)],
+        mut grouped: impl FnMut() -> bool,
+        out: &mut BytesMut,
+    ) {
+        let mut w = PageDataWriter::new(out);
+        let mut rest = shard;
+        while let Some((&(page, rec), tail)) = rest.split_first() {
+            match rest.first_chunk::<GROUP_PAGES>() {
+                Some(group) if grouped() => {
+                    w.push_group(group);
+                    rest = &rest[GROUP_PAGES..];
+                }
+                _ => {
+                    w.push(page, rec, &materialize_content(page, rec)[..]);
+                    rest = tail;
+                }
+            }
+        }
+        assert_eq!(w.finish(), shard.len() as u64);
+    }
+
+    #[test]
+    fn v2_page_data_frame_header_is_pinned() {
+        // Tag, length and checksum of the shard as the one-page-at-a-time
+        // writer of the commit before `push_group` framed it. If this
+        // moves, the v2 wire moved.
+        const GOLDEN: [u8; FRAME_HEADER_BYTES] =
+            [0x08, 0x00, 0x00, 0x90, 0x7e, 0xbe, 0x2f, 0x90, 0xef];
+        let shard = golden_shard();
+        let mut all_push = BytesMut::new();
+        write_shard(&shard, || false, &mut all_push);
+        assert_eq!(all_push[..FRAME_HEADER_BYTES], GOLDEN);
+        assert_eq!(
+            all_push.len(),
+            FRAME_HEADER_BYTES + shard.len() * PAGE_RECORD_BYTES
+        );
+
+        // group, group, push — what `encode_shard` does with nine pages.
+        let mut groups_first = BytesMut::new();
+        write_shard(&shard, || true, &mut groups_first);
+        assert!(groups_first == all_push, "grouped encode moved the wire");
+
+        // push, group, group: the groups start on a partial checksum word.
+        let mut first = true;
+        let mut push_first = BytesMut::new();
+        write_shard(&shard, || !std::mem::take(&mut first), &mut push_first);
+        assert!(
+            push_first == all_push,
+            "unaligned grouped encode moved the wire"
+        );
+    }
+
+    #[test]
+    fn writer_dropped_after_a_group_is_rejected_by_decoder() {
+        let mut buf = BytesMut::new();
+        write_preamble(&mut buf);
+        let mut w = PageDataWriter::new(&mut buf);
+        w.push_group(golden_shard().first_chunk().unwrap());
+        assert_eq!(w.pages(), GROUP_PAGES as u64);
+        let _unfinished = w; // never finished: placeholder frame stays zeroed
+        assert_eq!(
+            buf[PREAMBLE_BYTES], 0,
+            "frame tag must still be the placeholder"
+        );
+        let mut dec = StreamDecoder::new(buf.freeze()).unwrap();
+        assert!(dec.next_record().is_err());
     }
 
     #[test]
