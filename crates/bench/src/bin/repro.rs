@@ -804,11 +804,6 @@ fn datapath(scale: Scale, opts: DatapathOptions) {
         num(out.analytic_alpha_us_per_page, 3),
     );
     outln!(
-        "  legacy serial reference: {} ms -> new single-lane encode is {}x faster",
-        num(out.legacy_encode_ms, 1),
-        num(out.legacy_speedup, 2),
-    );
-    outln!(
         "  wire density: v2 meta {} KiB vs v3 columns {} KiB -> {}x fewer bytes\n",
         num(out.v2_meta_bytes as f64 / 1024.0, 1),
         num(out.v3_columns_bytes as f64 / 1024.0, 1),

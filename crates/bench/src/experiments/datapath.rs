@@ -9,15 +9,16 @@
 //! decode + restore (segmented zero-copy decode installing into a
 //! replica).
 //!
-//! Two encode paths are timed side by side:
+//! The one encoder ([`encode_pages_round`]) is timed under two plans:
 //!
-//! * **barrier** (`encode_ms` + `decode_restore_ms`) — the spliced path:
-//!   every lane shard completes before the replica sees a byte;
-//! * **streamed** (`streamed_ms`) — the pipelined path: pages split into
-//!   chunks on the work-stealing lane pool, each completed chunk handed
-//!   through the bounded overlap window and decoded into the replica
-//!   *while later chunks are still encoding*. The row's `total_ms` uses
-//!   the streamed figure, because that is what an epoch actually pays.
+//! * **spliced** (`encode_ms` + `decode_restore_ms`) — the session's
+//!   framing, one record per lane shard; the segments are collected and
+//!   the replica sees no byte until the whole stream is spliced;
+//! * **streamed** (`streamed_ms`) — pages split into chunks on the
+//!   work-stealing lane pool, each completed chunk handed through a
+//!   bounded overlap window and decoded into the replica *while later
+//!   chunks are still encoding*. The row's `total_ms` uses the streamed
+//!   figure, because that is what an epoch actually pays.
 //!
 //! Per-row `steals` and `occupancy_pct` expose the pool's behaviour
 //! (they are host-dependent diagnostics, ignored by the gate).
@@ -32,11 +33,6 @@
 //!   core count; `host_cpus` is reported so readers can tell scheduler
 //!   limits from algorithmic ones.
 //!
-//! A **legacy reference** pins the serial baseline an earlier PR
-//! replaced: per-page heap boxes, a per-record scratch copy, and the
-//! byte-serial FNV checksum over the gathered payload. The new path's
-//! speedup over it is host-independent (same core count for both).
-//!
 //! A **virtual_overlap** section closes the loop with the simulated
 //! pipeline: two deterministic scenarios (phased memory load and a KV
 //! store) run with the encode/transfer overlap knob off and on, and the
@@ -46,21 +42,21 @@
 use std::time::Instant;
 
 use here_core::dataplane::{
-    decode_and_restore, encode_pages_parallel, encode_pages_round, translate_vcpus_parallel,
-    BufferPool, EncodePlan, LanePool, PayloadMode, SegmentRestorer, DEFAULT_CHUNK_PAGES,
+    decode_and_restore, encode_pages_round, translate_vcpus_parallel, BufferPool, EncodePlan,
+    LanePool, PayloadMode, SegmentRestorer, DEFAULT_CHUNK_PAGES,
 };
 use here_core::transfer::{collect_chunked_into, CollectScratch};
 use here_core::{CostModel, ReplicationConfig, Scenario};
 use here_hypervisor::arch::ArchRegs;
 use here_hypervisor::dirty::DirtyBitmap;
 use here_hypervisor::kind::HypervisorKind;
-use here_hypervisor::memory::{materialize_content, GuestMemory};
+use here_hypervisor::memory::GuestMemory;
 use here_hypervisor::vcpu::{VcpuId, VcpuStateBlob, XenVcpuState};
 use here_hypervisor::PAGE_SIZE;
 use here_sim_core::rate::ByteSize;
 use here_sim_core::time::{SimDuration, SimTime};
 use here_vmstate::translate::StateTranslator;
-use here_vmstate::wire::{fnv32, ScatterStream, StreamEncoder, VERSION_V3};
+use here_vmstate::wire::{ScatterStream, StreamEncoder, VERSION_V3};
 use here_vmstate::MemoryDelta;
 use here_workloads::phased::{Phase, PhasedMemStress};
 use here_workloads::traits::Workload;
@@ -99,11 +95,11 @@ pub struct WorkerRow {
     pub harvest_ms: f64,
     /// vCPU blob translation to the common format.
     pub translate_ms: f64,
-    /// Barrier encode: materialize + checksum + frame page payloads into
+    /// Spliced encode: materialize + checksum + frame page payloads into
     /// pooled lanes, all shards complete before decode starts.
     pub encode_ms: f64,
     /// Segmented decode and page install on the replica (after the
-    /// barrier encode).
+    /// spliced encode).
     pub decode_restore_ms: f64,
     /// Pipelined encode→decode: chunked work-stealing encode with each
     /// finished chunk decoded into the replica while later chunks are
@@ -168,11 +164,6 @@ pub struct DatapathOutput {
     pub analytic_alpha_us_per_page: f64,
     /// The cost model's marginal lane efficiency.
     pub analytic_parallel_efficiency: f64,
-    /// Single-threaded legacy-path encode (boxes + scratch copy +
-    /// byte-serial FNV), milliseconds.
-    pub legacy_encode_ms: f64,
-    /// Legacy encode time over the new path's single-lane encode time.
-    pub legacy_speedup: f64,
     /// Encoded size of the delta as v2 metadata records (single lane),
     /// bytes — deterministic, gated exactly.
     pub v2_meta_bytes: u64,
@@ -222,35 +213,6 @@ fn vcpu_blobs(vcpus: u32) -> Vec<VcpuStateBlob> {
             VcpuStateBlob::Xen(XenVcpuState::from_arch(&regs, true))
         })
         .collect()
-}
-
-/// The serial baseline this PR replaced: one heap box per materialized
-/// page, a per-record scratch buffer copied into the output, and the
-/// byte-serial FNV checksum over the whole gathered payload.
-fn legacy_encode_reference(delta: &MemoryDelta) -> (Vec<u8>, u32) {
-    let mut scratch: Vec<u8> = Vec::new();
-    for &(page, rec) in delta.entries() {
-        let content = materialize_content(page, rec);
-        scratch.extend_from_slice(&page.frame().to_be_bytes());
-        scratch.extend_from_slice(&rec.version.to_be_bytes());
-        scratch.extend_from_slice(&rec.last_writer.to_be_bytes());
-        scratch.extend_from_slice(&content[..]);
-    }
-    let sum = fnv32(&scratch);
-    let mut out = Vec::with_capacity(scratch.len() + 9);
-    out.push(0x08);
-    out.extend_from_slice(&(scratch.len() as u32).to_be_bytes());
-    out.extend_from_slice(&sum.to_be_bytes());
-    out.extend_from_slice(&scratch);
-    (out, sum)
-}
-
-fn splice(pool_segments: Vec<bytes::Bytes>) -> ScatterStream {
-    let mut stream = ScatterStream::from(StreamEncoder::new().finish());
-    for seg in pool_segments {
-        stream.push(seg);
-    }
-    stream
 }
 
 /// Runs the datapath sweep with the default options.
@@ -312,16 +274,18 @@ pub fn run_datapath_with(scale: Scale, opts: DatapathOptions) -> DatapathOutput 
             }
             assert_eq!(cirs.len(), blobs.len());
 
-            // Barrier path: splice every lane shard, then decode.
+            // Spliced path: splice every lane shard, then decode.
+            let shards = EncodePlan {
+                lanes: workers,
+                mode: PayloadMode::Materialized,
+                chunk_pages: None,
+                window: None,
+            };
             let t = Instant::now();
-            let segments = encode_pages_parallel(
-                &delta,
-                workers,
-                PayloadMode::Materialized,
-                &mut pool,
-                &lane_pool,
-            );
-            let stream = splice(segments);
+            let mut stream = ScatterStream::from(StreamEncoder::new().finish());
+            encode_pages_round(&delta, &shards, &mut pool, &lane_pool, |_, seg| {
+                stream.push(seg)
+            });
             if measured {
                 encode += t.elapsed().as_secs_f64();
             }
@@ -341,10 +305,9 @@ pub fn run_datapath_with(scale: Scale, opts: DatapathOptions) -> DatapathOutput 
             // chunk decoded into the replica through the bounded window
             // while later chunks are still encoding.
             let plan = EncodePlan {
-                lanes: workers,
-                mode: PayloadMode::Materialized,
                 chunk_pages: Some(chunk_pages),
                 window: Some(OVERLAP_WINDOW),
+                ..shards
             };
             let t = Instant::now();
             let mut restorer = SegmentRestorer::new(&mut replica_streamed, false);
@@ -367,14 +330,15 @@ pub fn run_datapath_with(scale: Scale, opts: DatapathOptions) -> DatapathOutput 
 
             // Wire-v3 columnar path: the meta-only page-columns records a
             // v3 session ships per epoch, decoded through a v3 restorer.
+            let plan = EncodePlan {
+                mode: PayloadMode::Columnar { base_epoch: 0 },
+                ..shards
+            };
             let t = Instant::now();
-            let segments = encode_pages_parallel(
-                &delta,
-                workers,
-                PayloadMode::Columnar { base_epoch: 0 },
-                &mut pool,
-                &lane_pool,
-            );
+            let mut segments = Vec::new();
+            encode_pages_round(&delta, &plan, &mut pool, &lane_pool, |_, seg| {
+                segments.push(seg)
+            });
             if measured {
                 v3_meta += t.elapsed().as_secs_f64();
             }
@@ -422,33 +386,24 @@ pub fn run_datapath_with(scale: Scale, opts: DatapathOptions) -> DatapathOutput 
         row.measured_parallelism = base_total / row.total_ms;
     }
 
-    // Legacy serial reference over the same delta.
+    // Deterministic wire-density probe over the same delta: the v2
+    // metadata stream vs the v3 page-columns stream, single lane so the
+    // framing is identical on every host.
     let mut scratch = CollectScratch::new();
     let mut delta = MemoryDelta::new();
     collect_chunked_into(&memory, &dirty, 1, &mut scratch, &mut delta);
-    let mut legacy = 0f64;
-    for round in 0..=rounds {
-        let t = Instant::now();
-        let (encoded, _) = legacy_encode_reference(&delta);
-        if round > 0 {
-            legacy += t.elapsed().as_secs_f64();
-        }
-        assert!(!encoded.is_empty());
-    }
-    let legacy_encode_ms = legacy / rounds as f64 * 1e3;
-    let new_single_encode_ms = rows[0].encode_ms;
-    let legacy_speedup = legacy_encode_ms / new_single_encode_ms;
-
-    // Deterministic wire-density probe over the same delta: the v2
-    // metadata stream vs the v3 page-columns stream, single lane so the
-    // chunk framing is identical on every host.
     let mut pool = BufferPool::new();
     let mut encoded_bytes = |mode| {
-        let segments = encode_pages_parallel(&delta, 1, mode, &mut pool, &lane_pool);
-        let total: u64 = segments.iter().map(|s| s.len() as u64).sum();
-        for seg in segments {
-            pool.recycle(seg);
-        }
+        let plan = EncodePlan {
+            lanes: 1,
+            mode,
+            chunk_pages: None,
+            window: None,
+        };
+        let mut total = 0u64;
+        encode_pages_round(&delta, &plan, &mut pool, &lane_pool, |_, seg| {
+            total += seg.len() as u64;
+        });
         total
     };
     let v2_meta_bytes = encoded_bytes(PayloadMode::Metadata);
@@ -470,8 +425,6 @@ pub fn run_datapath_with(scale: Scale, opts: DatapathOptions) -> DatapathOutput 
         measured_alpha_us_per_page,
         analytic_alpha_us_per_page,
         costs.parallel_efficiency,
-        legacy_encode_ms,
-        legacy_speedup,
         v2_meta_bytes,
         v3_columns_bytes,
         v3_meta_reduction,
@@ -487,8 +440,6 @@ pub fn run_datapath_with(scale: Scale, opts: DatapathOptions) -> DatapathOutput 
         measured_alpha_us_per_page,
         analytic_alpha_us_per_page,
         analytic_parallel_efficiency: costs.parallel_efficiency,
-        legacy_encode_ms,
-        legacy_speedup,
         v2_meta_bytes,
         v3_columns_bytes,
         v3_meta_reduction,
@@ -591,8 +542,6 @@ fn render_json(
     measured_alpha: f64,
     analytic_alpha: f64,
     efficiency: f64,
-    legacy_encode_ms: f64,
-    legacy_speedup: f64,
     v2_meta_bytes: u64,
     v3_columns_bytes: u64,
     v3_meta_reduction: f64,
@@ -643,10 +592,6 @@ fn render_json(
         "  \"analytic_parallel_efficiency\": {efficiency:.2},\n"
     ));
     out.push_str(&format!(
-        "  \"legacy_reference\": {{\"encode_ms\": {legacy_encode_ms:.3}, \
-         \"speedup_vs_legacy\": {legacy_speedup:.2}}},\n"
-    ));
-    out.push_str(&format!(
         "  \"wire_bytes\": {{\"v2_meta_bytes\": {v2_meta_bytes}, \
          \"v3_columns_bytes\": {v3_columns_bytes}, \
          \"reduction_ratio\": {v3_meta_reduction:.2}}},\n"
@@ -687,7 +632,6 @@ mod tests {
         assert!(out.rows.iter().all(|r| r.v3_meta_ms > 0.0));
         assert!(out.rows.iter().all(|r| r.throughput_mib_per_s > 0.0));
         assert!((out.rows[0].measured_parallelism - 1.0).abs() < 1e-9);
-        assert!(out.legacy_speedup > 0.0);
         // The columnar layout must pack the same metas into at least 3x
         // fewer bytes than the fixed 14-byte v2 records.
         assert!(
@@ -699,7 +643,6 @@ mod tests {
         assert!(out.json.contains("\"streamed_ms\""));
         assert!(out.json.contains("\"v3_meta_ms\""));
         assert!(out.json.contains("\"wire_bytes\""));
-        assert!(out.json.contains("\"speedup_vs_legacy\""));
         assert!(out.json.contains("\"virtual_overlap\""));
     }
 
@@ -735,16 +678,5 @@ mod tests {
                 s.pause_ms_barrier
             );
         }
-    }
-
-    #[test]
-    fn legacy_reference_covers_the_same_payload() {
-        let (memory, dirty) = dirty_guest(512, 2);
-        let mut scratch = CollectScratch::new();
-        let mut delta = MemoryDelta::new();
-        collect_chunked_into(&memory, &dirty, 1, &mut scratch, &mut delta);
-        let (encoded, _) = legacy_encode_reference(&delta);
-        // frame header + per-page (14 meta + 4096 content)
-        assert_eq!(encoded.len(), 9 + 512 * (14 + 4096));
     }
 }

@@ -5,10 +5,10 @@
 //! 1. **What does the instrumentation cost?** The observability layer sits
 //!    on the checkpoint hot path — per-lane `Instant` probes, histogram
 //!    observes, flight-recorder writes. This experiment re-runs the
-//!    datapath's 8-lane materialized encode twice per round, once through
-//!    the plain [`encode_pages_parallel`] entry point and once through the
-//!    timed variant with every telemetry hook live (lane histograms,
-//!    stage histogram, flight events), and reports the relative overhead.
+//!    datapath's 8-lane materialized encode twice per round through
+//!    [`encode_pages_round`], once bare and once with every telemetry
+//!    hook live on its lane walls (lane histograms, stage histogram,
+//!    flight events), and reports the relative overhead.
 //!    The acceptance bar is **< 5 %**.
 //! 2. **What does a run's telemetry look like?** A short dynamic-period
 //!    replicated scenario runs with the always-on layer, and its frozen
@@ -22,9 +22,7 @@
 
 use std::time::Instant;
 
-use here_core::dataplane::{
-    encode_pages_parallel, encode_pages_parallel_timed, BufferPool, LanePool, PayloadMode,
-};
+use here_core::dataplane::{encode_pages_round, BufferPool, EncodePlan, LanePool, PayloadMode};
 use here_core::transfer::{collect_chunked_into, CollectScratch};
 use here_core::{ReplicationConfig, Scenario};
 use here_hypervisor::dirty::DirtyBitmap;
@@ -144,32 +142,31 @@ pub fn run_observe(scale: Scale) -> ObserveOutput {
     let lane_pool = LanePool::new();
     let mut baseline_samples = Vec::with_capacity(rounds as usize);
     let mut instrumented_samples = Vec::with_capacity(rounds as usize);
+    let plan = EncodePlan {
+        lanes: OVERHEAD_LANES,
+        mode: PayloadMode::Materialized,
+        chunk_pages: None,
+        window: None,
+    };
+    let mut segments = Vec::with_capacity(OVERHEAD_LANES as usize);
     for round in 0..=rounds {
         let measured = round > 0;
 
         let t = Instant::now();
-        let segments = encode_pages_parallel(
-            &delta,
-            OVERHEAD_LANES,
-            PayloadMode::Materialized,
-            &mut pool,
-            &lane_pool,
-        );
+        encode_pages_round(&delta, &plan, &mut pool, &lane_pool, |_, seg| {
+            segments.push(seg)
+        });
         if measured {
             baseline_samples.push(t.elapsed().as_secs_f64());
         }
-        for seg in segments {
+        for seg in segments.drain(..) {
             pool.recycle(seg);
         }
 
         let t = Instant::now();
-        let (segments, walls) = encode_pages_parallel_timed(
-            &delta,
-            OVERHEAD_LANES,
-            PayloadMode::Materialized,
-            &mut pool,
-            &lane_pool,
-        );
+        let (walls, _) = encode_pages_round(&delta, &plan, &mut pool, &lane_pool, |_, seg| {
+            segments.push(seg)
+        });
         for (lane, wall) in walls.iter().enumerate() {
             lane_hist.observe(*wall);
             flight.record(FlightEvent::EncodeLane {
@@ -193,7 +190,7 @@ pub fn run_observe(scale: Scale) -> ObserveOutput {
         if measured {
             instrumented_samples.push(t.elapsed().as_secs_f64());
         }
-        for seg in segments {
+        for seg in segments.drain(..) {
             pool.recycle(seg);
         }
     }

@@ -240,7 +240,6 @@ pub const MEASURED_KEYS: &[&str] = &[
     "throughput_mib_per_s",
     "measured_alpha_us_per_page",
     "measured_parallelism",
-    "speedup_vs_legacy",
 ];
 
 /// Leaf keys that are host-dependent noise, never compared.

@@ -1,26 +1,29 @@
 //! The zero-copy, work-stealing, pipelined checkpoint data plane.
 //!
-//! PR 1 made the *harvest* side genuinely threaded and PR 2 made encode
-//! zero-copy; this revision makes encode genuinely parallel and lets it
-//! overlap the transfer stage. Three pieces:
+//! [`encode_pages_round`] is the one way a delta becomes wire bytes. An
+//! [`EncodePlan`] says how the round is split into tasks (one record per
+//! task), on how many lanes, and how far lanes may run ahead:
 //!
-//! - [`LanePool`] — a persistent work-stealing pool owned by
-//!   [`CheckpointPools`]. Worker threads are spawned once and parked
-//!   between checkpoints (no per-epoch `thread::scope` spawn/join).
-//!   Each encode round splits its pages into tasks on per-lane queues
-//!   (round-robin by task index, so a lane re-encodes the same memory
-//!   regions epoch after epoch — warm affinity); a lane that drains its
-//!   own queue steals from the back of the fullest other lane.
-//! - **Chunked framing** — a round's tasks are either the legacy
-//!   one-record-per-lane shards (`chunk_pages: None`, byte-identical to
-//!   the PR 2 wire format) or fixed-size page chunks, one record per
-//!   chunk, which gives the pool enough tasks to actually steal.
-//! - **Streamed hand-off** — completed task segments pass through a
-//!   bounded in-order window to a consumer running on the calling
-//!   thread ([`EncodePlan::window`]), so transfer/decode work proceeds
-//!   while later chunks are still encoding. Segments are always
-//!   delivered in task order, so the assembled stream is byte-identical
-//!   to the barrier path at every window depth.
+//! - **Framing** — `chunk_pages: None` cuts one near-equal shard per
+//!   lane (the session's default; the shard record sizes are in every
+//!   Transfer stage event, so the run fingerprints pin this framing).
+//!   `Some(p)` cuts fixed `p`-page chunks, enough tasks to steal.
+//! - **Inline rule** — a single task, or one lane with no window, is
+//!   encoded on the calling thread and never touches the pool: the
+//!   choice follows from the input alone.
+//! - **Pool round** — every other round runs on the persistent
+//!   [`LanePool`], whose workers are spawned once and parked between
+//!   rounds. Tasks sit on per-lane queues (round-robin by task index, so
+//!   a lane re-encodes the same memory regions epoch after epoch); a lane
+//!   that drains its queue steals from the back of the fullest other.
+//!   The lanes produce and the calling thread consumes: it gets each
+//!   segment, strictly in task order, as soon as that segment and its
+//!   predecessors are done, so transfer/decode overlaps the encode still
+//!   running. Lanes block [`EncodePlan::window`] tasks ahead of the
+//!   consumer; the default depth is the whole round, so none ever does.
+//!   The stream is byte-identical at every lane count and depth. Depth
+//!   is no memory bound: every task's buffer leaves the [`BufferPool`]
+//!   before the round starts.
 //!
 //! Allocation lifecycle: [`BufferPool`] hands out recycled `BytesMut`
 //! buffers and reclaims them from spent `Bytes` segments via
@@ -61,7 +64,7 @@ use crate::transfer::CollectScratch;
 const SEGMENT_SLACK: usize = 64;
 
 /// Below this many pages a parallel encode is not worth the thread
-/// wake-ups; the shard loop collapses to one lane.
+/// wake-ups; the session plans such a checkpoint on one lane.
 pub const PARALLEL_ENCODE_MIN_PAGES: usize = 1024;
 
 /// Default chunk size (pages) for chunk-framed rounds: 2 MiB of guest
@@ -105,11 +108,17 @@ impl BufferPool {
     }
 
     /// Takes a buffer with at least `min_capacity` spare bytes, reusing a
-    /// pooled allocation when one exists.
+    /// pooled allocation when one exists: the smallest that already fits,
+    /// else the largest, which has the least to grow.
     pub fn checkout(&mut self, min_capacity: usize) -> BytesMut {
-        match self.free.pop() {
-            Some(mut buf) => {
+        let best = (0..self.free.len()).min_by_key(|&i| {
+            let cap = self.free[i].capacity();
+            (cap < min_capacity, cap.abs_diff(min_capacity))
+        });
+        match best {
+            Some(i) => {
                 self.hits += 1;
+                let mut buf = self.free.swap_remove(i);
                 buf.clear();
                 buf.reserve(min_capacity);
                 buf
@@ -161,29 +170,14 @@ pub struct EncodePlan {
     pub lanes: u32,
     /// Record payload mode.
     pub mode: PayloadMode,
-    /// `None`: legacy framing, one record per lane shard
-    /// (`delta.shards(lanes)` boundaries — byte-identical to the
-    /// pre-pool wire format). `Some(p)`: one record per `p`-page chunk.
+    /// `None`: one record per lane shard (`delta.shards(lanes)`
+    /// boundaries). `Some(p)`: one record per `p`-page chunk.
     pub chunk_pages: Option<u32>,
-    /// `None`: barrier — the caller participates as lane 0 and segments
-    /// are delivered after the whole round completes. `Some(d)`: the
-    /// caller acts as the consumer of a bounded in-order window of `d`
-    /// chunks; encode lanes block when they run `d` chunks ahead of the
-    /// consumer (backpressure), and the consumer sees each segment as
-    /// soon as it and all its predecessors are done.
+    /// How many tasks the encode lanes may run ahead of the consumer
+    /// before they block (backpressure); `None` is the whole round, so
+    /// no lane ever blocks. At every depth the consumer sees each
+    /// segment as soon as it and all its predecessors are done.
     pub window: Option<u32>,
-}
-
-impl EncodePlan {
-    /// The legacy plan: shard framing, barrier hand-off.
-    pub fn legacy(lanes: u32, mode: PayloadMode) -> Self {
-        EncodePlan {
-            lanes,
-            mode,
-            chunk_pages: None,
-            window: None,
-        }
-    }
 }
 
 /// Per-lane activity of one encode round.
@@ -276,7 +270,6 @@ struct Round {
     tasks: Vec<(usize, usize)>,
     mode: PayloadMode,
     lanes: usize,
-    caller_participates: bool,
     depth: usize,
     queues: Vec<Mutex<VecDeque<usize>>>,
     progress: Mutex<Progress>,
@@ -286,26 +279,6 @@ struct Round {
 }
 
 impl Round {
-    /// Which logical lane pool worker `idx` plays this round, if any.
-    /// When the caller participates it takes lane 0 and workers cover
-    /// lanes `1..`; otherwise workers cover lanes `0..`.
-    fn lane_for_worker(&self, idx: usize) -> Option<usize> {
-        let lane = if self.caller_participates {
-            idx + 1
-        } else {
-            idx
-        };
-        (lane < self.lanes).then_some(lane)
-    }
-
-    fn workers_engaged(&self) -> usize {
-        if self.caller_participates {
-            self.lanes - 1
-        } else {
-            self.lanes
-        }
-    }
-
     /// Claims the next task for `lane`: its own queue front first, then a
     /// steal from the back of the fullest other queue.
     fn claim(&self, lane: usize) -> Option<(usize, bool)> {
@@ -455,7 +428,7 @@ impl LanePool {
             let idx = workers.len();
             let shared = Arc::clone(&self.shared);
             let handle = std::thread::Builder::new()
-                .name(format!("encode-lane-{}", idx + 1))
+                .name(format!("encode-lane-{idx}"))
                 .spawn(move || worker_main(shared, idx))
                 .expect("spawn encode lane worker");
             workers.push(handle);
@@ -471,10 +444,8 @@ impl LanePool {
     ) -> (Vec<u64>, EncodeRoundStats) {
         let ntasks = round.tasks.len();
         let start = Instant::now();
-        let engaged = round.workers_engaged();
-        self.ensure_workers(engaged);
+        self.ensure_workers(round.lanes);
         let worker_total = self.workers_spawned();
-        let caller_lane = round.caller_participates.then_some(0usize);
         let round = Arc::new(round);
         {
             let mut st = self.shared.state.lock().expect("pool state lock");
@@ -485,11 +456,8 @@ impl LanePool {
             st.epoch += 1;
             self.shared.work_cv.notify_all();
         }
-        if let Some(lane) = caller_lane {
-            round.work(lane);
-        }
-        // Consume completed segments strictly in task order; each consume
-        // opens one more window slot for the producers.
+        // Consume completed segments strictly in task order while the
+        // lanes run; each consume opens one more window slot for them.
         let mut walls = vec![0u64; ntasks];
         for (next, wall) in walls.iter_mut().enumerate() {
             let seg = {
@@ -576,14 +544,13 @@ fn worker_main(shared: Arc<PoolShared>, idx: usize) {
             return;
         }
         last_epoch = guard.epoch;
-        let engaged = guard
-            .round
-            .clone()
-            .and_then(|round| round.lane_for_worker(idx).map(|lane| (round, lane)));
-        if let Some((round, lane)) = engaged {
+        // Worker `idx` plays lane `idx`; a round narrower than the pool
+        // leaves the rest parked.
+        let engaged = guard.round.clone().filter(|round| idx < round.lanes);
+        if let Some(round) = engaged {
             guard.idle -= 1;
             drop(guard);
-            round.work(lane);
+            round.work(idx);
             // The Arc clone must die before `idle` rises again: the
             // dispatcher relies on `idle == workers` implying it holds
             // the only reference to the round.
@@ -715,7 +682,7 @@ fn encode_shard(
     }
 }
 
-/// Splits `n` entries into task ranges per `plan`: legacy framing uses
+/// Splits `n` entries into task ranges per `plan`: shard framing uses
 /// the `delta.shards(lanes)` boundaries (near-equal contiguous slices,
 /// one per lane); chunk framing uses fixed `chunk_pages` strides.
 fn plan_tasks(n: usize, plan: &EncodePlan, out: &mut Vec<(usize, usize)>) {
@@ -739,11 +706,11 @@ fn plan_tasks(n: usize, plan: &EncodePlan, out: &mut Vec<(usize, usize)>) {
 /// strictly in task (= ascending frame) order through `on_segment`.
 /// Returns per-task encode walls (host ns) and the round's lane stats.
 ///
-/// With `plan.window: None` the caller participates as lane 0 and
-/// `on_segment` runs after the barrier; with `Some(d)` the caller is the
-/// consumer of a bounded `d`-chunk window and `on_segment` overlaps the
-/// remaining encode work. Small rounds (a single task, or a single
-/// lane with no window) are encoded inline without touching the pool.
+/// A single task, or a single lane with no window, is encoded inline on
+/// the calling thread without touching the pool. Every other round runs
+/// on pool workers while the caller consumes: `on_segment` overlaps the
+/// remaining encode work, and lanes block only when they run
+/// `plan.window` tasks ahead of it (never, by default).
 ///
 /// # Panics
 ///
@@ -803,7 +770,6 @@ pub fn encode_pages_round(
     let round_lanes = (plan.lanes as usize).min(ntasks).max(1);
     scratch.entries.clear();
     scratch.entries.extend_from_slice(entries);
-    let caller_participates = plan.window.is_none();
     let queues: Vec<Mutex<VecDeque<usize>>> = (0..round_lanes)
         .map(|lane| {
             Mutex::new(
@@ -813,17 +779,12 @@ pub fn encode_pages_round(
             )
         })
         .collect();
-    let depth = plan
-        .window
-        .map(|d| (d as usize).max(1))
-        .unwrap_or(ntasks)
-        .min(ntasks);
+    let depth = plan.window.map_or(ntasks, |d| (d as usize).max(1));
     let round = Round {
         entries: scratch.entries,
         tasks: scratch.tasks,
         mode: plan.mode,
         lanes: round_lanes,
-        caller_participates,
         depth,
         queues,
         progress: Mutex::new(Progress {
@@ -841,62 +802,6 @@ pub fn encode_pages_round(
         *first += split_nanos;
     }
     (walls, stats)
-}
-
-/// Encodes a delta's pages as one length-framed page-batch record per
-/// worker lane, concurrently, into pooled buffers. Returns the frozen
-/// segments in shard (= ascending frame) order, ready to be spliced into a
-/// [`ScatterStream`].
-///
-/// Legacy shard framing: byte-identical to the pre-pool encoder at every
-/// lane count. In `Materialized` mode the lanes also generate every
-/// 4 KiB page image, four pages in lock-step straight into the lane
-/// buffer, folding the record's streaming checksum in the same pass
-/// ([`PageDataWriter::push_group`]).
-///
-/// # Panics
-///
-/// Panics if `lanes` is zero.
-pub fn encode_pages_parallel(
-    delta: &MemoryDelta,
-    lanes: u32,
-    mode: PayloadMode,
-    pool: &mut BufferPool,
-    lane_pool: &LanePool,
-) -> Vec<Bytes> {
-    encode_pages_parallel_timed(delta, lanes, mode, pool, lane_pool).0
-}
-
-/// [`encode_pages_parallel`] plus per-shard wall-clock timings: result
-/// `.1` holds, for each returned segment, the host nanoseconds spent
-/// encoding it (shard 0's wall also carries the task-split/dispatch
-/// cost, so the walls sum to the whole encode). The telemetry layer
-/// feeds these into the `here_encode_lane_wall_nanos` histogram and the
-/// flight recorder, making lane imbalance observable without
-/// re-instrumenting call sites.
-///
-/// # Panics
-///
-/// Panics if `lanes` is zero.
-pub fn encode_pages_parallel_timed(
-    delta: &MemoryDelta,
-    lanes: u32,
-    mode: PayloadMode,
-    pool: &mut BufferPool,
-    lane_pool: &LanePool,
-) -> (Vec<Bytes>, Vec<u64>) {
-    assert!(lanes >= 1, "at least one encode lane is required");
-    let lanes = if delta.len() < PARALLEL_ENCODE_MIN_PAGES {
-        1
-    } else {
-        lanes
-    };
-    let plan = EncodePlan::legacy(lanes, mode);
-    let mut segments = Vec::new();
-    let (walls, _) = encode_pages_round(delta, &plan, pool, lane_pool, |_, seg| {
-        segments.push(seg);
-    });
-    (segments, walls)
 }
 
 fn blob_to_cir(
@@ -953,6 +858,7 @@ pub fn translate_vcpus_parallel(
 
 /// Page images the content check compares against, kept across records
 /// so no 4 KiB buffer is zeroed per page.
+#[derive(Debug)]
 struct VerifyScratch {
     /// Up to [`GROUP_PAGES`] expected images, back to back.
     expected: [u8; GROUP_PAGES * PAGE_SIZE as usize],
@@ -1100,6 +1006,7 @@ pub struct SegmentRestorer<'a> {
     verify_content: bool,
     preamble: Bytes,
     installed: u64,
+    scratch: VerifyScratch,
 }
 
 impl<'a> SegmentRestorer<'a> {
@@ -1118,6 +1025,7 @@ impl<'a> SegmentRestorer<'a> {
             verify_content,
             preamble: head.freeze(),
             installed: 0,
+            scratch: VerifyScratch::new(),
         }
     }
 
@@ -1132,10 +1040,9 @@ impl<'a> SegmentRestorer<'a> {
         let mut stream = ScatterStream::from(self.preamble.clone());
         stream.push(segment.clone());
         let mut dec = StreamDecoder::new_scattered(stream)?;
-        let mut scratch = VerifyScratch::new();
         while let Some(record) = dec.next_record()? {
             self.installed +=
-                install_record(record, self.replica, self.verify_content, &mut scratch)?;
+                install_record(record, self.replica, self.verify_content, &mut self.scratch)?;
         }
         Ok(())
     }
@@ -1155,6 +1062,7 @@ mod tests {
     use here_hypervisor::PageId;
     use here_sim_core::rate::ByteSize;
     use here_vmstate::wire::{write_preamble, PREAMBLE_BYTES};
+    use proptest::prelude::*;
 
     fn delta_of(n: u64) -> MemoryDelta {
         (0..n)
@@ -1168,6 +1076,30 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// Shard framing at full depth: the replication session's plan.
+    const SHARDS: EncodePlan = EncodePlan {
+        lanes: 4,
+        mode: PayloadMode::Metadata,
+        chunk_pages: None,
+        window: None,
+    };
+
+    /// Runs one round and collects its segments, checking that they
+    /// arrive in task order.
+    fn encode(
+        delta: &MemoryDelta,
+        plan: EncodePlan,
+        pool: &mut BufferPool,
+        lp: &LanePool,
+    ) -> Vec<Bytes> {
+        let mut segments = Vec::new();
+        encode_pages_round(delta, &plan, pool, lp, |i, seg| {
+            assert_eq!(i, segments.len(), "{plan:?} delivered out of order");
+            segments.push(seg);
+        });
+        segments
     }
 
     fn splice(segments: Vec<Bytes>) -> ScatterStream {
@@ -1209,17 +1141,15 @@ mod tests {
         let delta = delta_of(4096);
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
-        let reference = decoded_pages(splice(encode_pages_parallel(
-            &delta,
-            1,
-            PayloadMode::Materialized,
-            &mut pool,
-            &lp,
-        )));
+        let plan = EncodePlan {
+            lanes: 1,
+            mode: PayloadMode::Materialized,
+            ..SHARDS
+        };
+        let reference = decoded_pages(splice(encode(&delta, plan, &mut pool, &lp)));
         assert_eq!(reference.len(), delta.len());
         for lanes in [2u32, 4, 8] {
-            let segs =
-                encode_pages_parallel(&delta, lanes, PayloadMode::Materialized, &mut pool, &lp);
+            let segs = encode(&delta, EncodePlan { lanes, ..plan }, &mut pool, &lp);
             let got = decoded_pages(splice(segs));
             assert!(got == reference, "lanes={lanes} decoded differently");
         }
@@ -1260,12 +1190,7 @@ mod tests {
                         chunk_pages,
                         window,
                     };
-                    let mut segments = Vec::new();
-                    encode_pages_round(&delta, &plan, &mut pool, &lp, |i, seg| {
-                        assert_eq!(i, segments.len(), "{plan:?} delivered out of order");
-                        segments.push(seg);
-                    });
-                    let stream = splice(segments);
+                    let stream = splice(encode(&delta, plan, &mut pool, &lp));
                     let got = stream.gather();
                     assert!(
                         got[PREAMBLE_BYTES..] == one_page_at_a_time(&delta, &plan)[..],
@@ -1284,7 +1209,11 @@ mod tests {
         let delta = delta_of(2048);
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
-        let segs = encode_pages_parallel(&delta, 4, PayloadMode::Materialized, &mut pool, &lp);
+        let plan = EncodePlan {
+            mode: PayloadMode::Materialized,
+            ..SHARDS
+        };
+        let segs = encode(&delta, plan, &mut pool, &lp);
         let mut replica = GuestMemory::new(ByteSize::from_mib(32)).unwrap();
         let installed = decode_and_restore(splice(segs), &mut replica, true).unwrap();
         assert_eq!(installed, delta.len() as u64);
@@ -1298,7 +1227,7 @@ mod tests {
         let delta = delta_of(2048);
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
-        let segs = encode_pages_parallel(&delta, 4, PayloadMode::Metadata, &mut pool, &lp);
+        let segs = encode(&delta, SHARDS, &mut pool, &lp);
         let mut replica = GuestMemory::new(ByteSize::from_mib(32)).unwrap();
         let installed = decode_and_restore(splice(segs), &mut replica, false).unwrap();
         assert_eq!(installed, delta.len() as u64);
@@ -1310,7 +1239,7 @@ mod tests {
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
         for round in 0..4 {
-            let segs = encode_pages_parallel(&delta, 4, PayloadMode::Metadata, &mut pool, &lp);
+            let segs = encode(&delta, SHARDS, &mut pool, &lp);
             assert_eq!(segs.len(), 4);
             for seg in segs {
                 assert!(pool.recycle(seg), "round {round}: segment not reclaimed");
@@ -1323,27 +1252,56 @@ mod tests {
     }
 
     #[test]
+    fn buffer_pool_checkout_is_best_fit() {
+        const BIG: usize = 2 << 20;
+        let mut pool = BufferPool::new();
+        pool.recycle_mut(BytesMut::with_capacity(BIG));
+        pool.recycle_mut(BytesMut::with_capacity(64));
+        // The small buffer on top is not grown while one that fits is
+        // pooled; it is still there for the small request.
+        let big = pool.checkout(BIG);
+        assert_eq!(big.capacity(), BIG);
+        assert_eq!(pool.checkout(48).capacity(), 64);
+        // Nothing fits: the largest is the one grown.
+        pool.recycle_mut(BytesMut::with_capacity(64));
+        pool.recycle_mut(big);
+        pool.recycle_mut(BytesMut::with_capacity(256));
+        assert!(pool.checkout(2 * BIG).capacity() >= 2 * BIG);
+        assert_eq!(pool.checkout(65).capacity(), 256);
+        assert_eq!((pool.hits(), pool.misses(), pool.pooled()), (4, 0, 1));
+    }
+
+    #[test]
     fn timed_encode_reports_one_wall_per_lane() {
         let delta = delta_of(4096);
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
-        let (segs, walls) =
-            encode_pages_parallel_timed(&delta, 4, PayloadMode::Metadata, &mut pool, &lp);
-        assert_eq!(segs.len(), 4);
+        let mut segs = 0;
+        let (walls, stats) = encode_pages_round(&delta, &SHARDS, &mut pool, &lp, |_, _| segs += 1);
+        assert_eq!(segs, 4);
         assert_eq!(walls.len(), 4);
-        // The timed and untimed entry points must produce identical bytes.
-        let plain = encode_pages_parallel(&delta, 4, PayloadMode::Metadata, &mut pool, &lp);
-        assert_eq!(segs, plain);
+        assert_eq!(stats.per_lane.len(), 4);
     }
 
     #[test]
-    fn small_deltas_collapse_to_one_lane() {
-        let delta = delta_of(16);
+    fn inline_rounds_never_wake_the_pool() {
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
-        let segs = encode_pages_parallel(&delta, 8, PayloadMode::Metadata, &mut pool, &lp);
-        assert_eq!(segs.len(), 1);
-        // The inline path never wakes the pool.
+        // One lane and no window: every task on the calling thread.
+        let one_lane = EncodePlan {
+            lanes: 1,
+            chunk_pages: Some(256),
+            ..SHARDS
+        };
+        assert_eq!(encode(&delta_of(4096), one_lane, &mut pool, &lp).len(), 16);
+        // A single task, whatever the lanes and window.
+        let one_task = EncodePlan {
+            lanes: 8,
+            chunk_pages: Some(512),
+            window: Some(2),
+            ..SHARDS
+        };
+        assert_eq!(encode(&delta_of(300), one_task, &mut pool, &lp).len(), 1);
         assert_eq!(lp.workers_spawned(), 0);
         assert_eq!(lp.totals().rounds, 0);
     }
@@ -1354,14 +1312,13 @@ mod tests {
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
         for _ in 0..3 {
-            let segs = encode_pages_parallel(&delta, 4, PayloadMode::Metadata, &mut pool, &lp);
-            for seg in segs {
+            for seg in encode(&delta, SHARDS, &mut pool, &lp) {
                 pool.recycle(seg);
             }
         }
-        // Barrier rounds engage lanes-1 workers (the caller is lane 0),
-        // spawned once and reused.
-        assert_eq!(lp.workers_spawned(), 3);
+        // Every lane is a pool worker (the caller only consumes), spawned
+        // once and reused.
+        assert_eq!(lp.workers_spawned(), 4);
         let totals = lp.totals();
         assert_eq!(totals.rounds, 3);
         assert_eq!(totals.tasks, 12);
@@ -1369,31 +1326,35 @@ mod tests {
 
     #[test]
     fn chunked_framing_is_depth_invariant() {
-        // The streamed path must produce byte-identical segments to the
-        // barrier path at every window depth.
+        // A full-depth pool round, every bounded depth and the inline
+        // single-lane encode produce byte-identical segments.
         let delta = delta_of(4096);
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
-        let barrier = EncodePlan {
-            lanes: 4,
-            mode: PayloadMode::Metadata,
+        let full_depth = EncodePlan {
             chunk_pages: Some(256),
-            window: None,
+            ..SHARDS
         };
-        let mut reference = Vec::new();
-        encode_pages_round(&delta, &barrier, &mut pool, &lp, |_, seg| {
-            reference.push(seg)
-        });
+        let reference = encode(&delta, full_depth, &mut pool, &lp);
         assert_eq!(reference.len(), 16);
+        assert_eq!(lp.totals().rounds, 1);
         for depth in [1u32, 2, 4, 64] {
             let plan = EncodePlan {
                 window: Some(depth),
-                ..barrier
+                ..full_depth
             };
-            let mut got = Vec::new();
-            encode_pages_round(&delta, &plan, &mut pool, &lp, |_, seg| got.push(seg));
-            assert_eq!(got, reference, "depth={depth}");
+            assert_eq!(
+                encode(&delta, plan, &mut pool, &lp),
+                reference,
+                "depth={depth}"
+            );
         }
+        let inline = EncodePlan {
+            lanes: 1,
+            ..full_depth
+        };
+        assert_eq!(encode(&delta, inline, &mut pool, &lp), reference);
+        assert_eq!(lp.totals().rounds, 5);
     }
 
     #[test]
@@ -1415,12 +1376,11 @@ mod tests {
             });
             assert_eq!(restorer.installed(), delta.len() as u64);
         }
-        let barrier = EncodePlan {
+        let full_depth = EncodePlan {
             window: None,
             ..plan
         };
-        let mut segs = Vec::new();
-        encode_pages_round(&delta, &barrier, &mut pool, &lp, |_, seg| segs.push(seg));
+        let segs = encode(&delta, full_depth, &mut pool, &lp);
         let mut spliced = GuestMemory::new(ByteSize::from_mib(32)).unwrap();
         decode_and_restore(splice(segs), &mut spliced, true).unwrap();
         assert!(streamed.content_equals(&spliced));
@@ -1464,15 +1424,50 @@ mod tests {
 
     #[test]
     fn corrupted_payload_fails_restore() {
-        let delta = delta_of(PARALLEL_ENCODE_MIN_PAGES as u64 * 2);
+        let delta = delta_of(2048);
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
-        let segs = encode_pages_parallel(&delta, 2, PayloadMode::Materialized, &mut pool, &lp);
+        let plan = EncodePlan {
+            lanes: 2,
+            mode: PayloadMode::Materialized,
+            ..SHARDS
+        };
+        let segs = encode(&delta, plan, &mut pool, &lp);
         let mut flipped = segs[1].to_vec();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x40;
         let stream = splice(vec![segs[0].clone(), Bytes::from(flipped)]);
         let mut replica = GuestMemory::new(ByteSize::from_mib(32)).unwrap();
         assert!(decode_and_restore(stream, &mut replica, true).is_err());
+    }
+    proptest! {
+        /// Tasks partition `0..n` into contiguous, in-order, non-empty
+        /// ranges; shard framing cuts them where `MemoryDelta::shards`
+        /// does, at most one per lane.
+        #[test]
+        fn plan_tasks_partitions_the_delta(
+            n in 0usize..20_000,
+            lanes in 1u32..=16,
+            chunk_pages in proptest::option::of(1u32..5_000),
+        ) {
+            let plan = EncodePlan { lanes, chunk_pages, ..SHARDS };
+            let mut tasks = Vec::new();
+            plan_tasks(n, &plan, &mut tasks);
+            let mut next = 0;
+            for &(lo, hi) in &tasks {
+                prop_assert_eq!(lo, next);
+                prop_assert!(hi > lo);
+                next = hi;
+            }
+            prop_assert_eq!(next, n);
+            if chunk_pages.is_none() {
+                let delta = delta_of(n as u64);
+                let shards: Vec<usize> =
+                    delta.shards(lanes as usize).iter().map(|s| s.len()).collect();
+                let cut: Vec<usize> = tasks.iter().map(|&(lo, hi)| hi - lo).collect();
+                prop_assert_eq!(cut, shards);
+                prop_assert!(tasks.len() <= n.min(lanes as usize));
+            }
+        }
     }
 }

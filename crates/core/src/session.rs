@@ -38,8 +38,8 @@ use here_workloads::traits::Workload;
 use crate::chaos::{ChaosState, FaultPlan, TransferFault};
 use crate::config::ReplicationConfig;
 use crate::dataplane::{
-    encode_pages_parallel_timed, encode_pages_round, translate_vcpus_parallel, CheckpointPools,
-    EncodePlan, PayloadMode, PARALLEL_ENCODE_MIN_PAGES,
+    encode_pages_round, translate_vcpus_parallel, CheckpointPools, EncodePlan, PayloadMode,
+    PARALLEL_ENCODE_MIN_PAGES,
 };
 use crate::devmgr::DeviceManager;
 use crate::error::{CoreError, CoreResult};
@@ -564,7 +564,7 @@ impl Session {
     /// device identities. This is the *send side* of the data plane — real
     /// bytes are produced and checksummed.
     ///
-    /// The delta is sharded across encode lanes: scoped workers each frame
+    /// The delta is sharded across encode lanes: pool workers each frame
     /// their own page-batch record into a pooled buffer, and the frozen
     /// lane segments are spliced scatter-gather style into the returned
     /// [`ScatterStream`] — no concatenation, no re-sort. vCPU translation
@@ -629,49 +629,30 @@ impl Session {
         head.push(&Record::CheckpointBegin { seq });
         let mut stream = ScatterStream::from(head.finish());
 
-        // Page lanes, encoded concurrently into pooled buffers. Chunk
-        // framing and the streamed window are opt-in: with both knobs off
-        // this is the legacy shard path, byte-identical to prior releases.
+        // Page lanes, encoded concurrently into pooled buffers and spliced
+        // in task order as they complete.
         let at_nanos = self.rel(self.clock).as_nanos();
-        let chunk_pages = self.cfg.encode_chunk_pages;
-        let window = self.cfg.overlap_channel_depth;
-        let mut page_bytes = 0u64;
-        let lane_walls = if chunk_pages.is_some() || window.is_some() {
-            let plan = EncodePlan {
-                lanes: if delta.len() < PARALLEL_ENCODE_MIN_PAGES {
-                    1
-                } else {
-                    lanes
-                },
-                mode,
-                chunk_pages,
-                window,
-            };
-            let (walls, _stats) = encode_pages_round(
-                delta,
-                &plan,
-                &mut self.pools.buffers,
-                &self.pools.lanes,
-                |_, segment| {
-                    page_bytes += segment.len() as u64;
-                    stream.push(segment)
-                },
-            );
-            walls
-        } else {
-            let (segments, walls) = encode_pages_parallel_timed(
-                delta,
-                lanes,
-                mode,
-                &mut self.pools.buffers,
-                &self.pools.lanes,
-            );
-            for segment in segments {
-                page_bytes += segment.len() as u64;
-                stream.push(segment);
-            }
-            walls
+        let plan = EncodePlan {
+            lanes: if delta.len() < PARALLEL_ENCODE_MIN_PAGES {
+                1
+            } else {
+                lanes
+            },
+            mode,
+            chunk_pages: self.cfg.encode_chunk_pages,
+            window: self.cfg.overlap_channel_depth,
         };
+        let mut page_bytes = 0u64;
+        let (lane_walls, _) = encode_pages_round(
+            delta,
+            &plan,
+            &mut self.pools.buffers,
+            &self.pools.lanes,
+            |_, segment| {
+                page_bytes += segment.len() as u64;
+                stream.push(segment)
+            },
+        );
         if canonical {
             for (lane, &wall) in lane_walls.iter().enumerate() {
                 self.telemetry

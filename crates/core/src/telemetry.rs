@@ -35,8 +35,8 @@
 //! | `here_period_seconds` | gauge | the period `T` chosen for the next epoch |
 //! | `here_degradation_ratio` | gauge | last measured degradation `D_T` |
 //!
-//! With the health plane armed ([`ReplicationConfig::health_plane`]
-//! (crate::config::ReplicationConfig::health_plane)), these
+//! With the health plane armed
+//! ([`crate::config::ReplicationConfig::health_plane`]), these
 //! replica-labelled families join the registry (single-replica and
 //! unarmed runs never register them, so the frozen observe-gate metric
 //! schema is untouched):

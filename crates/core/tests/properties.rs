@@ -2,7 +2,7 @@
 //! must never change what a checkpoint observes or ships.
 
 use here_core::dataplane::{
-    decode_and_restore, encode_pages_parallel, BufferPool, LanePool, PayloadMode,
+    decode_and_restore, encode_pages_round, BufferPool, EncodePlan, LanePool, PayloadMode,
 };
 use here_core::transfer::{collect_chunked, collect_chunked_into, CollectScratch};
 use here_hypervisor::dirty::DirtyBitmap;
@@ -81,15 +81,15 @@ proptest! {
             prop_assert_eq!(delta.entries(), reference.entries());
 
             let mut stream = ScatterStream::from(StreamEncoder::new().finish());
-            for seg in encode_pages_parallel(
-                &delta,
+            let plan = EncodePlan {
                 lanes,
-                PayloadMode::Materialized,
-                &mut pool,
-                &lane_pool,
-            ) {
-                stream.push(seg);
-            }
+                mode: PayloadMode::Materialized,
+                chunk_pages: None,
+                window: None,
+            };
+            encode_pages_round(&delta, &plan, &mut pool, &lane_pool, |_, seg| {
+                stream.push(seg)
+            });
             let mut replica = GuestMemory::new(memory.size()).expect("replica size is valid");
             let installed = decode_and_restore(stream.clone(), &mut replica, true)
                 .expect("stream must decode");

@@ -701,6 +701,14 @@ fn decode_page_columns(mut p: Bytes) -> WireResult<PageColumnsBatch> {
             "column lengths disagree with record length",
         ));
     }
+    // Every page costs at least three meta bytes (frame gap, version,
+    // writer), so the meta column bounds the count before it sizes the
+    // column vectors below.
+    if count > meta_len {
+        return Err(WireError::BadPayload(
+            "page count exceeds meta column length",
+        ));
+    }
     let mut meta = p.split_to(meta_len);
     let mut payload = p.split_to(payload_len);
     let actual = checksum(&meta);
@@ -810,9 +818,10 @@ fn decode_page_columns(mut p: Bytes) -> WireResult<PageColumnsBatch> {
 
 /// Byte-serial FNV-1a, the v1 record checksum.
 ///
-/// Kept public as the *legacy reference* the datapath benchmark compares
-/// against: it folds one byte per multiply and dominated encode cost on
-/// 4 KiB payloads, which is why v2 switched to [`StreamingChecksum`].
+/// It folds one byte per multiply, which dominated encode cost on 4 KiB
+/// payloads and is why v2 records use [`StreamingChecksum`]. Public
+/// because the incident bundle header and the exact-gated health and
+/// postmortem hashes are defined over it.
 pub fn fnv32(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
     for &b in bytes {
@@ -1020,16 +1029,26 @@ fn reserve_frame(out: &mut BytesMut) -> usize {
 /// length and checksum are patched over the placeholders. No intermediate
 /// buffer, no copy.
 pub fn encode_record_into(record: &Record, out: &mut BytesMut) {
-    if let Record::PageColumns(batch) = record {
-        // v3 columnar frames follow the header-only checksum discipline.
-        encode_page_columns_into(batch, out);
-        return;
+    match record {
+        // Page records are framed by the slice-level encoders the encode
+        // lanes call, so each layout is written in exactly one place.
+        Record::PageBatch(delta) => encode_page_batch_into(delta.entries(), out),
+        Record::PageDataBatch(batch) => {
+            let mut writer = PageDataWriter::new(out);
+            for (page, rec, content) in batch.pages() {
+                writer.push(*page, *rec, content);
+            }
+            writer.finish();
+        }
+        Record::PageColumns(batch) => encode_page_columns_into(batch, out),
+        control => {
+            let frame_at = reserve_frame(out);
+            let payload_at = out.len();
+            let tag = encode_payload(control, out);
+            let sum = checksum(&out[payload_at..]);
+            patch_frame(out, frame_at, payload_at, tag, sum);
+        }
     }
-    let frame_at = reserve_frame(out);
-    let payload_at = out.len();
-    let tag = encode_payload(record, out);
-    let sum = checksum(&out[payload_at..]);
-    patch_frame(out, frame_at, payload_at, tag, sum);
 }
 
 /// Encodes a metadata-only page batch record straight from an entry slice,
@@ -1284,27 +1303,8 @@ fn encode_payload(record: &Record, out: &mut BytesMut) -> u8 {
             out.put_u64(*seq);
             TAG_CKPT_BEGIN
         }
-        Record::PageBatch(delta) => {
-            out.put_u32(delta.len() as u32);
-            for &(page, rec) in delta.entries() {
-                out.put_u64(page.frame());
-                out.put_u32(rec.version);
-                out.put_u16(rec.last_writer);
-            }
-            TAG_PAGE_BATCH
-        }
-        Record::PageDataBatch(batch) => {
-            out.reserve(batch.len() * (PAGE_META_BYTES + PAGE_CONTENT_BYTES));
-            for (page, rec, content) in batch.pages() {
-                out.put_u64(page.frame());
-                out.put_u32(rec.version);
-                out.put_u16(rec.last_writer);
-                out.extend_from_slice(content);
-            }
-            TAG_PAGE_DATA
-        }
-        Record::PageColumns(_) => {
-            unreachable!("page-columns records are framed by encode_page_columns_into")
+        Record::PageBatch(_) | Record::PageDataBatch(_) | Record::PageColumns(_) => {
+            unreachable!("page records are framed by their slice-level encoders")
         }
         Record::VcpuState { index, cir } => {
             out.put_u32(*index);
@@ -2241,6 +2241,24 @@ mod tests {
         let cut = clean.slice(0..clean.len() - 3);
         let mut dec = StreamDecoder::new(cut).unwrap();
         assert_eq!(dec.next_record().unwrap_err(), WireError::Truncated);
+    }
+
+    #[test]
+    fn v3_hostile_page_count_is_rejected_before_it_sizes_an_allocation() {
+        // A header-only record claiming u32::MAX pages, with the outer,
+        // meta and payload sums all self-consistent.
+        let mut buf = v3_buf();
+        encode_record_into(&Record::PageColumns(PageColumnsBatch::new(0)), &mut buf);
+        let header_at = PREAMBLE_BYTES + FRAME_HEADER_BYTES;
+        buf[header_at + 8..header_at + 12].copy_from_slice(&u32::MAX.to_be_bytes());
+        let outer = checksum(&buf[header_at..header_at + COLUMNS_HEADER_BYTES]);
+        patch_frame(&mut buf, PREAMBLE_BYTES, header_at, TAG_PAGE_COLUMNS, outer);
+        let mut dec =
+            StreamDecoder::new_negotiated(ScatterStream::from(buf.freeze()), VERSION_V3).unwrap();
+        assert_eq!(
+            dec.next_record().unwrap_err(),
+            WireError::BadPayload("page count exceeds meta column length")
+        );
     }
 
     #[test]
