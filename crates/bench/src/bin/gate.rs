@@ -1,99 +1,37 @@
 //! `gate` — the bench-trajectory regression gate.
 //!
 //! Compares a freshly produced `BENCH_*.json` against a committed
-//! baseline with per-key tolerances (see [`here_bench::gate`]) and exits
-//! non-zero on regression, so CI fails when a change moves a
-//! deterministic result or blows the wall-clock envelope.
+//! baseline for exact structural equality (see [`here_bench::gate`]) and
+//! exits 1 on any difference, so CI fails when a change moves a result.
 //!
 //! ```text
-//! gate <baseline.json> <fresh.json> [--tol <rel>] [--overhead-tol <pts>]
-//! gate --efficiency <fresh.json> --lanes <n> --min-efficiency <x>
+//! gate <baseline.json> <fresh.json>
 //! ```
 //!
-//! The `--efficiency` mode gates *measured* parallel efficiency from a
-//! fresh `BENCH_datapath.json` (no baseline involved): the `workers == n`
-//! row must report `measured_parallelism >= n * x`. Hosts with fewer CPUs
-//! than lanes print a skip notice and exit 0 — wall-clock speedup is not
-//! measurable there.
+//! Anything else — a flag, one path, three paths — prints usage and
+//! exits 2.
 
-use here_bench::gate::{efficiency_gate_file, gate_files, Tolerances};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: gate <baseline.json> <fresh.json> [--tol <relative, e.g. 3.0>] \
-         [--overhead-tol <percentage points>]\n       \
-         gate --efficiency <fresh.json> --lanes <n> --min-efficiency <x, e.g. 0.6>"
-    );
-    std::process::exit(2);
-}
+use here_bench::gate::gate_files;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths = Vec::new();
-    let mut tol = Tolerances::default();
-    let mut efficiency = false;
-    let mut lanes: u64 = 4;
-    let mut min_efficiency: f64 = 0.6;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--efficiency" => efficiency = true,
-            "--lanes" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                lanes = v;
-            }
-            "--min-efficiency" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                min_efficiency = v;
-            }
-            "--tol" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                tol.measured_rel = v;
-            }
-            "--overhead-tol" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|v| v.parse().ok()) else {
-                    usage()
-                };
-                tol.overhead_abs = v;
-            }
-            "--help" | "-h" => usage(),
-            flag if flag.starts_with('-') => {
-                eprintln!("unknown flag {flag}");
-                usage();
-            }
-            path => paths.push(path.to_string()),
-        }
-        i += 1;
-    }
-    if efficiency {
-        let [fresh] = paths.as_slice() else { usage() };
-        match efficiency_gate_file(fresh, lanes, min_efficiency) {
-            Ok(report) => print!("{report}"),
-            Err(report) => {
-                print!("{report}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let [baseline, fresh] = paths.as_slice() else {
+    let [baseline, fresh] = args.as_slice() else {
         usage()
     };
-    match gate_files(baseline, fresh, &tol) {
+    if baseline.starts_with('-') || fresh.starts_with('-') {
+        usage();
+    }
+    match gate_files(baseline, fresh) {
         Ok(report) => print!("{report}"),
         Err(report) => {
-            print!("{report}");
+            // Read/parse errors carry no trailing newline; reports do.
+            println!("{}", report.trim_end());
             std::process::exit(1);
         }
     }
+}
+
+fn usage() -> ! {
+    eprintln!("usage: gate <baseline.json> <fresh.json>");
+    std::process::exit(2);
 }

@@ -1,8 +1,7 @@
 //! `repro` — regenerate every table and figure of the HERE paper.
 //!
 //! ```text
-//! repro [--quick] [--list] [--format json|prometheus|chrome]
-//!       [--lanes N] [--chunk-pages P] [EXPERIMENT...]
+//! repro [--quick] [--list] [--format json|prometheus|chrome] [EXPERIMENT...]
 //! repro replay <bundle>
 //! ```
 //!
@@ -12,11 +11,17 @@
 //! `overhead`, `stages`, `datapath`, `observe`, `analyze`, `chaos`,
 //! `topology`, `health`, `postmortem`, `wire`. `--list` prints every experiment with its description and
 //! artifacts and exits. `--quick` uses scaled-down configurations.
-//! `datapath` measures real wall-clock throughput (not cost-model time)
-//! and writes `target/repro/BENCH_datapath.json`; `--lanes` replaces its
-//! default 1/2/4/8 lane sweep with `[1, N]` and `--chunk-pages` overrides
-//! the streamed rows' chunk size; `observe` measures the
-//! telemetry layer's overhead and writes `target/repro/BENCH_observe.json`;
+//! Every `BENCH_*.json` with a committed baseline holds virtual
+//! (cost-model) time, byte counts and fingerprints only — identical on
+//! every host; wall-clock cost is measured by the stand-alone
+//! `benchmark/` package and nowhere here (`analyze`'s straggler-lane
+//! listing, read from the run's own span records, is the one
+//! host-dependent print left).
+//! `datapath` reports the v2-vs-v3 wire density, the cost model's α and
+//! per-lane parallelism and the virtual-time encode/transfer overlap, and
+//! writes `target/repro/BENCH_datapath.json`; `observe` runs the
+//! telemetry showcase scenario and writes `target/repro/BENCH_observe.json`
+//! plus the ungated `observe.prom` and `observe_flight.json` dumps;
 //! `analyze` runs the trace analyzer and writes the run's Chrome trace to
 //! `target/repro/trace_analyze.json`; `chaos` runs seeded fault plans
 //! against the replication loop and writes `target/repro/BENCH_chaos.json`;
@@ -50,7 +55,7 @@ use here_bench::experiments::apps::{
 };
 use here_bench::experiments::chaos::{run_chaos, CRASH_EPOCH};
 use here_bench::experiments::checkpoint::{run_fig5, run_fig8};
-use here_bench::experiments::datapath::{run_datapath_with, DatapathOptions, OVERLAP_WINDOW};
+use here_bench::experiments::datapath::run_datapath;
 use here_bench::experiments::dynamic::{run_fig10, run_fig9};
 use here_bench::experiments::health::run_health;
 use here_bench::experiments::migration::{run_fig6_idle, run_fig6_loaded, run_fig7};
@@ -158,13 +163,13 @@ const CATALOG: &[(&str, &str, &str)] = &[
     ),
     (
         "datapath",
-        "measured wall-clock throughput of the checkpoint data plane",
+        "wire density v2 vs v3, cost-model parallelism, virtual overlap",
         "BENCH_datapath.json",
     ),
     (
         "observe",
-        "telemetry-layer overhead and run snapshot",
-        "BENCH_observe.json",
+        "telemetry showcase run: metric, flight-event and SLO counts",
+        "BENCH_observe.json, observe.prom, observe_flight.json",
     ),
     (
         "analyze",
@@ -278,32 +283,11 @@ fn main() -> ExitCode {
     let quick = args.iter().any(|a| a == "--quick");
     let scale = if quick { Scale::Quick } else { Scale::Paper };
     let mut format = None;
-    let mut datapath_opts = DatapathOptions::default();
     let mut wanted: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => {}
-            "--lanes" => {
-                i += 1;
-                datapath_opts.lanes = match args.get(i).and_then(|v| v.parse::<u32>().ok()) {
-                    Some(n) if n >= 1 => Some(n),
-                    _ => {
-                        eprintln!("--lanes expects a positive lane count");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--chunk-pages" => {
-                i += 1;
-                datapath_opts.chunk_pages = match args.get(i).and_then(|v| v.parse::<u32>().ok()) {
-                    Some(p) if p >= 1 => Some(p),
-                    _ => {
-                        eprintln!("--chunk-pages expects a positive page count");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
             "--list" => {
                 println!("experiments ({} total):", CATALOG.len());
                 for (name, description, artifacts) in CATALOG {
@@ -365,13 +349,13 @@ fn main() -> ExitCode {
         if quick { "quick" } else { "paper" }
     );
     for w in wanted {
-        run_one(w, scale, datapath_opts);
+        run_one(w, scale);
     }
     here_core::clear_run_observer();
     ExitCode::SUCCESS
 }
 
-fn run_one(which: &str, scale: Scale, datapath_opts: DatapathOptions) {
+fn run_one(which: &str, scale: Scale) {
     match which {
         "tab1" => tab1(),
         "tab2" => tab2(),
@@ -408,7 +392,7 @@ fn run_one(which: &str, scale: Scale, datapath_opts: DatapathOptions) {
         "fig17" => fig17(scale),
         "overhead" => overhead(scale),
         "stages" => stages(scale),
-        "datapath" => datapath(scale, datapath_opts),
+        "datapath" => datapath(scale),
         "observe" => observe(scale),
         "analyze" => analyze(scale),
         "chaos" => chaos(scale),
@@ -782,74 +766,30 @@ fn write_artifact(name: &str, body: &str) {
     }
 }
 
-fn datapath(scale: Scale, opts: DatapathOptions) {
-    outln!("Datapath — measured wall-clock throughput of the checkpoint data plane");
-    let out = run_datapath_with(scale, opts);
+fn datapath(scale: Scale) {
+    outln!("Datapath — wire density, cost-model parallelism and virtual overlap");
+    let out = run_datapath(scale);
     outln!(
-        "  {} pages ({} MiB materialized payload), {} rounds, {} vCPUs, host has {} CPU core(s)",
+        "  wire density over {} dirty pages ({} vCPUs): v2 meta {} KiB vs v3 columns {} KiB \
+         -> {}x fewer bytes",
         out.pages,
-        num(out.pages as f64 * 4096.0 / (1024.0 * 1024.0), 0),
-        out.rounds,
         out.vcpus,
-        out.host_cpus,
-    );
-    outln!(
-        "  streamed rows: {}-page chunks through a depth-{} overlap window, decode under encode",
-        out.chunk_pages,
-        OVERLAP_WINDOW,
-    );
-    outln!(
-        "  measured alpha: {} us/page (single lane); cost model alpha: {} us/page",
-        num(out.measured_alpha_us_per_page, 3),
-        num(out.analytic_alpha_us_per_page, 3),
-    );
-    outln!(
-        "  wire density: v2 meta {} KiB vs v3 columns {} KiB -> {}x fewer bytes\n",
         num(out.v2_meta_bytes as f64 / 1024.0, 1),
         num(out.v3_columns_bytes as f64 / 1024.0, 1),
         num(out.v3_meta_reduction, 2),
     );
+    outln!(
+        "  cost model: alpha {} us/page, marginal lane efficiency {}\n",
+        num(out.analytic_alpha_us_per_page, 3),
+        num(out.analytic_parallel_efficiency, 2),
+    );
     let rows: Vec<Vec<String>> = out
         .rows
         .iter()
-        .map(|r| {
-            vec![
-                r.workers.to_string(),
-                num(r.harvest_ms, 2),
-                num(r.encode_ms, 2),
-                num(r.decode_restore_ms, 2),
-                num(r.streamed_ms, 2),
-                num(r.v3_meta_ms, 2),
-                r.steals.to_string(),
-                num(r.occupancy_pct, 0),
-                num(r.total_ms, 2),
-                num(r.throughput_mib_per_s, 0),
-                num(r.measured_parallelism, 2),
-                num(r.analytic_parallelism, 2),
-            ]
-        })
+        .map(|r| vec![r.workers.to_string(), num(r.analytic_parallelism, 2)])
         .collect();
-    outln!(
-        "{}",
-        render(
-            &[
-                "Workers",
-                "Harvest (ms)",
-                "Encode (ms)",
-                "Restore (ms)",
-                "Streamed (ms)",
-                "v3 meta (ms)",
-                "Steals",
-                "Occ%",
-                "Total (ms)",
-                "MiB/s",
-                "Measured P",
-                "Model P"
-            ],
-            &rows
-        )
-    );
-    outln!("  virtual overlap (deterministic, cost-model time):");
+    outln!("{}", render(&["Workers", "Model P"], &rows));
+    outln!("  virtual overlap (cost-model time):");
     for s in &out.virtual_overlap {
         outln!(
             "    {}: pause {} ms -> {} ms over {} epochs ({}% shorter with encode/transfer overlap)",
@@ -865,18 +805,8 @@ fn datapath(scale: Scale, opts: DatapathOptions) {
 }
 
 fn observe(scale: Scale) {
-    outln!("Observe — telemetry-layer overhead and run snapshot");
+    outln!("Observe — telemetry showcase run");
     let out = run_observe(scale);
-    outln!(
-        "  overhead probe: {} pages, {}-lane materialized encode, {} rounds, host has {} CPU core(s)",
-        out.pages, out.lanes, out.rounds, out.host_cpus,
-    );
-    outln!(
-        "  baseline {} ms -> instrumented {} ms: overhead {}% (bar: < 5%)",
-        num(out.baseline_ms, 3),
-        num(out.instrumented_ms, 3),
-        num(out.overhead_pct, 2),
-    );
     outln!(
         "  scenario telemetry: {} metric families, {} flight events ({} dropped), \
          SLO {}/{} checkpoints breached\n",
@@ -887,6 +817,8 @@ fn observe(scale: Scale) {
         out.slo_evaluated,
     );
     write_artifact("BENCH_observe.json", &out.json);
+    write_artifact("observe.prom", &out.prometheus);
+    write_artifact("observe_flight.json", &out.flight_recorder_json);
 }
 
 fn analyze(scale: Scale) {

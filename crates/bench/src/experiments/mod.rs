@@ -2,7 +2,7 @@
 //!
 //! Every runner comes in two scales: [`Scale::Paper`] uses the paper's VM
 //! sizes, record counts and durations (what the `repro` binary runs);
-//! [`Scale::Quick`] shrinks them for Criterion benches and CI.
+//! [`Scale::Quick`] shrinks them for tests and CI.
 
 pub mod analyze;
 pub mod apps;
@@ -26,7 +26,7 @@ pub mod wire;
 pub enum Scale {
     /// The paper's configuration.
     Paper,
-    /// Shrunk configuration for benches and CI.
+    /// Shrunk configuration for tests and CI.
     Quick,
 }
 

@@ -2,9 +2,11 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation (§8) from
 //! the simulated stack. Each experiment has a typed runner in
-//! [`experiments`]; the `repro` binary prints them as text tables, and the
-//! Criterion benches in `benches/` time scaled-down versions of the same
-//! runners.
+//! [`experiments`]; the `repro` binary prints them as text tables and
+//! writes the `BENCH_*.json` documents that the [`gate`] compares for
+//! exact equality against `baselines/`. Everything here is virtual
+//! (cost-model) time; wall-clock cost is measured by the stand-alone
+//! `benchmark/` package.
 //!
 //! | Paper artefact | Runner |
 //! |---|---|

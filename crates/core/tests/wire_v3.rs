@@ -104,7 +104,7 @@ proptest! {
         let delta = serial_reference(&memory, &dirty);
         let mut pool = BufferPool::new();
         let lane_pool = LanePool::new();
-        for lanes in [1u32, 2, 4] {
+        for lanes in [1u32, 2, 4, 8] {
             for chunk_pages in [None, Some(64)] {
                 let v2_plan = EncodePlan {
                     lanes,
