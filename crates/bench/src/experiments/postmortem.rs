@@ -27,7 +27,7 @@
 
 use here_core::{
     FanoutMode, FaultPlan, IncidentBundle, PostmortemAnalyzer, PostmortemReport, ReplicationConfig,
-    ScenarioSpec, TopologyConfig, WorkloadSpec,
+    ScenarioSpec, TopologyConfig, WorkloadSpec, BUNDLE_VERSION,
 };
 use here_sim_core::time::SimDuration;
 use here_vmstate::wire::fnv32;
@@ -156,8 +156,12 @@ pub fn run_postmortem(scale: Scale) -> PostmortemOutput {
         Ok(_) => String::new(),
         Err(e) => e.to_string(),
     };
-    let rejects_unknown_version =
-        reject_kind(&encoded.replacen(" v1\n", " v2\n", 1)).contains("unknown bundle version");
+    let bumped = encoded.replacen(
+        &format!(" v{BUNDLE_VERSION}\n"),
+        &format!(" v{}\n", BUNDLE_VERSION + 1),
+        1,
+    );
+    let rejects_unknown_version = reject_kind(&bumped).contains("unknown bundle version");
     let rejects_truncation =
         reject_kind(&encoded[..encoded.len() - 10]).contains("truncated bundle");
     let rejects_tampering =
@@ -355,7 +359,9 @@ mod tests {
 
         // The artifacts carry the same content the summary hashed, and
         // the gate document carries only deterministic keys.
-        assert!(out.bundle_text.starts_with("HEREBUNDLE v1\n"));
+        assert!(out
+            .bundle_text
+            .starts_with(&format!("HEREBUNDLE v{BUNDLE_VERSION}\n")));
         assert!(out.postmortem_json.contains("\"trigger\": \"alert\""));
         assert!(out.postmortem_text.contains("POSTMORTEM"));
         assert!(out.json.contains("\"replay\""));

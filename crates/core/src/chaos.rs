@@ -106,7 +106,7 @@ pub struct FaultPlan {
     /// Seed of the plan's dedicated RNG (corruption offsets etc.). Two
     /// runs of the same scenario with the same plan replay byte-identically.
     pub seed: u64,
-    events: Vec<FaultEvent>,
+    pub(crate) events: Vec<FaultEvent>,
 }
 
 impl FaultPlan {

@@ -5,6 +5,12 @@
 //! Gold 6130 servers, Omni-Path replication link — §8.1). Centralising them
 //! keeps all experiments priced identically and makes the calibration
 //! auditable in one place.
+//!
+//! [`ReplicationConfig`] carries only what some caller sets. The `P` of
+//! the pause model `t = αN/P + C` is given by the VM (one data-plane
+//! thread and encode lane per vCPU under HERE, one under Remus), and the
+//! seeding limits, the encode hand-off window and the flight-ring
+//! capacity are constants: a new field needs a non-test caller.
 
 use serde::{Deserialize, Serialize};
 
@@ -300,25 +306,12 @@ pub struct ReplicationConfig {
     pub strategy: Strategy,
     /// Checkpoint period control.
     pub period: PeriodPolicy,
-    /// Number of transfer threads (HERE defaults to one per vCPU; Remus is
-    /// fixed at 1 regardless of this field).
-    pub transfer_threads: Option<u32>,
-    /// Number of encode lanes the checkpoint data plane shards each delta
-    /// across (`None` reuses the transfer thread count). Lane count never
-    /// changes the encoded bytes, only how many workers produce them.
-    pub encode_lanes: Option<u32>,
     /// Heartbeat configuration.
     pub heartbeat: HeartbeatConfig,
     /// Retry/backoff policy of the checkpoint transfer stage.
     pub retry: RetryPolicy,
     /// The calibrated cost model.
     pub costs: CostModel,
-    /// Maximum pre-copy iterations before the seeding migration forces its
-    /// stop-and-copy (Xen's default of 5, §3.2).
-    pub max_migration_iterations: u32,
-    /// Dirty-page count at or below which the seeding migration converges
-    /// to its stop-and-copy.
-    pub migration_dirty_threshold: u64,
     /// Replica-set shape: how many replicas, the commit quorum, and the
     /// Transfer fan-out mode.
     pub topology: TopologyConfig,
@@ -327,13 +320,6 @@ pub struct ReplicationConfig {
     /// frames one page-batch record per `p`-page chunk, giving the
     /// work-stealing lane pool enough tasks to balance.
     pub encode_chunk_pages: Option<u32>,
-    /// Bounded hand-off window (in chunks) between the encode lanes and
-    /// the stream consumer: `None` keeps the barrier (segments delivered
-    /// after the whole encode); `Some(d)` streams each chunk as soon as it
-    /// and its predecessors finish, with lanes blocking `d` chunks ahead.
-    /// Produces identical bytes at every depth — only wall-clock overlap
-    /// changes.
-    pub overlap_channel_depth: Option<u32>,
     /// Overlap the Transfer stage's wire time with the encode scan in
     /// *virtual* time: once the first chunk is framed the wire starts
     /// draining, so the epoch costs `max(scan, wire)` plus a one-chunk
@@ -351,11 +337,6 @@ pub struct ReplicationConfig {
     /// replayable [`IncidentBundle`](crate::postmortem::IncidentBundle)
     /// into the run report. Off by default.
     pub postmortem_capture: bool,
-    /// Flight-recorder ring capacity in events: `None` keeps the default
-    /// ([`FLIGHT_RECORDER_CAPACITY`](crate::telemetry::FLIGHT_RECORDER_CAPACITY),
-    /// 1024) so existing expositions stay byte-identical; `Some(n)` sizes
-    /// the trailing incident-capture window per run.
-    pub flight_recorder_capacity: Option<usize>,
     /// Wire format version the primary *offers* each replica: 2 (default,
     /// byte-identical to prior releases) or 3 (epoch-delta columnar
     /// records). Each replica negotiates `min(offer, its capability)`, so
@@ -367,36 +348,39 @@ pub struct ReplicationConfig {
     pub replica_wire_caps: Option<Vec<u16>>,
 }
 
-/// Default for [`ReplicationConfig::max_migration_iterations`].
+/// Maximum pre-copy iterations before the seeding migration forces its
+/// stop-and-copy (Xen's default, §3.2).
 pub const DEFAULT_MAX_MIGRATION_ITERATIONS: u32 = 5;
 
-/// Default for [`ReplicationConfig::migration_dirty_threshold`].
+/// Dirty-page count at or below which the seeding migration converges to
+/// its stop-and-copy.
 pub const DEFAULT_MIGRATION_DIRTY_THRESHOLD: u64 = 256;
 
 impl ReplicationConfig {
-    /// HERE with a fixed checkpoint period (the paper's
-    /// `HERE(T, 0 %)` configurations).
-    pub fn fixed_period(t: SimDuration) -> Self {
+    /// What every constructor starts from: `strategy` and `period` as
+    /// given, every other field at the default a knob-free session runs
+    /// with.
+    fn base(strategy: Strategy, period: PeriodPolicy) -> Self {
         ReplicationConfig {
-            strategy: Strategy::Here,
-            period: PeriodPolicy::Fixed(t),
-            transfer_threads: None,
-            encode_lanes: None,
+            strategy,
+            period,
             heartbeat: HeartbeatConfig::default(),
             retry: RetryPolicy::default(),
             costs: CostModel::default(),
-            max_migration_iterations: DEFAULT_MAX_MIGRATION_ITERATIONS,
-            migration_dirty_threshold: DEFAULT_MIGRATION_DIRTY_THRESHOLD,
             topology: TopologyConfig::single(),
             encode_chunk_pages: None,
-            overlap_channel_depth: None,
             overlap_transfer: false,
             health_plane: false,
             postmortem_capture: false,
-            flight_recorder_capacity: None,
             wire_version: here_vmstate::wire::VERSION,
             replica_wire_caps: None,
         }
+    }
+
+    /// HERE with a fixed checkpoint period (the paper's
+    /// `HERE(T, 0 %)` configurations).
+    pub fn fixed_period(t: SimDuration) -> Self {
+        Self::base(Strategy::Here, PeriodPolicy::Fixed(t))
     }
 
     /// HERE with dynamic period control: degradation target `d_target`
@@ -410,60 +394,19 @@ impl ReplicationConfig {
             d_target > 0.0 && d_target < 1.0,
             "degradation target must be in (0,1), got {d_target}"
         );
-        ReplicationConfig {
-            strategy: Strategy::Here,
-            period: PeriodPolicy::Dynamic {
+        Self::base(
+            Strategy::Here,
+            PeriodPolicy::Dynamic {
                 d_target,
                 t_max,
                 sigma: DEFAULT_SIGMA,
             },
-            transfer_threads: None,
-            encode_lanes: None,
-            heartbeat: HeartbeatConfig::default(),
-            retry: RetryPolicy::default(),
-            costs: CostModel::default(),
-            max_migration_iterations: DEFAULT_MAX_MIGRATION_ITERATIONS,
-            migration_dirty_threshold: DEFAULT_MIGRATION_DIRTY_THRESHOLD,
-            topology: TopologyConfig::single(),
-            encode_chunk_pages: None,
-            overlap_channel_depth: None,
-            overlap_transfer: false,
-            health_plane: false,
-            postmortem_capture: false,
-            flight_recorder_capacity: None,
-            wire_version: here_vmstate::wire::VERSION,
-            replica_wire_caps: None,
-        }
+        )
     }
 
     /// The Remus baseline with its fixed period.
     pub fn remus(t: SimDuration) -> Self {
-        ReplicationConfig {
-            strategy: Strategy::Remus,
-            period: PeriodPolicy::Fixed(t),
-            transfer_threads: Some(1),
-            encode_lanes: None,
-            heartbeat: HeartbeatConfig::default(),
-            retry: RetryPolicy::default(),
-            costs: CostModel::default(),
-            max_migration_iterations: DEFAULT_MAX_MIGRATION_ITERATIONS,
-            migration_dirty_threshold: DEFAULT_MIGRATION_DIRTY_THRESHOLD,
-            topology: TopologyConfig::single(),
-            encode_chunk_pages: None,
-            overlap_channel_depth: None,
-            overlap_transfer: false,
-            health_plane: false,
-            postmortem_capture: false,
-            flight_recorder_capacity: None,
-            wire_version: here_vmstate::wire::VERSION,
-            replica_wire_caps: None,
-        }
-    }
-
-    /// Overrides the number of transfer threads.
-    pub fn with_threads(mut self, threads: u32) -> Self {
-        self.transfer_threads = Some(threads);
-        self
+        Self::base(Strategy::Remus, PeriodPolicy::Fixed(t))
     }
 
     /// Overrides the heartbeat configuration used for failure detection.
@@ -494,45 +437,18 @@ impl ReplicationConfig {
         self
     }
 
-    /// Overrides the seeding-migration convergence bounds (pre-copy
-    /// iteration cap and dirty-page threshold).
-    pub fn with_migration_limits(mut self, max_iterations: u32, dirty_threshold: u64) -> Self {
-        self.max_migration_iterations = max_iterations;
-        self.migration_dirty_threshold = dirty_threshold;
-        self
-    }
-
-    /// The thread count the data plane will actually use for a VM with
-    /// `vcpus` vCPUs: Remus is single-threaded by construction; HERE
-    /// defaults to one thread per vCPU. Delegates to the strategy's
+    /// The thread count the data plane uses for a VM with `vcpus` vCPUs,
+    /// transfer threads and encode lanes alike: one under Remus, one per
+    /// vCPU under HERE. Delegates to the strategy's
     /// [`ReplicationStrategy`](crate::pipeline::ReplicationStrategy) impl.
     pub fn effective_threads(&self, vcpus: u32) -> u32 {
-        crate::pipeline::runtime(self.strategy).effective_threads(self.transfer_threads, vcpus)
-    }
-
-    /// Overrides the encode-lane count of the checkpoint data plane.
-    pub fn with_encode_lanes(mut self, lanes: u32) -> Self {
-        self.encode_lanes = Some(lanes);
-        self
-    }
-
-    /// Encode lanes the data plane shards each delta across: the override
-    /// if set, otherwise the effective transfer thread count.
-    pub fn effective_encode_lanes(&self, threads: u32) -> u32 {
-        self.encode_lanes.unwrap_or(threads).max(1)
+        crate::pipeline::runtime(self.strategy).effective_threads(vcpus)
     }
 
     /// Switches the encode path to chunk framing: one page-batch record
     /// per `pages`-page chunk.
     pub fn with_encode_chunk_pages(mut self, pages: u32) -> Self {
         self.encode_chunk_pages = Some(pages.max(1));
-        self
-    }
-
-    /// Streams encoded chunks to the consumer through a bounded window of
-    /// `depth` chunks instead of barriering on the whole encode.
-    pub fn with_overlap_channel_depth(mut self, depth: u32) -> Self {
-        self.overlap_channel_depth = Some(depth.max(1));
         self
     }
 
@@ -556,14 +472,6 @@ impl ReplicationConfig {
     /// into the run report.
     pub fn with_postmortem_capture(mut self) -> Self {
         self.postmortem_capture = true;
-        self
-    }
-
-    /// Sizes the flight-recorder ring to `capacity` events for this run
-    /// (clamped to at least 1). Without this, the ring keeps its default
-    /// capacity and all expositions stay byte-identical.
-    pub fn with_flight_capacity(mut self, capacity: usize) -> Self {
-        self.flight_recorder_capacity = Some(capacity.max(1));
         self
     }
 
@@ -604,11 +512,11 @@ impl ReplicationConfig {
     }
 
     /// Chunks a `pages`-page epoch will be framed into: one per chunk when
-    /// chunk framing is on, otherwise one per encode lane shard.
+    /// chunk framing is on, otherwise one shard per data-plane thread.
     pub fn epoch_chunks(&self, pages: u64, threads: u32) -> u64 {
         match self.encode_chunk_pages {
             Some(p) => pages.div_ceil(u64::from(p.max(1))).max(1),
-            None => u64::from(self.effective_encode_lanes(threads)).min(pages.max(1)),
+            None => u64::from(threads.max(1)).min(pages.max(1)),
         }
     }
 }
@@ -647,27 +555,16 @@ mod tests {
 
     #[test]
     fn remus_is_always_single_threaded() {
-        let cfg = ReplicationConfig::remus(SimDuration::from_secs(3)).with_threads(8);
+        let cfg = ReplicationConfig::remus(SimDuration::from_secs(3));
         assert_eq!(cfg.effective_threads(4), 1);
         let here = ReplicationConfig::fixed_period(SimDuration::from_secs(3));
         assert_eq!(here.effective_threads(4), 4);
-        assert_eq!(here.with_threads(2).effective_threads(4), 2);
     }
 
     #[test]
     #[should_panic(expected = "degradation target")]
     fn dynamic_rejects_bad_target() {
         ReplicationConfig::dynamic(1.5, SimDuration::from_secs(10));
-    }
-
-    #[test]
-    fn migration_limits_default_to_xen_values_and_override() {
-        let cfg = ReplicationConfig::fixed_period(SimDuration::from_secs(5));
-        assert_eq!(cfg.max_migration_iterations, 5);
-        assert_eq!(cfg.migration_dirty_threshold, 256);
-        let cfg = cfg.with_migration_limits(3, 1024);
-        assert_eq!(cfg.max_migration_iterations, 3);
-        assert_eq!(cfg.migration_dirty_threshold, 1024);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! allocation once warm. [`CheckpointPools`] bundles all of it for
 //! [`crate::session::Session`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -562,62 +562,10 @@ fn worker_main(shared: Arc<PoolShared>, idx: usize) {
     }
 }
 
-/// The committed image of guest memory as of the last *committed* epoch,
-/// tracked symmetrically on the encode (primary) and apply (replica)
-/// sides so v3 epoch-delta streams always agree on their XOR/delta base.
-///
-/// The shadow only advances when an epoch commits (reaches quorum) —
-/// aborted epochs leave it untouched on both sides, which is what makes
-/// re-encoding after an abort safe — and a replica catching up a parked
-/// backlog folds that backlog in via [`EpochShadow::rebase`] before
-/// applying a stream encoded against a newer base.
-#[derive(Debug, Default)]
-pub struct EpochShadow {
-    epoch: u64,
-    pages: HashMap<u64, PageVersion>,
-}
-
-impl EpochShadow {
-    /// The committed epoch this shadow reflects (0 before any commit).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The committed version of `frame`, if the page ever committed.
-    pub fn page(&self, frame: u64) -> Option<PageVersion> {
-        self.pages.get(&frame).copied()
-    }
-
-    /// Pages tracked.
-    pub fn len(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Whether no page ever committed.
-    pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
-    }
-
-    /// Folds a committed epoch's delta in (newest version wins) and
-    /// advances the base epoch to `epoch`.
-    pub fn commit(&mut self, delta: &MemoryDelta, epoch: u64) {
-        for &(page, rec) in delta.entries() {
-            self.pages.insert(page.frame(), rec);
-        }
-        self.epoch = epoch;
-    }
-
-    /// Re-bases a lagging replica shadow onto `epoch` by folding its
-    /// parked backlog in — the catch-up path for a stream encoded against
-    /// a base the replica missed.
-    pub fn rebase(&mut self, backlog: &MemoryDelta, epoch: u64) {
-        self.commit(backlog, epoch);
-    }
-}
-
-/// All allocation-reuse state one session threads through its checkpoint
-/// loop: the harvest delta, the per-lane collect scratch, the encode
-/// buffer pool and the persistent encode lane pool.
+/// Everything the primary side of a session carries from one checkpoint
+/// to the next: the harvest delta, the per-lane collect scratch, the
+/// encode buffer pool, the persistent encode lane pool, and the v3 delta
+/// base.
 #[derive(Debug, Default)]
 pub struct CheckpointPools {
     /// Reused harvest output (taken during Harvest, returned after
@@ -629,14 +577,11 @@ pub struct CheckpointPools {
     pub buffers: BufferPool,
     /// The persistent work-stealing encode pool.
     pub lanes: LanePool,
-    /// Replica-side decode staging: pages accumulate here while a
-    /// checkpoint stream is validated, and are installed into guest
-    /// memory only after the trailer checks out — a corrupt or truncated
-    /// stream can never leave the replica partially updated.
-    pub apply: Vec<(here_hypervisor::PageId, PageVersion)>,
-    /// Committed-epoch shadow: the delta base both sides of a v3 session
-    /// encode and apply against. Stays empty under v2.
-    pub shadow: EpochShadow,
+    /// The last epoch that committed at quorum: the delta base v3
+    /// records are encoded against (0 before any commit, and always under
+    /// v2). An aborted epoch leaves it untouched, which is what makes
+    /// re-encoding after an abort safe.
+    pub committed_epoch: u64,
 }
 
 impl CheckpointPools {
@@ -1440,6 +1385,78 @@ mod tests {
         let mut replica = GuestMemory::new(ByteSize::from_mib(32)).unwrap();
         assert!(decode_and_restore(stream, &mut replica, true).is_err());
     }
+
+    /// A v3 page-columns frame as a hostile sender would forge it: any
+    /// meta and payload column bytes under a claimed `count`, with the
+    /// header, both column checksums and the frame checksum (all plain
+    /// FNV, all forgeable) made self-consistent.
+    fn forged_columns_frame(count: u32, meta: &[u8], payload: &[u8]) -> Bytes {
+        use here_vmstate::wire::checksum;
+        let mut record = Vec::new();
+        record.extend_from_slice(&0u64.to_be_bytes());
+        record.extend_from_slice(&count.to_be_bytes());
+        record.extend_from_slice(&(meta.len() as u32).to_be_bytes());
+        record.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        record.extend_from_slice(&checksum(meta).to_be_bytes());
+        record.extend_from_slice(&checksum(payload).to_be_bytes());
+        let outer = checksum(&record);
+        record.extend_from_slice(meta);
+        record.extend_from_slice(payload);
+        let mut frame = vec![0x09];
+        frame.extend_from_slice(&(record.len() as u32).to_be_bytes());
+        frame.extend_from_slice(&outer.to_be_bytes());
+        frame.extend_from_slice(&record);
+        Bytes::from(frame)
+    }
+
+    #[test]
+    fn hostile_v3_frames_are_typed_errors_and_install_nothing() {
+        /// `u64::MAX` as a LEB128 varint.
+        const MAX: [u8; 10] = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        const META: u8 = 0;
+        const DELTA: u8 = 3;
+        // One honest mode run of 1, then a run whose length wraps the
+        // running page total back under the count.
+        let wrapping_run = [&[0, 2, META, 1, META][..], &MAX, &[1, 1, 0, 0]].concat();
+        // One delta page whose only run sits at an offset that wraps
+        // `offset + len` back inside the page.
+        let wrapping_offset = [&[1][..], &MAX, &[1, 0xaa]].concat();
+        let cases: [(&str, Bytes, &str); 2] = [
+            (
+                "mode run",
+                forged_columns_frame(2, &wrapping_run, &[]),
+                "mode run overflows page count",
+            ),
+            (
+                "delta run",
+                forged_columns_frame(1, &[0, DELTA, 1, 1, 0], &wrapping_offset),
+                "delta run out of page bounds",
+            ),
+        ];
+        for (name, frame, why) in cases {
+            let mut stream = BytesMut::new();
+            write_preamble_versioned(&mut stream, here_vmstate::wire::VERSION_V3);
+            stream.extend_from_slice(&frame);
+            let mut dec = StreamDecoder::new(stream.freeze()).unwrap();
+            assert_eq!(
+                dec.next_record().unwrap_err(),
+                here_vmstate::WireError::BadPayload(why),
+                "{name}"
+            );
+
+            let mut replica = GuestMemory::new(ByteSize::from_mib(16)).unwrap();
+            let mut restorer =
+                SegmentRestorer::new_versioned(&mut replica, false, here_vmstate::wire::VERSION_V3);
+            let err = restorer.accept(&frame).unwrap_err();
+            assert!(
+                matches!(err, CoreError::Wire(here_vmstate::WireError::BadPayload(w)) if w == why),
+                "{name}: {err:?}"
+            );
+            assert_eq!(restorer.installed(), 0, "{name}");
+            assert_eq!(replica.touched_iter().count(), 0, "{name}");
+        }
+    }
+
     proptest! {
         /// Tasks partition `0..n` into contiguous, in-order, non-empty
         /// ranges; shard framing cuts them where `MemoryDelta::shards`

@@ -3,10 +3,9 @@
 //!
 //! Seeding is iterative pre-copy: a full-memory pass, then rounds that
 //! resend whatever the guest dirtied during the previous round, until the
-//! dirty set drops below the configured threshold or the iteration cap
-//! forces the final stop-and-copy. The bounds live in
-//! [`ReplicationConfig`](crate::config::ReplicationConfig)
-//! (`max_migration_iterations`, `migration_dirty_threshold`).
+//! dirty set drops to [`DEFAULT_MIGRATION_DIRTY_THRESHOLD`] or the
+//! iteration cap [`DEFAULT_MAX_MIGRATION_ITERATIONS`] forces the final
+//! stop-and-copy (Xen's values; nothing varies them).
 //!
 //! Strategy differences are behind
 //! [`ReplicationStrategy`](crate::pipeline::ReplicationStrategy): HERE
@@ -17,6 +16,7 @@
 use here_sim_core::time::SimDuration;
 use here_telemetry::span::{SpanDraft, Track};
 
+use crate::config::{DEFAULT_MAX_MIGRATION_ITERATIONS, DEFAULT_MIGRATION_DIRTY_THRESHOLD};
 use crate::error::CoreResult;
 use crate::report::{IterationStats, MigrationOutcome};
 use crate::session::{Session, SessionPhase};
@@ -46,8 +46,6 @@ fn record_iteration_span(
 pub(crate) fn seed(session: &mut Session) -> CoreResult<MigrationOutcome> {
     session.enter_phase(SessionPhase::Seeding);
     let costs = session.cfg.costs;
-    let max_iterations = session.cfg.max_migration_iterations;
-    let dirty_threshold = session.cfg.migration_dirty_threshold;
     let strategy = session.strategy;
     let mut iterations = Vec::new();
     let mut pages_sent = 0u64;
@@ -89,7 +87,9 @@ pub(crate) fn seed(session: &mut Session) -> CoreResult<MigrationOutcome> {
     loop {
         let snapshot = session.take_dirty_snapshot();
         let dirty_count = snapshot.count();
-        if dirty_count <= dirty_threshold || iter >= max_iterations {
+        if dirty_count <= DEFAULT_MIGRATION_DIRTY_THRESHOLD
+            || iter >= DEFAULT_MAX_MIGRATION_ITERATIONS
+        {
             // Final stop-and-copy: pause, send remaining dirty pages
             // plus the problematic resend list, plus vCPU/device state.
             session.primary.vm_mut(session.pvm)?.pause()?;
@@ -161,5 +161,47 @@ pub(crate) fn seed(session: &mut Session) -> CoreResult<MigrationOutcome> {
             problematic_new,
         });
         iter += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ReplicationConfig;
+    use crate::engine::Scenario;
+    use here_workloads::memstress::MemStress;
+
+    fn seed_with(builder: crate::engine::ScenarioBuilder) -> MigrationOutcome {
+        builder
+            .vm_memory_mib(64)
+            .vcpus(2)
+            .config(ReplicationConfig::fixed_period(SimDuration::from_secs(2)))
+            .duration(SimDuration::from_secs(2))
+            .build()
+            .expect("valid scenario")
+            .run()
+            .migration
+            .expect("a replicated run seeds first")
+    }
+
+    #[test]
+    fn seeding_stops_at_the_dirty_threshold_or_the_iteration_cap() {
+        // An idle guest dirties less than the threshold per round: the
+        // first pre-copy check already converges to the stop-and-copy.
+        let idle = seed_with(Scenario::builder());
+        assert_eq!(idle.iterations.len(), 2, "{:?}", idle.iterations);
+        assert!(idle.iterations[1].pages <= DEFAULT_MIGRATION_DIRTY_THRESHOLD);
+
+        // A guest that out-dirties every round never converges: the cap
+        // forces the stop-and-copy, with the backlog it could not shed.
+        let stress = MemStress::with_percent(60).with_rate(400_000);
+        let loaded = seed_with(
+            Scenario::builder()
+                .workload(Box::new(stress))
+                .load_during_seed(),
+        );
+        let last = loaded.iterations.last().expect("iterations");
+        assert_eq!(last.index, DEFAULT_MAX_MIGRATION_ITERATIONS);
+        assert!(last.pages > DEFAULT_MIGRATION_DIRTY_THRESHOLD);
     }
 }

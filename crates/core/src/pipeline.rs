@@ -66,9 +66,9 @@ pub trait ReplicationStrategy: fmt::Debug + Sync {
         host_memory: ByteSize,
     ) -> CoreResult<(Box<dyn Hypervisor>, Option<StateTranslator>)>;
 
-    /// The transfer thread count the data plane will use for a VM with
-    /// `vcpus` vCPUs, given the configured override.
-    fn effective_threads(&self, configured: Option<u32>, vcpus: u32) -> u32;
+    /// The thread count the data plane will use for a VM with `vcpus`
+    /// vCPUs (`P` of the pause model is given by the VM, not configured).
+    fn effective_threads(&self, vcpus: u32) -> u32;
 
     /// One-time cost paid before the seeding migration starts (HERE's
     /// thread-pool and per-vCPU PML ring setup; zero for Remus).
@@ -106,7 +106,7 @@ impl ReplicationStrategy for RemusStrategy {
         Ok((Box::new(XenHypervisor::new(host_memory)), None))
     }
 
-    fn effective_threads(&self, _configured: Option<u32>, _vcpus: u32) -> u32 {
+    fn effective_threads(&self, _vcpus: u32) -> u32 {
         1
     }
 
@@ -148,8 +148,8 @@ impl ReplicationStrategy for HereStrategy {
         ))
     }
 
-    fn effective_threads(&self, configured: Option<u32>, vcpus: u32) -> u32 {
-        configured.unwrap_or(vcpus).max(1)
+    fn effective_threads(&self, vcpus: u32) -> u32 {
+        vcpus.max(1)
     }
 
     fn migration_setup(&self, costs: &CostModel) -> SimDuration {
@@ -605,22 +605,14 @@ impl<'s> Transferred<'s> {
             }
         }
         if committed && session.wire_v3_active() {
-            // The epoch is now the committed base every side agrees on:
-            // fold its delta into the primary's encode-side shadow and
-            // each applied replica's apply-side shadow. Replicas that
-            // missed the epoch keep their old base and re-base from
-            // backlog at their next apply.
-            let delta = std::mem::take(&mut session.pools.delta);
-            session.pools.shadow.commit(&delta, seq);
+            // The epoch is now the delta base every side agrees on: the
+            // primary and each replica that applied it advance to it.
+            // Replicas that missed the epoch keep their old base and
+            // re-base from backlog at their next apply.
+            session.pools.committed_epoch = seq;
             for &replica in &applied {
-                session
-                    .replicas
-                    .get_mut(replica)
-                    .pools
-                    .shadow
-                    .commit(&delta, seq);
+                session.replicas.get_mut(replica).base_epoch = seq;
             }
-            session.pools.delta = delta;
         }
         session.update_staleness(seq);
         Acked {
@@ -687,7 +679,7 @@ mod tests {
     fn remus_is_single_threaded_and_pays_the_toolstack_tax() {
         let costs = CostModel::default();
         let remus = runtime(Strategy::Remus);
-        assert_eq!(remus.effective_threads(Some(8), 4), 1);
+        assert_eq!(remus.effective_threads(4), 1);
         assert_eq!(remus.pause_extra(&costs), costs.remus_extra_const);
         assert_eq!(remus.migration_setup(&costs), SimDuration::ZERO);
     }
@@ -696,9 +688,8 @@ mod tests {
     fn here_scales_threads_with_vcpus() {
         let costs = CostModel::default();
         let here = runtime(Strategy::Here);
-        assert_eq!(here.effective_threads(None, 4), 4);
-        assert_eq!(here.effective_threads(Some(2), 4), 2);
-        assert_eq!(here.effective_threads(Some(0), 4), 1);
+        assert_eq!(here.effective_threads(4), 4);
+        assert_eq!(here.effective_threads(0), 1);
         assert_eq!(here.pause_extra(&costs), SimDuration::ZERO);
         assert_eq!(here.migration_setup(&costs), costs.here_migration_setup);
     }

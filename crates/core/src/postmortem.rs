@@ -34,8 +34,11 @@ use here_workloads::idle::IdleGuest;
 use here_workloads::memstress::MemStress;
 use here_workloads::traits::Workload;
 
-use crate::chaos::{FaultKind, FaultPlan};
-use crate::config::{FanoutMode, PeriodPolicy, ReplicationConfig, Strategy, TopologyConfig};
+use crate::chaos::{FaultEvent, FaultKind, FaultPlan};
+use crate::config::{
+    CostModel, FanoutMode, HeartbeatConfig, PeriodPolicy, ReplicationConfig, RetryPolicy, Strategy,
+    TopologyConfig,
+};
 use crate::engine::Scenario;
 use crate::error::{CoreError, CoreResult};
 use crate::failover::{CommitEntry, ReplicaAcks};
@@ -48,7 +51,7 @@ use here_hypervisor::fault::DosOutcome;
 pub const BUNDLE_MAGIC: &str = "HEREBUNDLE";
 
 /// Bundle format version this build writes and accepts.
-pub const BUNDLE_VERSION: u32 = 1;
+pub const BUNDLE_VERSION: u32 = 2;
 
 /// Lines of the windowed-series JSONL export the snapshot retains (the
 /// *tail* — the newest windows at capture time).
@@ -119,29 +122,6 @@ impl WorkloadSpec {
                 Box::new(MemStress::with_percent(percent).with_rate(rate))
             }
         }
-    }
-
-    fn render(&self) -> String {
-        match *self {
-            WorkloadSpec::Idle => "idle".to_string(),
-            WorkloadSpec::MemStress { percent, rate } => format!("memstress:{percent}:{rate}"),
-        }
-    }
-
-    fn parse(s: &str) -> CoreResult<WorkloadSpec> {
-        if s == "idle" {
-            return Ok(WorkloadSpec::Idle);
-        }
-        if let Some(rest) = s.strip_prefix("memstress:") {
-            let mut it = rest.split(':');
-            let percent = parse_num::<u8>(it.next().unwrap_or(""), "workload percent")?;
-            let rate = parse_num::<u64>(it.next().unwrap_or(""), "workload rate")?;
-            if it.next().is_some() {
-                return Err(bundle_err("workload spec has trailing fields"));
-            }
-            return Ok(WorkloadSpec::MemStress { percent, rate });
-        }
-        Err(bundle_err(&format!("unknown workload spec {s:?}")))
     }
 }
 
@@ -281,11 +261,7 @@ impl IncidentBundle {
         let incident = report.incident.clone().ok_or_else(|| {
             bundle_err("the run captured no incident (arm ReplicationConfig::postmortem_capture)")
         })?;
-        let (alert_log_jsonl, active_alerts) =
-            match report.telemetry.as_ref().and_then(|t| t.health.as_ref()) {
-                Some(h) => (h.alert_log_jsonl.clone(), h.active_alerts.clone()),
-                None => (String::new(), Vec::new()),
-            };
+        let (alert_log_jsonl, active_alerts) = final_alerts(report);
         Ok(IncidentBundle {
             spec,
             config: config.clone(),
@@ -310,10 +286,7 @@ impl IncidentBundle {
     /// byte. The bundle *is* the repro.
     pub fn replay(&self) -> CoreResult<ReplayOutcome> {
         let report = self.execute(true)?;
-        let (alert_log, active) = match report.telemetry.as_ref().and_then(|t| t.health.as_ref()) {
-            Some(h) => (h.alert_log_jsonl.clone(), h.active_alerts.clone()),
-            None => (String::new(), Vec::new()),
-        };
+        let (alert_log, active) = final_alerts(&report);
         let fingerprint = report.fingerprint();
         Ok(ReplayOutcome {
             fingerprint,
@@ -329,19 +302,19 @@ impl IncidentBundle {
     /// the line-oriented payload. Everything a decoder needs to validate
     /// the document is in the header.
     pub fn encode(&self) -> String {
-        let payload = self.render_payload();
-        format!(
-            "{BUNDLE_MAGIC} v{BUNDLE_VERSION}\nlen={}\ncrc=0x{:08x}\n---\n{payload}",
-            payload.len(),
-            fnv32(payload.as_bytes()),
-        )
+        let mut payload = String::new();
+        self.clone()
+            .walk(&mut Walk::Write(&mut payload))
+            .expect("the write direction has no failing step");
+        seal(&payload)
     }
 
     /// Strictly decodes a bundle document: the magic and version must
     /// match ([`BUNDLE_VERSION`]), the payload length must equal the
     /// header's `len` (truncation), the payload FNV-32 must equal the
-    /// header's `crc` (tampering), and every payload field must parse in
-    /// order. Anything else is an error, never a partial bundle.
+    /// header's `crc` (tampering), and every payload line must appear, in
+    /// order, and parse. Anything else is an error, never a partial
+    /// bundle.
     pub fn decode(doc: &str) -> CoreResult<IncidentBundle> {
         let mut lines = doc.splitn(4, '\n');
         let magic = lines.next().unwrap_or("");
@@ -383,695 +356,623 @@ impl IncidentBundle {
                 "tampered bundle: payload crc 0x{crc:08x}, header says 0x{want_crc:08x}"
             )));
         }
-        Self::parse_payload(payload)
+        let mut bundle = IncidentBundle::blank();
+        let mut lines = payload.lines();
+        bundle.walk(&mut Walk::Read(&mut lines))?;
+        match lines.next() {
+            None => Ok(bundle),
+            Some(line) => Err(bundle_err(&format!("unexpected trailing line {line:?}"))),
+        }
     }
 
-    fn render_payload(&self) -> String {
-        let mut out = String::new();
-        let kv = |out: &mut String, k: &str, v: &str| {
-            out.push_str(k);
-            out.push('=');
-            out.push_str(v);
-            out.push('\n');
-        };
-        // [scenario]
-        kv(&mut out, "name", &esc(&self.spec.name));
-        kv(&mut out, "memory_mib", &self.spec.memory_mib.to_string());
-        kv(&mut out, "vcpus", &self.spec.vcpus.to_string());
-        kv(&mut out, "workload", &self.spec.workload.render());
-        kv(
-            &mut out,
-            "duration_nanos",
-            &self.spec.duration.as_nanos().to_string(),
-        );
-        kv(&mut out, "seed", &self.spec.seed.to_string());
-        kv(
-            &mut out,
-            "verify_consistency",
-            bool_str(self.spec.verify_consistency),
-        );
-        // [config]
-        let c = &self.config;
-        kv(
-            &mut out,
-            "strategy",
-            match c.strategy {
-                Strategy::Here => "here",
-                Strategy::Remus => "remus",
+    /// The payload grammar, named once: every line of the document in
+    /// order, written from `self` or read into it depending on the
+    /// direction of `w`. A line exists in the format exactly when it is
+    /// named here, so the encoder and the decoder cannot disagree.
+    fn walk(&mut self, w: &mut Walk<'_, '_>) -> CoreResult<()> {
+        let spec = &mut self.spec;
+        w.leaf("name", &mut spec.name)?;
+        w.leaf("memory_mib", &mut spec.memory_mib)?;
+        w.leaf("vcpus", &mut spec.vcpus)?;
+        w.leaf("workload", &mut spec.workload)?;
+        w.leaf("duration_nanos", &mut spec.duration)?;
+        w.leaf("seed", &mut spec.seed)?;
+        w.leaf("verify_consistency", &mut spec.verify_consistency)?;
+
+        let c = &mut self.config;
+        w.leaf("strategy", &mut c.strategy)?;
+        w.leaf("period", &mut c.period)?;
+        w.leaf("heartbeat", &mut c.heartbeat)?;
+        w.leaf("retry", &mut c.retry)?;
+        w.leaf("costs", &mut c.costs)?;
+        w.leaf("topology", &mut c.topology)?;
+        w.leaf("encode_chunk_pages", &mut c.encode_chunk_pages)?;
+        w.leaf("overlap_transfer", &mut c.overlap_transfer)?;
+        w.leaf("health_plane", &mut c.health_plane)?;
+        w.leaf("postmortem_capture", &mut c.postmortem_capture)?;
+        let mut wire = (c.wire_version, c.replica_wire_caps.take());
+        w.leaf("wire", &mut wire)?;
+        (c.wire_version, c.replica_wire_caps) = wire;
+
+        let mut plan_seed = self.plan.as_ref().map(|plan| plan.seed);
+        w.leaf("plan", &mut plan_seed)?;
+        if let Some(seed) = plan_seed {
+            let plan = self.plan.get_or_insert_with(|| FaultPlan::new(seed));
+            w.list("plan_events", "event", &mut plan.events)?;
+        }
+
+        let mut fingerprint = Hex(self.fingerprint);
+        w.leaf("fingerprint", &mut fingerprint)?;
+        self.fingerprint = fingerprint.0;
+        w.leaf("alert_log", &mut self.alert_log_jsonl)?;
+        w.list("active_alerts", "active", &mut self.active_alerts)?;
+
+        let i = &mut self.incident;
+        w.leaf("trigger", &mut i.trigger)?;
+        w.leaf("trigger_epoch", &mut i.epoch)?;
+        w.leaf("trigger_at_nanos", &mut i.at_nanos)?;
+        w.leaf("trigger_detail", &mut i.detail)?;
+        w.leaf("flight", &mut i.flight_json)?;
+        w.list("commits", "commit", &mut i.commits)?;
+        w.list("acks", "ack", &mut i.acks)?;
+        w.list("spans", "span", &mut i.spans)?;
+        w.list("transitions", "transition", &mut i.transitions)?;
+        w.leaf("series_tail", &mut i.series_tail)?;
+        w.list(
+            "capture_active",
+            "capture_active_rule",
+            &mut i.active_alerts,
+        )?;
+        w.leaf("capture_alert_log", &mut i.alert_log_jsonl)
+    }
+
+    /// What [`IncidentBundle::decode`] reads into: every line of the walk
+    /// overwrites its field, so no value here survives a decode.
+    fn blank() -> IncidentBundle {
+        IncidentBundle {
+            spec: ScenarioSpec {
+                name: String::new(),
+                memory_mib: 0,
+                vcpus: 0,
+                workload: WorkloadSpec::Idle,
+                duration: SimDuration::ZERO,
+                seed: 0,
+                verify_consistency: false,
             },
-        );
-        let period = match c.period {
-            PeriodPolicy::Fixed(t) => format!("fixed:{}", t.as_nanos()),
+            config: ReplicationConfig::fixed_period(SimDuration::ZERO),
+            plan: None,
+            fingerprint: 0,
+            alert_log_jsonl: String::new(),
+            active_alerts: Vec::new(),
+            incident: IncidentSnapshot {
+                trigger: String::new(),
+                epoch: 0,
+                at_nanos: 0,
+                detail: String::new(),
+                flight_json: String::new(),
+                commits: Vec::new(),
+                acks: Vec::new(),
+                spans: Vec::new(),
+                transitions: Vec::new(),
+                series_tail: String::new(),
+                active_alerts: Vec::new(),
+                alert_log_jsonl: String::new(),
+            },
+        }
+    }
+}
+
+/// Puts the header in front of a payload.
+fn seal(payload: &str) -> String {
+    format!(
+        "{BUNDLE_MAGIC} v{BUNDLE_VERSION}\nlen={}\ncrc=0x{:08x}\n---\n{payload}",
+        payload.len(),
+        fnv32(payload.as_bytes()),
+    )
+}
+
+/// The final alert log and the still-firing rules of a finished run
+/// (both empty when the health plane was unarmed).
+fn final_alerts(report: &RunReport) -> (String, Vec<String>) {
+    match report.telemetry.as_ref().and_then(|t| t.health.as_ref()) {
+        Some(h) => (h.alert_log_jsonl.clone(), h.active_alerts.clone()),
+        None => (String::new(), Vec::new()),
+    }
+}
+
+/// One pass over the payload in one of two directions: appending
+/// `key=value` lines to a document, or consuming them from one. The read
+/// direction is strictly sequential: every line must appear where the
+/// walk names it — a missing, reordered or extra line is a decode error,
+/// not a silently defaulted field, and no line is optional.
+enum Walk<'a, 'p> {
+    Write(&'a mut String),
+    Read(&'a mut std::str::Lines<'p>),
+}
+
+impl Walk<'_, '_> {
+    /// One `key=value` line.
+    fn leaf<T: Leaf>(&mut self, key: &str, value: &mut T) -> CoreResult<()> {
+        match self {
+            Walk::Write(out) => {
+                out.push_str(key);
+                out.push('=');
+                out.push_str(&value.show());
+                out.push('\n');
+            }
+            Walk::Read(lines) => *value = read_line(lines, key)?,
+        }
+        Ok(())
+    }
+
+    /// A counted list: one `count_key=<n>` line, then `n` `item_key=`
+    /// lines.
+    fn list<T: Leaf>(
+        &mut self,
+        count_key: &str,
+        item_key: &str,
+        items: &mut Vec<T>,
+    ) -> CoreResult<()> {
+        let mut count = items.len();
+        self.leaf(count_key, &mut count)?;
+        if let Walk::Read(lines) = self {
+            // Every item is a line of its own, so a count the document
+            // cannot hold is refused before it sizes anything.
+            if lines.clone().take(count).count() < count {
+                return Err(bundle_err(&format!(
+                    "{count_key:?} claims {count} items, fewer lines are left"
+                )));
+            }
+            *items = (0..count)
+                .map(|_| read_line(lines, item_key))
+                .collect::<CoreResult<_>>()?;
+            return Ok(());
+        }
+        items
+            .iter_mut()
+            .try_for_each(|item| self.leaf(item_key, item))
+    }
+}
+
+/// Takes the next line, which must be `key=…`, and parses its value.
+fn read_line<T: Leaf>(lines: &mut std::str::Lines<'_>, key: &str) -> CoreResult<T> {
+    let line = lines
+        .next()
+        .ok_or_else(|| bundle_err(&format!("bundle ends before field {key:?}")))?;
+    let value = line
+        .strip_prefix(key)
+        .and_then(|rest| rest.strip_prefix('='))
+        .ok_or_else(|| bundle_err(&format!("unexpected line {line:?} (wanted field {key:?})")))?;
+    T::read(value).map_err(|why| bundle_err(&format!("field {key:?}: {why}")))
+}
+
+/// Why a value failed to parse; [`read_line`] adds the field name.
+type Parsed<T> = Result<T, String>;
+
+/// A value that fills one bundle line, or one `:`-separated part of a
+/// line: how it is written and, next to it, how it is read back.
+trait Leaf: Sized {
+    fn show(&self) -> String;
+    fn read(s: &str) -> Parsed<Self>;
+}
+
+/// Leaves whose bundle syntax is their `Display`/`FromStr`.
+trait Plain: std::fmt::Display + std::str::FromStr {}
+impl Plain for u8 {}
+impl Plain for u16 {}
+impl Plain for u32 {}
+impl Plain for u64 {}
+impl Plain for usize {}
+impl Plain for bool {}
+
+impl<T: Plain> Leaf for T {
+    fn show(&self) -> String {
+        self.to_string()
+    }
+    fn read(s: &str) -> Parsed<Self> {
+        s.parse().map_err(|_| format!("unparseable value {s:?}"))
+    }
+}
+
+/// Splits a composite line into exactly `N` `:`-separated parts.
+fn parts<const N: usize>(s: &str) -> Parsed<[&str; N]> {
+    let found: Vec<&str> = s.split(':').collect();
+    found
+        .try_into()
+        .map_err(|found: Vec<&str>| format!("wants {N} parts, got {}", found.len()))
+}
+
+/// Reads a `,`-separated list; the empty string is the empty list.
+fn commas<T>(s: &str, item: impl Fn(&str) -> Parsed<T>) -> Parsed<Vec<T>> {
+    if s.is_empty() {
+        return Ok(Vec::new());
+    }
+    s.split(',').map(item).collect()
+}
+
+/// Text escaped onto one line: `\` → `\\`, newline → `\n`, carriage
+/// return → `\r`. Reading rejects a dangling or unknown escape.
+impl Leaf for String {
+    fn show(&self) -> String {
+        let mut out = String::with_capacity(self.len());
+        for c in self.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+    fn read(s: &str) -> Parsed<Self> {
+        let mut out = String::with_capacity(s.len());
+        let mut chars = s.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            match chars.next() {
+                Some('\\') => out.push('\\'),
+                Some('n') => out.push('\n'),
+                Some('r') => out.push('\r'),
+                other => {
+                    return Err(format!(
+                        "invalid escape sequence \\{}",
+                        other.map(String::from).unwrap_or_default()
+                    ))
+                }
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// `none`, or the value.
+impl<T: Leaf> Leaf for Option<T> {
+    fn show(&self) -> String {
+        self.as_ref().map_or_else(|| "none".to_string(), T::show)
+    }
+    fn read(s: &str) -> Parsed<Self> {
+        if s == "none" {
+            Ok(None)
+        } else {
+            T::read(s).map(Some)
+        }
+    }
+}
+
+/// A `u64` as `0x` and sixteen hex digits: the run fingerprint and, as
+/// its bit pattern, every `f64` (so no decimal rounding can creep in).
+struct Hex(u64);
+
+impl Leaf for Hex {
+    fn show(&self) -> String {
+        format!("0x{:016x}", self.0)
+    }
+    fn read(s: &str) -> Parsed<Self> {
+        s.strip_prefix("0x")
+            .and_then(|digits| u64::from_str_radix(digits, 16).ok())
+            .map(Hex)
+            .ok_or_else(|| format!("unparseable hex value {s:?}"))
+    }
+}
+
+impl Leaf for f64 {
+    fn show(&self) -> String {
+        Hex(self.to_bits()).show()
+    }
+    fn read(s: &str) -> Parsed<Self> {
+        Hex::read(s).map(|bits| f64::from_bits(bits.0))
+    }
+}
+
+/// Virtual durations are whole nanoseconds.
+impl Leaf for SimDuration {
+    fn show(&self) -> String {
+        self.as_nanos().show()
+    }
+    fn read(s: &str) -> Parsed<Self> {
+        u64::read(s).map(SimDuration::from_nanos)
+    }
+}
+
+impl Leaf for WorkloadSpec {
+    fn show(&self) -> String {
+        match *self {
+            WorkloadSpec::Idle => "idle".to_string(),
+            WorkloadSpec::MemStress { percent, rate } => format!("memstress:{percent}:{rate}"),
+        }
+    }
+    fn read(s: &str) -> Parsed<Self> {
+        if s == "idle" {
+            return Ok(WorkloadSpec::Idle);
+        }
+        let spec = s.strip_prefix("memstress:");
+        let [percent, rate] = parts(spec.ok_or_else(|| format!("unknown workload {s:?}"))?)?;
+        Ok(WorkloadSpec::MemStress {
+            percent: Leaf::read(percent)?,
+            rate: Leaf::read(rate)?,
+        })
+    }
+}
+
+impl Leaf for Strategy {
+    fn show(&self) -> String {
+        match self {
+            Strategy::Here => "here".to_string(),
+            Strategy::Remus => "remus".to_string(),
+        }
+    }
+    fn read(s: &str) -> Parsed<Self> {
+        match s {
+            "here" => Ok(Strategy::Here),
+            "remus" => Ok(Strategy::Remus),
+            other => Err(format!("unknown strategy {other:?}")),
+        }
+    }
+}
+
+impl Leaf for PeriodPolicy {
+    fn show(&self) -> String {
+        match *self {
+            PeriodPolicy::Fixed(t) => format!("fixed:{}", t.show()),
             PeriodPolicy::Dynamic {
                 d_target,
                 t_max,
                 sigma,
             } => format!(
-                "dynamic:0x{:016x}:{}:{}",
-                d_target.to_bits(),
-                t_max.as_nanos(),
-                sigma.as_nanos()
+                "dynamic:{}:{}:{}",
+                d_target.show(),
+                t_max.show(),
+                sigma.show()
             ),
-        };
-        kv(&mut out, "period", &period);
-        kv(&mut out, "transfer_threads", &opt_num(c.transfer_threads));
-        kv(&mut out, "encode_lanes", &opt_num(c.encode_lanes));
-        kv(
-            &mut out,
-            "heartbeat",
-            &format!(
-                "{}:{}",
-                c.heartbeat.period.as_nanos(),
-                c.heartbeat.missed_threshold
-            ),
-        );
-        kv(
-            &mut out,
-            "retry",
-            &format!(
-                "{}:{}:{}",
-                c.retry.max_attempts,
-                c.retry.backoff_base.as_nanos(),
-                c.retry.backoff_cap.as_nanos()
-            ),
-        );
-        let m = &c.costs;
-        kv(
-            &mut out,
-            "costs",
-            &format!(
-                "{}:{}:{}:{}:{}:{}:{}:{}:0x{:016x}:0x{:016x}:{}:{}:{}:{}",
-                m.migrate_scan_per_page.as_nanos(),
-                m.migrate_wire_per_page.as_nanos(),
-                m.checkpoint_cpu_per_page.as_nanos(),
-                m.checkpoint_wire_per_page.as_nanos(),
-                m.checkpoint_thread_overhead.as_nanos(),
-                m.checkpoint_const.as_nanos(),
-                m.remus_extra_const.as_nanos(),
-                m.here_migration_setup.as_nanos(),
-                m.parallel_efficiency.to_bits(),
-                m.migration_parallel_efficiency.to_bits(),
-                m.pause_disturbance.as_nanos(),
-                m.device_switch.as_nanos(),
-                m.state_load.as_nanos(),
-                m.rss_base_mib,
-            ),
-        );
-        kv(
-            &mut out,
-            "migration_limits",
-            &format!(
-                "{}:{}",
-                c.max_migration_iterations, c.migration_dirty_threshold
-            ),
-        );
-        kv(
-            &mut out,
-            "topology",
-            &format!(
-                "{}:{}:{}:{}",
-                c.topology.replicas,
-                c.topology.quorum,
-                match c.topology.fanout {
-                    FanoutMode::Star => "star",
-                    FanoutMode::Chain => "chain",
-                },
-                c.topology.stale_epoch_lag
-            ),
-        );
-        kv(
-            &mut out,
-            "encode_chunk_pages",
-            &opt_num(c.encode_chunk_pages),
-        );
-        kv(
-            &mut out,
-            "overlap_channel_depth",
-            &opt_num(c.overlap_channel_depth),
-        );
-        kv(&mut out, "overlap_transfer", bool_str(c.overlap_transfer));
-        kv(&mut out, "health_plane", bool_str(c.health_plane));
-        kv(
-            &mut out,
-            "postmortem_capture",
-            bool_str(c.postmortem_capture),
-        );
-        kv(
-            &mut out,
-            "flight_recorder_capacity",
-            &match c.flight_recorder_capacity {
-                Some(n) => n.to_string(),
-                None => "none".to_string(),
-            },
-        );
-        // Wire negotiation: emitted only when it differs from the v2
-        // default, so every pre-v3 bundle stays byte-identical.
-        if c.wire_version != here_vmstate::wire::VERSION || c.replica_wire_caps.is_some() {
-            let caps = match &c.replica_wire_caps {
-                None => "none".to_string(),
-                Some(caps) => caps
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(","),
-            };
-            kv(&mut out, "wire", &format!("{}:{caps}", c.wire_version));
         }
-        // [fault plan]
-        match &self.plan {
-            None => kv(&mut out, "plan", "none"),
-            Some(plan) => {
-                kv(&mut out, "plan", &plan.seed.to_string());
-                kv(&mut out, "plan_events", &plan.events().len().to_string());
-                for e in plan.events() {
-                    kv(
-                        &mut out,
-                        "event",
-                        &format!("{}:{}:{}", e.epoch, e.replica, render_kind(&e.kind)),
-                    );
-                }
-            }
-        }
-        // [run identity]
-        kv(
-            &mut out,
-            "fingerprint",
-            &format!("0x{:016x}", self.fingerprint),
-        );
-        kv(&mut out, "alert_log", &esc(&self.alert_log_jsonl));
-        kv(
-            &mut out,
-            "active_alerts",
-            &self.active_alerts.len().to_string(),
-        );
-        for rule in &self.active_alerts {
-            kv(&mut out, "active", &esc(rule));
-        }
-        // [incident capture]
-        let i = &self.incident;
-        kv(&mut out, "trigger", &esc(&i.trigger));
-        kv(&mut out, "trigger_epoch", &i.epoch.to_string());
-        kv(&mut out, "trigger_at_nanos", &i.at_nanos.to_string());
-        kv(&mut out, "trigger_detail", &esc(&i.detail));
-        kv(&mut out, "flight", &esc(&i.flight_json));
-        kv(&mut out, "commits", &i.commits.len().to_string());
-        for commit in &i.commits {
-            kv(
-                &mut out,
-                "commit",
-                &format!("{}:{}", commit.seq, commit.at.as_nanos()),
-            );
-        }
-        kv(&mut out, "acks", &i.acks.len().to_string());
-        for trail in &i.acks {
-            let entries = trail
-                .acks
-                .iter()
-                .map(|a| format!("{}@{}", a.seq, a.at.as_nanos()))
-                .collect::<Vec<_>>()
-                .join(",");
-            kv(&mut out, "ack", &format!("{}:{entries}", trail.replica));
-        }
-        kv(&mut out, "spans", &i.spans.len().to_string());
-        for span in &i.spans {
-            kv(&mut out, "span", &esc(span));
-        }
-        kv(&mut out, "transitions", &i.transitions.len().to_string());
-        for t in &i.transitions {
-            kv(&mut out, "transition", &esc(t));
-        }
-        kv(&mut out, "series_tail", &esc(&i.series_tail));
-        kv(
-            &mut out,
-            "capture_active",
-            &i.active_alerts.len().to_string(),
-        );
-        for rule in &i.active_alerts {
-            kv(&mut out, "capture_active_rule", &esc(rule));
-        }
-        kv(&mut out, "capture_alert_log", &esc(&i.alert_log_jsonl));
-        out
     }
-
-    fn parse_payload(payload: &str) -> CoreResult<IncidentBundle> {
-        let mut cur = Cursor::new(payload);
-        let name = unesc(&cur.take("name")?)?;
-        let memory_mib = parse_num(&cur.take("memory_mib")?, "memory_mib")?;
-        let vcpus = parse_num(&cur.take("vcpus")?, "vcpus")?;
-        let workload = WorkloadSpec::parse(&cur.take("workload")?)?;
-        let duration =
-            SimDuration::from_nanos(parse_num(&cur.take("duration_nanos")?, "duration_nanos")?);
-        let seed = parse_num(&cur.take("seed")?, "seed")?;
-        let verify_consistency = parse_bool(&cur.take("verify_consistency")?)?;
-        let spec = ScenarioSpec {
-            name,
-            memory_mib,
-            vcpus,
-            workload,
-            duration,
-            seed,
-            verify_consistency,
-        };
-
-        let strategy = match cur.take("strategy")?.as_str() {
-            "here" => Strategy::Here,
-            "remus" => Strategy::Remus,
-            other => return Err(bundle_err(&format!("unknown strategy {other:?}"))),
-        };
-        let period_raw = cur.take("period")?;
-        let period = if let Some(nanos) = period_raw.strip_prefix("fixed:") {
-            PeriodPolicy::Fixed(SimDuration::from_nanos(parse_num(nanos, "fixed period")?))
-        } else if let Some(rest) = period_raw.strip_prefix("dynamic:") {
-            let parts: Vec<&str> = rest.split(':').collect();
-            if parts.len() != 3 {
-                return Err(bundle_err("malformed dynamic period"));
-            }
-            PeriodPolicy::Dynamic {
-                d_target: f64::from_bits(parse_hex_u64(parts[0], "d_target")?),
-                t_max: SimDuration::from_nanos(parse_num(parts[1], "t_max")?),
-                sigma: SimDuration::from_nanos(parse_num(parts[2], "sigma")?),
-            }
-        } else {
-            return Err(bundle_err("unknown period policy"));
-        };
-        let transfer_threads = parse_opt_num(&cur.take("transfer_threads")?, "transfer_threads")?;
-        let encode_lanes = parse_opt_num(&cur.take("encode_lanes")?, "encode_lanes")?;
-        let hb: Vec<String> = split_fields(&cur.take("heartbeat")?, 2, "heartbeat")?;
-        let heartbeat = crate::config::HeartbeatConfig {
-            period: SimDuration::from_nanos(parse_num(&hb[0], "heartbeat period")?),
-            missed_threshold: parse_num(&hb[1], "heartbeat threshold")?,
-        };
-        let rt = split_fields(&cur.take("retry")?, 3, "retry")?;
-        let retry = crate::config::RetryPolicy {
-            max_attempts: parse_num(&rt[0], "retry attempts")?,
-            backoff_base: SimDuration::from_nanos(parse_num(&rt[1], "retry base")?),
-            backoff_cap: SimDuration::from_nanos(parse_num(&rt[2], "retry cap")?),
-        };
-        let cs = split_fields(&cur.take("costs")?, 14, "costs")?;
-        let nanos = |i: usize, what: &str| -> CoreResult<SimDuration> {
-            Ok(SimDuration::from_nanos(parse_num(&cs[i], what)?))
-        };
-        let costs = crate::config::CostModel {
-            migrate_scan_per_page: nanos(0, "costs[0]")?,
-            migrate_wire_per_page: nanos(1, "costs[1]")?,
-            checkpoint_cpu_per_page: nanos(2, "costs[2]")?,
-            checkpoint_wire_per_page: nanos(3, "costs[3]")?,
-            checkpoint_thread_overhead: nanos(4, "costs[4]")?,
-            checkpoint_const: nanos(5, "costs[5]")?,
-            remus_extra_const: nanos(6, "costs[6]")?,
-            here_migration_setup: nanos(7, "costs[7]")?,
-            parallel_efficiency: f64::from_bits(parse_hex_u64(&cs[8], "costs[8]")?),
-            migration_parallel_efficiency: f64::from_bits(parse_hex_u64(&cs[9], "costs[9]")?),
-            pause_disturbance: nanos(10, "costs[10]")?,
-            device_switch: nanos(11, "costs[11]")?,
-            state_load: nanos(12, "costs[12]")?,
-            rss_base_mib: parse_num(&cs[13], "costs[13]")?,
-        };
-        let ml = split_fields(&cur.take("migration_limits")?, 2, "migration_limits")?;
-        let tp = split_fields(&cur.take("topology")?, 4, "topology")?;
-        let topology = TopologyConfig {
-            replicas: parse_num(&tp[0], "topology replicas")?,
-            quorum: parse_num(&tp[1], "topology quorum")?,
-            fanout: match tp[2].as_str() {
-                "star" => FanoutMode::Star,
-                "chain" => FanoutMode::Chain,
-                other => return Err(bundle_err(&format!("unknown fanout {other:?}"))),
-            },
-            stale_epoch_lag: parse_num(&tp[3], "topology stale lag")?,
-        };
-        let encode_chunk_pages =
-            parse_opt_num(&cur.take("encode_chunk_pages")?, "encode_chunk_pages")?;
-        let overlap_channel_depth =
-            parse_opt_num(&cur.take("overlap_channel_depth")?, "overlap_channel_depth")?;
-        let overlap_transfer = parse_bool(&cur.take("overlap_transfer")?)?;
-        let health_plane = parse_bool(&cur.take("health_plane")?)?;
-        let postmortem_capture = parse_bool(&cur.take("postmortem_capture")?)?;
-        let flight_recorder_capacity = {
-            let raw = cur.take("flight_recorder_capacity")?;
-            if raw == "none" {
-                None
-            } else {
-                Some(parse_num(&raw, "flight_recorder_capacity")?)
-            }
-        };
-        // The `wire=` line is optional: absent in every pre-v3 bundle
-        // (and in any bundle of a default-v2 session), defaulting to the
-        // legacy negotiation.
-        let (wire_version, replica_wire_caps) = match cur.take_if("wire") {
-            None => (here_vmstate::wire::VERSION, None),
-            Some(raw) => {
-                let (ver, caps) = raw
-                    .split_once(':')
-                    .ok_or_else(|| bundle_err("malformed wire line"))?;
-                let version = parse_num(ver, "wire version")?;
-                let caps = if caps == "none" {
-                    None
-                } else if caps.is_empty() {
-                    Some(Vec::new())
-                } else {
-                    Some(
-                        caps.split(',')
-                            .map(|c| parse_num(c, "wire cap"))
-                            .collect::<CoreResult<Vec<u16>>>()?,
-                    )
-                };
-                (version, caps)
-            }
-        };
-        let config = ReplicationConfig {
-            strategy,
-            period,
-            transfer_threads,
-            encode_lanes,
-            heartbeat,
-            retry,
-            costs,
-            max_migration_iterations: parse_num(&ml[0], "max_migration_iterations")?,
-            migration_dirty_threshold: parse_num(&ml[1], "migration_dirty_threshold")?,
-            topology,
-            encode_chunk_pages,
-            overlap_channel_depth,
-            overlap_transfer,
-            health_plane,
-            postmortem_capture,
-            flight_recorder_capacity,
-            wire_version,
-            replica_wire_caps,
-        };
-
-        let plan_raw = cur.take("plan")?;
-        let plan = if plan_raw == "none" {
-            None
-        } else {
-            let mut plan = FaultPlan::new(parse_num(&plan_raw, "plan seed")?);
-            let events: usize = parse_num(&cur.take("plan_events")?, "plan_events")?;
-            for _ in 0..events {
-                let raw = cur.take("event")?;
-                let mut it = raw.splitn(3, ':');
-                let epoch = parse_num(it.next().unwrap_or(""), "event epoch")?;
-                let replica = parse_num(it.next().unwrap_or(""), "event replica")?;
-                let kind = parse_kind(it.next().unwrap_or(""))?;
-                plan = plan.with_event_on(epoch, replica, kind);
-            }
-            Some(plan)
-        };
-
-        let fingerprint = parse_hex_u64(
-            cur.take("fingerprint")?
-                .strip_prefix("0x")
-                .ok_or_else(|| bundle_err("malformed fingerprint"))?,
-            "fingerprint",
-        )?;
-        let alert_log_jsonl = unesc(&cur.take("alert_log")?)?;
-        let n_active: usize = parse_num(&cur.take("active_alerts")?, "active_alerts")?;
-        let mut active_alerts = Vec::with_capacity(n_active);
-        for _ in 0..n_active {
-            active_alerts.push(unesc(&cur.take("active")?)?);
+    fn read(s: &str) -> Parsed<Self> {
+        if let Some(t) = s.strip_prefix("fixed:") {
+            return Ok(PeriodPolicy::Fixed(Leaf::read(t)?));
         }
-
-        let trigger = unesc(&cur.take("trigger")?)?;
-        let epoch = parse_num(&cur.take("trigger_epoch")?, "trigger_epoch")?;
-        let at_nanos = parse_num(&cur.take("trigger_at_nanos")?, "trigger_at_nanos")?;
-        let detail = unesc(&cur.take("trigger_detail")?)?;
-        let flight_json = unesc(&cur.take("flight")?)?;
-        let n_commits: usize = parse_num(&cur.take("commits")?, "commits")?;
-        let mut commits = Vec::with_capacity(n_commits);
-        for _ in 0..n_commits {
-            let raw = cur.take("commit")?;
-            let f = split_fields(&raw, 2, "commit")?;
-            commits.push(CommitEntry {
-                seq: parse_num(&f[0], "commit seq")?,
-                at: SimTime::from_nanos(parse_num(&f[1], "commit at")?),
-            });
-        }
-        let n_acks: usize = parse_num(&cur.take("acks")?, "acks")?;
-        let mut acks = Vec::with_capacity(n_acks);
-        for _ in 0..n_acks {
-            let raw = cur.take("ack")?;
-            let (replica, entries) = raw
-                .split_once(':')
-                .ok_or_else(|| bundle_err("malformed ack trail"))?;
-            let mut trail = Vec::new();
-            if !entries.is_empty() {
-                for part in entries.split(',') {
-                    let (seq, at) = part
-                        .split_once('@')
-                        .ok_or_else(|| bundle_err("malformed ack entry"))?;
-                    trail.push(CommitEntry {
-                        seq: parse_num(seq, "ack seq")?,
-                        at: SimTime::from_nanos(parse_num(at, "ack at")?),
-                    });
-                }
-            }
-            acks.push(ReplicaAcks {
-                replica: parse_num(replica, "ack replica")?,
-                acks: trail,
-            });
-        }
-        let n_spans: usize = parse_num(&cur.take("spans")?, "spans")?;
-        let mut spans = Vec::with_capacity(n_spans);
-        for _ in 0..n_spans {
-            spans.push(unesc(&cur.take("span")?)?);
-        }
-        let n_transitions: usize = parse_num(&cur.take("transitions")?, "transitions")?;
-        let mut transitions = Vec::with_capacity(n_transitions);
-        for _ in 0..n_transitions {
-            transitions.push(unesc(&cur.take("transition")?)?);
-        }
-        let series_tail = unesc(&cur.take("series_tail")?)?;
-        let n_capture_active: usize = parse_num(&cur.take("capture_active")?, "capture_active")?;
-        let mut capture_active = Vec::with_capacity(n_capture_active);
-        for _ in 0..n_capture_active {
-            capture_active.push(unesc(&cur.take("capture_active_rule")?)?);
-        }
-        let capture_alert_log = unesc(&cur.take("capture_alert_log")?)?;
-        cur.finish()?;
-
-        Ok(IncidentBundle {
-            spec,
-            config,
-            plan,
-            fingerprint,
-            alert_log_jsonl,
-            active_alerts,
-            incident: IncidentSnapshot {
-                trigger,
-                epoch,
-                at_nanos,
-                detail,
-                flight_json,
-                commits,
-                acks,
-                spans,
-                transitions,
-                series_tail,
-                active_alerts: capture_active,
-                alert_log_jsonl: capture_alert_log,
-            },
+        let dynamic = s.strip_prefix("dynamic:");
+        let [d_target, t_max, sigma] = parts(dynamic.ok_or("unknown period policy")?)?;
+        Ok(PeriodPolicy::Dynamic {
+            d_target: Leaf::read(d_target)?,
+            t_max: Leaf::read(t_max)?,
+            sigma: Leaf::read(sigma)?,
         })
     }
 }
 
-/// Sequential `key=value` line reader: every field must appear in the
-/// order the encoder wrote it — a missing, reordered or extra line is a
-/// decode error, not a silently defaulted field.
-struct Cursor<'a> {
-    lines: std::str::Lines<'a>,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(payload: &'a str) -> Self {
-        Cursor {
-            lines: payload.lines(),
-        }
+impl Leaf for HeartbeatConfig {
+    fn show(&self) -> String {
+        format!("{}:{}", self.period.show(), self.missed_threshold)
     }
-
-    fn take(&mut self, key: &str) -> CoreResult<String> {
-        let line = self
-            .lines
-            .next()
-            .ok_or_else(|| bundle_err(&format!("bundle ends before field {key:?}")))?;
-        let (k, v) = line
-            .split_once('=')
-            .ok_or_else(|| bundle_err(&format!("malformed line {line:?}")))?;
-        if k != key {
-            return Err(bundle_err(&format!(
-                "unexpected field {k:?} (wanted {key:?})"
-            )));
-        }
-        Ok(v.to_string())
-    }
-
-    /// Consumes the next line only if it carries `key` — how optional
-    /// fields (added after v1 bundles shipped) decode without breaking
-    /// the strict sequential discipline for everything else.
-    fn take_if(&mut self, key: &str) -> Option<String> {
-        let mut peek = self.lines.clone();
-        let line = peek.next()?;
-        let (k, v) = line.split_once('=')?;
-        if k != key {
-            return None;
-        }
-        self.lines = peek;
-        Some(v.to_string())
-    }
-
-    fn finish(mut self) -> CoreResult<()> {
-        match self.lines.next() {
-            None => Ok(()),
-            Some(line) => Err(bundle_err(&format!(
-                "unexpected trailing bundle field {line:?}"
-            ))),
-        }
+    fn read(s: &str) -> Parsed<Self> {
+        let [period, missed_threshold] = parts(s)?;
+        Ok(HeartbeatConfig {
+            period: Leaf::read(period)?,
+            missed_threshold: Leaf::read(missed_threshold)?,
+        })
     }
 }
 
-fn render_kind(kind: &FaultKind) -> String {
-    match kind {
-        FaultKind::LinkFlap { attempts_down } => format!("link_flap:{attempts_down}"),
-        FaultKind::Drop { attempts } => format!("drop:{attempts}"),
-        FaultKind::Corrupt { attempts } => format!("corrupt:{attempts}"),
-        FaultKind::Delay { by } => format!("delay:{}", by.as_nanos()),
-        FaultKind::DecodeFail { attempts } => format!("decode_fail:{attempts}"),
-        FaultKind::PrimaryFault { outcome, stage } => {
-            let outcome = match outcome {
-                DosOutcome::Crash => "crash",
-                DosOutcome::Hang => "hang",
-                DosOutcome::Starvation => "starvation",
-            };
-            format!("primary_fault:{outcome}:{}", stage.label())
-        }
-        FaultKind::HeartbeatLoss { extra_periods } => format!("heartbeat_loss:{extra_periods}"),
+impl Leaf for RetryPolicy {
+    fn show(&self) -> String {
+        format!(
+            "{}:{}:{}",
+            self.max_attempts,
+            self.backoff_base.show(),
+            self.backoff_cap.show()
+        )
+    }
+    fn read(s: &str) -> Parsed<Self> {
+        let [max_attempts, backoff_base, backoff_cap] = parts(s)?;
+        Ok(RetryPolicy {
+            max_attempts: Leaf::read(max_attempts)?,
+            backoff_base: Leaf::read(backoff_base)?,
+            backoff_cap: Leaf::read(backoff_cap)?,
+        })
     }
 }
 
-fn parse_kind(raw: &str) -> CoreResult<FaultKind> {
-    let (head, rest) = raw.split_once(':').unwrap_or((raw, ""));
-    Ok(match head {
-        "link_flap" => FaultKind::LinkFlap {
-            attempts_down: parse_num(rest, "link_flap attempts")?,
-        },
-        "drop" => FaultKind::Drop {
-            attempts: parse_num(rest, "drop attempts")?,
-        },
-        "corrupt" => FaultKind::Corrupt {
-            attempts: parse_num(rest, "corrupt attempts")?,
-        },
-        "delay" => FaultKind::Delay {
-            by: SimDuration::from_nanos(parse_num(rest, "delay nanos")?),
-        },
-        "decode_fail" => FaultKind::DecodeFail {
-            attempts: parse_num(rest, "decode_fail attempts")?,
-        },
-        "primary_fault" => {
-            let (outcome, stage) = rest
-                .split_once(':')
-                .ok_or_else(|| bundle_err("malformed primary_fault"))?;
-            let outcome = match outcome {
-                "crash" => DosOutcome::Crash,
-                "hang" => DosOutcome::Hang,
-                "starvation" => DosOutcome::Starvation,
-                other => return Err(bundle_err(&format!("unknown DoS outcome {other:?}"))),
-            };
-            let stage = Stage::ALL
-                .into_iter()
-                .find(|s| s.label() == stage)
-                .ok_or_else(|| bundle_err(&format!("unknown stage {stage:?}")))?;
-            FaultKind::PrimaryFault { outcome, stage }
+impl Leaf for CostModel {
+    fn show(&self) -> String {
+        [
+            self.migrate_scan_per_page.show(),
+            self.migrate_wire_per_page.show(),
+            self.checkpoint_cpu_per_page.show(),
+            self.checkpoint_wire_per_page.show(),
+            self.checkpoint_thread_overhead.show(),
+            self.checkpoint_const.show(),
+            self.remus_extra_const.show(),
+            self.here_migration_setup.show(),
+            self.parallel_efficiency.show(),
+            self.migration_parallel_efficiency.show(),
+            self.pause_disturbance.show(),
+            self.device_switch.show(),
+            self.state_load.show(),
+            self.rss_base_mib.show(),
+        ]
+        .join(":")
+    }
+    fn read(s: &str) -> Parsed<Self> {
+        let p: [&str; 14] = parts(s)?;
+        Ok(CostModel {
+            migrate_scan_per_page: Leaf::read(p[0])?,
+            migrate_wire_per_page: Leaf::read(p[1])?,
+            checkpoint_cpu_per_page: Leaf::read(p[2])?,
+            checkpoint_wire_per_page: Leaf::read(p[3])?,
+            checkpoint_thread_overhead: Leaf::read(p[4])?,
+            checkpoint_const: Leaf::read(p[5])?,
+            remus_extra_const: Leaf::read(p[6])?,
+            here_migration_setup: Leaf::read(p[7])?,
+            parallel_efficiency: Leaf::read(p[8])?,
+            migration_parallel_efficiency: Leaf::read(p[9])?,
+            pause_disturbance: Leaf::read(p[10])?,
+            device_switch: Leaf::read(p[11])?,
+            state_load: Leaf::read(p[12])?,
+            rss_base_mib: Leaf::read(p[13])?,
+        })
+    }
+}
+
+impl Leaf for TopologyConfig {
+    fn show(&self) -> String {
+        let fanout = match self.fanout {
+            FanoutMode::Star => "star",
+            FanoutMode::Chain => "chain",
+        };
+        format!(
+            "{}:{}:{fanout}:{}",
+            self.replicas, self.quorum, self.stale_epoch_lag
+        )
+    }
+    fn read(s: &str) -> Parsed<Self> {
+        let [replicas, quorum, fanout, stale_epoch_lag] = parts(s)?;
+        Ok(TopologyConfig {
+            replicas: Leaf::read(replicas)?,
+            quorum: Leaf::read(quorum)?,
+            fanout: match fanout {
+                "star" => FanoutMode::Star,
+                "chain" => FanoutMode::Chain,
+                other => return Err(format!("unknown fanout {other:?}")),
+            },
+            stale_epoch_lag: Leaf::read(stale_epoch_lag)?,
+        })
+    }
+}
+
+/// The wire negotiation, `offer:caps`: the offered version and the
+/// per-replica capability ceilings (`none`, or a `,`-separated list).
+impl Leaf for (u16, Option<Vec<u16>>) {
+    fn show(&self) -> String {
+        format!("{}:{}", self.0, self.1.show())
+    }
+    fn read(s: &str) -> Parsed<Self> {
+        let [offer, caps] = parts(s)?;
+        Ok((Leaf::read(offer)?, Leaf::read(caps)?))
+    }
+}
+
+impl Leaf for Vec<u16> {
+    fn show(&self) -> String {
+        let caps: Vec<String> = self.iter().map(u16::show).collect();
+        caps.join(",")
+    }
+    fn read(s: &str) -> Parsed<Self> {
+        commas(s, u16::read)
+    }
+}
+
+/// `epoch:replica:kind`; the kind keeps its own `:`-separated fields.
+impl Leaf for FaultEvent {
+    fn show(&self) -> String {
+        format!("{}:{}:{}", self.epoch, self.replica, self.kind.show())
+    }
+    fn read(s: &str) -> Parsed<Self> {
+        let mut it = s.splitn(3, ':');
+        let mut part = || it.next().ok_or("wants epoch:replica:kind");
+        Ok(FaultEvent {
+            epoch: Leaf::read(part()?)?,
+            replica: Leaf::read(part()?)?,
+            kind: Leaf::read(part()?)?,
+        })
+    }
+}
+
+impl Leaf for FaultKind {
+    fn show(&self) -> String {
+        match self {
+            FaultKind::LinkFlap { attempts_down } => format!("link_flap:{attempts_down}"),
+            FaultKind::Drop { attempts } => format!("drop:{attempts}"),
+            FaultKind::Corrupt { attempts } => format!("corrupt:{attempts}"),
+            FaultKind::Delay { by } => format!("delay:{}", by.show()),
+            FaultKind::DecodeFail { attempts } => format!("decode_fail:{attempts}"),
+            FaultKind::PrimaryFault { outcome, stage } => {
+                format!("primary_fault:{outcome}:{}", stage.label())
+            }
+            FaultKind::HeartbeatLoss { extra_periods } => format!("heartbeat_loss:{extra_periods}"),
         }
-        "heartbeat_loss" => FaultKind::HeartbeatLoss {
-            extra_periods: parse_num(rest, "heartbeat_loss periods")?,
-        },
-        other => return Err(bundle_err(&format!("unknown fault kind {other:?}"))),
+    }
+    fn read(s: &str) -> Parsed<Self> {
+        let (head, rest) = s.split_once(':').unwrap_or((s, ""));
+        Ok(match head {
+            "link_flap" => FaultKind::LinkFlap {
+                attempts_down: Leaf::read(rest)?,
+            },
+            "drop" => FaultKind::Drop {
+                attempts: Leaf::read(rest)?,
+            },
+            "corrupt" => FaultKind::Corrupt {
+                attempts: Leaf::read(rest)?,
+            },
+            "delay" => FaultKind::Delay {
+                by: Leaf::read(rest)?,
+            },
+            "decode_fail" => FaultKind::DecodeFail {
+                attempts: Leaf::read(rest)?,
+            },
+            "primary_fault" => {
+                let [outcome, stage] = parts(rest)?;
+                let outcome = DosOutcome::ALL
+                    .into_iter()
+                    .find(|o| o.to_string() == outcome)
+                    .ok_or_else(|| format!("unknown DoS outcome {outcome:?}"))?;
+                let stage = Stage::ALL
+                    .into_iter()
+                    .find(|s| s.label() == stage)
+                    .ok_or_else(|| format!("unknown stage {stage:?}"))?;
+                FaultKind::PrimaryFault { outcome, stage }
+            }
+            "heartbeat_loss" => FaultKind::HeartbeatLoss {
+                extra_periods: Leaf::read(rest)?,
+            },
+            other => return Err(format!("unknown fault kind {other:?}")),
+        })
+    }
+}
+
+/// A commit or an ack, from its sequence number and its instant in
+/// nanoseconds.
+fn commit_entry(seq: &str, at: &str) -> Parsed<CommitEntry> {
+    Ok(CommitEntry {
+        seq: Leaf::read(seq)?,
+        at: SimTime::from_nanos(Leaf::read(at)?),
     })
 }
 
-/// Escapes a value for one-line storage: `\` → `\\`, newline → `\n`,
-/// carriage return → `\r`.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
+/// `seq:at`.
+impl Leaf for CommitEntry {
+    fn show(&self) -> String {
+        format!("{}:{}", self.seq, self.at.as_nanos())
     }
-    out
-}
-
-/// Inverse of [`esc`]; rejects dangling or unknown escapes.
-fn unesc(s: &str) -> CoreResult<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            other => {
-                return Err(bundle_err(&format!(
-                    "invalid escape sequence \\{}",
-                    other.map(String::from).unwrap_or_default()
-                )))
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn bool_str(b: bool) -> &'static str {
-    if b {
-        "true"
-    } else {
-        "false"
+    fn read(s: &str) -> Parsed<Self> {
+        let [seq, at] = parts(s)?;
+        commit_entry(seq, at)
     }
 }
 
-fn parse_bool(s: &str) -> CoreResult<bool> {
-    match s {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(bundle_err(&format!("expected bool, got {other:?}"))),
+/// One replica's ack trail, `replica:seq@at,seq@at,…`.
+impl Leaf for ReplicaAcks {
+    fn show(&self) -> String {
+        let acks: Vec<String> = self
+            .acks
+            .iter()
+            .map(|a| format!("{}@{}", a.seq, a.at.as_nanos()))
+            .collect();
+        format!("{}:{}", self.replica, acks.join(","))
     }
-}
-
-fn opt_num<T: ToString>(v: Option<T>) -> String {
-    v.map(|n| n.to_string()).unwrap_or_else(|| "none".into())
-}
-
-fn parse_opt_num<T: std::str::FromStr>(s: &str, what: &str) -> CoreResult<Option<T>> {
-    if s == "none" {
-        Ok(None)
-    } else {
-        Ok(Some(parse_num(s, what)?))
+    fn read(s: &str) -> Parsed<Self> {
+        let [replica, acks] = parts(s)?;
+        Ok(ReplicaAcks {
+            replica: Leaf::read(replica)?,
+            acks: commas(acks, |ack| {
+                let (seq, at) = ack.split_once('@').ok_or("malformed ack entry")?;
+                commit_entry(seq, at)
+            })?,
+        })
     }
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> CoreResult<T> {
-    s.parse()
-        .map_err(|_| bundle_err(&format!("unparseable {what}: {s:?}")))
-}
-
-fn parse_hex_u64(s: &str, what: &str) -> CoreResult<u64> {
-    u64::from_str_radix(s.strip_prefix("0x").unwrap_or(s), 16)
-        .map_err(|_| bundle_err(&format!("unparseable {what}: {s:?}")))
-}
-
-fn split_fields(raw: &str, want: usize, what: &str) -> CoreResult<Vec<String>> {
-    let parts: Vec<String> = raw.split(':').map(str::to_string).collect();
-    if parts.len() != want {
-        return Err(bundle_err(&format!(
-            "{what} wants {want} fields, got {}",
-            parts.len()
-        )));
-    }
-    Ok(parts)
 }
 
 fn bundle_err(msg: &str) -> CoreError {
@@ -1131,10 +1032,62 @@ mod tests {
             .with_event_on(11, 0, FaultKind::HeartbeatLoss { extra_periods: 2 })
     }
 
+    /// A config in which every field, and every part of every composite
+    /// field, differs from what [`IncidentBundle::blank`] starts with.
+    fn off_default_config() -> ReplicationConfig {
+        let millis = SimDuration::from_millis;
+        let config = ReplicationConfig::dynamic(0.3, SimDuration::from_secs(25))
+            .with_sigma(millis(100))
+            .with_heartbeat(HeartbeatConfig {
+                period: millis(7),
+                missed_threshold: 5,
+            })
+            .with_retry(RetryPolicy {
+                max_attempts: 6,
+                backoff_base: millis(1),
+                backoff_cap: millis(80),
+            })
+            .with_topology(TopologyConfig {
+                replicas: 3,
+                quorum: 2,
+                fanout: FanoutMode::Chain,
+                stale_epoch_lag: 4,
+            })
+            .with_encode_chunk_pages(100)
+            .with_overlap_transfer()
+            .with_health_plane()
+            .with_postmortem_capture()
+            .with_wire_v3()
+            .with_replica_wire_caps(vec![3, 2]);
+        ReplicationConfig {
+            strategy: Strategy::Remus,
+            costs: CostModel {
+                migrate_scan_per_page: millis(21),
+                migrate_wire_per_page: millis(22),
+                checkpoint_cpu_per_page: millis(23),
+                checkpoint_wire_per_page: millis(24),
+                checkpoint_thread_overhead: millis(25),
+                checkpoint_const: millis(26),
+                remus_extra_const: millis(27),
+                here_migration_setup: millis(28),
+                parallel_efficiency: 0.25,
+                migration_parallel_efficiency: 0.75,
+                pause_disturbance: millis(29),
+                device_switch: millis(30),
+                state_load: millis(31),
+                rss_base_mib: 12,
+            },
+            ..config
+        }
+    }
+
     fn sample_bundle() -> IncidentBundle {
         IncidentBundle {
-            spec: sample_spec(),
-            config: sample_config(),
+            spec: ScenarioSpec {
+                verify_consistency: true,
+                ..sample_spec()
+            },
+            config: off_default_config(),
             plan: Some(sample_plan()),
             fingerprint: 0xdead_beef_cafe_f00d,
             alert_log_jsonl: "{\"rule\":\"stale_replica\"}\n{\"rule\":\"quorum_at_risk\"}\n".into(),
@@ -1177,13 +1130,72 @@ mod tests {
         let doc = bundle.encode();
         let back = IncidentBundle::decode(&doc).expect("round trip");
         assert_eq!(bundle, back);
+        assert_eq!(
+            back.encode(),
+            doc,
+            "re-encoding a decoded bundle moved a byte"
+        );
+
+        // The sample leaves no leaf at the value decode starts from (and
+        // no list empty), so a line the walk forgot, or read into the
+        // wrong field, cannot round-trip by accident.
+        let blank = IncidentBundle::blank().encode();
+        for line in blank.lines().skip(4) {
+            let (key, blank_value) = line.split_once('=').expect("key=value");
+            let value = doc
+                .lines()
+                .find_map(|l| l.strip_prefix(key)?.strip_prefix('='))
+                .unwrap_or_else(|| panic!("the sample has no {key:?} line"));
+            for (part, blank_part) in value.split(':').zip(blank_value.split(':')) {
+                assert_ne!(part, blank_part, "{key}: the sample leaves a default");
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_bundle_counts_are_typed_errors_not_allocations() {
+        // Each forged payload goes out under a freshly computed header:
+        // `len` and `crc` are no obstacle to a sender who can run FNV.
+        let doc = sample_bundle().encode();
+        let payload = doc.split_once("---\n").expect("separator").1;
+        let counted = [
+            "plan_events",
+            "active_alerts",
+            "commits",
+            "acks",
+            "spans",
+            "transitions",
+            "capture_active",
+        ];
+        for key in counted {
+            // The largest count that parses, and the smallest the lines
+            // after the count line cannot hold.
+            for count in [usize::MAX, payload.lines().count()] {
+                let forged: String = payload
+                    .lines()
+                    .map(|line| match line.strip_prefix(key) {
+                        Some(rest) if rest.starts_with('=') => format!("{key}={count}\n"),
+                        _ => format!("{line}\n"),
+                    })
+                    .collect();
+                assert_ne!(forged, payload, "{key} is not a line of the sample");
+                let err = IncidentBundle::decode(&seal(&forged)).unwrap_err();
+                assert!(
+                    err.to_string().contains("fewer lines are left"),
+                    "{key}={count}: {err}"
+                );
+            }
+        }
     }
 
     #[test]
     fn decode_rejects_unknown_version() {
-        let doc = sample_bundle().encode().replace("v1", "v2");
-        let err = IncidentBundle::decode(&doc).unwrap_err();
-        assert!(format!("{err:?}").contains("version"), "{err:?}");
+        // v2 is the only version read: a v1 document is as unknown as v3.
+        for other in ["v1", "v3"] {
+            let doc = sample_bundle().encode().replacen("v2", other, 1);
+            let err = IncidentBundle::decode(&doc).unwrap_err();
+            assert!(format!("{err:?}").contains("unknown bundle version"));
+        }
     }
 
     #[test]
@@ -1228,17 +1240,19 @@ mod tests {
             FaultKind::HeartbeatLoss { extra_periods: 5 },
         ];
         for kind in kinds {
-            assert_eq!(parse_kind(&render_kind(&kind)).unwrap(), kind, "{kind:?}");
+            assert_eq!(FaultKind::read(&kind.show()).unwrap(), kind, "{kind:?}");
         }
     }
 
     #[test]
     fn escaping_round_trips_awkward_strings() {
         for s in ["", "plain", "line1\nline2", "back\\slash", "\r\n", "a\\nb"] {
-            assert_eq!(unesc(&esc(s)).unwrap(), s, "{s:?}");
+            let shown = s.to_string().show();
+            assert!(!shown.contains(['\n', '\r']), "{shown:?}");
+            assert_eq!(String::read(&shown).unwrap(), s, "{s:?}");
         }
-        assert!(unesc("dangling\\").is_err());
-        assert!(unesc("bad\\x").is_err());
+        assert!(String::read("dangling\\").is_err());
+        assert!(String::read("bad\\x").is_err());
     }
 
     #[test]

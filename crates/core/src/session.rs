@@ -315,21 +315,15 @@ impl Session {
             period_series: TimeSeries::new("period_secs"),
             degradation_series: TimeSeries::new("degradation_pct"),
             latencies: Histogram::new(),
-            telemetry: {
-                let telemetry = if cfg.health_plane {
-                    SessionTelemetry::with_health_plane(
-                        cfg.period,
-                        cfg.topology.replicas.max(1),
-                        cfg.topology.effective_quorum(),
-                        cfg.topology.stale_epoch_lag,
-                    )
-                } else {
-                    SessionTelemetry::new(cfg.period)
-                };
-                match cfg.flight_recorder_capacity {
-                    Some(capacity) => telemetry.with_flight_capacity(capacity),
-                    None => telemetry,
-                }
+            telemetry: if cfg.health_plane {
+                SessionTelemetry::with_health_plane(
+                    cfg.period,
+                    cfg.topology.replicas.max(1),
+                    cfg.topology.effective_quorum(),
+                    cfg.topology.stale_epoch_lag,
+                )
+            } else {
+                SessionTelemetry::new(cfg.period)
             },
             incident: None,
             cfg,
@@ -594,8 +588,7 @@ impl Session {
     }
 
     /// True when any replica negotiated wire v3 this session — the gate
-    /// for every delta-base shadow bookkeeping path, so an all-v2 session
-    /// does no extra work.
+    /// for the delta-base bookkeeping, so an all-v2 session does none.
     pub(crate) fn wire_v3_active(&self) -> bool {
         self.replicas.iter().any(|r| r.wire_version() >= VERSION_V3)
     }
@@ -611,13 +604,12 @@ impl Session {
         version: u16,
         canonical: bool,
     ) -> CoreResult<(ScatterStream, u64)> {
-        let lanes = self.cfg.effective_encode_lanes(self.threads);
         let mode = if version >= VERSION_V3 {
             // Delta records name the committed epoch both sides hold: the
-            // primary's shadow advances only at quorum commit, so an
+            // primary's base advances only at quorum commit, so an
             // aborted epoch re-encodes against the same base.
             PayloadMode::Columnar {
-                base_epoch: self.pools.shadow.epoch(),
+                base_epoch: self.pools.committed_epoch,
             }
         } else {
             PayloadMode::Metadata
@@ -636,11 +628,11 @@ impl Session {
             lanes: if delta.len() < PARALLEL_ENCODE_MIN_PAGES {
                 1
             } else {
-                lanes
+                self.threads
             },
             mode,
             chunk_pages: self.cfg.encode_chunk_pages,
-            window: self.cfg.overlap_channel_depth,
+            window: None,
         };
         let mut page_bytes = 0u64;
         let (lane_walls, _) = encode_pages_round(
@@ -668,7 +660,7 @@ impl Session {
         for i in 0..vcpu_count {
             blobs.push(self.primary.get_vcpu_state(self.pvm, VcpuId::new(i))?);
         }
-        let cirs = translate_vcpus_parallel(&blobs, self.translator.as_ref(), lanes)?;
+        let cirs = translate_vcpus_parallel(&blobs, self.translator.as_ref(), self.threads)?;
         let mut tail = self.pools.buffers.checkout(256);
         for (index, cir) in cirs.into_iter().enumerate() {
             encode_record_into(
@@ -719,9 +711,9 @@ impl Session {
         let kind = self.replicas.get(replica).kind();
         let member = self.replicas.get_mut(replica);
         let negotiated = member.wire_version;
-        let delta_base = member.pools.shadow.epoch();
+        let delta_base = member.base_epoch;
         let may_rebase = !member.backlog.is_empty();
-        let mut staged = std::mem::take(&mut member.pools.apply);
+        let mut staged = std::mem::take(&mut member.apply);
         staged.clear();
         let mut vcpus: Vec<(u32, VcpuStateBlob)> = Vec::new();
         let validated = Self::decode_checkpoint(
@@ -738,7 +730,7 @@ impl Session {
             Ok(rebase_to) => rebase_to,
             Err(e) => {
                 staged.clear();
-                self.replicas.get_mut(replica).pools.apply = staged;
+                self.replicas.get_mut(replica).apply = staged;
                 return Err(e);
             }
         };
@@ -749,9 +741,9 @@ impl Session {
         let backlog = std::mem::take(&mut member.backlog);
         if let Some(base) = rebase_to {
             // Backlog catch-up under v3: the parked pages *are* the
-            // committed epochs this replica missed, so folding them into
-            // the shadow reconstructs the stream's delta base exactly.
-            member.pools.shadow.rebase(&backlog, base);
+            // committed epochs this replica missed, so installing them
+            // below makes its image the stream's delta base exactly.
+            member.base_epoch = base;
         }
         let vm = member.host.vm_mut(member.vm)?;
         for &(page, rec) in backlog.entries() {
@@ -766,7 +758,7 @@ impl Session {
                 .set_vcpu_state(member.vm, VcpuId::new(index), blob)?;
         }
         staged.clear();
-        member.pools.apply = staged;
+        member.apply = staged;
         Ok(())
     }
 
@@ -780,8 +772,8 @@ impl Session {
     /// Columnar records must name `delta_base` as their delta base; a
     /// newer base is accepted only when `may_rebase` (the replica holds
     /// the missed epochs as parked backlog), and the accepted base comes
-    /// back as `Ok(Some(base))` so the caller can fold the backlog into
-    /// its shadow before installing.
+    /// back as `Ok(Some(base))` so the caller can adopt it as the
+    /// replica's base when it installs the backlog.
     #[allow(clippy::too_many_arguments)]
     fn decode_checkpoint(
         stream: ScatterStream,

@@ -106,7 +106,6 @@ pub struct SessionTelemetry {
     policy: PeriodPolicy,
     registry: MetricsRegistry,
     flight: FlightRecorder,
-    flight_capacity: usize,
     slo: Option<SloTracker>,
     checkpoints: CounterHandle,
     pages_harvested: CounterHandle,
@@ -230,7 +229,6 @@ impl SessionTelemetry {
             policy,
             registry,
             flight: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
-            flight_capacity: FLIGHT_RECORDER_CAPACITY,
             slo,
             checkpoints,
             pages_harvested,
@@ -330,30 +328,17 @@ impl SessionTelemetry {
         t
     }
 
-    /// Resizes the flight-recorder ring to `capacity` events (builder
-    /// style; call before the session records anything). The chosen
-    /// capacity survives [`SessionTelemetry::reset`]; the default stays
-    /// [`FLIGHT_RECORDER_CAPACITY`].
-    pub fn with_flight_capacity(mut self, capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        self.flight = FlightRecorder::new(capacity);
-        self.flight_capacity = capacity;
-        self
-    }
-
     /// Discards everything observed so far (used when a warmup window
     /// closes and measurement restarts). Counters are handles shared with
     /// nothing outside this bundle, so a rebuild is the cheapest reset.
-    /// An armed health plane stays armed with the same parameters, and a
-    /// resized flight ring keeps its capacity.
+    /// An armed health plane stays armed with the same parameters.
     pub fn reset(&mut self) {
-        let rebuilt = match &self.health {
+        *self = match &self.health {
             Some(h) => {
                 SessionTelemetry::with_health_plane(self.policy, h.replicas, h.quorum, h.stale_lag)
             }
             None => SessionTelemetry::new(self.policy),
         };
-        *self = rebuilt.with_flight_capacity(self.flight_capacity);
     }
 
     /// One pipeline stage boundary crossed.
@@ -1157,31 +1142,23 @@ mod tests {
 
     #[test]
     fn flight_capacity_is_configurable_and_survives_reset() {
-        // Default stays FLIGHT_RECORDER_CAPACITY so expositions are
-        // byte-identical for unconfigured runs.
-        let t = SessionTelemetry::new(dynamic_policy());
-        assert!(t
-            .snapshot()
-            .flight_recorder_json
-            .contains(&format!("\"capacity\":{FLIGHT_RECORDER_CAPACITY}")));
-
-        // A resized ring keeps its capacity across reset and drops by it.
-        let mut t = SessionTelemetry::new(dynamic_policy()).with_flight_capacity(2);
-        for seq in 1..=4 {
+        // The ring holds FLIGHT_RECORDER_CAPACITY events and evicts the
+        // oldest past that; a reset rebuilds it at the same capacity.
+        let capacity = format!("\"capacity\":{FLIGHT_RECORDER_CAPACITY}");
+        let mut t = SessionTelemetry::new(dynamic_policy());
+        assert!(t.snapshot().flight_recorder_json.contains(&capacity));
+        let recorded = FLIGHT_RECORDER_CAPACITY as u64 + 2;
+        for seq in 1..=recorded {
             t.on_checkpoint(&sample_record(seq), &sample_decision(), 0);
         }
         let snap = t.snapshot();
-        assert!(snap.flight_recorder_json.contains("\"capacity\":2"));
-        assert_eq!(snap.flight_events_recorded, 4);
+        assert_eq!(snap.flight_events_recorded, recorded);
         assert_eq!(snap.flight_events_dropped, 2);
         t.reset();
         let after = t.snapshot();
-        assert!(after.flight_recorder_json.contains("\"capacity\":2"));
+        assert!(after.flight_recorder_json.contains(&capacity));
         assert_eq!(after.flight_events_recorded, 0);
-
-        // Zero is clamped to one rather than panicking the ring.
-        let t = SessionTelemetry::new(dynamic_policy()).with_flight_capacity(0);
-        assert!(t.snapshot().flight_recorder_json.contains("\"capacity\":1"));
+        assert_eq!(after.flight_events_dropped, 0);
     }
 
     #[test]

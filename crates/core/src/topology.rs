@@ -2,7 +2,7 @@
 //!
 //! The paper's engine protects a VM with exactly one replica; this module
 //! generalises that pair into a [`ReplicaSet`] of N replicas, each with
-//! its own host, replication link, wire session and checkpoint pools. The
+//! its own host, replication link, wire session and apply staging. The
 //! Transfer stage fans each encoded epoch out across the set (star or
 //! chained, per [`FanoutMode`](crate::config::FanoutMode)), the
 //! [`CommitLedger`](crate::failover::CommitLedger) commits an epoch once a
@@ -19,14 +19,14 @@
 
 use here_hypervisor::host::Hypervisor;
 use here_hypervisor::kind::HypervisorKind;
+use here_hypervisor::memory::PageVersion;
 use here_hypervisor::vm::VmId;
-use here_hypervisor::XenHypervisor;
+use here_hypervisor::{PageId, XenHypervisor};
 use here_sim_core::rate::ByteSize;
 use here_simnet::link::Link;
 use here_vmstate::translate::StateTranslator;
 use here_vmstate::MemoryDelta;
 
-use crate::dataplane::CheckpointPools;
 use crate::error::CoreResult;
 use crate::pipeline::ReplicationStrategy;
 
@@ -46,9 +46,13 @@ pub struct Replica {
     pub(crate) translator: Option<StateTranslator>,
     /// This replica's dedicated replication link.
     pub(crate) link: Link,
-    /// Per-replica wire pools — decode staging lives here, so a torn
-    /// stream on one replica cannot disturb another's apply.
-    pub(crate) pools: CheckpointPools,
+    /// Decode staging: a stream's pages wait here until its trailer checks
+    /// out, so a torn stream never half-updates this or any other replica.
+    pub(crate) apply: Vec<(PageId, PageVersion)>,
+    /// The committed epoch this replica's image reflects — the delta base
+    /// it accepts v3 records against (0 before any commit and under v2).
+    /// The image itself is the base, because apply is two-phase.
+    pub(crate) base_epoch: u64,
     /// Pages this replica missed while its link misbehaved: installed on
     /// its next successful apply (asynchronous catch-up), newest version
     /// winning on overlap.
@@ -74,7 +78,8 @@ impl Replica {
             vm,
             translator,
             link: Link::omni_path_100g(),
-            pools: CheckpointPools::new(),
+            apply: Vec::new(),
+            base_epoch: 0,
             backlog: MemoryDelta::new(),
             stale: false,
             wire_version: here_vmstate::wire::VERSION,
@@ -89,12 +94,6 @@ impl Replica {
     /// The replica host's hypervisor family.
     pub fn kind(&self) -> HypervisorKind {
         self.host.kind()
-    }
-
-    /// True while the replica trails the primary past the configured
-    /// staleness bound.
-    pub fn is_stale(&self) -> bool {
-        self.stale
     }
 
     /// Pages parked in the replica's catch-up backlog — the health

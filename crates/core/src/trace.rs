@@ -152,15 +152,6 @@ impl StageTrace {
             .sum()
     }
 
-    /// Total time spent in `stage` across the whole run.
-    pub fn stage_total(&self, stage: Stage) -> SimDuration {
-        self.events
-            .iter()
-            .filter(|e| e.stage == stage)
-            .map(|e| e.duration)
-            .sum()
-    }
-
     /// Distinct checkpoint sequence numbers present, in first-seen order.
     pub fn seqs(&self) -> Vec<u64> {
         let mut out: Vec<u64> = Vec::new();

@@ -1,29 +1,31 @@
-//! Scenario-level equivalence of the pipelined encode path: streaming
-//! chunk segments to the consumer through a bounded window must be
-//! invisible to everything the engine observes.
+//! Scenario-level checks of the one encode knob a session still has:
+//! chunk framing. Lanes follow the vCPU count and the hand-off window is
+//! always the whole round, so the lanes × chunk × window byte-identity is
+//! held where those still vary — `dataplane.rs`'s round tests,
+//! `properties.rs` and the lane loop in `wire_v3.rs`.
 //!
 //! Every run executes with `verify_consistency`, so the engine itself
 //! asserts after each committed checkpoint that the replica's memory and
 //! vCPU state are byte-identical to the paused primary's — the replica
-//! image cannot silently diverge. On top of that the tests demand the
-//! whole `RunReport::fingerprint()` (stage events with their byte
-//! counts, commits, spans, consistency checks) match the barrier path
-//! bit-for-bit at every lane count × chunk size × window depth.
+//! image cannot silently diverge under any framing.
 
 use here_core::{ReplicationConfig, RunReport, Scenario};
 use here_sim_core::time::SimDuration;
 use here_workloads::memstress::MemStress;
-use proptest::prelude::*;
 
-/// A small replicated VM under memory pressure with the given encode
-/// configuration, replica/primary equality verified at every commit.
-fn run_with(cfg: ReplicationConfig) -> RunReport {
+/// A small replicated VM under memory pressure with the given chunk
+/// framing, replica/primary equality verified at every commit.
+fn run_with(chunk_pages: Option<u32>) -> RunReport {
+    let cfg = ReplicationConfig::fixed_period(SimDuration::from_secs(2));
     Scenario::builder()
         .name("pipelined")
         .vm_memory_mib(64)
         .vcpus(4)
         .workload(Box::new(MemStress::with_percent(30).with_rate(20_000)))
-        .config(cfg)
+        .config(match chunk_pages {
+            Some(pages) => cfg.with_encode_chunk_pages(pages),
+            None => cfg,
+        })
         .duration(SimDuration::from_secs(10))
         .seed(42)
         .verify_consistency()
@@ -32,70 +34,27 @@ fn run_with(cfg: ReplicationConfig) -> RunReport {
         .run()
 }
 
-fn chunked(lanes: u32, chunk_pages: u32) -> ReplicationConfig {
-    ReplicationConfig::fixed_period(SimDuration::from_secs(2))
-        .with_encode_lanes(lanes)
-        .with_encode_chunk_pages(chunk_pages)
-}
-
-/// The windowed (streamed) encode must replay the barrier encode exactly:
-/// same commits, same per-epoch byte counts, same report fingerprint —
-/// for every lane count the data plane shards across and chunk sizes
-/// that divide the delta evenly, raggedly, or not at all.
+/// Shard framing and chunk sizes that divide a shard evenly, raggedly or
+/// not at all: every epoch commits with the replica verified equal, and a
+/// second run reports the identical fingerprint (stage events with their
+/// byte counts, commits, spans) — which lane encoded or stole which chunk
+/// is invisible to everything the engine observes.
 #[test]
-fn streamed_encode_matches_barrier_at_every_lane_and_chunk_size() {
-    for lanes in [1u32, 2, 4, 8] {
-        for chunk_pages in [64u32, 512] {
-            let barrier = run_with(chunked(lanes, chunk_pages));
-            assert!(
-                !barrier.commits.is_empty(),
-                "the barrier run must commit epochs"
-            );
-            for depth in [1u32, 4] {
-                let streamed =
-                    run_with(chunked(lanes, chunk_pages).with_overlap_channel_depth(depth));
-                assert_eq!(
-                    barrier.fingerprint(),
-                    streamed.fingerprint(),
-                    "window depth {depth} changed the report at lanes={lanes} chunk={chunk_pages}"
-                );
-                assert_eq!(barrier.commits, streamed.commits);
-                let bytes = |r: &RunReport| -> Vec<(u64, u64)> {
-                    r.stage_events.iter().map(|e| (e.seq, e.bytes)).collect()
-                };
-                assert_eq!(
-                    bytes(&barrier),
-                    bytes(&streamed),
-                    "streamed framing must ship the identical byte count per stage"
-                );
-            }
-        }
-    }
-}
-
-/// The pure window knob (no chunk framing) also reuses the legacy
-/// per-lane shard layout, so it must match the fully default session.
-#[test]
-fn window_without_chunk_framing_matches_the_legacy_shard_path() {
-    let legacy = run_with(ReplicationConfig::fixed_period(SimDuration::from_secs(2)));
-    let windowed = run_with(
-        ReplicationConfig::fixed_period(SimDuration::from_secs(2)).with_overlap_channel_depth(2),
-    );
-    assert_eq!(legacy.fingerprint(), windowed.fingerprint());
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Arbitrary (chunk size, window depth) pairs: the streamed pipeline
-    /// never changes what the barrier path would have reported.
-    #[test]
-    fn arbitrary_chunk_and_depth_replay_the_barrier_run(
-        chunk_pages in 16u32..2048,
-        depth in 1u32..8,
-    ) {
-        let barrier = run_with(chunked(4, chunk_pages));
-        let streamed = run_with(chunked(4, chunk_pages).with_overlap_channel_depth(depth));
-        prop_assert_eq!(barrier.fingerprint(), streamed.fingerprint());
+fn chunk_framing_commits_every_epoch_and_replays_identically() {
+    for chunk_pages in [None, Some(64), Some(100), Some(512)] {
+        let first = run_with(chunk_pages);
+        assert!(!first.checkpoints.is_empty(), "chunk={chunk_pages:?}");
+        assert_eq!(
+            first.commits.len(),
+            first.checkpoints.len(),
+            "an epoch failed to commit at chunk={chunk_pages:?}"
+        );
+        assert_eq!(first.consistency_checks, first.commits.len() as u64);
+        let second = run_with(chunk_pages);
+        assert_eq!(
+            first.fingerprint(),
+            second.fingerprint(),
+            "chunk={chunk_pages:?} is not deterministic across runs"
+        );
     }
 }

@@ -406,11 +406,6 @@ impl DirtyTracker {
         }
     }
 
-    /// Turns dirty logging off.
-    pub fn disable_logging(&mut self) {
-        self.logging_enabled = false;
-    }
-
     /// `true` while dirty logging is active.
     pub fn logging_enabled(&self) -> bool {
         self.logging_enabled

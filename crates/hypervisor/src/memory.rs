@@ -219,23 +219,6 @@ impl GuestMemory {
         Ok(materialize_content(page, rec))
     }
 
-    /// Like [`materialize`](GuestMemory::materialize), writing into a
-    /// caller-owned buffer instead of boxing a fresh page image.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HvError::PageOutOfRange`] if `page` is beyond the address
-    /// space.
-    pub fn materialize_into(
-        &self,
-        page: PageId,
-        out: &mut [u8; PAGE_SIZE as usize],
-    ) -> HvResult<()> {
-        let rec = self.page(page)?;
-        materialize_content_into(page, rec, out);
-        Ok(())
-    }
-
     /// `true` when every page of `self` matches `other` (same versions).
     pub fn content_equals(&self, other: &GuestMemory) -> bool {
         self.pages == other.pages

@@ -87,17 +87,6 @@ impl XenHypervisor {
         Ok(())
     }
 
-    /// The `SHADOW_OP_OFF` hypercall: disable dirty logging.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the host is down or the VM does not exist.
-    pub fn shadow_op_disable_logdirty(&mut self, vm: VmId) -> HvResult<()> {
-        self.shadow_op_count += 1;
-        self.core.vm_mut(vm)?.dirty_mut().disable_logging();
-        Ok(())
-    }
-
     /// The `SHADOW_OP_CLEAN` hypercall: read-and-clear the global dirty
     /// bitmap.
     ///

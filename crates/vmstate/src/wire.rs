@@ -281,11 +281,6 @@ impl PageDataBatch {
     pub fn pages(&self) -> &[(PageId, PageVersion, Bytes)] {
         &self.pages
     }
-
-    /// Consumes the batch into its pages.
-    pub fn into_pages(self) -> Vec<(PageId, PageVersion, Bytes)> {
-        self.pages
-    }
 }
 
 /// Fixed self-describing header of a v3 page-columns record payload:
@@ -745,8 +740,10 @@ fn decode_page_columns(mut p: Bytes) -> WireResult<PageColumnsBatch> {
         if mode > MODE_DELTA {
             return Err(WireError::BadPayload("unknown page mode"));
         }
-        let run = get_varint(&mut meta)? as usize;
-        if run == 0 || modes.len() + run > count {
+        // `run` is wire-supplied: compare it against the pages left, never
+        // add it to the pages seen (the sum can wrap back under `count`).
+        let run = get_varint(&mut meta)?;
+        if run == 0 || run > (count - modes.len()) as u64 {
             return Err(WireError::BadPayload("mode run overflows page count"));
         }
         for _ in 0..run {
@@ -788,11 +785,15 @@ fn decode_page_columns(mut p: Bytes) -> WireResult<PageColumnsBatch> {
                 }
                 let mut runs = Vec::with_capacity(nruns);
                 for _ in 0..nruns {
-                    let offset = get_varint(&mut payload)? as usize;
-                    let len = get_varint(&mut payload)? as usize;
-                    if offset + len > PAGE_CONTENT_BYTES {
+                    // Both are wire-supplied: bound each on its own, so
+                    // their sum can neither wrap nor truncate below.
+                    let offset = get_varint(&mut payload)?;
+                    let len = get_varint(&mut payload)?;
+                    let page = PAGE_CONTENT_BYTES as u64;
+                    if offset > page || len > page - offset {
                         return Err(WireError::BadPayload("delta run out of page bounds"));
                     }
+                    let (offset, len) = (offset as usize, len as usize);
                     if payload.remaining() < len {
                         return Err(WireError::Truncated);
                     }
@@ -1243,11 +1244,6 @@ impl ScatterStream {
     /// Whether the stream has no bytes at all.
     pub fn is_empty(&self) -> bool {
         self.total == 0
-    }
-
-    /// Number of segments.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
     }
 
     /// The segments in stream order.

@@ -247,14 +247,6 @@ fn spread_outcome(k: u32) -> DosOutcome {
     }
 }
 
-/// Records for one product.
-pub fn records_for(product: Product) -> Vec<CveRecord> {
-    nvd_corpus()
-        .into_iter()
-        .filter(|r| r.product == product)
-        .collect()
-}
-
 /// All products in corpus/table order.
 pub fn products() -> [Product; 5] {
     ALL_PRODUCTS
