@@ -5,11 +5,8 @@
 //! repro replay <bundle>
 //! ```
 //!
-//! With no experiment arguments, runs everything. Experiments: `tab1`,
-//! `tab2`, `tab5`, `demo`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`, `fig10`,
-//! `fig11`, `fig12`, `fig13`, `fig14`, `fig15`, `fig16`, `fig17`,
-//! `overhead`, `stages`, `datapath`, `observe`, `analyze`, `chaos`,
-//! `topology`, `health`, `postmortem`, `wire`. `--list` prints every experiment with its description and
+//! With no experiment arguments, runs everything. `--list` prints every
+//! experiment (the `EXPERIMENTS` table) with its description and
 //! artifacts and exits. `--quick` uses scaled-down configurations.
 //! Every `BENCH_*.json` with a committed baseline holds virtual
 //! (cost-model) time, byte counts and fingerprints only — identical on
@@ -69,137 +66,151 @@ use here_bench::experiments::security::{
 use here_bench::experiments::stages::run_stages;
 use here_bench::experiments::topology::run_topology;
 use here_bench::experiments::wire::run_wire;
+use here_bench::experiments::{fanout_name, PLAN_SEED, RUN_SEED};
 use here_bench::tables::{num, render};
 use here_bench::Scale;
 use here_core::Strategy;
 
-const ALL: &[&str] = &[
-    "tab1",
-    "tab2",
-    "tab5",
-    "demo",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "overhead",
-    "stages",
-    "datapath",
-    "observe",
-    "analyze",
-    "chaos",
-    "topology",
-    "health",
-    "postmortem",
-    "wire",
-];
+/// An experiment's runner.
+type Runner = fn(Scale);
 
-/// One-line description and artifacts of every experiment, for `--list`.
-/// Kept parallel to [`ALL`] (a unit test enforces it).
-const CATALOG: &[(&str, &str, &str)] = &[
+/// Every experiment, in default run order: name, one-line description,
+/// artifacts (`-` for none) and runner. `--list`, name validation and
+/// dispatch all read this table.
+const EXPERIMENTS: &[(&str, &str, &str, Runner)] = &[
     (
         "tab1",
         "DoS vulnerability stats by hypervisor, 2013-2020",
         "-",
+        |_| tab1(),
     ),
     (
         "tab2",
         "HERE's coverage of DoS issues from various sources",
         "-",
+        |_| tab2(),
     ),
     (
         "tab5",
         "distribution of DoS-only vulnerabilities (Xen)",
         "-",
+        |_| tab5(),
     ),
     (
         "demo",
         "same zero-day re-attacked across the heterogeneous pair",
         "-",
+        |_| demo(),
     ),
-    ("fig5", "linearity of page send time f(N) = alpha*N", "-"),
+    (
+        "fig5",
+        "linearity of page send time f(N) = alpha*N",
+        "-",
+        fig5,
+    ),
     (
         "fig6",
         "migration time vs memory size, idle and loaded",
         "-",
+        fig6,
     ),
-    ("fig7", "replica resumption time vs memory size", "-"),
+    ("fig7", "replica resumption time vs memory size", "-", fig7),
     (
         "fig8",
         "checkpoint transfer and degradation vs memory size",
         "-",
+        fig8,
     ),
     (
         "fig9",
         "dynamic period vs load step (D = 30%, T_max = 25 s)",
         "-",
+        fig9,
     ),
-    ("fig10", "dynamic period under YCSB workload A", "-"),
-    ("fig11", "YCSB throughput, fixed periods", "-"),
-    ("fig12", "YCSB throughput, degradation targets", "-"),
-    ("fig13", "YCSB throughput, degradation + T_max", "-"),
-    ("fig14", "SPEC rates, fixed periods", "-"),
-    ("fig15", "SPEC rates, degradation targets", "-"),
-    ("fig16", "SPEC rates, degradation + T_max", "-"),
-    ("fig17", "Sockperf mean latency under replication", "-"),
+    ("fig10", "dynamic period under YCSB workload A", "-", fig10),
+    ("fig11", "YCSB throughput, fixed periods", "-", |s| {
+        ycsb_fig("Figure 11 — YCSB, fixed periods", s, &FIG11_CONFIGS)
+    }),
+    ("fig12", "YCSB throughput, degradation targets", "-", |s| {
+        ycsb_fig("Figure 12 — YCSB, degradation targets", s, &FIG12_CONFIGS)
+    }),
+    ("fig13", "YCSB throughput, degradation + T_max", "-", |s| {
+        ycsb_fig("Figure 13 — YCSB, degradation + T_max", s, &FIG13_CONFIGS)
+    }),
+    ("fig14", "SPEC rates, fixed periods", "-", |s| {
+        spec_fig("Figure 14 — SPEC, fixed periods", s, &FIG11_CONFIGS)
+    }),
+    ("fig15", "SPEC rates, degradation targets", "-", |s| {
+        spec_fig("Figure 15 — SPEC, degradation targets", s, &FIG12_CONFIGS)
+    }),
+    ("fig16", "SPEC rates, degradation + T_max", "-", |s| {
+        spec_fig("Figure 16 — SPEC, degradation + T_max", s, &FIG13_CONFIGS)
+    }),
+    (
+        "fig17",
+        "Sockperf mean latency under replication",
+        "-",
+        fig17,
+    ),
     (
         "overhead",
         "replication engine CPU and memory overhead",
         "-",
+        overhead,
     ),
     (
         "stages",
         "pipeline stage breakdown vs the Eq. 4 cost model",
         "-",
+        stages,
     ),
     (
         "datapath",
         "wire density v2 vs v3, cost-model parallelism, virtual overlap",
         "BENCH_datapath.json",
+        datapath,
     ),
     (
         "observe",
         "telemetry showcase run: metric, flight-event and SLO counts",
         "BENCH_observe.json, observe.prom, observe_flight.json",
+        observe,
     ),
     (
         "analyze",
         "causal trace analysis: critical path, stragglers, breaches",
         "trace_analyze.json, trace_analyze.jsonl, BENCH_analyze.json",
+        analyze,
     ),
     (
         "chaos",
         "seeded fault injection, retry/backoff, failover invariants",
         "BENCH_chaos.json",
+        chaos,
     ),
     (
         "topology",
         "replica count x quorum x fan-out sweep with bit-compat proof",
         "BENCH_topology.json",
+        topology,
     ),
     (
         "health",
         "health plane: per-replica states, series, deterministic alerts",
         "BENCH_health.json, health_alerts.jsonl, health_series.jsonl",
+        health,
     ),
     (
         "postmortem",
         "postmortem plane: incident capture, bundle replay, differential forensics",
         "BENCH_postmortem.json, incident.bundle, postmortem.json, postmortem_report.txt",
+        postmortem,
     ),
     (
         "wire",
         "wire format v3 vs v2: bytes per epoch, transfer time, negotiation",
         "BENCH_wire.json",
+        wire,
     ),
 ];
 
@@ -289,8 +300,8 @@ fn main() -> ExitCode {
         match args[i].as_str() {
             "--quick" => {}
             "--list" => {
-                println!("experiments ({} total):", CATALOG.len());
-                for (name, description, artifacts) in CATALOG {
+                println!("experiments ({} total):", EXPERIMENTS.len());
+                for (name, description, artifacts, _) in EXPERIMENTS {
                     println!("  {name:<9} {description}");
                     if *artifacts != "-" {
                         println!("  {:<9}   writes {artifacts}", "");
@@ -322,16 +333,19 @@ fn main() -> ExitCode {
         }
         i += 1;
     }
-    let wanted: Vec<&str> = if wanted.is_empty() {
-        ALL.to_vec()
-    } else {
-        wanted.iter().map(String::as_str).collect()
-    };
+    let mut runners: Vec<Runner> = Vec::new();
     for w in &wanted {
-        if !ALL.contains(w) {
-            eprintln!("unknown experiment '{w}'; known: {}", ALL.join(", "));
-            return ExitCode::FAILURE;
+        match EXPERIMENTS.iter().find(|(name, ..)| name == w) {
+            Some(&(.., run)) => runners.push(run),
+            None => {
+                let known: Vec<&str> = EXPERIMENTS.iter().map(|&(name, ..)| name).collect();
+                eprintln!("unknown experiment '{w}'; known: {}", known.join(", "));
+                return ExitCode::FAILURE;
+            }
         }
+    }
+    if runners.is_empty() {
+        runners = EXPERIMENTS.iter().map(|&(.., run)| run).collect();
     }
     match std::fs::create_dir_all(OUT_DIR) {
         Ok(()) => {
@@ -348,60 +362,11 @@ fn main() -> ExitCode {
         "HERE reproduction — scale: {}\n",
         if quick { "quick" } else { "paper" }
     );
-    for w in wanted {
-        run_one(w, scale);
+    for run in runners {
+        run(scale);
     }
     here_core::clear_run_observer();
     ExitCode::SUCCESS
-}
-
-fn run_one(which: &str, scale: Scale) {
-    match which {
-        "tab1" => tab1(),
-        "tab2" => tab2(),
-        "tab5" => tab5(),
-        "demo" => demo(),
-        "fig5" => fig5(scale),
-        "fig6" => fig6(scale),
-        "fig7" => fig7(scale),
-        "fig8" => fig8(scale),
-        "fig9" => fig9(scale),
-        "fig10" => fig10(scale),
-        "fig11" => ycsb_fig("Figure 11 — YCSB, fixed periods", scale, &FIG11_CONFIGS),
-        "fig12" => ycsb_fig(
-            "Figure 12 — YCSB, degradation targets",
-            scale,
-            &FIG12_CONFIGS,
-        ),
-        "fig13" => ycsb_fig(
-            "Figure 13 — YCSB, degradation + T_max",
-            scale,
-            &FIG13_CONFIGS,
-        ),
-        "fig14" => spec_fig("Figure 14 — SPEC, fixed periods", scale, &FIG11_CONFIGS),
-        "fig15" => spec_fig(
-            "Figure 15 — SPEC, degradation targets",
-            scale,
-            &FIG12_CONFIGS,
-        ),
-        "fig16" => spec_fig(
-            "Figure 16 — SPEC, degradation + T_max",
-            scale,
-            &FIG13_CONFIGS,
-        ),
-        "fig17" => fig17(scale),
-        "overhead" => overhead(scale),
-        "stages" => stages(scale),
-        "datapath" => datapath(scale),
-        "observe" => observe(scale),
-        "analyze" => analyze(scale),
-        "chaos" => chaos(scale),
-        "topology" => topology(scale),
-        "health" => health(scale),
-        "postmortem" => postmortem(scale),
-        "wire" => wire(scale),
-        _ => unreachable!("validated in main"),
-    }
 }
 
 fn tab1() {
@@ -801,22 +766,23 @@ fn datapath(scale: Scale) {
         );
     }
     outln!();
-    write_artifact("BENCH_datapath.json", &out.json);
+    write_artifact("BENCH_datapath.json", &out.document().write());
 }
 
 fn observe(scale: Scale) {
     outln!("Observe — telemetry showcase run");
     let out = run_observe(scale);
+    let slo = out.slo.as_ref();
     outln!(
         "  scenario telemetry: {} metric families, {} flight events ({} dropped), \
          SLO {}/{} checkpoints breached\n",
         out.metric_count,
         out.flight_events_recorded,
         out.flight_events_dropped,
-        out.slo_breaches,
-        out.slo_evaluated,
+        slo.map_or(0, |s| s.degradation_breaches + s.period_cap_breaches),
+        slo.map_or(0, |s| s.evaluated),
     );
-    write_artifact("BENCH_observe.json", &out.json);
+    write_artifact("BENCH_observe.json", &out.document().write());
     write_artifact("observe.prom", &out.prometheus);
     write_artifact("observe_flight.json", &out.flight_recorder_json);
 }
@@ -915,7 +881,7 @@ fn analyze(scale: Scale) {
     outln!();
     write_artifact("trace_analyze.json", &out.chrome_json);
     write_artifact("trace_analyze.jsonl", &out.jsonl);
-    write_artifact("BENCH_analyze.json", &out.json);
+    write_artifact("BENCH_analyze.json", &out.document().write());
 }
 
 fn chaos(scale: Scale) {
@@ -924,8 +890,8 @@ fn chaos(scale: Scale) {
     outln!(
         "  sweep (plan seed {}, run seed {}): {} faults injected -> {} retries, \
          {} recoveries, {} epoch(s) aborted",
-        out.plan_seed,
-        out.run_seed,
+        PLAN_SEED,
+        RUN_SEED,
         out.sweep.faults_injected,
         out.sweep.transfer_retries,
         out.sweep.transfer_recoveries,
@@ -960,7 +926,7 @@ fn chaos(scale: Scale) {
             "MISMATCH"
         },
     );
-    write_artifact("BENCH_chaos.json", &out.json);
+    write_artifact("BENCH_chaos.json", &out.document().write());
 }
 
 fn topology(scale: Scale) {
@@ -973,7 +939,7 @@ fn topology(scale: Scale) {
             vec![
                 r.replicas.to_string(),
                 r.quorum.to_string(),
-                format!("{:?}", r.fanout).to_lowercase(),
+                fanout_name(r.fanout).to_string(),
                 r.commits.to_string(),
                 num(r.mean_commit_latency_ms, 3),
                 num(r.worst_staleness_ms, 1),
@@ -1019,7 +985,7 @@ fn topology(scale: Scale) {
             "MISMATCH"
         },
     );
-    write_artifact("BENCH_topology.json", &out.json);
+    write_artifact("BENCH_topology.json", &out.document().write());
 }
 
 fn health(scale: Scale) {
@@ -1052,7 +1018,7 @@ fn health(scale: Scale) {
             "MISMATCH"
         },
     );
-    write_artifact("BENCH_health.json", &out.json);
+    write_artifact("BENCH_health.json", &out.document().write());
     write_artifact("health_alerts.jsonl", &out.alert_log_jsonl);
     write_artifact("health_series.jsonl", &out.series_jsonl);
 }
@@ -1095,7 +1061,7 @@ fn postmortem(scale: Scale) {
         num(p.throughput_delta_pct, 1),
     );
     outln!("  alert timeline: {}\n", p.alert_timeline.join("|"));
-    write_artifact("BENCH_postmortem.json", &out.json);
+    write_artifact("BENCH_postmortem.json", &out.document().write());
     write_artifact("incident.bundle", &out.bundle_text);
     write_artifact("postmortem.json", &out.postmortem_json);
     write_artifact("postmortem_report.txt", &out.postmortem_text);
@@ -1170,7 +1136,7 @@ fn wire(scale: Scale) {
             "MISMATCH"
         },
     );
-    write_artifact("BENCH_wire.json", &out.json);
+    write_artifact("BENCH_wire.json", &out.document().write());
 }
 
 /// `repro replay <bundle>` — re-executes a captured incident bundle and
@@ -1249,19 +1215,4 @@ fn overhead(scale: Scale) {
         vec!["checkpoints in window".into(), out.checkpoints.to_string()],
     ];
     outln!("{}", render(&["Metric", "Value"], &rows));
-}
-
-#[cfg(test)]
-mod tests {
-    use super::{ALL, CATALOG};
-
-    #[test]
-    fn catalog_stays_parallel_to_the_experiment_list() {
-        let names: Vec<&str> = CATALOG.iter().map(|(n, _, _)| *n).collect();
-        assert_eq!(names, ALL, "--list catalog out of sync with ALL");
-        for (name, description, artifacts) in CATALOG {
-            assert!(!description.is_empty(), "{name} needs a description");
-            assert!(!artifacts.is_empty(), "{name} needs an artifacts cell");
-        }
-    }
 }

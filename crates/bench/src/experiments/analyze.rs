@@ -19,9 +19,9 @@ use here_core::{
 use here_hypervisor::fault::DosOutcome;
 use here_sim_core::time::{SimDuration, SimTime};
 use here_telemetry::{chrome_trace, spans_jsonl};
-use here_workloads::memstress::MemStress;
 
-use super::Scale;
+use super::{Scale, STRESS_WORKLOAD};
+use crate::json::{fixed, obj, Json};
 
 /// Everything `repro analyze` reports.
 #[derive(Debug, Clone)]
@@ -39,9 +39,6 @@ pub struct AnalyzeOutput {
     pub chrome_json: String,
     /// One span per line, compact JSON.
     pub jsonl: String,
-    /// Summary as a JSON document (virtual-time fields only, so the
-    /// document is deterministic across hosts).
-    pub json: String,
 }
 
 fn scenario_secs(scale: Scale) -> u64 {
@@ -59,7 +56,7 @@ pub fn run_analyze(scale: Scale) -> AnalyzeOutput {
         .name("analyze")
         .vm_memory_mib(64)
         .vcpus(4)
-        .workload(Box::new(MemStress::with_percent(30).with_rate(20_000)))
+        .workload(STRESS_WORKLOAD.build())
         .config(cfg.clone())
         .duration(SimDuration::from_secs(secs))
         .failure(FailurePlan {
@@ -77,7 +74,6 @@ pub fn run_analyze(scale: Scale) -> AnalyzeOutput {
     let analysis = TraceAnalyzer::default().analyze(&report, &cfg.costs, threads, cfg.strategy);
     let chrome_json = chrome_trace(&report.spans);
     let jsonl = spans_jsonl(&report.spans);
-    let json = render_json(&report.spans.len(), report.failover.is_some(), &analysis);
     AnalyzeOutput {
         span_count: report.spans.len(),
         checkpoints: report.checkpoints.len(),
@@ -85,73 +81,57 @@ pub fn run_analyze(scale: Scale) -> AnalyzeOutput {
         analysis,
         chrome_json,
         jsonl,
-        json,
     }
 }
 
-fn render_json(span_count: &usize, failover: bool, a: &AnalysisReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"analyze\",\n");
-    out.push_str(&format!("  \"spans\": {span_count},\n"));
-    out.push_str(&format!("  \"failover_captured\": {failover},\n"));
-    out.push_str(&format!("  \"epochs\": {},\n", a.epochs.len()));
-    out.push_str(&format!(
-        "  \"min_attributed_fraction\": {:.4},\n",
-        a.min_attributed_fraction
-    ));
-    out.push_str(&format!("  \"stragglers\": {},\n", a.stragglers.len()));
-    out.push_str(&format!(
-        "  \"oscillation\": {{\"decisions\": {}, \"direction_flips\": {}, \
-         \"flip_ratio\": {:.3}, \"walk_backs\": {}, \"midpoint_jumps\": {}, \
-         \"oscillating\": {}}},\n",
-        a.oscillation.decisions,
-        a.oscillation.direction_flips,
-        a.oscillation.flip_ratio,
-        a.oscillation.walk_backs,
-        a.oscillation.midpoint_jumps,
-        a.oscillation.oscillating,
-    ));
-    out.push_str("  \"breach_roots\": [\n");
-    for (i, b) in a.breach_roots.iter().enumerate() {
-        let comma = if i + 1 < a.breach_roots.len() {
-            ","
-        } else {
-            ""
+impl AnalyzeOutput {
+    /// Summary as a JSON document (`BENCH_analyze.json`; ungated, since
+    /// `stragglers` is read from wall-clock lane spans).
+    pub fn document(&self) -> Json {
+        let a = &self.analysis;
+        let oscillation = obj([
+            ("decisions", a.oscillation.decisions.into()),
+            ("direction_flips", a.oscillation.direction_flips.into()),
+            ("flip_ratio", fixed(a.oscillation.flip_ratio, 3)),
+            ("walk_backs", a.oscillation.walk_backs.into()),
+            ("midpoint_jumps", a.oscillation.midpoint_jumps.into()),
+            ("oscillating", a.oscillation.oscillating.into()),
+        ]);
+        let breach = |b: &here_core::BreachRoot| {
+            obj([
+                ("seq", b.seq.into()),
+                ("kind", format!("{:?}", b.kind).into()),
+                ("measured", fixed(b.measured, 6)),
+                ("bound", fixed(b.bound, 6)),
+                ("dominant_stage", b.dominant_stage.into()),
+                ("stage_ms", fixed(b.stage_duration.as_secs_f64() * 1e3, 3)),
+                (
+                    "trailing_mean_ms",
+                    fixed(b.trailing_mean.as_secs_f64() * 1e3, 3),
+                ),
+                ("growth_pct", fixed(b.growth_pct, 2)),
+            ])
         };
-        out.push_str(&format!(
-            "    {{\"seq\": {}, \"kind\": \"{:?}\", \"measured\": {:.6}, \
-             \"bound\": {:.6}, \"dominant_stage\": \"{}\", \
-             \"stage_ms\": {:.3}, \"trailing_mean_ms\": {:.3}, \
-             \"growth_pct\": {:.2}}}{comma}\n",
-            b.seq,
-            b.kind,
-            b.measured,
-            b.bound,
-            b.dominant_stage,
-            b.stage_duration.as_secs_f64() * 1e3,
-            b.trailing_mean.as_secs_f64() * 1e3,
-            b.growth_pct,
-        ));
+        obj([
+            ("experiment", "analyze".into()),
+            ("spans", self.span_count.into()),
+            ("failover_captured", self.failover_captured.into()),
+            ("epochs", a.epochs.len().into()),
+            (
+                "min_attributed_fraction",
+                fixed(a.min_attributed_fraction, 4),
+            ),
+            ("stragglers", a.stragglers.len().into()),
+            ("oscillation", oscillation),
+            ("breach_roots", a.breach_roots.iter().map(breach).collect()),
+            ("nesting_violations", a.nesting_violations.into()),
+            ("unresolved_links", a.unresolved_links.into()),
+            (
+                "tree_error",
+                a.tree_error.as_deref().map_or(Json::Null, Json::from),
+            ),
+        ])
     }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"nesting_violations\": {},\n",
-        a.nesting_violations
-    ));
-    out.push_str(&format!(
-        "  \"unresolved_links\": {},\n",
-        a.unresolved_links
-    ));
-    match &a.tree_error {
-        Some(e) => out.push_str(&format!(
-            "  \"tree_error\": \"{}\"\n",
-            here_telemetry::json_escape(e)
-        )),
-        None => out.push_str("  \"tree_error\": null\n"),
-    }
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
@@ -176,6 +156,8 @@ mod tests {
         assert!(out.chrome_json.contains("\"failover\""));
         assert!(out.chrome_json.contains("\"traceEvents\""));
         assert!(out.jsonl.lines().count() == out.span_count);
-        assert!(out.json.contains("\"min_attributed_fraction\""));
+        let doc = out.document();
+        crate::gate::tests::assert_gateable(&doc);
+        assert_eq!(doc.get("tree_error"), Some(&Json::Null));
     }
 }

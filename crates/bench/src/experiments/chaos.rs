@@ -21,18 +21,12 @@
 //!
 //! [`RunReport::fingerprint`]: here_core::RunReport::fingerprint
 
-use here_core::{ChaosStats, FaultKind, FaultPlan, ReplicationConfig, RunReport, Scenario, Stage};
+use here_core::{ChaosStats, FaultKind, FaultPlan, RunReport, Stage};
 use here_hypervisor::fault::DosOutcome;
 use here_sim_core::time::SimDuration;
-use here_workloads::memstress::MemStress;
 
-use super::Scale;
-
-/// Seed of every fault plan the experiment schedules.
-pub const PLAN_SEED: u64 = 7;
-
-/// Seed of the scenario runs (workload stream etc.).
-pub const RUN_SEED: u64 = 42;
+use super::{fixed_2s, stress_spec, Scale, PLAN_SEED, RUN_SEED};
+use crate::json::{fixed, hex64, obj, Json};
 
 /// Epoch at which the crash run downs the primary (mid-transfer).
 pub const CRASH_EPOCH: u64 = 5;
@@ -40,10 +34,6 @@ pub const CRASH_EPOCH: u64 = 5;
 /// Everything `repro chaos` reports.
 #[derive(Debug, Clone)]
 pub struct ChaosOutput {
-    /// Seed of the fault plans ([`PLAN_SEED`]).
-    pub plan_seed: u64,
-    /// Seed of the scenario runs ([`RUN_SEED`]).
-    pub run_seed: u64,
     /// Fault-plane counters of the sweep run.
     pub sweep: ChaosStats,
     /// Epochs the sweep committed.
@@ -68,16 +58,6 @@ pub struct ChaosOutput {
     pub fingerprint: u64,
     /// True when the same-seed rerun reproduced `fingerprint` exactly.
     pub deterministic: bool,
-    /// The whole report as a JSON document (`BENCH_chaos.json`).
-    pub json: String,
-}
-
-fn scale_params(scale: Scale) -> (u64, u64) {
-    // (VM memory MiB, scenario seconds); a 2 s fixed period throughout.
-    match scale {
-        Scale::Paper => (128, 60),
-        Scale::Quick => (64, 30),
-    }
 }
 
 /// The sweep's schedule: one of every transfer fault, each on its own
@@ -97,18 +77,8 @@ fn sweep_plan() -> FaultPlan {
 }
 
 fn run(scale: Scale, plan: FaultPlan) -> RunReport {
-    let (mem_mib, secs) = scale_params(scale);
-    Scenario::builder()
-        .name("chaos")
-        .vm_memory_mib(mem_mib)
-        .vcpus(4)
-        .workload(Box::new(MemStress::with_percent(30).with_rate(20_000)))
-        .config(ReplicationConfig::fixed_period(SimDuration::from_secs(2)))
-        .duration(SimDuration::from_secs(secs))
-        .seed(RUN_SEED)
-        .verify_consistency()
-        .chaos(plan)
-        .build()
+    stress_spec(scale, "chaos", true)
+        .build_scenario(fixed_2s(), Some(plan))
         .expect("chaos scenario is valid")
         .run()
 }
@@ -158,9 +128,7 @@ pub fn run_chaos(scale: Scale) -> ChaosOutput {
     let fingerprint = sweep.fingerprint();
     let deterministic = rerun.fingerprint() == fingerprint;
 
-    let mut out = ChaosOutput {
-        plan_seed: PLAN_SEED,
-        run_seed: RUN_SEED,
+    ChaosOutput {
         sweep: stats,
         commits: sweep.commits.len(),
         checkpoints: sweep.checkpoints.len(),
@@ -172,68 +140,45 @@ pub fn run_chaos(scale: Scale) -> ChaosOutput {
         outage_ms,
         fingerprint,
         deterministic,
-        json: String::new(),
-    };
-    out.json = render_json(&out);
-    out
+    }
 }
 
-fn render_json(o: &ChaosOutput) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"chaos\",\n");
-    out.push_str("  \"sweep\": {\n");
-    out.push_str(&format!("    \"plan_seed\": {},\n", o.plan_seed));
-    out.push_str(&format!("    \"run_seed\": {},\n", o.run_seed));
-    out.push_str(&format!(
-        "    \"faults_injected\": {},\n",
-        o.sweep.faults_injected
-    ));
-    out.push_str(&format!(
-        "    \"transfer_retries\": {},\n",
-        o.sweep.transfer_retries
-    ));
-    out.push_str(&format!(
-        "    \"transfer_recoveries\": {},\n",
-        o.sweep.transfer_recoveries
-    ));
-    out.push_str(&format!(
-        "    \"epochs_aborted\": {},\n",
-        o.sweep.epochs_aborted
-    ));
-    out.push_str(&format!("    \"commits\": {},\n", o.commits));
-    out.push_str(&format!("    \"checkpoints\": {},\n", o.checkpoints));
-    out.push_str(&format!(
-        "    \"worst_staleness_ms\": {:.3}\n",
-        o.worst_staleness_ms
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"crash\": {\n");
-    out.push_str(&format!("    \"fault_epoch\": {CRASH_EPOCH},\n"));
-    out.push_str(&format!(
-        "    \"last_committed_seq\": {},\n",
-        o.crash_last_committed
-    ));
-    out.push_str(&format!(
-        "    \"resumed_from_checkpoint\": {},\n",
-        o.crash_resumed_from
-    ));
-    out.push_str(&format!(
-        "    \"crash_resumes_last_acked\": {},\n",
-        o.crash_resumes_last_acked
-    ));
-    out.push_str(&format!("    \"detection_ms\": {:.3},\n", o.detection_ms));
-    out.push_str(&format!("    \"outage_ms\": {:.3}\n", o.outage_ms));
-    out.push_str("  },\n");
-    out.push_str("  \"determinism\": {\n");
-    out.push_str(&format!(
-        "    \"fingerprint\": \"0x{:016x}\",\n",
-        o.fingerprint
-    ));
-    out.push_str(&format!("    \"deterministic\": {}\n", o.deterministic));
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
+impl ChaosOutput {
+    /// The whole report as a JSON document (`BENCH_chaos.json`).
+    pub fn document(&self) -> Json {
+        let sweep = obj([
+            ("plan_seed", PLAN_SEED.into()),
+            ("run_seed", RUN_SEED.into()),
+            ("faults_injected", self.sweep.faults_injected.into()),
+            ("transfer_retries", self.sweep.transfer_retries.into()),
+            ("transfer_recoveries", self.sweep.transfer_recoveries.into()),
+            ("epochs_aborted", self.sweep.epochs_aborted.into()),
+            ("commits", self.commits.into()),
+            ("checkpoints", self.checkpoints.into()),
+            ("worst_staleness_ms", fixed(self.worst_staleness_ms, 3)),
+        ]);
+        let crash = obj([
+            ("fault_epoch", CRASH_EPOCH.into()),
+            ("last_committed_seq", self.crash_last_committed.into()),
+            ("resumed_from_checkpoint", self.crash_resumed_from.into()),
+            (
+                "crash_resumes_last_acked",
+                self.crash_resumes_last_acked.into(),
+            ),
+            ("detection_ms", fixed(self.detection_ms, 3)),
+            ("outage_ms", fixed(self.outage_ms, 3)),
+        ]);
+        let determinism = obj([
+            ("fingerprint", hex64(self.fingerprint)),
+            ("deterministic", self.deterministic.into()),
+        ]);
+        obj([
+            ("experiment", "chaos".into()),
+            ("sweep", sweep),
+            ("crash", crash),
+            ("determinism", determinism),
+        ])
+    }
 }
 
 #[cfg(test)]
@@ -262,8 +207,13 @@ mod tests {
         assert!(out.detection_ms > 0.0 && out.outage_ms >= out.detection_ms);
         // Determinism, and the artifact carries only deterministic keys.
         assert!(out.deterministic);
-        assert!(out.json.contains("\"crash_resumes_last_acked\": true"));
-        assert!(out.json.contains("\"deterministic\": true"));
-        assert!(!out.json.contains("wall"));
+        let doc = out.document();
+        crate::gate::tests::assert_gateable(&doc);
+        let flag = |section, key| doc.get(section).and_then(|s| s.get(key));
+        assert_eq!(
+            flag("crash", "crash_resumes_last_acked"),
+            Some(&true.into())
+        );
+        assert_eq!(flag("determinism", "deterministic"), Some(&true.into()));
     }
 }

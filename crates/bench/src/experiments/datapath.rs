@@ -22,19 +22,18 @@
 
 use here_core::dataplane::{encode_pages_round, BufferPool, EncodePlan, LanePool, PayloadMode};
 use here_core::transfer::{collect_chunked_into, CollectScratch};
-use here_core::{CostModel, ReplicationConfig, Scenario};
+use here_core::{CostModel, Scenario};
 use here_hypervisor::dirty::DirtyBitmap;
 use here_hypervisor::memory::GuestMemory;
 use here_hypervisor::vcpu::VcpuId;
 use here_hypervisor::PAGE_SIZE;
 use here_sim_core::rate::ByteSize;
-use here_sim_core::time::{SimDuration, SimTime};
+use here_sim_core::time::SimDuration;
 use here_vmstate::MemoryDelta;
-use here_workloads::phased::{Phase, PhasedMemStress};
 use here_workloads::traits::Workload;
-use here_workloads::ycsb::{Ycsb, YcsbMix, YcsbSpec};
 
-use super::Scale;
+use super::{fixed_2s, kv_workload, phased_workload, Scale};
+use crate::json::{fixed, obj, Json};
 
 /// Lane counts the model table is evaluated at.
 pub const WORKER_SWEEP: &[u32] = &[1, 2, 4, 8];
@@ -92,16 +91,6 @@ pub struct DatapathOutput {
     pub v3_meta_reduction: f64,
     /// Virtual-time overlap comparisons.
     pub virtual_overlap: Vec<OverlapScenario>,
-    /// The same results as a JSON document (`BENCH_datapath.json`).
-    pub json: String,
-}
-
-fn scale_params(scale: Scale) -> (u64, u32) {
-    // (dirty pages, vcpus)
-    match scale {
-        Scale::Paper => (32_768, 8),
-        Scale::Quick => (4_096, 4),
-    }
 }
 
 /// Builds a guest with a deterministic dirty working set: every third
@@ -126,7 +115,11 @@ fn dirty_guest(pages: u64, vcpus: u32) -> (GuestMemory, DirtyBitmap) {
 /// Runs the density probe, evaluates the model columns and runs the
 /// virtual-overlap scenarios. Every value is identical on every host.
 pub fn run_datapath(scale: Scale) -> DatapathOutput {
-    let (pages, vcpus) = scale_params(scale);
+    // The density probe's working set: (dirty pages, vCPUs).
+    let (pages, vcpus) = match scale {
+        Scale::Paper => (32_768, 8),
+        Scale::Quick => (4_096, 4),
+    };
     let costs = CostModel::default();
     let rows: Vec<WorkerRow> = WORKER_SWEEP
         .iter()
@@ -161,7 +154,7 @@ pub fn run_datapath(scale: Scale) -> DatapathOutput {
     let v2_meta_bytes = encoded_bytes(PayloadMode::Metadata);
     let v3_columns_bytes = encoded_bytes(PayloadMode::Columnar { base_epoch: 0 });
 
-    let mut out = DatapathOutput {
+    DatapathOutput {
         pages,
         vcpus,
         rows,
@@ -171,33 +164,7 @@ pub fn run_datapath(scale: Scale) -> DatapathOutput {
         v3_columns_bytes,
         v3_meta_reduction: v2_meta_bytes as f64 / v3_columns_bytes.max(1) as f64,
         virtual_overlap: run_virtual_overlap(),
-        json: String::new(),
-    };
-    out.json = render_json(&out);
-    out
-}
-
-/// A short phased load: a light first phase, then a heavy one, so the
-/// overlap credit is exercised across different dirty-set sizes.
-fn overlap_phased_workload() -> (Box<dyn Workload>, u64) {
-    let phases = vec![
-        Phase {
-            at: SimTime::ZERO,
-            percent: 20,
-        },
-        Phase {
-            at: SimTime::from_secs(8),
-            percent: 70,
-        },
-    ];
-    let workload = PhasedMemStress::new(phases).expect("overlap schedule is valid");
-    (Box::new(workload), 256)
-}
-
-fn overlap_kv_workload() -> (Box<dyn Workload>, u64) {
-    let driver = Ycsb::new(YcsbSpec::small(YcsbMix::A)).expect("small KV spec is valid");
-    let mem_mib = (driver.required_pages() * PAGE_SIZE).div_ceil(1024 * 1024) + 64;
-    (Box::new(driver), mem_mib)
+    }
 }
 
 /// Runs one deterministic scenario with the encode/transfer overlap knob
@@ -208,8 +175,7 @@ fn overlap_compare(
     make_workload: fn() -> (Box<dyn Workload>, u64),
 ) -> OverlapScenario {
     let run = |overlap: bool| {
-        let mut cfg = ReplicationConfig::fixed_period(SimDuration::from_secs(2))
-            .with_encode_chunk_pages(OVERLAP_CHUNK_PAGES);
+        let mut cfg = fixed_2s().with_encode_chunk_pages(OVERLAP_CHUNK_PAGES);
         if overlap {
             cfg = cfg.with_overlap_transfer();
         }
@@ -254,61 +220,54 @@ fn overlap_compare(
 /// every host, gated exactly.
 fn run_virtual_overlap() -> Vec<OverlapScenario> {
     vec![
-        overlap_compare("phased", overlap_phased_workload),
-        overlap_compare("kv", overlap_kv_workload),
+        overlap_compare("phased", phased_workload),
+        overlap_compare("kv", kv_workload),
     ]
 }
 
-fn render_json(o: &DatapathOutput) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"datapath\",\n");
-    out.push_str(&format!("  \"pages\": {},\n", o.pages));
-    out.push_str(&format!("  \"vcpus\": {},\n", o.vcpus));
-    out.push_str("  \"workers\": [\n");
-    for (i, r) in o.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workers\": {}, \"analytic_parallelism\": {:.3}}}{}\n",
-            r.workers,
-            r.analytic_parallelism,
-            if i + 1 == o.rows.len() { "" } else { "," },
-        ));
+impl DatapathOutput {
+    /// The same results as a JSON document (`BENCH_datapath.json`).
+    pub fn document(&self) -> Json {
+        let worker = |r: &WorkerRow| {
+            obj([
+                ("workers", r.workers.into()),
+                ("analytic_parallelism", fixed(r.analytic_parallelism, 3)),
+            ])
+        };
+        let overlap = |s: &OverlapScenario| {
+            obj([
+                ("workload", s.workload.into()),
+                ("checkpoints", s.checkpoints.into()),
+                ("pause_ms_barrier", fixed(s.pause_ms_barrier, 4)),
+                ("pause_ms_overlap", fixed(s.pause_ms_overlap, 4)),
+                ("reduction_pct", fixed(s.reduction_pct, 2)),
+            ])
+        };
+        let wire_bytes = obj([
+            ("v2_meta_bytes", self.v2_meta_bytes.into()),
+            ("v3_columns_bytes", self.v3_columns_bytes.into()),
+            ("reduction_ratio", fixed(self.v3_meta_reduction, 2)),
+        ]);
+        obj([
+            ("experiment", "datapath".into()),
+            ("pages", self.pages.into()),
+            ("vcpus", self.vcpus.into()),
+            ("workers", self.rows.iter().map(worker).collect()),
+            (
+                "analytic_alpha_us_per_page",
+                fixed(self.analytic_alpha_us_per_page, 4),
+            ),
+            (
+                "analytic_parallel_efficiency",
+                fixed(self.analytic_parallel_efficiency, 2),
+            ),
+            ("wire_bytes", wire_bytes),
+            (
+                "virtual_overlap",
+                self.virtual_overlap.iter().map(overlap).collect(),
+            ),
+        ])
     }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"analytic_alpha_us_per_page\": {:.4},\n",
-        o.analytic_alpha_us_per_page
-    ));
-    out.push_str(&format!(
-        "  \"analytic_parallel_efficiency\": {:.2},\n",
-        o.analytic_parallel_efficiency
-    ));
-    out.push_str(&format!(
-        "  \"wire_bytes\": {{\"v2_meta_bytes\": {}, \"v3_columns_bytes\": {}, \
-         \"reduction_ratio\": {:.2}}},\n",
-        o.v2_meta_bytes, o.v3_columns_bytes, o.v3_meta_reduction
-    ));
-    out.push_str("  \"virtual_overlap\": [\n");
-    for (i, s) in o.virtual_overlap.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"checkpoints\": {}, \
-             \"pause_ms_barrier\": {:.4}, \"pause_ms_overlap\": {:.4}, \
-             \"reduction_pct\": {:.2}}}{}\n",
-            s.workload,
-            s.checkpoints,
-            s.pause_ms_barrier,
-            s.pause_ms_overlap,
-            s.reduction_pct,
-            if i + 1 == o.virtual_overlap.len() {
-                ""
-            } else {
-                ","
-            },
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
@@ -332,13 +291,12 @@ mod tests {
             "columnar density win too small: {:.2}x",
             out.v3_meta_reduction
         );
-        assert!(out.json.contains("\"wire_bytes\""));
-        assert!(out.json.contains("\"virtual_overlap\""));
         // Virtual time and byte counts only: nothing host-dependent may
-        // reach the gated document, and a second run is byte-identical.
-        assert!(!out.json.contains("wall"));
-        assert!(!out.json.contains("host_cpus"));
-        assert_eq!(out.json, run_datapath(Scale::Quick).json);
+        // reach the gated document, and a second run is identical.
+        let doc = out.document();
+        crate::gate::tests::assert_gateable(&doc);
+        assert!(doc.get("wire_bytes").is_some() && doc.get("virtual_overlap").is_some());
+        assert_eq!(doc, run_datapath(Scale::Quick).document());
     }
 
     #[test]

@@ -23,19 +23,12 @@
 //! [`RunReport::fingerprint`]: here_core::RunReport::fingerprint
 
 use here_core::{
-    FanoutMode, FaultPlan, HealthSnapshot, ReplicationConfig, RunReport, Scenario, TopologyConfig,
+    FanoutMode, FaultPlan, HealthSnapshot, ReplicationConfig, RunReport, TopologyConfig,
 };
-use here_sim_core::time::SimDuration;
 use here_vmstate::wire::fnv32;
-use here_workloads::memstress::MemStress;
 
-use super::Scale;
-
-/// Seed of the fault plan the partition scenario schedules.
-pub const PLAN_SEED: u64 = 7;
-
-/// Seed of the scenario runs (workload stream etc.).
-pub const RUN_SEED: u64 = 42;
+use super::{fixed_2s, stress_spec, Scale, PLAN_SEED, RUN_SEED};
+use crate::json::{hex32, hex64, obj, Json};
 
 /// Replica-set size of both scenarios.
 pub const REPLICAS: u32 = 3;
@@ -91,10 +84,6 @@ pub struct HealthRunSummary {
 /// Everything `repro health` reports.
 #[derive(Debug, Clone)]
 pub struct HealthOutput {
-    /// Seed of the fault plan ([`PLAN_SEED`]).
-    pub plan_seed: u64,
-    /// Seed of the scenario runs ([`RUN_SEED`]).
-    pub run_seed: u64,
     /// The fault-free scenario (must not page).
     pub quiet: HealthRunSummary,
     /// The sustained-partition scenario (must page and resolve).
@@ -113,22 +102,12 @@ pub struct HealthOutput {
     /// The partition run's series export, one window per line
     /// (`health_series.jsonl`).
     pub series_jsonl: String,
-    /// The whole report as a JSON document (`BENCH_health.json`).
-    pub json: String,
 }
 
-fn scale_params(scale: Scale) -> (u64, u64) {
-    // (VM memory MiB, scenario seconds); a 2 s fixed period throughout —
-    // the same sizing the chaos and topology experiments use.
-    match scale {
-        Scale::Paper => (128, 60),
-        Scale::Quick => (64, 30),
-    }
-}
-
-/// The faulted scenario's schedule: replica 2's link stays down past the
-/// retry budget for every epoch of the span.
-fn partition_plan() -> FaultPlan {
+/// The faulted scenario's schedule (and the postmortem experiment's
+/// incident): replica 2's link stays down past the retry budget for
+/// every epoch of the span.
+pub(crate) fn partition_plan() -> FaultPlan {
     FaultPlan::new(PLAN_SEED).with_partition_span(
         PARTITION_FIRST..=PARTITION_LAST,
         &[PARTITIONED_REPLICA],
@@ -136,32 +115,27 @@ fn partition_plan() -> FaultPlan {
     )
 }
 
-fn run(scale: Scale, name: &str, plan: Option<FaultPlan>) -> RunReport {
-    let (mem_mib, secs) = scale_params(scale);
-    let config = ReplicationConfig::fixed_period(SimDuration::from_secs(2))
+/// The replication config of both scenarios: N = 3 / quorum = 2 over a
+/// star, health plane armed.
+pub(crate) fn config() -> ReplicationConfig {
+    fixed_2s()
         .with_topology(TopologyConfig {
             replicas: REPLICAS,
             quorum: QUORUM,
             fanout: FanoutMode::Star,
             stale_epoch_lag: STALE_EPOCH_LAG,
         })
-        .with_health_plane();
-    let mut builder = Scenario::builder()
-        .name(name)
-        .vm_memory_mib(mem_mib)
-        .vcpus(4)
-        .workload(Box::new(MemStress::with_percent(30).with_rate(20_000)))
-        .config(config)
-        .duration(SimDuration::from_secs(secs))
-        .seed(RUN_SEED);
-    builder = match plan {
-        // The partitioned replica spends most of the run diverged, so the
-        // faulted scenario skips the end-of-run consistency sweep; the
-        // quiet scenario keeps it.
-        Some(plan) => builder.chaos(plan),
-        None => builder.verify_consistency(),
-    };
-    builder.build().expect("health scenario is valid").run()
+        .with_health_plane()
+}
+
+fn run(scale: Scale, name: &str, plan: Option<FaultPlan>) -> RunReport {
+    // The partitioned replica spends most of the run diverged, so the
+    // faulted scenario skips the end-of-run consistency sweep; the quiet
+    // scenario keeps it.
+    stress_spec(scale, name, plan.is_none())
+        .build_scenario(config(), plan)
+        .expect("health scenario is valid")
+        .run()
 }
 
 fn health_of(report: &RunReport) -> &HealthSnapshot {
@@ -244,9 +218,7 @@ pub fn run_health(scale: Scale) -> HealthOutput {
 
     let alert_log_jsonl = stale_health.alert_log_jsonl.clone();
     let series_jsonl = stale_health.series_jsonl.clone();
-    let mut out = HealthOutput {
-        plan_seed: PLAN_SEED,
-        run_seed: RUN_SEED,
+    HealthOutput {
         quiet: summarize(&quiet),
         stale: summarize(&stale),
         rerun_fingerprint,
@@ -255,83 +227,59 @@ pub fn run_health(scale: Scale) -> HealthOutput {
         deterministic,
         alert_log_jsonl,
         series_jsonl,
-        json: String::new(),
-    };
-    out.json = render_json(&out);
-    out
+    }
 }
 
-fn render_summary(out: &mut String, label: &str, s: &HealthRunSummary, last: bool) {
-    out.push_str(&format!("  \"{label}\": {{\n"));
-    out.push_str(&format!("    \"commits\": {},\n", s.commits));
-    out.push_str(&format!("    \"alerts_fired\": {},\n", s.alerts_fired));
-    out.push_str(&format!(
-        "    \"alerts_resolved\": {},\n",
-        s.alerts_resolved
-    ));
-    out.push_str(&format!("    \"active_alerts\": {},\n", s.active_alerts));
-    out.push_str(&format!("    \"transitions\": {},\n", s.transitions));
-    out.push_str(&format!("    \"final_states\": \"{}\",\n", s.final_states));
-    out.push_str(&format!(
-        "    \"alert_sequence\": \"{}\",\n",
-        s.alert_sequence
-    ));
-    out.push_str(&format!(
-        "    \"transition_sequence\": \"{}\",\n",
-        s.transition_sequence
-    ));
-    out.push_str(&format!("    \"series_points\": {},\n", s.series_points));
-    out.push_str(&format!(
-        "    \"series_hash\": \"0x{:08x}\",\n",
-        s.series_hash
-    ));
-    out.push_str(&format!(
-        "    \"alert_log_hash\": \"0x{:08x}\",\n",
-        s.alert_log_hash
-    ));
-    out.push_str(&format!(
-        "    \"fingerprint\": \"0x{:016x}\"\n",
-        s.fingerprint
-    ));
-    out.push_str(if last { "  }\n" } else { "  },\n" });
+impl HealthRunSummary {
+    fn document(&self) -> Json {
+        obj([
+            ("commits", self.commits.into()),
+            ("alerts_fired", self.alerts_fired.into()),
+            ("alerts_resolved", self.alerts_resolved.into()),
+            ("active_alerts", self.active_alerts.into()),
+            ("transitions", self.transitions.into()),
+            ("final_states", self.final_states.as_str().into()),
+            ("alert_sequence", self.alert_sequence.as_str().into()),
+            (
+                "transition_sequence",
+                self.transition_sequence.as_str().into(),
+            ),
+            ("series_points", self.series_points.into()),
+            ("series_hash", hex32(self.series_hash)),
+            ("alert_log_hash", hex32(self.alert_log_hash)),
+            ("fingerprint", hex64(self.fingerprint)),
+        ])
+    }
 }
 
-fn render_json(o: &HealthOutput) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"health\",\n");
-    out.push_str(&format!("  \"plan_seed\": {},\n", o.plan_seed));
-    out.push_str(&format!("  \"run_seed\": {},\n", o.run_seed));
-    out.push_str(&format!("  \"replicas\": {REPLICAS},\n"));
-    out.push_str(&format!("  \"quorum\": {QUORUM},\n"));
-    out.push_str(&format!("  \"stale_epoch_lag\": {STALE_EPOCH_LAG},\n"));
-    out.push_str("  \"partition\": {\n");
-    out.push_str(&format!("    \"replica\": {PARTITIONED_REPLICA},\n"));
-    out.push_str(&format!("    \"first_epoch\": {PARTITION_FIRST},\n"));
-    out.push_str(&format!("    \"last_epoch\": {PARTITION_LAST},\n"));
-    out.push_str(&format!(
-        "    \"attempts_down\": {PARTITION_ATTEMPTS_DOWN}\n"
-    ));
-    out.push_str("  },\n");
-    render_summary(&mut out, "quiet", &o.quiet, false);
-    render_summary(&mut out, "stale", &o.stale, false);
-    out.push_str("  \"determinism\": {\n");
-    out.push_str(&format!(
-        "    \"fingerprint\": \"0x{:016x}\",\n",
-        o.rerun_fingerprint
-    ));
-    out.push_str(&format!(
-        "    \"alert_log_identical\": {},\n",
-        o.alert_log_identical
-    ));
-    out.push_str(&format!(
-        "    \"series_identical\": {},\n",
-        o.series_identical
-    ));
-    out.push_str(&format!("    \"deterministic\": {}\n", o.deterministic));
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
+impl HealthOutput {
+    /// The whole report as a JSON document (`BENCH_health.json`).
+    pub fn document(&self) -> Json {
+        let partition = obj([
+            ("replica", PARTITIONED_REPLICA.into()),
+            ("first_epoch", PARTITION_FIRST.into()),
+            ("last_epoch", PARTITION_LAST.into()),
+            ("attempts_down", PARTITION_ATTEMPTS_DOWN.into()),
+        ]);
+        let determinism = obj([
+            ("fingerprint", hex64(self.rerun_fingerprint)),
+            ("alert_log_identical", self.alert_log_identical.into()),
+            ("series_identical", self.series_identical.into()),
+            ("deterministic", self.deterministic.into()),
+        ]);
+        obj([
+            ("experiment", "health".into()),
+            ("plan_seed", PLAN_SEED.into()),
+            ("run_seed", RUN_SEED.into()),
+            ("replicas", REPLICAS.into()),
+            ("quorum", QUORUM.into()),
+            ("stale_epoch_lag", STALE_EPOCH_LAG.into()),
+            ("partition", partition),
+            ("quiet", self.quiet.document()),
+            ("stale", self.stale.document()),
+            ("determinism", determinism),
+        ])
+    }
 }
 
 #[cfg(test)]
@@ -400,7 +348,11 @@ mod tests {
         // Determinism, and the artifact carries only deterministic keys.
         assert!(out.deterministic);
         assert!(out.alert_log_identical && out.series_identical);
-        assert!(out.json.contains("\"deterministic\": true"));
-        assert!(!out.json.contains("wall"));
+        let doc = out.document();
+        crate::gate::tests::assert_gateable(&doc);
+        assert_eq!(
+            doc.get("determinism").and_then(|d| d.get("deterministic")),
+            Some(&true.into())
+        );
     }
 }

@@ -16,9 +16,10 @@
 
 use here_core::{ReplicationConfig, Scenario};
 use here_sim_core::time::SimDuration;
-use here_workloads::memstress::MemStress;
+use here_telemetry::SloSummary;
 
-use super::Scale;
+use super::{Scale, STRESS_WORKLOAD};
+use crate::json::{fixed, obj, Json};
 
 /// Everything `repro observe` reports.
 #[derive(Debug, Clone)]
@@ -29,17 +30,13 @@ pub struct ObserveOutput {
     pub flight_events_recorded: u64,
     /// Flight events the bounded ring evicted.
     pub flight_events_dropped: u64,
-    /// Checkpoints the SLO tracker evaluated.
-    pub slo_evaluated: u64,
-    /// SLO breaches observed.
-    pub slo_breaches: u64,
+    /// The SLO tracker's summary (`None` when no tracker ran).
+    pub slo: Option<SloSummary>,
     /// The scenario run's Prometheus text exposition (`observe.prom`).
     pub prometheus: String,
     /// The scenario run's flight-recorder JSON dump
     /// (`observe_flight.json`).
     pub flight_recorder_json: String,
-    /// The gated report as a JSON document (`BENCH_observe.json`).
-    pub json: String,
 }
 
 fn scenario_secs(scale: Scale) -> u64 {
@@ -56,7 +53,7 @@ pub fn run_observe(scale: Scale) -> ObserveOutput {
         .name("observe")
         .vm_memory_mib(64)
         .vcpus(4)
-        .workload(Box::new(MemStress::with_percent(30).with_rate(20_000)))
+        .workload(STRESS_WORKLOAD.build())
         .config(ReplicationConfig::dynamic(0.3, SimDuration::from_secs(5)))
         .duration(SimDuration::from_secs(scenario_secs(scale)))
         .build()
@@ -65,53 +62,37 @@ pub fn run_observe(scale: Scale) -> ObserveOutput {
     let snapshot = report
         .telemetry
         .expect("replicated runs always carry telemetry");
-    let slo = snapshot.slo.as_ref();
     ObserveOutput {
         metric_count: snapshot.registry.metrics.len(),
         flight_events_recorded: snapshot.flight_events_recorded,
         flight_events_dropped: snapshot.flight_events_dropped,
-        slo_evaluated: slo.map_or(0, |s| s.evaluated),
-        slo_breaches: slo.map_or(0, |s| s.degradation_breaches + s.period_cap_breaches),
-        json: render_json(&snapshot),
+        slo: snapshot.slo,
         prometheus: snapshot.prometheus,
         flight_recorder_json: snapshot.flight_recorder_json,
     }
 }
 
-fn render_json(snapshot: &here_core::TelemetrySnapshot) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"observe\",\n");
-    out.push_str("  \"scenario\": {\n");
-    out.push_str(&format!(
-        "    \"metric_families\": {},\n",
-        snapshot.registry.metrics.len()
-    ));
-    out.push_str(&format!(
-        "    \"flight_events_recorded\": {},\n",
-        snapshot.flight_events_recorded
-    ));
-    out.push_str(&format!(
-        "    \"flight_events_dropped\": {},\n",
-        snapshot.flight_events_dropped
-    ));
-    match &snapshot.slo {
-        Some(s) => out.push_str(&format!(
-            "    \"slo\": {{\"evaluated\": {}, \"compliant\": {}, \
-             \"degradation_breaches\": {}, \"period_cap_breaches\": {}, \
-             \"compliance_ratio\": {:.4}, \"worst_degradation\": {:.4}}}\n",
-            s.evaluated,
-            s.compliant,
-            s.degradation_breaches,
-            s.period_cap_breaches,
-            s.compliance_ratio,
-            s.worst_degradation,
-        )),
-        None => out.push_str("    \"slo\": null\n"),
+impl ObserveOutput {
+    /// The gated report as a JSON document (`BENCH_observe.json`).
+    pub fn document(&self) -> Json {
+        let slo = |s: &SloSummary| {
+            obj([
+                ("evaluated", s.evaluated.into()),
+                ("compliant", s.compliant.into()),
+                ("degradation_breaches", s.degradation_breaches.into()),
+                ("period_cap_breaches", s.period_cap_breaches.into()),
+                ("compliance_ratio", fixed(s.compliance_ratio, 4)),
+                ("worst_degradation", fixed(s.worst_degradation, 4)),
+            ])
+        };
+        let scenario = obj([
+            ("metric_families", self.metric_count.into()),
+            ("flight_events_recorded", self.flight_events_recorded.into()),
+            ("flight_events_dropped", self.flight_events_dropped.into()),
+            ("slo", self.slo.as_ref().map_or(Json::Null, slo)),
+        ]);
+        obj([("experiment", "observe".into()), ("scenario", scenario)])
     }
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
@@ -123,17 +104,16 @@ mod tests {
         let out = run_observe(Scale::Quick);
         assert!(out.metric_count > 10, "got {}", out.metric_count);
         assert!(out.flight_events_recorded > 0);
-        assert!(out.slo_evaluated > 0);
+        assert!(out.slo.as_ref().is_some_and(|s| s.evaluated > 0));
         assert!(out.prometheus.contains("here_checkpoints_total"));
         assert!(out.flight_recorder_json.contains("\"events\""));
-        assert!(out.json.contains("\"metric_families\""));
         // Virtual time only: the exposition and the flight dump (which
         // carry wall-clock probes) stay out of the gated document, and a
-        // second run is byte-identical.
-        assert!(!out.json.contains("wall"));
-        assert!(!out.json.contains("host_cpus"));
-        assert!(!out.json.contains("prometheus"));
-        assert!(!out.json.contains("flight_recorder"));
-        assert_eq!(out.json, run_observe(Scale::Quick).json);
+        // second run is identical.
+        let doc = out.document();
+        crate::gate::tests::assert_gateable(&doc);
+        let families = doc.get("scenario").and_then(|s| s.get("metric_families"));
+        assert_eq!(families, Some(&out.metric_count.into()));
+        assert_eq!(doc, run_observe(Scale::Quick).document());
     }
 }

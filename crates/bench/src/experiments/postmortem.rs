@@ -25,26 +25,16 @@
 //! [`postmortem capture`]: here_core::ReplicationConfig::postmortem_capture
 //! [`RunReport::fingerprint`]: here_core::RunReport::fingerprint
 
-use here_core::{
-    FanoutMode, FaultPlan, IncidentBundle, PostmortemAnalyzer, PostmortemReport, ReplicationConfig,
-    ScenarioSpec, TopologyConfig, WorkloadSpec, BUNDLE_VERSION,
-};
-use here_sim_core::time::SimDuration;
+use here_core::{IncidentBundle, PostmortemAnalyzer, PostmortemReport, BUNDLE_VERSION};
 use here_vmstate::wire::fnv32;
 
-use super::health::{
-    PARTITIONED_REPLICA, PARTITION_ATTEMPTS_DOWN, PARTITION_FIRST, PARTITION_LAST, PLAN_SEED,
-    QUORUM, REPLICAS, RUN_SEED, STALE_EPOCH_LAG,
-};
-use super::Scale;
+use super::health::{self, partition_plan, QUORUM, REPLICAS};
+use super::{stress_spec, Scale, PLAN_SEED, RUN_SEED};
+use crate::json::{fixed, hex32, hex64, obj, Json};
 
 /// Everything `repro postmortem` reports.
 #[derive(Debug, Clone)]
 pub struct PostmortemOutput {
-    /// Seed of the fault plan ([`PLAN_SEED`]).
-    pub plan_seed: u64,
-    /// Seed of the scenario run ([`RUN_SEED`]).
-    pub run_seed: u64,
     /// What tripped capture (must be `alert`).
     pub trigger: String,
     /// Epoch the trigger fired in.
@@ -82,55 +72,6 @@ pub struct PostmortemOutput {
     /// The forensics diff as a human-readable report
     /// (`postmortem_report.txt`).
     pub postmortem_text: String,
-    /// The whole report as a JSON document (`BENCH_postmortem.json`).
-    pub json: String,
-}
-
-fn scale_params(scale: Scale) -> (u64, u64) {
-    // (VM memory MiB, scenario seconds) — the health experiment's sizing,
-    // so the incident arc is the one `repro health` already pins.
-    match scale {
-        Scale::Paper => (128, 60),
-        Scale::Quick => (64, 30),
-    }
-}
-
-/// The incident's schedule: replica 2's link stays down past the retry
-/// budget for every epoch of the span (the health experiment's plan).
-fn partition_plan() -> FaultPlan {
-    FaultPlan::new(PLAN_SEED).with_partition_span(
-        PARTITION_FIRST..=PARTITION_LAST,
-        &[PARTITIONED_REPLICA],
-        PARTITION_ATTEMPTS_DOWN,
-    )
-}
-
-fn config() -> ReplicationConfig {
-    ReplicationConfig::fixed_period(SimDuration::from_secs(2))
-        .with_topology(TopologyConfig {
-            replicas: REPLICAS,
-            quorum: QUORUM,
-            fanout: FanoutMode::Star,
-            stale_epoch_lag: STALE_EPOCH_LAG,
-        })
-        .with_health_plane()
-        .with_postmortem_capture()
-}
-
-fn spec(scale: Scale) -> ScenarioSpec {
-    let (mem_mib, secs) = scale_params(scale);
-    ScenarioSpec {
-        name: "postmortem-incident".to_string(),
-        memory_mib: mem_mib,
-        vcpus: 4,
-        workload: WorkloadSpec::MemStress {
-            percent: 30,
-            rate: 20_000,
-        },
-        duration: SimDuration::from_secs(secs),
-        seed: RUN_SEED,
-        verify_consistency: false,
-    }
 }
 
 /// Captures an incident bundle from the induced partition, proves its
@@ -138,8 +79,8 @@ fn spec(scale: Scale) -> ScenarioSpec {
 /// baseline.
 pub fn run_postmortem(scale: Scale) -> PostmortemOutput {
     // 1. Capture: run the armed partition scenario and freeze the bundle.
-    let spec = spec(scale);
-    let config = config();
+    let spec = stress_spec(scale, "postmortem-incident", false);
+    let config = health::config().with_postmortem_capture();
     let plan = partition_plan();
     let report = spec
         .build_scenario(config.clone(), Some(plan.clone()))
@@ -179,9 +120,7 @@ pub fn run_postmortem(scale: Scale) -> PostmortemOutput {
         .filter(|a| a.contains(":firing@"))
         .count();
 
-    let mut out = PostmortemOutput {
-        plan_seed: PLAN_SEED,
-        run_seed: RUN_SEED,
+    PostmortemOutput {
         trigger: bundle.incident.trigger.clone(),
         trigger_epoch: bundle.incident.epoch,
         trigger_detail: bundle.incident.detail.clone(),
@@ -199,123 +138,77 @@ pub fn run_postmortem(scale: Scale) -> PostmortemOutput {
         postmortem,
         alerts_fired,
         bundle_text: encoded,
-        json: String::new(),
-    };
-    out.json = render_json(&out);
-    out
+    }
 }
 
-fn render_json(o: &PostmortemOutput) -> String {
-    let p = &o.postmortem;
-    let divergence = p
-        .replicas
-        .iter()
-        .map(|r| {
-            format!(
-                "r{}:acks{}/{}:lag{}/{}:retries{}/{}",
-                r.replica,
-                r.incident_acks,
-                r.baseline_acks,
-                r.incident_lag,
-                r.baseline_lag,
-                r.incident_retries,
-                r.baseline_retries
-            )
-        })
-        .collect::<Vec<_>>()
-        .join("|");
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"postmortem\",\n");
-    out.push_str(&format!("  \"plan_seed\": {},\n", o.plan_seed));
-    out.push_str(&format!("  \"run_seed\": {},\n", o.run_seed));
-    out.push_str(&format!("  \"replicas\": {REPLICAS},\n"));
-    out.push_str(&format!("  \"quorum\": {QUORUM},\n"));
-    out.push_str("  \"capture\": {\n");
-    out.push_str(&format!("    \"trigger\": \"{}\",\n", o.trigger));
-    out.push_str(&format!("    \"trigger_epoch\": {},\n", o.trigger_epoch));
-    out.push_str(&format!(
-        "    \"fingerprint\": \"0x{:016x}\",\n",
-        o.incident_fingerprint
-    ));
-    out.push_str(&format!("    \"bundle_bytes\": {},\n", o.bundle_bytes));
-    out.push_str(&format!(
-        "    \"bundle_hash\": \"0x{:08x}\"\n",
-        o.bundle_hash
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"integrity\": {\n");
-    out.push_str(&format!(
-        "    \"decode_round_trip\": {},\n",
-        o.decode_round_trip
-    ));
-    out.push_str(&format!(
-        "    \"rejects_unknown_version\": {},\n",
-        o.rejects_unknown_version
-    ));
-    out.push_str(&format!(
-        "    \"rejects_truncation\": {},\n",
-        o.rejects_truncation
-    ));
-    out.push_str(&format!(
-        "    \"rejects_tampering\": {}\n",
-        o.rejects_tampering
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"replay\": {\n");
-    out.push_str(&format!(
-        "    \"fingerprint\": \"0x{:016x}\",\n",
-        o.replay_fingerprint
-    ));
-    out.push_str(&format!("    \"verified\": {}\n", o.replay_verified));
-    out.push_str("  },\n");
-    out.push_str("  \"forensics\": {\n");
-    out.push_str(&format!(
-        "    \"baseline_fingerprint\": \"0x{:016x}\",\n",
-        p.baseline_fingerprint
-    ));
-    out.push_str(&format!(
-        "    \"fingerprint_reproduced\": {},\n",
-        p.fingerprint_reproduced
-    ));
-    out.push_str(&format!(
-        "    \"dominant_stage_incident\": \"{}\",\n",
-        p.dominant_stage_incident
-    ));
-    out.push_str(&format!(
-        "    \"dominant_stage_baseline\": \"{}\",\n",
-        p.dominant_stage_baseline
-    ));
-    out.push_str(&format!(
-        "    \"critical_path_shifted\": {},\n",
-        p.critical_path_shifted
-    ));
-    out.push_str(&format!("    \"divergence\": \"{divergence}\",\n"));
-    out.push_str(&format!(
-        "    \"incident_checkpoints\": {},\n",
-        p.incident_checkpoints
-    ));
-    out.push_str(&format!(
-        "    \"baseline_checkpoints\": {},\n",
-        p.baseline_checkpoints
-    ));
-    out.push_str(&format!("    \"aborted_epochs\": {},\n", p.aborted_epochs));
-    out.push_str(&format!(
-        "    \"throughput_delta_pct\": {:.3},\n",
-        p.throughput_delta_pct
-    ));
-    out.push_str(&format!("    \"alerts_fired\": {},\n", o.alerts_fired));
-    out.push_str(&format!(
-        "    \"alert_timeline\": \"{}\",\n",
-        p.alert_timeline.join("|")
-    ));
-    out.push_str(&format!(
-        "    \"baseline_alerts\": {}\n",
-        p.baseline_alerts.len()
-    ));
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
+impl PostmortemOutput {
+    /// The whole report as a JSON document (`BENCH_postmortem.json`).
+    pub fn document(&self) -> Json {
+        let p = &self.postmortem;
+        let divergence = p
+            .replicas
+            .iter()
+            .map(|r| {
+                format!(
+                    "r{}:acks{}/{}:lag{}/{}:retries{}/{}",
+                    r.replica,
+                    r.incident_acks,
+                    r.baseline_acks,
+                    r.incident_lag,
+                    r.baseline_lag,
+                    r.incident_retries,
+                    r.baseline_retries
+                )
+            })
+            .collect::<Vec<_>>()
+            .join("|");
+        let capture = obj([
+            ("trigger", self.trigger.as_str().into()),
+            ("trigger_epoch", self.trigger_epoch.into()),
+            ("fingerprint", hex64(self.incident_fingerprint)),
+            ("bundle_bytes", self.bundle_bytes.into()),
+            ("bundle_hash", hex32(self.bundle_hash)),
+        ]);
+        let integrity = obj([
+            ("decode_round_trip", self.decode_round_trip.into()),
+            (
+                "rejects_unknown_version",
+                self.rejects_unknown_version.into(),
+            ),
+            ("rejects_truncation", self.rejects_truncation.into()),
+            ("rejects_tampering", self.rejects_tampering.into()),
+        ]);
+        let replay = obj([
+            ("fingerprint", hex64(self.replay_fingerprint)),
+            ("verified", self.replay_verified.into()),
+        ]);
+        let forensics = obj([
+            ("baseline_fingerprint", hex64(p.baseline_fingerprint)),
+            ("fingerprint_reproduced", p.fingerprint_reproduced.into()),
+            ("dominant_stage_incident", p.dominant_stage_incident.into()),
+            ("dominant_stage_baseline", p.dominant_stage_baseline.into()),
+            ("critical_path_shifted", p.critical_path_shifted.into()),
+            ("divergence", divergence.into()),
+            ("incident_checkpoints", p.incident_checkpoints.into()),
+            ("baseline_checkpoints", p.baseline_checkpoints.into()),
+            ("aborted_epochs", p.aborted_epochs.into()),
+            ("throughput_delta_pct", fixed(p.throughput_delta_pct, 3)),
+            ("alerts_fired", self.alerts_fired.into()),
+            ("alert_timeline", p.alert_timeline.join("|").into()),
+            ("baseline_alerts", p.baseline_alerts.len().into()),
+        ]);
+        obj([
+            ("experiment", "postmortem".into()),
+            ("plan_seed", PLAN_SEED.into()),
+            ("run_seed", RUN_SEED.into()),
+            ("replicas", REPLICAS.into()),
+            ("quorum", QUORUM.into()),
+            ("capture", capture),
+            ("integrity", integrity),
+            ("replay", replay),
+            ("forensics", forensics),
+        ])
+    }
 }
 
 #[cfg(test)]
@@ -346,7 +239,7 @@ mod tests {
         let p = &out.postmortem;
         assert!(p.fingerprint_reproduced);
         assert_ne!(p.incident_fingerprint, p.baseline_fingerprint);
-        let r2 = &p.replicas[PARTITIONED_REPLICA as usize];
+        let r2 = &p.replicas[health::PARTITIONED_REPLICA as usize];
         assert!(
             r2.incident_retries > r2.baseline_retries,
             "incident {} vs baseline {} retries",
@@ -364,7 +257,11 @@ mod tests {
             .starts_with(&format!("HEREBUNDLE v{BUNDLE_VERSION}\n")));
         assert!(out.postmortem_json.contains("\"trigger\": \"alert\""));
         assert!(out.postmortem_text.contains("POSTMORTEM"));
-        assert!(out.json.contains("\"replay\""));
-        assert!(!out.json.contains("wall"));
+        let doc = out.document();
+        crate::gate::tests::assert_gateable(&doc);
+        assert_eq!(
+            doc.get("replay").and_then(|r| r.get("verified")),
+            Some(&true.into())
+        );
     }
 }

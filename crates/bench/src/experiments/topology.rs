@@ -20,14 +20,10 @@
 //!
 //! [`RunReport::fingerprint`]: here_core::RunReport::fingerprint
 
-use here_core::{FanoutMode, ReplicationConfig, RunReport, Scenario, Stage, TopologyConfig};
-use here_sim_core::time::SimDuration;
-use here_workloads::memstress::MemStress;
+use here_core::{FanoutMode, RunReport, Stage, TopologyConfig};
 
-use super::Scale;
-
-/// Seed of every scenario run in the sweep.
-pub const RUN_SEED: u64 = 42;
+use super::{fanout_name, fixed_2s, stress_spec, Scale, RUN_SEED};
+use crate::json::{fixed, hex64, obj, Json};
 
 /// Epoch lag past which a trailing replica is declared stale.
 pub const STALE_EPOCH_LAG: u64 = 8;
@@ -61,8 +57,6 @@ pub struct TopologyRow {
 /// Everything `repro topology` reports.
 #[derive(Debug, Clone)]
 pub struct TopologyOutput {
-    /// Seed of the scenario runs ([`RUN_SEED`]).
-    pub run_seed: u64,
     /// The 18-row sweep: N × quorum × fan-out.
     pub rows: Vec<TopologyRow>,
     /// Fingerprint of the run under the default configuration (no
@@ -76,17 +70,6 @@ pub struct TopologyOutput {
     pub rerun_fingerprint: u64,
     /// True when the same-seed rerun reproduced its row's fingerprint.
     pub deterministic: bool,
-    /// The whole report as a JSON document (`BENCH_topology.json`).
-    pub json: String,
-}
-
-fn scale_params(scale: Scale) -> (u64, u64) {
-    // (VM memory MiB, scenario seconds); a 2 s fixed period throughout —
-    // the same sizing the chaos experiment uses.
-    match scale {
-        Scale::Paper => (128, 60),
-        Scale::Quick => (64, 30),
-    }
 }
 
 /// The sweep's shape: for each N, the quorum sizes {1, majority, all}
@@ -105,29 +88,13 @@ fn matrix() -> Vec<(u32, u32, FanoutMode)> {
     rows
 }
 
-fn fanout_label(fanout: FanoutMode) -> &'static str {
-    match fanout {
-        FanoutMode::Star => "star",
-        FanoutMode::Chain => "chain",
-    }
-}
-
 fn run(scale: Scale, name: &str, topology: Option<TopologyConfig>) -> RunReport {
-    let (mem_mib, secs) = scale_params(scale);
-    let mut config = ReplicationConfig::fixed_period(SimDuration::from_secs(2));
+    let mut config = fixed_2s();
     if let Some(topology) = topology {
         config = config.with_topology(topology);
     }
-    Scenario::builder()
-        .name(name)
-        .vm_memory_mib(mem_mib)
-        .vcpus(4)
-        .workload(Box::new(MemStress::with_percent(30).with_rate(20_000)))
-        .config(config)
-        .duration(SimDuration::from_secs(secs))
-        .seed(RUN_SEED)
-        .verify_consistency()
-        .build()
+    stress_spec(scale, name, true)
+        .build_scenario(config, None)
         .expect("topology scenario is valid")
         .run()
 }
@@ -135,7 +102,7 @@ fn run(scale: Scale, name: &str, topology: Option<TopologyConfig>) -> RunReport 
 fn run_row(scale: Scale, replicas: u32, quorum: u32, fanout: FanoutMode) -> RunReport {
     run(
         scale,
-        &format!("topology-n{replicas}-q{quorum}-{}", fanout_label(fanout)),
+        &format!("topology-n{replicas}-q{quorum}-{}", fanout_name(fanout)),
         Some(TopologyConfig {
             replicas,
             quorum,
@@ -217,84 +184,51 @@ pub fn run_topology(scale: Scale) -> TopologyOutput {
     let rerun_fingerprint = rerun.fingerprint();
     let deterministic = rerun_fingerprint == probe.fingerprint;
 
-    let mut out = TopologyOutput {
-        run_seed: RUN_SEED,
+    TopologyOutput {
         rows,
         baseline_fingerprint,
         degenerate_fingerprint,
         bit_compatible,
         rerun_fingerprint,
         deterministic,
-        json: String::new(),
-    };
-    out.json = render_json(&out);
-    out
+    }
 }
 
-fn render_json(o: &TopologyOutput) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"experiment\": \"topology\",\n");
-    out.push_str(&format!("  \"run_seed\": {},\n", o.run_seed));
-    out.push_str(&format!("  \"stale_epoch_lag\": {STALE_EPOCH_LAG},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in o.rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"replicas\": {},\n", r.replicas));
-        out.push_str(&format!("      \"quorum\": {},\n", r.quorum));
-        out.push_str(&format!(
-            "      \"fanout\": \"{}\",\n",
-            fanout_label(r.fanout)
-        ));
-        out.push_str(&format!("      \"checkpoints\": {},\n", r.checkpoints));
-        out.push_str(&format!("      \"commits\": {},\n", r.commits));
-        out.push_str(&format!(
-            "      \"mean_commit_latency_ms\": {:.3},\n",
-            r.mean_commit_latency_ms
-        ));
-        out.push_str(&format!(
-            "      \"worst_staleness_ms\": {:.3},\n",
-            r.worst_staleness_ms
-        ));
-        out.push_str(&format!(
-            "      \"stalest_replica\": {},\n",
-            r.stalest_replica
-        ));
-        out.push_str(&format!(
-            "      \"stalest_staleness_ms\": {:.3},\n",
-            r.stalest_staleness_ms
-        ));
-        out.push_str(&format!(
-            "      \"fingerprint\": \"0x{:016x}\"\n",
-            r.fingerprint
-        ));
-        out.push_str(if i + 1 == o.rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+impl TopologyOutput {
+    /// The whole report as a JSON document (`BENCH_topology.json`).
+    pub fn document(&self) -> Json {
+        let row = |r: &TopologyRow| {
+            obj([
+                ("replicas", r.replicas.into()),
+                ("quorum", r.quorum.into()),
+                ("fanout", fanout_name(r.fanout).into()),
+                ("checkpoints", r.checkpoints.into()),
+                ("commits", r.commits.into()),
+                ("mean_commit_latency_ms", fixed(r.mean_commit_latency_ms, 3)),
+                ("worst_staleness_ms", fixed(r.worst_staleness_ms, 3)),
+                ("stalest_replica", r.stalest_replica.into()),
+                ("stalest_staleness_ms", fixed(r.stalest_staleness_ms, 3)),
+                ("fingerprint", hex64(r.fingerprint)),
+            ])
+        };
+        let bit_compat = obj([
+            ("baseline_fingerprint", hex64(self.baseline_fingerprint)),
+            ("degenerate_fingerprint", hex64(self.degenerate_fingerprint)),
+            ("bit_compatible", self.bit_compatible.into()),
+        ]);
+        let determinism = obj([
+            ("fingerprint", hex64(self.rerun_fingerprint)),
+            ("deterministic", self.deterministic.into()),
+        ]);
+        obj([
+            ("experiment", "topology".into()),
+            ("run_seed", RUN_SEED.into()),
+            ("stale_epoch_lag", STALE_EPOCH_LAG.into()),
+            ("rows", self.rows.iter().map(row).collect()),
+            ("bit_compat", bit_compat),
+            ("determinism", determinism),
+        ])
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"bit_compat\": {\n");
-    out.push_str(&format!(
-        "    \"baseline_fingerprint\": \"0x{:016x}\",\n",
-        o.baseline_fingerprint
-    ));
-    out.push_str(&format!(
-        "    \"degenerate_fingerprint\": \"0x{:016x}\",\n",
-        o.degenerate_fingerprint
-    ));
-    out.push_str(&format!("    \"bit_compatible\": {}\n", o.bit_compatible));
-    out.push_str("  },\n");
-    out.push_str("  \"determinism\": {\n");
-    out.push_str(&format!(
-        "    \"fingerprint\": \"0x{:016x}\",\n",
-        o.rerun_fingerprint
-    ));
-    out.push_str(&format!("    \"deterministic\": {}\n", o.deterministic));
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
@@ -336,8 +270,10 @@ mod tests {
         };
         assert!(latency(FanoutMode::Chain) > latency(FanoutMode::Star));
         // The artifact carries only deterministic keys.
-        assert!(out.json.contains("\"bit_compatible\": true"));
-        assert!(out.json.contains("\"deterministic\": true"));
-        assert!(!out.json.contains("wall"));
+        let doc = out.document();
+        crate::gate::tests::assert_gateable(&doc);
+        let flag = |section, key| doc.get(section).and_then(|s| s.get(key));
+        assert_eq!(flag("bit_compat", "bit_compatible"), Some(&true.into()));
+        assert_eq!(flag("determinism", "deterministic"), Some(&true.into()));
     }
 }

@@ -28,18 +28,14 @@
 //! every host.
 
 use here_core::{FanoutMode, ReplicationConfig, RunReport, Scenario, Stage, TopologyConfig};
-use here_hypervisor::PAGE_SIZE;
-use here_sim_core::time::{SimDuration, SimTime};
+use here_sim_core::time::SimDuration;
 use here_vmstate::wire::{VERSION, VERSION_V3};
-use here_workloads::memstress::MemStress;
-use here_workloads::phased::{Phase, PhasedMemStress};
 use here_workloads::traits::Workload;
-use here_workloads::ycsb::{Ycsb, YcsbMix, YcsbSpec};
 
-use super::Scale;
-
-/// Seed of every scenario run in the experiment.
-pub const RUN_SEED: u64 = 42;
+use super::{
+    fanout_name, fixed_2s, kv_workload, phased_workload, Scale, RUN_SEED, STRESS_WORKLOAD,
+};
+use crate::json::{fixed, hex64, obj, Json};
 
 /// One workload × wire-version run.
 #[derive(Debug, Clone)]
@@ -91,8 +87,6 @@ pub struct NegotiationRow {
 /// Everything `repro wire` reports.
 #[derive(Debug, Clone)]
 pub struct WireOutput {
-    /// Seed of the scenario runs ([`RUN_SEED`]).
-    pub run_seed: u64,
     /// Workload × version rows (phased/kv × v2/v3).
     pub rows: Vec<WireRow>,
     /// Per-workload v2→v3 reductions.
@@ -111,8 +105,6 @@ pub struct WireOutput {
     pub rerun_fingerprint: u64,
     /// Whether the rerun matched.
     pub deterministic: bool,
-    /// The same results as a JSON document (`BENCH_wire.json`).
-    pub json: String,
 }
 
 fn scale_secs(scale: Scale) -> u64 {
@@ -120,29 +112,6 @@ fn scale_secs(scale: Scale) -> u64 {
         Scale::Paper => 20,
         Scale::Quick => 12,
     }
-}
-
-/// The same phased shape the datapath overlap comparison uses: a light
-/// first phase, then a heavy one at 8 s.
-fn phased_workload() -> (Box<dyn Workload>, u64) {
-    let phases = vec![
-        Phase {
-            at: SimTime::ZERO,
-            percent: 20,
-        },
-        Phase {
-            at: SimTime::from_secs(8),
-            percent: 70,
-        },
-    ];
-    let workload = PhasedMemStress::new(phases).expect("wire phased schedule is valid");
-    (Box::new(workload), 256)
-}
-
-fn kv_workload() -> (Box<dyn Workload>, u64) {
-    let driver = Ycsb::new(YcsbSpec::small(YcsbMix::A)).expect("small KV spec is valid");
-    let mem_mib = (driver.required_pages() * PAGE_SIZE).div_ceil(1024 * 1024) + 64;
-    (Box::new(driver), mem_mib)
 }
 
 fn run(
@@ -191,7 +160,7 @@ fn workload_row(
     version: u16,
     make: fn() -> (Box<dyn Workload>, u64),
 ) -> WireRow {
-    let mut cfg = ReplicationConfig::fixed_period(SimDuration::from_secs(2));
+    let mut cfg = fixed_2s();
     if version >= VERSION_V3 {
         cfg = cfg.with_wire_v3();
     }
@@ -215,13 +184,6 @@ fn workload_row(
     }
 }
 
-fn fanout_label(fanout: FanoutMode) -> &'static str {
-    match fanout {
-        FanoutMode::Star => "star",
-        FanoutMode::Chain => "chain",
-    }
-}
-
 fn negotiation_row(
     scale: Scale,
     offer: u16,
@@ -236,7 +198,7 @@ fn negotiation_row(
             .collect::<Vec<_>>()
             .join(","),
     };
-    let mut cfg = ReplicationConfig::fixed_period(SimDuration::from_secs(2))
+    let mut cfg = fixed_2s()
         .with_wire_version(offer)
         .with_topology(TopologyConfig {
             replicas: 3,
@@ -252,16 +214,16 @@ fn negotiation_row(
         &format!(
             "wire-nego-v{offer}-{}-{}",
             caps_label.replace(',', "."),
-            fanout_label(fanout)
+            fanout_name(fanout)
         ),
         cfg,
-        Box::new(MemStress::with_percent(30).with_rate(20_000)),
+        STRESS_WORKLOAD.build(),
         64,
     );
     NegotiationRow {
         offer,
         caps: caps_label,
-        fanout: fanout_label(fanout),
+        fanout: fanout_name(fanout),
         negotiated: report
             .wire_versions
             .iter()
@@ -322,18 +284,12 @@ pub fn run_wire(scale: Scale) -> WireOutput {
     //    negotiate down to the byte-identical default v2 session (same
     //    scenario name, so the fingerprints match when behaviour does).
     let (workload, mem_mib) = phased_workload();
-    let baseline = run(
-        scale,
-        "wire-bitcompat",
-        ReplicationConfig::fixed_period(SimDuration::from_secs(2)),
-        workload,
-        mem_mib,
-    );
+    let baseline = run(scale, "wire-bitcompat", fixed_2s(), workload, mem_mib);
     let (workload, mem_mib) = phased_workload();
     let capped = run(
         scale,
         "wire-bitcompat",
-        ReplicationConfig::fixed_period(SimDuration::from_secs(2))
+        fixed_2s()
             .with_wire_v3()
             .with_replica_wire_caps(vec![VERSION]),
         workload,
@@ -350,8 +306,7 @@ pub fn run_wire(scale: Scale) -> WireOutput {
         .expect("phased v3 row exists");
     let deterministic = rerun.fingerprint == v3_phased.fingerprint;
 
-    let mut out = WireOutput {
-        run_seed: RUN_SEED,
+    WireOutput {
         rows,
         reductions,
         negotiation,
@@ -360,78 +315,64 @@ pub fn run_wire(scale: Scale) -> WireOutput {
         bit_compatible: baseline_fingerprint == capped_fingerprint,
         rerun_fingerprint: rerun.fingerprint,
         deterministic,
-        json: String::new(),
-    };
-    out.json = render_json(&out);
-    out
+    }
 }
 
-fn render_json(out: &WireOutput) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"experiment\": \"wire\",\n");
-    s.push_str(&format!("  \"run_seed\": {},\n", out.run_seed));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in out.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"version\": {}, \"checkpoints\": {}, \
-             \"commits\": {}, \"bytes_per_epoch\": {:.1}, \"mean_transfer_ms\": {:.4}, \
-             \"fingerprint\": \"0x{:016x}\"}}{}\n",
-            r.workload,
-            r.version,
-            r.checkpoints,
-            r.commits,
-            r.bytes_per_epoch,
-            r.mean_transfer_ms,
-            r.fingerprint,
-            if i + 1 == out.rows.len() { "" } else { "," },
-        ));
+impl WireOutput {
+    /// The same results as a JSON document (`BENCH_wire.json`).
+    pub fn document(&self) -> Json {
+        let row = |r: &WireRow| {
+            obj([
+                ("workload", r.workload.into()),
+                ("version", r.version.into()),
+                ("checkpoints", r.checkpoints.into()),
+                ("commits", r.commits.into()),
+                ("bytes_per_epoch", fixed(r.bytes_per_epoch, 1)),
+                ("mean_transfer_ms", fixed(r.mean_transfer_ms, 4)),
+                ("fingerprint", hex64(r.fingerprint)),
+            ])
+        };
+        let reduction = |r: &WireReduction| {
+            obj([
+                ("workload", r.workload.into()),
+                ("bytes_ratio", fixed(r.bytes_ratio, 2)),
+                ("transfer_ratio", fixed(r.transfer_ratio, 2)),
+            ])
+        };
+        let negotiation = |n: &NegotiationRow| {
+            obj([
+                ("offer", n.offer.into()),
+                ("caps", n.caps.as_str().into()),
+                ("fanout", n.fanout.into()),
+                ("negotiated", n.negotiated.as_str().into()),
+                ("commits", n.commits.into()),
+            ])
+        };
+        let bit_compat = obj([
+            ("baseline_fingerprint", hex64(self.baseline_fingerprint)),
+            ("capped_fingerprint", hex64(self.capped_fingerprint)),
+            ("bit_compatible", self.bit_compatible.into()),
+        ]);
+        let determinism = obj([
+            ("fingerprint", hex64(self.rerun_fingerprint)),
+            ("deterministic", self.deterministic.into()),
+        ]);
+        obj([
+            ("experiment", "wire".into()),
+            ("run_seed", RUN_SEED.into()),
+            ("rows", self.rows.iter().map(row).collect()),
+            (
+                "reductions",
+                self.reductions.iter().map(reduction).collect(),
+            ),
+            (
+                "negotiation",
+                self.negotiation.iter().map(negotiation).collect(),
+            ),
+            ("bit_compat", bit_compat),
+            ("determinism", determinism),
+        ])
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"reductions\": [\n");
-    for (i, r) in out.reductions.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"bytes_ratio\": {:.2}, \"transfer_ratio\": {:.2}}}{}\n",
-            r.workload,
-            r.bytes_ratio,
-            r.transfer_ratio,
-            if i + 1 == out.reductions.len() {
-                ""
-            } else {
-                ","
-            },
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"negotiation\": [\n");
-    for (i, n) in out.negotiation.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"offer\": {}, \"caps\": \"{}\", \"fanout\": \"{}\", \
-             \"negotiated\": \"{}\", \"commits\": {}}}{}\n",
-            n.offer,
-            n.caps,
-            n.fanout,
-            n.negotiated,
-            n.commits,
-            if i + 1 == out.negotiation.len() {
-                ""
-            } else {
-                ","
-            },
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"bit_compat\": {{\"baseline_fingerprint\": \"0x{:016x}\", \
-         \"capped_fingerprint\": \"0x{:016x}\", \"bit_compatible\": {}}},\n",
-        out.baseline_fingerprint, out.capped_fingerprint, out.bit_compatible
-    ));
-    s.push_str(&format!(
-        "  \"determinism\": {{\"fingerprint\": \"0x{:016x}\", \"deterministic\": {}}}\n",
-        out.rerun_fingerprint, out.deterministic
-    ));
-    s.push_str("}\n");
-    s
 }
 
 #[cfg(test)]
@@ -494,9 +435,6 @@ mod tests {
             "v2-capped negotiation drifted from the default path"
         );
         assert!(out.deterministic, "same-seed v3 rerun drifted");
-        assert!(
-            !out.json.contains("wall"),
-            "wire JSON must stay host-independent"
-        );
+        crate::gate::tests::assert_gateable(&out.document());
     }
 }

@@ -3,10 +3,11 @@
 //! Regenerates every table and figure of the paper's evaluation (§8) from
 //! the simulated stack. Each experiment has a typed runner in
 //! [`experiments`]; the `repro` binary prints them as text tables and
-//! writes the `BENCH_*.json` documents that the [`gate`] compares for
-//! exact equality against `baselines/`. Everything here is virtual
-//! (cost-model) time; wall-clock cost is measured by the stand-alone
-//! `benchmark/` package.
+//! writes the `BENCH_*.json` documents — each built once as a
+//! [`json::Json`] value by its experiment's `document()` — that the
+//! [`gate`] reads back as the same type and compares for exact equality
+//! against `baselines/`. Everything here is virtual (cost-model) time;
+//! wall-clock cost is measured by the stand-alone `benchmark/` package.
 //!
 //! | Paper artefact | Runner |
 //! |---|---|
@@ -29,6 +30,7 @@
 
 pub mod experiments;
 pub mod gate;
+pub mod json;
 pub mod tables;
 
 pub use experiments::Scale;
