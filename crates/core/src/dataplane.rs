@@ -46,7 +46,7 @@ use here_hypervisor::memory::{
     PAGE_SIZE,
 };
 use here_hypervisor::vcpu::VcpuStateBlob;
-use here_hypervisor::PageId;
+use here_hypervisor::{HvError, PageId};
 use here_vmstate::cir::CpuStateCir;
 use here_vmstate::simd;
 use here_vmstate::translate::{StateTranslator, TranslateResult};
@@ -804,7 +804,7 @@ pub fn translate_vcpus_parallel(
 /// Page images the content check compares against, kept across records
 /// so no 4 KiB buffer is zeroed per page.
 #[derive(Debug)]
-struct VerifyScratch {
+pub(crate) struct VerifyScratch {
     /// Up to [`GROUP_PAGES`] expected images, back to back.
     expected: [u8; GROUP_PAGES * PAGE_SIZE as usize],
     /// The replica's current image of a page a v3 delta patches.
@@ -846,112 +846,120 @@ impl VerifyScratch {
     }
 }
 
-fn install_record(
-    record: Record,
-    replica: &mut GuestMemory,
-    verify_content: bool,
-    scratch: &mut VerifyScratch,
-) -> CoreResult<u64> {
-    let mut pages_installed = 0u64;
+/// The *verify* step of the receive path: appends the pages `record`
+/// carries to `staged` once every frame is inside `replica` and, when
+/// `verify` lends its scratch, each payload's content is the
+/// deterministic image its `(frame, version)` record mandates — a delta
+/// is applied to the replica's present copy of the page, that is, the
+/// image before anything staged is installed. Records that carry no
+/// pages stage nothing. Nothing is written: after an `Err` the caller
+/// discards `staged` and the replica is as it was.
+pub(crate) fn stage(
+    record: &Record,
+    replica: &GuestMemory,
+    verify: Option<&mut VerifyScratch>,
+    staged: &mut Vec<(PageId, PageVersion)>,
+) -> CoreResult<()> {
+    // The range check rides the copy: one pass, no second walk of an
+    // epoch's worth of entries.
+    let mut top = 0;
+    let mut note = |page: PageId, rec: PageVersion| {
+        top = top.max(page.frame());
+        (page, rec)
+    };
     match record {
         Record::PageBatch(batch) => {
-            for &(page, rec) in batch.entries() {
-                replica.install_page(page, rec)?;
-                pages_installed += 1;
-            }
+            staged.extend(batch.entries().iter().map(|&(page, rec)| note(page, rec)))
         }
         Record::PageDataBatch(batch) => {
+            staged.extend(batch.pages().iter().map(|&(page, rec, _)| note(page, rec)))
+        }
+        Record::PageColumns(batch) => staged.extend(
+            batch
+                .entries()
+                .iter()
+                .map(|&(page, rec, _)| note(page, rec)),
+        ),
+        _ => return Ok(()),
+    }
+    let limit = replica.num_pages();
+    if top >= limit {
+        return Err(HvError::PageOutOfRange { page: top, limit }.into());
+    }
+    let Some(scratch) = verify else {
+        return Ok(());
+    };
+    let diverged = |page: PageId| {
+        CoreError::InvalidScenario(format!(
+            "page {} content diverged from its version record",
+            page.frame()
+        ))
+    };
+    match record {
+        Record::PageDataBatch(batch) => {
             for group in batch.pages().chunks(GROUP_PAGES) {
-                if verify_content {
-                    scratch.expect_group(group);
-                    let images = scratch.expected.chunks_exact(PAGE_SIZE as usize);
-                    for ((page, _, content), expected) in group.iter().zip(images) {
-                        if !simd::active().bytes_equal(&content[..], expected) {
-                            return Err(CoreError::InvalidScenario(format!(
-                                "page {} content diverged from its version record",
-                                page.frame()
-                            )));
-                        }
+                scratch.expect_group(group);
+                let images = scratch.expected.chunks_exact(PAGE_SIZE as usize);
+                for ((page, _, content), expected) in group.iter().zip(images) {
+                    if !simd::active().bytes_equal(&content[..], expected) {
+                        return Err(diverged(*page));
                     }
-                }
-                for &(page, rec, _) in group {
-                    replica.install_page(page, rec)?;
-                    pages_installed += 1;
                 }
             }
         }
         Record::PageColumns(batch) => {
             for (page, rec, payload) in batch.entries() {
-                if verify_content && !matches!(payload, PagePayload::Meta) {
-                    // Reconstruct the content the payload implies (for a
-                    // delta, against the replica's current copy of the
-                    // page) and check it against the deterministic image
-                    // the new `(frame, version)` record mandates.
-                    let base_ref = if matches!(payload, PagePayload::Delta(_)) {
-                        let prev = replica.page(*page)?;
-                        materialize_content_into(*page, prev, &mut scratch.base);
-                        Some(&scratch.base[..])
-                    } else {
-                        None
-                    };
-                    if let Some(got) = payload.materialize(base_ref)? {
-                        let expected = scratch.page_mut(0);
-                        materialize_content_into(*page, *rec, expected);
-                        if !simd::active().bytes_equal(&got, &expected[..]) {
-                            return Err(CoreError::InvalidScenario(format!(
-                                "page {} columnar payload diverged from its version record",
-                                page.frame()
-                            )));
-                        }
+                let base = if matches!(payload, PagePayload::Delta(_)) {
+                    materialize_content_into(*page, replica.page(*page)?, &mut scratch.base);
+                    Some(&scratch.base[..])
+                } else {
+                    None
+                };
+                if let Some(got) = payload.materialize(base)? {
+                    let expected = scratch.page_mut(0);
+                    materialize_content_into(*page, *rec, expected);
+                    if !simd::active().bytes_equal(&got, &expected[..]) {
+                        return Err(diverged(*page));
                     }
                 }
-                replica.install_page(*page, *rec)?;
-                pages_installed += 1;
             }
         }
         _ => {}
     }
-    Ok(pages_installed)
+    Ok(())
 }
 
-/// Decodes a (possibly scattered) checkpoint stream and installs every
-/// page record into `replica` — the receive side of the datapath. With
-/// `verify_content` set, each materialized payload is checked against the
-/// deterministic image its `(frame, version)` record implies, proving the
-/// bytes survived encode → splice → decode intact.
-///
-/// Returns the number of pages installed.
-///
-/// # Errors
-///
-/// Wire errors on corrupt streams, hypervisor errors on out-of-range
-/// installs, and an [`CoreError::InvalidScenario`] on a content mismatch.
-pub fn decode_and_restore(
-    stream: ScatterStream,
-    replica: &mut GuestMemory,
-    verify_content: bool,
-) -> CoreResult<u64> {
-    let mut dec = StreamDecoder::new_scattered(stream)?;
-    let mut pages_installed = 0u64;
-    let mut scratch = VerifyScratch::new();
-    while let Some(record) = dec.next_record()? {
-        pages_installed += install_record(record, replica, verify_content, &mut scratch)?;
+/// The *install* step: writes what [`stage`] verified. It cannot fail —
+/// `stage` checked every frame against this replica.
+pub(crate) fn install_staged(replica: &mut GuestMemory, staged: &[(PageId, PageVersion)]) {
+    for &(page, rec) in staged {
+        replica
+            .install_page(page, rec)
+            .expect("stage() checked the frame against this replica");
     }
-    Ok(pages_installed)
 }
 
-/// Incremental receive side for the streamed encode path: accepts lane
-/// segments one at a time, decoding and installing each as it arrives —
-/// this is what lets decode/transfer work overlap the still-running
-/// encode lanes. Each accepted segment must hold complete records (which
-/// every segment produced by [`encode_pages_round`] does).
+/// The receive side of the data plane: accepts lane segments one at a
+/// time, as they arrive, which is what lets decode and transfer overlap
+/// the still-running encode lanes. Each accepted segment must hold
+/// complete records (every segment [`encode_pages_round`] produces does).
+///
+/// A segment goes through three phases — *decode* (frame and column
+/// checksums, structure), *verify* (every frame inside the replica and,
+/// with `verify_content`, every payload the image its version record
+/// mandates; touches nothing), *install* (cannot fail) — and the third
+/// runs only when the whole segment passed the first two. So a segment
+/// [`accept`](SegmentRestorer::accept) rejects changes no page, and
+/// [`installed`](SegmentRestorer::installed) is always what the replica
+/// holds.
 #[derive(Debug)]
 pub struct SegmentRestorer<'a> {
     replica: &'a mut GuestMemory,
-    verify_content: bool,
+    /// The content check's page images; `None` when it is off.
+    verify: Option<Box<VerifyScratch>>,
     preamble: Bytes,
+    staged: Vec<(PageId, PageVersion)>,
     installed: u64,
-    scratch: VerifyScratch,
 }
 
 impl<'a> SegmentRestorer<'a> {
@@ -967,28 +975,33 @@ impl<'a> SegmentRestorer<'a> {
         write_preamble_versioned(&mut head, version);
         SegmentRestorer {
             replica,
-            verify_content,
+            verify: verify_content.then(|| Box::new(VerifyScratch::new())),
             preamble: head.freeze(),
+            staged: Vec::new(),
             installed: 0,
-            scratch: VerifyScratch::new(),
         }
     }
 
-    /// Decodes one segment and installs its pages. The caller keeps its
-    /// `Bytes` handle, so once this returns (all record slices dropped)
-    /// the segment can be recycled into a [`BufferPool`].
+    /// Decodes and verifies one segment, then installs its pages. The
+    /// caller keeps its `Bytes` handle, so once this returns (all record
+    /// slices dropped) the segment can be recycled into a [`BufferPool`].
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`decode_and_restore`].
+    /// Wire errors on a corrupt segment, a hypervisor error on a frame
+    /// outside the replica, and [`CoreError::InvalidScenario`] on a
+    /// content mismatch. In every case nothing was installed.
     pub fn accept(&mut self, segment: &Bytes) -> CoreResult<()> {
         let mut stream = ScatterStream::from(self.preamble.clone());
         stream.push(segment.clone());
         let mut dec = StreamDecoder::new_scattered(stream)?;
+        self.staged.clear();
         while let Some(record) = dec.next_record()? {
-            self.installed +=
-                install_record(record, self.replica, self.verify_content, &mut self.scratch)?;
+            let verify = self.verify.as_deref_mut();
+            stage(&record, self.replica, verify, &mut self.staged)?;
         }
+        install_staged(self.replica, &self.staged);
+        self.installed += self.staged.len() as u64;
         Ok(())
     }
 
@@ -1055,6 +1068,17 @@ mod tests {
             stream.push(seg);
         }
         stream
+    }
+
+    /// Receives `segments` into `replica`; the number of pages installed.
+    fn restore(
+        segments: &[Bytes],
+        replica: &mut GuestMemory,
+        verify_content: bool,
+    ) -> CoreResult<u64> {
+        let mut restorer = SegmentRestorer::new(replica, verify_content);
+        segments.iter().try_for_each(|seg| restorer.accept(seg))?;
+        Ok(restorer.installed())
     }
 
     fn decoded_pages(stream: ScatterStream) -> Vec<(u64, u32, u16)> {
@@ -1135,14 +1159,14 @@ mod tests {
                         chunk_pages,
                         window,
                     };
-                    let stream = splice(encode(&delta, plan, &mut pool, &lp));
-                    let got = stream.gather();
+                    let segs = encode(&delta, plan, &mut pool, &lp);
+                    let got = splice(segs.clone()).gather();
                     assert!(
                         got[PREAMBLE_BYTES..] == one_page_at_a_time(&delta, &plan)[..],
                         "{plan:?} moved the wire"
                     );
                     let mut replica = GuestMemory::new(ByteSize::from_mib(16)).unwrap();
-                    let installed = decode_and_restore(stream, &mut replica, true).unwrap();
+                    let installed = restore(&segs, &mut replica, true).unwrap();
                     assert_eq!(installed, delta.len() as u64, "{plan:?}");
                 }
             }
@@ -1160,7 +1184,7 @@ mod tests {
         };
         let segs = encode(&delta, plan, &mut pool, &lp);
         let mut replica = GuestMemory::new(ByteSize::from_mib(32)).unwrap();
-        let installed = decode_and_restore(splice(segs), &mut replica, true).unwrap();
+        let installed = restore(&segs, &mut replica, true).unwrap();
         assert_eq!(installed, delta.len() as u64);
         for &(page, rec) in delta.entries() {
             assert_eq!(replica.page(page).unwrap(), rec);
@@ -1174,7 +1198,7 @@ mod tests {
         let lp = LanePool::new();
         let segs = encode(&delta, SHARDS, &mut pool, &lp);
         let mut replica = GuestMemory::new(ByteSize::from_mib(32)).unwrap();
-        let installed = decode_and_restore(splice(segs), &mut replica, false).unwrap();
+        let installed = restore(&segs, &mut replica, false).unwrap();
         assert_eq!(installed, delta.len() as u64);
     }
 
@@ -1303,35 +1327,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_restore_matches_barrier_restore() {
-        let delta = delta_of(3000);
-        let mut pool = BufferPool::new();
-        let lp = LanePool::new();
-        let plan = EncodePlan {
-            lanes: 4,
-            mode: PayloadMode::Materialized,
-            chunk_pages: Some(512),
-            window: Some(2),
-        };
-        let mut streamed = GuestMemory::new(ByteSize::from_mib(32)).unwrap();
-        {
-            let mut restorer = SegmentRestorer::new(&mut streamed, true);
-            encode_pages_round(&delta, &plan, &mut pool, &lp, |_, seg| {
-                restorer.accept(&seg).expect("streamed decode");
-            });
-            assert_eq!(restorer.installed(), delta.len() as u64);
-        }
-        let full_depth = EncodePlan {
-            window: None,
-            ..plan
-        };
-        let segs = encode(&delta, full_depth, &mut pool, &lp);
-        let mut spliced = GuestMemory::new(ByteSize::from_mib(32)).unwrap();
-        decode_and_restore(splice(segs), &mut spliced, true).unwrap();
-        assert!(streamed.content_equals(&spliced));
-    }
-
-    #[test]
     fn round_stats_account_for_every_task() {
         let delta = delta_of(4096);
         let mut pool = BufferPool::new();
@@ -1381,9 +1376,13 @@ mod tests {
         let mut flipped = segs[1].to_vec();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x40;
-        let stream = splice(vec![segs[0].clone(), Bytes::from(flipped)]);
         let mut replica = GuestMemory::new(ByteSize::from_mib(32)).unwrap();
-        assert!(decode_and_restore(stream, &mut replica, true).is_err());
+        let mut restorer = SegmentRestorer::new(&mut replica, true);
+        restorer.accept(&segs[0]).unwrap();
+        assert!(restorer.accept(&Bytes::from(flipped)).is_err());
+        // The good segment stays; the bad one left nothing behind.
+        assert_eq!(restorer.installed(), 1024);
+        assert_eq!(replica.touched_pages(), 1024);
     }
 
     /// A v3 page-columns frame as a hostile sender would forge it: any
@@ -1421,7 +1420,26 @@ mod tests {
         // One delta page whose only run sits at an offset that wraps
         // `offset + len` back inside the page.
         let wrapping_offset = [&[1][..], &MAX, &[1, 0xaa]].concat();
-        let cases: [(&str, Bytes, &str); 2] = [
+        // A frame gap of zero three ways the encoder never writes it: a
+        // padding zero group, and bits in the tenth byte that shift out.
+        let padded = |gap: &[u8]| forged_columns_frame(1, &[gap, &[META, 1, 1, 0]].concat(), &[]);
+        let nine = [0x80u8; 9];
+        let cases: [(&str, Bytes, &str); 5] = [
+            (
+                "padded varint",
+                padded(&[0x80, 0x00]),
+                "varint is not minimal",
+            ),
+            (
+                "tenth varint byte 0x02",
+                padded(&[&nine[..], &[0x02]].concat()),
+                "varint overflows 64 bits",
+            ),
+            (
+                "tenth varint byte 0x7e",
+                padded(&[&nine[..], &[0x7e]].concat()),
+                "varint overflows 64 bits",
+            ),
             (
                 "mode run",
                 forged_columns_frame(2, &wrapping_run, &[]),
@@ -1454,6 +1472,55 @@ mod tests {
             );
             assert_eq!(restorer.installed(), 0, "{name}");
             assert_eq!(replica.touched_iter().count(), 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn hostile_segments_rejected_after_decode_install_nothing() {
+        use here_vmstate::wire::{encode_page_batch_into, encode_record_into};
+        let rec = |version| PageVersion {
+            version,
+            last_writer: 0,
+        };
+        let frames = |n: u64, version| -> Vec<(PageId, PageVersion)> {
+            (0..n).map(|f| (PageId::new(f), rec(version))).collect()
+        };
+        // One 0x08 record of eight pages, honest checksum, the seventh
+        // page's content one bit off its version record.
+        let mut diverged = BytesMut::new();
+        let mut writer = PageDataWriter::new(&mut diverged);
+        let mut image = [0u8; PAGE_SIZE as usize];
+        for (page, rec) in frames(8, 7) {
+            materialize_content_into(page, rec, &mut image);
+            image[100] ^= u8::from(page.frame() == 6);
+            writer.push(page, rec, &image);
+        }
+        writer.finish();
+        // One 0x03 record whose third frame is one past a 16-page replica.
+        let mut out_of_range = BytesMut::new();
+        let mut entries = frames(4, 7);
+        entries[2].0 = PageId::new(16);
+        encode_page_batch_into(&entries, &mut out_of_range);
+        // Two records in one segment, the second with a flipped payload bit.
+        let mut second_corrupt = BytesMut::new();
+        encode_page_batch_into(&frames(4, 7), &mut second_corrupt);
+        encode_record_into(&Record::Ack { seq: 1 }, &mut second_corrupt);
+        *second_corrupt.last_mut().unwrap() ^= 1;
+
+        for (name, segment) in [
+            ("diverged content", diverged),
+            ("frame out of range", out_of_range),
+            ("corrupt second record", second_corrupt),
+        ] {
+            let mut replica = GuestMemory::new(ByteSize::from_bytes(16 * PAGE_SIZE)).unwrap();
+            let mut restorer = SegmentRestorer::new(&mut replica, true);
+            let mut good = BytesMut::new();
+            encode_page_batch_into(&frames(2, 1), &mut good);
+            restorer.accept(&good.freeze()).unwrap();
+            restorer.accept(&segment.freeze()).expect_err(name);
+            assert_eq!(restorer.installed(), 2, "{name}");
+            let held: Vec<_> = replica.touched_iter().collect();
+            assert_eq!(held, frames(2, 1), "{name}");
         }
     }
 

@@ -312,9 +312,9 @@ impl IncidentBundle {
     /// Strictly decodes a bundle document: the magic and version must
     /// match ([`BUNDLE_VERSION`]), the payload length must equal the
     /// header's `len` (truncation), the payload FNV-32 must equal the
-    /// header's `crc` (tampering), and every payload line must appear, in
-    /// order, and parse. Anything else is an error, never a partial
-    /// bundle.
+    /// header's `crc` (tampering), every payload line must appear, in
+    /// order, and parse, and re-encoding the result must give `doc` back
+    /// byte for byte. Anything else is an error, never a partial bundle.
     pub fn decode(doc: &str) -> CoreResult<IncidentBundle> {
         let mut lines = doc.splitn(4, '\n');
         let magic = lines.next().unwrap_or("");
@@ -359,10 +359,15 @@ impl IncidentBundle {
         let mut bundle = IncidentBundle::blank();
         let mut lines = payload.lines();
         bundle.walk(&mut Walk::Read(&mut lines))?;
-        match lines.next() {
-            None => Ok(bundle),
-            Some(line) => Err(bundle_err(&format!("unexpected trailing line {line:?}"))),
+        if let Some(line) = lines.next() {
+            return Err(bundle_err(&format!("unexpected trailing line {line:?}")));
         }
+        // A zero-padded number, an upper-case hex digit or a `\r\n` line
+        // end would parse above; only the document `encode` writes is one.
+        if bundle.encode() != doc {
+            return Err(bundle_err("not the canonical encoding of its content"));
+        }
+        Ok(bundle)
     }
 
     /// The payload grammar, named once: every line of the document in

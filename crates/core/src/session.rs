@@ -16,7 +16,7 @@ use here_hypervisor::arch::Gpr;
 use here_hypervisor::fault::HostHealth;
 use here_hypervisor::host::Hypervisor;
 use here_hypervisor::kind::HypervisorKind;
-use here_hypervisor::memory::PageVersion;
+use here_hypervisor::memory::{GuestMemory, PageVersion};
 use here_hypervisor::vcpu::{KvmVcpuState, VcpuStateBlob, XenVcpuState};
 use here_hypervisor::vm::{VmConfig, VmId};
 use here_hypervisor::{PageId, VcpuId, XenHypervisor, PAGE_SIZE};
@@ -38,8 +38,8 @@ use here_workloads::traits::Workload;
 use crate::chaos::{ChaosState, FaultPlan, TransferFault};
 use crate::config::ReplicationConfig;
 use crate::dataplane::{
-    encode_pages_round, translate_vcpus_parallel, CheckpointPools, EncodePlan, PayloadMode,
-    PARALLEL_ENCODE_MIN_PAGES,
+    encode_pages_round, install_staged, stage, translate_vcpus_parallel, CheckpointPools,
+    EncodePlan, PayloadMode, PARALLEL_ENCODE_MIN_PAGES,
 };
 use crate::devmgr::DeviceManager;
 use crate::error::{CoreError, CoreResult};
@@ -692,11 +692,12 @@ impl Session {
     ///
     /// The apply is **two-phase**: the whole stream is decoded and
     /// validated into the replica's own staging buffer first (frame
-    /// checksums, trailer cross-check, trailer presence), and only then
-    /// installed. A torn, truncated or corrupted stream therefore can
-    /// never leave a partial epoch on the replica — the previous committed
-    /// epoch stays authoritative, which is the invariant the epoch-abort
-    /// path and failover activation rely on.
+    /// checksums, every frame inside the replica's memory, trailer
+    /// cross-check, trailer presence), and only then installed. A torn,
+    /// truncated or corrupted stream therefore can never leave a partial
+    /// epoch on the replica — the previous committed epoch stays
+    /// authoritative, which is the invariant the epoch-abort path and
+    /// failover activation rely on.
     ///
     /// A successful apply first drains the replica's catch-up backlog
     /// (pages it missed while its link misbehaved), then installs the
@@ -713,12 +714,14 @@ impl Session {
         let negotiated = member.wire_version;
         let delta_base = member.base_epoch;
         let may_rebase = !member.backlog.is_empty();
+        let memory = member.host.vm(member.vm)?.memory();
         let mut staged = std::mem::take(&mut member.apply);
         staged.clear();
         let mut vcpus: Vec<(u32, VcpuStateBlob)> = Vec::new();
         let validated = Self::decode_checkpoint(
             stream,
             kind,
+            memory,
             &mut staged,
             &mut vcpus,
             seq,
@@ -749,9 +752,7 @@ impl Session {
         for &(page, rec) in backlog.entries() {
             vm.memory_mut().install_page(page, rec)?;
         }
-        for &(page, rec) in &staged {
-            vm.memory_mut().install_page(page, rec)?;
-        }
+        install_staged(vm.memory_mut(), &staged);
         for (index, blob) in vcpus {
             member
                 .host
@@ -763,8 +764,9 @@ impl Session {
     }
 
     /// Phase 1 of [`Session::apply_checkpoint`]: decodes `stream` into the
-    /// staging buffers, validating every frame and the trailer cross-check,
-    /// without touching the replica.
+    /// staging buffers, validating every frame, every page's place in
+    /// `replica` (through [`stage`], the data plane's verify step) and the
+    /// trailer cross-check, without touching the replica.
     ///
     /// The decoder is pinned to the replica's `negotiated` version — a
     /// stream in any other version is a protocol violation
@@ -778,6 +780,7 @@ impl Session {
     fn decode_checkpoint(
         stream: ScatterStream,
         kind: HypervisorKind,
+        replica: &GuestMemory,
         staged: &mut Vec<(PageId, PageVersion)>,
         vcpus: &mut Vec<(u32, VcpuStateBlob)>,
         seq: u64,
@@ -786,16 +789,12 @@ impl Session {
         may_rebase: bool,
     ) -> CoreResult<Option<u64>> {
         let mut dec = StreamDecoder::new_negotiated(stream, negotiated)?;
-        let mut pages_seen = 0u64;
         let mut saw_trailer = false;
         let mut rebase_to: Option<u64> = None;
         while let Some(record) = dec.next_record()? {
+            // Page records of all three kinds stage here; the rest nothing.
+            stage(&record, replica, None, staged)?;
             match record {
-                Record::CheckpointBegin { .. } | Record::StreamHeader { .. } => {}
-                Record::PageBatch(batch) => {
-                    pages_seen += batch.len() as u64;
-                    staged.extend(batch.entries().iter().copied());
-                }
                 Record::PageColumns(batch) => {
                     let base = rebase_to.unwrap_or(delta_base);
                     if batch.base_epoch() != base {
@@ -804,14 +803,6 @@ impl Session {
                         } else {
                             batch.check_base(base)?;
                         }
-                    }
-                    pages_seen += batch.len() as u64;
-                    staged.extend(batch.entries().iter().map(|&(page, rec, _)| (page, rec)));
-                }
-                Record::PageDataBatch(batch) => {
-                    pages_seen += batch.pages().len() as u64;
-                    for (page, rec, _content) in batch.pages() {
-                        staged.push((*page, *rec));
                     }
                 }
                 Record::VcpuState { index, cir } => {
@@ -825,11 +816,8 @@ impl Session {
                     };
                     vcpus.push((index, blob));
                 }
-                Record::Device(_) => {
-                    // Identities are checked on failover; the replica's own
-                    // device set is built by the device manager then.
-                }
                 Record::CheckpointEnd { pages_total, .. } => {
+                    let pages_seen = staged.len() as u64;
                     if pages_total != pages_seen {
                         return Err(CoreError::InvalidScenario(format!(
                             "checkpoint {seq}: {pages_seen} pages received, header says {pages_total}"
@@ -837,7 +825,9 @@ impl Session {
                     }
                     saw_trailer = true;
                 }
-                Record::Ack { .. } => {}
+                // Device identities are checked on failover; the replica's
+                // own device set is built by the device manager then.
+                _ => {}
             }
         }
         if !saw_trailer {
@@ -1431,5 +1421,53 @@ impl Session {
             incident,
             wire_versions,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use here_hypervisor::HvError;
+
+    #[test]
+    fn hostile_frame_past_the_replica_is_rejected_before_anything_installs() {
+        // A stream with honest checksums and an honest trailer whose third
+        // page lies one frame past the replica's memory: phase 1 must
+        // refuse it, with the parked backlog and the image as they were.
+        let memory = ByteSize::from_mib(4);
+        let mut session = Session::new(SessionSetup {
+            name: "vm".into(),
+            memory,
+            vcpus: 1,
+            cfg: ReplicationConfig::fixed_period(SimDuration::from_secs(1)),
+            workload: Box::new(IdleGuest::new()),
+            seed: 1,
+            load_during_seed: false,
+            verify_consistency: false,
+            chaos: None,
+        })
+        .unwrap();
+        let limit = memory.as_bytes() / PAGE_SIZE;
+        let rec = PageVersion {
+            version: 3,
+            last_writer: 0,
+        };
+        let at = |frames: &[u64]| -> MemoryDelta {
+            frames.iter().map(|&f| (PageId::new(f), rec)).collect()
+        };
+        session.note_replica_backlog(0, &at(&[9]));
+        let streams = session.encode_checkpoint(&at(&[0, 1, limit]), 1).unwrap();
+
+        let err = session
+            .apply_checkpoint(streams.canonical().clone(), 1, 0)
+            .unwrap_err();
+        assert!(
+            matches!(err, CoreError::Hypervisor(HvError::PageOutOfRange { page, .. }) if page == limit),
+            "{err:?}"
+        );
+        let member = session.replicas.get(0);
+        assert_eq!(member.backlog.len(), 1);
+        let image = member.host.vm(member.vm).unwrap().memory();
+        assert_eq!(image.touched_pages(), 0);
     }
 }

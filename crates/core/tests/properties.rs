@@ -2,14 +2,14 @@
 //! must never change what a checkpoint observes or ships.
 
 use here_core::dataplane::{
-    decode_and_restore, encode_pages_round, BufferPool, EncodePlan, LanePool, PayloadMode,
+    encode_pages_round, BufferPool, EncodePlan, LanePool, PayloadMode, SegmentRestorer,
 };
 use here_core::transfer::{collect_chunked, collect_chunked_into, CollectScratch};
 use here_hypervisor::dirty::DirtyBitmap;
 use here_hypervisor::memory::{materialize_content, GuestMemory, PageVersion, GROUP_PAGES};
 use here_hypervisor::{PageId, VcpuId, PAGE_SIZE};
 use here_sim_core::rate::ByteSize;
-use here_vmstate::wire::{PageDataWriter, ScatterStream, StreamEncoder};
+use here_vmstate::wire::{PageDataWriter, StreamEncoder, PREAMBLE_BYTES};
 use here_vmstate::MemoryDelta;
 use proptest::prelude::*;
 
@@ -80,7 +80,7 @@ proptest! {
             collect_chunked_into(&memory, &dirty, lanes, &mut scratch, &mut delta);
             prop_assert_eq!(delta.entries(), reference.entries());
 
-            let mut stream = ScatterStream::from(StreamEncoder::new().finish());
+            let mut segments = Vec::new();
             let plan = EncodePlan {
                 lanes,
                 mode: PayloadMode::Materialized,
@@ -88,16 +88,16 @@ proptest! {
                 window: None,
             };
             encode_pages_round(&delta, &plan, &mut pool, &lane_pool, |_, seg| {
-                stream.push(seg)
+                segments.push(seg)
             });
             let mut replica = GuestMemory::new(memory.size()).expect("replica size is valid");
-            let installed = decode_and_restore(stream.clone(), &mut replica, true)
-                .expect("stream must decode");
-            prop_assert_eq!(installed, delta.len() as u64);
-            prop_assert!(memory.content_equals(&replica), "replica diverged at lanes={}", lanes);
-            for seg in stream.into_segments() {
+            let mut restorer = SegmentRestorer::new(&mut replica, true);
+            for seg in segments {
+                restorer.accept(&seg).expect("segment must decode");
                 pool.recycle(seg);
             }
+            prop_assert_eq!(restorer.installed(), delta.len() as u64);
+            prop_assert!(memory.content_equals(&replica), "replica diverged at lanes={}", lanes);
         }
     }
 
@@ -146,8 +146,10 @@ proptest! {
 
         let mut replica = GuestMemory::new(ByteSize::from_bytes(64 * PAGE_SIZE))
             .expect("replica size is valid");
-        let installed = decode_and_restore(ScatterStream::from(mixed), &mut replica, true)
+        let mut restorer = SegmentRestorer::new(&mut replica, true);
+        restorer
+            .accept(&mixed.slice(PREAMBLE_BYTES..mixed.len()))
             .expect("grouped record must pass the content check");
-        prop_assert_eq!(installed, shard.len() as u64);
+        prop_assert_eq!(restorer.installed(), shard.len() as u64);
     }
 }
