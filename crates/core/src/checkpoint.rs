@@ -9,6 +9,7 @@
 //! `T` }. Per-checkpoint report records are derived from the stage events
 //! the pipeline emits, so the report can never disagree with the trace.
 
+use here_hypervisor::fault::DosOutcome;
 use here_hypervisor::host::Hypervisor;
 use here_sim_core::time::{SimDuration, SimTime};
 use here_vulndb::exploit::ExploitResult;
@@ -19,6 +20,8 @@ use crate::failover::CommitLedger;
 use crate::pipeline;
 use crate::report::{CheckpointRecord, RunReport};
 use crate::session::{Session, SessionSetup, CLIENT_STACK_OVERHEAD, MAX_SLICE};
+use crate::telemetry::Planes;
+use crate::trace::{epoch_stage_events, FaultSite, SessionEvent};
 
 /// One full checkpoint: drives the six pipeline stages, then derives the
 /// per-checkpoint record from the emitted stage events and feeds the
@@ -37,35 +40,37 @@ pub(crate) fn do_checkpoint(session: &mut Session, period_used: SimDuration) -> 
         Err(e) => return Err(e),
     };
 
-    let events = session.trace.for_seq(summary.seq);
+    let events = epoch_stage_events(&session.log, summary.seq);
     let record = CheckpointRecord::from_events(period_used, &events);
     debug_assert_eq!(record.pause, summary.pause);
     let mut decision = session.period.on_checkpoint(record.pause);
     decision.dirty_pages = record.dirty_pages;
-    let at_nanos = session.rel(session.clock).as_nanos();
-    session
-        .telemetry
-        .on_checkpoint(&record, &decision, at_nanos);
-    session.telemetry.on_pool_stats(
-        session.pools.buffers.hits(),
-        session.pools.buffers.misses(),
-        session.pools.buffers.pooled() as u64,
+    let at_nanos = session.now_nanos();
+    session.emit(SessionEvent::Checkpoint {
+        record,
+        decision,
         at_nanos,
-    );
-    // When the work-stealing lane pool ran for this checkpoint, record
-    // its round statistics; single-lane (inline) encodes leave the pool
+    });
+    session.emit(SessionEvent::PoolStats {
+        hits: session.pools.buffers.hits(),
+        misses: session.pools.buffers.misses(),
+        pooled: session.pools.buffers.pooled() as u64,
+        at_nanos,
+    });
+    // When the work-stealing lane pool ran for this checkpoint, say how
+    // its round went; single-lane (inline) encodes leave the pool
     // untouched and emit nothing.
     let pool_rounds = session.pools.lanes.totals().rounds;
     if pool_rounds > session.pool_rounds_seen {
         session.pool_rounds_seen = pool_rounds;
         let last = session.pools.lanes.last_round();
-        session.telemetry.on_encode_pool(
-            summary.seq,
-            last.tasks(),
-            last.steals(),
-            last.occupancy_pct(),
+        session.emit(SessionEvent::EncodePool {
+            seq: summary.seq,
+            tasks: last.tasks(),
+            steals: last.steals(),
+            occupancy_pct: last.occupancy_pct(),
             at_nanos,
-        );
+        });
     }
     session.period_decisions.push(decision);
     session.cpu_work += session
@@ -80,9 +85,8 @@ pub(crate) fn do_checkpoint(session: &mut Session, period_used: SimDuration) -> 
     session
         .degradation_series
         .record(rel_now, record.degradation * 100.0);
-    // The health plane ticks once per committed epoch, after the acks
-    // have landed in the ledger (a no-op unless the config armed it).
-    session.health_tick(&record, at_nanos);
+    // Once per committed epoch, after its acks have landed in the ledger.
+    session.emit_epoch_health(&record, at_nanos);
     session.checkpoints.push(record);
     Ok(())
 }
@@ -158,10 +162,8 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
         // Measurement starts on a fresh workload run.
         session.workload.reset();
         session.checkpoints.clear();
-        session.trace.clear();
-        session.spans.clear();
-        session.epoch_span = None;
-        session.pending_lane_walls.clear();
+        session.log.clear();
+        session.planes = Planes::new(&session.cfg);
         session.period_decisions.clear();
         session.ledger = CommitLedger::with_quorum(
             session.cfg.topology.replicas.max(1),
@@ -170,7 +172,6 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
         if let Some(chaos) = session.chaos.as_mut() {
             chaos.stats = Default::default();
         }
-        session.telemetry.reset();
         session.period_series = here_sim_core::metrics::TimeSeries::new("period_secs");
         session.degradation_series = here_sim_core::metrics::TimeSeries::new("degradation_pct");
         session.latencies = here_sim_core::metrics::Histogram::new();
@@ -203,7 +204,16 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
                 session.advance(run_for, false);
                 let plan_taken = plan.take().expect("plan checked above");
                 let downed = apply_cause(&plan_taken.cause, session.primary.as_mut());
-                record_fault(&mut session, &plan_taken.cause, downed);
+                let (fault, detail) = match &plan_taken.cause {
+                    FailureCause::Exploit(e) => {
+                        ("exploit", format!("{} launched at primary", e.cve().id))
+                    }
+                    FailureCause::Accident(outcome) => (
+                        outcome_label(*outcome),
+                        "accidental failure injected into primary".to_string(),
+                    ),
+                };
+                emit_primary_fault(&mut session, fault, downed, detail, FaultSite::Primary);
                 if downed {
                     let record = session.failover(session.clock)?;
                     session.clock = record.resumed_at;
@@ -241,7 +251,12 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
                 // The fault plane took the primary down mid-epoch. The
                 // in-flight checkpoint is lost; the replica activates from
                 // the last fully-acked epoch in the commit ledger.
-                record_injected_fault(&mut session, seq, stage, outcome);
+                let detail = format!(
+                    "fault plane downed the primary at the {} stage of checkpoint {seq}",
+                    stage.label()
+                );
+                let site = FaultSite::PrimaryAtStage { seq, stage };
+                emit_primary_fault(&mut session, outcome_label(outcome), true, detail, site);
                 let record = session.failover(session.clock)?;
                 session.clock = record.resumed_at;
                 failover_record = Some(record);
@@ -291,72 +306,30 @@ fn run_on_replica(
     Ok(())
 }
 
-/// Marks an injected fault on the flight recorder and the span trace, so
-/// crash/hang/starvation runs show what hit the primary — not just the
-/// failover marks that follow.
-fn record_fault(session: &mut Session, cause: &FailureCause, host_down: bool) {
-    use here_hypervisor::fault::DosOutcome;
-    let (fault, detail): (&'static str, String) = match cause {
-        FailureCause::Exploit(e) => ("exploit", format!("{} launched at primary", e.cve().id)),
-        FailureCause::Accident(outcome) => (
-            match outcome {
-                DosOutcome::Crash => "crash",
-                DosOutcome::Hang => "hang",
-                DosOutcome::Starvation => "starvation",
-            },
-            "accidental failure injected into primary".to_string(),
-        ),
-    };
-    let at_nanos = session.rel(session.clock).as_nanos();
-    session
-        .telemetry
-        .on_fault(fault, host_down, detail, at_nanos);
-    session.spans.push(
-        here_telemetry::span::SpanDraft::new(
-            fault,
-            "fault",
-            here_telemetry::span::Track::Controller,
-            at_nanos,
-        )
-        .attr_str("host", "primary"),
-    );
+/// Says that a fault hit the primary, so crash/hang/starvation runs show
+/// what went wrong — not just the failover that follows.
+fn emit_primary_fault(
+    session: &mut Session,
+    fault: &'static str,
+    host_down: bool,
+    detail: String,
+    site: FaultSite,
+) {
+    session.emit(SessionEvent::Fault {
+        fault,
+        host_down,
+        detail,
+        at_nanos: session.now_nanos(),
+        site,
+    });
 }
 
-/// Marks a fault-plane primary kill on the flight recorder and span
-/// trace, tagged with the pipeline stage it interrupted.
-fn record_injected_fault(
-    session: &mut Session,
-    seq: u64,
-    stage: crate::trace::Stage,
-    outcome: here_hypervisor::fault::DosOutcome,
-) {
-    use here_hypervisor::fault::DosOutcome;
-    let fault = match outcome {
+fn outcome_label(outcome: DosOutcome) -> &'static str {
+    match outcome {
         DosOutcome::Crash => "crash",
         DosOutcome::Hang => "hang",
         DosOutcome::Starvation => "starvation",
-    };
-    let at_nanos = session.rel(session.clock).as_nanos();
-    session.telemetry.on_fault(
-        fault,
-        true,
-        format!(
-            "fault plane downed the primary at the {} stage of checkpoint {seq}",
-            stage.label()
-        ),
-        at_nanos,
-    );
-    session.spans.push(
-        here_telemetry::span::SpanDraft::new(
-            fault,
-            "fault",
-            here_telemetry::span::Track::Controller,
-            at_nanos,
-        )
-        .epoch(seq)
-        .attr_str("host", "primary")
-        .attr_str("stage", stage.label()),
-    );
+    }
 }
 
 /// Applies a failure cause to the primary; returns `true` if the host went
@@ -379,7 +352,6 @@ mod tests {
     use crate::config::ReplicationConfig;
     use crate::engine::FailurePlan;
     use crate::trace::Stage;
-    use here_hypervisor::fault::DosOutcome;
     use here_workloads::memstress::MemStress;
 
     fn small_scenario(cfg: ReplicationConfig) -> Scenario {

@@ -384,6 +384,7 @@ fn run_unprotected(scenario: Scenario) -> RunReport {
         migration: None,
         checkpoints: Vec::new(),
         stage_events: Vec::new(),
+        events: Vec::new(),
         period_decisions: Vec::new(),
         period_series: TimeSeries::new("period_secs"),
         degradation_series: TimeSeries::new("degradation_pct"),

@@ -27,10 +27,13 @@
 //! - [`pipeline`]: the staged checkpoint pipeline
 //!   (Pause → Harvest → Translate → Transfer → Ack → Resume) and the
 //!   pluggable [`ReplicationStrategy`](pipeline::ReplicationStrategy);
-//! - [`trace`]: structured [`StageEvent`](trace::StageEvent)s emitted at
-//!   every stage boundary;
-//! - [`telemetry`]: the always-on observability bundle — metrics registry,
-//!   flight recorder and SLO tracker — frozen into every report;
+//! - [`trace`]: the session's one ordered event log —
+//!   [`SessionEvent`](trace::SessionEvent)s, among them the
+//!   [`StageEvent`](trace::StageEvent) of every stage boundary;
+//! - [`telemetry`]: the observability planes — metrics registry, flight
+//!   recorder, SLO tracker, health plane, span tree and postmortem
+//!   capture — as one [`fold`](telemetry::fold) over that log, frozen
+//!   into every report;
 //! - [`analyze`]: the trace analyzer — per-epoch critical-path
 //!   attribution against `t = αN/P + C`, straggler-lane detection,
 //!   period-oscillation detection and SLO-breach root-causing;
@@ -108,8 +111,7 @@ pub use postmortem::{
 };
 pub use report::{CheckpointRecord, MigrationOutcome, RunReport};
 pub use telemetry::{
-    HealthSnapshot, SessionTelemetry, TelemetrySnapshot, FLIGHT_RECORDER_CAPACITY,
-    HEALTH_SERIES_WINDOW_NANOS,
+    HealthSnapshot, TelemetrySnapshot, FLIGHT_RECORDER_CAPACITY, HEALTH_SERIES_WINDOW_NANOS,
 };
 pub use topology::{Replica, ReplicaSet};
-pub use trace::{stage_totals, Stage, StageEvent, StageTrace};
+pub use trace::{stage_totals, FaultSite, SessionEvent, Stage, StageEvent};

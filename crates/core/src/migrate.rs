@@ -14,31 +14,30 @@
 //! the stop-and-copy; Remus does neither.
 
 use here_sim_core::time::SimDuration;
-use here_telemetry::span::{SpanDraft, Track};
 
 use crate::config::{DEFAULT_MAX_MIGRATION_ITERATIONS, DEFAULT_MIGRATION_DIRTY_THRESHOLD};
 use crate::error::CoreResult;
 use crate::report::{IterationStats, MigrationOutcome};
 use crate::session::{Session, SessionPhase};
+use crate::trace::SessionEvent;
 use crate::transfer::{collect_chunked, ProblematicTracker};
 
-/// Records one migration iteration as a primary-track span (the round's
-/// virtual interval ends at the session clock).
-fn record_iteration_span(
+/// Says that one migration round of `duration` just ended at the session
+/// clock.
+fn emit_iteration(
     session: &mut Session,
     iteration: u64,
     pages: u64,
     phase: &'static str,
     duration: SimDuration,
 ) {
-    let end = session.clock.as_nanos();
-    let start = end.saturating_sub(duration.as_nanos());
-    session.spans.push(
-        SpanDraft::new(phase, "migration", Track::Primary, start)
-            .lasting(duration.as_nanos())
-            .attr_u64("iteration", iteration)
-            .attr_u64("pages", pages),
-    );
+    session.emit(SessionEvent::Migration {
+        iteration,
+        pages,
+        phase,
+        at_nanos: session.clock.as_nanos(),
+        duration,
+    });
 }
 
 /// Runs the seeding migration to completion, leaving the session in the
@@ -70,11 +69,7 @@ pub(crate) fn seed(session: &mut Session) -> CoreResult<MigrationOutcome> {
     session.advance(round, false);
     session.install_delta(&full_delta, 0)?;
     pages_sent += total_pages;
-    let at_nanos = session.clock.as_nanos();
-    session
-        .telemetry
-        .on_migration_iteration(0, total_pages, "full_copy", at_nanos);
-    record_iteration_span(session, 0, total_pages, "full_copy", round);
+    emit_iteration(session, 0, total_pages, "full_copy", round);
     iterations.push(IterationStats {
         index: 0,
         pages: total_pages,
@@ -107,14 +102,7 @@ pub(crate) fn seed(session: &mut Session) -> CoreResult<MigrationOutcome> {
             pages_sent += final_delta.len() as u64;
             session.clock += downtime;
             session.primary.vm_mut(session.pvm)?.resume()?;
-            let at_nanos = session.clock.as_nanos();
-            session.telemetry.on_migration_iteration(
-                iter as u64,
-                final_delta.len() as u64,
-                "stop_and_copy",
-                at_nanos,
-            );
-            record_iteration_span(
+            emit_iteration(
                 session,
                 iter as u64,
                 final_delta.len() as u64,
@@ -149,11 +137,7 @@ pub(crate) fn seed(session: &mut Session) -> CoreResult<MigrationOutcome> {
         session.advance(round, false);
         session.install_delta(&delta, iter)?;
         pages_sent += dirty_count;
-        let at_nanos = session.clock.as_nanos();
-        session
-            .telemetry
-            .on_migration_iteration(iter as u64, dirty_count, "pre_copy", at_nanos);
-        record_iteration_span(session, iter as u64, dirty_count, "pre_copy", round);
+        emit_iteration(session, iter as u64, dirty_count, "pre_copy", round);
         iterations.push(IterationStats {
             index: iter,
             pages: dirty_count,

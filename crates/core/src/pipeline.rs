@@ -10,7 +10,8 @@
 //! Each stage is a typestate token ([`Paused`], [`Harvested`], …) that
 //! owns the session borrow, so stages cannot be skipped or reordered at
 //! compile time. Crossing a stage boundary emits one
-//! [`StageEvent`](crate::trace::StageEvent) and advances virtual time by
+//! [`StageEvent`](crate::trace::StageEvent) into the session's event log
+//! and advances virtual time by
 //! that stage's share of the pause model `t = αN/P + C` (Eq. 4): the
 //! strategy's extra constant for *Pause*, the parallel scan `αN/P` for
 //! *Harvest*, the constant `C` for *Translate*, the wire term for
@@ -503,7 +504,7 @@ impl<'s> Translated<'s> {
             // abort it wholesale, exactly like a single exhausted pair.
             session.recycle_streams(streams);
             let at = session.clock;
-            session.note_overlap_credit(credit);
+            session.note_overlap_credit(seq, credit);
             session.record_stage(seq, Stage::Transfer, at, visible, Some(wall), pages, bytes);
             session.clock += visible;
             return Err(crate::error::CoreError::EpochAborted {
@@ -530,7 +531,7 @@ impl<'s> Translated<'s> {
         }
         session.recycle_streams(streams);
         let at = session.clock;
-        session.note_overlap_credit(credit);
+        session.note_overlap_credit(seq, credit);
         session.record_stage(seq, Stage::Transfer, at, visible, Some(wall), pages, bytes);
         session.clock += visible;
         pause += visible;
@@ -599,10 +600,7 @@ impl<'s> Transferred<'s> {
         let mut committed = false;
         for &(rtt, replica) in &arrivals {
             let acked_at = session.rel(at + rtt);
-            if session.ledger.ack(replica, seq, acked_at) {
-                session.on_epoch_committed(seq);
-                committed = true;
-            }
+            committed |= session.ack(replica, seq, acked_at);
         }
         if committed && session.wire_v3_active() {
             // The epoch is now the delta base every side agrees on: the

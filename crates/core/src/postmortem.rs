@@ -1,13 +1,13 @@
 //! The postmortem plane: deterministic incident capture and bundle replay.
 //!
 //! When a run arms [`ReplicationConfig::postmortem_capture`]
-//! (crate::config::ReplicationConfig::postmortem_capture), the session
-//! snapshots an [`IncidentSnapshot`] the first time an armed trigger fires
-//! — an alert raised, a failover, an epoch abort, or (when nothing fires)
-//! an explicit end-of-run request — freezing the trailing flight-recorder
-//! window, the commit ledger and per-replica acks, the enclosing epoch's
-//! span subtree, the health transitions and windowed-series tail at that
-//! instant.
+//! (crate::config::ReplicationConfig::postmortem_capture), the capture
+//! fold of [`crate::telemetry`] freezes an [`IncidentSnapshot`] at the
+//! first event that is a trigger — an alert raised, a failover, an epoch
+//! abort, or (when nothing fires) the end of the run — holding the
+//! trailing flight-recorder window, the commit ledger and per-replica
+//! acks, the enclosing epoch's span subtree, the health transitions and
+//! windowed-series tail as the other folds had them at that event.
 //!
 //! [`IncidentBundle`] wraps that snapshot together with everything needed
 //! to *re-execute* the run: the scenario parameters ([`ScenarioSpec`]),
@@ -41,9 +41,11 @@ use crate::config::{
 };
 use crate::engine::Scenario;
 use crate::error::{CoreError, CoreResult};
-use crate::failover::{CommitEntry, ReplicaAcks};
+use crate::failover::{CommitEntry, CommitLedger, ReplicaAcks};
 use crate::report::RunReport;
+use crate::telemetry::TelemetrySnapshot;
 use crate::trace::Stage;
+use here_telemetry::span::Span;
 
 use here_hypervisor::fault::DosOutcome;
 
@@ -63,7 +65,7 @@ pub const SERIES_TAIL_LINES: usize = 32;
 /// the dump is virtual time, so with these neutralized the captured dump
 /// (and with it the whole encoded bundle) is byte-identical across hosts
 /// and runs.
-pub(crate) fn normalize_flight_dump(json: &str) -> String {
+fn normalize_flight_dump(json: &str) -> String {
     let mut out = json.to_string();
     for (key, neutral) in [
         ("\"wall_nanos\":", "null"),
@@ -171,8 +173,8 @@ impl ScenarioSpec {
     }
 }
 
-/// The point-in-time observability capture the session freezes when the
-/// first armed trigger fires; rides in [`RunReport::incident`]. Excluded
+/// The point-in-time observability capture frozen when the first
+/// trigger fires; rides in [`RunReport::incident`]. Excluded
 /// from [`RunReport::fingerprint`] (like telemetry), so arming capture
 /// never perturbs a run's identity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -202,6 +204,92 @@ pub struct IncidentSnapshot {
     pub active_alerts: Vec<String>,
     /// The ordered alert log at capture (JSONL).
     pub alert_log_jsonl: String,
+}
+
+impl IncidentSnapshot {
+    /// Freezes the capture at a trigger: the trailing flight-recorder
+    /// window, health transitions and windowed-series tail out of
+    /// `telemetry`, the trigger epoch's span subtree (plus the failover
+    /// tree) out of `spans`, and the commits and per-replica ack trails
+    /// of `ledger` — all as they stand at the trigger.
+    pub(crate) fn freeze(
+        trigger: &str,
+        epoch: u64,
+        at_nanos: u64,
+        detail: String,
+        telemetry: TelemetrySnapshot,
+        spans: &[Span],
+        ledger: &CommitLedger,
+    ) -> IncidentSnapshot {
+        let (transitions, series_tail, active_alerts, alert_log_jsonl) = match telemetry.health {
+            Some(h) => {
+                let tail_start = h
+                    .series_jsonl
+                    .lines()
+                    .count()
+                    .saturating_sub(SERIES_TAIL_LINES);
+                let tail = h
+                    .series_jsonl
+                    .lines()
+                    .skip(tail_start)
+                    .map(|l| format!("{l}\n"))
+                    .collect::<String>();
+                let transitions = h
+                    .transitions
+                    .iter()
+                    .map(|t| {
+                        format!(
+                            "r{}:{}->{}@{}",
+                            t.replica,
+                            t.from.label(),
+                            t.to.label(),
+                            t.epoch
+                        )
+                    })
+                    .collect();
+                (transitions, tail, h.active_alerts, h.alert_log_jsonl)
+            }
+            None => (Vec::new(), String::new(), Vec::new(), String::new()),
+        };
+        let spans = spans
+            .iter()
+            .filter(|s| s.epoch == Some(epoch) || s.category == "failover")
+            .map(|s| {
+                format!(
+                    "{}|{}|{}:{}|{}|{}|{}",
+                    s.name,
+                    s.category,
+                    s.track.pid(),
+                    s.track.tid(),
+                    s.epoch.map(|e| e.to_string()).unwrap_or_default(),
+                    s.start_nanos,
+                    s.duration_nanos
+                )
+            })
+            .collect();
+        IncidentSnapshot {
+            trigger: trigger.to_string(),
+            epoch,
+            at_nanos,
+            detail,
+            flight_json: normalize_flight_dump(&telemetry.flight_recorder_json),
+            commits: ledger.entries().to_vec(),
+            acks: ledger
+                .ack_trails()
+                .iter()
+                .enumerate()
+                .map(|(i, acks)| ReplicaAcks {
+                    replica: i as u32,
+                    acks: acks.clone(),
+                })
+                .collect(),
+            spans,
+            transitions,
+            series_tail,
+            active_alerts,
+            alert_log_jsonl,
+        }
+    }
 }
 
 /// Outcome of one [`IncidentBundle::replay`].

@@ -17,7 +17,7 @@ use crate::failover::{CommitEntry, FailoverRecord, ReplicaAcks};
 use crate::period::{degradation, PeriodDecision};
 use crate::postmortem::IncidentSnapshot;
 use crate::telemetry::TelemetrySnapshot;
-use crate::trace::{Stage, StageEvent};
+use crate::trace::{SessionEvent, Stage, StageEvent};
 use here_telemetry::span::Span;
 
 /// One checkpoint round.
@@ -144,6 +144,13 @@ pub struct RunReport {
     /// The raw stage trace: one [`StageEvent`] per pipeline stage of every
     /// checkpoint, in emission order. Empty for unprotected runs.
     pub stage_events: Vec<StageEvent>,
+    /// The session's event log: everything it said happened during the
+    /// measured window, in order. `stage_events` is this log's
+    /// [`SessionEvent::Stage`] entries; `telemetry`, `spans` and
+    /// `incident` are [`crate::telemetry::fold`] over it. Excluded from
+    /// [`RunReport::fingerprint`] (it carries host-clock probes). Empty
+    /// for unprotected runs.
+    pub events: Vec<SessionEvent>,
     /// The period controller's structured decision after every
     /// checkpoint: measured degradation, chosen `T`, which branch of
     /// Algorithm 1 ran and what clamped it. Parallel to `checkpoints`.
@@ -398,6 +405,7 @@ mod tests {
             migration: None,
             checkpoints: vec![ckpt(1, 100, 2, 10), ckpt(2, 300, 2, 30)],
             stage_events: Vec::new(),
+            events: Vec::new(),
             period_decisions: Vec::new(),
             period_series: TimeSeries::new("period"),
             degradation_series: TimeSeries::new("deg"),
@@ -460,6 +468,7 @@ mod tests {
             migration: None,
             checkpoints: vec![],
             stage_events: Vec::new(),
+            events: Vec::new(),
             period_decisions: Vec::new(),
             period_series: TimeSeries::new("period"),
             degradation_series: TimeSeries::new("deg"),
@@ -516,6 +525,7 @@ mod tests {
             migration: None,
             checkpoints: vec![],
             stage_events: Vec::new(),
+            events: Vec::new(),
             period_decisions: Vec::new(),
             period_series: TimeSeries::new("period"),
             degradation_series: TimeSeries::new("deg"),

@@ -2,8 +2,11 @@
 //! and the data-plane primitives the pipeline stages call.
 //!
 //! A [`Session`] owns the primary host, the protected VM and its
-//! [`ReplicaSet`], the links, the workload, and all run accounting. It
-//! moves through
+//! [`ReplicaSet`], the links, the workload, and all run accounting. What
+//! it has to say to an observer it says once, through `Session::emit`: a
+//! [`SessionEvent`] appended to one ordered log and folded into the
+//! planes of [`crate::telemetry`] — nothing here knows which of them are
+//! armed. It moves through
 //! [`SessionPhase`]s — created → seeding → replicating →
 //! (failed-over) → completed — and every transition is asserted, so the
 //! seeding code cannot run twice and nothing checkpoints before the seed.
@@ -19,19 +22,18 @@ use here_hypervisor::kind::HypervisorKind;
 use here_hypervisor::memory::{GuestMemory, PageVersion};
 use here_hypervisor::vcpu::{KvmVcpuState, VcpuStateBlob, XenVcpuState};
 use here_hypervisor::vm::{VmConfig, VmId};
-use here_hypervisor::{PageId, VcpuId, XenHypervisor, PAGE_SIZE};
+use here_hypervisor::{HvError, PageId, VcpuId, XenHypervisor, PAGE_SIZE};
 use here_sim_core::metrics::{Histogram, TimeSeries};
 use here_sim_core::rate::ByteSize;
 use here_sim_core::rng::SimRng;
 use here_sim_core::time::{SimDuration, SimTime};
 use here_simnet::link::Link;
 use here_telemetry::health::HealthObservation;
-use here_telemetry::span::{SpanDraft, SpanId, SpanRecorder, Track};
 use here_vmstate::translate::StateTranslator;
 use here_vmstate::wire::{
     encode_record_into, Record, ScatterStream, StreamDecoder, StreamEncoder, VERSION, VERSION_V3,
 };
-use here_vmstate::{reconcile, MemoryDelta};
+use here_vmstate::{reconcile, MemoryDelta, WireError};
 use here_workloads::idle::IdleGuest;
 use here_workloads::traits::Workload;
 
@@ -46,11 +48,10 @@ use crate::error::{CoreError, CoreResult};
 use crate::failover::{detection_time_with_loss, CommitLedger, FailoverRecord};
 use crate::period::{PeriodDecision, PeriodManager};
 use crate::pipeline::ReplicationStrategy;
-use crate::postmortem::{IncidentSnapshot, SERIES_TAIL_LINES};
 use crate::report::CheckpointRecord;
-use crate::telemetry::SessionTelemetry;
+use crate::telemetry::Planes;
 use crate::topology::{make_replica_hosts, Replica, ReplicaSet};
-use crate::trace::{Stage, StageEvent, StageTrace};
+use crate::trace::{FaultSite, SessionEvent, Stage, StageEvent};
 
 /// Host memory given to each simulated server (the testbed's 192 GB).
 pub(crate) const HOST_MEMORY: ByteSize = ByteSize::from_gib(192);
@@ -189,30 +190,18 @@ pub(crate) struct Session {
     pub(crate) cpu_work: SimDuration,
     pub(crate) max_ckpt_pages: u64,
     pub(crate) checkpoints: Vec<CheckpointRecord>,
-    pub(crate) trace: StageTrace,
-    pub(crate) spans: SpanRecorder,
-    /// Open epoch-root span, from `Pause` until `Resume` closes it.
-    pub(crate) epoch_span: Option<SpanId>,
-    /// Wall nanoseconds per encode lane from the most recent
-    /// [`Session::encode_checkpoint`], drained into lane spans when the
-    /// Translate stage is recorded.
-    pub(crate) pending_lane_walls: Vec<u64>,
-    /// Wire time the most recent Transfer hid under the encode window
-    /// (encode/transfer overlap), drained into a `wire_overlap` child
-    /// span when the Transfer stage is recorded. Zero when the overlap
-    /// knob is off, so the default span tree is untouched.
-    pub(crate) pending_overlap_credit: SimDuration,
-    /// Lane-pool rounds already reported to telemetry, so each
-    /// checkpoint emits at most one `encode_pool` flight event.
+    /// Everything the session has said happened, in order; rides in
+    /// [`RunReport::events`](crate::report::RunReport::events).
+    pub(crate) log: Vec<SessionEvent>,
+    /// The observability planes, folded over `log` as it grows.
+    pub(crate) planes: Planes,
+    /// Lane-pool rounds already reported, so each checkpoint emits at
+    /// most one [`SessionEvent::EncodePool`].
     pub(crate) pool_rounds_seen: u64,
     pub(crate) period_decisions: Vec<PeriodDecision>,
     pub(crate) period_series: TimeSeries,
     pub(crate) degradation_series: TimeSeries,
     pub(crate) latencies: Histogram,
-    pub(crate) telemetry: SessionTelemetry,
-    /// The first armed postmortem capture, if any fired; drained into
-    /// [`RunReport::incident`](crate::report::RunReport::incident).
-    pub(crate) incident: Option<IncidentSnapshot>,
 }
 
 impl Session {
@@ -305,27 +294,13 @@ impl Session {
             cpu_work: SimDuration::ZERO,
             max_ckpt_pages: 0,
             checkpoints: Vec::new(),
-            trace: StageTrace::new(),
-            spans: SpanRecorder::new(),
-            epoch_span: None,
-            pending_lane_walls: Vec::new(),
-            pending_overlap_credit: SimDuration::ZERO,
+            log: Vec::new(),
+            planes: Planes::new(&cfg),
             pool_rounds_seen: 0,
             period_decisions: Vec::new(),
             period_series: TimeSeries::new("period_secs"),
             degradation_series: TimeSeries::new("degradation_pct"),
             latencies: Histogram::new(),
-            telemetry: if cfg.health_plane {
-                SessionTelemetry::with_health_plane(
-                    cfg.period,
-                    cfg.topology.replicas.max(1),
-                    cfg.topology.effective_quorum(),
-                    cfg.topology.stale_epoch_lag,
-                )
-            } else {
-                SessionTelemetry::new(cfg.period)
-            },
-            incident: None,
             cfg,
             strategy,
         })
@@ -348,14 +323,28 @@ impl Session {
         SimTime::ZERO + t.saturating_duration_since(self.measure_base)
     }
 
-    /// Stashes the wire time the upcoming Transfer record hid under the
-    /// encode window; drained into a `wire_overlap` child span by
-    /// [`Session::record_stage`].
-    pub(crate) fn note_overlap_credit(&mut self, credit: SimDuration) {
-        self.pending_overlap_credit = credit;
+    /// Says that something happened: folds `event` into the planes and
+    /// appends it to the log. The only way the session reports anything
+    /// to an observer.
+    pub(crate) fn emit(&mut self, event: SessionEvent) {
+        self.planes.observe(&event);
+        self.log.push(event);
     }
 
-    /// Appends one stage event at absolute instant `at`. `wall` carries
+    /// Report-relative nanoseconds of the session clock.
+    pub(crate) fn now_nanos(&self) -> u64 {
+        self.rel(self.clock).as_nanos()
+    }
+
+    /// Says how much wire time the *Transfer* stage about to be recorded
+    /// hid under the encode window, when it hid any.
+    pub(crate) fn note_overlap_credit(&mut self, seq: u64, credit: SimDuration) {
+        if credit > SimDuration::ZERO {
+            self.emit(SessionEvent::OverlapCredit { seq, credit });
+        }
+    }
+
+    /// Emits one stage event at absolute instant `at`. `wall` carries
     /// the host nanoseconds the stage's real work took, where the stage
     /// does real work (see [`StageEvent::wall_nanos`]).
     #[allow(clippy::too_many_arguments)]
@@ -369,114 +358,15 @@ impl Session {
         pages: u64,
         bytes: u64,
     ) {
-        let at = self.rel(at);
-        let event = StageEvent {
+        self.emit(SessionEvent::Stage(StageEvent {
             seq,
             stage,
-            at,
+            at: self.rel(at),
             duration,
             wall_nanos: wall,
             pages,
             bytes,
-        };
-        self.telemetry.on_stage_event(&event);
-        self.record_stage_span(&event);
-        self.trace.record(event);
-    }
-
-    /// Emits the span-tree view of one stage event: the `Pause` stage
-    /// opens the epoch root, each stage becomes a child span, `Translate`
-    /// drains the stashed per-lane encode walls into lane child spans,
-    /// `Transfer` adds the replica-side apply span (linked across the
-    /// simulated wire by epoch id, not by parent), and `Resume` closes
-    /// the root.
-    fn record_stage_span(&mut self, event: &StageEvent) {
-        let start = event.at.as_nanos();
-        let end = start + event.duration.as_nanos();
-        if event.stage == Stage::Pause {
-            let root = self.spans.open(
-                SpanDraft::new("epoch", "epoch", Track::Primary, start)
-                    .epoch(event.seq)
-                    .attr_u64("seq", event.seq),
-            );
-            self.epoch_span = Some(root);
-        }
-        let mut draft = SpanDraft::new(event.stage.label(), "stage", Track::Primary, start)
-            .lasting(event.duration.as_nanos())
-            .epoch(event.seq)
-            .attr_u64("pages", event.pages)
-            .attr_u64("bytes", event.bytes);
-        if let Some(parent) = self.epoch_span {
-            draft = draft.child_of(parent);
-        }
-        if let Some(wall) = event.wall_nanos {
-            draft = draft.wall(wall);
-        }
-        let stage_span = self.spans.push(draft);
-        match event.stage {
-            Stage::Translate => {
-                // Each lane worked inside the Translate window; its share
-                // of virtual time is the stage interval, its measured time
-                // the stashed wall probe.
-                let walls = std::mem::take(&mut self.pending_lane_walls);
-                for (lane, wall) in walls.into_iter().enumerate() {
-                    self.spans.push(
-                        SpanDraft::new(
-                            "encode_lane",
-                            "lane",
-                            Track::PrimaryLane(lane as u32),
-                            start,
-                        )
-                        .lasting(event.duration.as_nanos())
-                        .epoch(event.seq)
-                        .child_of(stage_span)
-                        .wall(wall)
-                        .attr_u64("lane", lane as u64),
-                    );
-                }
-            }
-            Stage::Transfer => {
-                // Wire time hidden under the encode window by the
-                // streamed overlap channel: recorded as a child of the
-                // (shortened) Transfer stage so the span tree shows what
-                // the pause no longer pays. Only emitted when the
-                // overlap knob produced a credit — the default tree (and
-                // its fingerprint) is unchanged.
-                let credit = std::mem::take(&mut self.pending_overlap_credit);
-                if credit > SimDuration::ZERO {
-                    self.spans.push(
-                        SpanDraft::new("wire_overlap", "overlap", Track::Primary, start)
-                            .lasting(credit.as_nanos())
-                            .epoch(event.seq)
-                            .child_of(stage_span),
-                    );
-                }
-                // Each replica decodes and installs its copy of the stream
-                // inside the Transfer window, on its own host and track:
-                // linked by epoch id, not by parent.
-                for index in 0..self.replicas.len() as u32 {
-                    let mut replica =
-                        SpanDraft::new("decode_restore", "wire", Track::Replica(index), start)
-                            .lasting(event.duration.as_nanos())
-                            .epoch(event.seq)
-                            .attr_u64("pages", event.pages)
-                            .attr_u64("bytes", event.bytes);
-                    if index > 0 {
-                        replica = replica.attr_u64("replica", u64::from(index));
-                    }
-                    if let Some(wall) = event.wall_nanos {
-                        replica = replica.wall(wall);
-                    }
-                    self.spans.push(replica);
-                }
-            }
-            Stage::Resume => {
-                if let Some(root) = self.epoch_span.take() {
-                    self.spans.close(root, end);
-                }
-            }
-            _ => {}
-        }
+        }));
     }
 
     /// Advances the protected VM (and virtual time) by `dt`, slicing for
@@ -573,8 +463,8 @@ impl Session {
         let need_v2 = self.replicas.iter().any(|r| r.wire_version() < VERSION_V3);
         let mut streams = EpochStreams::default();
         if need_v3 {
-            // The v3 stream is canonical when present: its encode drives
-            // the lane telemetry and span walls.
+            // The v3 stream is canonical when present: its encode is the
+            // one the lane event reports.
             let (stream, page_bytes) =
                 self.encode_checkpoint_stream(delta, seq, VERSION_V3, true)?;
             streams.v3 = Some(stream);
@@ -595,7 +485,7 @@ impl Session {
 
     /// Encodes one epoch stream in `version`. Returns the stream and the
     /// byte count of its page records (the lanes' output, excluding the
-    /// head/tail segments). `canonical` gates lane telemetry so a mixed
+    /// head/tail segments). `canonical` gates the lane event so a mixed
     /// set's double-encode reports each lane exactly once.
     fn encode_checkpoint_stream(
         &mut self,
@@ -623,7 +513,7 @@ impl Session {
 
         // Page lanes, encoded concurrently into pooled buffers and spliced
         // in task order as they complete.
-        let at_nanos = self.rel(self.clock).as_nanos();
+        let at_nanos = self.now_nanos();
         let plan = EncodePlan {
             lanes: if delta.len() < PARALLEL_ENCODE_MIN_PAGES {
                 1
@@ -635,7 +525,7 @@ impl Session {
             window: None,
         };
         let mut page_bytes = 0u64;
-        let (lane_walls, _) = encode_pages_round(
+        let (walls, _) = encode_pages_round(
             delta,
             &plan,
             &mut self.pools.buffers,
@@ -646,11 +536,11 @@ impl Session {
             },
         );
         if canonical {
-            for (lane, &wall) in lane_walls.iter().enumerate() {
-                self.telemetry
-                    .on_encode_lane(seq, lane as u64, wall, at_nanos);
-            }
-            self.pending_lane_walls = lane_walls;
+            self.emit(SessionEvent::EncodeLanes {
+                seq,
+                at_nanos,
+                walls,
+            });
         }
 
         // Tail segment: vCPU state (capture serial, translate parallel),
@@ -714,7 +604,8 @@ impl Session {
         let negotiated = member.wire_version;
         let delta_base = member.base_epoch;
         let may_rebase = !member.backlog.is_empty();
-        let memory = member.host.vm(member.vm)?.memory();
+        let vm = member.host.vm(member.vm)?;
+        let (memory, vcpu_count) = (vm.memory(), vm.vcpus().len() as u32);
         let mut staged = std::mem::take(&mut member.apply);
         staged.clear();
         let mut vcpus: Vec<(u32, VcpuStateBlob)> = Vec::new();
@@ -722,6 +613,7 @@ impl Session {
             stream,
             kind,
             memory,
+            vcpu_count,
             &mut staged,
             &mut vcpus,
             seq,
@@ -765,8 +657,9 @@ impl Session {
 
     /// Phase 1 of [`Session::apply_checkpoint`]: decodes `stream` into the
     /// staging buffers, validating every frame, every page's place in
-    /// `replica` (through [`stage`], the data plane's verify step) and the
-    /// trailer cross-check, without touching the replica.
+    /// `replica` (through [`stage`], the data plane's verify step), every
+    /// vCPU index against the replica's `vcpu_count` (each at most once)
+    /// and the trailer cross-check, without touching the replica.
     ///
     /// The decoder is pinned to the replica's `negotiated` version — a
     /// stream in any other version is a protocol violation
@@ -781,6 +674,7 @@ impl Session {
         stream: ScatterStream,
         kind: HypervisorKind,
         replica: &GuestMemory,
+        vcpu_count: u32,
         staged: &mut Vec<(PageId, PageVersion)>,
         vcpus: &mut Vec<(u32, VcpuStateBlob)>,
         seq: u64,
@@ -806,6 +700,12 @@ impl Session {
                     }
                 }
                 Record::VcpuState { index, cir } => {
+                    if index >= vcpu_count {
+                        return Err(HvError::NoSuchVcpu(index).into());
+                    }
+                    if vcpus.iter().any(|&(seen, _)| seen == index) {
+                        return Err(WireError::BadPayload("vCPU state sent twice").into());
+                    }
                     let blob = match kind {
                         HypervisorKind::Xen => {
                             VcpuStateBlob::Xen(XenVcpuState::from_arch(&cir.regs, cir.online))
@@ -833,7 +733,7 @@ impl Session {
         if !saw_trailer {
             // A stream that ends cleanly on a record boundary but without
             // its trailer is torn — reject it like any truncated frame.
-            return Err(CoreError::Wire(here_vmstate::WireError::Truncated));
+            return Err(WireError::Truncated.into());
         }
         Ok(rebase_to)
     }
@@ -869,12 +769,28 @@ impl Session {
         }
     }
 
-    /// Runs the commit side effects once the ledger declared epoch `seq`
+    /// Records replica `replica`'s ack of epoch `seq` and, when it is the
+    /// quorum-th, commits the epoch. Returns whether it committed.
+    pub(crate) fn ack(&mut self, replica: u32, seq: u64, at: SimTime) -> bool {
+        self.emit(SessionEvent::Ack { replica, seq, at });
+        let committed = self.ledger.ack(replica, seq, at);
+        if committed {
+            let entry = *self.ledger.entries().last().expect("ack just committed");
+            self.emit(SessionEvent::Commit {
+                seq: entry.seq,
+                at: entry.at,
+            });
+            self.on_epoch_committed();
+        }
+        committed
+    }
+
+    /// Runs the commit side effects once the ledger declared an epoch
     /// committed (a quorum of replicas fully applied it): releases
     /// buffered output at the commit instant and records client
     /// latencies. The ledger entry itself is appended by
     /// [`CommitLedger::ack`] as the quorum-th ack lands.
-    pub(crate) fn on_epoch_committed(&mut self, _seq: u64) {
+    fn on_epoch_committed(&mut self) {
         for released in self.devmgr.on_commit(self.clock) {
             let latency = released.buffering_delay()
                 + self.client_link.transfer_time(released.packet.size) * 2
@@ -883,11 +799,16 @@ impl Session {
         }
         self.ops_committed += self.ops_uncommitted;
         self.ops_uncommitted = 0.0;
-        self.telemetry.on_packet_stats(
-            self.devmgr.packets_buffered(),
-            self.devmgr.packets_released(),
-            self.devmgr.packets_discarded(),
-        );
+        self.emit_packets();
+    }
+
+    /// Emits the device manager's cumulative packet counters.
+    fn emit_packets(&mut self) {
+        self.emit(SessionEvent::Packets {
+            buffered: self.devmgr.packets_buffered(),
+            released: self.devmgr.packets_released(),
+            discarded: self.devmgr.packets_discarded(),
+        });
     }
 
     /// Queues the pages of epoch `seq`'s delta as catch-up backlog for a
@@ -901,163 +822,50 @@ impl Session {
 
     /// Re-evaluates every replica's staleness after epoch `seq`'s acks
     /// landed: a replica trailing the newest acked epoch by more than the
-    /// configured lag bound is declared stale (once, on the flight
-    /// recorder); it is cleared when it catches back up. Single-replica
+    /// configured lag bound is declared stale (one event per episode);
+    /// it is cleared when it catches back up. Single-replica
     /// topologies have no lag by construction and skip the scan.
     pub(crate) fn update_staleness(&mut self, seq: u64) {
         if self.replicas.len() < 2 {
             return;
         }
         let bound = self.cfg.topology.stale_epoch_lag;
-        let at_nanos = self.rel(self.clock).as_nanos();
-        for index in 0..self.replicas.len() as u32 {
-            let lag = self.ledger.lag_of(index, seq);
-            let member = self.replicas.get_mut(index);
-            if lag > bound {
-                if !member.stale {
-                    member.stale = true;
-                    self.telemetry.on_replica_stale(index, lag, at_nanos);
-                }
-            } else {
-                member.stale = false;
+        let at_nanos = self.now_nanos();
+        for replica in 0..self.replicas.len() as u32 {
+            let lag_epochs = self.ledger.lag_of(replica, seq);
+            let member = self.replicas.get_mut(replica);
+            let was_stale = std::mem::replace(&mut member.stale, lag_epochs > bound);
+            if lag_epochs > bound && !was_stale {
+                self.emit(SessionEvent::ReplicaStale {
+                    replica,
+                    lag_epochs,
+                    at_nanos,
+                });
             }
         }
     }
 
-    /// One committed epoch's health-plane tick (no-op unless the config
-    /// armed [`ReplicationConfig::health_plane`]): gathers each replica's
-    /// ack mark, lag and backlog depth from the ledger and replica set,
-    /// hands them to the telemetry bundle's series/health/alert pipeline,
-    /// and lays a zero-width controller span for every alert edge so
-    /// alerts land in the Chrome trace next to the epochs that caused
-    /// them.
-    pub(crate) fn health_tick(&mut self, record: &CheckpointRecord, at_nanos: u64) {
-        if !self.cfg.health_plane {
-            return;
-        }
-        let seq = record.seq;
-        let replica_count = self.replicas.len() as u32;
-        let mut observations = Vec::with_capacity(replica_count as usize);
-        for index in 0..replica_count {
-            observations.push(HealthObservation {
-                replica: index,
-                ack_mark: self.ledger.last_acked(index).unwrap_or(0),
-                lag_epochs: self.ledger.lag_of(index, seq),
-                backlog_pages: self.replicas.get(index).backlog_pages(),
-                retries: 0, // filled in by the telemetry bundle's accounting
-            });
-        }
-        let events = self.telemetry.on_health_tick(
-            seq,
-            at_nanos,
-            record.degradation,
-            record.period.as_nanos(),
-            record.pause.as_nanos(),
-            &observations,
-        );
-        let firing = events
-            .iter()
-            .find(|e| e.state.label() == "firing")
-            .map(|e| (e.rule, e.detail.clone()));
-        for event in events {
-            self.spans.push(
-                SpanDraft::new(event.rule, "alert", Track::Controller, at_nanos)
-                    .epoch(seq)
-                    .attr_str("state", event.state.label())
-                    .attr_str("severity", event.severity.label()),
-            );
-        }
-        if let Some((rule, detail)) = firing {
-            self.capture_incident("alert", seq, at_nanos, format!("{rule}: {detail}"));
-        }
-    }
-
-    /// Freezes the postmortem [`IncidentSnapshot`] if capture is armed and
-    /// no earlier trigger beat this one: the trailing flight-recorder
-    /// window, the ledger and per-replica ack trails, the trigger epoch's
-    /// span subtree, health transitions and the windowed-series tail — all
-    /// read-only, so arming capture never perturbs the run.
-    pub(crate) fn capture_incident(
-        &mut self,
-        trigger: &'static str,
-        epoch: u64,
-        at_nanos: u64,
-        detail: String,
-    ) {
-        if !self.cfg.postmortem_capture || self.incident.is_some() {
-            return;
-        }
-        let snap = self.telemetry.snapshot();
-        let (transitions, series_tail, active_alerts, alert_log_jsonl) = match snap.health {
-            Some(h) => {
-                let tail_start = h
-                    .series_jsonl
-                    .lines()
-                    .count()
-                    .saturating_sub(SERIES_TAIL_LINES);
-                let tail = h
-                    .series_jsonl
-                    .lines()
-                    .skip(tail_start)
-                    .map(|l| format!("{l}\n"))
-                    .collect::<String>();
-                let transitions = h
-                    .transitions
-                    .iter()
-                    .map(|t| {
-                        format!(
-                            "r{}:{}->{}@{}",
-                            t.replica,
-                            t.from.label(),
-                            t.to.label(),
-                            t.epoch
-                        )
-                    })
-                    .collect();
-                (transitions, tail, h.active_alerts, h.alert_log_jsonl)
-            }
-            None => (Vec::new(), String::new(), Vec::new(), String::new()),
-        };
-        let spans = self
-            .spans
-            .spans()
-            .iter()
-            .filter(|s| s.epoch == Some(epoch) || s.category == "failover")
-            .map(|s| {
-                format!(
-                    "{}|{}|{}:{}|{}|{}|{}",
-                    s.name,
-                    s.category,
-                    s.track.pid(),
-                    s.track.tid(),
-                    s.epoch.map(|e| e.to_string()).unwrap_or_default(),
-                    s.start_nanos,
-                    s.duration_nanos
-                )
+    /// Emits what the health plane needs to know about the epoch `record`
+    /// describes — each replica's ack mark, lag and backlog depth, read
+    /// from the ledger and the replica set after the acks landed —
+    /// whether or not the plane is armed.
+    pub(crate) fn emit_epoch_health(&mut self, record: &CheckpointRecord, at_nanos: u64) {
+        let observations = (0..self.replicas.len() as u32)
+            .map(|replica| HealthObservation {
+                replica,
+                ack_mark: self.ledger.last_acked(replica).unwrap_or(0),
+                lag_epochs: self.ledger.lag_of(replica, record.seq),
+                backlog_pages: self.replicas.get(replica).backlog_pages(),
+                retries: 0, // counted by the health fold from the retry events
             })
             .collect();
-        self.incident = Some(IncidentSnapshot {
-            trigger: trigger.to_string(),
-            epoch,
+        self.emit(SessionEvent::EpochHealth {
+            seq: record.seq,
             at_nanos,
-            detail,
-            flight_json: crate::postmortem::normalize_flight_dump(&snap.flight_recorder_json),
-            commits: self.ledger.entries().to_vec(),
-            acks: self
-                .ledger
-                .ack_trails()
-                .iter()
-                .enumerate()
-                .map(|(i, acks)| crate::failover::ReplicaAcks {
-                    replica: i as u32,
-                    acks: acks.clone(),
-                })
-                .collect(),
-            spans,
-            transitions,
-            series_tail,
-            active_alerts,
-            alert_log_jsonl,
+            degradation: record.degradation,
+            period: record.period,
+            pause: record.pause,
+            observations,
         });
     }
 
@@ -1133,8 +941,7 @@ impl Session {
     }
 
     /// Asks the fault plane what happens to transfer attempt `attempt` of
-    /// epoch `seq` toward replica `replica`, recording any injected fault
-    /// on the flight recorder.
+    /// epoch `seq` toward replica `replica`, emitting any injected fault.
     pub(crate) fn chaos_transfer_fault(
         &mut self,
         seq: u64,
@@ -1142,19 +949,22 @@ impl Session {
         attempt: u32,
     ) -> Option<TransferFault> {
         let fault = self.chaos.as_mut()?.transfer_fault(seq, replica, attempt)?;
-        let at_nanos = self.rel(self.clock).as_nanos();
-        let message = if replica == 0 {
+        let detail = if replica == 0 {
             format!("checkpoint {seq} transfer attempt {attempt}")
         } else {
             format!("checkpoint {seq} transfer attempt {attempt} replica {replica}")
         };
-        self.telemetry
-            .on_fault(fault.reason(), false, message, at_nanos);
+        self.emit(SessionEvent::Fault {
+            fault: fault.reason(),
+            host_down: false,
+            detail,
+            at_nanos: self.now_nanos(),
+            site: FaultSite::Transfer,
+        });
         Some(fault)
     }
 
-    /// Records one failed-and-retried transfer attempt: counters, a
-    /// flight-recorder retry event, and a zero-width controller span.
+    /// Records one failed-and-retried transfer attempt.
     pub(crate) fn note_transfer_retry(
         &mut self,
         seq: u64,
@@ -1166,21 +976,14 @@ impl Session {
         if let Some(chaos) = self.chaos.as_mut() {
             chaos.stats.transfer_retries += 1;
         }
-        let at_nanos = self.rel(self.clock).as_nanos();
-        self.telemetry.on_transfer_retry(
+        self.emit(SessionEvent::TransferRetry {
             seq,
             replica,
             attempt,
             reason,
-            backoff.as_nanos(),
-            at_nanos,
-        );
-        self.spans.push(
-            SpanDraft::new("transfer_retry", "fault", Track::Controller, at_nanos)
-                .epoch(seq)
-                .attr_u64("attempt", attempt as u64)
-                .attr_str("reason", reason),
-        );
+            backoff,
+            at_nanos: self.now_nanos(),
+        });
     }
 
     /// Records a transfer that succeeded after `failed_attempts` failures.
@@ -1188,14 +991,17 @@ impl Session {
         if let Some(chaos) = self.chaos.as_mut() {
             chaos.stats.transfer_recoveries += 1;
         }
-        self.telemetry.on_transfer_recovery(seq, failed_attempts);
+        self.emit(SessionEvent::TransferRecovery {
+            seq,
+            failed_attempts,
+        });
     }
 
     /// Aborts epoch `seq` after its transfer exhausted the retry budget:
     /// the partially transferred checkpoint is already discarded, so this
     /// re-marks the harvested pages dirty (they must ride the next epoch —
-    /// without this the replica would diverge forever), resumes the VM,
-    /// closes the epoch span, and records the abort. Nothing commits: the
+    /// without this the replica would diverge forever), resumes the VM
+    /// and emits the abort. Nothing commits: the
     /// buffered output and uncommitted ops carry over to the next
     /// successful epoch, and the previous committed epoch stays
     /// authoritative on the replica.
@@ -1212,25 +1018,14 @@ impl Session {
         }
         self.primary.vm_mut(self.pvm)?.resume()?;
         self.disturbance_debt += self.cfg.costs.pause_disturbance;
-        let at_nanos = self.rel(self.clock).as_nanos();
-        if let Some(root) = self.epoch_span.take() {
-            self.spans.close(root, at_nanos);
-        }
-        self.spans.push(
-            SpanDraft::new("epoch_abort", "fault", Track::Controller, at_nanos)
-                .epoch(seq)
-                .attr_u64("attempts", attempts as u64),
-        );
         if let Some(chaos) = self.chaos.as_mut() {
             chaos.stats.epochs_aborted += 1;
         }
-        self.telemetry.on_epoch_abort(seq, attempts, at_nanos);
-        self.capture_incident(
-            "epoch_abort",
+        self.emit(SessionEvent::EpochAbort {
             seq,
-            at_nanos,
-            format!("epoch {seq} aborted after {attempts} transfer attempts"),
-        );
+            attempts,
+            at_nanos: self.now_nanos(),
+        });
         Ok(())
     }
 
@@ -1238,11 +1033,6 @@ impl Session {
     /// with the most recent committed state, switch devices, activate.
     pub(crate) fn failover(&mut self, failed_at: SimTime) -> CoreResult<FailoverRecord> {
         self.enter_phase(SessionPhase::FailedOver);
-        // A failure mid-epoch leaves the epoch root span open; close it at
-        // the failure instant — the epoch never completed.
-        if let Some(root) = self.epoch_span.take() {
-            self.spans.close(root, self.rel(failed_at).as_nanos());
-        }
         let post_health = self.primary.health();
         debug_assert_ne!(post_health, HostHealth::Healthy);
         let lost_heartbeats = self
@@ -1291,71 +1081,16 @@ impl Session {
             ops_lost,
             devices_switched: switch.devices_switched,
         };
-        self.telemetry.on_failover(&record);
-        let family = match family_kind {
-            HypervisorKind::Xen => "xen",
-            HypervisorKind::Kvm => "kvm",
-        };
-        self.telemetry.on_device_switch(
-            switch.devices_switched,
-            switch.packets_discarded,
-            family,
-            record.detected_at.as_nanos(),
-        );
-        self.record_failover_spans(&record, switch.devices_switched, family);
-        self.telemetry.on_packet_stats(
-            self.devmgr.packets_buffered(),
-            self.devmgr.packets_released(),
-            self.devmgr.packets_discarded(),
-        );
-        self.capture_incident(
-            "failover",
-            self.seq,
-            record.resumed_at.as_nanos(),
-            format!(
-                "primary failed; replica {best} activated from checkpoint {}",
-                record.resumed_from_checkpoint
-            ),
-        );
+        self.emit_packets();
+        self.emit(SessionEvent::Failover {
+            record: record.clone(),
+            seq: self.seq,
+            family: match family_kind {
+                HypervisorKind::Xen => "xen",
+                HypervisorKind::Kvm => "kvm",
+            },
+        });
         Ok(record)
-    }
-
-    /// Emits the failover span tree on the controller track: a root span
-    /// covering fail → resume, with `detect` and `switch_and_activate`
-    /// children splitting the outage at the detection instant.
-    fn record_failover_spans(
-        &mut self,
-        record: &FailoverRecord,
-        devices_switched: usize,
-        family: &'static str,
-    ) {
-        let failed = record.failed_at.as_nanos();
-        let detected = record.detected_at.as_nanos();
-        let resumed = record.resumed_at.as_nanos();
-        let root = self.spans.push(
-            SpanDraft::new("failover", "failover", Track::Controller, failed)
-                .lasting(resumed.saturating_sub(failed))
-                .attr_u64("resumed_from_checkpoint", record.resumed_from_checkpoint)
-                .attr_u64("packets_lost", record.packets_lost as u64)
-                .attr_f64("ops_lost", record.ops_lost),
-        );
-        self.spans.push(
-            SpanDraft::new("detect", "failover", Track::Controller, failed)
-                .lasting(detected.saturating_sub(failed))
-                .child_of(root),
-        );
-        self.spans.push(
-            SpanDraft::new(
-                "switch_and_activate",
-                "failover",
-                Track::Controller,
-                detected,
-            )
-            .lasting(resumed.saturating_sub(detected))
-            .child_of(root)
-            .attr_u64("devices_switched", devices_switched as u64)
-            .attr_str("new_family", family),
-        );
     }
 
     /// Closes the session and assembles the final [`RunReport`]
@@ -1383,19 +1118,11 @@ impl Session {
             + self.devmgr.io().high_watermark();
         let cpu_core_pct = self.cpu_work.as_secs_f64() / secs * 100.0;
         let ops_completed = self.ops_committed + self.ops_uncommitted;
-        // An armed run that reached the end without any trigger still
-        // captures — an explicit end-of-run "request" snapshot — so the
-        // bundle workflow works on healthy runs too.
-        if self.incident.is_none() {
-            let at_nanos = self.rel(self.clock).as_nanos();
-            self.capture_incident(
-                "request",
-                self.seq,
-                at_nanos,
-                "explicit end-of-run capture (no trigger fired)".to_string(),
-            );
-        }
-        let incident = self.incident.take();
+        self.emit(SessionEvent::RunEnd {
+            seq: self.seq,
+            at_nanos: self.now_nanos(),
+        });
+        let (telemetry, spans, incident) = self.planes.finish();
         let wire_versions = self.replicas.iter().map(Replica::wire_version).collect();
         let (commits, replica_acks) = self.ledger.into_parts();
         crate::report::RunReport {
@@ -1405,7 +1132,13 @@ impl Session {
             throughput_ops_per_sec: ops_completed / secs,
             migration: Some(migration),
             checkpoints: self.checkpoints,
-            stage_events: self.trace.into_events(),
+            stage_events: self
+                .log
+                .iter()
+                .filter_map(SessionEvent::as_stage)
+                .copied()
+                .collect(),
+            events: self.log,
             period_decisions: self.period_decisions,
             period_series: self.period_series,
             degradation_series: self.degradation_series,
@@ -1416,8 +1149,8 @@ impl Session {
             commits,
             replica_acks,
             chaos: self.chaos.map(|c| c.stats),
-            telemetry: Some(self.telemetry.snapshot()),
-            spans: self.spans.into_spans(),
+            telemetry: Some(telemetry),
+            spans,
             incident,
             wire_versions,
         }
@@ -1427,17 +1160,15 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use here_hypervisor::HvError;
 
-    #[test]
-    fn hostile_frame_past_the_replica_is_rejected_before_anything_installs() {
-        // A stream with honest checksums and an honest trailer whose third
-        // page lies one frame past the replica's memory: phase 1 must
-        // refuse it, with the parked backlog and the image as they were.
-        let memory = ByteSize::from_mib(4);
-        let mut session = Session::new(SessionSetup {
+    const MEMORY: ByteSize = ByteSize::from_mib(4);
+
+    /// A one-vCPU, 4 MiB session that has not been seeded: the replica's
+    /// image is empty, so anything a test installs shows.
+    fn small_session() -> Session {
+        Session::new(SessionSetup {
             name: "vm".into(),
-            memory,
+            memory: MEMORY,
             vcpus: 1,
             cfg: ReplicationConfig::fixed_period(SimDuration::from_secs(1)),
             workload: Box::new(IdleGuest::new()),
@@ -1446,17 +1177,38 @@ mod tests {
             verify_consistency: false,
             chaos: None,
         })
-        .unwrap();
-        let limit = memory.as_bytes() / PAGE_SIZE;
+        .unwrap()
+    }
+
+    fn delta_at(frames: &[u64]) -> MemoryDelta {
         let rec = PageVersion {
             version: 3,
             last_writer: 0,
         };
-        let at = |frames: &[u64]| -> MemoryDelta {
-            frames.iter().map(|&f| (PageId::new(f), rec)).collect()
-        };
-        session.note_replica_backlog(0, &at(&[9]));
-        let streams = session.encode_checkpoint(&at(&[0, 1, limit]), 1).unwrap();
+        frames.iter().map(|&f| (PageId::new(f), rec)).collect()
+    }
+
+    /// Phase 1 refused the stream: the parked backlog page is still
+    /// parked, the image is empty, and the staging buffer came back.
+    fn assert_replica_untouched(session: &Session) {
+        let member = session.replicas.get(0);
+        assert_eq!(member.backlog.len(), 1);
+        let image = member.host.vm(member.vm).unwrap().memory();
+        assert_eq!(image.touched_pages(), 0);
+        assert!(member.apply.is_empty() && member.apply.capacity() > 0);
+    }
+
+    #[test]
+    fn hostile_frame_past_the_replica_is_rejected_before_anything_installs() {
+        // A stream with honest checksums and an honest trailer whose third
+        // page lies one frame past the replica's memory: phase 1 must
+        // refuse it, with the parked backlog and the image as they were.
+        let mut session = small_session();
+        let limit = MEMORY.as_bytes() / PAGE_SIZE;
+        session.note_replica_backlog(0, &delta_at(&[9]));
+        let streams = session
+            .encode_checkpoint(&delta_at(&[0, 1, limit]), 1)
+            .unwrap();
 
         let err = session
             .apply_checkpoint(streams.canonical().clone(), 1, 0)
@@ -1465,9 +1217,54 @@ mod tests {
             matches!(err, CoreError::Hypervisor(HvError::PageOutOfRange { page, .. }) if page == limit),
             "{err:?}"
         );
-        let member = session.replicas.get(0);
-        assert_eq!(member.backlog.len(), 1);
-        let image = member.host.vm(member.vm).unwrap().memory();
-        assert_eq!(image.touched_pages(), 0);
+        assert_replica_untouched(&session);
+    }
+
+    #[test]
+    fn hostile_vcpu_index_is_rejected_before_anything_installs() {
+        // Honest pages, checksums and trailer, but the vCPU record names
+        // a vCPU the replica does not have, or names vCPU 0 twice. Phase 2
+        // would only find out after the backlog and the pages are in.
+        let mut session = small_session();
+        session.note_replica_backlog(0, &delta_at(&[9]));
+        let streams = session.encode_checkpoint(&delta_at(&[0, 1]), 1).unwrap();
+        let forge = |to_index: u32, copies: usize| -> ScatterStream {
+            let mut dec = StreamDecoder::new_negotiated(streams.canonical().clone(), VERSION)
+                .expect("honest preamble");
+            let mut enc = StreamEncoder::new();
+            while let Some(record) = dec.next_record().expect("honest stream") {
+                match record {
+                    Record::VcpuState { cir, .. } => {
+                        let forged = Record::VcpuState {
+                            index: to_index,
+                            cir,
+                        };
+                        (0..copies).for_each(|_| enc.push(&forged));
+                    }
+                    other => enc.push(&other),
+                }
+            }
+            enc.finish().into()
+        };
+
+        session
+            .apply_checkpoint(forge(0, 1), 1, 0)
+            .expect("the re-encoded honest stream applies");
+        let mut session = small_session();
+        session.note_replica_backlog(0, &delta_at(&[9]));
+
+        let err = session.apply_checkpoint(forge(1, 1), 1, 0).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Hypervisor(HvError::NoSuchVcpu(1))),
+            "{err:?}"
+        );
+        assert_replica_untouched(&session);
+
+        let err = session.apply_checkpoint(forge(0, 2), 1, 0).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Wire(WireError::BadPayload(_))),
+            "{err:?}"
+        );
+        assert_replica_untouched(&session);
     }
 }

@@ -1,58 +1,67 @@
-//! The session's always-on observability bundle.
+//! The observability planes, as folds over the session's event log.
 //!
-//! [`SessionTelemetry`] wires the generic `here-telemetry` building blocks
-//! — metrics registry, flight recorder, SLO tracker — to the replication
-//! stack's events: stage boundaries, period-controller decisions, encode
-//! lanes, buffer-pool reclaims, the seeding migration and the failover
-//! timeline. The session owns one instance and calls the `on_*` hooks
-//! from the instrumented paths; [`SessionTelemetry::snapshot`] freezes
-//! everything into the plain-data [`TelemetrySnapshot`] that rides in
-//! [`crate::report::RunReport::telemetry`].
+//! The session says each thing that happens once, as a
+//! [`SessionEvent`] appended to one ordered log. Everything an observer
+//! knows is computed from that log by [`fold`]: the metrics registry,
+//! flight recorder and SLO tracker, then the health plane (windowed
+//! series, per-replica health machines, alert rules), then the span tree,
+//! then the postmortem capture — in that order for every event, because
+//! the alert edges the health plane derives from an
+//! [`SessionEvent::EpochHealth`] are laid into the flight ring and the
+//! span tree and may trigger the capture, and the capture freezes the
+//! other three as of its trigger. The session runs the same fold as it
+//! emits ([`RunReport::events`](crate::report::RunReport::events) is the
+//! log, `telemetry`/`spans`/`incident` the result), so folding a recorded
+//! log again — with the health plane or the capture armed that were not
+//! during the run — reproduces them exactly.
+//!
+//! The log does not depend on what is armed.
+//! [`ReplicationConfig::health_plane`] and
+//! [`ReplicationConfig::postmortem_capture`] are read in one place, when
+//! the planes are built, and decide only which folds exist.
 //!
 //! ## Metric reference
 //!
-//! | metric | kind | meaning |
-//! |---|---|---|
-//! | `here_checkpoints_total` | counter | checkpoints completed |
-//! | `here_pages_harvested_total` | counter | dirty pages copied across all checkpoints |
-//! | `here_bytes_transferred_total` | counter | encoded checkpoint bytes shipped |
-//! | `here_pages_seeded_total` | counter | pages sent by the seeding migration |
-//! | `here_pool_reclaim_hits_total` | counter | encode-buffer checkouts served from the pool |
-//! | `here_pool_reclaim_misses_total` | counter | encode-buffer checkouts that allocated |
-//! | `here_packets_buffered_total` | counter | guest output packets held back for commit |
-//! | `here_packets_released_total` | counter | buffered packets released at commit |
-//! | `here_packets_discarded_total` | counter | buffered packets dropped by a failover |
-//! | `here_slo_breaches_total` | counter | degradation/period-cap SLO breaches |
-//! | `here_failovers_total` | counter | failovers performed |
-//! | `here_faults_injected_total` | counter | faults laid into the run (exploits, accidents, fault plane) |
-//! | `here_transfer_retries_total` | counter | checkpoint transfer attempts that failed and were retried |
-//! | `here_transfer_recoveries_total` | counter | checkpoints delivered after at least one failed attempt |
-//! | `here_epochs_aborted_total` | counter | checkpoints discarded after exhausting the retry budget |
-//! | `here_pause_nanos` | histogram | VM-visible pause `t` per checkpoint |
-//! | `here_dirty_pages` | histogram | dirty pages `N` per checkpoint |
-//! | `here_stage_nanos{stage=…}` | histogram | virtual duration per pipeline stage |
-//! | `here_encode_lane_wall_nanos` | histogram | wall-clock encode time per lane |
-//! | `here_period_seconds` | gauge | the period `T` chosen for the next epoch |
-//! | `here_degradation_ratio` | gauge | last measured degradation `D_T` |
+//! | metric | kind | folds | meaning |
+//! |---|---|---|---|
+//! | `here_checkpoints_total` | counter | `Checkpoint` | checkpoints completed |
+//! | `here_pages_harvested_total` | counter | `Stage` (harvest) | dirty pages copied across all checkpoints |
+//! | `here_bytes_transferred_total` | counter | `Stage` (transfer) | encoded checkpoint bytes shipped |
+//! | `here_pages_seeded_total` | counter | `Migration` | pages sent by the seeding migration |
+//! | `here_pool_reclaim_hits_total` | counter | `PoolStats` | encode-buffer checkouts served from the pool |
+//! | `here_pool_reclaim_misses_total` | counter | `PoolStats` | encode-buffer checkouts that allocated |
+//! | `here_packets_buffered_total` | counter | `Packets` | guest output packets held back for commit |
+//! | `here_packets_released_total` | counter | `Packets` | buffered packets released at commit |
+//! | `here_packets_discarded_total` | counter | `Packets` | buffered packets dropped by a failover |
+//! | `here_slo_breaches_total` | counter | `Checkpoint` | degradation/period-cap SLO breaches |
+//! | `here_failovers_total` | counter | `Failover` | failovers performed |
+//! | `here_faults_injected_total` | counter | `Fault` | faults laid into the run (exploits, accidents, fault plane) |
+//! | `here_transfer_retries_total` | counter | `TransferRetry` | checkpoint transfer attempts that failed and were retried |
+//! | `here_transfer_recoveries_total` | counter | `TransferRecovery` | checkpoints delivered after at least one failed attempt |
+//! | `here_epochs_aborted_total` | counter | `EpochAbort` | checkpoints discarded after exhausting the retry budget |
+//! | `here_pause_nanos` | histogram | `Checkpoint` | VM-visible pause `t` per checkpoint |
+//! | `here_dirty_pages` | histogram | `Checkpoint` | dirty pages `N` per checkpoint |
+//! | `here_stage_nanos{stage=…}` | histogram | `Stage` | virtual duration per pipeline stage |
+//! | `here_encode_lane_wall_nanos` | histogram | `EncodeLanes` | wall-clock encode time per lane |
+//! | `here_period_seconds` | gauge | `Checkpoint` | the period `T` chosen for the next epoch |
+//! | `here_degradation_ratio` | gauge | `Checkpoint` | last measured degradation `D_T` |
 //!
-//! With the health plane armed
-//! ([`crate::config::ReplicationConfig::health_plane`]), these
-//! replica-labelled families join the registry (single-replica and
-//! unarmed runs never register them, so the frozen observe-gate metric
-//! schema is untouched):
+//! With the health plane armed these replica-labelled families join the
+//! registry (single-replica and unarmed runs never register them, so the
+//! frozen observe-gate metric schema is untouched):
 //!
-//! | metric | kind | meaning |
-//! |---|---|---|
-//! | `here_replica_lag_epochs{replica=…}` | gauge | epochs each replica trails the just-committed sequence |
-//! | `here_replica_backlog_pages{replica=…}` | gauge | pages parked in each replica's catch-up backlog |
-//! | `here_replica_acked_epoch{replica=…}` | gauge | each replica's ack high-water mark |
-//! | `here_replica_retries_total{replica=…}` | counter | transfer retries charged to each replica |
-//! | `here_flight_recorder_dropped_events` | gauge | events the bounded flight ring has evicted |
+//! | metric | kind | folds | meaning |
+//! |---|---|---|---|
+//! | `here_replica_lag_epochs{replica=…}` | gauge | `EpochHealth` | epochs each replica trails the just-committed sequence |
+//! | `here_replica_backlog_pages{replica=…}` | gauge | `EpochHealth` | pages parked in each replica's catch-up backlog |
+//! | `here_replica_acked_epoch{replica=…}` | gauge | `EpochHealth` | each replica's ack high-water mark |
+//! | `here_replica_retries_total{replica=…}` | counter | `TransferRetry` | transfer retries charged to each replica |
+//! | `here_flight_recorder_dropped_events` | gauge | `EpochHealth` | events the bounded flight ring has evicted |
 
 use serde::{Deserialize, Serialize};
 
 use here_sim_core::time::SimDuration;
-use here_telemetry::alert::{AlertEngine, AlertEvent, AlertRules, AlertSample};
+use here_telemetry::alert::{AlertEngine, AlertEvent, AlertRules, AlertSample, AlertState};
 use here_telemetry::export::prometheus;
 use here_telemetry::flight::{FlightEvent, FlightRecorder};
 use here_telemetry::health::{
@@ -62,13 +71,13 @@ use here_telemetry::metrics::{
     CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry, RegistrySnapshot,
 };
 use here_telemetry::slo::{SloBreach, SloSummary, SloTracker};
+use here_telemetry::span::{Span, SpanDraft, SpanId, SpanRecorder, Track};
 use here_telemetry::timeseries::{SeriesKind, SeriesSet};
 
-use crate::config::PeriodPolicy;
-use crate::failover::FailoverRecord;
-use crate::period::PeriodDecision;
-use crate::report::CheckpointRecord;
-use crate::trace::{Stage, StageEvent};
+use crate::config::{PeriodPolicy, ReplicationConfig};
+use crate::failover::{CommitLedger, FailoverRecord};
+use crate::postmortem::IncidentSnapshot;
+use crate::trace::{FaultSite, SessionEvent, Stage, StageEvent};
 
 /// Events the always-on flight recorder retains.
 pub const FLIGHT_RECORDER_CAPACITY: usize = 1024;
@@ -100,10 +109,10 @@ struct HealthPlane {
     last_retry_totals: Vec<u64>,
 }
 
-/// The live observability state of one replication session.
+/// The metrics + flight recorder + SLO fold, and (when armed) the health
+/// plane that shares its registry and flight ring.
 #[derive(Debug)]
-pub struct SessionTelemetry {
-    policy: PeriodPolicy,
+struct SessionTelemetry {
     registry: MetricsRegistry,
     flight: FlightRecorder,
     slo: Option<SloTracker>,
@@ -135,7 +144,7 @@ impl SessionTelemetry {
     /// Builds the bundle for a session running under `policy`. A dynamic
     /// policy arms the SLO tracker with its target `D` and cap `T_max`; a
     /// fixed policy has no stated target, so nothing is tracked.
-    pub fn new(policy: PeriodPolicy) -> Self {
+    fn new(policy: PeriodPolicy) -> Self {
         let mut registry = MetricsRegistry::new();
         let checkpoints = registry.counter("here_checkpoints_total", "Checkpoints completed");
         let pages_harvested = registry.counter(
@@ -226,7 +235,6 @@ impl SessionTelemetry {
             }
         };
         SessionTelemetry {
-            policy,
             registry,
             flight: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             slo,
@@ -261,7 +269,7 @@ impl SessionTelemetry {
     /// (stale threshold `stale_epoch_lag`), and arms the alert engine.
     /// Under a dynamic policy the SLO burn-rate rule inherits the
     /// policy's degradation target.
-    pub fn with_health_plane(
+    fn with_health_plane(
         policy: PeriodPolicy,
         replicas: u32,
         quorum: u32,
@@ -328,21 +336,213 @@ impl SessionTelemetry {
         t
     }
 
-    /// Discards everything observed so far (used when a warmup window
-    /// closes and measurement restarts). Counters are handles shared with
-    /// nothing outside this bundle, so a rebuild is the cheapest reset.
-    /// An armed health plane stays armed with the same parameters.
-    pub fn reset(&mut self) {
-        *self = match &self.health {
-            Some(h) => {
-                SessionTelemetry::with_health_plane(self.policy, h.replicas, h.quorum, h.stale_lag)
+    /// Folds one event into the registry, the flight ring and the SLO
+    /// tracker, then (for an [`SessionEvent::EpochHealth`], when the
+    /// health plane is armed) ticks the health plane. Returns the alert
+    /// edges that tick produced.
+    fn observe(&mut self, event: &SessionEvent) -> Vec<AlertEvent> {
+        match event {
+            SessionEvent::Stage(event) => self.stage(event),
+            SessionEvent::EncodeLanes {
+                seq,
+                at_nanos,
+                walls,
+            } => {
+                for (lane, &wall_nanos) in walls.iter().enumerate() {
+                    self.encode_lane_hist.observe(wall_nanos);
+                    self.flight.record(FlightEvent::EncodeLane {
+                        seq: *seq,
+                        at_nanos: *at_nanos,
+                        lane: lane as u64,
+                        wall_nanos,
+                    });
+                }
             }
-            None => SessionTelemetry::new(self.policy),
-        };
+            SessionEvent::Packets {
+                buffered,
+                released,
+                discarded,
+            } => {
+                sync_counter(&self.packets_buffered, *buffered);
+                sync_counter(&self.packets_released, *released);
+                sync_counter(&self.packets_discarded, *discarded);
+            }
+            // Recorded once per stale episode on the flight ring only (no
+            // metric family: single-replica runs never emit it, so the
+            // observe-gate schema stays frozen).
+            SessionEvent::ReplicaStale {
+                replica,
+                lag_epochs,
+                at_nanos,
+            } => self.flight.record(FlightEvent::Fault {
+                at_nanos: *at_nanos,
+                fault: "replica_stale",
+                host_down: false,
+                detail: format!("replica {replica} trails the quorum by {lag_epochs} epochs"),
+            }),
+            SessionEvent::Checkpoint {
+                record,
+                decision,
+                at_nanos,
+            } => {
+                self.checkpoints.incr();
+                self.pause_hist.observe(record.pause.as_nanos());
+                self.dirty_pages_hist.observe(record.dirty_pages);
+                self.period_gauge.set(decision.chosen_period.as_secs_f64());
+                self.degradation_gauge.set(record.degradation);
+                self.flight.record(FlightEvent::PeriodDecision {
+                    seq: record.seq,
+                    at_nanos: *at_nanos,
+                    dirty_pages: decision.dirty_pages,
+                    measured_pause_nanos: decision.measured_pause.as_nanos(),
+                    previous_period_nanos: decision.previous_period.as_nanos(),
+                    chosen_period_nanos: decision.chosen_period.as_nanos(),
+                    predicted_degradation: decision.predicted_degradation,
+                    action: decision.action.label(),
+                    clamp: decision.clamp.map(|c| c.label()),
+                });
+                if let Some(slo) = &mut self.slo {
+                    let breaches = slo.observe(
+                        record.seq,
+                        *at_nanos,
+                        record.pause.as_nanos(),
+                        record.period.as_nanos(),
+                    );
+                    self.slo_breaches.add(breaches.len() as u64);
+                }
+            }
+            SessionEvent::PoolStats {
+                hits,
+                misses,
+                pooled,
+                at_nanos,
+            } => {
+                sync_counter(&self.pool_hits, *hits);
+                sync_counter(&self.pool_misses, *misses);
+                self.flight.record(FlightEvent::PoolReclaim {
+                    at_nanos: *at_nanos,
+                    pool: "encode",
+                    hits: *hits,
+                    misses: *misses,
+                    pooled: *pooled,
+                });
+            }
+            SessionEvent::EncodePool {
+                seq,
+                tasks,
+                steals,
+                occupancy_pct,
+                at_nanos,
+            } => self.flight.record(FlightEvent::EncodePool {
+                at_nanos: *at_nanos,
+                seq: *seq,
+                tasks: *tasks,
+                steals: *steals,
+                occupancy_pct: *occupancy_pct,
+            }),
+            SessionEvent::EpochHealth {
+                seq,
+                at_nanos,
+                degradation,
+                period,
+                pause,
+                observations,
+            } => {
+                return self.health_tick(
+                    *seq,
+                    *at_nanos,
+                    *degradation,
+                    period.as_nanos(),
+                    pause.as_nanos(),
+                    observations,
+                )
+            }
+            SessionEvent::Migration {
+                iteration,
+                pages,
+                phase,
+                at_nanos,
+                ..
+            } => {
+                self.pages_seeded.add(*pages);
+                self.flight.record(FlightEvent::Migration {
+                    at_nanos: *at_nanos,
+                    iteration: *iteration,
+                    pages: *pages,
+                    phase,
+                });
+            }
+            // A timeline mark, so crash, hang and starvation runs show
+            // *what* went wrong, not just the failover marks that follow.
+            SessionEvent::Fault {
+                fault,
+                host_down,
+                detail,
+                at_nanos,
+                ..
+            } => {
+                self.faults_injected.incr();
+                self.flight.record(FlightEvent::Fault {
+                    at_nanos: *at_nanos,
+                    fault,
+                    host_down: *host_down,
+                    detail: detail.clone(),
+                });
+            }
+            // With the health plane armed the retry is also charged to the
+            // replica's labelled counter and to the next tick's
+            // per-replica retry delta.
+            SessionEvent::TransferRetry {
+                seq,
+                replica,
+                attempt,
+                reason,
+                backoff,
+                at_nanos,
+            } => {
+                self.transfer_retries.incr();
+                if let Some(h) = self.health.as_mut() {
+                    if let Some(total) = h.retry_totals.get_mut(*replica as usize) {
+                        *total += 1;
+                    }
+                    if let Some(counter) = h.replica_retry_counters.get(*replica as usize) {
+                        counter.incr();
+                    }
+                }
+                self.flight.record(FlightEvent::Retry {
+                    at_nanos: *at_nanos,
+                    seq: *seq,
+                    attempt: *attempt,
+                    reason,
+                    backoff_nanos: backoff.as_nanos(),
+                });
+            }
+            SessionEvent::TransferRecovery { .. } => self.transfer_recoveries.incr(),
+            SessionEvent::EpochAbort {
+                seq,
+                attempts,
+                at_nanos,
+            } => {
+                self.epochs_aborted.incr();
+                self.flight.record(FlightEvent::Fault {
+                    at_nanos: *at_nanos,
+                    fault: "epoch_abort",
+                    host_down: false,
+                    detail: format!(
+                        "checkpoint {seq} discarded after {attempts} failed transfer attempts"
+                    ),
+                });
+            }
+            SessionEvent::Failover { record, family, .. } => self.failover(record, family),
+            SessionEvent::OverlapCredit { .. }
+            | SessionEvent::Ack { .. }
+            | SessionEvent::Commit { .. }
+            | SessionEvent::RunEnd { .. } => {}
+        }
+        Vec::new()
     }
 
-    /// One pipeline stage boundary crossed.
-    pub fn on_stage_event(&mut self, event: &StageEvent) {
+    fn stage(&mut self, event: &StageEvent) {
         let idx = Stage::ALL
             .iter()
             .position(|&s| s == event.stage)
@@ -364,113 +564,10 @@ impl SessionTelemetry {
         });
     }
 
-    /// One checkpoint completed: feeds the histograms, gauges, SLO tracker
-    /// and the flight recorder with the derived record and the period
-    /// controller's decision. `at_nanos` is the report-relative timestamp.
-    pub fn on_checkpoint(
-        &mut self,
-        record: &CheckpointRecord,
-        decision: &PeriodDecision,
-        at_nanos: u64,
-    ) {
-        self.checkpoints.incr();
-        self.pause_hist.observe(record.pause.as_nanos());
-        self.dirty_pages_hist.observe(record.dirty_pages);
-        self.period_gauge.set(decision.chosen_period.as_secs_f64());
-        self.degradation_gauge.set(record.degradation);
-        self.flight.record(FlightEvent::PeriodDecision {
-            seq: record.seq,
-            at_nanos,
-            dirty_pages: decision.dirty_pages,
-            measured_pause_nanos: decision.measured_pause.as_nanos(),
-            previous_period_nanos: decision.previous_period.as_nanos(),
-            chosen_period_nanos: decision.chosen_period.as_nanos(),
-            predicted_degradation: decision.predicted_degradation,
-            action: decision.action.label(),
-            clamp: decision.clamp.map(|c| c.label()),
-        });
-        if let Some(slo) = &mut self.slo {
-            let breaches = slo.observe(
-                record.seq,
-                at_nanos,
-                record.pause.as_nanos(),
-                record.period.as_nanos(),
-            );
-            self.slo_breaches.add(breaches.len() as u64);
-        }
-    }
-
-    /// One encode lane finished its shard of checkpoint `seq`.
-    pub fn on_encode_lane(&mut self, seq: u64, lane: u64, wall_nanos: u64, at_nanos: u64) {
-        self.encode_lane_hist.observe(wall_nanos);
-        self.flight.record(FlightEvent::EncodeLane {
-            seq,
-            at_nanos,
-            lane,
-            wall_nanos,
-        });
-    }
-
-    /// The work-stealing encode pool finished a checkpoint round: record
-    /// how the chunks spread across lanes. Only called when the pool ran
-    /// a multi-lane round, so barrier-era flight dumps are unchanged.
-    pub fn on_encode_pool(
-        &mut self,
-        seq: u64,
-        tasks: u64,
-        steals: u64,
-        occupancy_pct: f64,
-        at_nanos: u64,
-    ) {
-        self.flight.record(FlightEvent::EncodePool {
-            at_nanos,
-            seq,
-            tasks,
-            steals,
-            occupancy_pct,
-        });
-    }
-
-    /// Samples the encode buffer pool's cumulative reclaim statistics
-    /// (called after each checkpoint's transfer recycles its segments).
-    pub fn on_pool_stats(&mut self, hits: u64, misses: u64, pooled: u64, at_nanos: u64) {
-        sync_counter(&self.pool_hits, hits);
-        sync_counter(&self.pool_misses, misses);
-        self.flight.record(FlightEvent::PoolReclaim {
-            at_nanos,
-            pool: "encode",
-            hits,
-            misses,
-            pooled,
-        });
-    }
-
-    /// Syncs the device manager's packet counters (cumulative values).
-    pub fn on_packet_stats(&mut self, buffered: u64, released: u64, discarded: u64) {
-        sync_counter(&self.packets_buffered, buffered);
-        sync_counter(&self.packets_released, released);
-        sync_counter(&self.packets_discarded, discarded);
-    }
-
-    /// One seeding-migration iteration finished.
-    pub fn on_migration_iteration(
-        &mut self,
-        iteration: u64,
-        pages: u64,
-        phase: &'static str,
-        at_nanos: u64,
-    ) {
-        self.pages_seeded.add(pages);
-        self.flight.record(FlightEvent::Migration {
-            at_nanos,
-            iteration,
-            pages,
-            phase,
-        });
-    }
-
-    /// A failover ran: counts it and lays its timeline into the recorder.
-    pub fn on_failover(&mut self, record: &FailoverRecord) {
+    /// Counts the failover and lays its timeline into the recorder: the
+    /// fail → detect → resume marks, then the device re-plug (which
+    /// happened in the detection → activation window).
+    fn failover(&mut self, record: &FailoverRecord, new_family: &str) {
         self.failovers.incr();
         self.flight.record(FlightEvent::Failover {
             at_nanos: record.failed_at.as_nanos(),
@@ -498,121 +595,29 @@ impl SessionTelemetry {
                 record.devices_switched
             ),
         });
-    }
-
-    /// A fault was injected into the primary (exploit launch or DoS
-    /// accident): lays a timeline mark into the recorder so crash, hang
-    /// and starvation runs show *what* went wrong, not just the three
-    /// failover gauge marks that follow.
-    pub fn on_fault(
-        &mut self,
-        fault: &'static str,
-        host_down: bool,
-        detail: String,
-        at_nanos: u64,
-    ) {
-        self.faults_injected.incr();
-        self.flight.record(FlightEvent::Fault {
-            at_nanos,
-            fault,
-            host_down,
-            detail,
-        });
-    }
-
-    /// A transfer attempt toward `replica` failed and will be retried
-    /// after `backoff_nanos` of exponential backoff. With the health
-    /// plane armed the retry is also charged to the replica's labelled
-    /// counter and to the next health tick's per-replica retry delta.
-    pub fn on_transfer_retry(
-        &mut self,
-        seq: u64,
-        replica: u32,
-        attempt: u32,
-        reason: &'static str,
-        backoff_nanos: u64,
-        at_nanos: u64,
-    ) {
-        self.transfer_retries.incr();
-        if let Some(h) = self.health.as_mut() {
-            if let Some(total) = h.retry_totals.get_mut(replica as usize) {
-                *total += 1;
-            }
-            if let Some(counter) = h.replica_retry_counters.get(replica as usize) {
-                counter.incr();
-            }
-        }
-        self.flight.record(FlightEvent::Retry {
-            at_nanos,
-            seq,
-            attempt,
-            reason,
-            backoff_nanos,
-        });
-    }
-
-    /// A checkpoint was delivered after `failed_attempts` failed tries.
-    pub fn on_transfer_recovery(&mut self, _seq: u64, _failed_attempts: u32) {
-        self.transfer_recoveries.incr();
-    }
-
-    /// A checkpoint exhausted its transfer retry budget and was discarded;
-    /// the previous committed epoch stays authoritative.
-    pub fn on_epoch_abort(&mut self, seq: u64, attempts: u32, at_nanos: u64) {
-        self.epochs_aborted.incr();
-        self.flight.record(FlightEvent::Fault {
-            at_nanos,
-            fault: "epoch_abort",
-            host_down: false,
-            detail: format!("checkpoint {seq} discarded after {attempts} failed transfer attempts"),
-        });
-    }
-
-    /// A replica fell behind the newest acked epoch by more than the
-    /// topology's staleness bound and was declared stale. Recorded once
-    /// per stale episode on the flight recorder (no dedicated metric
-    /// family: single-replica runs never emit it, so the observe-gate
-    /// schema stays frozen).
-    pub fn on_replica_stale(&mut self, replica: u32, lag_epochs: u64, at_nanos: u64) {
-        self.flight.record(FlightEvent::Fault {
-            at_nanos,
-            fault: "replica_stale",
-            host_down: false,
-            detail: format!("replica {replica} trails the quorum by {lag_epochs} epochs"),
-        });
-    }
-
-    /// The device manager re-plugged the replica's devices during
-    /// failover (the detection → activation window).
-    pub fn on_device_switch(
-        &mut self,
-        devices: usize,
-        packets_discarded: usize,
-        new_family: &'static str,
-        at_nanos: u64,
-    ) {
         self.flight.record(FlightEvent::Failover {
-            at_nanos,
+            at_nanos: record.detected_at.as_nanos(),
             phase: "device_switch",
             detail: format!(
-                "{devices} devices re-plugged as {new_family}; {packets_discarded} buffered packets discarded"
+                "{} devices re-plugged as {new_family}; {} buffered packets discarded",
+                record.devices_switched, record.packets_lost
             ),
         });
     }
 
-    /// One committed epoch's health tick (health plane only; a no-op —
-    /// returning no events — when the plane is unarmed).
+    /// One committed epoch's health tick (a no-op — returning no events —
+    /// when the plane is unarmed).
     ///
     /// Records the epoch into the windowed series (degradation in ppm,
     /// period, pause, per-replica lag/backlog/retries), refreshes the
     /// replica-labelled gauges and the flight-drop gauge, steps every
     /// replica's health machine, and evaluates the alert rules. Alert
     /// edges land on the flight recorder as [`FlightEvent::Alert`] and
-    /// are returned so the session can lay matching spans into the
-    /// trace. `observations` carry each replica's ack mark, lag and
+    /// are returned so the span fold can lay matching spans into the
+    /// trace and the capture fold can trigger on them. `observations` carry each replica's ack mark, lag and
     /// backlog; retry deltas are filled in from the plane's own
     /// per-replica retry accounting.
-    pub fn on_health_tick(
+    fn health_tick(
         &mut self,
         epoch: u64,
         at_nanos: u64,
@@ -721,13 +726,8 @@ impl SessionTelemetry {
         events
     }
 
-    /// Read access for tests and exporters.
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
-    }
-
     /// Freezes the bundle into the plain-data report snapshot.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
+    fn snapshot(&self) -> TelemetrySnapshot {
         let registry = self.registry.snapshot();
         TelemetrySnapshot {
             prometheus: prometheus(&registry),
@@ -813,10 +813,416 @@ pub struct HealthSnapshot {
     pub active_alerts: Vec<String>,
 }
 
+/// The span fold: the causal trace of the run, built from the events
+/// that have a place in it.
+#[derive(Debug)]
+struct SpanFold {
+    recorder: SpanRecorder,
+    /// Replica tracks a *Transfer* stage lays an apply span on.
+    replicas: u32,
+    /// Open epoch-root span, from `Pause` until `Resume` (or an abort or
+    /// failover) closes it.
+    epoch_span: Option<SpanId>,
+    /// Lane walls of the latest [`SessionEvent::EncodeLanes`], drained
+    /// into lane spans by the next *Translate* stage. The seeding
+    /// stop-and-copy's are never drained — no stage follows it — and the
+    /// first epoch's encode replaces them, so that encode has a flight
+    /// event per lane but no span.
+    lane_walls: Vec<u64>,
+    /// Credit of the latest [`SessionEvent::OverlapCredit`], drained into
+    /// a `wire_overlap` span by the next *Transfer* stage.
+    overlap_credit: SimDuration,
+}
+
+impl SpanFold {
+    fn observe(&mut self, event: &SessionEvent, alerts: &[AlertEvent]) {
+        match event {
+            SessionEvent::Stage(event) => self.stage(event),
+            SessionEvent::EncodeLanes { walls, .. } => self.lane_walls.clone_from(walls),
+            SessionEvent::OverlapCredit { credit, .. } => self.overlap_credit = *credit,
+            // One primary-track span per seeding round, ending when the
+            // round did.
+            SessionEvent::Migration {
+                iteration,
+                pages,
+                phase,
+                at_nanos,
+                duration,
+            } => {
+                let start = at_nanos.saturating_sub(duration.as_nanos());
+                self.recorder.push(
+                    SpanDraft::new(phase, "migration", Track::Primary, start)
+                        .lasting(duration.as_nanos())
+                        .attr_u64("iteration", *iteration)
+                        .attr_u64("pages", *pages),
+                );
+            }
+            SessionEvent::Fault {
+                fault,
+                at_nanos,
+                site,
+                ..
+            } => {
+                let draft = SpanDraft::new(fault, "fault", Track::Controller, *at_nanos)
+                    .attr_str("host", "primary");
+                match *site {
+                    FaultSite::Transfer => {}
+                    FaultSite::Primary => {
+                        self.recorder.push(draft);
+                    }
+                    FaultSite::PrimaryAtStage { seq, stage } => {
+                        self.recorder
+                            .push(draft.epoch(seq).attr_str("stage", stage.label()));
+                    }
+                }
+            }
+            SessionEvent::TransferRetry {
+                seq,
+                attempt,
+                reason,
+                at_nanos,
+                ..
+            } => {
+                self.recorder.push(
+                    SpanDraft::new("transfer_retry", "fault", Track::Controller, *at_nanos)
+                        .epoch(*seq)
+                        .attr_u64("attempt", u64::from(*attempt))
+                        .attr_str("reason", reason),
+                );
+            }
+            SessionEvent::EpochAbort {
+                seq,
+                attempts,
+                at_nanos,
+            } => {
+                self.close_epoch(*at_nanos);
+                self.recorder.push(
+                    SpanDraft::new("epoch_abort", "fault", Track::Controller, *at_nanos)
+                        .epoch(*seq)
+                        .attr_u64("attempts", u64::from(*attempts)),
+                );
+            }
+            SessionEvent::Failover { record, family, .. } => self.failover(record, family),
+            _ => {}
+        }
+        // A zero-width controller span per alert edge, so alerts land in
+        // the Chrome trace next to the epochs that caused them.
+        for alert in alerts {
+            self.recorder.push(
+                SpanDraft::new(alert.rule, "alert", Track::Controller, alert.at_nanos)
+                    .epoch(alert.epoch)
+                    .attr_str("state", alert.state.label())
+                    .attr_str("severity", alert.severity.label()),
+            );
+        }
+    }
+
+    /// Closes the open epoch root, if any, at `end_nanos`.
+    fn close_epoch(&mut self, end_nanos: u64) {
+        if let Some(root) = self.epoch_span.take() {
+            self.recorder.close(root, end_nanos);
+        }
+    }
+
+    /// The span-tree view of one stage event: the `Pause` stage opens the
+    /// epoch root, each stage becomes a child span, `Translate` drains
+    /// the stashed per-lane encode walls into lane child spans,
+    /// `Transfer` adds the replica-side apply spans (linked across the
+    /// simulated wire by epoch id, not by parent), and `Resume` closes
+    /// the root.
+    fn stage(&mut self, event: &StageEvent) {
+        let start = event.at.as_nanos();
+        let end = start + event.duration.as_nanos();
+        if event.stage == Stage::Pause {
+            let root = self.recorder.open(
+                SpanDraft::new("epoch", "epoch", Track::Primary, start)
+                    .epoch(event.seq)
+                    .attr_u64("seq", event.seq),
+            );
+            self.epoch_span = Some(root);
+        }
+        let mut draft = SpanDraft::new(event.stage.label(), "stage", Track::Primary, start)
+            .lasting(event.duration.as_nanos())
+            .epoch(event.seq)
+            .attr_u64("pages", event.pages)
+            .attr_u64("bytes", event.bytes);
+        if let Some(parent) = self.epoch_span {
+            draft = draft.child_of(parent);
+        }
+        if let Some(wall) = event.wall_nanos {
+            draft = draft.wall(wall);
+        }
+        let stage_span = self.recorder.push(draft);
+        match event.stage {
+            Stage::Translate => {
+                // Each lane worked inside the Translate window; its share
+                // of virtual time is the stage interval, its measured time
+                // the stashed wall probe.
+                let walls = std::mem::take(&mut self.lane_walls);
+                for (lane, wall) in walls.into_iter().enumerate() {
+                    self.recorder.push(
+                        SpanDraft::new(
+                            "encode_lane",
+                            "lane",
+                            Track::PrimaryLane(lane as u32),
+                            start,
+                        )
+                        .lasting(event.duration.as_nanos())
+                        .epoch(event.seq)
+                        .child_of(stage_span)
+                        .wall(wall)
+                        .attr_u64("lane", lane as u64),
+                    );
+                }
+            }
+            Stage::Transfer => {
+                // Wire time hidden under the encode window by the
+                // streamed overlap channel: recorded as a child of the
+                // (shortened) Transfer stage so the span tree shows what
+                // the pause no longer pays. Only emitted when the
+                // overlap knob produced a credit — the default tree (and
+                // its fingerprint) is unchanged.
+                let credit = std::mem::take(&mut self.overlap_credit);
+                if credit > SimDuration::ZERO {
+                    self.recorder.push(
+                        SpanDraft::new("wire_overlap", "overlap", Track::Primary, start)
+                            .lasting(credit.as_nanos())
+                            .epoch(event.seq)
+                            .child_of(stage_span),
+                    );
+                }
+                // Each replica decodes and installs its copy of the stream
+                // inside the Transfer window, on its own host and track:
+                // linked by epoch id, not by parent.
+                for index in 0..self.replicas {
+                    let mut replica =
+                        SpanDraft::new("decode_restore", "wire", Track::Replica(index), start)
+                            .lasting(event.duration.as_nanos())
+                            .epoch(event.seq)
+                            .attr_u64("pages", event.pages)
+                            .attr_u64("bytes", event.bytes);
+                    if index > 0 {
+                        replica = replica.attr_u64("replica", u64::from(index));
+                    }
+                    if let Some(wall) = event.wall_nanos {
+                        replica = replica.wall(wall);
+                    }
+                    self.recorder.push(replica);
+                }
+            }
+            Stage::Resume => self.close_epoch(end),
+            _ => {}
+        }
+    }
+
+    /// The failover span tree on the controller track: a root span
+    /// covering fail → resume, with `detect` and `switch_and_activate`
+    /// children splitting the outage at the detection instant. A failure
+    /// mid-epoch leaves the epoch root open; it is closed at the failure
+    /// instant first — the epoch never completed.
+    fn failover(&mut self, record: &FailoverRecord, family: &'static str) {
+        let failed = record.failed_at.as_nanos();
+        let detected = record.detected_at.as_nanos();
+        let resumed = record.resumed_at.as_nanos();
+        self.close_epoch(failed);
+        let root = self.recorder.push(
+            SpanDraft::new("failover", "failover", Track::Controller, failed)
+                .lasting(resumed.saturating_sub(failed))
+                .attr_u64("resumed_from_checkpoint", record.resumed_from_checkpoint)
+                .attr_u64("packets_lost", record.packets_lost as u64)
+                .attr_f64("ops_lost", record.ops_lost),
+        );
+        self.recorder.push(
+            SpanDraft::new("detect", "failover", Track::Controller, failed)
+                .lasting(detected.saturating_sub(failed))
+                .child_of(root),
+        );
+        self.recorder.push(
+            SpanDraft::new(
+                "switch_and_activate",
+                "failover",
+                Track::Controller,
+                detected,
+            )
+            .lasting(resumed.saturating_sub(detected))
+            .child_of(root)
+            .attr_u64("devices_switched", record.devices_switched as u64)
+            .attr_str("new_family", family),
+        );
+    }
+}
+
+/// The postmortem capture fold: the ledger as the acks so far imply it,
+/// and the snapshot the first trigger froze.
+#[derive(Debug)]
+struct Capture {
+    ledger: CommitLedger,
+    incident: Option<IncidentSnapshot>,
+}
+
+impl Capture {
+    /// The capture `event` (or an alert edge it produced) triggers:
+    /// `(trigger, epoch, at_nanos, detail)`.
+    fn trigger(
+        event: &SessionEvent,
+        alerts: &[AlertEvent],
+    ) -> Option<(&'static str, u64, u64, String)> {
+        if let Some(alert) = alerts.iter().find(|a| a.state == AlertState::Firing) {
+            let detail = format!("{}: {}", alert.rule, alert.detail);
+            return Some(("alert", alert.epoch, alert.at_nanos, detail));
+        }
+        match event {
+            SessionEvent::EpochAbort {
+                seq,
+                attempts,
+                at_nanos,
+            } => Some((
+                "epoch_abort",
+                *seq,
+                *at_nanos,
+                format!("epoch {seq} aborted after {attempts} transfer attempts"),
+            )),
+            SessionEvent::Failover { record, seq, .. } => Some((
+                "failover",
+                *seq,
+                record.resumed_at.as_nanos(),
+                format!(
+                    "primary failed; replica {} activated from checkpoint {}",
+                    record.activated_replica, record.resumed_from_checkpoint
+                ),
+            )),
+            // An armed run that reached the end without any trigger still
+            // captures, so the bundle workflow works on healthy runs too.
+            SessionEvent::RunEnd { seq, at_nanos } => Some((
+                "request",
+                *seq,
+                *at_nanos,
+                "explicit end-of-run capture (no trigger fired)".to_string(),
+            )),
+            _ => None,
+        }
+    }
+
+    /// Keeps the ledger view current and, on the first trigger, freezes
+    /// the other folds as they stand after `event`.
+    fn observe(
+        &mut self,
+        event: &SessionEvent,
+        alerts: &[AlertEvent],
+        telemetry: &SessionTelemetry,
+        spans: &[Span],
+    ) {
+        match *event {
+            SessionEvent::Ack { replica, seq, at } => {
+                self.ledger.ack(replica, seq, at);
+            }
+            SessionEvent::Commit { seq, .. } => {
+                debug_assert_eq!(self.ledger.last_committed(), Some(seq));
+            }
+            _ => {}
+        }
+        if self.incident.is_some() {
+            return;
+        }
+        if let Some((trigger, epoch, at_nanos, detail)) = Self::trigger(event, alerts) {
+            self.incident = Some(IncidentSnapshot::freeze(
+                trigger,
+                epoch,
+                at_nanos,
+                detail,
+                telemetry.snapshot(),
+                spans,
+                &self.ledger,
+            ));
+        }
+    }
+}
+
+/// Every observer of one session, as one value: the folds [`fold`] runs,
+/// in the order it runs them.
+#[derive(Debug)]
+pub(crate) struct Planes {
+    telemetry: SessionTelemetry,
+    spans: SpanFold,
+    capture: Option<Capture>,
+}
+
+impl Planes {
+    /// Builds the folds `cfg` arms. This is the only place the arming
+    /// flags, the SLO policy and the topology are read on the planes'
+    /// behalf.
+    pub(crate) fn new(cfg: &ReplicationConfig) -> Self {
+        let replicas = cfg.topology.replicas.max(1);
+        let quorum = cfg.topology.effective_quorum();
+        Planes {
+            telemetry: if cfg.health_plane {
+                SessionTelemetry::with_health_plane(
+                    cfg.period,
+                    replicas,
+                    quorum,
+                    cfg.topology.stale_epoch_lag,
+                )
+            } else {
+                SessionTelemetry::new(cfg.period)
+            },
+            spans: SpanFold {
+                recorder: SpanRecorder::new(),
+                replicas,
+                epoch_span: None,
+                lane_walls: Vec::new(),
+                overlap_credit: SimDuration::ZERO,
+            },
+            capture: cfg.postmortem_capture.then(|| Capture {
+                ledger: CommitLedger::with_quorum(replicas, quorum),
+                incident: None,
+            }),
+        }
+    }
+
+    /// Folds one event into every plane: metrics + flight + SLO and the
+    /// health plane, then spans, then the capture.
+    pub(crate) fn observe(&mut self, event: &SessionEvent) {
+        let alerts = self.telemetry.observe(event);
+        self.spans.observe(event, &alerts);
+        if let Some(capture) = &mut self.capture {
+            capture.observe(event, &alerts, &self.telemetry, self.spans.recorder.spans());
+        }
+    }
+
+    /// Freezes the planes into what a report carries.
+    pub(crate) fn finish(self) -> (TelemetrySnapshot, Vec<Span>, Option<IncidentSnapshot>) {
+        (
+            self.telemetry.snapshot(),
+            self.spans.recorder.into_spans(),
+            self.capture.and_then(|c| c.incident),
+        )
+    }
+}
+
+/// Recomputes the observability planes of a run from its event log: what
+/// [`RunReport::telemetry`](crate::report::RunReport::telemetry),
+/// [`RunReport::spans`](crate::report::RunReport::spans) and
+/// [`RunReport::incident`](crate::report::RunReport::incident) would be
+/// had the run that recorded `events` been configured as `cfg` — the
+/// same fold the session runs while it emits. Only `cfg`'s arming flags,
+/// period policy and topology matter; folding a run's own log under its
+/// own config reproduces its report exactly.
+pub fn fold(
+    cfg: &ReplicationConfig,
+    events: &[SessionEvent],
+) -> (TelemetrySnapshot, Vec<Span>, Option<IncidentSnapshot>) {
+    let mut planes = Planes::new(cfg);
+    for event in events {
+        planes.observe(event);
+    }
+    planes.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::period::PeriodAction;
+    use crate::period::{PeriodAction, PeriodDecision};
+    use crate::report::CheckpointRecord;
     use here_sim_core::time::SimTime;
     use here_telemetry::metrics::MetricValue;
 
@@ -840,23 +1246,63 @@ mod tests {
         }
     }
 
-    fn sample_decision() -> PeriodDecision {
-        PeriodDecision {
-            dirty_pages: 512,
-            measured_pause: SimDuration::from_millis(40),
-            measured_degradation: 0.02,
-            previous_period: SimDuration::from_secs(2),
-            chosen_period: SimDuration::from_secs(1),
-            predicted_degradation: 0.038,
-            action: PeriodAction::FastDescent,
-            clamp: None,
+    fn checkpoint(record: CheckpointRecord, at_nanos: u64) -> SessionEvent {
+        SessionEvent::Checkpoint {
+            record,
+            decision: PeriodDecision {
+                dirty_pages: 512,
+                measured_pause: SimDuration::from_millis(40),
+                measured_degradation: 0.02,
+                previous_period: SimDuration::from_secs(2),
+                chosen_period: SimDuration::from_secs(1),
+                predicted_degradation: 0.038,
+                action: PeriodAction::FastDescent,
+                clamp: None,
+            },
+            at_nanos,
+        }
+    }
+
+    fn retry(seq: u64, replica: u32, attempt: u32, reason: &'static str) -> SessionEvent {
+        SessionEvent::TransferRetry {
+            seq,
+            replica,
+            attempt,
+            reason,
+            backoff: SimDuration::from_micros(500),
+            at_nanos: 10,
+        }
+    }
+
+    /// A quiet epoch (2 % degradation, 2 s period, 40 ms pause) with the
+    /// given per-replica `(ack mark, lag, backlog)`.
+    fn epoch_health(seq: u64, at_nanos: u64, replicas: &[(u64, u64, u64)]) -> SessionEvent {
+        SessionEvent::EpochHealth {
+            seq,
+            at_nanos,
+            degradation: 0.02,
+            period: SimDuration::from_secs(2),
+            pause: SimDuration::from_millis(40),
+            observations: replicas
+                .iter()
+                .enumerate()
+                .map(
+                    |(i, &(ack_mark, lag_epochs, backlog_pages))| HealthObservation {
+                        replica: i as u32,
+                        ack_mark,
+                        lag_epochs,
+                        backlog_pages,
+                        retries: 0,
+                    },
+                )
+                .collect(),
         }
     }
 
     #[test]
     fn checkpoint_hook_feeds_metrics_slo_and_flight() {
         let mut t = SessionTelemetry::new(dynamic_policy());
-        t.on_checkpoint(&sample_record(1), &sample_decision(), 1_000);
+        t.observe(&checkpoint(sample_record(1), 1_000));
         let snap = t.snapshot();
         assert_eq!(
             snap.registry.find("here_checkpoints_total").unwrap().value,
@@ -876,7 +1322,7 @@ mod tests {
     #[test]
     fn fixed_policy_has_no_slo_tracker() {
         let mut t = SessionTelemetry::new(PeriodPolicy::Fixed(SimDuration::from_secs(2)));
-        t.on_checkpoint(&sample_record(1), &sample_decision(), 0);
+        t.observe(&checkpoint(sample_record(1), 0));
         let snap = t.snapshot();
         assert!(snap.slo.is_none());
         assert!(snap.slo_breaches.is_empty());
@@ -889,7 +1335,7 @@ mod tests {
         // 4 s pause over a 2 s period: D = 0.67, far over the 0.3 target.
         record.pause = SimDuration::from_secs(4);
         record.degradation = 2.0 / 3.0;
-        t.on_checkpoint(&record, &sample_decision(), 0);
+        t.observe(&checkpoint(record, 0));
         let snap = t.snapshot();
         assert_eq!(
             snap.registry.find("here_slo_breaches_total").unwrap().value,
@@ -903,7 +1349,7 @@ mod tests {
     fn stage_events_fill_labelled_histograms_and_counters() {
         let mut t = SessionTelemetry::new(dynamic_policy());
         for (i, stage) in Stage::ALL.into_iter().enumerate() {
-            t.on_stage_event(&StageEvent {
+            t.observe(&SessionEvent::Stage(StageEvent {
                 seq: 1,
                 stage,
                 at: SimTime::from_secs(i as u64),
@@ -911,7 +1357,7 @@ mod tests {
                 wall_nanos: (stage == Stage::Harvest).then_some(4_200),
                 pages: 128,
                 bytes: 128 * 4096,
-            });
+            }));
         }
         let snap = t.snapshot();
         assert_eq!(
@@ -938,11 +1384,20 @@ mod tests {
     #[test]
     fn pool_and_packet_sync_is_monotone() {
         let mut t = SessionTelemetry::new(dynamic_policy());
-        t.on_pool_stats(10, 4, 4, 0);
-        t.on_pool_stats(25, 4, 4, 1);
         // A stale (smaller) value never decrements.
-        t.on_pool_stats(20, 4, 4, 2);
-        t.on_packet_stats(7, 5, 0);
+        for (hits, at_nanos) in [(10, 0), (25, 1), (20, 2)] {
+            t.observe(&SessionEvent::PoolStats {
+                hits,
+                misses: 4,
+                pooled: 4,
+                at_nanos,
+            });
+        }
+        t.observe(&SessionEvent::Packets {
+            buffered: 7,
+            released: 5,
+            discarded: 0,
+        });
         let snap = t.snapshot();
         assert_eq!(
             snap.registry
@@ -960,34 +1415,56 @@ mod tests {
         );
     }
 
+    fn sample_failover() -> SessionEvent {
+        SessionEvent::Failover {
+            record: FailoverRecord {
+                failed_at: SimTime::from_secs(10),
+                detected_at: SimTime::from_secs(10) + SimDuration::from_millis(40),
+                resumed_at: SimTime::from_secs(10) + SimDuration::from_millis(49),
+                resumed_from_checkpoint: 7,
+                activated_replica: 0,
+                packets_lost: 3,
+                ops_lost: 120.0,
+                devices_switched: 3,
+            },
+            seq: 8,
+            family: "kvm",
+        }
+    }
+
     #[test]
     fn failover_lays_a_three_mark_timeline() {
         let mut t = SessionTelemetry::new(dynamic_policy());
-        t.on_failover(&FailoverRecord {
-            failed_at: SimTime::from_secs(10),
-            detected_at: SimTime::from_secs(10) + SimDuration::from_millis(40),
-            resumed_at: SimTime::from_secs(10) + SimDuration::from_millis(49),
-            resumed_from_checkpoint: 7,
-            activated_replica: 0,
-            packets_lost: 3,
-            ops_lost: 120.0,
-            devices_switched: 3,
-        });
+        t.observe(&sample_failover());
         let json = t.snapshot().flight_recorder_json;
-        for phase in ["failed", "detected", "resumed"] {
+        for phase in ["failed", "detected", "resumed", "device_switch"] {
             assert!(json.contains(&format!("\"phase\":\"{phase}\"")), "{phase}");
         }
         assert!(json.contains("from checkpoint 7"));
+        assert!(json.contains("3 devices re-plugged as kvm; 3 buffered packets discarded"));
     }
 
     #[test]
     fn retry_hooks_feed_counters_and_flight() {
         let mut t = SessionTelemetry::new(dynamic_policy());
-        t.on_fault("crash", true, "injected".into(), 5);
-        t.on_transfer_retry(3, 0, 1, "corrupt_frame", 500_000, 10);
-        t.on_transfer_retry(3, 0, 2, "dropped", 1_000_000, 20);
-        t.on_transfer_recovery(3, 2);
-        t.on_epoch_abort(4, 4, 30);
+        t.observe(&SessionEvent::Fault {
+            fault: "crash",
+            host_down: true,
+            detail: "injected".into(),
+            at_nanos: 5,
+            site: FaultSite::Primary,
+        });
+        t.observe(&retry(3, 0, 1, "corrupt_frame"));
+        t.observe(&retry(3, 0, 2, "dropped"));
+        t.observe(&SessionEvent::TransferRecovery {
+            seq: 3,
+            failed_attempts: 2,
+        });
+        t.observe(&SessionEvent::EpochAbort {
+            seq: 4,
+            attempts: 4,
+            at_nanos: 30,
+        });
         let snap = t.snapshot();
         for (name, want) in [
             ("here_faults_injected_total", 1),
@@ -1008,28 +1485,11 @@ mod tests {
             .contains("discarded after 4 failed transfer attempts"));
     }
 
-    fn lag_obs(replica: u32, acked: u64, lag: u64, backlog: u64) -> HealthObservation {
-        HealthObservation {
-            replica,
-            ack_mark: acked,
-            lag_epochs: lag,
-            backlog_pages: backlog,
-            retries: 0,
-        }
-    }
-
     #[test]
     fn unarmed_plane_registers_no_extra_families_and_ticks_to_nothing() {
         let mut plain = SessionTelemetry::new(dynamic_policy());
         let baseline = plain.snapshot().registry.metrics.len();
-        let events = plain.on_health_tick(
-            1,
-            0,
-            0.02,
-            2_000_000_000,
-            40_000_000,
-            &[lag_obs(0, 1, 0, 0)],
-        );
+        let events = plain.observe(&epoch_health(1, 0, &[(1, 0, 0)]));
         assert!(events.is_empty());
         let snap = plain.snapshot();
         assert_eq!(snap.registry.metrics.len(), baseline);
@@ -1040,19 +1500,12 @@ mod tests {
     #[test]
     fn armed_plane_labels_metrics_and_tracks_health() {
         let mut t = SessionTelemetry::with_health_plane(dynamic_policy(), 3, 2, 4);
-        t.on_transfer_retry(2, 2, 1, "link_down", 500_000, 10);
-        let events = t.on_health_tick(
+        t.observe(&retry(2, 2, 1, "link_down"));
+        let events = t.observe(&epoch_health(
             2,
             4_000_000_000,
-            0.02,
-            2_000_000_000,
-            40_000_000,
-            &[
-                lag_obs(0, 2, 0, 0),
-                lag_obs(1, 2, 0, 0),
-                lag_obs(2, 1, 1, 32),
-            ],
-        );
+            &[(2, 0, 0), (2, 0, 0), (1, 1, 32)],
+        ));
         assert!(events.is_empty(), "one slow epoch is not an alert");
         let snap = t.snapshot();
         let health = snap.health.expect("plane armed");
@@ -1079,38 +1532,22 @@ mod tests {
         let mut fired = Vec::new();
         for epoch in 1..=6 {
             // Replica 2 misses every epoch: lag grows 1, 2, ..., 6.
-            let at = epoch * 2_000_000_000;
-            fired.extend(t.on_health_tick(
+            fired.extend(t.observe(&epoch_health(
                 epoch,
-                at,
-                0.02,
-                2_000_000_000,
-                40_000_000,
-                &[
-                    lag_obs(0, epoch, 0, 0),
-                    lag_obs(1, epoch, 0, 0),
-                    lag_obs(2, 0, epoch, 128),
-                ],
-            ));
+                epoch * 2_000_000_000,
+                &[(epoch, 0, 0), (epoch, 0, 0), (0, epoch, 128)],
+            )));
         }
         let rules: Vec<&str> = fired.iter().map(|e| e.rule).collect();
         assert!(rules.contains(&"stale_replica"));
         assert!(rules.contains(&"quorum_at_risk"));
         // Replica 2 catches up and stays clean: alerts resolve.
         for epoch in 7..=10 {
-            let at = epoch * 2_000_000_000;
-            fired.extend(t.on_health_tick(
+            fired.extend(t.observe(&epoch_health(
                 epoch,
-                at,
-                0.02,
-                2_000_000_000,
-                40_000_000,
-                &[
-                    lag_obs(0, epoch, 0, 0),
-                    lag_obs(1, epoch, 0, 0),
-                    lag_obs(2, epoch, 0, 0),
-                ],
-            ));
+                epoch * 2_000_000_000,
+                &[(epoch, 0, 0); 3],
+            )));
         }
         let snap = t.snapshot();
         let health = snap.health.expect("plane armed");
@@ -1121,20 +1558,69 @@ mod tests {
     }
 
     #[test]
-    fn armed_reset_keeps_the_plane_and_its_schema() {
-        let mut t = SessionTelemetry::with_health_plane(dynamic_policy(), 2, 2, 8);
-        t.on_health_tick(
-            1,
-            0,
-            0.02,
-            2_000_000_000,
-            40_000_000,
-            &[lag_obs(0, 1, 0, 0)],
+    fn alert_edges_reach_the_span_tree_and_the_first_firing_one_is_captured() {
+        let cfg = ReplicationConfig::fixed_period(SimDuration::from_secs(2))
+            .with_topology(crate::config::TopologyConfig {
+                replicas: 3,
+                quorum: 2,
+                fanout: crate::config::FanoutMode::Star,
+                stale_epoch_lag: 4,
+            })
+            .with_health_plane()
+            .with_postmortem_capture();
+        let mut events = Vec::new();
+        for epoch in 1..=6 {
+            for replica in 0..2 {
+                events.push(SessionEvent::Ack {
+                    replica,
+                    seq: epoch,
+                    at: SimTime::from_secs(2 * epoch),
+                });
+            }
+            events.push(epoch_health(
+                epoch,
+                epoch * 2_000_000_000,
+                &[(epoch, 0, 0), (epoch, 0, 0), (0, epoch, 128)],
+            ));
+        }
+        events.push(SessionEvent::RunEnd {
+            seq: 6,
+            at_nanos: 13_000_000_000,
+        });
+        let (telemetry, spans, incident) = fold(&cfg, &events);
+        let log = telemetry.health.expect("plane armed").alert_log;
+        assert!(!log.is_empty());
+        let alert_spans: Vec<_> = spans.iter().filter(|s| s.category == "alert").collect();
+        assert_eq!(alert_spans.len(), log.len());
+        let first = log.iter().find(|a| a.state == AlertState::Firing).unwrap();
+        let incident = incident.expect("capture armed");
+        assert_eq!(
+            (incident.trigger.as_str(), incident.epoch),
+            ("alert", first.epoch)
         );
-        let before = t.snapshot();
-        t.reset();
-        let after = t.snapshot();
+        // The ledger view is rebuilt from the acks up to the trigger.
+        assert_eq!(incident.commits.len() as u64, first.epoch);
+        assert_eq!(incident.acks.len(), 3);
+        assert!(incident.acks[2].acks.is_empty());
+    }
+
+    #[test]
+    fn armed_reset_keeps_the_plane_and_its_schema() {
+        // A warmup reset is a rebuild from the same config.
+        let cfg = ReplicationConfig::dynamic(0.3, SimDuration::from_secs(10))
+            .with_topology(crate::config::TopologyConfig {
+                replicas: 2,
+                quorum: 2,
+                fanout: crate::config::FanoutMode::Star,
+                stale_epoch_lag: 8,
+            })
+            .with_health_plane();
+        let mut planes = Planes::new(&cfg);
+        planes.observe(&epoch_health(1, 0, &[(1, 0, 0)]));
+        let (before, _, _) = planes.finish();
+        let (after, _, _) = Planes::new(&cfg).finish();
         assert_eq!(before.registry.metrics.len(), after.registry.metrics.len());
+        assert!(before.health.expect("armed").series_points > 0);
         let health = after.health.expect("plane survives reset");
         assert_eq!(health.series_points, 0);
         assert!(health.alert_log.is_empty());
@@ -1143,19 +1629,18 @@ mod tests {
     #[test]
     fn flight_capacity_is_configurable_and_survives_reset() {
         // The ring holds FLIGHT_RECORDER_CAPACITY events and evicts the
-        // oldest past that; a reset rebuilds it at the same capacity.
+        // oldest past that; a rebuilt bundle has the same capacity.
         let capacity = format!("\"capacity\":{FLIGHT_RECORDER_CAPACITY}");
         let mut t = SessionTelemetry::new(dynamic_policy());
         assert!(t.snapshot().flight_recorder_json.contains(&capacity));
         let recorded = FLIGHT_RECORDER_CAPACITY as u64 + 2;
         for seq in 1..=recorded {
-            t.on_checkpoint(&sample_record(seq), &sample_decision(), 0);
+            t.observe(&checkpoint(sample_record(seq), 0));
         }
         let snap = t.snapshot();
         assert_eq!(snap.flight_events_recorded, recorded);
         assert_eq!(snap.flight_events_dropped, 2);
-        t.reset();
-        let after = t.snapshot();
+        let after = SessionTelemetry::new(dynamic_policy()).snapshot();
         assert!(after.flight_recorder_json.contains(&capacity));
         assert_eq!(after.flight_events_recorded, 0);
         assert_eq!(after.flight_events_dropped, 0);
@@ -1164,10 +1649,9 @@ mod tests {
     #[test]
     fn reset_discards_history_but_keeps_schema() {
         let mut t = SessionTelemetry::new(dynamic_policy());
-        t.on_checkpoint(&sample_record(1), &sample_decision(), 0);
+        t.observe(&checkpoint(sample_record(1), 0));
         let before = t.snapshot();
-        t.reset();
-        let after = t.snapshot();
+        let after = SessionTelemetry::new(dynamic_policy()).snapshot();
         assert_eq!(
             after.registry.find("here_checkpoints_total").unwrap().value,
             MetricValue::Counter(0)

@@ -1,4 +1,5 @@
-//! Structured stage-event tracing for the checkpoint pipeline.
+//! The session's event log: [`SessionEvent`], the one type a session
+//! emits, and the structured stage events that are most of it.
 //!
 //! Every checkpoint flows through the six pipeline stages of §3.2 —
 //! pause, harvest, translate, transfer, ack, resume — and each stage
@@ -13,6 +14,11 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use here_sim_core::time::{SimDuration, SimTime};
+use here_telemetry::health::HealthObservation;
+
+use crate::failover::FailoverRecord;
+use crate::period::PeriodDecision;
+use crate::report::CheckpointRecord;
 
 /// One stage of the checkpoint pipeline, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -99,69 +105,246 @@ pub struct StageEvent {
     pub bytes: u64,
 }
 
-/// An append-only collector of [`StageEvent`]s for one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct StageTrace {
-    events: Vec<StageEvent>,
+/// Where an injected fault landed — what tells the three places a
+/// [`SessionEvent::Fault`] is emitted apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultSite {
+    /// One transfer attempt toward a replica (the fault plane dropped,
+    /// corrupted, refused or delayed it, or downed the link). The retry
+    /// that follows carries the span; the fault itself has none.
+    Transfer,
+    /// The primary host, between epochs (the scenario's
+    /// [`FailurePlan`](crate::engine::FailurePlan)).
+    Primary,
+    /// The primary host at the entry of `stage` of epoch `seq` (the fault
+    /// plane's [`FaultKind::PrimaryFault`](crate::chaos::FaultKind)).
+    PrimaryAtStage {
+        /// The interrupted epoch.
+        seq: u64,
+        /// The stage it was about to enter.
+        stage: Stage,
+    },
 }
 
-impl StageTrace {
-    /// Empty trace.
-    pub fn new() -> Self {
-        StageTrace::default()
-    }
+/// One thing the session says happened. The session appends every event
+/// to one ordered log ([`RunReport::events`](crate::report::RunReport));
+/// metrics, flight recorder, SLO, health/alerts, spans and incident
+/// capture are folds over that log ([`crate::telemetry::fold`]), so the
+/// log is the same whichever of them is armed. `at_nanos` fields are
+/// report-relative virtual nanoseconds; the `wall`/`walls`/`steals`/
+/// `occupancy_pct` values are host measurements and differ between runs.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SessionEvent {
+    /// One pipeline stage boundary crossed.
+    Stage(StageEvent),
+    /// The lanes encoding epoch `seq`'s canonical stream finished;
+    /// `walls[lane]` is the host time each took.
+    EncodeLanes {
+        /// Epoch encoded (0 is the seeding stop-and-copy).
+        seq: u64,
+        /// When the encode ran.
+        at_nanos: u64,
+        /// Host nanoseconds per lane, in lane order.
+        walls: Vec<u64>,
+    },
+    /// Wire time the *Transfer* stage about to be recorded hid under the
+    /// encode window. Emitted only when non-zero (overlap on).
+    OverlapCredit {
+        /// Epoch the credit belongs to.
+        seq: u64,
+        /// The hidden wire time.
+        credit: SimDuration,
+    },
+    /// Replica `replica` acknowledged epoch `seq`.
+    Ack {
+        /// 0-based replica index.
+        replica: u32,
+        /// The acknowledged epoch.
+        seq: u64,
+        /// When the ack arrived.
+        at: SimTime,
+    },
+    /// An ack completed the quorum: epoch `seq` is committed and its
+    /// buffered output released.
+    Commit {
+        /// The committed epoch.
+        seq: u64,
+        /// The commit instant (the quorum-th ack's arrival).
+        at: SimTime,
+    },
+    /// The device manager's cumulative packet counters, sampled after a
+    /// commit and after a failover's rollback.
+    Packets {
+        /// Packets held back for commit so far.
+        buffered: u64,
+        /// Packets released at commit so far.
+        released: u64,
+        /// Packets dropped by a failover rollback so far.
+        discarded: u64,
+    },
+    /// Replica `replica` fell more than the topology's bound behind the
+    /// newest acked epoch (once per stale episode).
+    ReplicaStale {
+        /// 0-based replica index.
+        replica: u32,
+        /// Epochs it trails by.
+        lag_epochs: u64,
+        /// When the scan ran.
+        at_nanos: u64,
+    },
+    /// One checkpoint completed and fed the period controller.
+    Checkpoint {
+        /// The record derived from the epoch's stage events.
+        record: CheckpointRecord,
+        /// What the controller decided for the next epoch.
+        decision: PeriodDecision,
+        /// When the epoch finished.
+        at_nanos: u64,
+    },
+    /// The encode buffer pool's cumulative reclaim statistics, sampled
+    /// after each checkpoint recycled its segments.
+    PoolStats {
+        /// Checkouts served from the pool.
+        hits: u64,
+        /// Checkouts that allocated.
+        misses: u64,
+        /// Buffers parked in the pool.
+        pooled: u64,
+        /// When the sample was taken.
+        at_nanos: u64,
+    },
+    /// The work-stealing lane pool ran a multi-lane round for epoch `seq`.
+    EncodePool {
+        /// Epoch encoded.
+        seq: u64,
+        /// Chunks the round was split into.
+        tasks: u64,
+        /// Chunks a lane took from another lane's share.
+        steals: u64,
+        /// Share of the round's lane-time spent encoding.
+        occupancy_pct: f64,
+        /// When the sample was taken.
+        at_nanos: u64,
+    },
+    /// What the health plane needs to know about a committed epoch: each
+    /// replica's ack mark, lag and backlog, read after the acks landed.
+    /// Emitted whether or not the plane is armed.
+    EpochHealth {
+        /// The committed epoch.
+        seq: u64,
+        /// When the epoch finished.
+        at_nanos: u64,
+        /// The epoch's measured degradation.
+        degradation: f64,
+        /// The period the epoch ran with.
+        period: SimDuration,
+        /// The epoch's pause.
+        pause: SimDuration,
+        /// One observation per replica, in index order (`retries` is 0:
+        /// the health fold counts them from [`SessionEvent::TransferRetry`]).
+        observations: Vec<HealthObservation>,
+    },
+    /// One round of the seeding migration finished.
+    Migration {
+        /// Round index (0 is the full copy).
+        iteration: u64,
+        /// Pages the round sent.
+        pages: u64,
+        /// `full_copy`, `pre_copy` or `stop_and_copy`.
+        phase: &'static str,
+        /// When the round ended.
+        at_nanos: u64,
+        /// How long it took.
+        duration: SimDuration,
+    },
+    /// A fault was injected.
+    Fault {
+        /// Short label: the outcome (`crash`, `hang`, `starvation`),
+        /// `exploit`, or the transfer fault's reason.
+        fault: &'static str,
+        /// Whether it took the primary host down.
+        host_down: bool,
+        /// Human-readable description.
+        detail: String,
+        /// When it landed.
+        at_nanos: u64,
+        /// What it hit.
+        site: FaultSite,
+    },
+    /// A transfer attempt failed and will be retried after `backoff`.
+    TransferRetry {
+        /// Epoch in flight.
+        seq: u64,
+        /// Replica the attempt was sent to.
+        replica: u32,
+        /// 1-based count of failed attempts so far.
+        attempt: u32,
+        /// Why it failed.
+        reason: &'static str,
+        /// Backoff charged before the next attempt.
+        backoff: SimDuration,
+        /// When it failed.
+        at_nanos: u64,
+    },
+    /// A transfer was delivered after `failed_attempts` failures.
+    TransferRecovery {
+        /// Epoch delivered.
+        seq: u64,
+        /// Attempts that failed first.
+        failed_attempts: u32,
+    },
+    /// Too few replicas applied epoch `seq` for it to commit: it was
+    /// discarded and its pages re-marked dirty.
+    EpochAbort {
+        /// The aborted epoch.
+        seq: u64,
+        /// Attempts each missing replica was given.
+        attempts: u32,
+        /// When the primary resumed.
+        at_nanos: u64,
+    },
+    /// The primary failed and a replica was activated.
+    Failover {
+        /// The failover timeline.
+        record: FailoverRecord,
+        /// The epoch counter at the failure (the epoch lost, if one was
+        /// in flight).
+        seq: u64,
+        /// Hypervisor family of the activated replica (`xen` or `kvm`).
+        family: &'static str,
+    },
+    /// The run is over; nothing follows.
+    RunEnd {
+        /// The last epoch started.
+        seq: u64,
+        /// When the run ended.
+        at_nanos: u64,
+    },
+}
 
-    /// Appends one event.
-    pub fn record(&mut self, event: StageEvent) {
-        self.events.push(event);
-    }
-
-    /// All events in emission order.
-    pub fn events(&self) -> &[StageEvent] {
-        &self.events
-    }
-
-    /// Discards everything collected so far (used when a warmup window
-    /// closes and measurement restarts).
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
-    /// Consumes the trace, yielding the raw event list.
-    pub fn into_events(self) -> Vec<StageEvent> {
-        self.events
-    }
-
-    /// Events belonging to checkpoint `seq`, in stage order.
-    pub fn for_seq(&self, seq: u64) -> Vec<StageEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.seq == seq)
-            .copied()
-            .collect()
-    }
-
-    /// The VM-visible pause of checkpoint `seq`: the sum of its
-    /// pause-counting stage durations (see
-    /// [`Stage::counts_toward_pause`]).
-    pub fn pause_of(&self, seq: u64) -> SimDuration {
-        self.events
-            .iter()
-            .filter(|e| e.seq == seq && e.stage.counts_toward_pause())
-            .map(|e| e.duration)
-            .sum()
-    }
-
-    /// Distinct checkpoint sequence numbers present, in first-seen order.
-    pub fn seqs(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::new();
-        for e in &self.events {
-            if out.last() != Some(&e.seq) && !out.contains(&e.seq) {
-                out.push(e.seq);
-            }
+impl SessionEvent {
+    /// The stage boundary this event records, if it is one.
+    pub fn as_stage(&self) -> Option<&StageEvent> {
+        match self {
+            SessionEvent::Stage(event) => Some(event),
+            _ => None,
         }
-        out
     }
+}
+
+/// The stage events of epoch `seq`, in stage order, read off the tail of
+/// `log`: while an epoch is being checkpointed its stage events are the
+/// last ones in the log, so nothing older is scanned.
+pub(crate) fn epoch_stage_events(log: &[SessionEvent], seq: u64) -> Vec<StageEvent> {
+    let mut events: Vec<StageEvent> = log
+        .iter()
+        .rev()
+        .filter_map(SessionEvent::as_stage)
+        .take_while(|e| e.seq == seq)
+        .copied()
+        .collect();
+    events.reverse();
+    events
 }
 
 /// Summarises a flat event list per stage: `(stage, total duration)` in
@@ -198,55 +381,68 @@ mod tests {
         }
     }
 
-    fn sample() -> StageTrace {
-        let mut t = StageTrace::new();
-        t.record(ev(1, Stage::Pause, 0, 8, 0));
-        t.record(ev(1, Stage::Harvest, 8, 20, 100));
-        t.record(ev(1, Stage::Translate, 28, 4, 100));
-        t.record(ev(1, Stage::Transfer, 32, 10, 100));
-        t.record(ev(1, Stage::Ack, 42, 1, 0));
-        t.record(ev(1, Stage::Resume, 43, 0, 0));
-        t.record(ev(2, Stage::Pause, 100, 8, 0));
-        t.record(ev(2, Stage::Harvest, 108, 30, 200));
-        t.record(ev(2, Stage::Translate, 138, 4, 200));
-        t.record(ev(2, Stage::Transfer, 142, 20, 200));
-        t.record(ev(2, Stage::Ack, 162, 1, 0));
-        t.record(ev(2, Stage::Resume, 163, 0, 0));
-        t
+    fn sample() -> Vec<StageEvent> {
+        vec![
+            ev(1, Stage::Pause, 0, 8, 0),
+            ev(1, Stage::Harvest, 8, 20, 100),
+            ev(1, Stage::Translate, 28, 4, 100),
+            ev(1, Stage::Transfer, 32, 10, 100),
+            ev(1, Stage::Ack, 42, 1, 0),
+            ev(1, Stage::Resume, 43, 0, 0),
+            ev(2, Stage::Pause, 100, 8, 0),
+            ev(2, Stage::Harvest, 108, 30, 200),
+            ev(2, Stage::Translate, 138, 4, 200),
+            ev(2, Stage::Transfer, 142, 20, 200),
+            ev(2, Stage::Ack, 162, 1, 0),
+            ev(2, Stage::Resume, 163, 0, 0),
+        ]
     }
 
     #[test]
     fn pause_excludes_only_the_ack() {
-        let t = sample();
-        assert_eq!(t.pause_of(1), SimDuration::from_millis(8 + 20 + 4 + 10));
-        assert_eq!(t.pause_of(2), SimDuration::from_millis(8 + 30 + 4 + 20));
-    }
-
-    #[test]
-    fn per_stage_totals_cover_all_stages_in_order() {
-        let t = sample();
-        let totals = stage_totals(t.events());
-        assert_eq!(totals.len(), 6);
-        assert_eq!(totals[0], (Stage::Pause, SimDuration::from_millis(16)));
-        assert_eq!(totals[1], (Stage::Harvest, SimDuration::from_millis(50)));
-        assert_eq!(totals[4], (Stage::Ack, SimDuration::from_millis(2)));
+        let events = sample();
+        let period = SimDuration::from_secs(2);
+        let pause = |events: &[StageEvent]| CheckpointRecord::from_events(period, events).pause;
+        assert_eq!(
+            pause(&events[..6]),
+            SimDuration::from_millis(8 + 20 + 4 + 10)
+        );
+        assert_eq!(
+            pause(&events[6..]),
+            SimDuration::from_millis(8 + 30 + 4 + 20)
+        );
     }
 
     #[test]
     fn seq_queries_group_events() {
-        let t = sample();
-        assert_eq!(t.seqs(), vec![1, 2]);
-        let one = t.for_seq(1);
-        assert_eq!(one.len(), 6);
-        assert_eq!(one[0].stage, Stage::Pause);
-        assert_eq!(one[5].stage, Stage::Resume);
+        // Other events interleave with an epoch's stages; the tail query
+        // skips them and stops at the previous epoch.
+        let mut log = Vec::new();
+        for event in sample() {
+            log.push(SessionEvent::Stage(event));
+            log.push(SessionEvent::TransferRecovery {
+                seq: event.seq,
+                failed_attempts: 1,
+            });
+        }
+        let two = epoch_stage_events(&log, 2);
+        assert_eq!(two, sample()[6..]);
+        assert_eq!(two[0].stage, Stage::Pause);
+        assert_eq!(two[5].stage, Stage::Resume);
+        assert!(
+            epoch_stage_events(&log, 1).is_empty(),
+            "epoch 1 is not the tail"
+        );
+        log.truncate(12);
+        assert_eq!(epoch_stage_events(&log, 1), sample()[..6]);
     }
 
     #[test]
-    fn clear_resets_the_trace() {
-        let mut t = sample();
-        t.clear();
-        assert!(t.events().is_empty());
-        assert_eq!(t.pause_of(1), SimDuration::ZERO);
+    fn per_stage_totals_cover_all_stages_in_order() {
+        let totals = stage_totals(&sample());
+        assert_eq!(totals.len(), 6);
+        assert_eq!(totals[0], (Stage::Pause, SimDuration::from_millis(16)));
+        assert_eq!(totals[1], (Stage::Harvest, SimDuration::from_millis(50)));
+        assert_eq!(totals[4], (Stage::Ack, SimDuration::from_millis(2)));
     }
 }

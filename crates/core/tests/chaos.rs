@@ -9,7 +9,10 @@
 //! failover provably resumes from the last fully-acked epoch, and that
 //! the same seed replays byte-identically.
 
-use here_core::{FaultKind, FaultPlan, ReplicationConfig, RunReport, Scenario, Stage};
+use here_core::{
+    CommitEntry, FaultKind, FaultPlan, FaultSite, ReplicationConfig, RunReport, Scenario,
+    SessionEvent, Stage,
+};
 use here_hypervisor::fault::DosOutcome;
 use here_sim_core::time::SimDuration;
 use here_workloads::memstress::MemStress;
@@ -115,6 +118,39 @@ fn exhausted_retry_budget_aborts_the_epoch_and_replication_continues() {
     assert!(report.worst_staleness().expect("commits exist") >= SimDuration::from_secs(4));
 }
 
+#[test]
+fn nothing_observed_during_warmup_survives_into_the_measured_report() {
+    // Epoch 2 falls inside the 8 s warmup and aborts there, which is a
+    // capture trigger. The measured window sees no trigger at all, so its
+    // incident must be the end-of-run request — taken from planes that
+    // were rebuilt, like the ledger and the fault counters, when warmup
+    // closed.
+    let report = Scenario::builder()
+        .vm_memory_mib(64)
+        .vcpus(4)
+        .workload(Box::new(MemStress::with_percent(30).with_rate(20_000)))
+        .config(
+            ReplicationConfig::fixed_period(SimDuration::from_secs(2)).with_postmortem_capture(),
+        )
+        .warmup(SimDuration::from_secs(8))
+        .duration(SimDuration::from_secs(12))
+        .chaos(FaultPlan::new(5).with_event(2, FaultKind::Drop { attempts: 10 }))
+        .build()
+        .expect("valid scenario")
+        .run();
+    assert_eq!(report.chaos.expect("plan armed").epochs_aborted, 0);
+    let incident = report.incident.expect("capture armed");
+    assert_eq!(incident.trigger, "request", "{}", incident.detail);
+    assert!(!incident.flight_json.contains("epoch_abort"));
+    let first = report.stage_events.first().expect("measured epochs").seq;
+    assert!(first > 2, "warmup epochs are not in the measured log");
+    assert!(report
+        .events
+        .iter()
+        .all(|e| !matches!(e, SessionEvent::EpochAbort { .. })));
+    assert_eq!(report.spans.first().expect("spans").id.get(), 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -149,6 +185,68 @@ proptest! {
         let committed: Vec<u64> = report.commits.iter().map(|c| c.seq).collect();
         let recorded: Vec<u64> = report.checkpoints.iter().map(|c| c.seq).collect();
         prop_assert_eq!(committed, recorded);
+    }
+
+    /// No silent failure: every retry, recovery, abort and injected fault
+    /// the run counted is in the event log exactly once, a primary downed
+    /// mid-epoch leaves one fault event and one failover event, and no
+    /// epoch commits before a quorum of replicas acknowledged it.
+    #[test]
+    fn every_error_and_abort_path_leaves_exactly_one_event(
+        plan_seed in 0u64..(1u64 << 48),
+        run_seed in 0u64..(1u64 << 48),
+    ) {
+        let report = chaos_run(run_seed, FaultPlan::generate(plan_seed, 12));
+        let stats = report.chaos.expect("plan armed");
+        let count = |pick: fn(&SessionEvent) -> bool| {
+            report.events.iter().filter(|e| pick(e)).count() as u64
+        };
+        prop_assert_eq!(
+            count(|e| matches!(e, SessionEvent::TransferRetry { .. })),
+            stats.transfer_retries
+        );
+        prop_assert_eq!(
+            count(|e| matches!(e, SessionEvent::TransferRecovery { .. })),
+            stats.transfer_recoveries
+        );
+        prop_assert_eq!(
+            count(|e| matches!(e, SessionEvent::EpochAbort { .. })),
+            stats.epochs_aborted
+        );
+        prop_assert_eq!(
+            count(|e| matches!(e, SessionEvent::Fault { .. })),
+            stats.faults_injected
+        );
+        // `InjectedPrimaryFault` is the only way this run fails over.
+        let failovers = u64::from(report.failover.is_some());
+        prop_assert_eq!(
+            count(|e| matches!(
+                e,
+                SessionEvent::Fault { site: FaultSite::PrimaryAtStage { .. }, host_down: true, .. }
+            )),
+            failovers
+        );
+        prop_assert_eq!(count(|e| matches!(e, SessionEvent::Failover { .. })), failovers);
+        prop_assert_eq!(count(|e| matches!(e, SessionEvent::RunEnd { .. })), 1);
+        prop_assert!(matches!(report.events.last(), Some(SessionEvent::RunEnd { .. })));
+
+        let mut commits = Vec::new();
+        for (i, event) in report.events.iter().enumerate() {
+            let SessionEvent::Commit { seq, at } = *event else { continue };
+            let acks = report.events[..i]
+                .iter()
+                .filter(|e| matches!(e, SessionEvent::Ack { seq: acked, .. } if *acked == seq))
+                .count();
+            prop_assert!(acks >= 1, "epoch {} committed on {} acks (quorum 1)", seq, acks);
+            commits.push(CommitEntry { seq, at });
+        }
+        prop_assert_eq!(commits, report.commits.clone());
+        // And the planes are a fold of that log.
+        let cfg = ReplicationConfig::fixed_period(SimDuration::from_secs(2));
+        let (telemetry, spans, incident) = here_core::telemetry::fold(&cfg, &report.events);
+        prop_assert_eq!(Some(telemetry), report.telemetry.clone());
+        prop_assert_eq!(spans, report.spans.clone());
+        prop_assert_eq!(incident, report.incident.clone());
     }
 
     /// Determinism: the same (plan seed, run seed) pair replays to an
