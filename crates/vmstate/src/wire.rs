@@ -355,13 +355,11 @@ impl PagePayload {
                 let mut out = base.to_vec();
                 for (offset, xor) in runs {
                     let start = *offset as usize;
-                    let end = start + xor.len();
-                    if end > PAGE_CONTENT_BYTES {
-                        return Err(WireError::BadPayload("delta run out of page bounds"));
-                    }
-                    for (dst, &x) in out[start..end].iter_mut().zip(xor.iter()) {
-                        *dst ^= x;
-                    }
+                    let end = start
+                        .checked_add(xor.len())
+                        .filter(|&end| end <= PAGE_CONTENT_BYTES)
+                        .ok_or(WireError::BadPayload("delta run out of page bounds"))?;
+                    xor_into(&mut out[start..end], xor);
                 }
                 Ok(Some(out))
             }
@@ -369,11 +367,37 @@ impl PagePayload {
     }
 }
 
-/// Gap under which adjacent differing-byte runs are merged into one run,
-/// trading a few identical bytes re-sent for fewer per-run headers.
+/// `dst[i] ^= src[i]` over two equal-length slices, eight bytes per step.
+fn xor_into(dst: &mut [u8], src: &[u8]) {
+    let mut dst_words = dst.chunks_exact_mut(8);
+    let mut src_words = src.chunks_exact(8);
+    for (d, s) in (&mut dst_words).zip(&mut src_words) {
+        let word = u64::from_ne_bytes((&*d).try_into().expect("8-byte chunk"))
+            ^ u64::from_ne_bytes(s.try_into().expect("8-byte chunk"));
+        d.copy_from_slice(&word.to_ne_bytes());
+    }
+    for (d, s) in dst_words
+        .into_remainder()
+        .iter_mut()
+        .zip(src_words.remainder())
+    {
+        *d ^= s;
+    }
+}
+
+/// Two differing-byte spans merge into one run when at most this many
+/// identical bytes lie between them, trading those bytes re-sent for one
+/// fewer per-run header.
 const DELTA_RUN_MERGE_GAP: usize = 8;
 /// A sparse delta above this encoded size falls back to a full page.
 const DELTA_MAX_BYTES: usize = PAGE_CONTENT_BYTES / 2;
+/// What a run is charged for its offset and length, beside its XOR bytes.
+const DELTA_RUN_HEADER_BYTES: usize = 4;
+/// The most runs a delta can hold: each costs its header and at least one
+/// byte, so a page with more is already past [`DELTA_MAX_BYTES`].
+const DELTA_MAX_RUNS: usize = DELTA_MAX_BYTES / (DELTA_RUN_HEADER_BYTES + 1);
+/// Words of a page's "byte differs" bitmap, one bit per byte.
+const PAGE_BITMAP_WORDS: usize = PAGE_CONTENT_BYTES / u64::BITS as usize;
 
 /// Classifies a page's content against its (optional) base-epoch copy:
 /// all-zero pages are suppressed entirely, low-entropy rewrites become
@@ -388,7 +412,12 @@ pub fn classify_page(content: &[u8], base: Option<&[u8]>) -> PagePayload {
         PAGE_CONTENT_BYTES,
         "page content must be exactly one page"
     );
-    if content.iter().all(|&b| b == 0) {
+    // One OR-fold per 64-byte block: a page that is not zero leaves at its
+    // first non-zero block, a zero page costs one read of its 4 KiB.
+    if content
+        .chunks_exact(64)
+        .all(|block| block.iter().fold(0, |acc, &b| acc | b) == 0)
+    {
         return PagePayload::Zero;
     }
     if let Some(base) = base {
@@ -397,44 +426,97 @@ pub fn classify_page(content: &[u8], base: Option<&[u8]>) -> PagePayload {
             PAGE_CONTENT_BYTES,
             "delta base must be exactly one page"
         );
-        if let Some(runs) = sparse_xor_runs(content, base) {
+        if let Some(runs) = delta_runs(content, base) {
             return PagePayload::Delta(runs);
         }
     }
     PagePayload::Full(Bytes::from(content.to_vec()))
 }
 
-fn sparse_xor_runs(content: &[u8], base: &[u8]) -> Option<Vec<(u32, Bytes)>> {
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    let mut i = 0;
-    while i < content.len() {
-        if content[i] == base[i] {
-            i += 1;
-            continue;
+/// First byte at or after `from` whose bit in `bitmap` equals `set`, or
+/// the page length when there is none. Steps a word at a time, so a
+/// wholly rewritten or wholly untouched stretch costs one test per 64
+/// bytes.
+fn next_bit(bitmap: &[u64; PAGE_BITMAP_WORDS], from: usize, set: bool) -> usize {
+    let mut at = from;
+    while at < PAGE_CONTENT_BYTES {
+        let word = bitmap[at / 64];
+        // The shift fills from the top with zeros, which match neither
+        // search, so bits below `at` and above the word never answer.
+        let ahead = if set { word } else { !word } >> (at % 64);
+        if ahead != 0 {
+            return at + ahead.trailing_zeros() as usize;
         }
-        let start = i;
-        while i < content.len() && content[i] != base[i] {
-            i += 1;
-        }
-        match spans.last_mut() {
-            Some(last) if start - last.1 <= DELTA_RUN_MERGE_GAP => last.1 = i,
-            _ => spans.push((start, i)),
-        }
+        at = (at / 64 + 1) * 64;
     }
-    let cost: usize = spans.iter().map(|&(s, e)| 4 + (e - s)).sum();
-    if cost > DELTA_MAX_BYTES {
-        return None;
+    PAGE_CONTENT_BYTES
+}
+
+/// The sparse XOR runs of `content` against `base`, or `None` when they
+/// would cost more than [`DELTA_MAX_BYTES`].
+///
+/// A span is a maximal stretch of differing bytes, read off the kernel's
+/// bitmap; a span starting at most [`DELTA_RUN_MERGE_GAP`] bytes past the
+/// previous one's end extends it; the cost is `Σ (4 + len)` over the
+/// merged spans. The running cost never falls as spans are added, so the
+/// scan stops at the first span that takes it past the cap. All runs of a
+/// page slice one XOR buffer.
+fn delta_runs(content: &[u8], base: &[u8]) -> Option<Vec<(u32, Bytes)>> {
+    let mut bitmap = [0u64; PAGE_BITMAP_WORDS];
+    crate::simd::active().diff_bitmap(content, base, &mut bitmap);
+
+    const _: () = assert!(PAGE_CONTENT_BYTES <= u16::MAX as usize);
+    let mut spans = [(0u16, 0u16); DELTA_MAX_RUNS];
+    let mut count = 0;
+    let mut cost = 0;
+    let mut start = next_bit(&bitmap, 0, true);
+    while start < PAGE_CONTENT_BYTES {
+        let end = next_bit(&bitmap, start, false);
+        let merge_from = spans[..count]
+            .last()
+            .map(|last| usize::from(last.1))
+            .filter(|&last_end| start - last_end <= DELTA_RUN_MERGE_GAP);
+        cost += match merge_from {
+            Some(last_end) => end - last_end,
+            None => DELTA_RUN_HEADER_BYTES + (end - start),
+        };
+        // Checked before the store: `n` spans cost at least `5 n`, so a
+        // span that would not fit the array is already past the cap.
+        if cost > DELTA_MAX_BYTES {
+            return None;
+        }
+        if merge_from.is_some() {
+            spans[count - 1].1 = end as u16;
+        } else {
+            spans[count] = (start as u16, end as u16);
+            count += 1;
+        }
+        start = next_bit(&bitmap, end, true);
     }
+    if count == 0 {
+        return Some(Vec::new());
+    }
+
+    let spans = spans[..count]
+        .iter()
+        .map(|&(s, e)| usize::from(s)..usize::from(e));
+    let mut xor = Vec::with_capacity(cost - DELTA_RUN_HEADER_BYTES * count);
+    for span in spans.clone() {
+        xor.extend(
+            content[span.clone()]
+                .iter()
+                .zip(&base[span])
+                .map(|(&c, &b)| c ^ b),
+        );
+    }
+    let xor = Bytes::from(xor);
+    let mut taken = 0;
     Some(
         spans
-            .into_iter()
-            .map(|(s, e)| {
-                let xored: Vec<u8> = content[s..e]
-                    .iter()
-                    .zip(&base[s..e])
-                    .map(|(&c, &b)| c ^ b)
-                    .collect();
-                (s as u32, Bytes::from(xored))
+            .map(|span| {
+                let run = xor.slice(taken..taken + span.len());
+                taken += span.len();
+                (span.start as u32, run)
             })
             .collect(),
     )
@@ -2160,6 +2242,265 @@ mod tests {
         let payload = classify_page(&base, Some(&base));
         assert_eq!(payload, PagePayload::Delta(Vec::new()));
         assert_eq!(payload.materialize(Some(&base)).unwrap().unwrap(), base);
+    }
+
+    /// The classifier as it stood before the bitmap rewrite, byte at a
+    /// time and kept verbatim: the reference the differential property
+    /// and the boundary tests compare [`classify_page`] against.
+    fn classify_reference(content: &[u8], base: Option<&[u8]>) -> PagePayload {
+        assert_eq!(
+            content.len(),
+            PAGE_CONTENT_BYTES,
+            "page content must be exactly one page"
+        );
+        if content.iter().all(|&b| b == 0) {
+            return PagePayload::Zero;
+        }
+        if let Some(base) = base {
+            assert_eq!(
+                base.len(),
+                PAGE_CONTENT_BYTES,
+                "delta base must be exactly one page"
+            );
+            if let Some(runs) = sparse_xor_runs(content, base) {
+                return PagePayload::Delta(runs);
+            }
+        }
+        PagePayload::Full(Bytes::from(content.to_vec()))
+    }
+
+    fn sparse_xor_runs(content: &[u8], base: &[u8]) -> Option<Vec<(u32, Bytes)>> {
+        let mut spans: Vec<(usize, usize)> = Vec::new();
+        let mut i = 0;
+        while i < content.len() {
+            if content[i] == base[i] {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < content.len() && content[i] != base[i] {
+                i += 1;
+            }
+            match spans.last_mut() {
+                Some(last) if start - last.1 <= DELTA_RUN_MERGE_GAP => last.1 = i,
+                _ => spans.push((start, i)),
+            }
+        }
+        let cost: usize = spans.iter().map(|&(s, e)| 4 + (e - s)).sum();
+        if cost > DELTA_MAX_BYTES {
+            return None;
+        }
+        Some(
+            spans
+                .into_iter()
+                .map(|(s, e)| {
+                    let xored: Vec<u8> = content[s..e]
+                        .iter()
+                        .zip(&base[s..e])
+                        .map(|(&c, &b)| c ^ b)
+                        .collect();
+                    (s as u32, Bytes::from(xored))
+                })
+                .collect(),
+        )
+    }
+
+    /// `base` with every byte of each span inverted, so a span differs in
+    /// all of its bytes and nowhere else.
+    fn with_spans(base: &[u8], spans: &[std::ops::Range<usize>]) -> Vec<u8> {
+        let mut content = base.to_vec();
+        for span in spans {
+            for b in &mut content[span.clone()] {
+                *b = !*b;
+            }
+        }
+        content
+    }
+
+    /// The `(offset, length)` of each run `content` classifies to against
+    /// `base`, or `None` for a full page; checked against the reference
+    /// and against materialization on the way.
+    fn delta_shape(content: &[u8], base: &[u8]) -> Option<Vec<(usize, usize)>> {
+        let payload = classify_page(content, Some(base));
+        assert_eq!(payload, classify_reference(content, Some(base)));
+        assert_eq!(payload.materialize(Some(base)).unwrap().unwrap(), content);
+        match payload {
+            PagePayload::Delta(runs) => Some(
+                runs.iter()
+                    .map(|(offset, xor)| (*offset as usize, xor.len()))
+                    .collect(),
+            ),
+            PagePayload::Full(_) => None,
+            other => panic!("unexpected payload {other:?}"),
+        }
+    }
+
+    #[test]
+    fn v3_delta_gap_of_eight_merges_and_nine_does_not() {
+        let base = page_content(5);
+        // The equal stretch between the spans straddles a 16-byte vector
+        // lane, a 64-byte bitmap word, a 64-byte word with the second
+        // span running into a third word, and ends on the page's last byte.
+        for (first, second_len) in [(10..12, 3), (57..60, 5), (120..126, 70), (4000..4060, 20)] {
+            for gap in [DELTA_RUN_MERGE_GAP, DELTA_RUN_MERGE_GAP + 1] {
+                let second = first.end + gap..first.end + gap + second_len;
+                let content = with_spans(&base, &[first.clone(), second.clone()]);
+                let expected = if gap <= DELTA_RUN_MERGE_GAP {
+                    vec![(first.start, second.end - first.start)]
+                } else {
+                    vec![(first.start, first.len()), (second.start, second.len())]
+                };
+                assert_eq!(
+                    delta_shape(&content, &base),
+                    Some(expected),
+                    "{first:?} then {second:?}"
+                );
+            }
+        }
+        for gap in [DELTA_RUN_MERGE_GAP, DELTA_RUN_MERGE_GAP + 1] {
+            let second = PAGE_CONTENT_BYTES - 6..PAGE_CONTENT_BYTES;
+            let first = second.start - gap - 4..second.start - gap;
+            let content = with_spans(&base, &[first.clone(), second.clone()]);
+            let runs = delta_shape(&content, &base).unwrap();
+            assert_eq!(runs.len(), if gap <= DELTA_RUN_MERGE_GAP { 1 } else { 2 });
+            let last = runs.last().unwrap();
+            assert_eq!(last.0 + last.1, PAGE_CONTENT_BYTES);
+        }
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)] // a one-span page is meant
+    fn v3_delta_cost_cap_is_inclusive() {
+        let base = page_content(6);
+        // One span: 4 + 2044 = 2048 stays a delta, one byte more does not.
+        assert_eq!(
+            delta_shape(&with_spans(&base, &[100..2144]), &base),
+            Some(vec![(100, 2044)])
+        );
+        assert_eq!(delta_shape(&with_spans(&base, &[100..2145]), &base), None);
+        // The cap applies to the merged cost: the eight equal bytes of the
+        // gap are charged, the second header is not.
+        assert_eq!(
+            delta_shape(&with_spans(&base, &[0..1000, 1008..2044]), &base),
+            Some(vec![(0, 2044)])
+        );
+        assert_eq!(
+            delta_shape(&with_spans(&base, &[0..1000, 1008..2045]), &base),
+            None
+        );
+        // Unmerged, both headers are charged: 2 * 4 + 1000 + 1040 = 2048.
+        assert_eq!(
+            delta_shape(&with_spans(&base, &[0..1000, 1009..2049]), &base),
+            Some(vec![(0, 1000), (1009, 1040)])
+        );
+        assert_eq!(
+            delta_shape(&with_spans(&base, &[0..1000, 1009..2050]), &base),
+            None
+        );
+    }
+
+    #[test]
+    fn v3_delta_holds_at_most_409_runs() {
+        assert_eq!(DELTA_MAX_RUNS, 409);
+        let base = page_content(7);
+        let isolated =
+            |count: usize| -> Vec<_> { (0..count).map(|i| 10 * i..10 * i + 1).collect() };
+        // 409 runs of one byte cost 409 * 5 = 2045.
+        let runs = delta_shape(&with_spans(&base, &isolated(409)), &base).unwrap();
+        assert_eq!(runs.len(), 409);
+        assert!(runs.iter().enumerate().all(|(i, &run)| run == (10 * i, 1)));
+        // The 410th takes the cost to 2050 and must not be stored.
+        assert_eq!(delta_shape(&with_spans(&base, &isolated(410)), &base), None);
+    }
+
+    #[test]
+    fn v3_delta_runs_share_one_xor_buffer() {
+        let base = page_content(8);
+        let content = with_spans(&base, &[3..9, 700..760, 4090..4096]);
+        let PagePayload::Delta(runs) = classify_page(&content, Some(&base)) else {
+            panic!("three short spans must classify as a delta");
+        };
+        // Every run's XOR bytes are the inversion mask, and the runs lie
+        // back to back in one allocation.
+        assert!(runs.iter().all(|(_, xor)| xor.iter().all(|&b| b == 0xff)));
+        for pair in runs.windows(2) {
+            assert_eq!(
+                pair[0].1.as_ptr().wrapping_add(pair[0].1.len()),
+                pair[1].1.as_ptr()
+            );
+        }
+    }
+
+    /// Equal-byte gaps the differential property places between patches:
+    /// each side of the merge threshold, of a vector lane and of a bitmap
+    /// word.
+    const PATCH_GAPS: [usize; 11] = [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65];
+
+    mod classify_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(768))]
+
+            #[test]
+            fn classify_matches_the_byte_at_a_time_reference(
+                noise in proptest::collection::vec(any::<u8>(), PAGE_CONTENT_BYTES),
+                // 0: random base; 1: four-value base, so a constant patch
+                // often rewrites a byte with itself; 2: all-zero base.
+                base_kind in 0u8..3,
+                // 0: all-zero content; 1: content == base; else patched.
+                content_kind in 0u8..8,
+                max_len in 0usize..4,
+                patches in proptest::collection::vec(
+                    // (chained?, offset, gap index, length, fill, value)
+                    (any::<bool>(), 0..PAGE_CONTENT_BYTES, 0..PATCH_GAPS.len(), 1usize..=200, 0u8..3, any::<u8>()),
+                    0..=300,
+                ),
+            ) {
+                let base: Vec<u8> = match base_kind {
+                    0 => noise.clone(),
+                    1 => noise.iter().map(|b| b & 3).collect(),
+                    _ => vec![0; PAGE_CONTENT_BYTES],
+                };
+                let mut content = base.clone();
+                let max_len = [1, 4, 24, 200][max_len];
+                let mut prev_end = 0;
+                for &(chained, offset, gap, len, fill, value) in &patches {
+                    let start = if chained { prev_end + PATCH_GAPS[gap] } else { offset };
+                    let end = (start + 1 + (len - 1) % max_len).min(PAGE_CONTENT_BYTES);
+                    if start >= end {
+                        continue;
+                    }
+                    for (at, b) in content[start..end].iter_mut().enumerate() {
+                        *b = match fill {
+                            // Differs everywhere.
+                            0 => !*b,
+                            // One value over the patch: equal wherever the
+                            // base already held it.
+                            1 => value & 3,
+                            _ => noise[(start + at + usize::from(value)) % PAGE_CONTENT_BYTES],
+                        };
+                    }
+                    prev_end = end;
+                }
+                match content_kind {
+                    0 => content.fill(0),
+                    1 => content.clone_from(&base),
+                    _ => {}
+                }
+
+                let against_base = classify_page(&content, Some(&base));
+                prop_assert_eq!(&against_base, &classify_reference(&content, Some(&base)));
+                prop_assert_eq!(
+                    against_base.materialize(Some(&base)).unwrap().unwrap(),
+                    content.clone()
+                );
+                let first_touch = classify_page(&content, None);
+                prop_assert_eq!(&first_touch, &classify_reference(&content, None));
+                prop_assert_eq!(first_touch.materialize(None).unwrap().unwrap(), content);
+            }
+        }
     }
 
     #[test]
