@@ -1,7 +1,7 @@
 //! Dynamic checkpoint period experiments: Fig. 9 (phased memory load) and
 //! Fig. 10 (YCSB Workload A).
 
-use here_core::{ReplicationConfig, Scenario};
+use here_core::{ReplicationConfig, RunReport, Scenario};
 use here_sim_core::time::{SimDuration, SimTime};
 use here_workloads::phased::{fig9_schedule, PhasedMemStress};
 use here_workloads::ycsb::{Ycsb, YcsbMix, YcsbSpec};
@@ -23,6 +23,24 @@ pub struct DynamicSeries {
     pub target_pct: f64,
     /// Mean measured degradation over the steady phases, percent.
     pub steady_mean_deg_pct: f64,
+}
+
+/// `(seconds, value)` points of one plotted line.
+type Points = Vec<(f64, f64)>;
+
+/// The period and degradation series of a replicated run, in seconds and
+/// percent, read off its checkpoint log.
+fn period_and_degradation(report: &RunReport) -> (Points, Points) {
+    report
+        .checkpoint_log()
+        .map(|(at, record, decision)| {
+            let t = at.as_secs_f64();
+            (
+                (t, decision.chosen_period.as_secs_f64()),
+                (t, record.degradation * 100.0),
+            )
+        })
+        .unzip()
 }
 
 /// Fig. 9: D = 0.3, T_max = 25 s, 8 GiB / 4 vCPU, phased load
@@ -61,13 +79,11 @@ pub fn run_fig9(scale: Scale) -> DynamicSeries {
     let load: Vec<(f64, f64)> = (0..=duration.as_millis() / 1000)
         .map(|s| (s as f64, probe.percent_at(SimTime::from_secs(s)) as f64))
         .collect();
+    let (period, degradation) = period_and_degradation(&report);
     // Steady-state windows: skip 15 s after each phase change.
-    let steady: Vec<f64> = report
-        .degradation_series
-        .samples()
+    let steady: Vec<f64> = degradation
         .iter()
-        .filter(|&&(t, _)| {
-            let s = t.as_secs_f64();
+        .filter(|&&(s, _)| {
             (15.0..20.0).contains(&s) || (40.0..120.0).contains(&s) || (150.0..175.0).contains(&s)
         })
         .map(|&(_, v)| v)
@@ -78,8 +94,8 @@ pub fn run_fig9(scale: Scale) -> DynamicSeries {
         steady.iter().sum::<f64>() / steady.len() as f64
     };
     DynamicSeries {
-        period: report.period_series.points().collect(),
-        degradation: report.degradation_series.points().collect(),
+        period,
+        degradation,
         load,
         target_pct: 30.0,
         steady_mean_deg_pct,
@@ -132,13 +148,8 @@ pub fn run_fig10(scale: Scale) -> Fig10Result {
     };
     let here = build(true);
     let baseline = build(false);
-    let steady: Vec<f64> = here
-        .degradation_series
-        .samples()
-        .iter()
-        .skip(3)
-        .map(|&(_, v)| v)
-        .collect();
+    let (period, degradation) = period_and_degradation(&here);
+    let steady: Vec<f64> = degradation.iter().skip(3).map(|&(_, v)| v).collect();
     let steady_mean_deg_pct = if steady.is_empty() {
         f64::NAN
     } else {
@@ -146,8 +157,8 @@ pub fn run_fig10(scale: Scale) -> Fig10Result {
     };
     Fig10Result {
         series: DynamicSeries {
-            period: here.period_series.points().collect(),
-            degradation: here.degradation_series.points().collect(),
+            period,
+            degradation,
             load: Vec::new(),
             target_pct: 30.0,
             steady_mean_deg_pct,

@@ -10,8 +10,9 @@
 //! 2. **Straggler lanes** — encode lanes whose measured wall time
 //!    exceeds `k ×` the epoch's median lane.
 //! 3. **Period oscillation** — Algorithm 1 bouncing between periods
-//!    (direction flips, walk-backs and midpoint jumps over the
-//!    [`PeriodDecision`] history).
+//!    (direction flips, walk-backs and midpoint jumps over the run's
+//!    checkpoint log: each epoch's period against the [`PeriodDecision`]
+//!    that followed it).
 //! 4. **SLO-breach root cause** — for each breach of the degradation
 //!    target `D` or period cap, which stage grew relative to its trailing
 //!    mean.
@@ -221,7 +222,11 @@ impl TraceAnalyzer {
         };
         AnalysisReport {
             stragglers: self.find_stragglers(&report.spans),
-            oscillation: self.detect_oscillation(&report.period_decisions),
+            oscillation: self.detect_oscillation(
+                report
+                    .checkpoint_log()
+                    .map(|(_, record, decision)| (record.period, decision)),
+            ),
             breach_roots: self.root_cause_breaches(report, &epochs),
             epochs,
             min_attributed_fraction,
@@ -336,17 +341,24 @@ impl TraceAnalyzer {
         out
     }
 
-    fn detect_oscillation(&self, decisions: &[PeriodDecision]) -> OscillationReport {
+    /// `epochs` pairs the period each epoch ran with (its record's
+    /// `period`) with the decision the controller took after it.
+    fn detect_oscillation<'a>(
+        &self,
+        epochs: impl IntoIterator<Item = (SimDuration, &'a PeriodDecision)>,
+    ) -> OscillationReport {
+        let mut decisions = 0;
         let mut directions = Vec::new();
         let mut walk_backs = 0;
         let mut midpoint_jumps = 0;
-        for d in decisions {
+        for (ran_with, d) in epochs {
+            decisions += 1;
             match d.action {
                 PeriodAction::WalkBack => walk_backs += 1,
                 PeriodAction::MidpointJump => midpoint_jumps += 1,
                 _ => {}
             }
-            match d.chosen_period.cmp(&d.previous_period) {
+            match d.chosen_period.cmp(&ran_with) {
                 std::cmp::Ordering::Greater => directions.push(1i8),
                 std::cmp::Ordering::Less => directions.push(-1i8),
                 std::cmp::Ordering::Equal => {}
@@ -359,12 +371,12 @@ impl TraceAnalyzer {
             0.0
         };
         OscillationReport {
-            decisions: decisions.len(),
+            decisions,
             direction_flips,
             flip_ratio,
             walk_backs,
             midpoint_jumps,
-            oscillating: decisions.len() >= self.cfg.oscillation_window
+            oscillating: decisions >= self.cfg.oscillation_window
                 && flip_ratio >= self.cfg.oscillation_flip_ratio,
         }
     }
@@ -924,15 +936,14 @@ mod tests {
     #[test]
     fn oscillation_flags_alternating_periods() {
         let analyzer = TraceAnalyzer::default();
-        let mk = |prev_ms: u64, next_ms: u64, action| PeriodDecision {
-            dirty_pages: 100,
-            measured_pause: SimDuration::from_millis(10),
-            measured_degradation: 0.1,
-            previous_period: SimDuration::from_millis(prev_ms),
-            chosen_period: SimDuration::from_millis(next_ms),
-            predicted_degradation: 0.1,
-            action,
-            clamp: None,
+        let mk = |prev_ms: u64, next_ms: u64, action| {
+            let decision = PeriodDecision {
+                chosen_period: SimDuration::from_millis(next_ms),
+                predicted_degradation: 0.1,
+                action,
+                clamp: None,
+            };
+            (SimDuration::from_millis(prev_ms), decision)
         };
         // A\B\A\B… ping-pong: every move reverses direction.
         let mut ping_pong = Vec::new();
@@ -943,16 +954,16 @@ mod tests {
                 ping_pong.push(mk(500, 1000, PeriodAction::WalkBack));
             }
         }
-        let osc = analyzer.detect_oscillation(&ping_pong);
+        let osc = analyzer.detect_oscillation(ping_pong.iter().map(|(t, d)| (*t, d)));
         assert!(osc.oscillating, "{osc:?}");
         assert_eq!(osc.walk_backs, 5);
         assert_eq!(osc.direction_flips, 9);
 
         // Monotone descent: no flips, not oscillating.
-        let descent: Vec<PeriodDecision> = (0..10)
+        let descent: Vec<_> = (0..10)
             .map(|i| mk(1000 - i * 50, 950 - i * 50, PeriodAction::StepDescent))
             .collect();
-        let osc = analyzer.detect_oscillation(&descent);
+        let osc = analyzer.detect_oscillation(descent.iter().map(|(t, d)| (*t, d)));
         assert!(!osc.oscillating, "{osc:?}");
         assert_eq!(osc.direction_flips, 0);
     }

@@ -7,7 +7,9 @@
 //! Pause → Harvest → Translate → Transfer → Ack → Resume through
 //! [`crate::pipeline`]; let the dynamic period manager pick the next
 //! `T` }. Per-checkpoint report records are derived from the stage events
-//! the pipeline emits, so the report can never disagree with the trace.
+//! the pipeline emits, so the report can never disagree with the trace,
+//! and each is said once, in its [`SessionEvent::Checkpoint`]: the report
+//! reads it back from the log.
 
 use here_hypervisor::fault::DosOutcome;
 use here_hypervisor::host::Hypervisor;
@@ -24,8 +26,8 @@ use crate::telemetry::Planes;
 use crate::trace::{epoch_stage_events, FaultSite, SessionEvent};
 
 /// One full checkpoint: drives the six pipeline stages, then derives the
-/// per-checkpoint record from the emitted stage events and feeds the
-/// period controller.
+/// per-checkpoint record from the emitted stage events, feeds the period
+/// controller and emits the pair.
 pub(crate) fn do_checkpoint(session: &mut Session, period_used: SimDuration) -> CoreResult<()> {
     let summary = match pipeline::begin(session)?.harvest()?.translate()?.transfer() {
         Ok(transferred) => transferred.ack().resume()?,
@@ -43,8 +45,7 @@ pub(crate) fn do_checkpoint(session: &mut Session, period_used: SimDuration) -> 
     let events = epoch_stage_events(&session.log, summary.seq);
     let record = CheckpointRecord::from_events(period_used, &events);
     debug_assert_eq!(record.pause, summary.pause);
-    let mut decision = session.period.on_checkpoint(record.pause);
-    decision.dirty_pages = record.dirty_pages;
+    let decision = session.period.on_checkpoint(record.pause);
     let at_nanos = session.now_nanos();
     session.emit(SessionEvent::Checkpoint {
         record,
@@ -72,22 +73,8 @@ pub(crate) fn do_checkpoint(session: &mut Session, period_used: SimDuration) -> 
             at_nanos,
         });
     }
-    session.period_decisions.push(decision);
-    session.cpu_work += session
-        .cfg
-        .costs
-        .checkpoint_cpu_work(record.dirty_pages, session.threads);
-    session.max_ckpt_pages = session.max_ckpt_pages.max(record.dirty_pages);
-    let rel_now = session.rel(session.clock);
-    session
-        .period_series
-        .record(rel_now, session.period.current().as_secs_f64());
-    session
-        .degradation_series
-        .record(rel_now, record.degradation * 100.0);
     // Once per committed epoch, after its acks have landed in the ledger.
     session.emit_epoch_health(&record, at_nanos);
-    session.checkpoints.push(record);
     Ok(())
 }
 
@@ -161,10 +148,8 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
         }
         // Measurement starts on a fresh workload run.
         session.workload.reset();
-        session.checkpoints.clear();
         session.log.clear();
         session.planes = Planes::new(&session.cfg);
-        session.period_decisions.clear();
         session.ledger = CommitLedger::with_quorum(
             session.cfg.topology.replicas.max(1),
             session.cfg.topology.effective_quorum(),
@@ -172,13 +157,10 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
         if let Some(chaos) = session.chaos.as_mut() {
             chaos.stats = Default::default();
         }
-        session.period_series = here_sim_core::metrics::TimeSeries::new("period_secs");
-        session.degradation_series = here_sim_core::metrics::TimeSeries::new("degradation_pct");
         session.latencies = here_sim_core::metrics::Histogram::new();
+        session.consistency_checks = 0;
         session.ops_committed = 0.0;
         session.ops_uncommitted = 0.0;
-        session.cpu_work = SimDuration::ZERO;
-        session.max_ckpt_pages = 0;
         replication_start = session.clock;
         session.measure_base = replication_start;
         session.workload_now_base = replication_start;
@@ -451,7 +433,8 @@ mod tests {
             .build()
             .unwrap();
         let report = scenario.run();
-        let last_period = report.period_series.last().unwrap().1;
+        let (_, _, last) = report.checkpoint_log().last().unwrap();
+        let last_period = last.chosen_period.as_secs_f64();
         assert!(
             last_period < 1.0,
             "period should shrink toward sigma, got {last_period}"

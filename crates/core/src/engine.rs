@@ -18,7 +18,7 @@ use here_hypervisor::fault::DosOutcome;
 use here_hypervisor::host::Hypervisor;
 use here_hypervisor::vm::VmConfig;
 use here_hypervisor::XenHypervisor;
-use here_sim_core::metrics::{Histogram, TimeSeries};
+use here_sim_core::metrics::Histogram;
 use here_sim_core::rate::ByteSize;
 use here_sim_core::rng::SimRng;
 use here_sim_core::time::{SimDuration, SimTime};
@@ -385,9 +385,6 @@ fn run_unprotected(scenario: Scenario) -> RunReport {
         checkpoints: Vec::new(),
         stage_events: Vec::new(),
         events: Vec::new(),
-        period_decisions: Vec::new(),
-        period_series: TimeSeries::new("period_secs"),
-        degradation_series: TimeSeries::new("degradation_pct"),
         packet_latencies: latencies,
         failover: None,
         resources: ResourceUsage {

@@ -67,7 +67,7 @@ pub(crate) fn seed(session: &mut Session) -> CoreResult<MigrationOutcome> {
         .touched_iter()
         .collect();
     session.advance(round, false);
-    session.install_delta(&full_delta, 0)?;
+    session.install_delta(&full_delta)?;
     pages_sent += total_pages;
     emit_iteration(session, 0, total_pages, "full_copy", round);
     iterations.push(IterationStats {
@@ -135,7 +135,7 @@ pub(crate) fn seed(session: &mut Session) -> CoreResult<MigrationOutcome> {
         let problematic_new = (tracker.len() - before) as u64;
         let round = costs.migration_round(dirty_count, session.threads);
         session.advance(round, false);
-        session.install_delta(&delta, iter)?;
+        session.install_delta(&delta)?;
         pages_sent += dirty_count;
         emit_iteration(session, iter as u64, dirty_count, "pre_copy", round);
         iterations.push(IterationStats {

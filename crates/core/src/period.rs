@@ -81,20 +81,14 @@ impl ClampReason {
 }
 
 /// The structured outcome of one period-controller iteration: what was
-/// measured, what was chosen, and why. Surfaced per checkpoint in
-/// [`crate::report::RunReport::period_decisions`] and mirrored into the
-/// flight recorder.
+/// chosen, and why. What it measured — the pause, its degradation, the
+/// period the epoch ran with and its dirty pages — is the
+/// [`CheckpointRecord`](crate::report::CheckpointRecord) it ships beside
+/// in [`SessionEvent::Checkpoint`](crate::trace::SessionEvent::Checkpoint)
+/// (read both with [`RunReport::checkpoint_log`](crate::report::RunReport::checkpoint_log)),
+/// and the flight recorder mirrors the pair.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PeriodDecision {
-    /// Dirty pages `N` of the checkpoint that fed the decision (filled in
-    /// by the caller — the controller itself only sees the pause).
-    pub dirty_pages: u64,
-    /// Measured pause `t` of the finished epoch.
-    pub measured_pause: SimDuration,
-    /// Measured degradation `D_curr = t / (t + T_prev)` of that epoch.
-    pub measured_degradation: f64,
-    /// Period the finished epoch ran with.
-    pub previous_period: SimDuration,
     /// Period chosen for the next epoch.
     pub chosen_period: SimDuration,
     /// Degradation the next epoch is predicted to see if the pause
@@ -141,19 +135,12 @@ impl PeriodManager {
     /// period for the next epoch). A fixed controller holds its period.
     pub fn on_checkpoint(&mut self, pause: SimDuration) -> PeriodDecision {
         match self {
-            PeriodManager::Fixed(t) => {
-                let d = degradation(pause, *t);
-                PeriodDecision {
-                    dirty_pages: 0,
-                    measured_pause: pause,
-                    measured_degradation: d,
-                    previous_period: *t,
-                    chosen_period: *t,
-                    predicted_degradation: d,
-                    action: PeriodAction::Hold,
-                    clamp: None,
-                }
-            }
+            PeriodManager::Fixed(t) => PeriodDecision {
+                chosen_period: *t,
+                predicted_degradation: degradation(pause, *t),
+                action: PeriodAction::Hold,
+                clamp: None,
+            },
             PeriodManager::Dynamic(d) => d.on_checkpoint(pause),
         }
     }
@@ -220,7 +207,6 @@ impl DynamicPeriodManager {
     /// Returns the structured decision; `decision.chosen_period` is the
     /// new period (also readable via [`Self::current`]).
     pub fn on_checkpoint(&mut self, t_curr: SimDuration) -> PeriodDecision {
-        let previous_period = self.t;
         let d_curr = degradation(t_curr, self.t);
         let mut clamp = None;
         let action;
@@ -278,10 +264,6 @@ impl DynamicPeriodManager {
         }
         self.d_prev = d_curr;
         PeriodDecision {
-            dirty_pages: 0,
-            measured_pause: t_curr,
-            measured_degradation: d_curr,
-            previous_period,
             chosen_period: self.t,
             predicted_degradation: degradation(t_curr, self.t),
             action,
@@ -320,7 +302,6 @@ mod tests {
         // descent halves the period.
         let d1 = m.on_checkpoint(SimDuration::from_millis(10));
         assert_eq!(d1.chosen_period, SimDuration::from_secs(5));
-        assert_eq!(d1.previous_period, SimDuration::from_secs(10));
         assert_eq!(d1.action, PeriodAction::FastDescent);
         assert_eq!(d1.clamp, None);
         let d2 = m.on_checkpoint(SimDuration::from_millis(10));
@@ -330,7 +311,6 @@ mod tests {
         let d3 = m.on_checkpoint(SimDuration::from_secs(1));
         assert_eq!(d3.chosen_period, SimDuration::from_secs(2));
         assert_eq!(d3.action, PeriodAction::StepDescent);
-        assert!((d3.measured_degradation - 0.25).abs() < 1e-12);
         // Predicted: the same 1 s pause at T = 2 s gives 1/3.
         assert!((d3.predicted_degradation - 1.0 / 3.0).abs() < 1e-12);
     }

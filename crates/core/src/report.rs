@@ -4,11 +4,14 @@
 //! Per-checkpoint records are not plumbed field-by-field out of the
 //! engine: they are *derived* from the [`StageEvent`]s the pipeline emits
 //! ([`CheckpointRecord::from_events`]), so the report can never disagree
-//! with the trace.
+//! with the trace. Each record then rides in one [`SessionEvent::Checkpoint`]
+//! beside the period controller's decision, and every per-checkpoint view
+//! of the report — the records, the Fig. 9/10 series, the decisions, the
+//! resource accounting — is read off those events.
 
 use serde::{Deserialize, Serialize};
 
-use here_sim_core::metrics::{Histogram, TimeSeries};
+use here_sim_core::metrics::Histogram;
 use here_sim_core::rate::ByteSize;
 use here_sim_core::time::{SimDuration, SimTime};
 
@@ -139,26 +142,21 @@ pub struct RunReport {
     /// The seeding migration, if replication was active.
     pub migration: Option<MigrationOutcome>,
     /// Every checkpoint round, in order (each derived from the stage
-    /// events via [`CheckpointRecord::from_events`]).
+    /// events via [`CheckpointRecord::from_events`]): the records of
+    /// `events`' [`SessionEvent::Checkpoint`] entries.
     pub checkpoints: Vec<CheckpointRecord>,
     /// The raw stage trace: one [`StageEvent`] per pipeline stage of every
     /// checkpoint, in emission order. Empty for unprotected runs.
     pub stage_events: Vec<StageEvent>,
     /// The session's event log: everything it said happened during the
-    /// measured window, in order. `stage_events` is this log's
-    /// [`SessionEvent::Stage`] entries; `telemetry`, `spans` and
-    /// `incident` are [`crate::telemetry::fold`] over it. Excluded from
+    /// measured window, in order. `stage_events` and `checkpoints` are
+    /// this log's [`SessionEvent::Stage`] and [`SessionEvent::Checkpoint`]
+    /// entries, [`RunReport::checkpoint_log`] reads the latter with their
+    /// period decisions; `telemetry`, `spans` and `incident` are
+    /// [`crate::telemetry::fold`] over it. Excluded from
     /// [`RunReport::fingerprint`] (it carries host-clock probes). Empty
     /// for unprotected runs.
     pub events: Vec<SessionEvent>,
-    /// The period controller's structured decision after every
-    /// checkpoint: measured degradation, chosen `T`, which branch of
-    /// Algorithm 1 ran and what clamped it. Parallel to `checkpoints`.
-    pub period_decisions: Vec<PeriodDecision>,
-    /// Checkpoint period over time (Fig. 9/10 top panes).
-    pub period_series: TimeSeries,
-    /// Measured degradation over time (Fig. 9/10 bottom panes).
-    pub degradation_series: TimeSeries,
     /// Client-observed latency of every released packet, in seconds
     /// (Fig. 17).
     pub packet_latencies: Histogram,
@@ -166,8 +164,9 @@ pub struct RunReport {
     pub failover: Option<FailoverRecord>,
     /// Replication engine resource usage.
     pub resources: ResourceUsage,
-    /// Number of checkpoints at which replica/primary equality was
-    /// verified (non-zero only when the scenario enables verification).
+    /// Replica/primary equality checks that passed: one per replica per
+    /// verified checkpoint of the measured window (non-zero only when the
+    /// scenario enables verification).
     pub consistency_checks: u64,
     /// The commit ledger: every fully-acked epoch in commit order. A
     /// failover's `resumed_from_checkpoint` always equals the last entry's
@@ -204,6 +203,20 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Every checkpoint of the run as its [`SessionEvent::Checkpoint`]
+    /// says it: when the epoch finished (report time), its record, and
+    /// the period controller's decision after it. The Fig. 9/10 series
+    /// are one `map` away — the period point is `decision.chosen_period`,
+    /// the degradation point `record.degradation` (× 100 for percent).
+    pub fn checkpoint_log(
+        &self,
+    ) -> impl Iterator<Item = (SimTime, &CheckpointRecord, &PeriodDecision)> + '_ {
+        self.events
+            .iter()
+            .filter_map(SessionEvent::as_checkpoint)
+            .map(|(at_nanos, record, decision)| (SimTime::from_nanos(at_nanos), record, decision))
+    }
+
     /// Mean checkpoint pause `t` across the run.
     pub fn mean_pause(&self) -> Option<SimDuration> {
         if self.checkpoints.is_empty() {
@@ -406,9 +419,6 @@ mod tests {
             checkpoints: vec![ckpt(1, 100, 2, 10), ckpt(2, 300, 2, 30)],
             stage_events: Vec::new(),
             events: Vec::new(),
-            period_decisions: Vec::new(),
-            period_series: TimeSeries::new("period"),
-            degradation_series: TimeSeries::new("deg"),
             packet_latencies: Histogram::new(),
             failover: None,
             resources: ResourceUsage {
@@ -469,9 +479,6 @@ mod tests {
             checkpoints: vec![],
             stage_events: Vec::new(),
             events: Vec::new(),
-            period_decisions: Vec::new(),
-            period_series: TimeSeries::new("period"),
-            degradation_series: TimeSeries::new("deg"),
             packet_latencies: Histogram::new(),
             failover: None,
             resources: ResourceUsage {
@@ -526,9 +533,6 @@ mod tests {
             checkpoints: vec![],
             stage_events: Vec::new(),
             events: Vec::new(),
-            period_decisions: Vec::new(),
-            period_series: TimeSeries::new("period"),
-            degradation_series: TimeSeries::new("deg"),
             packet_latencies: Histogram::new(),
             failover: None,
             resources: ResourceUsage {

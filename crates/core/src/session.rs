@@ -23,7 +23,7 @@ use here_hypervisor::memory::{GuestMemory, PageVersion};
 use here_hypervisor::vcpu::{KvmVcpuState, VcpuStateBlob, XenVcpuState};
 use here_hypervisor::vm::{VmConfig, VmId};
 use here_hypervisor::{HvError, PageId, VcpuId, XenHypervisor, PAGE_SIZE};
-use here_sim_core::metrics::{Histogram, TimeSeries};
+use here_sim_core::metrics::Histogram;
 use here_sim_core::rate::ByteSize;
 use here_sim_core::rng::SimRng;
 use here_sim_core::time::{SimDuration, SimTime};
@@ -46,7 +46,7 @@ use crate::dataplane::{
 use crate::devmgr::DeviceManager;
 use crate::error::{CoreError, CoreResult};
 use crate::failover::{detection_time_with_loss, CommitLedger, FailoverRecord};
-use crate::period::{PeriodDecision, PeriodManager};
+use crate::period::PeriodManager;
 use crate::pipeline::ReplicationStrategy;
 use crate::report::CheckpointRecord;
 use crate::telemetry::Planes;
@@ -187,20 +187,17 @@ pub(crate) struct Session {
     pub(crate) ops_committed: f64,
     pub(crate) ops_uncommitted: f64,
     pub(crate) disturbance_debt: SimDuration,
-    pub(crate) cpu_work: SimDuration,
-    pub(crate) max_ckpt_pages: u64,
-    pub(crate) checkpoints: Vec<CheckpointRecord>,
     /// Everything the session has said happened, in order; rides in
-    /// [`RunReport::events`](crate::report::RunReport::events).
+    /// [`RunReport::events`](crate::report::RunReport::events), and every
+    /// per-checkpoint view of the report is read off it.
     pub(crate) log: Vec<SessionEvent>,
     /// The observability planes, folded over `log` as it grows.
     pub(crate) planes: Planes,
     /// Lane-pool rounds already reported, so each checkpoint emits at
     /// most one [`SessionEvent::EncodePool`].
     pub(crate) pool_rounds_seen: u64,
-    pub(crate) period_decisions: Vec<PeriodDecision>,
-    pub(crate) period_series: TimeSeries,
-    pub(crate) degradation_series: TimeSeries,
+    /// Client-observed packet latencies: per-packet data the log does not
+    /// carry.
     pub(crate) latencies: Histogram,
 }
 
@@ -291,15 +288,9 @@ impl Session {
             ops_committed: 0.0,
             ops_uncommitted: 0.0,
             disturbance_debt: SimDuration::ZERO,
-            cpu_work: SimDuration::ZERO,
-            max_ckpt_pages: 0,
-            checkpoints: Vec::new(),
             log: Vec::new(),
             planes: Planes::new(&cfg),
             pool_rounds_seen: 0,
-            period_decisions: Vec::new(),
-            period_series: TimeSeries::new("period_secs"),
-            degradation_series: TimeSeries::new("degradation_pct"),
             latencies: Histogram::new(),
             cfg,
             strategy,
@@ -658,7 +649,7 @@ impl Session {
     /// Phase 1 of [`Session::apply_checkpoint`]: decodes `stream` into the
     /// staging buffers, validating every frame, every page's place in
     /// `replica` (through [`stage`], the data plane's verify step), every
-    /// vCPU index against the replica's `vcpu_count` (each at most once)
+    /// vCPU index against the replica's `vcpu_count` (each exactly once)
     /// and the trailer cross-check, without touching the replica.
     ///
     /// The decoder is pinned to the replica's `negotiated` version — a
@@ -734,6 +725,11 @@ impl Session {
             // A stream that ends cleanly on a record boundary but without
             // its trailer is torn — reject it like any truncated frame.
             return Err(WireError::Truncated.into());
+        }
+        if vcpus.len() != vcpu_count as usize {
+            // The epoch's pages without a vCPU's registers would resume
+            // that vCPU from an older epoch than its memory.
+            return Err(WireError::BadPayload("a vCPU's state is missing").into());
         }
         Ok(rebase_to)
     }
@@ -911,7 +907,7 @@ impl Session {
 
     /// Installs a pre-copy round's delta directly into every replica's
     /// memory.
-    pub(crate) fn install_delta(&mut self, delta: &MemoryDelta, _iter: u32) -> CoreResult<()> {
+    pub(crate) fn install_delta(&mut self, delta: &MemoryDelta) -> CoreResult<()> {
         for member in self.replicas.iter_mut() {
             let vm = member.host.vm_mut(member.vm)?;
             for &(page, rec) in delta.entries() {
@@ -1095,6 +1091,10 @@ impl Session {
 
     /// Closes the session and assembles the final [`RunReport`]
     /// (throughput, resource accounting, and the collected stage trace).
+    /// Every per-checkpoint view is derived here, from the log: the
+    /// records are its `Checkpoint` entries, the stage trace its `Stage`
+    /// entries, and the CPU work and staging window follow from each
+    /// record's dirty pages.
     pub(crate) fn finish(
         mut self,
         migration: crate::report::MigrationOutcome,
@@ -1109,14 +1109,29 @@ impl Session {
             .vm(self.pvm)
             .map(|vm| vm.memory().num_pages() / 8)
             .unwrap_or(0);
+        let checkpoints: Vec<CheckpointRecord> = self
+            .log
+            .iter()
+            .filter_map(SessionEvent::as_checkpoint)
+            .map(|(_, record, _)| *record)
+            .collect();
+        let replication_work: SimDuration = checkpoints
+            .iter()
+            .map(|c| {
+                self.cfg
+                    .costs
+                    .checkpoint_cpu_work(c.dirty_pages, self.threads)
+            })
+            .sum();
         // The staging buffer holds full page payloads for the round in
         // flight, windowed at 256 MiB (the engine recycles chunk buffers).
-        let staging_pages = self.max_ckpt_pages.min(65_536);
+        let peak_pages = checkpoints.iter().map(|c| c.dirty_pages).max();
+        let staging_pages = peak_pages.unwrap_or(0).min(65_536);
         let rss = ByteSize::from_mib(self.cfg.costs.rss_base_mib)
             + ByteSize::from_bytes(staging_pages * PAGE_SIZE)
             + ByteSize::from_bytes(bitmap_bytes)
             + self.devmgr.io().high_watermark();
-        let cpu_core_pct = self.cpu_work.as_secs_f64() / secs * 100.0;
+        let cpu_core_pct = replication_work.as_secs_f64() / secs * 100.0;
         let ops_completed = self.ops_committed + self.ops_uncommitted;
         self.emit(SessionEvent::RunEnd {
             seq: self.seq,
@@ -1131,7 +1146,7 @@ impl Session {
             ops_completed,
             throughput_ops_per_sec: ops_completed / secs,
             migration: Some(migration),
-            checkpoints: self.checkpoints,
+            checkpoints,
             stage_events: self
                 .log
                 .iter()
@@ -1139,9 +1154,6 @@ impl Session {
                 .copied()
                 .collect(),
             events: self.log,
-            period_decisions: self.period_decisions,
-            period_series: self.period_series,
-            degradation_series: self.degradation_series,
             packet_latencies: self.latencies,
             failover,
             resources: crate::report::ResourceUsage { cpu_core_pct, rss },
@@ -1163,21 +1175,30 @@ mod tests {
 
     const MEMORY: ByteSize = ByteSize::from_mib(4);
 
+    fn v2() -> ReplicationConfig {
+        ReplicationConfig::fixed_period(SimDuration::from_secs(1))
+    }
+
     /// A one-vCPU, 4 MiB session that has not been seeded: the replica's
-    /// image is empty, so anything a test installs shows.
-    fn small_session() -> Session {
-        Session::new(SessionSetup {
+    /// image is empty, so anything a test installs shows. Page 9 waits in
+    /// its catch-up backlog, and its staging buffer has room, so a test
+    /// can see it come back.
+    fn small_session(cfg: ReplicationConfig) -> Session {
+        let mut session = Session::new(SessionSetup {
             name: "vm".into(),
             memory: MEMORY,
             vcpus: 1,
-            cfg: ReplicationConfig::fixed_period(SimDuration::from_secs(1)),
+            cfg,
             workload: Box::new(IdleGuest::new()),
             seed: 1,
             load_during_seed: false,
             verify_consistency: false,
             chaos: None,
         })
-        .unwrap()
+        .unwrap();
+        session.note_replica_backlog(0, &delta_at(&[9]));
+        session.replicas.get_mut(0).apply.reserve(4);
+        session
     }
 
     fn delta_at(frames: &[u64]) -> MemoryDelta {
@@ -1188,13 +1209,24 @@ mod tests {
         frames.iter().map(|&f| (PageId::new(f), rec)).collect()
     }
 
+    fn image(session: &Session) -> &GuestMemory {
+        let member = session.replicas.get(0);
+        member.host.vm(member.vm).unwrap().memory()
+    }
+
+    /// Register digests of the replica's vCPUs.
+    fn replica_vcpus(session: &Session) -> Vec<u64> {
+        let member = session.replicas.get(0);
+        let vm = member.host.vm(member.vm).unwrap();
+        vm.vcpus().iter().map(|v| v.regs.digest()).collect()
+    }
+
     /// Phase 1 refused the stream: the parked backlog page is still
     /// parked, the image is empty, and the staging buffer came back.
     fn assert_replica_untouched(session: &Session) {
         let member = session.replicas.get(0);
         assert_eq!(member.backlog.len(), 1);
-        let image = member.host.vm(member.vm).unwrap().memory();
-        assert_eq!(image.touched_pages(), 0);
+        assert_eq!(image(session).touched_pages(), 0);
         assert!(member.apply.is_empty() && member.apply.capacity() > 0);
     }
 
@@ -1203,9 +1235,8 @@ mod tests {
         // A stream with honest checksums and an honest trailer whose third
         // page lies one frame past the replica's memory: phase 1 must
         // refuse it, with the parked backlog and the image as they were.
-        let mut session = small_session();
+        let mut session = small_session(v2());
         let limit = MEMORY.as_bytes() / PAGE_SIZE;
-        session.note_replica_backlog(0, &delta_at(&[9]));
         let streams = session
             .encode_checkpoint(&delta_at(&[0, 1, limit]), 1)
             .unwrap();
@@ -1223,10 +1254,11 @@ mod tests {
     #[test]
     fn hostile_vcpu_index_is_rejected_before_anything_installs() {
         // Honest pages, checksums and trailer, but the vCPU record names
-        // a vCPU the replica does not have, or names vCPU 0 twice. Phase 2
-        // would only find out after the backlog and the pages are in.
-        let mut session = small_session();
-        session.note_replica_backlog(0, &delta_at(&[9]));
+        // a vCPU the replica does not have, names vCPU 0 twice, or is
+        // missing. Phase 2 would only find out after the backlog and the
+        // pages are in — or, for the missing record, never: the epoch
+        // installed with the previous epoch's registers.
+        let mut session = small_session(v2());
         let streams = session.encode_checkpoint(&delta_at(&[0, 1]), 1).unwrap();
         let forge = |to_index: u32, copies: usize| -> ScatterStream {
             let mut dec = StreamDecoder::new_negotiated(streams.canonical().clone(), VERSION)
@@ -1250,8 +1282,7 @@ mod tests {
         session
             .apply_checkpoint(forge(0, 1), 1, 0)
             .expect("the re-encoded honest stream applies");
-        let mut session = small_session();
-        session.note_replica_backlog(0, &delta_at(&[9]));
+        let mut session = small_session(v2());
 
         let err = session.apply_checkpoint(forge(1, 1), 1, 0).unwrap_err();
         assert!(
@@ -1260,11 +1291,138 @@ mod tests {
         );
         assert_replica_untouched(&session);
 
-        let err = session.apply_checkpoint(forge(0, 2), 1, 0).unwrap_err();
-        assert!(
-            matches!(err, CoreError::Wire(WireError::BadPayload(_))),
-            "{err:?}"
-        );
-        assert_replica_untouched(&session);
+        for copies in [2, 0] {
+            let err = session
+                .apply_checkpoint(forge(0, copies), 1, 0)
+                .unwrap_err();
+            assert!(
+                matches!(err, CoreError::Wire(WireError::BadPayload(_))),
+                "{err:?}"
+            );
+            assert_replica_untouched(&session);
+        }
+    }
+
+    /// splitmix64: the fuzzer's reproducible randomness.
+    struct Rng(u64);
+
+    impl Rng {
+        /// Uniform in `0..n`; 0 when `n` is 0.
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n.max(1) as u64) as usize
+        }
+    }
+
+    /// `(start, end)` of every whole frame after the preamble: a tag, a
+    /// big-endian `u32` payload length, a checksum, the payload.
+    fn frames(bytes: &[u8]) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        let mut at = here_vmstate::wire::PREAMBLE_BYTES;
+        while let Some(len) = bytes.get(at + 1..at + 5) {
+            let len = u32::from_be_bytes(len.try_into().unwrap()) as usize;
+            let end = at + 9 + len;
+            if end > bytes.len() {
+                break;
+            }
+            out.push((at, end));
+            at = end;
+        }
+        out
+    }
+
+    /// One hostile edit: a bit flipped, the stream cut short, a frame
+    /// dropped or sent twice, or a frame's length ±1, ×2 or `MAX`.
+    fn mutate(bytes: &mut Vec<u8>, rng: &mut Rng) {
+        let frames = frames(bytes);
+        let (start, end) = frames[rng.below(frames.len())];
+        match rng.below(5) {
+            0 => {
+                let at = rng.below(bytes.len());
+                bytes[at] ^= 1 << rng.below(8);
+            }
+            1 => bytes.truncate(rng.below(bytes.len())),
+            2 => drop(bytes.drain(start..end)),
+            3 => {
+                let frame = bytes[start..end].to_vec();
+                bytes.splice(end..end, frame);
+            }
+            _ => {
+                let field = start + 1..start + 5;
+                let len = u32::from_be_bytes(bytes[field.clone()].try_into().unwrap());
+                let forged = [
+                    len.wrapping_add(1),
+                    len.wrapping_sub(1),
+                    len.wrapping_mul(2),
+                    u32::MAX,
+                ];
+                bytes[field].copy_from_slice(&forged[rng.below(4)].to_be_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_mutated_epoch_streams_install_all_or_nothing() {
+        // The honest v2 stream and its v3 twin, flattened, given one
+        // hostile edit each, applied to a fresh replica with a parked
+        // backlog page: the apply never panics, a rejection leaves the
+        // replica as it was, and an acceptance installs exactly the honest
+        // epoch, pages and registers (a dropped or repeated record the
+        // receive path does not count — a `Device` identity, a second
+        // trailer — is a legal `Ok`). One edit, because two top-bit flips
+        // in one frame pass its checksum
+        // (`here_vmstate::wire`'s `checksum_misses_a_pair_of_top_bit_flips`).
+        const BUDGET: usize = if cfg!(debug_assertions) {
+            20_000
+        } else {
+            200_000
+        };
+        let mut rng = Rng(0x4845_5245);
+        for cfg in [v2(), v2().with_wire_v3()] {
+            let mut honest = small_session(cfg.clone());
+            // Registers a fresh replica shell does not already hold.
+            honest.tick_vcpus(SimDuration::from_secs(1));
+            let streams = honest.encode_checkpoint(&delta_at(&[0, 1, 2]), 1).unwrap();
+            let seed = streams.canonical().gather().to_vec();
+            honest
+                .apply_checkpoint(streams.canonical().clone(), 1, 0)
+                .expect("the honest stream applies");
+            assert_ne!(
+                replica_vcpus(&honest),
+                replica_vcpus(&small_session(cfg.clone()))
+            );
+            let (mut accepted, mut rejected) = (0, 0);
+            for iteration in 0..BUDGET {
+                let mut input = seed.clone();
+                mutate(&mut input, &mut rng);
+                let mut session = small_session(cfg.clone());
+                let stream = ScatterStream::from(bytes::Bytes::from(input.clone()));
+                let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    session.apply_checkpoint(stream, 1, 0)
+                }));
+                let origin = format!("wire v{} iteration {iteration}", cfg.wire_version);
+                match applied {
+                    Err(_) => panic!("{origin}: the apply panicked on {input:02x?}"),
+                    Ok(Err(_)) => {
+                        assert_replica_untouched(&session);
+                        rejected += 1;
+                    }
+                    Ok(Ok(())) => {
+                        assert!(session.replicas.get(0).backlog.is_empty(), "{origin}");
+                        assert!(image(&session).content_equals(image(&honest)), "{origin}");
+                        assert_eq!(replica_vcpus(&session), replica_vcpus(&honest), "{origin}");
+                        accepted += 1;
+                    }
+                }
+            }
+            println!(
+                "wire v{}: {accepted} accepted, {rejected} rejected",
+                cfg.wire_version
+            );
+            assert!(accepted > 0 && rejected > 0);
+        }
     }
 }

@@ -393,9 +393,9 @@ impl SessionTelemetry {
                 self.flight.record(FlightEvent::PeriodDecision {
                     seq: record.seq,
                     at_nanos: *at_nanos,
-                    dirty_pages: decision.dirty_pages,
-                    measured_pause_nanos: decision.measured_pause.as_nanos(),
-                    previous_period_nanos: decision.previous_period.as_nanos(),
+                    dirty_pages: record.dirty_pages,
+                    measured_pause_nanos: record.pause.as_nanos(),
+                    previous_period_nanos: record.period.as_nanos(),
                     chosen_period_nanos: decision.chosen_period.as_nanos(),
                     predicted_degradation: decision.predicted_degradation,
                     action: decision.action.label(),
@@ -1250,10 +1250,6 @@ mod tests {
         SessionEvent::Checkpoint {
             record,
             decision: PeriodDecision {
-                dirty_pages: 512,
-                measured_pause: SimDuration::from_millis(40),
-                measured_degradation: 0.02,
-                previous_period: SimDuration::from_secs(2),
                 chosen_period: SimDuration::from_secs(1),
                 predicted_degradation: 0.038,
                 action: PeriodAction::FastDescent,

@@ -330,6 +330,19 @@ impl SessionEvent {
             _ => None,
         }
     }
+
+    /// The checkpoint this event records, if it is one: when the epoch
+    /// finished, its record and the period controller's decision.
+    pub(crate) fn as_checkpoint(&self) -> Option<(u64, &CheckpointRecord, &PeriodDecision)> {
+        match self {
+            SessionEvent::Checkpoint {
+                record,
+                decision,
+                at_nanos,
+            } => Some((*at_nanos, record, decision)),
+            _ => None,
+        }
+    }
 }
 
 /// The stage events of epoch `seq`, in stage order, read off the tail of

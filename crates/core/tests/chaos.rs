@@ -124,7 +124,8 @@ fn nothing_observed_during_warmup_survives_into_the_measured_report() {
     // capture trigger. The measured window sees no trigger at all, so its
     // incident must be the end-of-run request — taken from planes that
     // were rebuilt, like the ledger and the fault counters, when warmup
-    // closed.
+    // closed. The replica is verified after every epoch, warmup included;
+    // only the measured epochs' checks may be reported.
     let report = Scenario::builder()
         .vm_memory_mib(64)
         .vcpus(4)
@@ -135,10 +136,12 @@ fn nothing_observed_during_warmup_survives_into_the_measured_report() {
         .warmup(SimDuration::from_secs(8))
         .duration(SimDuration::from_secs(12))
         .chaos(FaultPlan::new(5).with_event(2, FaultKind::Drop { attempts: 10 }))
+        .verify_consistency()
         .build()
         .expect("valid scenario")
         .run();
     assert_eq!(report.chaos.expect("plan armed").epochs_aborted, 0);
+    assert_eq!(report.consistency_checks, report.checkpoints.len() as u64);
     let incident = report.incident.expect("capture armed");
     assert_eq!(incident.trigger, "request", "{}", incident.detail);
     assert!(!incident.flight_json.contains("epoch_abort"));

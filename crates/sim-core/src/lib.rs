@@ -13,8 +13,8 @@
 //! - [`queue`]: a deterministic [`EventQueue`](queue::EventQueue) with FIFO
 //!   tie-breaking for same-instant events;
 //! - [`rng`]: seeded, forkable random streams ([`SimRng`](rng::SimRng));
-//! - [`metrics`]: counters, time series and histograms the experiment
-//!   harness consumes;
+//! - [`metrics`]: the exact-quantile [`Histogram`] behind the client
+//!   latency distribution (Fig. 17);
 //! - [`stats`]: summary statistics and the least-squares fit used to verify
 //!   the paper's `f(N) = αN` linearity claim (Fig. 5);
 //! - [`rate`]: byte and bandwidth units with transfer-time conversion.
@@ -47,7 +47,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use metrics::{Counter, Histogram, TimeSeries};
+pub use metrics::Histogram;
 pub use queue::EventQueue;
 pub use rate::{Bandwidth, ByteSize};
 pub use rng::SimRng;

@@ -1,139 +1,13 @@
-//! Measurement primitives shared by all experiments.
+//! The exact-quantile histogram the experiments share.
 //!
-//! The benches regenerate the paper's tables and figures from these
-//! structures: a [`TimeSeries`] backs the Fig. 9/10 period-vs-time plots, a
-//! [`Histogram`] backs latency distributions (Fig. 17), and [`Counter`]s back
-//! resource accounting (§8.7).
+//! A [`Histogram`] keeps every observation, so its quantiles are exact
+//! nearest-rank ones: it backs the client latency distribution of
+//! Fig. 17, which the log2-bucketed `here-telemetry` histogram could only
+//! approximate.
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::{SimDuration, SimTime};
-
-/// A monotonically increasing count (operations completed, pages sent, ...).
-///
-/// # Examples
-///
-/// ```
-/// use here_sim_core::metrics::Counter;
-///
-/// let mut ops = Counter::new();
-/// ops.add(3);
-/// ops.incr();
-/// assert_eq!(ops.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current value.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-/// A timestamped sequence of samples, e.g. the checkpoint period `T` over the
-/// lifetime of a workload (Fig. 9).
-///
-/// # Examples
-///
-/// ```
-/// use here_sim_core::metrics::TimeSeries;
-/// use here_sim_core::time::SimTime;
-///
-/// let mut period = TimeSeries::new("period_secs");
-/// period.record(SimTime::from_secs(1), 25.0);
-/// period.record(SimTime::from_secs(2), 24.5);
-/// assert_eq!(period.len(), 2);
-/// assert_eq!(period.last().unwrap().1, 24.5);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TimeSeries {
-    name: String,
-    samples: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series named `name`.
-    pub fn new(name: impl Into<String>) -> Self {
-        TimeSeries {
-            name: name.into(),
-            samples: Vec::new(),
-        }
-    }
-
-    /// The series name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Appends a sample.
-    pub fn record(&mut self, at: SimTime, value: f64) {
-        self.samples.push((at, value));
-    }
-
-    /// All samples in record order.
-    pub fn samples(&self) -> &[(SimTime, f64)] {
-        &self.samples
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// `true` if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The most recent sample.
-    pub fn last(&self) -> Option<(SimTime, f64)> {
-        self.samples.last().copied()
-    }
-
-    /// Mean of the sample values (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        Some(self.samples.iter().map(|&(_, v)| v).sum::<f64>() / self.samples.len() as f64)
-    }
-
-    /// Mean of values sampled in the half-open window `[from, to)`.
-    pub fn mean_in_window(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|&&(t, _)| t >= from && t < to)
-            .map(|&(_, v)| v)
-            .collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
-    }
-
-    /// Iterator over `(seconds, value)` pairs — the shape plotting wants.
-    pub fn points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.samples.iter().map(|&(t, v)| (t.as_secs_f64(), v))
-    }
-}
+use crate::time::SimDuration;
 
 /// A collection of scalar observations with summary statistics; backs
 /// latency and pause-time distributions.
@@ -227,40 +101,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.add(10);
-        c.incr();
-        assert_eq!(c.get(), 11);
-    }
-
-    #[test]
-    fn time_series_window_mean() {
-        let mut ts = TimeSeries::new("x");
-        for s in 0..10 {
-            ts.record(SimTime::from_secs(s), s as f64);
-        }
-        assert_eq!(
-            ts.mean_in_window(SimTime::from_secs(2), SimTime::from_secs(5)),
-            Some(3.0)
-        );
-        assert_eq!(
-            ts.mean_in_window(SimTime::from_secs(50), SimTime::from_secs(60)),
-            None
-        );
-    }
-
-    #[test]
-    fn time_series_mean_and_last() {
-        let mut ts = TimeSeries::new("y");
-        assert!(ts.mean().is_none());
-        ts.record(SimTime::from_secs(0), 2.0);
-        ts.record(SimTime::from_secs(1), 4.0);
-        assert_eq!(ts.mean(), Some(3.0));
-        assert_eq!(ts.last(), Some((SimTime::from_secs(1), 4.0)));
-    }
 
     #[test]
     fn histogram_quantiles() {

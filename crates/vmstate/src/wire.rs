@@ -1983,6 +1983,23 @@ mod tests {
         assert_ne!(checksum(&[1, 2, 3]), checksum(&[1, 2, 3, 0]));
     }
 
+    #[test]
+    fn checksum_misses_a_pair_of_top_bit_flips() {
+        // A known blind spot, pinned so it is not forgotten: the chain
+        // folds little-endian `u64` words with an FNV-1a step, and the
+        // multiply by an odd prime never moves bit 63, so flipping the top
+        // bit of two words flips bit 63 of the state twice. The session's
+        // mutation fuzzer found a vCPU record passing its frame checksum
+        // this way. Closing it changes every frame's checksum, which is a
+        // wire format change; a single flip is caught.
+        let honest: Vec<u8> = (0..64u8).collect();
+        let mut forged = honest.clone();
+        forged[7] ^= 0x80;
+        assert_ne!(checksum(&forged), checksum(&honest));
+        forged[39] ^= 0x80;
+        assert_eq!(checksum(&forged), checksum(&honest));
+    }
+
     fn page_content(seed: u8) -> Vec<u8> {
         (0..PAGE_CONTENT_BYTES)
             .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))

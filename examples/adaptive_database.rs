@@ -44,7 +44,10 @@ fn main() {
     let here = run(true);
 
     println!("period chosen by Algorithm 1 over the run:");
-    let points: Vec<(f64, f64)> = here.period_series.points().collect();
+    let points: Vec<(f64, f64)> = here
+        .checkpoint_log()
+        .map(|(at, _, decision)| (at.as_secs_f64(), decision.chosen_period.as_secs_f64()))
+        .collect();
     for (t, period) in points.iter().step_by((points.len() / 10).max(1)) {
         println!("  t = {t:>6.1}s  T = {period:.2}s");
     }

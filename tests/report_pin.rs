@@ -1,0 +1,159 @@
+//! Pins what a run report says about its checkpoints — every record,
+//! every period decision, the period and degradation series of Fig. 9/10
+//! and the resource accounting — for the four shared scenarios and one
+//! Algorithm-1 run with a warmup under load, so a change to how the
+//! report is assembled cannot move a bit of it unnoticed. Values are
+//! rendered explicitly (not through `Debug`), host-clock fields left out.
+
+mod common;
+
+use std::fmt::Write;
+
+use common::{scenario, SCENARIOS};
+use here::replication::{
+    degradation, CheckpointRecord, PeriodDecision, ReplicationConfig, RunReport, Scenario,
+    SessionEvent,
+};
+use here::sim::SimDuration;
+use here::workloads::phased::fig9_schedule;
+use here::workloads::PhasedMemStress;
+
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Fig. 9's shape at a small size: Algorithm 1 converges against the
+/// 20 % phase during a warmup under load, then follows the phased load.
+fn fig9_small() -> Scenario {
+    Scenario::builder()
+        .name("fig9_small")
+        .vm_memory_mib(256)
+        .vcpus(4)
+        .workload(Box::new(
+            PhasedMemStress::new(fig9_schedule()).expect("valid schedule"),
+        ))
+        .config(
+            ReplicationConfig::dynamic(0.3, SimDuration::from_secs(25))
+                .with_sigma(SimDuration::from_millis(100)),
+        )
+        .warmup_under_load(SimDuration::from_secs(20))
+        .duration(SimDuration::from_secs(180))
+        .seed(0x4845_5245)
+        .build()
+        .expect("valid scenario")
+}
+
+/// The `Checkpoint` events of the log: when each epoch finished, its
+/// record and the controller's decision.
+fn checkpoint_events(report: &RunReport) -> Vec<(u64, &CheckpointRecord, &PeriodDecision)> {
+    report
+        .events
+        .iter()
+        .filter_map(|event| match event {
+            SessionEvent::Checkpoint {
+                record,
+                decision,
+                at_nanos,
+            } => Some((*at_nanos, record, decision)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// One line per run: digests of the records, the decisions and the two
+/// series, then the resource accounting and the report fingerprint.
+fn digest_line(label: &str, report: &RunReport) -> String {
+    let mut records = String::new();
+    for c in &report.checkpoints {
+        writeln!(
+            records,
+            "{} {} {} {} {} {:016x}",
+            c.seq,
+            c.paused_at.as_nanos(),
+            c.period.as_nanos(),
+            c.pause.as_nanos(),
+            c.dirty_pages,
+            c.degradation.to_bits()
+        )
+        .unwrap();
+    }
+    let log = checkpoint_events(report);
+    assert_eq!(log.len(), report.checkpoints.len(), "{label}");
+    let (mut decisions, mut period, mut degr) = (String::new(), String::new(), String::new());
+    for (at_nanos, record, decision) in log {
+        // What the controller measured is what the record says: the pause,
+        // its degradation over the period the epoch ran with, that period
+        // and the pages harvested.
+        writeln!(
+            decisions,
+            "{} {:016x} {} {} {} {:016x} {} {}",
+            decision.chosen_period.as_nanos(),
+            decision.predicted_degradation.to_bits(),
+            decision.action.label(),
+            decision.clamp.map_or("none", |c| c.label()),
+            record.pause.as_nanos(),
+            degradation(record.pause, record.period).to_bits(),
+            record.period.as_nanos(),
+            record.dirty_pages,
+        )
+        .unwrap();
+        writeln!(
+            period,
+            "{at_nanos} {:016x}",
+            decision.chosen_period.as_secs_f64().to_bits()
+        )
+        .unwrap();
+        writeln!(
+            degr,
+            "{at_nanos} {:016x}",
+            (record.degradation * 100.0).to_bits()
+        )
+        .unwrap();
+    }
+    format!(
+        "{label} checkpoints={} records={:016x} decisions={:016x} period={:016x} \
+         degradation={:016x} cpu={:016x} rss={} fingerprint={:016x}",
+        report.checkpoints.len(),
+        fnv(&records),
+        fnv(&decisions),
+        fnv(&period),
+        fnv(&degr),
+        report.resources.cpu_core_pct.to_bits(),
+        report.resources.rss.as_bytes(),
+        report.fingerprint(),
+    )
+}
+
+#[test]
+fn every_checkpoint_view_of_the_report_is_pinned() {
+    let mut got: Vec<String> = SCENARIOS
+        .iter()
+        .flat_map(|name| {
+            [false, true].map(|armed| {
+                digest_line(
+                    &format!("{name} armed={armed}"),
+                    &scenario(name, armed).run(),
+                )
+            })
+        })
+        .collect();
+    got.push(digest_line("fig9_small", &fig9_small().run()));
+    let want = PINNED.lines().map(str::trim).collect::<Vec<_>>();
+    assert_eq!(got, want, "\n{}", got.join("\n"));
+}
+
+/// Recorded at the commit before the report's checkpoint views became a
+/// fold over the event log.
+const PINNED: &str = "\
+    pair_hang armed=false checkpoints=10 records=22e9e9610f17bd7b decisions=0c0dd32a4dd19005 period=9b86bfb40b2479cc degradation=2fbc1d5601287cdc cpu=3fe304c756b2dbd1 rss=87240704 fingerprint=654425ae7a5243ef\n\
+    pair_hang armed=true checkpoints=10 records=22e9e9610f17bd7b decisions=0c0dd32a4dd19005 period=9b86bfb40b2479cc degradation=2fbc1d5601287cdc cpu=3fe304c756b2dbd1 rss=87240704 fingerprint=654425ae7a5243ef\n\
+    quorum_faults armed=false checkpoints=12 records=f04de4a440a354e1 decisions=dc5d051607aee935 period=5d4c3a0a177b41c4 degradation=cbbc892172bba6b2 cpu=3fe6d288ce703afc rss=87240704 fingerprint=a15307143d8e211d\n\
+    quorum_faults armed=true checkpoints=12 records=f04de4a440a354e1 decisions=dc5d051607aee935 period=5d4c3a0a177b41c4 degradation=cbbc892172bba6b2 cpu=3fe6d288ce703afc rss=87240704 fingerprint=8aea75b0ad77bfa6\n\
+    retry_dry armed=false checkpoints=14 records=7e7964deb95771db decisions=97d4ca2cdc58fa8b period=37daf4c0d8387826 degradation=43c3716ff8aecf93 cpu=3fea9dec3e0265b5 rss=87242752 fingerprint=9de38bb0255baf36\n\
+    retry_dry armed=true checkpoints=14 records=7e7964deb95771db decisions=97d4ca2cdc58fa8b period=37daf4c0d8387826 degradation=43c3716ff8aecf93 cpu=3fea9dec3e0265b5 rss=87242752 fingerprint=9de38bb0255baf36\n\
+    overlap armed=false checkpoints=15 records=9b18bc7812106aab decisions=75c4fabe5dcd0b15 period=eb6c6167316bb9cf degradation=2a16abf7b31c3430 cpu=3fec851ff5a5b05d rss=87242752 fingerprint=81bb85f3d092893a\n\
+    overlap armed=true checkpoints=15 records=9b18bc7812106aab decisions=75c4fabe5dcd0b15 period=eb6c6167316bb9cf degradation=2a16abf7b31c3430 cpu=3fec851ff5a5b05d rss=87242752 fingerprint=81bb85f3d092893a\n\
+    fig9_small checkpoints=961 records=318e79ee7f4e2ac9 decisions=8a6244c5c1c1613b period=91631b3d6f616ae1 degradation=d62e00f02f51f7db cpu=404043c16f4a85b4 rss=281862144 fingerprint=6cb9f5ed7b593257\n\
+";
