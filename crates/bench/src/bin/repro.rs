@@ -27,9 +27,9 @@
 //! replication health plane and writes `target/repro/BENCH_health.json`
 //! plus the alert-log and series JSONL exports; `postmortem` captures an
 //! incident bundle from an induced quorum-at-risk partition, replays it
-//! byte-identically and diffs it against the fault-stripped baseline,
-//! writing `target/repro/BENCH_postmortem.json` plus the bundle and the
-//! forensics reports; `wire` compares wire format v3 (epoch-delta
+//! (same fingerprint, same trigger) and diffs the replay against the
+//! fault-stripped baseline, writing `target/repro/BENCH_postmortem.json`
+//! plus the bundle and the forensics reports; `wire` compares wire format v3 (epoch-delta
 //! columnar records) against the v2 stream on two workloads plus the
 //! negotiation matrix and writes `target/repro/BENCH_wire.json`.
 //! `repro replay <bundle>` re-executes a previously
@@ -1027,7 +1027,7 @@ fn postmortem(scale: Scale) {
     outln!("Postmortem — incident capture, bundle replay, differential forensics");
     let out = run_postmortem(scale);
     outln!(
-        "  capture: trigger '{}' froze the bundle at epoch {} ({} bytes, hash 0x{:08x})",
+        "  capture: trigger '{}' fired at epoch {} (bundle {} bytes, hash 0x{:08x})",
         out.trigger,
         out.trigger_epoch,
         out.bundle_bytes,
@@ -1045,7 +1045,7 @@ fn postmortem(scale: Scale) {
         "  replay fingerprint 0x{:016x}: {}",
         out.replay_fingerprint,
         if out.replay_verified {
-            "byte-identical fingerprint, alert log and unresolved alerts"
+            "same fingerprint, same trigger at the same event"
         } else {
             "MISMATCH"
         },
@@ -1140,7 +1140,7 @@ fn wire(scale: Scale) {
 }
 
 /// `repro replay <bundle>` — re-executes a captured incident bundle and
-/// verifies it reproduces the bundled run byte for byte.
+/// verifies it reproduces the bundled run's fingerprint and trigger.
 fn replay_bundle(path: Option<&str>) -> ExitCode {
     let Some(path) = path else {
         eprintln!("usage: repro replay <bundle>");
@@ -1162,7 +1162,7 @@ fn replay_bundle(path: Option<&str>) -> ExitCode {
     };
     println!(
         "replaying {path}: trigger '{}' at epoch {} — {}",
-        bundle.incident.trigger, bundle.incident.epoch, bundle.incident.detail
+        bundle.trigger.trigger, bundle.trigger.epoch, bundle.trigger.detail
     );
     let outcome = match bundle.replay() {
         Ok(outcome) => outcome,
@@ -1182,23 +1182,16 @@ fn replay_bundle(path: Option<&str>) -> ExitCode {
         }
     );
     println!(
-        "  alert log: {}",
-        if outcome.alert_log_matches {
-            "byte-identical"
-        } else {
-            "MISMATCH"
-        }
-    );
-    println!(
-        "  unresolved alerts: {}",
-        if outcome.active_alerts_match {
+        "  trigger at event {}: {}",
+        bundle.trigger.event,
+        if outcome.trigger_matches {
             "match"
         } else {
             "MISMATCH"
         }
     );
     if outcome.verified() {
-        println!("replay verified: the bundle reproduces the incident byte for byte");
+        println!("replay verified: the bundle reproduces the run and its trigger");
         ExitCode::SUCCESS
     } else {
         eprintln!("replay FAILED to reproduce the bundled run");

@@ -6,18 +6,18 @@
 //!
 //! 1. **Capture.** The health experiment's sustained partition of
 //!    replica 2 re-runs with [`postmortem capture`] armed; the first
-//!    `quorum_at_risk`/`stale_replica` page freezes an
-//!    [`IncidentBundle`] — config, seeds, fault plan, ledger, flight
-//!    recorder, spans, health tails — behind a checksummed, versioned
-//!    header.
+//!    `quorum_at_risk`/`stale_replica` page is the trigger, and the
+//!    [`IncidentBundle`] is the seed that reproduces it — config, seeds,
+//!    fault plan, fingerprint and trigger — behind a checksummed,
+//!    versioned header.
 //! 2. **Integrity.** The encoded bundle must round-trip through
 //!    [`IncidentBundle::decode`] unchanged, and strict decoding must
 //!    reject a version bump, a truncation and a same-length bit flip.
 //! 3. **Replay.** Re-executing the decoded bundle must reproduce the
-//!    captured run's [`RunReport::fingerprint`], alert log and
-//!    unresolved alerts byte for byte — the bundle is a one-file repro.
-//! 4. **Forensics.** [`PostmortemAnalyzer`] re-runs the same seed with
-//!    the fault plan stripped and diffs incident vs. healthy baseline:
+//!    captured run's [`RunReport::fingerprint`] and fire the same trigger
+//!    at the same event — the bundle is a one-file repro.
+//! 4. **Forensics.** [`PostmortemAnalyzer`] diffs the replayed run
+//!    against the same seed with the fault plan stripped:
 //!    per-stage time deltas, critical-path shift, per-replica ack/retry
 //!    divergence and the reconstructed alert timeline
 //!    (`postmortem.json` + human-readable report).
@@ -57,8 +57,7 @@ pub struct PostmortemOutput {
     pub rejects_tampering: bool,
     /// Fingerprint of the replayed run.
     pub replay_fingerprint: u64,
-    /// True when the replay reproduced fingerprint, alert log and
-    /// unresolved alerts byte for byte.
+    /// True when the replay reproduced the fingerprint and the trigger.
     pub replay_verified: bool,
     /// The differential forensics diff (incident vs. fault-stripped
     /// baseline).
@@ -78,7 +77,7 @@ pub struct PostmortemOutput {
 /// integrity envelope, replays it and diffs it against the healthy
 /// baseline.
 pub fn run_postmortem(scale: Scale) -> PostmortemOutput {
-    // 1. Capture: run the armed partition scenario and freeze the bundle.
+    // 1. Capture: run the armed partition scenario and seal its seed.
     let spec = stress_spec(scale, "postmortem-incident", false);
     let config = health::config().with_postmortem_capture();
     let plan = partition_plan();
@@ -111,9 +110,10 @@ pub fn run_postmortem(scale: Scale) -> PostmortemOutput {
     // 3. Replay: the decoded bundle reproduces the captured run.
     let replay = decoded.replay().expect("the decoded bundle replays");
 
-    // 4. Forensics: diff the incident against the fault-stripped
+    // 4. Forensics: diff the replayed incident against the fault-stripped
     //    baseline.
-    let postmortem = PostmortemAnalyzer::diff(&bundle).expect("the bundle diffs");
+    let baseline = bundle.execute(false).expect("the baseline runs");
+    let postmortem = PostmortemAnalyzer::diff_reports(&bundle, &replay.report, &baseline);
     let alerts_fired = postmortem
         .alert_timeline
         .iter()
@@ -121,9 +121,9 @@ pub fn run_postmortem(scale: Scale) -> PostmortemOutput {
         .count();
 
     PostmortemOutput {
-        trigger: bundle.incident.trigger.clone(),
-        trigger_epoch: bundle.incident.epoch,
-        trigger_detail: bundle.incident.detail.clone(),
+        trigger: bundle.trigger.trigger.clone(),
+        trigger_epoch: bundle.trigger.epoch,
+        trigger_detail: bundle.trigger.detail.clone(),
         incident_fingerprint: bundle.fingerprint,
         bundle_bytes: encoded.len(),
         bundle_hash: fnv32(encoded.as_bytes()),
@@ -219,7 +219,7 @@ mod tests {
     fn capture_replay_and_forensics_pin_the_whole_arc() {
         let out = run_postmortem(Scale::Quick);
 
-        // Capture: the partition's first page froze the bundle.
+        // Capture: the partition's first page is the trigger.
         assert_eq!(out.trigger, "alert", "{}", out.trigger_detail);
         assert!(out.bundle_bytes > 0);
         assert_eq!(fnv32(out.bundle_text.as_bytes()), out.bundle_hash);

@@ -39,20 +39,20 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use bytes::{Bytes, BytesMut};
 use here_bench::json;
 use here_core::dataplane::SegmentRestorer;
-use here_core::failover::{CommitEntry, ReplicaAcks};
 use here_core::{
-    CoreError, FaultKind, FaultPlan, IncidentBundle, IncidentSnapshot, ReplicationConfig,
-    ScenarioSpec, WorkloadSpec,
+    CoreError, FaultKind, FaultPlan, IncidentBundle, IncidentTrigger, ReplicationConfig,
+    ScenarioSpec, WorkloadSpec, BUNDLE_VERSION,
 };
 use here_hypervisor::arch::ArchRegs;
 use here_hypervisor::devices::DeviceIdentity;
 use here_hypervisor::memory::{materialize_content, GuestMemory, PageVersion};
 use here_hypervisor::{HvError, HypervisorKind, PageId, PAGE_SIZE};
 use here_sim_core::rate::ByteSize;
-use here_sim_core::time::{SimDuration, SimTime};
+use here_sim_core::time::SimDuration;
 use here_vmstate::wire::{
-    checksum, encode_record_into, fnv32, write_preamble_versioned, PageColumnsBatch, PageDataBatch,
-    PagePayload, COLUMNS_HEADER_BYTES, PREAMBLE_BYTES, VERSION, VERSION_V3,
+    checksum, encode_record_into, fnv32, frame_checksum, write_preamble_versioned,
+    PageColumnsBatch, PageDataBatch, PagePayload, COLUMNS_HEADER_BYTES, PREAMBLE_BYTES, VERSION,
+    VERSION_V3,
 };
 use here_vmstate::{CpuStateCir, MemoryDelta, Record, StreamDecoder, WireError};
 
@@ -313,7 +313,7 @@ fn reseal(bytes: &mut Vec<u8>, format: Format) {
                     put_be(bytes, p + 20, 4, meta_sum.into());
                     put_be(bytes, p + 24, 4, payload_sum.into());
                 }
-                let sum = checksum(&bytes[p..covered]);
+                let sum = frame_checksum(bytes[at], &bytes[p..covered]);
                 put_be(bytes, at + 5, 4, sum.into());
             }
         }
@@ -322,7 +322,7 @@ fn reseal(bytes: &mut Vec<u8>, format: Format) {
             if let Some(at) = bytes.windows(sep.len()).position(|w| w == sep) {
                 let payload = bytes.split_off(at + sep.len());
                 *bytes = format!(
-                    "HEREBUNDLE v2\nlen={}\ncrc=0x{:08x}\n---\n",
+                    "HEREBUNDLE v{BUNDLE_VERSION}\nlen={}\ncrc=0x{:08x}\n---\n",
                     payload.len(),
                     fnv32(&payload)
                 )
@@ -688,10 +688,6 @@ fn hostile_mutations_segment_restorer() {
 }
 
 fn sample_bundle() -> IncidentBundle {
-    let at = |seq, nanos| CommitEntry {
-        seq,
-        at: SimTime::from_nanos(nanos),
-    };
     IncidentBundle {
         spec: ScenarioSpec {
             name: "fuzz-seed".into(),
@@ -722,30 +718,12 @@ fn sample_bundle() -> IncidentBundle {
                 ),
         ),
         fingerprint: 0xdead_beef_cafe_f00d,
-        alert_log_jsonl: "{\"rule\":\"stale_replica\"}\n{\"rule\":\"quorum_at_risk\"}\n".into(),
-        active_alerts: vec!["quorum_at_risk".into()],
-        incident: IncidentSnapshot {
+        trigger: IncidentTrigger {
             trigger: "alert".into(),
             epoch: 6,
             at_nanos: 12_000_000_000,
-            detail: "stale_replica firing \\ twice\r".into(),
-            flight_json: "{\"capacity\":1024,\n\"events\":[]}".into(),
-            commits: vec![at(1, 2_000_000_123), at(2, 4_000_000_456)],
-            acks: vec![
-                ReplicaAcks {
-                    replica: 0,
-                    acks: vec![at(1, 2_000_000_123)],
-                },
-                ReplicaAcks {
-                    replica: 2,
-                    acks: Vec::new(),
-                },
-            ],
-            spans: vec!["epoch|epoch|1:0|6|12000000000|40".into()],
-            transitions: vec!["r2:healthy->lagging@5".into()],
-            series_tail: "{\"metric\":\"here_degradation_ppm\"}\n".into(),
-            active_alerts: vec!["stale_replica".into()],
-            alert_log_jsonl: "{\"rule\":\"stale_replica\"}\n".into(),
+            detail: "stale_replica firing \\ twice\r\n".into(),
+            event: 417,
         },
     }
 }
@@ -754,7 +732,6 @@ fn sample_bundle() -> IncidentBundle {
 fn hostile_mutations_incident_bundle() {
     let mut quiet = sample_bundle();
     quiet.plan = None;
-    quiet.incident.acks.clear();
     let seeds = [
         sample_bundle().encode().into_bytes(),
         quiet.encode().into_bytes(),

@@ -806,9 +806,9 @@ impl PostmortemAnalyzer {
         };
         let incident_fingerprint = incident.fingerprint();
         PostmortemReport {
-            trigger: bundle.incident.trigger.clone(),
-            trigger_epoch: bundle.incident.epoch,
-            trigger_detail: bundle.incident.detail.clone(),
+            trigger: bundle.trigger.trigger.clone(),
+            trigger_epoch: bundle.trigger.epoch,
+            trigger_detail: bundle.trigger.detail.clone(),
             incident_fingerprint,
             baseline_fingerprint: baseline.fingerprint(),
             fingerprint_reproduced: incident_fingerprint == bundle.fingerprint,

@@ -333,9 +333,10 @@ pub struct ReplicationConfig {
     /// existing experiments stay byte-identical).
     pub health_plane: bool,
     /// Arms postmortem incident capture: the first armed trigger (alert
-    /// raised, failover, epoch abort, or explicit request) snapshots a
-    /// replayable [`IncidentBundle`](crate::postmortem::IncidentBundle)
-    /// into the run report. Off by default.
+    /// raised, failover, epoch abort, or explicit request) is recorded in
+    /// the run report, from which a replayable
+    /// [`IncidentBundle`](crate::postmortem::IncidentBundle) is captured.
+    /// Off by default.
     pub postmortem_capture: bool,
     /// Wire format version the primary *offers* each replica: 2 (default,
     /// byte-identical to prior releases) or 3 (epoch-delta columnar
@@ -468,8 +469,8 @@ impl ReplicationConfig {
 
     /// Arms postmortem incident capture: the first armed trigger (alert
     /// raised, failover, epoch abort, or explicit end-of-run request)
-    /// freezes an [`IncidentSnapshot`](crate::postmortem::IncidentSnapshot)
-    /// into the run report.
+    /// lands in the run report as an
+    /// [`IncidentTrigger`](crate::postmortem::IncidentTrigger).
     pub fn with_postmortem_capture(mut self) -> Self {
         self.postmortem_capture = true;
         self

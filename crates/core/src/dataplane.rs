@@ -1390,7 +1390,7 @@ mod tests {
     /// header, both column checksums and the frame checksum (all plain
     /// FNV, all forgeable) made self-consistent.
     fn forged_columns_frame(count: u32, meta: &[u8], payload: &[u8]) -> Bytes {
-        use here_vmstate::wire::checksum;
+        use here_vmstate::wire::{checksum, frame_checksum};
         let mut record = Vec::new();
         record.extend_from_slice(&0u64.to_be_bytes());
         record.extend_from_slice(&count.to_be_bytes());
@@ -1398,7 +1398,7 @@ mod tests {
         record.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         record.extend_from_slice(&checksum(meta).to_be_bytes());
         record.extend_from_slice(&checksum(payload).to_be_bytes());
-        let outer = checksum(&record);
+        let outer = frame_checksum(0x09, &record);
         record.extend_from_slice(meta);
         record.extend_from_slice(payload);
         let mut frame = vec![0x09];

@@ -107,7 +107,8 @@ pub use period::{
 };
 pub use pipeline::{HereStrategy, RemusStrategy, ReplicationStrategy};
 pub use postmortem::{
-    IncidentBundle, IncidentSnapshot, ReplayOutcome, ScenarioSpec, WorkloadSpec, BUNDLE_VERSION,
+    IncidentBundle, IncidentSnapshot, IncidentTrigger, ReplayOutcome, ScenarioSpec, WorkloadSpec,
+    BUNDLE_VERSION,
 };
 pub use report::{CheckpointRecord, MigrationOutcome, RunReport};
 pub use telemetry::{

@@ -2,33 +2,35 @@
 //!
 //! When a run arms [`ReplicationConfig::postmortem_capture`]
 //! (crate::config::ReplicationConfig::postmortem_capture), the capture
-//! fold of [`crate::telemetry`] freezes an [`IncidentSnapshot`] at the
-//! first event that is a trigger — an alert raised, a failover, an epoch
-//! abort, or (when nothing fires) the end of the run — holding the
-//! trailing flight-recorder window, the commit ledger and per-replica
-//! acks, the enclosing epoch's span subtree, the health transitions and
-//! windowed-series tail as the other folds had them at that event.
+//! fold of [`crate::telemetry`] keeps the first event that is a trigger —
+//! an alert raised, a failover, an epoch abort, or (when nothing fires)
+//! the end of the run — as an [`IncidentTrigger`]: what fired, and the
+//! index of that event in the run's log.
 //!
-//! [`IncidentBundle`] wraps that snapshot together with everything needed
-//! to *re-execute* the run: the scenario parameters ([`ScenarioSpec`]),
-//! the full [`ReplicationConfig`], the active [`FaultPlan`] and the run's
-//! [`RunReport::fingerprint`]. The bundle serializes to a self-describing,
-//! versioned text document with a checksummed header
-//! ([`IncidentBundle::encode`]); decoding is strict — an unknown version,
-//! a truncated payload or a tampered byte is rejected, never silently
-//! accepted ([`IncidentBundle::decode`]).
+//! Everything else about the incident is derived. The planes are folds
+//! over the log, so [`IncidentSnapshot::at`] folds them over the log up
+//! to the trigger: the trailing flight-recorder window, the commit ledger
+//! and per-replica acks, the enclosing epoch's span subtree, the health
+//! transitions and windowed-series tail, as they stood at that event.
 //!
-//! Because every run is seed-deterministic in virtual time, the bundle
-//! *is* the repro: [`IncidentBundle::replay`] rebuilds the scenario from
-//! the bundle alone, re-executes it, and checks the fingerprint and the
-//! alert log byte for byte. The differential side — re-running the same
-//! seed with the fault plan stripped and diffing incident against healthy
-//! baseline — lives in
+//! [`IncidentBundle`] is therefore a seed: the scenario parameters
+//! ([`ScenarioSpec`]), the full [`ReplicationConfig`], the active
+//! [`FaultPlan`], the run's [`RunReport::fingerprint`] and the trigger.
+//! Every run is seed-deterministic in virtual time, so that *is* the
+//! repro. The bundle serializes to a self-describing, versioned text
+//! document with a checksummed header ([`IncidentBundle::encode`]);
+//! decoding is strict — an unknown version, a truncated payload or a
+//! tampered byte is rejected, never silently accepted
+//! ([`IncidentBundle::decode`]). [`IncidentBundle::replay`] re-executes the
+//! run from the bundle alone, checks its fingerprint and trigger, and
+//! derives the snapshot from the regenerated log. The differential side —
+//! re-running the same seed with the fault plan stripped and diffing
+//! incident against healthy baseline — lives in
 //! [`PostmortemAnalyzer`](crate::analyze::PostmortemAnalyzer).
 
 use serde::{Deserialize, Serialize};
 
-use here_sim_core::time::{SimDuration, SimTime};
+use here_sim_core::time::SimDuration;
 use here_vmstate::wire::fnv32;
 use here_workloads::idle::IdleGuest;
 use here_workloads::memstress::MemStress;
@@ -43,17 +45,16 @@ use crate::engine::Scenario;
 use crate::error::{CoreError, CoreResult};
 use crate::failover::{CommitEntry, CommitLedger, ReplicaAcks};
 use crate::report::RunReport;
-use crate::telemetry::TelemetrySnapshot;
-use crate::trace::Stage;
-use here_telemetry::span::Span;
+use crate::trace::{SessionEvent, Stage};
 
 use here_hypervisor::fault::DosOutcome;
 
 /// Bundle format magic (first header line starts with this).
 pub const BUNDLE_MAGIC: &str = "HEREBUNDLE";
 
-/// Bundle format version this build writes and accepts.
-pub const BUNDLE_VERSION: u32 = 2;
+/// Bundle format version this build writes and accepts (3: the bundle
+/// carries the trigger, not a rendered snapshot).
+pub const BUNDLE_VERSION: u32 = 3;
 
 /// Lines of the windowed-series JSONL export the snapshot retains (the
 /// *tail* — the newest windows at capture time).
@@ -173,10 +174,25 @@ impl ScenarioSpec {
     }
 }
 
-/// The point-in-time observability capture frozen when the first
-/// trigger fires; rides in [`RunReport::incident`]. Excluded
-/// from [`RunReport::fingerprint`] (like telemetry), so arming capture
-/// never perturbs a run's identity.
+/// The first capture trigger of an armed run; rides in
+/// [`RunReport::incident`]. Excluded from [`RunReport::fingerprint`] (like
+/// telemetry), so arming capture never perturbs a run's identity.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct IncidentTrigger {
+    /// What fired: `alert`, `failover`, `epoch_abort` or `request`.
+    pub trigger: String,
+    /// Epoch the trigger fired in.
+    pub epoch: u64,
+    /// Report-relative virtual instant of the trigger.
+    pub at_nanos: u64,
+    /// Human-readable trigger detail (alert rule, abort attempts, …).
+    pub detail: String,
+    /// Index in [`RunReport::events`] of the event whose fold fired it.
+    pub event: usize,
+}
+
+/// The point-in-time observability capture at a trigger, derived from the
+/// log by [`IncidentSnapshot::at`] and never stored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncidentSnapshot {
     /// What fired: `alert`, `failover`, `epoch_abort` or `request`.
@@ -207,20 +223,34 @@ pub struct IncidentSnapshot {
 }
 
 impl IncidentSnapshot {
-    /// Freezes the capture at a trigger: the trailing flight-recorder
-    /// window, health transitions and windowed-series tail out of
-    /// `telemetry`, the trigger epoch's span subtree (plus the failover
-    /// tree) out of `spans`, and the commits and per-replica ack trails
-    /// of `ledger` — all as they stand at the trigger.
-    pub(crate) fn freeze(
-        trigger: &str,
-        epoch: u64,
-        at_nanos: u64,
-        detail: String,
-        telemetry: TelemetrySnapshot,
-        spans: &[Span],
-        ledger: &CommitLedger,
+    /// The capture at `trigger` of a run configured as `cfg` that logged
+    /// `events`: the planes folded ([`crate::telemetry::fold`]) over the log
+    /// up to and including the event that fired it, and the ledger its
+    /// acks imply. That is the trailing flight-recorder window, health
+    /// transitions and windowed-series tail, the trigger epoch's span
+    /// subtree (plus the failover tree), and the commits and per-replica
+    /// ack trails — all as they stood at the trigger.
+    ///
+    /// # Panics
+    ///
+    /// When `trigger.event` is not an index of `events`.
+    pub fn at(
+        cfg: &ReplicationConfig,
+        events: &[SessionEvent],
+        trigger: &IncidentTrigger,
     ) -> IncidentSnapshot {
+        let prefix = &events[..=trigger.event];
+        let (telemetry, spans, _) = crate::telemetry::fold(cfg, prefix);
+        let mut ledger = CommitLedger::with_quorum(
+            cfg.topology.replicas.max(1),
+            cfg.topology.effective_quorum(),
+        );
+        for event in prefix {
+            if let SessionEvent::Ack { replica, seq, at } = *event {
+                ledger.ack(replica, seq, at);
+            }
+        }
+        let epoch = trigger.epoch;
         let (transitions, series_tail, active_alerts, alert_log_jsonl) = match telemetry.health {
             Some(h) => {
                 let tail_start = h
@@ -268,10 +298,10 @@ impl IncidentSnapshot {
             })
             .collect();
         IncidentSnapshot {
-            trigger: trigger.to_string(),
+            trigger: trigger.trigger.clone(),
             epoch,
-            at_nanos,
-            detail,
+            at_nanos: trigger.at_nanos,
+            detail: trigger.detail.clone(),
             flight_json: normalize_flight_dump(&telemetry.flight_recorder_json),
             commits: ledger.entries().to_vec(),
             acks: ledger
@@ -299,10 +329,12 @@ pub struct ReplayOutcome {
     pub fingerprint: u64,
     /// True when the rerun reproduced the bundled fingerprint.
     pub fingerprint_matches: bool,
-    /// True when the rerun's final alert log matched byte for byte.
-    pub alert_log_matches: bool,
-    /// True when the rerun's unresolved alerts matched the bundle's.
-    pub active_alerts_match: bool,
+    /// True when the rerun's capture fired the bundled trigger, at the
+    /// same event of its log.
+    pub trigger_matches: bool,
+    /// The incident derived from the rerun's log at its own trigger
+    /// (`None` when the rerun captured nothing).
+    pub snapshot: Option<IncidentSnapshot>,
     /// The re-executed run's full report.
     pub report: RunReport,
 }
@@ -310,7 +342,7 @@ pub struct ReplayOutcome {
 impl ReplayOutcome {
     /// True when every replay assertion held.
     pub fn verified(&self) -> bool {
-        self.fingerprint_matches && self.alert_log_matches && self.active_alerts_match
+        self.fingerprint_matches && self.trigger_matches
     }
 }
 
@@ -326,14 +358,8 @@ pub struct IncidentBundle {
     pub plan: Option<FaultPlan>,
     /// The captured run's [`RunReport::fingerprint`].
     pub fingerprint: u64,
-    /// The captured run's *final* alert log (JSONL; empty when the health
-    /// plane was unarmed).
-    pub alert_log_jsonl: String,
-    /// Alert rules still firing when the captured run ended — an incident
-    /// the run ended in the middle of, preserved, not dropped.
-    pub active_alerts: Vec<String>,
-    /// The point-in-time capture at the trigger instant.
-    pub incident: IncidentSnapshot,
+    /// What fired the capture, and where in the run's log.
+    pub trigger: IncidentTrigger,
 }
 
 impl IncidentBundle {
@@ -346,18 +372,15 @@ impl IncidentBundle {
         plan: Option<&FaultPlan>,
         report: &RunReport,
     ) -> CoreResult<IncidentBundle> {
-        let incident = report.incident.clone().ok_or_else(|| {
+        let trigger = report.incident.clone().ok_or_else(|| {
             bundle_err("the run captured no incident (arm ReplicationConfig::postmortem_capture)")
         })?;
-        let (alert_log_jsonl, active_alerts) = final_alerts(report);
         Ok(IncidentBundle {
             spec,
             config: config.clone(),
             plan: plan.cloned(),
             fingerprint: report.fingerprint(),
-            alert_log_jsonl,
-            active_alerts,
-            incident,
+            trigger,
         })
     }
 
@@ -370,17 +393,21 @@ impl IncidentBundle {
     }
 
     /// Replays the bundle — rebuilds the session from the bundle alone,
-    /// re-executes it, and checks the fingerprint and alert log byte for
-    /// byte. The bundle *is* the repro.
+    /// re-executes it, checks the fingerprint and the trigger, and derives
+    /// the incident snapshot from the regenerated log. The bundle *is* the
+    /// repro.
     pub fn replay(&self) -> CoreResult<ReplayOutcome> {
         let report = self.execute(true)?;
-        let (alert_log, active) = final_alerts(&report);
         let fingerprint = report.fingerprint();
+        let snapshot = report
+            .incident
+            .as_ref()
+            .map(|trigger| IncidentSnapshot::at(&self.config, &report.events, trigger));
         Ok(ReplayOutcome {
             fingerprint,
             fingerprint_matches: fingerprint == self.fingerprint,
-            alert_log_matches: alert_log == self.alert_log_jsonl,
-            active_alerts_match: active == self.active_alerts,
+            trigger_matches: report.incident.as_ref() == Some(&self.trigger),
+            snapshot,
             report,
         })
     }
@@ -497,26 +524,13 @@ impl IncidentBundle {
         let mut fingerprint = Hex(self.fingerprint);
         w.leaf("fingerprint", &mut fingerprint)?;
         self.fingerprint = fingerprint.0;
-        w.leaf("alert_log", &mut self.alert_log_jsonl)?;
-        w.list("active_alerts", "active", &mut self.active_alerts)?;
 
-        let i = &mut self.incident;
-        w.leaf("trigger", &mut i.trigger)?;
-        w.leaf("trigger_epoch", &mut i.epoch)?;
-        w.leaf("trigger_at_nanos", &mut i.at_nanos)?;
-        w.leaf("trigger_detail", &mut i.detail)?;
-        w.leaf("flight", &mut i.flight_json)?;
-        w.list("commits", "commit", &mut i.commits)?;
-        w.list("acks", "ack", &mut i.acks)?;
-        w.list("spans", "span", &mut i.spans)?;
-        w.list("transitions", "transition", &mut i.transitions)?;
-        w.leaf("series_tail", &mut i.series_tail)?;
-        w.list(
-            "capture_active",
-            "capture_active_rule",
-            &mut i.active_alerts,
-        )?;
-        w.leaf("capture_alert_log", &mut i.alert_log_jsonl)
+        let t = &mut self.trigger;
+        w.leaf("trigger", &mut t.trigger)?;
+        w.leaf("trigger_epoch", &mut t.epoch)?;
+        w.leaf("trigger_at_nanos", &mut t.at_nanos)?;
+        w.leaf("trigger_detail", &mut t.detail)?;
+        w.leaf("trigger_event", &mut t.event)
     }
 
     /// What [`IncidentBundle::decode`] reads into: every line of the walk
@@ -535,21 +549,12 @@ impl IncidentBundle {
             config: ReplicationConfig::fixed_period(SimDuration::ZERO),
             plan: None,
             fingerprint: 0,
-            alert_log_jsonl: String::new(),
-            active_alerts: Vec::new(),
-            incident: IncidentSnapshot {
+            trigger: IncidentTrigger {
                 trigger: String::new(),
                 epoch: 0,
                 at_nanos: 0,
                 detail: String::new(),
-                flight_json: String::new(),
-                commits: Vec::new(),
-                acks: Vec::new(),
-                spans: Vec::new(),
-                transitions: Vec::new(),
-                series_tail: String::new(),
-                active_alerts: Vec::new(),
-                alert_log_jsonl: String::new(),
+                event: 0,
             },
         }
     }
@@ -562,15 +567,6 @@ fn seal(payload: &str) -> String {
         payload.len(),
         fnv32(payload.as_bytes()),
     )
-}
-
-/// The final alert log and the still-firing rules of a finished run
-/// (both empty when the health plane was unarmed).
-fn final_alerts(report: &RunReport) -> (String, Vec<String>) {
-    match report.telemetry.as_ref().and_then(|t| t.health.as_ref()) {
-        Some(h) => (h.alert_log_jsonl.clone(), h.active_alerts.clone()),
-        None => (String::new(), Vec::new()),
-    }
 }
 
 /// One pass over the payload in one of two directions: appending
@@ -1026,48 +1022,6 @@ impl Leaf for FaultKind {
     }
 }
 
-/// A commit or an ack, from its sequence number and its instant in
-/// nanoseconds.
-fn commit_entry(seq: &str, at: &str) -> Parsed<CommitEntry> {
-    Ok(CommitEntry {
-        seq: Leaf::read(seq)?,
-        at: SimTime::from_nanos(Leaf::read(at)?),
-    })
-}
-
-/// `seq:at`.
-impl Leaf for CommitEntry {
-    fn show(&self) -> String {
-        format!("{}:{}", self.seq, self.at.as_nanos())
-    }
-    fn read(s: &str) -> Parsed<Self> {
-        let [seq, at] = parts(s)?;
-        commit_entry(seq, at)
-    }
-}
-
-/// One replica's ack trail, `replica:seq@at,seq@at,…`.
-impl Leaf for ReplicaAcks {
-    fn show(&self) -> String {
-        let acks: Vec<String> = self
-            .acks
-            .iter()
-            .map(|a| format!("{}@{}", a.seq, a.at.as_nanos()))
-            .collect();
-        format!("{}:{}", self.replica, acks.join(","))
-    }
-    fn read(s: &str) -> Parsed<Self> {
-        let [replica, acks] = parts(s)?;
-        Ok(ReplicaAcks {
-            replica: Leaf::read(replica)?,
-            acks: commas(acks, |ack| {
-                let (seq, at) = ack.split_once('@').ok_or("malformed ack entry")?;
-                commit_entry(seq, at)
-            })?,
-        })
-    }
-}
-
 fn bundle_err(msg: &str) -> CoreError {
     CoreError::InvalidScenario(format!("incident bundle: {msg}"))
 }
@@ -1183,36 +1137,12 @@ mod tests {
             config: off_default_config(),
             plan: Some(sample_plan()),
             fingerprint: 0xdead_beef_cafe_f00d,
-            alert_log_jsonl: "{\"rule\":\"stale_replica\"}\n{\"rule\":\"quorum_at_risk\"}\n".into(),
-            active_alerts: vec!["quorum_at_risk".into()],
-            incident: IncidentSnapshot {
+            trigger: IncidentTrigger {
                 trigger: "alert".into(),
                 epoch: 6,
                 at_nanos: 12_000_000_000,
-                detail: "stale_replica firing".into(),
-                flight_json: "{\"capacity\":1024,\n\"events\":[]}".into(),
-                commits: vec![CommitEntry {
-                    seq: 1,
-                    at: SimTime::from_nanos(2_000_000_123),
-                }],
-                acks: vec![
-                    ReplicaAcks {
-                        replica: 0,
-                        acks: vec![CommitEntry {
-                            seq: 1,
-                            at: SimTime::from_nanos(2_000_000_123),
-                        }],
-                    },
-                    ReplicaAcks {
-                        replica: 2,
-                        acks: Vec::new(),
-                    },
-                ],
-                spans: vec!["epoch|epoch|1:0|6|12000000000|40".into()],
-                transitions: vec!["r2:healthy->lagging@5".into()],
-                series_tail: "{\"metric\":\"here_degradation_ppm\"}\n".into(),
-                active_alerts: vec!["stale_replica".into()],
-                alert_log_jsonl: "{\"rule\":\"stale_replica\"}\n".into(),
+                detail: "stale_replica: replica 2 trails\nby 4 epochs \\ twice".into(),
+                event: 417,
             },
         }
     }
@@ -1251,41 +1181,30 @@ mod tests {
         // `len` and `crc` are no obstacle to a sender who can run FNV.
         let doc = sample_bundle().encode();
         let payload = doc.split_once("---\n").expect("separator").1;
-        let counted = [
-            "plan_events",
-            "active_alerts",
-            "commits",
-            "acks",
-            "spans",
-            "transitions",
-            "capture_active",
-        ];
-        for key in counted {
-            // The largest count that parses, and the smallest the lines
-            // after the count line cannot hold.
-            for count in [usize::MAX, payload.lines().count()] {
-                let forged: String = payload
-                    .lines()
-                    .map(|line| match line.strip_prefix(key) {
-                        Some(rest) if rest.starts_with('=') => format!("{key}={count}\n"),
-                        _ => format!("{line}\n"),
-                    })
-                    .collect();
-                assert_ne!(forged, payload, "{key} is not a line of the sample");
-                let err = IncidentBundle::decode(&seal(&forged)).unwrap_err();
-                assert!(
-                    err.to_string().contains("fewer lines are left"),
-                    "{key}={count}: {err}"
-                );
-            }
+        // The one counted list. The largest count that parses, and the
+        // smallest the lines after the count line cannot hold.
+        for count in [usize::MAX, payload.lines().count()] {
+            let forged: String = payload
+                .lines()
+                .map(|line| match line.strip_prefix("plan_events=") {
+                    Some(_) => format!("plan_events={count}\n"),
+                    None => format!("{line}\n"),
+                })
+                .collect();
+            assert_ne!(forged, payload, "plan_events is not a line of the sample");
+            let err = IncidentBundle::decode(&seal(&forged)).unwrap_err();
+            assert!(
+                err.to_string().contains("fewer lines are left"),
+                "plan_events={count}: {err}"
+            );
         }
     }
 
     #[test]
     fn decode_rejects_unknown_version() {
-        // v2 is the only version read: a v1 document is as unknown as v3.
-        for other in ["v1", "v3"] {
-            let doc = sample_bundle().encode().replacen("v2", other, 1);
+        // v3 is the only version read: a v2 document is as unknown as v4.
+        for other in ["v2", "v4"] {
+            let doc = sample_bundle().encode().replacen("v3", other, 1);
             let err = IncidentBundle::decode(&doc).unwrap_err();
             assert!(format!("{err:?}").contains("unknown bundle version"));
         }
@@ -1398,8 +1317,9 @@ mod tests {
             .build_scenario(config.clone(), Some(plan.clone()))
             .expect("valid scenario")
             .run();
-        let incident = report.incident.as_ref().expect("capture armed");
-        assert_eq!(incident.trigger, "alert");
+        let trigger = report.incident.as_ref().expect("capture armed");
+        assert_eq!(trigger.trigger, "alert");
+        let incident = IncidentSnapshot::at(&config, &report.events, trigger);
         assert!(!incident.flight_json.is_empty());
         assert!(!incident.commits.is_empty());
         assert_eq!(incident.acks.len(), 3);
@@ -1408,9 +1328,9 @@ mod tests {
         let decoded = IncidentBundle::decode(&bundle.encode()).expect("decode");
         let outcome = decoded.replay().expect("replay");
         assert!(outcome.fingerprint_matches, "fingerprint diverged");
-        assert!(outcome.alert_log_matches, "alert log diverged");
-        assert!(outcome.active_alerts_match);
+        assert!(outcome.trigger_matches, "trigger diverged");
         assert!(outcome.verified());
+        assert_eq!(outcome.snapshot, Some(incident));
     }
 
     #[test]
@@ -1423,8 +1343,10 @@ mod tests {
             .build_scenario(config.clone(), None)
             .expect("valid scenario")
             .run();
-        let incident = report.incident.as_ref().expect("request capture");
-        assert_eq!(incident.trigger, "request");
+        let trigger = report.incident.as_ref().expect("request capture");
+        assert_eq!(trigger.trigger, "request");
+        assert_eq!(trigger.event, report.events.len() - 1, "the run's end");
+        let incident = IncidentSnapshot::at(&config, &report.events, trigger);
         assert!(incident.active_alerts.is_empty());
     }
 
@@ -1432,7 +1354,7 @@ mod tests {
     fn run_ending_mid_incident_surfaces_unresolved_alerts() {
         // The partition never lifts before the run ends: the alerts that
         // fired must surface as unresolved in RunReport::health AND in the
-        // bundle — not silently dropped.
+        // run the bundle replays — not silently dropped.
         let mut spec = sample_spec();
         spec.name = "pm-unresolved".into();
         spec.duration = SimDuration::from_secs(24);
@@ -1469,11 +1391,11 @@ mod tests {
         );
 
         let bundle = IncidentBundle::capture(spec, &config, Some(&plan), &report).expect("bundle");
-        assert_eq!(bundle.active_alerts, health.active_alerts);
         let decoded = IncidentBundle::decode(&bundle.encode()).expect("decode");
-        assert_eq!(decoded.active_alerts, health.active_alerts);
         // And the replay reproduces the unresolved state byte for byte.
         let outcome = decoded.replay().expect("replay");
         assert!(outcome.verified());
+        let replayed = outcome.report.telemetry.as_ref().expect("telemetry");
+        assert_eq!(replayed.health.as_ref(), Some(health));
     }
 }

@@ -18,7 +18,7 @@ use here_sim_core::time::{SimDuration, SimTime};
 use crate::chaos::ChaosStats;
 use crate::failover::{CommitEntry, FailoverRecord, ReplicaAcks};
 use crate::period::{degradation, PeriodDecision};
-use crate::postmortem::IncidentSnapshot;
+use crate::postmortem::IncidentTrigger;
 use crate::telemetry::TelemetrySnapshot;
 use crate::trace::{SessionEvent, Stage, StageEvent};
 use here_telemetry::span::Span;
@@ -188,11 +188,14 @@ pub struct RunReport {
     /// epoch roots, stage and lane children, replica-side applies, and
     /// the failover tree. Empty for unprotected runs.
     pub spans: Vec<Span>,
-    /// The postmortem capture the first armed trigger froze, when
+    /// The first capture trigger and the index of the event in `events`
+    /// that fired it, when
     /// [`ReplicationConfig::postmortem_capture`](crate::config::ReplicationConfig::postmortem_capture)
-    /// was on. Excluded from [`RunReport::fingerprint`] (like telemetry),
-    /// so arming capture never changes a run's identity.
-    pub incident: Option<IncidentSnapshot>,
+    /// was on; [`IncidentSnapshot::at`](crate::postmortem::IncidentSnapshot::at)
+    /// derives what the planes said there. Excluded from
+    /// [`RunReport::fingerprint`] (like telemetry), so arming capture never
+    /// changes a run's identity.
+    pub incident: Option<IncidentTrigger>,
     /// The wire format version each replica negotiated with the primary,
     /// in index order (empty for unprotected runs). Excluded from
     /// [`RunReport::fingerprint`] — like `replica_acks`, it is derived

@@ -8,9 +8,10 @@
 //! then the postmortem capture — in that order for every event, because
 //! the alert edges the health plane derives from an
 //! [`SessionEvent::EpochHealth`] are laid into the flight ring and the
-//! span tree and may trigger the capture, and the capture freezes the
-//! other three as of its trigger. The session runs the same fold as it
-//! emits ([`RunReport::events`](crate::report::RunReport::events) is the
+//! span tree and may trigger the capture, which keeps only the trigger
+//! and the index of the event that fired it. The session runs the same
+//! fold as it emits
+//! ([`RunReport::events`](crate::report::RunReport::events) is the
 //! log, `telemetry`/`spans`/`incident` the result), so folding a recorded
 //! log again — with the health plane or the capture armed that were not
 //! during the run — reproduces them exactly.
@@ -75,8 +76,8 @@ use here_telemetry::span::{Span, SpanDraft, SpanId, SpanRecorder, Track};
 use here_telemetry::timeseries::{SeriesKind, SeriesSet};
 
 use crate::config::{PeriodPolicy, ReplicationConfig};
-use crate::failover::{CommitLedger, FailoverRecord};
-use crate::postmortem::IncidentSnapshot;
+use crate::failover::FailoverRecord;
+use crate::postmortem::IncidentTrigger;
 use crate::trace::{FaultSite, SessionEvent, Stage, StageEvent};
 
 /// Events the always-on flight recorder retains.
@@ -1052,12 +1053,16 @@ impl SpanFold {
     }
 }
 
-/// The postmortem capture fold: the ledger as the acks so far imply it,
-/// and the snapshot the first trigger froze.
-#[derive(Debug)]
+/// The postmortem capture fold: the first trigger, and where in the log
+/// it fired. What the other folds said at that event is derived from the
+/// log when asked for ([`IncidentSnapshot::at`]).
+///
+/// [`IncidentSnapshot::at`]: crate::postmortem::IncidentSnapshot::at
+#[derive(Debug, Default)]
 struct Capture {
-    ledger: CommitLedger,
-    incident: Option<IncidentSnapshot>,
+    /// Events folded so far: the log index of the next one.
+    seen: usize,
+    trigger: Option<IncidentTrigger>,
 }
 
 impl Capture {
@@ -1103,38 +1108,22 @@ impl Capture {
         }
     }
 
-    /// Keeps the ledger view current and, on the first trigger, freezes
-    /// the other folds as they stand after `event`.
-    fn observe(
-        &mut self,
-        event: &SessionEvent,
-        alerts: &[AlertEvent],
-        telemetry: &SessionTelemetry,
-        spans: &[Span],
-    ) {
-        match *event {
-            SessionEvent::Ack { replica, seq, at } => {
-                self.ledger.ack(replica, seq, at);
-            }
-            SessionEvent::Commit { seq, .. } => {
-                debug_assert_eq!(self.ledger.last_committed(), Some(seq));
-            }
-            _ => {}
-        }
-        if self.incident.is_some() {
+    /// Keeps the first trigger: `event`, or an alert edge it produced.
+    fn observe(&mut self, event: &SessionEvent, alerts: &[AlertEvent]) {
+        let index = self.seen;
+        self.seen += 1;
+        if self.trigger.is_some() {
             return;
         }
-        if let Some((trigger, epoch, at_nanos, detail)) = Self::trigger(event, alerts) {
-            self.incident = Some(IncidentSnapshot::freeze(
-                trigger,
+        self.trigger = Self::trigger(event, alerts).map(|(trigger, epoch, at_nanos, detail)| {
+            IncidentTrigger {
+                trigger: trigger.to_string(),
                 epoch,
                 at_nanos,
                 detail,
-                telemetry.snapshot(),
-                spans,
-                &self.ledger,
-            ));
-        }
+                event: index,
+            }
+        });
     }
 }
 
@@ -1172,10 +1161,7 @@ impl Planes {
                 lane_walls: Vec::new(),
                 overlap_credit: SimDuration::ZERO,
             },
-            capture: cfg.postmortem_capture.then(|| Capture {
-                ledger: CommitLedger::with_quorum(replicas, quorum),
-                incident: None,
-            }),
+            capture: cfg.postmortem_capture.then(Capture::default),
         }
     }
 
@@ -1185,16 +1171,16 @@ impl Planes {
         let alerts = self.telemetry.observe(event);
         self.spans.observe(event, &alerts);
         if let Some(capture) = &mut self.capture {
-            capture.observe(event, &alerts, &self.telemetry, self.spans.recorder.spans());
+            capture.observe(event, &alerts);
         }
     }
 
     /// Freezes the planes into what a report carries.
-    pub(crate) fn finish(self) -> (TelemetrySnapshot, Vec<Span>, Option<IncidentSnapshot>) {
+    pub(crate) fn finish(self) -> (TelemetrySnapshot, Vec<Span>, Option<IncidentTrigger>) {
         (
             self.telemetry.snapshot(),
             self.spans.recorder.into_spans(),
-            self.capture.and_then(|c| c.incident),
+            self.capture.and_then(|c| c.trigger),
         )
     }
 }
@@ -1210,7 +1196,7 @@ impl Planes {
 pub fn fold(
     cfg: &ReplicationConfig,
     events: &[SessionEvent],
-) -> (TelemetrySnapshot, Vec<Span>, Option<IncidentSnapshot>) {
+) -> (TelemetrySnapshot, Vec<Span>, Option<IncidentTrigger>) {
     let mut planes = Planes::new(cfg);
     for event in events {
         planes.observe(event);
@@ -1589,12 +1575,15 @@ mod tests {
         let alert_spans: Vec<_> = spans.iter().filter(|s| s.category == "alert").collect();
         assert_eq!(alert_spans.len(), log.len());
         let first = log.iter().find(|a| a.state == AlertState::Firing).unwrap();
-        let incident = incident.expect("capture armed");
+        let trigger = incident.expect("capture armed");
         assert_eq!(
-            (incident.trigger.as_str(), incident.epoch),
+            (trigger.trigger.as_str(), trigger.epoch),
             ("alert", first.epoch)
         );
+        // Three events per epoch: the trigger is the firing epoch's tick.
+        assert_eq!(trigger.event as u64, 3 * first.epoch - 1);
         // The ledger view is rebuilt from the acks up to the trigger.
+        let incident = crate::postmortem::IncidentSnapshot::at(&cfg, &events, &trigger);
         assert_eq!(incident.commits.len() as u64, first.epoch);
         assert_eq!(incident.acks.len(), 3);
         assert!(incident.acks[2].acks.is_empty());

@@ -142,9 +142,13 @@ fn nothing_observed_during_warmup_survives_into_the_measured_report() {
         .run();
     assert_eq!(report.chaos.expect("plan armed").epochs_aborted, 0);
     assert_eq!(report.consistency_checks, report.checkpoints.len() as u64);
-    let incident = report.incident.expect("capture armed");
-    assert_eq!(incident.trigger, "request", "{}", incident.detail);
-    assert!(!incident.flight_json.contains("epoch_abort"));
+    let trigger = report.incident.expect("capture armed");
+    assert_eq!(trigger.trigger, "request", "{}", trigger.detail);
+    // The capture counted events from the same reset as the log.
+    assert!(matches!(
+        report.events[trigger.event],
+        SessionEvent::RunEnd { .. }
+    ));
     let first = report.stage_events.first().expect("measured epochs").seq;
     assert!(first > 2, "warmup epochs are not in the measured log");
     assert!(report

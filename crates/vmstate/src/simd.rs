@@ -4,12 +4,13 @@
 //! from its base-epoch copy.
 //!
 //! **The fold is not dispatched.** The FNV-style fold is a strict
-//! sequential dependency chain (`state = (state ^ word) * prime`, one
-//! xor and one multiply, ~1.3 ns a word), so no vector width can shorten
-//! it and the digest is part of the wire format. [`fold_words`] is a
-//! plain inlinable function folding eight bytes per multiply; what makes
-//! it cheaper is running it *beside* an independent chain (see
-//! [`PageDataWriter::push_group`]), not a wider register.
+//! sequential dependency chain
+//! (`state = (state ^ (word ^ (word >> 32))) * prime`; the premix does not
+//! read the state), so no vector width can shorten it and the digest is
+//! part of the wire format. [`fold_words`] is a plain inlinable function
+//! folding eight bytes per multiply; what makes it cheaper is running it
+//! *beside* an independent chain (see [`PageDataWriter::push_group`]), not
+//! a wider register.
 //!
 //! **The compares are.** [`WideOps`] selects a `bytes_equal` and a
 //! `diff_bitmap` once at first use: [`Sse2Ops`] (x86-64 with SSE2, 16
@@ -25,9 +26,14 @@ use std::sync::OnceLock;
 const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// One step of the record-checksum chain.
+///
+/// A multiply by an odd constant carries only upward, so without the
+/// premix a word's bit 63 would reach no other state bit and two top-bit
+/// flips in one frame would cancel. Folding the high half onto the low
+/// half first sends every input bit through the carry chain.
 #[inline]
 pub(crate) fn fold64(state: u64, word: u64) -> u64 {
-    (state ^ word).wrapping_mul(FNV64_PRIME)
+    (state ^ (word ^ (word >> 32))).wrapping_mul(FNV64_PRIME)
 }
 
 /// Folds the longest multiple-of-8 prefix of `bytes` into `state` as

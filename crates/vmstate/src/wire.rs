@@ -30,9 +30,9 @@
 //! private cursor (`Reader`): a read past the end is
 //! [`WireError::Truncated`], a wire-supplied count is bounded by the
 //! bytes left before it sizes anything, and a record's decoder must
-//! consume its payload exactly. The frame checksum covers the payload,
-//! not the tag, so exact consumption is what rejects a flipped tag.
-//! Values are canonical — varints minimal, flag bytes 0 or 1, adjacent
+//! consume its payload exactly. The frame checksum is seeded with the
+//! record tag ([`frame_checksum`]), so a flipped tag fails it like a
+//! flipped payload byte. Values are canonical — varints minimal, flag bytes 0 or 1, adjacent
 //! mode runs merged — so a stream that decodes re-encodes to the same
 //! bytes ([`encode_record_into`] is the inverse of
 //! [`StreamDecoder::next_record`], pinned by the mutation fuzzer in
@@ -304,9 +304,9 @@ impl PageDataBatch {
 /// column checksum `u32`.
 ///
 /// This mirrors the postmortem bundle's `len=`/`crc=` header discipline:
-/// the record's *frame* checksum covers only this header, and each column
-/// carries its own digest, so a flipped bit in the meta column and one in
-/// the payload column are reported as distinct errors.
+/// the record's *frame* checksum covers only the tag and this header, and
+/// each column carries its own digest, so a flipped bit in the meta
+/// column and one in the payload column are reported as distinct errors.
 pub const COLUMNS_HEADER_BYTES: usize = 28;
 
 const MODE_META: u8 = 0;
@@ -649,8 +649,8 @@ fn patch_columns_header(
 /// The one writer of a v3 page-columns record, framed in place: the meta
 /// column (frame gaps, run-length modes, versions, writers) from `pages`,
 /// then whatever `payloads` appends as the payload column. The frame
-/// checksum covers only the fixed header; each column carries its own
-/// digest.
+/// checksum covers only the tag and the fixed header; each column carries
+/// its own digest.
 fn encode_columns_record(
     base_epoch: u64,
     pages: impl ExactSizeIterator<Item = (PageId, PageVersion, u8)> + Clone,
@@ -695,7 +695,10 @@ fn encode_columns_record(
         meta_at,
         payload_at,
     );
-    let outer = checksum(&out[header_at..header_at + COLUMNS_HEADER_BYTES]);
+    let outer = frame_checksum(
+        TAG_PAGE_COLUMNS,
+        &out[header_at..header_at + COLUMNS_HEADER_BYTES],
+    );
     patch_frame(out, frame_at, header_at, TAG_PAGE_COLUMNS, outer);
 }
 
@@ -878,7 +881,7 @@ const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// to 32 bits. The digest depends only on the byte *sequence*, never on how
 /// `update` calls chunk it, so encode workers can hash page payloads as
 /// they stream them into their lane buffers and still match the one-shot
-/// [`checksum`] the decoder computes over the reassembled record.
+/// [`frame_checksum`] the decoder computes over the reassembled record.
 #[derive(Debug, Clone)]
 pub struct StreamingChecksum {
     state: u64,
@@ -896,6 +899,15 @@ impl StreamingChecksum {
             pending_len: 0,
             total: 0,
         }
+    }
+
+    /// Fresh hasher for a frame of kind `tag`: the tag is the chain's
+    /// first word, so the digest covers the tag as well as the bytes
+    /// `update` absorbs (which alone count towards the length mixed in).
+    pub fn tagged(tag: u8) -> Self {
+        let mut sum = StreamingChecksum::new();
+        sum.state = fold64(sum.state, u64::from(tag));
+        sum
     }
 
     /// Absorbs `bytes`; chunk boundaries do not affect the digest.
@@ -939,9 +951,18 @@ impl Default for StreamingChecksum {
     }
 }
 
-/// One-shot v2 record checksum over a contiguous slice.
+/// One-shot untagged checksum over a contiguous slice: the digest of each
+/// v3 column.
 pub fn checksum(bytes: &[u8]) -> u32 {
     let mut c = StreamingChecksum::new();
+    c.update(bytes);
+    c.finish()
+}
+
+/// One-shot frame checksum: the digest a frame header carries for a
+/// record of kind `tag` whose covered bytes are `bytes`.
+pub fn frame_checksum(tag: u8, bytes: &[u8]) -> u32 {
+    let mut c = StreamingChecksum::tagged(tag);
     c.update(bytes);
     c.finish()
 }
@@ -1070,7 +1091,7 @@ pub fn encode_record_into(record: &Record, out: &mut BytesMut) {
             let frame_at = reserve_frame(out);
             let payload_at = out.len();
             let tag = encode_payload(control, out);
-            let sum = checksum(&out[payload_at..]);
+            let sum = frame_checksum(tag, &out[payload_at..]);
             patch_frame(out, frame_at, payload_at, tag, sum);
         }
     }
@@ -1095,7 +1116,7 @@ pub fn encode_page_batch_into(entries: &[(PageId, PageVersion)], out: &mut Bytes
     for &(page, rec) in entries {
         put_page_meta(out, page, rec);
     }
-    let sum = checksum(&out[payload_at..]);
+    let sum = frame_checksum(TAG_PAGE_BATCH, &out[payload_at..]);
     patch_frame(out, frame_at, payload_at, TAG_PAGE_BATCH, sum);
 }
 
@@ -1143,7 +1164,7 @@ impl<'a> PageDataWriter<'a> {
             out,
             frame_at,
             payload_at,
-            sum: StreamingChecksum::new(),
+            sum: StreamingChecksum::tagged(TAG_PAGE_DATA),
             folded_to: payload_at,
             count: 0,
         }
@@ -1542,17 +1563,18 @@ impl StreamDecoder {
             return Err(WireError::UnknownRecord(tag));
         }
         let payload = self.take_bytes(len)?;
-        // v3 columnar frames checksum only their fixed header; each column
-        // carries its own digest so meta- and payload-column corruption are
-        // reported as distinct errors.
-        let actual_sum = if tag == TAG_PAGE_COLUMNS {
+        // v3 columnar frames checksum only their tag and fixed header; each
+        // column carries its own digest so meta- and payload-column
+        // corruption are reported as distinct errors.
+        let covered = if tag == TAG_PAGE_COLUMNS {
             if payload.len() < COLUMNS_HEADER_BYTES {
                 return Err(WireError::Truncated);
             }
-            checksum(&payload[..COLUMNS_HEADER_BYTES])
+            &payload[..COLUMNS_HEADER_BYTES]
         } else {
-            checksum(&payload)
+            &payload[..]
         };
+        let actual_sum = frame_checksum(tag, covered);
         if actual_sum != expected_sum {
             return Err(WireError::ChecksumMismatch {
                 expected: expected_sum,
@@ -1922,7 +1944,7 @@ mod tests {
         buf.put_u16(VERSION);
         buf.put_u8(0x7f);
         buf.put_u32(0);
-        buf.put_u32(checksum(&[]));
+        buf.put_u32(frame_checksum(0x7f, &[]));
         let mut dec = StreamDecoder::new(buf.freeze()).unwrap();
         assert_eq!(
             dec.next_record().unwrap_err(),
@@ -1966,13 +1988,20 @@ mod tests {
     #[test]
     fn streaming_checksum_is_chunk_invariant() {
         let data: Vec<u8> = (0..1000u32).map(|i| (i * 7 + 3) as u8).collect();
-        let one_shot = checksum(&data);
-        for chunk in [1usize, 3, 7, 8, 13, 64, 999] {
-            let mut c = StreamingChecksum::new();
-            for piece in data.chunks(chunk) {
-                c.update(piece);
+        for (fresh, one_shot) in [
+            (StreamingChecksum::new(), checksum(&data)),
+            (
+                StreamingChecksum::tagged(TAG_PAGE_DATA),
+                frame_checksum(TAG_PAGE_DATA, &data),
+            ),
+        ] {
+            for chunk in [1usize, 3, 7, 8, 13, 64, 999] {
+                let mut c = fresh.clone();
+                for piece in data.chunks(chunk) {
+                    c.update(piece);
+                }
+                assert_eq!(c.finish(), one_shot, "chunk size {chunk} diverged");
             }
-            assert_eq!(c.finish(), one_shot, "chunk size {chunk} diverged");
         }
     }
 
@@ -1984,20 +2013,63 @@ mod tests {
     }
 
     #[test]
-    fn checksum_misses_a_pair_of_top_bit_flips() {
-        // A known blind spot, pinned so it is not forgotten: the chain
-        // folds little-endian `u64` words with an FNV-1a step, and the
-        // multiply by an odd prime never moves bit 63, so flipping the top
-        // bit of two words flips bit 63 of the state twice. The session's
-        // mutation fuzzer found a vCPU record passing its frame checksum
-        // this way. Closing it changes every frame's checksum, which is a
-        // wire format change; a single flip is caught.
+    fn checksum_catches_a_pair_of_top_bit_flips() {
+        // The blind spot of a plain FNV-1a word step: the multiply by an
+        // odd prime never moves bit 63, so flipping the top bit of two
+        // words flipped bit 63 of the state twice and cancelled. The
+        // session's mutation fuzzer once found a vCPU record passing its
+        // frame checksum this way; the premix in the step closes it.
         let honest: Vec<u8> = (0..64u8).collect();
         let mut forged = honest.clone();
         forged[7] ^= 0x80;
         assert_ne!(checksum(&forged), checksum(&honest));
         forged[39] ^= 0x80;
-        assert_eq!(checksum(&forged), checksum(&honest));
+        assert_ne!(checksum(&forged), checksum(&honest));
+    }
+
+    /// Flips bit `b` of a frame: the tag's eight bits, then the payload's.
+    fn flip_frame_bit(tag: &mut u8, payload: &mut [u8], b: usize) {
+        match b.checked_sub(8) {
+            None => *tag ^= 1 << b,
+            Some(b) => payload[b / 8] ^= 1 << (b % 8),
+        }
+    }
+
+    #[test]
+    fn frame_checksum_sees_every_one_and_two_bit_error() {
+        // Every flip of one or two bits among a frame's tag and its one to
+        // eight payload words, three frames per length: 1 312 992 errors.
+        let mut errors = 0;
+        for words in 1..=8 {
+            for tag in [TAG_VCPU, TAG_PAGE_BATCH, TAG_PAGE_DATA] {
+                let mut payload: Vec<u8> = (0..8 * words)
+                    .map(|i| (i as u8).wrapping_mul(73) ^ tag.wrapping_mul(29) ^ words as u8)
+                    .collect();
+                let honest = frame_checksum(tag, &payload);
+                let mut tag = tag;
+                let bits = 8 + 64 * words;
+                for i in 0..bits {
+                    flip_frame_bit(&mut tag, &mut payload, i);
+                    for j in i..bits {
+                        // `j == i` is the one-bit error.
+                        if j > i {
+                            flip_frame_bit(&mut tag, &mut payload, j);
+                        }
+                        assert_ne!(
+                            frame_checksum(tag, &payload),
+                            honest,
+                            "{words} words, bits {i} and {j}"
+                        );
+                        if j > i {
+                            flip_frame_bit(&mut tag, &mut payload, j);
+                        }
+                        errors += 1;
+                    }
+                    flip_frame_bit(&mut tag, &mut payload, i);
+                }
+            }
+        }
+        assert_eq!(errors, 1_312_992);
     }
 
     fn page_content(seed: u8) -> Vec<u8> {
@@ -2572,7 +2644,10 @@ mod tests {
         encode_record_into(&Record::PageColumns(PageColumnsBatch::new(0)), &mut buf);
         let header_at = PREAMBLE_BYTES + FRAME_HEADER_BYTES;
         buf[header_at + 8..header_at + 12].copy_from_slice(&u32::MAX.to_be_bytes());
-        let outer = checksum(&buf[header_at..header_at + COLUMNS_HEADER_BYTES]);
+        let outer = frame_checksum(
+            TAG_PAGE_COLUMNS,
+            &buf[header_at..header_at + COLUMNS_HEADER_BYTES],
+        );
         patch_frame(&mut buf, PREAMBLE_BYTES, header_at, TAG_PAGE_COLUMNS, outer);
         let mut dec =
             StreamDecoder::new_negotiated(ScatterStream::from(buf.freeze()), VERSION_V3).unwrap();
@@ -2676,7 +2751,7 @@ mod tests {
         // writer of the commit before `push_group` framed it. If this
         // moves, the v2 wire moved.
         const GOLDEN: [u8; FRAME_HEADER_BYTES] =
-            [0x08, 0x00, 0x00, 0x90, 0x7e, 0xbe, 0x2f, 0x90, 0xef];
+            [0x08, 0x00, 0x00, 0x90, 0x7e, 0x97, 0x26, 0xca, 0xd5];
         let shard = golden_shard();
         let mut all_push = BytesMut::new();
         write_shard(&shard, || false, &mut all_push);
@@ -2757,11 +2832,11 @@ mod tests {
     }
 
     const GOLDEN_META: &str =
-        "090000003453bc3552000000000000000b0000000400000018000000004dd3fe9f29620a93\
+        "090000003443c1d759000000000000000b0000000400000018000000002b34eb0629620a93\
                                d804cd04d6c5080200040701ffffffff0fc801010003ac02";
     /// The mixed record around its one full page of `0x5a`.
     const GOLDEN_MIXED: (&str, &str) = (
-        "0900001054b74a38160102030405060708000000070000002d0000100b37c26ef24b8ac149\
+        "09000010540977951e0102030405060708000000070000002d0000100b085d6bc73704f53d\
          1201f03ffb3f02faffffffff3fffffffffff3f0002010103010201030100010102030405060000010002000000\
          026401ffd00f03070707",
         "00",
@@ -2793,13 +2868,28 @@ mod tests {
         StreamDecoder::new(Bytes::from(stream))?.collect_records()
     }
 
+    /// Like [`decode_with_tag`], with the frame's checksum recomputed
+    /// under the new tag, as a sender who can run FNV would forge it (for
+    /// a frame whose checksum covers its whole payload).
+    fn decode_resealed_with_tag(
+        mut stream: Vec<u8>,
+        at: usize,
+        tag: u8,
+    ) -> WireResult<Vec<Record>> {
+        let len = u32::from_be_bytes(stream[at + 1..at + 5].try_into().unwrap()) as usize;
+        let payload_at = at + FRAME_HEADER_BYTES;
+        let sum = frame_checksum(tag, &stream[payload_at..payload_at + len]);
+        stream[at + 5..payload_at].copy_from_slice(&sum.to_be_bytes());
+        decode_with_tag(stream, at, tag)
+    }
+
     #[test]
     fn hostile_flipped_tag_is_a_typed_error() {
-        // The frame checksum covers the payload, not the tag: what catches
-        // a flipped tag is that the other kind's decoder must consume the
-        // payload exactly. The three below used to decode `Ok` — a vCPU's
-        // registers as a NIC, the round's opening as an empty page batch,
-        // its trailer as an acknowledgement.
+        // The frame checksum covers the tag, so a flipped one fails it;
+        // under a forged checksum, what still catches it is that the other
+        // kind's decoder must consume the payload exactly. The three below
+        // once decoded `Ok` — a vCPU's registers as a NIC, the round's
+        // opening as an empty page batch, its trailer as an acknowledgement.
         let (stream, tags) = one_of_each_kind();
         for (from, to) in [
             (TAG_VCPU, TAG_DEVICE),
@@ -2807,10 +2897,17 @@ mod tests {
             (TAG_CKPT_END, TAG_ACK),
         ] {
             let at = *tags.iter().find(|&&at| stream[at] == from).unwrap();
-            assert_eq!(
-                decode_with_tag(stream.clone(), at, to).unwrap_err(),
-                WireError::BadPayload("trailing bytes"),
+            assert!(
+                matches!(
+                    decode_with_tag(stream.clone(), at, to),
+                    Err(WireError::ChecksumMismatch { .. })
+                ),
                 "{from:#04x} -> {to:#04x}"
+            );
+            assert_eq!(
+                decode_resealed_with_tag(stream.clone(), at, to).unwrap_err(),
+                WireError::BadPayload("trailing bytes"),
+                "{from:#04x} -> {to:#04x}, resealed"
             );
         }
     }
@@ -2838,12 +2935,12 @@ mod tests {
     }
 
     #[test]
-    fn the_one_same_length_tag_pair_is_still_accepted() {
+    fn the_same_length_tag_pair_fails_the_frame_checksum() {
         // A Kvm stream header with a three-byte VM name is 18 bytes, which
         // is exactly a block-device identity, and with one vCPU its last
         // byte is a valid read-only flag, so both decoders read all 18.
-        // Harmless: every receiver ignores both records. Closing it needs
-        // the tag under the frame checksum, which moves wire bytes.
+        // Exact consumption cannot tell them apart; the tag under the
+        // frame checksum does.
         let mut buf = v3_buf();
         let header = Record::StreamHeader {
             source: HypervisorKind::Kvm,
@@ -2852,7 +2949,12 @@ mod tests {
             vcpus: 1,
         };
         encode_record_into(&header, &mut buf);
-        let got = decode_with_tag(buf.to_vec(), PREAMBLE_BYTES, TAG_DEVICE).unwrap();
+        assert!(matches!(
+            decode_with_tag(buf.to_vec(), PREAMBLE_BYTES, TAG_DEVICE),
+            Err(WireError::ChecksumMismatch { .. })
+        ));
+        // Only the checksum stood in the way: resealed, it reads as a disk.
+        let got = decode_resealed_with_tag(buf.to_vec(), PREAMBLE_BYTES, TAG_DEVICE).unwrap();
         assert!(matches!(
             got[..],
             [Record::Device(DeviceIdentity::Block { .. })]
@@ -2875,7 +2977,7 @@ mod tests {
         ] {
             let mut forged = buf.clone();
             forged[at] = byte;
-            let sum = checksum(&forged[payload_at..]);
+            let sum = frame_checksum(TAG_VCPU, &forged[payload_at..]);
             patch_frame(&mut forged, PREAMBLE_BYTES, payload_at, TAG_VCPU, sum);
             let mut dec = StreamDecoder::new(forged.freeze()).unwrap();
             assert_eq!(dec.next_record().unwrap_err(), WireError::BadPayload(why));

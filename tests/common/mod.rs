@@ -4,10 +4,9 @@
 use here::hypervisor::fault::DosOutcome;
 use here::replication::{
     FailureCause, FailurePlan, FanoutMode, FaultKind, FaultPlan, ReplicationConfig, Scenario,
-    Stage, TopologyConfig,
+    ScenarioSpec, Stage, TopologyConfig, WorkloadSpec,
 };
 use here::sim::{SimDuration, SimTime};
-use here::workloads::MemStress;
 
 /// Scenario names, in the order [`config`] and [`scenario`] know them.
 pub const SCENARIOS: [&str; 4] = ["pair_hang", "quorum_faults", "retry_dry", "overlap"];
@@ -40,21 +39,52 @@ pub fn config(name: &str, armed: bool) -> ReplicationConfig {
 /// Scenario `name`: a 64 MiB, 4-vCPU guest under memory pressure for
 /// 30 virtual seconds, with the faults its name promises.
 pub fn scenario(name: &str, armed: bool) -> Scenario {
+    let spec = spec(name);
     let builder = Scenario::builder()
-        .name(name)
-        .vm_memory_mib(64)
-        .vcpus(4)
-        .workload(Box::new(MemStress::with_percent(30).with_rate(20_000)))
+        .name(&spec.name)
+        .vm_memory_mib(spec.memory_mib)
+        .vcpus(spec.vcpus)
+        .workload(spec.workload.build())
         .config(config(name, armed))
-        .duration(SimDuration::from_secs(30))
-        .seed(0x4845_5245);
+        .duration(spec.duration)
+        .seed(spec.seed);
+    let builder = match plan(name) {
+        Some(plan) => builder.chaos(plan),
+        None => builder,
+    };
     let builder = match name {
         "pair_hang" => builder.failure(FailurePlan {
             at: SimTime::from_secs(21),
             cause: FailureCause::Accident(DosOutcome::Hang),
             reattack_secondary: false,
         }),
-        "quorum_faults" => builder.chaos(
+        _ => builder,
+    };
+    builder.build().expect("valid scenario")
+}
+
+/// [`scenario`]`(name, ..)` as an incident bundle records it — everything
+/// but the config and the fault plan. `pair_hang`'s hang is a
+/// `FailurePlan`, which a bundle does not carry.
+pub fn spec(name: &str) -> ScenarioSpec {
+    ScenarioSpec {
+        name: name.into(),
+        memory_mib: 64,
+        vcpus: 4,
+        workload: WorkloadSpec::MemStress {
+            percent: 30,
+            rate: 20_000,
+        },
+        duration: SimDuration::from_secs(30),
+        seed: 0x4845_5245,
+        verify_consistency: false,
+    }
+}
+
+/// The fault plan of scenario `name`, if it has one.
+pub fn plan(name: &str) -> Option<FaultPlan> {
+    match name {
+        "quorum_faults" => Some(
             FaultPlan::new(7)
                 .with_event(2, FaultKind::Corrupt { attempts: 1 })
                 .with_event(3, FaultKind::Drop { attempts: 10 })
@@ -67,12 +97,11 @@ pub fn scenario(name: &str, armed: bool) -> Scenario {
                     },
                 ),
         ),
-        "retry_dry" => builder.chaos(
+        "retry_dry" => Some(
             FaultPlan::new(5)
                 .with_event(2, FaultKind::LinkFlap { attempts_down: 1 })
                 .with_event(3, FaultKind::Drop { attempts: 10 }),
         ),
-        _ => builder,
-    };
-    builder.build().expect("valid scenario")
+        _ => None,
+    }
 }

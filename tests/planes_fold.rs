@@ -1,13 +1,14 @@
 //! The observability planes are folds over the session's event log: a
 //! report's telemetry, spans and incident can be recomputed from its
-//! `events`, the log does not depend on which planes were armed, and a
-//! plane that was off during a run can be computed from its recording.
+//! `events`, the log does not depend on which planes were armed, a plane
+//! that was off during a run can be computed from its recording, and an
+//! incident bundle is a seed whose snapshot is a fold over a log prefix.
 
 mod common;
 
-use common::{config, scenario, SCENARIOS};
+use common::{config, plan, scenario, spec, SCENARIOS};
 use here::replication::telemetry::fold;
-use here::replication::SessionEvent;
+use here::replication::{IncidentBundle, IncidentSnapshot, SessionEvent};
 
 /// `event` with every host-clock measurement blanked.
 fn without_host_clock(event: &SessionEvent) -> SessionEvent {
@@ -87,5 +88,40 @@ fn the_log_is_the_same_armed_or_not_and_a_plane_can_be_folded_in_afterwards() {
         let alerts = want.health.as_ref().map_or(0, |h| h.alert_log.len());
         assert_eq!(spans.len(), unarmed.spans.len() + alerts, "{name}");
         assert_eq!(spans.len(), armed.spans.len(), "{name}");
+    }
+}
+
+#[test]
+fn a_bundle_is_a_seed_and_its_snapshot_a_fold_over_the_log_prefix() {
+    for name in SCENARIOS {
+        let config = config(name, true);
+        let report = scenario(name, true).run();
+        let trigger = report.incident.clone().expect("capture armed");
+        // The trigger names the event whose fold fired it.
+        let fired = &report.events[trigger.event];
+        let kind = match fired {
+            SessionEvent::EpochHealth { .. } => "alert",
+            SessionEvent::Failover { .. } => "failover",
+            SessionEvent::EpochAbort { .. } => "epoch_abort",
+            SessionEvent::RunEnd { .. } => "request",
+            other => panic!("{name}: {other:?} cannot fire a capture"),
+        };
+        assert_eq!(trigger.trigger, kind, "{name}");
+
+        let bundle = IncidentBundle::capture(spec(name), &config, plan(name).as_ref(), &report)
+            .expect("capture armed");
+        let replay = IncidentBundle::decode(&bundle.encode())
+            .expect("the bundle decodes")
+            .replay()
+            .expect("the bundle replays");
+        if name == "pair_hang" {
+            // Its hang is a `FailurePlan`, which a bundle does not carry:
+            // the replay must say so rather than verify.
+            assert!(!replay.fingerprint_matches && !replay.verified(), "{name}");
+            continue;
+        }
+        assert!(replay.verified(), "{name}");
+        let want = IncidentSnapshot::at(&config, &report.events, &trigger);
+        assert_eq!(replay.snapshot, Some(want), "{name}");
     }
 }

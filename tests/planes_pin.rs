@@ -4,7 +4,8 @@
 
 mod common;
 
-use common::{scenario, SCENARIOS};
+use common::{config, scenario, SCENARIOS};
+use here::replication::IncidentSnapshot;
 
 /// Replaces the number after every `key` in `text` with `0` — how the
 /// host-clock values (`"wall_nanos":`, the lane pool's `"steals":` and
@@ -70,13 +71,17 @@ fn digest_line(name: &str, armed: bool) -> String {
             format!("{s:?}\n")
         })
         .collect();
+    let incident = report
+        .incident
+        .as_ref()
+        .map(|trigger| IncidentSnapshot::at(&config(name, armed), &report.events, trigger));
     format!(
         "{name} armed={armed} prom={:016x} flight={:016x} series={series:016x} \
          alerts={alerts:016x} spans={:016x} incident={:016x} fingerprint={:016x}",
         fnv(&prometheus),
         fnv(&flight),
         fnv(&spans),
-        fnv(&format!("{:?}", report.incident)),
+        fnv(&format!("{incident:?}")),
         report.fingerprint(),
     )
 }
