@@ -1,8 +1,9 @@
 //! Pins what a run report says about its checkpoints — every record,
 //! every period decision, the period and degradation series of Fig. 9/10
-//! and the resource accounting — for the four shared scenarios and one
-//! Algorithm-1 run with a warmup under load, so a change to how the
-//! report is assembled cannot move a bit of it unnoticed. Values are
+//! and the resource accounting — for the four shared scenarios, one
+//! Algorithm-1 run with a warmup under load and one YCSB key-value run,
+//! so a change to how the report is assembled, or to the guest and data
+//! paths under it, cannot move a bit of it unnoticed. Values are
 //! rendered explicitly (not through `Debug`), host-clock fields left out.
 
 mod common;
@@ -10,12 +11,15 @@ mod common;
 use std::fmt::Write;
 
 use common::{scenario, SCENARIOS};
+use here::hypervisor::fault::DosOutcome;
+use here::hypervisor::PAGE_SIZE;
 use here::replication::{
-    degradation, CheckpointRecord, PeriodDecision, ReplicationConfig, RunReport, Scenario,
-    SessionEvent,
+    degradation, CheckpointRecord, FailureCause, FailurePlan, PeriodDecision, ReplicationConfig,
+    RunReport, Scenario, SessionEvent,
 };
-use here::sim::SimDuration;
+use here::sim::{SimDuration, SimTime};
 use here::workloads::phased::fig9_schedule;
+use here::workloads::ycsb::{Ycsb, YcsbMix, YcsbSpec};
 use here::workloads::PhasedMemStress;
 
 fn fnv(text: &str) -> u64 {
@@ -41,6 +45,37 @@ fn fig9_small() -> Scenario {
         .warmup_under_load(SimDuration::from_secs(20))
         .duration(SimDuration::from_secs(180))
         .seed(0x4845_5245)
+        .build()
+        .expect("valid scenario")
+}
+
+/// `session_kv`'s shape at test size: YCSB-A (scrambled Zipfian keys, the
+/// KV store's WAL and memtable flushes, client-heap sweeps) on 4 vCPUs
+/// under Algorithm 1, consistency verified at every checkpoint, and the
+/// primary hanging while the guest is still busy.
+fn ycsb_kv() -> Scenario {
+    let driver = Ycsb::new(YcsbSpec {
+        mix: YcsbMix::A,
+        records: 20_000,
+        operations: 1_000_000,
+    })
+    .expect("valid spec");
+    let mib = (driver.required_pages() * PAGE_SIZE).div_ceil(1024 * 1024) + 8;
+    Scenario::builder()
+        .name("ycsb_kv")
+        .vm_memory_mib(mib)
+        .vcpus(4)
+        .workload(Box::new(driver))
+        .config(ReplicationConfig::dynamic(0.30, SimDuration::from_secs(5)))
+        .duration(SimDuration::from_secs(20))
+        .run_full_duration()
+        .verify_consistency()
+        .failure(FailurePlan {
+            at: SimTime::from_secs(12),
+            cause: FailureCause::Accident(DosOutcome::Hang),
+            reattack_secondary: false,
+        })
+        .seed(0x2023_1211)
         .build()
         .expect("valid scenario")
 }
@@ -143,6 +178,27 @@ fn every_checkpoint_view_of_the_report_is_pinned() {
     let want = PINNED.lines().map(str::trim).collect::<Vec<_>>();
     assert_eq!(got, want, "\n{}", got.join("\n"));
 }
+
+/// Guest writes, harvest and the v2 metadata codec each have a one-pass
+/// form; the YCSB run goes through all three, so none may move a key, a
+/// page version or a checkpoint.
+#[test]
+fn the_ycsb_kv_session_is_pinned() {
+    let report = ycsb_kv().run();
+    assert_eq!(report.consistency_checks, report.checkpoints.len() as u64);
+    let got = format!(
+        "{} ops={:016x}",
+        digest_line("ycsb_kv", &report),
+        report.ops_completed.to_bits()
+    );
+    assert_eq!(got, PINNED_KV.trim(), "\n{got}");
+}
+
+/// Recorded before guest writes, harvest and the page-batch codec became
+/// single passes over slices.
+const PINNED_KV: &str = "ycsb_kv checkpoints=11 records=a61061096fc91958 \
+    decisions=d3438e68eb34bf8a period=349492200f68737b degradation=0d2cde51fa806491 \
+    cpu=400840c1fc8f3237 rss=184979456 fingerprint=02dd656a70b7869d ops=412cd8b400000000";
 
 /// Recorded at the commit before the report's checkpoint views became a
 /// fold over the event log.
