@@ -563,7 +563,7 @@ fn worker_main(shared: Arc<PoolShared>, idx: usize) {
 }
 
 /// Everything the primary side of a session carries from one checkpoint
-/// to the next: the harvest delta, the per-lane collect scratch, the
+/// to the next: the harvest delta, the per-chunk collect counts, the
 /// encode buffer pool, the persistent encode lane pool, and the v3 delta
 /// base.
 #[derive(Debug, Default)]
@@ -571,7 +571,7 @@ pub struct CheckpointPools {
     /// Reused harvest output (taken during Harvest, returned after
     /// Translate).
     pub delta: MemoryDelta,
-    /// Per-lane harvest scratch for `collect_chunked_into`.
+    /// Per-chunk dirty counts for `collect_chunked_into`.
     pub collect: CollectScratch,
     /// Encode segment buffers, reclaimed after each Transfer.
     pub buffers: BufferPool,

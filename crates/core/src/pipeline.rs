@@ -229,8 +229,8 @@ impl<'s> Paused<'s> {
         } = self;
         session.chaos_primary_fault(seq, Stage::Harvest)?;
         let snapshot = session.take_dirty_snapshot();
-        // The harvest reuses the session's pooled delta and per-lane
-        // scratch: steady state allocates nothing per checkpoint.
+        // The harvest reuses the session's pooled delta and per-chunk
+        // count scratch: neither is regrown in the steady state.
         let mut delta = std::mem::take(&mut session.pools.delta);
         let mut scratch = std::mem::take(&mut session.pools.collect);
         delta.clear();

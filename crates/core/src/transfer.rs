@@ -6,7 +6,8 @@
 //! 1. **Continuous checkpointing** — guest memory is split into 2 MiB
 //!    chunks, assigned round-robin to worker threads; during each
 //!    checkpoint every worker scans the shared dirty bitmap over its own
-//!    chunks and copies the pages it owns ([`collect_chunked`]).
+//!    chunks and writes the pages it owns straight into their final slots
+//!    of the delta ([`collect_chunked_into`]).
 //! 2. **Seeding** — one migrator thread per vCPU harvests that vCPU's PML
 //!    ring and sends its own dirty pages ([`collect_per_vcpu`]); pages
 //!    transferred by *different* threads across rounds are "problematic"
@@ -22,7 +23,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use here_hypervisor::dirty::DirtyBitmap;
+use here_hypervisor::dirty::{DirtyBitmap, DirtyPagesIter};
 use here_hypervisor::memory::{GuestMemory, PageVersion};
 use here_hypervisor::PageId;
 use here_vmstate::MemoryDelta;
@@ -32,16 +33,16 @@ pub const CHUNK_BYTES: u64 = 2 * 1024 * 1024;
 /// Pages per chunk.
 pub const PAGES_PER_CHUNK: u64 = CHUNK_BYTES / here_hypervisor::PAGE_SIZE;
 
-/// Reusable per-lane scratch buffers for [`collect_chunked_into`], so the
-/// steady-state checkpoint loop performs no heap allocation once the lanes
-/// have warmed up.
+/// Reusable scratch for [`collect_chunked_into`]: each chunk's dirty-page
+/// count, which places the chunk's pages in the output. Kept across
+/// checkpoints so the steady-state loop does not regrow it.
 #[derive(Debug, Default)]
 pub struct CollectScratch {
-    lanes: Vec<Vec<(PageId, PageVersion)>>,
+    counts: Vec<usize>,
 }
 
 impl CollectScratch {
-    /// Empty scratch; lane buffers grow on first use and are kept after.
+    /// Empty scratch; the count table grows on first use and is kept after.
     pub fn new() -> Self {
         CollectScratch::default()
     }
@@ -64,15 +65,15 @@ pub fn collect_chunked(memory: &GuestMemory, dirty: &DirtyBitmap, workers: u32) 
     out
 }
 
-/// Allocation-reusing variant of [`collect_chunked`]: lane buffers live in
-/// `scratch` and the merged result replaces the contents of `out`, both
+/// Allocation-reusing variant of [`collect_chunked`]: the per-chunk counts
+/// live in `scratch` and the result replaces the contents of `out`, both
 /// keeping their allocations across checkpoints.
 ///
-/// Lane outputs are *chunk-ordered by construction* (each lane visits
-/// chunks `lane, lane + stride, …` ascending, and pages within a chunk
-/// ascend), so the merge is a k-way splice that walks chunks in order and
-/// copies each chunk's run from its owning lane — `O(pages + chunks)`,
-/// no comparison sort.
+/// The chunks' dirty counts (word popcounts, no per-page work) fix where
+/// each chunk's run of pages starts in `out`, so `out` is sized once and
+/// worker `c % workers` is lent chunk `c`'s disjoint slice of it. Each
+/// page is written once, into its final slot: the output is in ascending
+/// frame order by construction, with no lane buffers and no merge.
 ///
 /// # Panics
 ///
@@ -85,67 +86,68 @@ pub fn collect_chunked_into(
     out: &mut MemoryDelta,
 ) {
     assert!(workers >= 1, "at least one transfer worker is required");
-    out.clear();
     let num_pages = memory.num_pages();
     let num_chunks = num_pages.div_ceil(PAGES_PER_CHUNK);
     let workers = if num_chunks <= 1 {
         1
     } else {
-        workers.min(num_chunks as u32)
+        workers.min(num_chunks as u32) as usize
     };
     if workers == 1 {
         // One lane visiting every chunk is simply an ascending full scan.
-        out.reserve(dirty.count() as usize);
-        for page in dirty.iter() {
-            let rec = memory
-                .page(page)
-                .expect("dirty bitmap only marks in-range pages");
-            out.push(page, rec);
-        }
+        let slots = out.slots_mut(dirty.count_in_range(0, num_pages) as usize);
+        fill_slots(memory, dirty.iter_range(0, num_pages), slots);
         return;
     }
 
-    if scratch.lanes.len() < workers as usize {
-        scratch.lanes.resize_with(workers as usize, Vec::new);
+    let counts = &mut scratch.counts;
+    counts.clear();
+    counts.extend((0..num_chunks).map(|chunk| {
+        let lo = chunk * PAGES_PER_CHUNK;
+        dirty.count_in_range(lo, lo + PAGES_PER_CHUNK) as usize
+    }));
+    let mut rest = out.slots_mut(counts.iter().sum());
+    let mut lanes: Vec<Vec<ChunkSlots<'_>>> = (0..workers)
+        .map(|_| Vec::with_capacity(counts.len().div_ceil(workers)))
+        .collect();
+    for (chunk, &count) in counts.iter().enumerate() {
+        let (slots, tail) = std::mem::take(&mut rest).split_at_mut(count);
+        lanes[chunk % workers].push((chunk as u64, slots));
+        rest = tail;
     }
-    let lanes = &mut scratch.lanes[..workers as usize];
+    let fill_lane = |lane: Vec<ChunkSlots<'_>>| {
+        for (chunk, slots) in lane {
+            let lo = chunk * PAGES_PER_CHUNK;
+            fill_slots(memory, dirty.iter_range(lo, lo + PAGES_PER_CHUNK), slots);
+        }
+    };
+    // The calling thread is worker 0, so a harvest spawns `workers - 1`.
+    let mut lanes = lanes.into_iter();
+    let own = lanes.next().expect("at least two workers");
     std::thread::scope(|s| {
-        for (lane, buf) in lanes.iter_mut().enumerate() {
-            s.spawn(move || {
-                buf.clear();
-                let mut chunk = lane as u64;
-                while chunk < num_chunks {
-                    let lo = chunk * PAGES_PER_CHUNK;
-                    for page in dirty.iter_range(lo, lo + PAGES_PER_CHUNK) {
-                        let rec = memory
-                            .page(page)
-                            .expect("dirty bitmap only marks in-range pages");
-                        buf.push((page, rec));
-                    }
-                    chunk += workers as u64;
-                }
-            });
+        for lane in lanes {
+            s.spawn(move || fill_lane(lane));
         }
+        fill_lane(own);
     });
+}
 
-    // k-way chunk-ordered splice: chunk c's run sits at the front of the
-    // unconsumed part of lane c % workers, already sorted.
-    out.reserve(lanes.iter().map(Vec::len).sum());
-    let mut cursors = vec![0usize; lanes.len()];
-    for chunk in 0..num_chunks {
-        let lane = (chunk % workers as u64) as usize;
-        let buf = &lanes[lane];
-        let cur = &mut cursors[lane];
-        while *cur < buf.len() && buf[*cur].0.frame() / PAGES_PER_CHUNK == chunk {
-            let (page, rec) = buf[*cur];
-            out.push(page, rec);
-            *cur += 1;
-        }
+/// A chunk's number and the slots its dirty pages fill.
+type ChunkSlots<'a> = (u64, &'a mut [(PageId, PageVersion)]);
+
+/// Writes `(page, version)` for each of `pages` into `slots`, which the
+/// caller sized to the number of pages by popcount.
+fn fill_slots(
+    memory: &GuestMemory,
+    pages: DirtyPagesIter<'_>,
+    slots: &mut [(PageId, PageVersion)],
+) {
+    for (slot, page) in slots.iter_mut().zip(pages) {
+        let rec = memory
+            .page(page)
+            .expect("dirty bitmap only marks in-range pages");
+        *slot = (page, rec);
     }
-    debug_assert!(
-        cursors.iter().zip(lanes.iter()).all(|(c, l)| *c == l.len()),
-        "chunk-ordered merge must consume every lane entry"
-    );
 }
 
 /// Per-vCPU seeding collection: turns each vCPU's harvested ring into its
@@ -251,7 +253,7 @@ impl ProblematicTracker {
 mod tests {
     use super::*;
     use here_hypervisor::memory::PageVersion;
-    use here_hypervisor::VcpuId;
+    use here_hypervisor::{VcpuId, PAGE_SIZE};
     use here_sim_core::rate::ByteSize;
 
     fn memory_with_dirty(frames: &[u64]) -> (GuestMemory, DirtyBitmap) {
@@ -351,25 +353,69 @@ mod tests {
         assert_eq!(frames, vec![1, 2, 3], "first-log order is preserved");
     }
 
+    /// The one-lane scan [`collect_chunked_into`] must reproduce for every
+    /// worker count: each dirty page in ascending order, pushed one by one.
+    fn collect_one_lane(memory: &GuestMemory, dirty: &DirtyBitmap) -> MemoryDelta {
+        let mut out = MemoryDelta::new();
+        for page in dirty.iter() {
+            out.push(page, memory.page(page).unwrap());
+        }
+        out
+    }
+
     #[test]
     fn pooled_collection_reuses_buffers_and_matches() {
         let frames: Vec<u64> = (0..8192).step_by(5).collect();
         let (mem, bm) = memory_with_dirty(&frames);
-        let reference = collect_chunked(&mem, &bm, 1);
+        let reference = collect_one_lane(&mem, &bm);
         let mut scratch = CollectScratch::new();
         let mut out = MemoryDelta::new();
-        for workers in [2u32, 4, 8] {
+        for workers in [1u32, 2, 4, 8] {
             collect_chunked_into(&mem, &bm, workers, &mut scratch, &mut out);
             assert_eq!(out, reference, "workers={workers}");
         }
-        // Steady state: a second round at the same width must not grow the
-        // lane buffers.
+        // Steady state: another round must not regrow the count table, and
+        // the output is filled in place of the last round's.
+        let counts = scratch.counts.capacity();
         collect_chunked_into(&mem, &bm, 4, &mut scratch, &mut out);
-        let caps: Vec<usize> = scratch.lanes.iter().map(Vec::capacity).collect();
-        collect_chunked_into(&mem, &bm, 4, &mut scratch, &mut out);
-        let caps_after: Vec<usize> = scratch.lanes.iter().map(Vec::capacity).collect();
-        assert_eq!(caps, caps_after, "lane buffers must be reused, not regrown");
+        assert_eq!(scratch.counts.capacity(), counts, "count table regrown");
+        assert_eq!(scratch.counts.len() as u64, 8192 / PAGES_PER_CHUNK);
+        assert_eq!(scratch.counts.iter().sum::<usize>(), frames.len());
         assert_eq!(out, reference);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Direct-slot harvest equals the one-lane scan for 1–8 workers on
+        /// random bitmaps with empty chunks, a partial last chunk and
+        /// memories smaller than one chunk, and replaces whatever `out`
+        /// held before.
+        #[test]
+        fn direct_slots_are_the_one_lane_scan(
+            pages in 1u64..3000,
+            frames in proptest::collection::vec(0u64..3000, 0..900),
+            empty_chunks in proptest::prelude::any::<u8>(),
+            workers in 1u32..9,
+            stale in 0usize..40,
+        ) {
+            let mut mem = GuestMemory::new(ByteSize::from_bytes(pages * PAGE_SIZE)).unwrap();
+            let mut bm = DirtyBitmap::new(pages);
+            for &f in &frames {
+                let chunk = f / PAGES_PER_CHUNK;
+                if f < pages && empty_chunks & (1 << chunk) == 0 {
+                    mem.write_page(PageId::new(f), VcpuId::new((f % 3) as u32)).unwrap();
+                    bm.mark(PageId::new(f));
+                }
+            }
+            let mut out = collect_one_lane(&mem, &bm);
+            let reference = out.clone();
+            for f in 0..stale as u64 {
+                out.push(PageId::new(f), PageVersion::default());
+            }
+            collect_chunked_into(&mem, &bm, workers, &mut CollectScratch::new(), &mut out);
+            proptest::prop_assert_eq!(out, reference);
+        }
     }
 
     #[test]

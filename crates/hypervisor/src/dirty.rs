@@ -73,6 +73,25 @@ impl DirtyBitmap {
         }
     }
 
+    /// [`DirtyBitmap::mark`] on the `count` frames from `first`: whole
+    /// word masks, with `count` raised by the popcount of the bits that
+    /// were clear. Frames past the covered range are ignored, as there.
+    pub(crate) fn mark_run(&mut self, first: u64, count: u64) {
+        let hi = first.saturating_add(count).min(self.num_pages);
+        if first >= hi {
+            return;
+        }
+        for wi in first / 64..hi.div_ceil(64) {
+            let base = wi * 64;
+            let lo = first.max(base) - base;
+            let bits = (hi - base).min(64) - lo;
+            let mask = (!0u64 >> (64 - bits)) << lo;
+            let word = &mut self.words[wi as usize];
+            self.count += (mask & !*word).count_ones() as u64;
+            *word |= mask;
+        }
+    }
+
     /// `true` if `page` is marked dirty.
     pub fn is_dirty(&self, page: PageId) -> bool {
         let frame = page.frame();
@@ -337,6 +356,32 @@ impl PmlRing {
         self.entries.push(page);
     }
 
+    /// [`PmlRing::log`] on the `count` frames from `first`: appends as many
+    /// as fit and flags the overflow if the rest do not.
+    pub(crate) fn log_run(&mut self, first: u64, count: u64) {
+        self.total_logged += count;
+        let room = (self.capacity - self.entries.len()) as u64;
+        if count > room {
+            self.overflowed = true;
+        }
+        self.entries
+            .extend((first..first + count.min(room)).map(PageId::new));
+    }
+
+    /// Drops the buffered entries and the overflow flag, keeping the
+    /// buffer's allocation (unlike [`PmlRing::harvest`], which hands it
+    /// over).
+    pub(crate) fn clear(&mut self) {
+        self.overflowed = false;
+        self.entries.clear();
+    }
+
+    /// Entries the buffer holds without reallocating.
+    #[cfg(test)]
+    pub(crate) fn buffer_capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
     /// Number of buffered entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -401,8 +446,14 @@ impl DirtyTracker {
     pub fn enable_logging(&mut self) {
         self.logging_enabled = true;
         self.bitmap.clear();
+        self.clear_rings();
+    }
+
+    /// Discards every vCPU ring's entries and overflow flag, keeping each
+    /// ring's buffer so the next epoch's logging does not regrow it.
+    pub(crate) fn clear_rings(&mut self) {
         for ring in &mut self.rings {
-            ring.harvest();
+            ring.clear();
         }
     }
 
@@ -420,6 +471,18 @@ impl DirtyTracker {
         self.bitmap.mark(page);
         if let Some(ring) = self.rings.get_mut(vcpu_index) {
             ring.log(page);
+        }
+    }
+
+    /// [`DirtyTracker::record_write`] on the `count` frames from `first`,
+    /// all by `vcpu_index`.
+    pub(crate) fn record_run(&mut self, first: u64, count: u64, vcpu_index: usize) {
+        if !self.logging_enabled {
+            return;
+        }
+        self.bitmap.mark_run(first, count);
+        if let Some(ring) = self.rings.get_mut(vcpu_index) {
+            ring.log_run(first, count);
         }
     }
 

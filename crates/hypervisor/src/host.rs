@@ -212,9 +212,7 @@ pub trait Hypervisor: std::fmt::Debug {
         let vm = self.vm_mut(vm)?;
         let snapshot = vm.dirty().bitmap().clone();
         vm.dirty_mut().bitmap_mut().clear();
-        for i in 0..vm.dirty().vcpu_count() {
-            let _ = vm.dirty_mut().harvest_ring(i);
-        }
+        vm.dirty_mut().clear_rings();
         Ok(snapshot)
     }
 }
@@ -288,6 +286,29 @@ mod tests {
         // A second snapshot sees a clean slate.
         let snap2 = host.snapshot_dirty(vm).unwrap();
         assert_eq!(snap2.count(), 0);
+    }
+
+    #[test]
+    fn pml_rings_keep_their_buffer_across_a_snapshot() {
+        use crate::dirty::PML_HW_CAPACITY;
+        use crate::xen::XenHypervisor;
+        use crate::{PageId, VcpuId};
+        let mut host = XenHypervisor::new(ByteSize::from_gib(16));
+        let vm = host
+            .create_vm(VmConfig::new("t", ByteSize::from_mib(8), 2).unwrap())
+            .unwrap();
+        host.vm_mut(vm).unwrap().dirty_mut().enable_logging();
+        for epoch in 0..3 {
+            let guest = host.vm_mut(vm).unwrap();
+            guest
+                .guest_write_run(PageId::new(epoch), 600, VcpuId::new(1))
+                .unwrap();
+            assert!(guest.dirty().ring(1).unwrap().overflowed());
+            host.snapshot_dirty(vm).unwrap();
+            let ring = host.vm(vm).unwrap().dirty().ring(1).unwrap();
+            assert!(ring.is_empty() && !ring.overflowed());
+            assert!(ring.buffer_capacity() >= PML_HW_CAPACITY, "epoch {epoch}");
+        }
     }
 
     #[test]

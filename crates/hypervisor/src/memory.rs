@@ -167,6 +167,36 @@ impl GuestMemory {
         Ok(*rec)
     }
 
+    /// [`GuestMemory::write_page`] on the `count` frames from `first`, all
+    /// by `vcpu`: one bounds check, then one pass over the records. Writes
+    /// nothing unless the whole run is in range.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HvError::PageOutOfRange`] naming the first frame past the
+    /// address space if the run does not fit.
+    pub(crate) fn write_run(&mut self, first: u64, count: u64, vcpu: VcpuId) -> HvResult<()> {
+        let limit = self.num_pages();
+        if count == 0 {
+            return Ok(());
+        }
+        if first >= limit || count > limit - first {
+            return Err(HvError::PageOutOfRange {
+                page: first.max(limit),
+                limit,
+            });
+        }
+        let writer = vcpu.index() as u16;
+        let mut fresh = 0;
+        for rec in &mut self.pages[first as usize..(first + count) as usize] {
+            fresh += u64::from(rec.version == 0);
+            rec.version = rec.version.wrapping_add(1).max(1);
+            rec.last_writer = writer;
+        }
+        self.touched += fresh;
+        Ok(())
+    }
+
     /// Installs a page version received from a replication stream.
     ///
     /// Unlike [`GuestMemory::write_page`], this does not bump the version —

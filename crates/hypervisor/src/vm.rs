@@ -267,6 +267,29 @@ impl Vm {
         Ok(())
     }
 
+    /// Records guest writes by `vcpu` to the `count` consecutive frames
+    /// from `first`: versions, dirty bitmap, PML ring and every counter end
+    /// exactly as `count` [`Vm::guest_write`] calls in ascending order
+    /// leave them, at the cost of one bounds check and one pass per
+    /// structure. All or nothing: an error changes no state.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HvError::WrongRunState`] if the VM is not running, or
+    /// [`HvError::PageOutOfRange`] if the run leaves the address space.
+    pub fn guest_write_run(&mut self, first: PageId, count: u64, vcpu: VcpuId) -> HvResult<()> {
+        if self.run_state != RunState::Running {
+            return Err(HvError::WrongRunState {
+                op: "write guest memory",
+                state: self.run_state.label(),
+            });
+        }
+        self.memory.write_run(first.frame(), count, vcpu)?;
+        self.dirty
+            .record_run(first.frame(), count, vcpu.index() as usize);
+        Ok(())
+    }
+
     /// Pauses a running VM.
     ///
     /// # Errors
@@ -369,6 +392,79 @@ mod tests {
         assert!(vm.dirty().bitmap().is_dirty(PageId::new(7)));
         assert_eq!(vm.dirty().ring(1).unwrap().len(), 1);
         assert_eq!(vm.memory().page(PageId::new(7)).unwrap().version, 1);
+    }
+
+    #[test]
+    fn a_run_may_end_at_the_last_frame_and_not_past_it() {
+        let mut vm = vm();
+        vm.dirty_mut().enable_logging();
+        vm.guest_write_run(PageId::new(1000), 24, VcpuId::new(0))
+            .unwrap();
+        assert_eq!(vm.memory().page(PageId::new(1023)).unwrap().version, 1);
+        let before = vm.clone();
+        for (first, count) in [(1001, 24), (1024, 1), (0, 1025), (5, u64::MAX)] {
+            assert_eq!(
+                vm.guest_write_run(PageId::new(first), count, VcpuId::new(0)),
+                Err(HvError::PageOutOfRange {
+                    page: first.max(1024),
+                    limit: 1024
+                }),
+                "run {first}+{count}"
+            );
+        }
+        assert_eq!(vm.memory(), before.memory());
+        assert_eq!(vm.dirty(), before.dirty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// A run is `count` single-page writes in ascending order: the same
+        /// versions, writers, `touched` count, bitmap words and count, ring
+        /// entries, overflow flags and `total_logged`, rings pre-filled up
+        /// to around their 512-entry capacity included. A run that leaves
+        /// the address space, or lands on a paused VM, changes nothing.
+        #[test]
+        fn a_run_is_the_per_page_loop(
+            first in 0u64..1100,
+            count in 0u64..700,
+            vcpu in 0u32..3,
+            prefill in 0u64..530,
+            logging in proptest::prelude::any::<bool>(),
+        ) {
+            // 4 MiB = 1024 frames and 2 vCPUs, so some runs overrun the
+            // address space and vCPU 2 has no ring.
+            let mut run = vm();
+            if logging {
+                run.dirty_mut().enable_logging();
+            }
+            for f in 0..prefill {
+                run.guest_write(PageId::new(f * 3 % 1024), VcpuId::new(vcpu % 2)).unwrap();
+            }
+            let mut per_page = run.clone();
+            let got = run.guest_write_run(PageId::new(first), count, VcpuId::new(vcpu));
+            // An empty run writes nothing, so no frame of it is out of range.
+            if count == 0 || first + count <= 1024 {
+                proptest::prop_assert!(got.is_ok());
+                for f in first..first + count {
+                    per_page.guest_write(PageId::new(f), VcpuId::new(vcpu)).unwrap();
+                }
+            } else {
+                let want = HvError::PageOutOfRange { page: first.max(1024), limit: 1024 };
+                proptest::prop_assert_eq!(got, Err(want));
+            }
+            proptest::prop_assert_eq!(run.memory(), per_page.memory());
+            proptest::prop_assert_eq!(run.dirty(), per_page.dirty());
+
+            run.pause().unwrap();
+            let before = run.clone();
+            proptest::prop_assert!(matches!(
+                run.guest_write_run(PageId::new(first), count, VcpuId::new(vcpu)),
+                Err(HvError::WrongRunState { .. })
+            ));
+            proptest::prop_assert_eq!(run.memory(), before.memory());
+            proptest::prop_assert_eq!(run.dirty(), before.dirty());
+        }
     }
 
     #[test]

@@ -114,6 +114,16 @@ impl MemoryDelta {
         self.entries.clear();
     }
 
+    /// Replaces the contents with `len` placeholder entries and lends them
+    /// out to be overwritten in place, keeping the allocation. Harvest
+    /// workers fill disjoint sub-slices of it, each chunk's pages going
+    /// straight to their final position.
+    pub fn slots_mut(&mut self, len: usize) -> &mut [(PageId, PageVersion)] {
+        self.entries.clear();
+        self.entries.resize(len, Default::default());
+        &mut self.entries
+    }
+
     /// Reserves room for at least `additional` more entries.
     pub fn reserve(&mut self, additional: usize) {
         self.entries.reserve(additional);

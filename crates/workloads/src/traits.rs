@@ -87,17 +87,25 @@ pub trait Workload: fmt::Debug {
 /// are skipped for speed, which keeps replica consistency intact (the final
 /// page versions are what get transferred).
 ///
+/// The cursors are written as [`Vm::guest_write_run`] runs that neither
+/// wrap the region nor cross a multiple of 64 (where the vCPU changes);
+/// every version, dirty bit, ring entry and counter ends as one
+/// [`Vm::guest_write`] per cursor would leave it
+/// (`sweep_runs_are_the_per_page_loop`).
+///
 /// # Panics
 ///
 /// Panics if `len` is zero or the region exceeds the VM's address space.
 pub fn write_sweep(vm: &mut Vm, base: u64, len: u64, start: u64, count: u64, vcpus: u32) -> u64 {
     assert!(len > 0, "sweep region must be non-empty");
-    let effective = count.min(len);
-    for cursor in start..start + effective {
-        let frame = base + (cursor % len);
+    let end = start + count.min(len);
+    let mut cursor = start;
+    while cursor < end {
+        let run = (end - cursor).min(len - cursor % len).min(64 - cursor % 64);
         let vcpu = here_hypervisor::VcpuId::new(((cursor / 64) % vcpus as u64) as u32);
-        vm.guest_write(here_hypervisor::PageId::new(frame), vcpu)
+        vm.guest_write_run(here_hypervisor::PageId::new(base + cursor % len), run, vcpu)
             .expect("workload advances only while the VM runs");
+        cursor += run;
     }
     (start + count) % len
 }
@@ -150,6 +158,74 @@ mod tests {
             .peek()
             .iter()
             .all(|p| (4..20).contains(&p.frame())));
+    }
+
+    /// The per-page sweep [`write_sweep`] replaced: the reference its runs
+    /// must match.
+    fn write_sweep_per_page(
+        vm: &mut Vm,
+        base: u64,
+        len: u64,
+        start: u64,
+        count: u64,
+        vcpus: u32,
+    ) -> u64 {
+        assert!(len > 0, "sweep region must be non-empty");
+        let effective = count.min(len);
+        for cursor in start..start + effective {
+            let frame = base + (cursor % len);
+            let vcpu = here_hypervisor::VcpuId::new(((cursor / 64) % vcpus as u64) as u32);
+            vm.guest_write(here_hypervisor::PageId::new(frame), vcpu)
+                .expect("workload advances only while the VM runs");
+        }
+        (start + count) % len
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Run-wise [`write_sweep`] leaves every page version and writer,
+        /// `touched_pages`, bitmap word and count, and every ring's entries,
+        /// overflow flag and `total_logged` exactly as the per-page loop
+        /// does, and returns the same cursor — with rings pre-filled to
+        /// either side of their 512-entry capacity and logging on or off.
+        #[test]
+        fn sweep_runs_are_the_per_page_loop(
+            mib in 1u64..4,
+            vm_vcpus in 1u32..5,
+            base in 0u64..300,
+            len in 1u64..700,
+            start in 0u64..5000,
+            count in 0u64..1500,
+            sweep_vcpus in 1u32..6,
+            prefill in 0u64..530,
+            logging in proptest::prelude::any::<bool>(),
+        ) {
+            let mut xen = XenHypervisor::new(ByteSize::from_gib(12));
+            let cfg = VmConfig::new("w", ByteSize::from_mib(mib), vm_vcpus).unwrap();
+            let id = xen.create_vm(cfg).unwrap();
+            let mut runs = xen.vm(id).unwrap().clone();
+            let pages = runs.memory().num_pages();
+            let base = base % pages;
+            let len = 1 + (len - 1) % (pages - base);
+            if logging {
+                runs.dirty_mut().enable_logging();
+            }
+            for i in 0..prefill {
+                let vcpu = here_hypervisor::VcpuId::new(i as u32 % vm_vcpus);
+                runs.guest_write(here_hypervisor::PageId::new(i * 7 % pages), vcpu).unwrap();
+            }
+            let mut per_page = runs.clone();
+            let got = write_sweep(&mut runs, base, len, start, count, sweep_vcpus);
+            let want = write_sweep_per_page(&mut per_page, base, len, start, count, sweep_vcpus);
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert!(runs.memory() == per_page.memory(), "versions diverged");
+            proptest::prop_assert_eq!(
+                runs.memory().touched_pages(),
+                per_page.memory().touched_pages()
+            );
+            proptest::prop_assert!(runs.dirty() == per_page.dirty(), "dirty tracking diverged");
+        }
     }
 
     #[test]

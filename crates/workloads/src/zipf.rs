@@ -56,6 +56,8 @@ pub struct ZipfianChooser {
     zetan: f64,
     eta: f64,
     zeta2theta: f64,
+    /// `0.5^theta`, the upper edge of item 1's share; `theta` is fixed.
+    half_pow_theta: f64,
 }
 
 impl ZipfianChooser {
@@ -90,6 +92,7 @@ impl ZipfianChooser {
             zetan,
             eta,
             zeta2theta,
+            half_pow_theta: 0.5f64.powf(theta),
         }
     }
 
@@ -117,7 +120,7 @@ impl KeyChooser for ZipfianChooser {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < 1.0 + self.half_pow_theta {
             return 1;
         }
         let k = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -249,6 +252,33 @@ mod tests {
         // And the head should account for a large share of all draws.
         let head: u64 = h[..10].iter().sum();
         assert!(head > 30_000, "head share {head}");
+    }
+
+    /// The draw as it was before `0.5^theta` became a field: the reference
+    /// the stored constant must reproduce key for key.
+    fn next_key_pow_per_draw(c: &ZipfianChooser, rng: &mut SimRng) -> u64 {
+        let u = rng.unit_f64();
+        let uz = u * c.zetan;
+        if uz < 1.0 {
+            return 0;
+        }
+        if uz < 1.0 + 0.5f64.powf(c.theta) {
+            return 1;
+        }
+        let k = (c.n as f64 * (c.eta * u - c.eta + 1.0).powf(c.alpha)) as u64;
+        k.min(c.n - 1)
+    }
+
+    #[test]
+    fn stored_half_pow_theta_draws_the_same_keys() {
+        for (n, theta) in [(3, 0.5), (1000, ZIPFIAN_CONSTANT), (300_000, 0.2)] {
+            let mut c = ZipfianChooser::with_theta(n, theta);
+            let (mut a, mut b) = (SimRng::seed_from(9), SimRng::seed_from(9));
+            for draw in 0..50_000 {
+                let want = next_key_pow_per_draw(&c, &mut b);
+                assert_eq!(c.next_key(&mut a), want, "n={n} theta={theta} draw {draw}");
+            }
+        }
     }
 
     #[test]
