@@ -322,8 +322,39 @@ impl ChaosState {
         replica: u32,
         attempt: u32,
     ) -> Option<TransferFault> {
-        let fault = self
-            .plan
+        let fault = self.scheduled_transfer_fault(epoch, replica, attempt)?;
+        self.stats.faults_injected += 1;
+        // Salt corruption from the chaos RNG *after* the match so the RNG
+        // is consumed only when a corruption actually fires.
+        Some(match fault {
+            TransferFault::Corrupted { .. } => TransferFault::Corrupted {
+                segment_salt: self.rng.next_u64(),
+                byte_salt: self.rng.next_u64(),
+            },
+            other => other,
+        })
+    }
+
+    /// Whether the plan delivers transfer attempt 0 of epoch `epoch` to
+    /// replica `replica` intact — no fault, or only a delay. A pure query:
+    /// it draws no RNG, counts no stat and says nothing, so the Transfer
+    /// stage may ask it before its attempt loop decides anything.
+    pub(crate) fn delivers_first_attempt(&self, epoch: u64, replica: u32) -> bool {
+        matches!(
+            self.scheduled_transfer_fault(epoch, replica, 0),
+            None | Some(TransferFault::Delayed(_))
+        )
+    }
+
+    /// The fault the plan schedules for a transfer attempt, its salts not
+    /// yet drawn: the first matching event wins.
+    fn scheduled_transfer_fault(
+        &self,
+        epoch: u64,
+        replica: u32,
+        attempt: u32,
+    ) -> Option<TransferFault> {
+        self.plan
             .events
             .iter()
             .filter(|e| e.epoch == epoch && e.replica == replica)
@@ -343,17 +374,7 @@ impl ChaosState {
                     Some(TransferFault::DecodeRefused)
                 }
                 _ => None,
-            })?;
-        self.stats.faults_injected += 1;
-        // Salt corruption from the chaos RNG *after* the match so the RNG
-        // is consumed only when a corruption actually fires.
-        Some(match fault {
-            TransferFault::Corrupted { .. } => TransferFault::Corrupted {
-                segment_salt: self.rng.next_u64(),
-                byte_salt: self.rng.next_u64(),
-            },
-            other => other,
-        })
+            })
     }
 
     /// The primary-host fault (if any) scheduled at the entry of `stage`
@@ -485,6 +506,42 @@ mod tests {
             Some(TransferFault::DecodeRefused)
         );
         assert_eq!(chaos.stats.faults_injected, 2);
+    }
+
+    #[test]
+    fn the_first_attempt_query_is_pure() {
+        let plan = FaultPlan::new(9)
+            .with_event(2, FaultKind::Corrupt { attempts: 1 })
+            .with_event_on(2, 1, FaultKind::Drop { attempts: 1 })
+            .with_event_on(
+                2,
+                2,
+                FaultKind::Delay {
+                    by: SimDuration::from_millis(3),
+                },
+            )
+            .with_partition(3, &[1], 2);
+        let mut chaos = ChaosState::new(plan);
+        let mut untouched = chaos.clone();
+        let asked: Vec<bool> = (0..3)
+            .flat_map(|replica| [2, 3, 4].map(|epoch| (epoch, replica)))
+            .map(|(epoch, replica)| chaos.delivers_first_attempt(epoch, replica))
+            .collect();
+        assert_eq!(
+            asked,
+            [false, true, true, false, false, true, true, true, true],
+            "corrupt, drop and link-down refuse; a delay delivers"
+        );
+        assert_eq!(chaos.stats, untouched.stats);
+        for _ in 0..4 {
+            assert_eq!(chaos.rng.next_u64(), untouched.rng.next_u64());
+        }
+        // The injector still fires, salts drawn and counted, afterwards.
+        assert!(matches!(
+            chaos.transfer_fault(2, 0, 0),
+            Some(TransferFault::Corrupted { .. })
+        ));
+        assert_eq!(chaos.stats.faults_injected, 1);
     }
 
     #[test]

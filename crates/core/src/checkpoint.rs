@@ -331,9 +331,13 @@ fn apply_cause(cause: &FailureCause, primary: &mut dyn Hypervisor) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ReplicationConfig;
+    use crate::chaos::{FaultKind, FaultPlan};
+    use crate::config::{FanoutMode, ReplicationConfig, TopologyConfig};
     use crate::engine::FailurePlan;
     use crate::trace::Stage;
+    use here_hypervisor::memory::GuestMemory;
+    use here_hypervisor::{PageId, VcpuId};
+    use here_sim_core::rate::ByteSize;
     use here_workloads::memstress::MemStress;
 
     fn small_scenario(cfg: ReplicationConfig) -> Scenario {
@@ -483,5 +487,191 @@ mod tests {
         );
         assert!(fo.devices_switched == 3);
         assert!(report.ops_completed > 0.0);
+    }
+
+    /// A 64 MiB, 4-vCPU MemStress session into three replicas at quorum
+    /// 2, wire v3 offered, with the given replica wire caps and fault plan.
+    fn fanout_session(caps: Vec<u16>, plan: FaultPlan) -> Session {
+        let cfg = ReplicationConfig::fixed_period(SimDuration::from_secs(2))
+            .with_topology(TopologyConfig {
+                replicas: 3,
+                quorum: 2,
+                fanout: FanoutMode::Star,
+                stale_epoch_lag: 4,
+            })
+            .with_wire_v3()
+            .with_replica_wire_caps(caps);
+        Session::new(SessionSetup {
+            name: "fanout".into(),
+            memory: ByteSize::from_mib(64),
+            vcpus: 4,
+            cfg,
+            workload: Box::new(MemStress::with_percent(30).with_rate(20_000)),
+            seed: 0x4845_5245,
+            load_during_seed: false,
+            verify_consistency: false,
+            chaos: Some(plan),
+        })
+        .unwrap()
+    }
+
+    /// What a run leaves behind: every replica's image and vCPU register
+    /// digests, and the report.
+    type FanoutRun = (Vec<(GuestMemory, Vec<u64>)>, RunReport);
+
+    /// Seeds `session` and checkpoints it the way `run_replicated` does,
+    /// without warmup, for 30 virtual seconds or until a fault-plane
+    /// primary crash fails it over.
+    fn run_fanout(mut session: Session) -> FanoutRun {
+        let migration = crate::migrate::seed(&mut session).unwrap();
+        let start = session.clock;
+        session.workload_now_base = start;
+        session.measure_base = start;
+        session.buffering = true;
+        session.workload_started = true;
+        let end = start + SimDuration::from_secs(30);
+        let mut failover = None;
+        while session.clock < end {
+            let t = session.period.current();
+            let epoch_end = (session.clock + t).min(end);
+            session.advance(epoch_end.saturating_duration_since(session.clock), true);
+            match do_checkpoint(&mut session, t) {
+                Ok(()) => {}
+                Err(CoreError::InjectedPrimaryFault { .. }) => {
+                    failover = Some(session.failover(session.clock).unwrap());
+                    break;
+                }
+                Err(e) => panic!("{e}"),
+            }
+        }
+        let images = session
+            .replicas
+            .iter()
+            .map(|member| {
+                let vm = member.host.vm(member.vm).unwrap();
+                let vcpus = vm.vcpus().iter().map(|v| v.regs.digest()).collect();
+                (vm.memory().clone(), vcpus)
+            })
+            .collect();
+        (images, session.finish(migration, failover, start))
+    }
+
+    /// `events` with every host-clock reading blanked.
+    fn without_host_clock(events: &[SessionEvent]) -> Vec<SessionEvent> {
+        let mut events = events.to_vec();
+        for event in &mut events {
+            match event {
+                SessionEvent::Stage(stage) => stage.wall_nanos = None,
+                SessionEvent::EncodeLanes { walls, .. } => walls.fill(0),
+                SessionEvent::Checkpoint { record, .. } => record.wall_nanos = None,
+                SessionEvent::EncodePool {
+                    steals,
+                    occupancy_pct,
+                    ..
+                } => {
+                    *steals = 0;
+                    *occupancy_pct = 0.0;
+                }
+                _ => {}
+            }
+        }
+        events
+    }
+
+    #[test]
+    fn the_staged_fan_out_is_helper_count_invariant() {
+        // The facade tests' `quorum_faults` plan: epoch 2 corrupts replica
+        // 0's first attempt (it is staged on its retry), epoch 3 drops it
+        // for good, replica 2 is partitioned over epochs 4–10 and catches
+        // up by a v3 rebase, and the primary crashes mid-transfer at 13.
+        let plan = FaultPlan::new(7)
+            .with_event(2, FaultKind::Corrupt { attempts: 1 })
+            .with_event(3, FaultKind::Drop { attempts: 10 })
+            .with_partition_span(4..=10, &[2], 10)
+            .with_event(
+                13,
+                FaultKind::PrimaryFault {
+                    outcome: DosOutcome::Crash,
+                    stage: Stage::Transfer,
+                },
+            );
+        let runs: Vec<FanoutRun> = (0..=3)
+            .map(|helpers| {
+                let mut session = fanout_session(vec![3, 2, 3], plan.clone());
+                session.fanout_helpers = helpers;
+                run_fanout(session)
+            })
+            .collect();
+        let (images, report) = &runs[0];
+        assert!(
+            report.failover.is_some(),
+            "the crash at epoch 13 fails over"
+        );
+        assert!(report.commits.len() >= 10, "{}", report.commits.len());
+        let caught_up = report
+            .events
+            .iter()
+            .any(|e| matches!(e, SessionEvent::Ack { replica: 2, seq, .. } if *seq > 10));
+        assert!(caught_up, "replica 2 must catch up after its partition");
+        for (helpers, (other_images, other)) in runs.iter().enumerate().skip(1) {
+            assert!(other_images == images, "helpers {helpers}: replica images");
+            assert_eq!(other.commits, report.commits, "helpers {helpers}");
+            assert_eq!(
+                without_host_clock(&other.events),
+                without_host_clock(&report.events),
+                "helpers {helpers}"
+            );
+            assert_eq!(
+                other.fingerprint(),
+                report.fingerprint(),
+                "helpers {helpers}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_staged_error_surfaces_where_the_serial_apply_raises_it() {
+        // Replica 1's committed base is 5, the stream names 0 and it has
+        // no backlog to rebase onto: its phase 1 fails. Replica 0 must
+        // already hold the epoch, replica 2 must not, every staging
+        // buffer must be back with its replica, and the log must end
+        // where the serial loop's does, whatever the helper count.
+        let outcomes: Vec<_> = (0..=3)
+            .map(|helpers| {
+                let mut session = fanout_session(vec![3, 3, 3], FaultPlan::new(1));
+                session.fanout_helpers = helpers;
+                session.replicas.get_mut(1).base_epoch = 5;
+                for member in session.replicas.iter_mut() {
+                    member.apply.reserve(8);
+                }
+                let vm = session.primary.vm_mut(session.pvm).unwrap();
+                for frame in [3, 4, 900] {
+                    vm.guest_write(PageId::new(frame), VcpuId::new(0)).unwrap();
+                }
+                let err = pipeline::begin(&mut session)
+                    .and_then(|paused| paused.harvest())
+                    .and_then(|harvested| harvested.translate())
+                    .and_then(|translated| translated.transfer())
+                    .unwrap_err();
+                let touched: Vec<u64> = session
+                    .replicas
+                    .iter()
+                    .map(|member| {
+                        assert!(member.apply.is_empty() && member.apply.capacity() >= 8);
+                        let vm = member.host.vm(member.vm).unwrap();
+                        vm.memory().touched_pages()
+                    })
+                    .collect();
+                (err.to_string(), touched, without_host_clock(&session.log))
+            })
+            .collect();
+        let (err, touched, _) = &outcomes[0];
+        assert_eq!(
+            err,
+            "replication stream error: delta base mismatch: stream encoded against \
+             epoch 0, replica holds epoch 5"
+        );
+        assert_eq!(touched, &[3, 0, 0]);
+        assert!(outcomes.iter().all(|outcome| outcome == &outcomes[0]));
     }
 }

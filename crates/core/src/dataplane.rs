@@ -52,13 +52,16 @@ use here_vmstate::simd;
 use here_vmstate::translate::{StateTranslator, TranslateResult};
 use here_vmstate::wire::{
     encode_page_batch_into, encode_page_columns_meta_into, write_preamble_versioned,
-    PageDataWriter, PagePayload, Record, ScatterStream, StreamDecoder, PAGE_CONTENT_BYTES,
+    PageDataWriter, PagePayload, Record, ScatterStream, Staged, StreamDecoder, PAGE_CONTENT_BYTES,
     PAGE_META_BYTES, VERSION,
 };
 use here_vmstate::MemoryDelta;
 
 use crate::error::{CoreError, CoreResult};
 use crate::transfer::CollectScratch;
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 /// Frame-header plus small-record slack reserved per lane segment.
 const SEGMENT_SLACK: usize = 64;
@@ -846,6 +849,51 @@ impl VerifyScratch {
     }
 }
 
+/// One receive step: [`stage_next`], or in tests the reference it
+/// replaced.
+pub(crate) type ReceiveStep = fn(
+    &mut StreamDecoder,
+    &GuestMemory,
+    Option<&mut VerifyScratch>,
+    &mut Vec<(PageId, PageVersion)>,
+) -> CoreResult<Option<Staged>>;
+
+/// The receive path's decode and verify, one record at a time: decodes
+/// the next record of `dec` and stages its pages onto `replica`. Pages
+/// that carry no bytes land in `staged` straight from the wire and only
+/// the range check remains; a record that comes back whole goes through
+/// [`stage`]. `None` at a clean end of stream. Nothing is written: after
+/// an `Err` the caller discards `staged` and the replica is as it was.
+pub(crate) fn stage_next(
+    dec: &mut StreamDecoder,
+    replica: &GuestMemory,
+    verify: Option<&mut VerifyScratch>,
+    staged: &mut Vec<(PageId, PageVersion)>,
+) -> CoreResult<Option<Staged>> {
+    let from = staged.len();
+    let Some(next) = dec.next_record_into(staged)? else {
+        return Ok(None);
+    };
+    match &next {
+        Staged::Pages { .. } => {
+            let top = staged[from..].iter().map(|(page, _)| page.frame()).max();
+            check_in_range(top.unwrap_or(0), replica)?;
+        }
+        Staged::Record(record) => stage(record, replica, verify, staged)?,
+    }
+    Ok(Some(next))
+}
+
+/// The range check: `top`, the highest frame a page record named, lies
+/// inside `replica`.
+fn check_in_range(top: u64, replica: &GuestMemory) -> CoreResult<()> {
+    let limit = replica.num_pages();
+    if top >= limit {
+        return Err(HvError::PageOutOfRange { page: top, limit }.into());
+    }
+    Ok(())
+}
+
 /// The *verify* step of the receive path: appends the pages `record`
 /// carries to `staged` once every frame is inside `replica` and, when
 /// `verify` lends its scratch, each payload's content is the
@@ -882,10 +930,7 @@ pub(crate) fn stage(
         ),
         _ => return Ok(()),
     }
-    let limit = replica.num_pages();
-    if top >= limit {
-        return Err(HvError::PageOutOfRange { page: top, limit }.into());
-    }
+    check_in_range(top, replica)?;
     let Some(scratch) = verify else {
         return Ok(());
     };
@@ -996,9 +1041,11 @@ impl<'a> SegmentRestorer<'a> {
         stream.push(segment.clone());
         let mut dec = StreamDecoder::new_scattered(stream)?;
         self.staged.clear();
-        while let Some(record) = dec.next_record()? {
+        loop {
             let verify = self.verify.as_deref_mut();
-            stage(&record, self.replica, verify, &mut self.staged)?;
+            if stage_next(&mut dec, self.replica, verify, &mut self.staged)?.is_none() {
+                break;
+            }
         }
         install_staged(self.replica, &self.staged);
         self.installed += self.staged.len() as u64;
@@ -1019,7 +1066,10 @@ mod tests {
     use here_hypervisor::vcpu::XenVcpuState;
     use here_hypervisor::PageId;
     use here_sim_core::rate::ByteSize;
-    use here_vmstate::wire::{write_preamble, PREAMBLE_BYTES};
+    use here_vmstate::wire::{
+        checksum, encode_record_into, frame_checksum, write_preamble, COLUMNS_HEADER_BYTES,
+        PREAMBLE_BYTES,
+    };
     use proptest::prelude::*;
 
     fn delta_of(n: u64) -> MemoryDelta {
@@ -1082,9 +1132,9 @@ mod tests {
     }
 
     fn decoded_pages(stream: ScatterStream) -> Vec<(u64, u32, u16)> {
-        let mut dec = StreamDecoder::new_scattered(stream).unwrap();
+        let records = StreamDecoder::new_scattered(stream).unwrap();
         let mut out = Vec::new();
-        while let Some(rec) = dec.next_record().unwrap() {
+        for rec in records.collect_records().unwrap() {
             match rec {
                 Record::PageBatch(b) => out.extend(
                     b.entries()
@@ -1455,9 +1505,9 @@ mod tests {
             let mut stream = BytesMut::new();
             write_preamble_versioned(&mut stream, here_vmstate::wire::VERSION_V3);
             stream.extend_from_slice(&frame);
-            let mut dec = StreamDecoder::new(stream.freeze()).unwrap();
+            let dec = StreamDecoder::new(stream.freeze()).unwrap();
             assert_eq!(
-                dec.next_record().unwrap_err(),
+                dec.collect_records().unwrap_err(),
                 here_vmstate::WireError::BadPayload(why),
                 "{name}"
             );
@@ -1521,6 +1571,204 @@ mod tests {
             assert_eq!(restorer.installed(), 2, "{name}");
             let held: Vec<_> = replica.touched_iter().collect();
             assert_eq!(held, frames(2, 1), "{name}");
+        }
+    }
+
+    /// One page of a generated page record: frame, version, writer. The
+    /// frames make gaps of 0, negative, huge (and past `i64::MAX`), the
+    /// versions and writers sit near zero or their type's maximum.
+    fn page_strategy() -> impl Strategy<Value = (u64, u32, u16)> {
+        (0u8..8, any::<u64>()).prop_map(|(pick, x)| {
+            let frame = match pick {
+                0..=3 => x % 64,
+                4..=5 => x % 20_000,
+                _ => x,
+            };
+            let near_max = pick % 4 == 3;
+            let version = if near_max {
+                u32::MAX - (x >> 40) as u32 % 4
+            } else {
+                (x >> 40) as u32 % 16
+            };
+            let writer = if near_max {
+                u16::MAX - (x >> 50) as u16 % 4
+            } else {
+                (x >> 50) as u16 % 8
+            };
+            (frame, version, writer)
+        })
+    }
+
+    /// A generated page record: a v2 page batch or a v3 columns record,
+    /// its pages, and for columns either every mode `Meta` or the modes
+    /// the runs `(mode, pages)` give, repeated as needed.
+    type GenRecord = (bool, Vec<(u64, u32, u16)>, bool, Vec<(u8, usize)>);
+
+    fn record_strategy(full_pages: bool) -> impl Strategy<Value = GenRecord> {
+        let mode = if full_pages { 0u8..4 } else { 0u8..2 };
+        (
+            any::<bool>(),
+            proptest::collection::vec(page_strategy(), 0..20),
+            any::<bool>(),
+            proptest::collection::vec((mode, 1usize..24), 1..5),
+        )
+    }
+
+    /// Encodes `record` into `out`. Without full pages, mode 1 alternates
+    /// zero pages with deltas; mode 2 is a full page, mode 3 a delta.
+    fn encode_generated(record: &GenRecord, out: &mut BytesMut) {
+        let (columns, pages, all_meta, runs) = record;
+        let entries: Vec<(PageId, PageVersion)> = pages
+            .iter()
+            .map(|&(frame, version, last_writer)| {
+                let rec = PageVersion {
+                    version,
+                    last_writer,
+                };
+                (PageId::new(frame), rec)
+            })
+            .collect();
+        if !columns {
+            return encode_page_batch_into(&entries, out);
+        }
+        if *all_meta {
+            return encode_page_columns_meta_into(7, &entries, out);
+        }
+        let modes = runs
+            .iter()
+            .flat_map(|&(mode, n)| std::iter::repeat_n(mode, n))
+            .cycle();
+        let mut batch = here_vmstate::wire::PageColumnsBatch::new(7);
+        for (i, ((page, rec), mode)) in entries.into_iter().zip(modes).enumerate() {
+            let delta = || {
+                let at = (page.frame() % 4000) as u32;
+                PagePayload::Delta(vec![(at, Bytes::from(vec![0xa5; 1 + i % 5]))])
+            };
+            let payload = match mode {
+                0 => PagePayload::Meta,
+                1 if i % 2 == 0 => PagePayload::Zero,
+                1 | 3 => delta(),
+                _ => PagePayload::Full(Bytes::from(vec![i as u8; PAGE_CONTENT_BYTES])),
+            };
+            batch.push(page, rec, payload);
+        }
+        here_vmstate::wire::encode_page_columns_into(&batch, out);
+    }
+
+    /// `segment` received record by record through `receive` into a
+    /// 64 MiB replica: the pairs staged, or the error, variant and
+    /// message (`Debug`).
+    fn receive_all(
+        segment: &[u8],
+        version: u16,
+        receive: ReceiveStep,
+        replica: &GuestMemory,
+    ) -> Result<Vec<u64>, String> {
+        let mut head = BytesMut::new();
+        write_preamble_versioned(&mut head, version);
+        head.extend_from_slice(segment);
+        let mut dec = StreamDecoder::new(head.freeze()).map_err(|e| format!("{e:?}"))?;
+        let mut staged = Vec::new();
+        loop {
+            match receive(&mut dec, replica, None, &mut staged) {
+                Ok(Some(_)) => {}
+                Ok(None) => break,
+                Err(e) => return Err(format!("{e:?}")),
+            }
+        }
+        Ok(staged
+            .iter()
+            .flat_map(|(page, rec)| [page.frame(), rec.version.into(), rec.last_writer.into()])
+            .collect())
+    }
+
+    /// Re-seals every whole frame of `segment` after an edit: a columns
+    /// frame's two column digests (when its lengths still fit), then each
+    /// frame's checksum, so the edit reaches the structural checks.
+    fn reseal(segment: &mut [u8]) {
+        let word = |b: &[u8], at: usize| u32::from_be_bytes(b[at..at + 4].try_into().unwrap());
+        let mut at = 0;
+        while at + 9 <= segment.len() {
+            let (tag, len) = (segment[at], word(segment, at + 1) as usize);
+            let payload = at + 9;
+            let Some(end) = payload.checked_add(len).filter(|&e| e <= segment.len()) else {
+                return;
+            };
+            let covered = if tag == 0x09 && len >= COLUMNS_HEADER_BYTES {
+                let meta_at = payload + COLUMNS_HEADER_BYTES;
+                let meta_end = meta_at.checked_add(word(segment, payload + 12) as usize);
+                let pay_end =
+                    meta_end.and_then(|m| m.checked_add(word(segment, payload + 16) as usize));
+                if let (Some(meta_end), Some(pay_end)) = (meta_end, pay_end.filter(|&p| p <= end)) {
+                    let meta_sum = checksum(&segment[meta_at..meta_end]);
+                    let pay_sum = checksum(&segment[meta_end..pay_end]);
+                    segment[payload + 20..payload + 24].copy_from_slice(&meta_sum.to_be_bytes());
+                    segment[payload + 24..payload + 28].copy_from_slice(&pay_sum.to_be_bytes());
+                }
+                payload..payload + COLUMNS_HEADER_BYTES
+            } else {
+                payload..end
+            };
+            let sum = frame_checksum(tag, &segment[covered]);
+            segment[at + 5..at + 9].copy_from_slice(&sum.to_be_bytes());
+            at = end;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The staging decode stages exactly the pairs the record-then-
+        /// `stage` reference stages, in order, and on every truncation
+        /// and every single-byte edit (raw, and re-sealed so it passes
+        /// the checksums) raises the same error, variant and message.
+        #[test]
+        fn staging_decode_matches_the_reference(
+            full_pages in any::<bool>(),
+            records in proptest::collection::vec(record_strategy(false), 1..4),
+            with_full in proptest::collection::vec(record_strategy(true), 1..3),
+        ) {
+            let records = if full_pages { with_full } else { records };
+            let replica = GuestMemory::new(ByteSize::from_mib(64)).unwrap();
+            for version in [VERSION, here_vmstate::wire::VERSION_V3] {
+                let mut segment = BytesMut::new();
+                for record in &records {
+                    if version == VERSION && record.0 {
+                        continue; // a v2 stream carries no columns record
+                    }
+                    encode_generated(record, &mut segment);
+                }
+                encode_record_into(&Record::Ack { seq: 1 }, &mut segment);
+                let same = |bytes: &[u8]| {
+                    let staged = receive_all(bytes, version, stage_next, &replica);
+                    let want = receive_all(bytes, version, reference::stage_next, &replica);
+                    (staged == want).then_some(()).ok_or((staged, want))
+                };
+                if let Err((staged, want)) = same(&segment) {
+                    prop_assert_eq!(staged, want, "honest");
+                }
+                if full_pages {
+                    continue; // 4 KiB pages: the edits below would be slow
+                }
+                for cut in 0..segment.len() {
+                    if let Err((staged, want)) = same(&segment[..cut]) {
+                        prop_assert_eq!(staged, want, "cut at {}", cut);
+                    }
+                }
+                for at in 0..segment.len() {
+                    for mask in [1u8, 2, 4, 8, 16, 32, 64, 128, 0xff] {
+                        let mut edited = segment.to_vec();
+                        edited[at] ^= mask;
+                        if let Err((staged, want)) = same(&edited) {
+                            prop_assert_eq!(staged, want, "byte {} ^ {:#x}", at, mask);
+                        }
+                        reseal(&mut edited);
+                        if let Err((staged, want)) = same(&edited) {
+                            prop_assert_eq!(staged, want, "byte {} ^ {:#x}, resealed", at, mask);
+                        }
+                    }
+                }
+            }
         }
     }
 

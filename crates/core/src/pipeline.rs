@@ -396,6 +396,12 @@ impl<'s> Translated<'s> {
         // segments are sole-owner again, so the pool reclaims their
         // allocations.
         let apply_start = std::time::Instant::now();
+        // Phase 1 (decode + validate, pure) of every replica whose first
+        // attempt the plan delivers runs now, the replicas at once. The
+        // loop below still makes every decision, in replica order: it
+        // installs a prestaged result where it would have decoded, so a
+        // staged error surfaces exactly where the serial apply's would.
+        let mut prestaged = session.prestage(&streams, seq, pages as usize);
         for replica in 0..replica_count {
             let version = session.replicas.get(replica).wire_version();
             let wire = if version >= VERSION_V3 {
@@ -415,7 +421,14 @@ impl<'s> Translated<'s> {
                             // attempt.
                             session.replicas.get_mut(replica).link.set_up(true);
                         }
-                        session.apply_checkpoint(stream.clone(), seq, replica)?;
+                        let delivered = match prestaged[replica as usize].take() {
+                            Some(epoch) => session.install_checkpoint(replica, epoch),
+                            None => session.apply_checkpoint(stream.clone(), seq, replica),
+                        };
+                        if let Err(e) = delivered {
+                            session.unstage(prestaged);
+                            return Err(e);
+                        }
                         if let Some(TransferFault::Delayed(by)) = fault {
                             spent = spent.saturating_add(by);
                         }

@@ -15,6 +15,9 @@
 //! migration, [`crate::checkpoint`] runs the continuous phase through the
 //! staged pipeline of [`crate::pipeline`].
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
 use here_hypervisor::arch::Gpr;
 use here_hypervisor::fault::HostHealth;
 use here_hypervisor::host::Hypervisor;
@@ -31,7 +34,8 @@ use here_simnet::link::Link;
 use here_telemetry::health::HealthObservation;
 use here_vmstate::translate::StateTranslator;
 use here_vmstate::wire::{
-    encode_record_into, Record, ScatterStream, StreamDecoder, StreamEncoder, VERSION, VERSION_V3,
+    encode_record_into, Record, ScatterStream, Staged, StreamDecoder, StreamEncoder, VERSION,
+    VERSION_V3,
 };
 use here_vmstate::{reconcile, MemoryDelta, WireError};
 use here_workloads::idle::IdleGuest;
@@ -40,8 +44,8 @@ use here_workloads::traits::Workload;
 use crate::chaos::{ChaosState, FaultPlan, TransferFault};
 use crate::config::ReplicationConfig;
 use crate::dataplane::{
-    encode_pages_round, install_staged, stage, translate_vcpus_parallel, CheckpointPools,
-    EncodePlan, PayloadMode, PARALLEL_ENCODE_MIN_PAGES,
+    encode_pages_round, install_staged, stage_next, translate_vcpus_parallel, CheckpointPools,
+    EncodePlan, PayloadMode, ReceiveStep, PARALLEL_ENCODE_MIN_PAGES,
 };
 use crate::devmgr::DeviceManager;
 use crate::error::{CoreError, CoreResult};
@@ -165,6 +169,10 @@ pub(crate) struct Session {
     pub(crate) cfg: ReplicationConfig,
     pub(crate) strategy: &'static dyn ReplicationStrategy,
     pub(crate) threads: u32,
+    /// Helper threads the Transfer fan-out's phase 1 runs on beside the
+    /// calling thread: `min(threads, replicas) − 1`, so a Remus pair
+    /// stages serially.
+    pub(crate) fanout_helpers: usize,
     pub(crate) period: PeriodManager,
     pub(crate) devmgr: DeviceManager,
     pub(crate) client_link: Link,
@@ -255,6 +263,7 @@ impl Session {
         primary.vm_mut(pvm)?.dirty_mut().enable_logging();
 
         let threads = cfg.effective_threads(vcpus);
+        let fanout_helpers = threads.min(replicas.len() as u32).saturating_sub(1) as usize;
         let period = PeriodManager::new(cfg.period);
         Ok(Session {
             name,
@@ -266,6 +275,7 @@ impl Session {
             pvm,
             translator,
             threads,
+            fanout_helpers,
             period,
             devmgr: DeviceManager::new(),
             client_link: Link::ethernet_10g(),
@@ -590,39 +600,127 @@ impl Session {
         replica: u32,
     ) -> CoreResult<()> {
         // Phase 1: decode + validate, touching nothing of the replica.
-        let kind = self.replicas.get(replica).kind();
-        let member = self.replicas.get_mut(replica);
-        let negotiated = member.wire_version;
-        let delta_base = member.base_epoch;
-        let may_rebase = !member.backlog.is_empty();
-        let vm = member.host.vm(member.vm)?;
-        let (memory, vcpu_count) = (vm.memory(), vm.vcpus().len() as u32);
-        let mut staged = std::mem::take(&mut member.apply);
+        let mut staged = self.lend_staging(replica);
+        let verdict = self
+            .stage_job(stream, seq, replica)
+            .and_then(|job| job.run(&mut staged));
+        // Phase 2: install the fully validated epoch.
+        self.install_checkpoint(replica, StagedEpoch { staged, verdict })
+    }
+
+    /// Replica `replica`'s staging buffer, cleared, lent to one phase 1.
+    fn lend_staging(&mut self, replica: u32) -> Vec<(PageId, PageVersion)> {
+        let mut staged = std::mem::take(&mut self.replicas.get_mut(replica).apply);
         staged.clear();
-        let mut vcpus: Vec<(u32, VcpuStateBlob)> = Vec::new();
-        let validated = Self::decode_checkpoint(
+        staged
+    }
+
+    /// Gives a lent staging buffer back to replica `replica`, cleared.
+    fn return_staging(&mut self, replica: u32, mut staged: Vec<(PageId, PageVersion)>) {
+        staged.clear();
+        self.replicas.get_mut(replica).apply = staged;
+    }
+
+    /// The phase-1 job for replica `replica`: `stream` and what its decode
+    /// is checked against, read from the replica.
+    fn stage_job(&self, stream: ScatterStream, seq: u64, replica: u32) -> CoreResult<StageJob<'_>> {
+        let member = self.replicas.get(replica);
+        let vm = member.host.vm(member.vm)?;
+        Ok(StageJob {
             stream,
-            kind,
-            memory,
-            vcpu_count,
-            &mut staged,
-            &mut vcpus,
             seq,
-            negotiated,
-            delta_base,
-            may_rebase,
-        );
-        let rebase_to = match validated {
-            Ok(rebase_to) => rebase_to,
+            kind: member.kind(),
+            memory: vm.memory(),
+            vcpu_count: vm.vcpus().len() as u32,
+            negotiated: member.wire_version,
+            delta_base: member.base_epoch,
+            may_rebase: !member.backlog.is_empty(),
+        })
+    }
+
+    /// Phase 1 for every replica whose first transfer attempt of epoch
+    /// `seq` (of `pages` pages) the fault plane delivers intact, run
+    /// concurrently on the calling thread and up to
+    /// [`Session::fanout_helpers`] helpers, each replica decoding its own
+    /// stream clone into its own staging buffer against its own image.
+    /// One slot per replica, `None` where the plan touches the first
+    /// attempt.
+    ///
+    /// Only pure work runs here: the query draws nothing and says nothing,
+    /// and every fault draw, event, retry and install stays with the
+    /// Transfer stage's attempt loop, in replica order, which installs a
+    /// slot's result where it would have decoded and gives every slot
+    /// nobody installs back through [`Session::unstage`].
+    pub(crate) fn prestage(
+        &mut self,
+        streams: &EpochStreams,
+        seq: u64,
+        pages: usize,
+    ) -> Vec<Option<StagedEpoch>> {
+        let count = self.replicas.len() as u32;
+        let mut lent = Vec::with_capacity(count as usize);
+        for replica in 0..count {
+            let delivers = self
+                .chaos
+                .as_ref()
+                .is_none_or(|chaos| chaos.delivers_first_attempt(seq, replica));
+            if delivers {
+                // Sized for the epoch here, on the calling thread, so a
+                // helper never grows a replica's buffer inside its own
+                // malloc arena, where the freed old buffer would stay.
+                let mut staged = self.lend_staging(replica);
+                staged.reserve(pages);
+                lent.push((replica, staged));
+            }
+        }
+        let jobs = lent
+            .into_iter()
+            .map(|(replica, staged)| {
+                let stream = streams.for_version(self.replicas.get(replica).wire_version());
+                (
+                    replica,
+                    self.stage_job(stream.clone(), seq, replica),
+                    staged,
+                )
+            })
+            .collect();
+        let mut slots: Vec<Option<StagedEpoch>> = (0..count).map(|_| None).collect();
+        for (replica, epoch) in stage_all(jobs, self.fanout_helpers) {
+            slots[replica as usize] = Some(epoch);
+        }
+        slots
+    }
+
+    /// Gives the staging buffer of every prestaged result nobody
+    /// installed back to its replica.
+    pub(crate) fn unstage(&mut self, prestaged: Vec<Option<StagedEpoch>>) {
+        for (replica, epoch) in prestaged.into_iter().enumerate() {
+            if let Some(epoch) = epoch {
+                self.return_staging(replica as u32, epoch.staged);
+            }
+        }
+    }
+
+    /// Phase 2 of [`Session::apply_checkpoint`]: installs what phase 1
+    /// accepted — backlog first, so the staged (newer) versions win on
+    /// overlap — or, when it refused the stream, hands the staging buffer
+    /// back and returns the refusal, the replica untouched.
+    pub(crate) fn install_checkpoint(
+        &mut self,
+        replica: u32,
+        epoch: StagedEpoch,
+    ) -> CoreResult<()> {
+        let StagedEpoch {
+            mut staged,
+            verdict,
+        } = epoch;
+        let Validated { vcpus, rebase_to } = match verdict {
+            Ok(validated) => validated,
             Err(e) => {
-                staged.clear();
-                self.replicas.get_mut(replica).apply = staged;
+                self.return_staging(replica, staged);
                 return Err(e);
             }
         };
-
-        // Phase 2: install the fully validated epoch — backlog first, so
-        // the staged (newer) versions win on overlap.
         let member = self.replicas.get_mut(replica);
         let backlog = std::mem::take(&mut member.backlog);
         if let Some(base) = rebase_to {
@@ -644,94 +742,6 @@ impl Session {
         staged.clear();
         member.apply = staged;
         Ok(())
-    }
-
-    /// Phase 1 of [`Session::apply_checkpoint`]: decodes `stream` into the
-    /// staging buffers, validating every frame, every page's place in
-    /// `replica` (through [`stage`], the data plane's verify step), every
-    /// vCPU index against the replica's `vcpu_count` (each exactly once)
-    /// and the trailer cross-check, without touching the replica.
-    ///
-    /// The decoder is pinned to the replica's `negotiated` version — a
-    /// stream in any other version is a protocol violation
-    /// ([`WireError::StaleVersion`](here_vmstate::WireError::StaleVersion)).
-    /// Columnar records must name `delta_base` as their delta base; a
-    /// newer base is accepted only when `may_rebase` (the replica holds
-    /// the missed epochs as parked backlog), and the accepted base comes
-    /// back as `Ok(Some(base))` so the caller can adopt it as the
-    /// replica's base when it installs the backlog.
-    #[allow(clippy::too_many_arguments)]
-    fn decode_checkpoint(
-        stream: ScatterStream,
-        kind: HypervisorKind,
-        replica: &GuestMemory,
-        vcpu_count: u32,
-        staged: &mut Vec<(PageId, PageVersion)>,
-        vcpus: &mut Vec<(u32, VcpuStateBlob)>,
-        seq: u64,
-        negotiated: u16,
-        delta_base: u64,
-        may_rebase: bool,
-    ) -> CoreResult<Option<u64>> {
-        let mut dec = StreamDecoder::new_negotiated(stream, negotiated)?;
-        let mut saw_trailer = false;
-        let mut rebase_to: Option<u64> = None;
-        while let Some(record) = dec.next_record()? {
-            // Page records of all three kinds stage here; the rest nothing.
-            stage(&record, replica, None, staged)?;
-            match record {
-                Record::PageColumns(batch) => {
-                    let base = rebase_to.unwrap_or(delta_base);
-                    if batch.base_epoch() != base {
-                        if may_rebase && rebase_to.is_none() && batch.base_epoch() > delta_base {
-                            rebase_to = Some(batch.base_epoch());
-                        } else {
-                            batch.check_base(base)?;
-                        }
-                    }
-                }
-                Record::VcpuState { index, cir } => {
-                    if index >= vcpu_count {
-                        return Err(HvError::NoSuchVcpu(index).into());
-                    }
-                    if vcpus.iter().any(|&(seen, _)| seen == index) {
-                        return Err(WireError::BadPayload("vCPU state sent twice").into());
-                    }
-                    let blob = match kind {
-                        HypervisorKind::Xen => {
-                            VcpuStateBlob::Xen(XenVcpuState::from_arch(&cir.regs, cir.online))
-                        }
-                        HypervisorKind::Kvm => {
-                            VcpuStateBlob::Kvm(KvmVcpuState::from_arch(&cir.regs, cir.online))
-                        }
-                    };
-                    vcpus.push((index, blob));
-                }
-                Record::CheckpointEnd { pages_total, .. } => {
-                    let pages_seen = staged.len() as u64;
-                    if pages_total != pages_seen {
-                        return Err(CoreError::InvalidScenario(format!(
-                            "checkpoint {seq}: {pages_seen} pages received, header says {pages_total}"
-                        )));
-                    }
-                    saw_trailer = true;
-                }
-                // Device identities are checked on failover; the replica's
-                // own device set is built by the device manager then.
-                _ => {}
-            }
-        }
-        if !saw_trailer {
-            // A stream that ends cleanly on a record boundary but without
-            // its trailer is torn — reject it like any truncated frame.
-            return Err(WireError::Truncated.into());
-        }
-        if vcpus.len() != vcpu_count as usize {
-            // The epoch's pages without a vCPU's registers would resume
-            // that vCPU from an older epoch than its memory.
-            return Err(WireError::BadPayload("a vCPU's state is missing").into());
-        }
-        Ok(rebase_to)
     }
 
     /// Ships a delta plus vCPU/device state through the wire codec and
@@ -1169,6 +1179,170 @@ impl Session {
     }
 }
 
+/// Phase 1 of an apply for one replica — the job the Transfer fan-out
+/// hands out: the stream clone to decode and everything its decode is
+/// checked against, read from the replica. Running it touches nothing.
+pub(crate) struct StageJob<'a> {
+    stream: ScatterStream,
+    seq: u64,
+    kind: HypervisorKind,
+    memory: &'a GuestMemory,
+    vcpu_count: u32,
+    /// The wire version the decoder is pinned to.
+    negotiated: u16,
+    /// The replica's delta base: the epoch columnar records must name.
+    delta_base: u64,
+    /// Whether a newer base is acceptable: the replica holds the missed
+    /// epochs as parked backlog.
+    may_rebase: bool,
+}
+
+/// What phase 1 made of one replica's stream, with the replica's staging
+/// buffer, which goes back to it whatever the verdict.
+pub(crate) struct StagedEpoch {
+    staged: Vec<(PageId, PageVersion)>,
+    verdict: CoreResult<Validated>,
+}
+
+/// What phase 1 accepted beside the staged pages.
+struct Validated {
+    vcpus: Vec<(u32, VcpuStateBlob)>,
+    /// The newer delta base the replica adopts as its backlog installs.
+    rebase_to: Option<u64>,
+}
+
+impl StageJob<'_> {
+    fn run(self, staged: &mut Vec<(PageId, PageVersion)>) -> CoreResult<Validated> {
+        self.decode(staged, stage_next)
+    }
+
+    /// Decodes the job's stream into `staged` through `receive`,
+    /// validating every frame, every page's place in the replica, every
+    /// vCPU index against its `vcpu_count` (each exactly once) and the
+    /// trailer cross-check, without touching the replica.
+    ///
+    /// The decoder is pinned to the `negotiated` version — a stream in any
+    /// other version is a protocol violation
+    /// ([`WireError::StaleVersion`](here_vmstate::WireError::StaleVersion)).
+    /// Columnar records must name `delta_base` as their delta base; a
+    /// newer base is accepted only when `may_rebase`, and comes back as
+    /// [`Validated::rebase_to`] for the install to adopt.
+    fn decode(
+        self,
+        staged: &mut Vec<(PageId, PageVersion)>,
+        receive: ReceiveStep,
+    ) -> CoreResult<Validated> {
+        let mut dec = StreamDecoder::new_negotiated(self.stream, self.negotiated)?;
+        let mut vcpus: Vec<(u32, VcpuStateBlob)> = Vec::new();
+        let mut saw_trailer = false;
+        let mut rebase_to: Option<u64> = None;
+        while let Some(next) = receive(&mut dec, self.memory, None, staged)? {
+            let columns_base = match &next {
+                Staged::Pages { base_epoch } => *base_epoch,
+                Staged::Record(Record::PageColumns(batch)) => Some(batch.base_epoch()),
+                Staged::Record(_) => None,
+            };
+            if let Some(stream_base) = columns_base {
+                let base = rebase_to.unwrap_or(self.delta_base);
+                if stream_base != base {
+                    if self.may_rebase && rebase_to.is_none() && stream_base > self.delta_base {
+                        rebase_to = Some(stream_base);
+                    } else {
+                        return Err(WireError::DeltaBaseMismatch {
+                            stream_base,
+                            replica_base: base,
+                        }
+                        .into());
+                    }
+                }
+            }
+            let Staged::Record(record) = next else {
+                continue;
+            };
+            match record {
+                Record::VcpuState { index, cir } => {
+                    if index >= self.vcpu_count {
+                        return Err(HvError::NoSuchVcpu(index).into());
+                    }
+                    if vcpus.iter().any(|&(seen, _)| seen == index) {
+                        return Err(WireError::BadPayload("vCPU state sent twice").into());
+                    }
+                    let blob = match self.kind {
+                        HypervisorKind::Xen => {
+                            VcpuStateBlob::Xen(XenVcpuState::from_arch(&cir.regs, cir.online))
+                        }
+                        HypervisorKind::Kvm => {
+                            VcpuStateBlob::Kvm(KvmVcpuState::from_arch(&cir.regs, cir.online))
+                        }
+                    };
+                    vcpus.push((index, blob));
+                }
+                Record::CheckpointEnd { pages_total, .. } => {
+                    let pages_seen = staged.len() as u64;
+                    if pages_total != pages_seen {
+                        return Err(CoreError::InvalidScenario(format!(
+                            "checkpoint {}: {pages_seen} pages received, header says {pages_total}",
+                            self.seq
+                        )));
+                    }
+                    saw_trailer = true;
+                }
+                // Device identities are checked on failover; the replica's
+                // own device set is built by the device manager then.
+                _ => {}
+            }
+        }
+        if !saw_trailer {
+            // A stream that ends cleanly on a record boundary but without
+            // its trailer is torn — reject it like any truncated frame.
+            return Err(WireError::Truncated.into());
+        }
+        if vcpus.len() != self.vcpu_count as usize {
+            // The epoch's pages without a vCPU's registers would resume
+            // that vCPU from an older epoch than its memory.
+            return Err(WireError::BadPayload("a vCPU's state is missing").into());
+        }
+        Ok(Validated { vcpus, rebase_to })
+    }
+}
+
+/// A phase-1 job as the fan-out lends it out: the replica, the job (or why
+/// it could not be built) and the replica's staging buffer.
+type LentStage<'a> = (u32, CoreResult<StageJob<'a>>, Vec<(PageId, PageVersion)>);
+
+/// Runs every job on the calling thread and up to `helpers` scoped helper
+/// threads, each claiming the next job from one atomic cursor, as the
+/// harvest's chunk workers share out chunks. Returns each job's replica
+/// and phase-1 result, in no particular order. A job whose `Err` says it
+/// could not be built keeps that error as its verdict.
+fn stage_all(jobs: Vec<LentStage<'_>>, helpers: usize) -> Vec<(u32, StagedEpoch)> {
+    let helpers = helpers.min(jobs.len().saturating_sub(1));
+    let slots: Vec<Mutex<Option<LentStage<'_>>>> =
+        jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        while let Some(slot) = slots.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let (replica, job, mut staged) = slot
+                .lock()
+                .expect("no thread panics holding a stage slot")
+                .take()
+                .expect("the cursor hands each job out once");
+            let verdict = job.and_then(|job| job.run(&mut staged));
+            done.push((replica, StagedEpoch { staged, verdict }));
+        }
+        done
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for handle in handles {
+            done.extend(handle.join().expect("a stage helper must not panic"));
+        }
+        done
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1261,10 +1435,10 @@ mod tests {
         let mut session = small_session(v2());
         let streams = session.encode_checkpoint(&delta_at(&[0, 1]), 1).unwrap();
         let forge = |to_index: u32, copies: usize| -> ScatterStream {
-            let mut dec = StreamDecoder::new_negotiated(streams.canonical().clone(), VERSION)
+            let dec = StreamDecoder::new_negotiated(streams.canonical().clone(), VERSION)
                 .expect("honest preamble");
             let mut enc = StreamEncoder::new();
-            while let Some(record) = dec.next_record().expect("honest stream") {
+            for record in dec.collect_records().expect("honest stream") {
                 match record {
                     Record::VcpuState { cir, .. } => {
                         let forged = Record::VcpuState {
@@ -1367,11 +1541,25 @@ mod tests {
         }
     }
 
+    /// Phase 1 of replica 0 through the record-then-`stage` receive step
+    /// the staging decode replaced: its verdict on `stream`, the replica
+    /// left as it was.
+    fn reference_verdict(session: &mut Session, stream: ScatterStream) -> CoreResult<()> {
+        let mut staged = session.lend_staging(0);
+        let verdict = session
+            .stage_job(stream, 1, 0)
+            .and_then(|job| job.decode(&mut staged, crate::dataplane::reference::stage_next));
+        session.return_staging(0, staged);
+        verdict.map(drop)
+    }
+
     #[test]
     fn hostile_mutated_epoch_streams_install_all_or_nothing() {
         // The honest v2 stream and its v3 twin, flattened, given two
         // hostile edits each, applied to a fresh replica with a parked
-        // backlog page: the apply never panics, a rejection leaves the
+        // backlog page: the apply never panics, gives the verdict the
+        // reference receive step gives (the same error, to its message),
+        // a rejection leaves the
         // replica as it was, and an acceptance installs exactly the honest
         // epoch, pages and registers (a dropped or repeated record the
         // receive path does not count — a `Device` identity, a second
@@ -1405,16 +1593,24 @@ mod tests {
                 let mut session = small_session(cfg.clone());
                 let stream = ScatterStream::from(bytes::Bytes::from(input.clone()));
                 let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    session.apply_checkpoint(stream, 1, 0)
+                    let reference = reference_verdict(&mut session, stream.clone());
+                    (reference, session.apply_checkpoint(stream, 1, 0))
                 }));
                 let origin = format!("wire v{} iteration {iteration}", cfg.wire_version);
+                let Ok((reference, applied)) = applied else {
+                    panic!("{origin}: the apply panicked on {input:02x?}");
+                };
+                assert_eq!(
+                    applied.as_ref().map_err(ToString::to_string),
+                    reference.as_ref().map_err(ToString::to_string),
+                    "{origin}: the staging decode and the reference disagree on {input:02x?}"
+                );
                 match applied {
-                    Err(_) => panic!("{origin}: the apply panicked on {input:02x?}"),
-                    Ok(Err(_)) => {
+                    Err(_) => {
                         assert_replica_untouched(&session);
                         rejected += 1;
                     }
-                    Ok(Ok(())) => {
+                    Ok(()) => {
                         assert!(session.replicas.get(0).backlog.is_empty(), "{origin}");
                         assert!(image(&session).content_equals(image(&honest)), "{origin}");
                         assert_eq!(replica_vcpus(&session), replica_vcpus(&honest), "{origin}");

@@ -26,9 +26,10 @@
 //! # What a decoder accepts
 //!
 //! Every checksum here is plain FNV, so every byte of a frame may have
-//! been chosen by the sender. Bytes from outside are read through one
-//! private cursor (`Reader`): a read past the end is
-//! [`WireError::Truncated`], a wire-supplied count is bounded by the
+//! been chosen by the sender. Bytes from outside are read through two
+//! private cursors (`Reader` over a record, `Column` over one column of a
+//! page-columns record, with the one LEB128 reader): a read past the end
+//! is [`WireError::Truncated`], a wire-supplied count is bounded by the
 //! bytes left before it sizes anything, and a record's decoder must
 //! consume its payload exactly. The frame checksum is seeded with the
 //! record tag ([`frame_checksum`]), so a flipped tag fails it like a
@@ -37,6 +38,17 @@
 //! bytes ([`encode_record_into`] is the inverse of
 //! [`StreamDecoder::next_record`], pinned by the mutation fuzzer in
 //! `crates/bench/tests/hostile_mutations.rs`).
+//!
+//! # Staging straight from the wire
+//!
+//! A receiver that only needs each page's `(PageId, PageVersion)` decodes
+//! with [`StreamDecoder::next_record_into`]: a record whose pages carry no
+//! bytes (a v2 page batch, a v3 columns record whose every mode is
+//! [`PagePayload::Meta`]) is parsed straight into the caller's staging
+//! buffer and comes back as [`Staged::Pages`], with no copy of its own.
+//! Every other record comes back whole. [`StreamDecoder::next_record`]
+//! is built from the same per-layout parsers, so the two raise the same
+//! error at the same byte on every input.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -231,6 +243,26 @@ pub enum Record {
         /// Acknowledged checkpoint sequence number.
         seq: u64,
     },
+}
+
+/// What [`StreamDecoder::next_record_into`] decoded.
+///
+/// Not boxed, for [`Record`]'s reason: one is built per frame and
+/// matched at once, never stored.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, PartialEq)]
+pub enum Staged {
+    /// A page record whose pages carry no bytes — a v2 page batch, or a
+    /// v3 columns record whose every mode is [`PagePayload::Meta`]. Its
+    /// `(PageId, PageVersion)` pairs were appended to the caller's buffer
+    /// and exist nowhere else.
+    Pages {
+        /// The columns record's delta base epoch; `None` for a v2 batch.
+        base_epoch: Option<u64>,
+    },
+    /// Any other record, whole. A page record whose pages carry bytes
+    /// comes back this way and appends nothing.
+    Record(Record),
 }
 
 const TAG_HEADER: u8 = 0x01;
@@ -739,38 +771,79 @@ pub fn encode_page_columns_meta_into(
     encode_columns_record(base_epoch, pages, |_| {}, out);
 }
 
+/// A page-columns record's fixed header, checked: the base epoch, the
+/// page count, and the meta and payload columns, each matching its digest.
+struct ColumnsHeader {
+    base_epoch: u64,
+    count: usize,
+    meta: Bytes,
+    payload: Bytes,
+}
+
+impl ColumnsHeader {
+    fn read(r: &mut Reader) -> WireResult<Self> {
+        let base_epoch = r.u64()?;
+        let count = r.u32()? as usize;
+        let meta_len = r.u32()? as usize;
+        let payload_len = r.u32()? as usize;
+        let meta_sum = r.u32()?;
+        let payload_sum = r.u32()?;
+        let meta = r.take(meta_len)?;
+        let payload = r.take(payload_len)?;
+        // Every page costs at least three meta bytes (frame gap, version,
+        // writer), so the meta column bounds the count before it sizes
+        // anything.
+        if count > meta_len {
+            return Err(WireError::BadPayload(
+                "page count exceeds meta column length",
+            ));
+        }
+        let actual = checksum(&meta);
+        if actual != meta_sum {
+            return Err(WireError::MetaColumnCorrupt {
+                expected: meta_sum,
+                actual,
+            });
+        }
+        let actual = checksum(&payload);
+        if actual != payload_sum {
+            return Err(WireError::PayloadColumnCorrupt {
+                expected: payload_sum,
+                actual,
+            });
+        }
+        Ok(ColumnsHeader {
+            base_epoch,
+            count,
+            meta,
+            payload,
+        })
+    }
+}
+
 fn decode_page_columns(r: &mut Reader) -> WireResult<PageColumnsBatch> {
-    let base_epoch = r.u64()?;
-    let count = r.u32()? as usize;
-    let meta_len = r.u32()? as usize;
-    let payload_len = r.u32()? as usize;
-    let meta_sum = r.u32()?;
-    let payload_sum = r.u32()?;
-    let mut meta = Reader(r.take(meta_len)?);
-    let mut payload = Reader(r.take(payload_len)?);
-    // Every page costs at least three meta bytes (frame gap, version,
-    // writer), so the meta column bounds the count before it sizes the
-    // column vectors below.
-    if count > meta_len {
-        return Err(WireError::BadPayload(
-            "page count exceeds meta column length",
-        ));
-    }
-    let actual = checksum(&meta.0);
-    if actual != meta_sum {
-        return Err(WireError::MetaColumnCorrupt {
-            expected: meta_sum,
-            actual,
-        });
-    }
-    let actual = checksum(&payload.0);
-    if actual != payload_sum {
-        return Err(WireError::PayloadColumnCorrupt {
-            expected: payload_sum,
-            actual,
-        });
-    }
-    let mut frames = Vec::with_capacity(count);
+    let header = ColumnsHeader::read(r)?;
+    let (mut runs, mut pages) = (Vec::new(), Vec::new());
+    meta_column_into(&header.meta, header.count, &mut runs, &mut pages)?;
+    let mut batch = PageColumnsBatch::new(header.base_epoch);
+    payload_column(&header.payload, &runs, &pages, &mut batch.entries)?;
+    Ok(batch)
+}
+
+/// The one parser of a columns record's meta column: appends `count`
+/// pairs to `out` from the frame gaps, then fills each pair's version and
+/// writer in place from their columns; the mode column's runs land in
+/// `runs` as `(mode, pages)`. On an error `out` may hold part of the
+/// record.
+fn meta_column_into(
+    meta: &Bytes,
+    count: usize,
+    runs: &mut Vec<(u8, usize)>,
+    out: &mut Vec<(PageId, PageVersion)>,
+) -> WireResult<()> {
+    let mut meta = Column::new(meta);
+    let from = out.len();
+    out.reserve(count);
     let mut prev: i64 = 0;
     for _ in 0..count {
         let gap = unzigzag(meta.varint()?);
@@ -778,11 +851,12 @@ fn decode_page_columns(r: &mut Reader) -> WireResult<PageColumnsBatch> {
             .checked_add(gap)
             .filter(|f| *f >= 0)
             .ok_or(WireError::BadPayload("page frame gap out of range"))?;
-        frames.push(f as u64);
+        out.push((PageId::new(f as u64), PageVersion::default()));
         prev = f;
     }
-    let mut modes: Vec<u8> = Vec::with_capacity(count);
-    while modes.len() < count {
+    runs.clear();
+    let mut seen = 0;
+    while seen < count {
         let mode = meta.u8()?;
         if mode > MODE_DELTA {
             return Err(WireError::BadPayload("unknown page mode"));
@@ -790,71 +864,75 @@ fn decode_page_columns(r: &mut Reader) -> WireResult<PageColumnsBatch> {
         // `run` is wire-supplied: compare it against the pages left, never
         // add it to the pages seen (the sum can wrap back under `count`).
         let run = meta.varint()?;
-        if run == 0 || run > (count - modes.len()) as u64 {
+        if run == 0 || run > (count - seen) as u64 {
             return Err(WireError::BadPayload("mode run overflows page count"));
         }
         // The encoder merges equal neighbours, so two runs of one mode
         // side by side are not something it wrote.
-        if modes.last() == Some(&mode) {
+        if runs.last().is_some_and(|&(last, _)| last == mode) {
             return Err(WireError::BadPayload("adjacent mode runs not merged"));
         }
-        modes.resize(modes.len() + run as usize, mode);
+        runs.push((mode, run as usize));
+        seen += run as usize;
     }
-    let mut versions = Vec::with_capacity(count);
-    for _ in 0..count {
-        let v = meta.varint()?;
-        versions.push(
-            u32::try_from(v).map_err(|_| WireError::BadPayload("page version overflows u32"))?,
-        );
+    let pairs = &mut out[from..];
+    for (_, rec) in pairs.iter_mut() {
+        rec.version = u32::try_from(meta.varint()?)
+            .map_err(|_| WireError::BadPayload("page version overflows u32"))?;
     }
-    let mut writers = Vec::with_capacity(count);
-    for _ in 0..count {
-        let w = meta.varint()?;
-        writers.push(
-            u16::try_from(w).map_err(|_| WireError::BadPayload("page writer overflows u16"))?,
-        );
+    for (_, rec) in pairs.iter_mut() {
+        rec.last_writer = u16::try_from(meta.varint()?)
+            .map_err(|_| WireError::BadPayload("page writer overflows u16"))?;
     }
-    meta.finish()?;
-    let mut batch = PageColumnsBatch::new(base_epoch);
-    batch.entries.reserve_exact(count);
-    for i in 0..count {
-        let pay = match modes[i] {
-            MODE_META => PagePayload::Meta,
-            MODE_ZERO => PagePayload::Zero,
-            MODE_FULL => PagePayload::Full(payload.take(PAGE_CONTENT_BYTES)?),
-            _ => {
-                let nruns = payload.varint()?;
-                if nruns > PAGE_CONTENT_BYTES as u64 {
-                    return Err(WireError::BadPayload("delta run count exceeds page size"));
-                }
-                // Not sized from `nruns`: every run read advances the
-                // cursor, so the bytes present bound the list.
-                let mut runs = Vec::new();
-                for _ in 0..nruns {
-                    // Both are wire-supplied: bound each on its own, so
-                    // their sum can neither wrap nor truncate below.
-                    let offset = payload.varint()?;
-                    let len = payload.varint()?;
-                    let page = PAGE_CONTENT_BYTES as u64;
-                    if offset > page || len > page - offset {
-                        return Err(WireError::BadPayload("delta run out of page bounds"));
+    meta.finish()
+}
+
+/// The one parser of a columns record's payload column: reads the payload
+/// of each of `pages`, in the modes `runs` gives, appends the page to
+/// `entries` with it, and requires the column consumed exactly. With no
+/// pages it only checks that a record whose runs are all
+/// [`PagePayload::Meta`] left the column empty.
+fn payload_column(
+    payload: &Bytes,
+    runs: &[(u8, usize)],
+    pages: &[(PageId, PageVersion)],
+    entries: &mut Vec<(PageId, PageVersion, PagePayload)>,
+) -> WireResult<()> {
+    let mut payload = Column::new(payload);
+    entries.reserve_exact(pages.len());
+    let mut pages = pages.iter();
+    for &(mode, run) in runs {
+        for &(page, rec) in pages.by_ref().take(run) {
+            let pay = match mode {
+                MODE_META => PagePayload::Meta,
+                MODE_ZERO => PagePayload::Zero,
+                MODE_FULL => PagePayload::Full(payload.take(PAGE_CONTENT_BYTES)?),
+                _ => {
+                    let nruns = payload.varint()?;
+                    if nruns > PAGE_CONTENT_BYTES as u64 {
+                        return Err(WireError::BadPayload("delta run count exceeds page size"));
                     }
-                    runs.push((offset as u32, payload.take(len as usize)?));
+                    // Not sized from `nruns`: every run read advances the
+                    // cursor, so the bytes present bound the list.
+                    let mut xor_runs = Vec::new();
+                    for _ in 0..nruns {
+                        // Both are wire-supplied: bound each on its own, so
+                        // their sum can neither wrap nor truncate below.
+                        let offset = payload.varint()?;
+                        let len = payload.varint()?;
+                        let page = PAGE_CONTENT_BYTES as u64;
+                        if offset > page || len > page - offset {
+                            return Err(WireError::BadPayload("delta run out of page bounds"));
+                        }
+                        xor_runs.push((offset as u32, payload.take(len as usize)?));
+                    }
+                    PagePayload::Delta(xor_runs)
                 }
-                PagePayload::Delta(runs)
-            }
-        };
-        batch.entries.push((
-            PageId::new(frames[i]),
-            PageVersion {
-                version: versions[i],
-                last_writer: writers[i],
-            },
-            pay,
-        ));
+            };
+            entries.push((page, rec, pay));
+        }
     }
-    payload.finish()?;
-    Ok(batch)
+    payload.finish()
 }
 
 /// Byte-serial FNV-1a, the v1 record checksum.
@@ -1455,6 +1533,9 @@ pub struct StreamDecoder {
     segments: VecDeque<Bytes>,
     remaining: usize,
     version: u16,
+    /// The mode runs of the last columns record staged, kept across
+    /// records so staging allocates nothing per record.
+    runs: Vec<(u8, usize)>,
 }
 
 impl StreamDecoder {
@@ -1476,6 +1557,7 @@ impl StreamDecoder {
             remaining: stream.len(),
             segments: stream.into_segments().into(),
             version: 0,
+            runs: Vec::new(),
         };
         if dec.remaining < PREAMBLE_BYTES {
             return Err(WireError::Truncated);
@@ -1578,6 +1660,68 @@ impl StreamDecoder {
     ///
     /// Any [`WireError`] on truncation, corruption, or unknown records.
     pub fn next_record(&mut self) -> WireResult<Option<Record>> {
+        let Some((tag, payload)) = self.next_frame()? else {
+            return Ok(None);
+        };
+        decode_payload(tag, payload).map(Some)
+    }
+
+    /// Decodes the next record, staging page metadata straight into
+    /// `pages`: a record whose pages carry no bytes appends its
+    /// `(PageId, PageVersion)` pairs and comes back as [`Staged::Pages`];
+    /// every other record comes back whole and appends nothing. `None` at
+    /// a clean end of stream.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the [`WireError`] [`next_record`](Self::next_record) raises
+    /// on the same bytes. `pages` may then hold part of the rejected
+    /// record; the caller discards it.
+    pub fn next_record_into(
+        &mut self,
+        pages: &mut Vec<(PageId, PageVersion)>,
+    ) -> WireResult<Option<Staged>> {
+        let Some((tag, payload)) = self.next_frame()? else {
+            return Ok(None);
+        };
+        let mut r = Reader(payload);
+        let staged = match tag {
+            TAG_PAGE_BATCH => {
+                page_batch_into(&mut r, pages)?;
+                Staged::Pages { base_epoch: None }
+            }
+            TAG_PAGE_COLUMNS => {
+                let header = ColumnsHeader::read(&mut r)?;
+                let from = pages.len();
+                meta_column_into(&header.meta, header.count, &mut self.runs, pages)?;
+                if self.runs.iter().all(|&(mode, _)| mode == MODE_META) {
+                    payload_column(&header.payload, &self.runs, &[], &mut Vec::new())?;
+                    Staged::Pages {
+                        base_epoch: Some(header.base_epoch),
+                    }
+                } else {
+                    // Pages with bytes come back whole, for the content
+                    // check, and leave nothing staged.
+                    let mut batch = PageColumnsBatch::new(header.base_epoch);
+                    payload_column(
+                        &header.payload,
+                        &self.runs,
+                        &pages[from..],
+                        &mut batch.entries,
+                    )?;
+                    pages.truncate(from);
+                    Staged::Record(Record::PageColumns(batch))
+                }
+            }
+            _ => return decode_payload(tag, r.0).map(|record| Some(Staged::Record(record))),
+        };
+        r.finish()?;
+        Ok(Some(staged))
+    }
+
+    /// The next frame's tag and payload, its frame checksum verified, or
+    /// `None` at a clean end of stream.
+    fn next_frame(&mut self) -> WireResult<Option<(u8, Bytes)>> {
         if self.remaining == 0 {
             return Ok(None);
         }
@@ -1608,7 +1752,7 @@ impl StreamDecoder {
                 actual: actual_sum,
             });
         }
-        decode_payload(tag, payload).map(Some)
+        Ok(Some((tag, payload)))
     }
 
     /// Decodes every remaining record.
@@ -1688,8 +1832,42 @@ impl Reader {
         }
     }
 
-    /// A LEB128 `u64` exactly as [`put_varint`] writes it: no padding
-    /// zero group, nothing in the tenth byte above bit 63.
+    /// One page's fixed-width metadata, as [`write_page_meta`] writes it.
+    fn page_meta(&mut self) -> WireResult<(PageId, PageVersion)> {
+        Ok(read_page_meta(&self.array()?))
+    }
+
+    /// Ends a decode: every byte must have been read.
+    fn finish(self) -> WireResult<()> {
+        if self.0.is_empty() {
+            Ok(())
+        } else {
+            Err(WireError::BadPayload("trailing bytes"))
+        }
+    }
+}
+
+/// The cursor over one column of a page-columns record, checked like
+/// [`Reader`]. It indexes the column in place: a byte costs one bounds
+/// check and no reference count moves until a payload is sliced out.
+struct Column<'a> {
+    bytes: &'a Bytes,
+    at: usize,
+}
+
+impl<'a> Column<'a> {
+    fn new(bytes: &'a Bytes) -> Self {
+        Column { bytes, at: 0 }
+    }
+
+    fn u8(&mut self) -> WireResult<u8> {
+        let b = *self.bytes.get(self.at).ok_or(WireError::Truncated)?;
+        self.at += 1;
+        Ok(b)
+    }
+
+    /// The one LEB128 reader: a `u64` exactly as [`put_varint`] writes
+    /// it — no padding zero group, nothing in the tenth byte above bit 63.
     fn varint(&mut self) -> WireResult<u64> {
         let mut v = 0u64;
         for shift in (0..64).step_by(7) {
@@ -1708,14 +1886,19 @@ impl Reader {
         Err(WireError::BadPayload("varint overflows 64 bits"))
     }
 
-    /// One page's fixed-width metadata, as [`write_page_meta`] writes it.
-    fn page_meta(&mut self) -> WireResult<(PageId, PageVersion)> {
-        Ok(read_page_meta(&self.array()?))
+    /// The next `n` bytes as a zero-copy slice of the column.
+    fn take(&mut self, n: usize) -> WireResult<Bytes> {
+        if self.bytes.len() - self.at < n {
+            return Err(WireError::Truncated);
+        }
+        let start = self.at;
+        self.at += n;
+        Ok(self.bytes.slice(start..self.at))
     }
 
-    /// Ends a decode: every byte must have been read.
-    fn finish(self) -> WireResult<()> {
-        if self.0.is_empty() {
+    /// Ends a column: every byte must have been read.
+    fn finish(&self) -> WireResult<()> {
+        if self.at == self.bytes.len() {
             Ok(())
         } else {
             Err(WireError::BadPayload("trailing bytes"))
@@ -1744,15 +1927,8 @@ fn decode_payload(tag: u8, payload: Bytes) -> WireResult<Record> {
         }
         TAG_CKPT_BEGIN => Record::CheckpointBegin { seq: r.u64()? },
         TAG_PAGE_BATCH => {
-            // The count sizes the `Vec` only once that many pages are
-            // known to be there: the metas are taken in one checked read
-            // and parsed in one pass, into exactly `count` entries.
-            let count = r.u32()? as usize;
-            let metas = r.take(count.saturating_mul(PAGE_META_BYTES))?;
-            let entries = metas
-                .chunks_exact(PAGE_META_BYTES)
-                .map(|meta| read_page_meta(meta.try_into().expect("exact chunk")))
-                .collect();
+            let mut entries = Vec::new();
+            page_batch_into(&mut r, &mut entries)?;
             Record::PageBatch(MemoryDelta::from_entries(entries))
         }
         TAG_PAGE_DATA => {
@@ -1801,6 +1977,21 @@ fn decode_payload(tag: u8, payload: Bytes) -> WireResult<Record> {
     };
     r.finish()?;
     Ok(record)
+}
+
+/// The one parser of a v2 page batch's 14-byte meta slots: appends the
+/// record's pages to `out`. The count sizes nothing until that many slots
+/// are known to be there: they are taken in one checked read and parsed
+/// in one pass, into exactly `count` new entries.
+fn page_batch_into(r: &mut Reader, out: &mut Vec<(PageId, PageVersion)>) -> WireResult<()> {
+    let count = r.u32()? as usize;
+    let metas = r.take(count.saturating_mul(PAGE_META_BYTES))?;
+    out.extend(
+        metas
+            .chunks_exact(PAGE_META_BYTES)
+            .map(|meta| read_page_meta(meta.try_into().expect("exact chunk"))),
+    );
+    Ok(())
 }
 
 fn decode_arch_regs(r: &mut Reader) -> WireResult<ArchRegs> {
@@ -2402,6 +2593,39 @@ mod tests {
         };
         assert_eq!(decoded, batch);
         assert_eq!(decoded.base_epoch(), 4);
+    }
+
+    #[test]
+    fn staging_decode_appends_metadata_pages_and_returns_byte_pages_whole() {
+        let pages = golden_shard();
+        let mixed = sample_columns_batch();
+        let mut buf = v3_buf();
+        encode_page_columns_meta_into(9, &pages, &mut buf);
+        encode_page_batch_into(&pages, &mut buf);
+        encode_record_into(&Record::PageColumns(mixed.clone()), &mut buf);
+        encode_record_into(&Record::Ack { seq: 2 }, &mut buf);
+        let mut dec = StreamDecoder::new(buf.freeze()).unwrap();
+        let mut staged = vec![(PageId::new(1), PageVersion::default())];
+        let mut next = || dec.next_record_into(&mut staged).unwrap();
+        assert_eq!(
+            next(),
+            Some(Staged::Pages {
+                base_epoch: Some(9)
+            })
+        );
+        assert_eq!(next(), Some(Staged::Pages { base_epoch: None }));
+        assert_eq!(next(), Some(Staged::Record(Record::PageColumns(mixed))));
+        assert_eq!(next(), Some(Staged::Record(Record::Ack { seq: 2 })));
+        assert_eq!(next(), None);
+        let want: Vec<_> = [(PageId::new(1), PageVersion::default())]
+            .into_iter()
+            .chain(pages.iter().copied())
+            .chain(pages.iter().copied())
+            .collect();
+        assert_eq!(
+            staged, want,
+            "appended after what was there, nothing for the mixed record"
+        );
     }
 
     #[test]
@@ -3094,9 +3318,10 @@ mod tests {
         for v in [0, 1, 127, 128, 1 << 62, 1 << 63, u64::MAX] {
             let mut out = BytesMut::new();
             put_varint(&mut out, v);
-            let mut r = Reader(out.freeze());
-            assert_eq!(r.varint(), Ok(v));
-            r.finish().unwrap();
+            let bytes = out.freeze();
+            let mut column = Column::new(&bytes);
+            assert_eq!(column.varint(), Ok(v));
+            column.finish().unwrap();
         }
     }
 
