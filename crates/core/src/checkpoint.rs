@@ -154,6 +154,10 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
             session.cfg.topology.replicas.max(1),
             session.cfg.topology.effective_quorum(),
         );
+        // The counters the Packets and PoolStats events sample start over
+        // with the ledger, or the warmup's counts would carry over.
+        session.devmgr.reset_packet_counts();
+        session.pools.buffers.reset_counts();
         if let Some(chaos) = session.chaos.as_mut() {
             chaos.stats = Default::default();
         }

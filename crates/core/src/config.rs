@@ -14,7 +14,16 @@
 
 use serde::{Deserialize, Serialize};
 
+use here_hypervisor::host::Hypervisor;
+use here_hypervisor::kind::HypervisorKind;
+use here_hypervisor::{KvmHypervisor, XenHypervisor};
+use here_sim_core::rate::ByteSize;
 use here_sim_core::time::SimDuration;
+use here_vmstate::translate::StateTranslator;
+use here_vmstate::MemoryDelta;
+
+use crate::error::CoreResult;
+use crate::transfer::ProblematicTracker;
 
 /// How the checkpoint period is controlled.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -49,6 +58,70 @@ pub enum Strategy {
     /// workers, heterogeneous pair (Xen → KVM/kvmtool) with state
     /// translation.
     Here,
+}
+
+impl Strategy {
+    /// Builds the secondary host and, for heterogeneous pairs, the state
+    /// translator between the two hypervisors' native formats.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the translator cannot be constructed for the pairing.
+    pub(crate) fn make_secondary(
+        self,
+        host_memory: ByteSize,
+    ) -> CoreResult<(Box<dyn Hypervisor>, Option<StateTranslator>)> {
+        Ok(match self {
+            Strategy::Remus => (Box::new(XenHypervisor::new(host_memory)), None),
+            Strategy::Here => (
+                Box::new(KvmHypervisor::new(host_memory)),
+                Some(StateTranslator::new(
+                    HypervisorKind::Xen,
+                    HypervisorKind::Kvm,
+                )?),
+            ),
+        })
+    }
+
+    /// The thread count the data plane uses for a VM with `vcpus` vCPUs:
+    /// one under Remus, one per vCPU under HERE.
+    pub(crate) fn effective_threads(self, vcpus: u32) -> u32 {
+        match self {
+            Strategy::Remus => 1,
+            Strategy::Here => vcpus.max(1),
+        }
+    }
+
+    /// One-time cost paid before the seeding migration starts (HERE's
+    /// thread-pool and per-vCPU PML ring setup; zero for Remus).
+    pub(crate) fn migration_setup(self, costs: &CostModel) -> SimDuration {
+        match self {
+            Strategy::Remus => SimDuration::ZERO,
+            Strategy::Here => costs.here_migration_setup,
+        }
+    }
+
+    /// Feeds one pre-copy round's delta into the problematic-page tracker
+    /// (§7.2). Remus has a single migration stream, so nothing is ever
+    /// problematic; HERE's per-vCPU migrator threads send each page from
+    /// the thread of the vCPU that last wrote it, so a page that hops
+    /// between threads across rounds becomes problematic.
+    pub(crate) fn track_problematic(self, tracker: &mut ProblematicTracker, delta: &MemoryDelta) {
+        if self == Strategy::Here {
+            for &(page, rec) in delta.entries() {
+                tracker.record(page, rec.last_writer);
+            }
+        }
+    }
+
+    /// Extra constant paid in the *Pause* stage of every checkpoint
+    /// (Remus re-enters its toolstack; HERE keeps a persistent session).
+    pub(crate) fn pause_extra(self, costs: &CostModel) -> SimDuration {
+        match self {
+            Strategy::Remus => costs.remus_extra_const,
+            Strategy::Here => SimDuration::ZERO,
+        }
+    }
 }
 
 /// How an encoded epoch fans out across the replica set during the
@@ -288,7 +361,7 @@ impl CostModel {
         self.checkpoint_scan(pages, threads)
             + self.checkpoint_wire(pages)
             + self.checkpoint_const
-            + crate::pipeline::runtime(strategy).pause_extra(self)
+            + strategy.pause_extra(self)
     }
 
     /// Total CPU time the replication engine burns for one checkpoint of
@@ -440,10 +513,9 @@ impl ReplicationConfig {
 
     /// The thread count the data plane uses for a VM with `vcpus` vCPUs,
     /// transfer threads and encode lanes alike: one under Remus, one per
-    /// vCPU under HERE. Delegates to the strategy's
-    /// [`ReplicationStrategy`](crate::pipeline::ReplicationStrategy) impl.
+    /// vCPU under HERE.
     pub fn effective_threads(&self, vcpus: u32) -> u32 {
-        crate::pipeline::runtime(self.strategy).effective_threads(vcpus)
+        self.strategy.effective_threads(vcpus)
     }
 
     /// Switches the encode path to chunk framing: one page-batch record

@@ -164,6 +164,13 @@ impl BufferPool {
     pub fn misses(&self) -> u64 {
         self.misses
     }
+
+    /// Zeroes the hit and miss counts (a new measurement window); the
+    /// pooled buffers stay.
+    pub(crate) fn reset_counts(&mut self) {
+        self.hits = 0;
+        self.misses = 0;
+    }
 }
 
 /// How one encode round is split, framed and handed off.

@@ -2,10 +2,13 @@
 //! §7.3).
 //!
 //! While replication runs, every outgoing packet of the protected VM is
-//! buffered and only released once the covering checkpoint commits. On
-//! failover, the manager instructs the guest (through its agent module) to
-//! unplug the primary hypervisor's PV devices and plug the secondary's
-//! equivalents — identities preserved, rings reset.
+//! buffered, tagged with the epoch it was emitted in, and released only
+//! by [`DeviceManager::release`], which takes the ledger's [`Commit`]: a
+//! packet leaves once the checkpoint covering its epoch committed at
+//! quorum. On failover, the manager discards what is still held and
+//! instructs the guest (through its agent module) to unplug the primary
+//! hypervisor's PV devices and plug the secondary's equivalents —
+//! identities preserved, rings reset.
 
 use here_hypervisor::devices::AgentEvent;
 use here_hypervisor::kind::HypervisorKind;
@@ -15,14 +18,13 @@ use here_sim_core::time::SimTime;
 use here_simnet::buffer::{IoBuffer, ReleasedPacket};
 use here_vmstate::translate::StateTranslator;
 
+use crate::failover::Commit;
+
 /// The device manager of one replication session.
 #[derive(Debug, Default)]
 pub struct DeviceManager {
     io: IoBuffer,
     switches_performed: u32,
-    packets_buffered: u64,
-    packets_released: u64,
-    packets_discarded: u64,
 }
 
 /// Summary of one failover device switch.
@@ -42,42 +44,30 @@ impl DeviceManager {
         DeviceManager::default()
     }
 
-    /// Buffers one outgoing packet emitted at `now`.
-    pub fn buffer_outgoing(&mut self, size: ByteSize, now: SimTime) -> u64 {
-        self.packets_buffered += 1;
-        self.io.enqueue(size, now)
+    /// Buffers one outgoing packet emitted at `now` during `epoch`.
+    pub fn buffer_outgoing(&mut self, size: ByteSize, now: SimTime, epoch: u64) -> u64 {
+        self.io.enqueue(size, now, epoch)
     }
 
-    /// Checkpoint commit: releases everything buffered.
-    pub fn on_commit(&mut self, now: SimTime) -> Vec<ReleasedPacket> {
-        let released = self.io.release_all(now);
-        self.packets_released += released.len() as u64;
-        released
+    /// Spends `commit`: releases, at instant `now`, every packet emitted
+    /// in the committed epoch or before it. The only way output leaves.
+    pub fn release(&mut self, commit: Commit, now: SimTime) -> Vec<ReleasedPacket> {
+        self.io.release_through(commit.seq(), now)
     }
 
-    /// The underlying buffer (observability).
+    /// The underlying buffer and its packet counts (observability).
     pub fn io(&self) -> &IoBuffer {
         &self.io
+    }
+
+    /// Starts a new measurement window for the buffer's packet counts.
+    pub(crate) fn reset_packet_counts(&mut self) {
+        self.io.reset_totals();
     }
 
     /// Number of device switches performed over the session.
     pub fn switches_performed(&self) -> u32 {
         self.switches_performed
-    }
-
-    /// Cumulative packets buffered over the session.
-    pub fn packets_buffered(&self) -> u64 {
-        self.packets_buffered
-    }
-
-    /// Cumulative packets released at commits.
-    pub fn packets_released(&self) -> u64 {
-        self.packets_released
-    }
-
-    /// Cumulative packets discarded by failover rollbacks.
-    pub fn packets_discarded(&self) -> u64 {
-        self.packets_discarded
     }
 
     /// Failover: discard uncommitted output, then run the agent protocol on
@@ -89,7 +79,6 @@ impl DeviceManager {
         translator: Option<&StateTranslator>,
     ) -> DeviceSwitchReport {
         let packets_discarded = self.io.discard_all();
-        self.packets_discarded += packets_discarded as u64;
         let new_family = translator.map(|t| t.target()).unwrap_or_else(|| {
             replica
                 .devices()
@@ -127,6 +116,7 @@ impl DeviceManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failover::CommitLedger;
     use here_hypervisor::cpuid::CpuidPolicy;
     use here_hypervisor::host::Hypervisor;
     use here_hypervisor::vm::{RunState, VmConfig};
@@ -146,22 +136,25 @@ mod tests {
     #[test]
     fn commit_releases_buffered_packets_in_order() {
         let mut dm = DeviceManager::new();
-        dm.buffer_outgoing(ByteSize::from_bytes(64), SimTime::from_secs(1));
-        dm.buffer_outgoing(ByteSize::from_bytes(64), SimTime::from_secs(2));
-        let out = dm.on_commit(SimTime::from_secs(3));
-        assert_eq!(out.len(), 2);
+        dm.buffer_outgoing(ByteSize::from_bytes(64), SimTime::from_secs(1), 1);
+        dm.buffer_outgoing(ByteSize::from_bytes(64), SimTime::from_secs(2), 1);
+        dm.buffer_outgoing(ByteSize::from_bytes(64), SimTime::from_secs(3), 2);
+        let mut ledger = CommitLedger::new();
+        let commit = ledger.ack(0, 1, SimTime::from_secs(3)).expect("quorum 1");
+        let out = dm.release(commit, SimTime::from_secs(3));
+        assert_eq!(out.len(), 2, "epoch 2's packet waits for its own commit");
         assert!(out[0].packet.created_at < out[1].packet.created_at);
-        assert!(dm.io().is_empty());
-        assert_eq!(dm.packets_buffered(), 2);
-        assert_eq!(dm.packets_released(), 2);
-        assert_eq!(dm.packets_discarded(), 0);
+        assert_eq!(dm.io().len(), 1);
+        assert_eq!(dm.io().total_buffered(), 3);
+        assert_eq!(dm.io().total_released(), 2);
+        assert_eq!(dm.io().total_discarded(), 0);
     }
 
     #[test]
     fn heterogeneous_switch_moves_devices_to_virtio() {
         let (mut kvm, id) = replica_on_kvm();
         let mut dm = DeviceManager::new();
-        dm.buffer_outgoing(ByteSize::from_bytes(100), SimTime::ZERO);
+        dm.buffer_outgoing(ByteSize::from_bytes(100), SimTime::ZERO, 1);
         let translator = StateTranslator::new(HypervisorKind::Xen, HypervisorKind::Kvm).unwrap();
         // Replica shell was created on KVM, but in a real session its
         // device *description* came from the Xen side; emulate that.

@@ -93,24 +93,91 @@ pub struct ReplicaAcks {
     pub acks: Vec<CommitEntry>,
 }
 
-/// The authoritative record of quorum-committed epochs.
+/// Proof that an epoch committed at quorum: the only thing that releases
+/// buffered output, moves the v3 delta base and counts operations as
+/// committed (the session's `on_commit` spends it, handing it on to
+/// [`DeviceManager::release`](crate::devmgr::DeviceManager::release)).
+///
+/// Only [`CommitLedger::ack`] mints one, when the quorum-th ack of an
+/// epoch lands, so holding a `Commit` means the epoch is recoverable. It
+/// cannot be built or duplicated anywhere else:
+///
+/// ```compile_fail,E0451
+/// use here_core::failover::Commit;
+/// use here_sim_core::time::SimTime;
+///
+/// let forged = Commit { seq: 1, at: SimTime::ZERO };
+/// ```
+///
+/// ```compile_fail,E0599
+/// use here_core::failover::Commit;
+///
+/// fn twice(commit: Commit) -> (Commit, Commit) {
+///     (commit.clone(), commit)
+/// }
+/// ```
+#[derive(Debug, PartialEq, Eq)]
+#[must_use = "a commit releases output only when it is spent"]
+pub struct Commit {
+    seq: u64,
+    at: SimTime,
+}
+
+impl Commit {
+    /// The committed epoch: output emitted in it, or before, may leave.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// The (report-relative) instant the quorum-th ack landed.
+    pub fn at(&self) -> SimTime {
+        self.at
+    }
+}
+
+/// The failover decision: which replica takes over, and the committed
+/// epoch its state resumes from.
+///
+/// Only [`CommitLedger::activate`] mints one, once per ledger, so two
+/// replicas can never both take over the service.
+#[derive(Debug, PartialEq, Eq)]
+#[must_use = "an activation takes effect only when a replica set spends it"]
+pub(crate) struct Activation {
+    replica: u32,
+    resumed_from: u64,
+}
+
+impl Activation {
+    /// Index of the replica to activate.
+    pub(crate) fn replica(&self) -> u32 {
+        self.replica
+    }
+
+    /// The last quorum-committed epoch (0 if none committed).
+    pub(crate) fn resumed_from(&self) -> u64 {
+        self.resumed_from
+    }
+}
+
+/// The authoritative record of quorum-committed epochs, and the one place
+/// commit and activation are decided.
 ///
 /// An epoch enters the ledger only at *Ack* — after a replica decoded,
 /// validated and installed the whole checkpoint and the ack crossed the
-/// replication link. With an N-replica topology the ledger tracks a
-/// per-replica high-water mark and commits an epoch once the configured
-/// quorum of replicas has acked it (the commit watermark is the
-/// quorum-th highest per-replica ack). Failover activation reads
-/// [`CommitLedger::best_replica`] and [`CommitLedger::last_committed`],
-/// so the activated replica provably resumes from the last
-/// quorum-committed epoch: aborted or in-flight epochs can never leak
-/// into a [`FailoverRecord`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// replication link. With an N-replica topology the ledger keeps each
+/// replica's ack trail and commits an epoch once the configured quorum of
+/// replicas has acked it (the commit watermark is the quorum-th highest
+/// per-replica ack), minting the [`Commit`] that releases its output.
+/// Failover takes its one-shot activation from the ledger too, so the
+/// activated replica provably resumes from the last quorum-committed
+/// epoch: aborted or in-flight epochs can never leak into a
+/// [`FailoverRecord`].
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct CommitLedger {
     entries: Vec<CommitEntry>,
     quorum: u32,
-    last_acked: Vec<Option<u64>>,
     trails: Vec<Vec<CommitEntry>>,
+    activated: Option<u32>,
 }
 
 impl Default for CommitLedger {
@@ -133,14 +200,14 @@ impl CommitLedger {
         CommitLedger {
             entries: Vec::new(),
             quorum: quorum.clamp(1, replicas),
-            last_acked: vec![None; replicas as usize],
             trails: vec![Vec::new(); replicas as usize],
+            activated: None,
         }
     }
 
     /// Number of replicas this ledger tracks.
     pub fn replicas(&self) -> u32 {
-        self.last_acked.len() as u32
+        self.trails.len() as u32
     }
 
     /// Acks required before an epoch commits.
@@ -148,50 +215,62 @@ impl CommitLedger {
         self.quorum
     }
 
+    /// The highest epoch `replica` has acked: the last entry of its trail.
+    fn mark(&self, replica: u32) -> Option<u64> {
+        self.trails[replica as usize].last().map(|e| e.seq)
+    }
+
     /// Records replica `replica`'s ack of epoch `seq` at instant `at` and
-    /// returns `true` if that ack pushed an epoch over the commit quorum.
+    /// returns the [`Commit`] when that ack pushed an epoch over the
+    /// commit quorum.
     ///
     /// Acks are per-replica high-water marks: a catch-up ack of epoch 7
     /// from a replica last seen at epoch 3 implicitly covers 4–6, and a
     /// stale or duplicate ack (`seq` at or below the replica's mark) is
     /// ignored. The committed epoch is the quorum-th highest mark across
     /// all replicas, so commits skip epochs superseded while a straggler
-    /// caught up — keeping the commit sequence strictly monotone.
-    pub fn ack(&mut self, replica: u32, seq: u64, at: SimTime) -> bool {
-        let r = replica as usize;
+    /// caught up — keeping the commit sequence strictly monotone, and
+    /// each epoch's `Commit` minted at most once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `replica` is out of range, or if a commit's instant
+    /// precedes the previous commit's.
+    pub fn ack(&mut self, replica: u32, seq: u64, at: SimTime) -> Option<Commit> {
         assert!(
-            r < self.last_acked.len(),
+            replica < self.replicas(),
             "ack from replica {replica} but the ledger tracks {}",
-            self.last_acked.len()
+            self.replicas()
         );
-        if self.last_acked[r].is_some_and(|prev| prev >= seq) {
-            return false;
+        if self.mark(replica).is_some_and(|prev| prev >= seq) {
+            return None;
         }
-        self.last_acked[r] = Some(seq);
-        self.trails[r].push(CommitEntry { seq, at });
-        let mut acked: Vec<u64> = self.last_acked.iter().filter_map(|&a| a).collect();
+        self.trails[replica as usize].push(CommitEntry { seq, at });
+        let mut acked: Vec<u64> = (0..self.replicas()).filter_map(|r| self.mark(r)).collect();
         if (acked.len() as u32) < self.quorum {
-            return false;
+            return None;
         }
         acked.sort_unstable_by(|a, b| b.cmp(a));
         let watermark = acked[self.quorum as usize - 1];
-        if self.last_committed().is_none_or(|last| watermark > last) {
-            self.record(watermark, at);
-            return true;
+        if let Some(last) = self.entries.last() {
+            if watermark <= last.seq {
+                return None;
+            }
+            assert!(
+                at >= last.at,
+                "commit instants must be non-decreasing: {at} after {}",
+                last.at
+            );
         }
-        false
-    }
-
-    /// The highest epoch `replica` has acked, if it ever acked one.
-    pub fn last_acked(&self, replica: u32) -> Option<u64> {
-        self.last_acked[replica as usize]
+        self.entries.push(CommitEntry { seq: watermark, at });
+        Some(Commit { seq: watermark, at })
     }
 
     /// Epochs `replica` trails the just-committed sequence `seq` by — the
     /// staleness scan's and the health plane's ack-lag signal. A replica
     /// that never acked trails by the full `seq`.
     pub fn lag_of(&self, replica: u32, seq: u64) -> u64 {
-        seq.saturating_sub(self.last_acked(replica).unwrap_or(0))
+        seq.saturating_sub(self.mark(replica).unwrap_or(0))
     }
 
     /// The replica holding the most recent applied state: the highest
@@ -201,37 +280,36 @@ impl CommitLedger {
     /// the maximum ack mark.
     pub fn best_replica(&self) -> u32 {
         let mut best = 0u32;
-        let mut best_acked = self.last_acked[0];
-        for (i, &acked) in self.last_acked.iter().enumerate().skip(1) {
-            if acked > best_acked {
-                best = i as u32;
-                best_acked = acked;
+        for replica in 1..self.replicas() {
+            if self.mark(replica) > self.mark(best) {
+                best = replica;
             }
         }
         best
     }
 
+    /// Decides the failover: the [`best_replica`](Self::best_replica)
+    /// resumes from the last committed epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a second call — the no-split-brain invariant: at most
+    /// one replica ever takes over the service.
+    pub(crate) fn activate(&mut self) -> Activation {
+        let replica = self.best_replica();
+        if let Some(active) = self.activated {
+            panic!("split-brain: replica {replica} activating but replica {active} already active");
+        }
+        self.activated = Some(replica);
+        Activation {
+            replica,
+            resumed_from: self.last_committed().unwrap_or(0),
+        }
+    }
+
     /// Every replica's ack trail, indexed by replica.
     pub fn ack_trails(&self) -> &[Vec<CommitEntry>] {
         &self.trails
-    }
-
-    /// Records a commit, asserting the sequence numbers stay strictly
-    /// monotone (a replay or out-of-order commit is an engine bug).
-    pub fn record(&mut self, seq: u64, at: SimTime) {
-        if let Some(last) = self.entries.last() {
-            assert!(
-                seq > last.seq,
-                "commit ledger must be strictly monotone: {seq} after {}",
-                last.seq
-            );
-            assert!(
-                at >= last.at,
-                "commit instants must be non-decreasing: {at} after {}",
-                last.at
-            );
-        }
-        self.entries.push(CommitEntry { seq, at });
     }
 
     /// The last fully-acked epoch's sequence number, if any epoch
@@ -243,21 +321,6 @@ impl CommitLedger {
     /// The committed epochs, oldest first.
     pub fn entries(&self) -> &[CommitEntry] {
         &self.entries
-    }
-
-    /// Number of committed epochs.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing has committed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Consumes the ledger into its entries.
-    pub fn into_entries(self) -> Vec<CommitEntry> {
-        self.entries
     }
 
     /// Consumes the ledger into its commit entries and the per-replica
@@ -395,29 +458,31 @@ mod tests {
     #[test]
     fn ledger_records_monotone_commits() {
         let mut ledger = CommitLedger::new();
-        assert!(ledger.is_empty());
+        assert!(ledger.entries().is_empty());
         assert_eq!(ledger.last_committed(), None);
-        ledger.record(1, SimTime::from_secs(1));
-        ledger.record(2, SimTime::from_secs(3));
-        ledger.record(4, SimTime::from_secs(4)); // an aborted epoch 3 never commits
+        let first = ledger.ack(0, 1, SimTime::from_secs(1)).expect("quorum 1");
+        assert_eq!((first.seq(), first.at()), (1, SimTime::from_secs(1)));
+        assert!(ledger.ack(0, 2, SimTime::from_secs(3)).is_some());
+        // An aborted epoch 3 is never acked, so it never commits.
+        assert!(ledger.ack(0, 4, SimTime::from_secs(4)).is_some());
         assert_eq!(ledger.last_committed(), Some(4));
-        assert_eq!(ledger.len(), 3);
-        assert_eq!(ledger.entries()[1].seq, 2);
-        let entries = ledger.into_entries();
-        assert_eq!(entries.last().unwrap().at, SimTime::from_secs(4));
+        let seqs: Vec<u64> = ledger.entries().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [1, 2, 4]);
+        assert_eq!(ledger.entries()[2].at, SimTime::from_secs(4));
     }
 
     #[test]
     fn quorum_ledger_commits_at_the_quorum_th_ack() {
         let mut ledger = CommitLedger::with_quorum(3, 2);
-        assert!(!ledger.ack(0, 1, SimTime::from_secs(1)));
+        assert_eq!(ledger.ack(0, 1, SimTime::from_secs(1)), None);
         assert_eq!(ledger.last_committed(), None);
-        assert!(ledger.ack(2, 1, SimTime::from_secs(2)));
+        let commit = ledger.ack(2, 1, SimTime::from_secs(2)).expect("quorum");
+        assert_eq!((commit.seq(), commit.at()), (1, SimTime::from_secs(2)));
         assert_eq!(ledger.last_committed(), Some(1));
         // The third ack arrives late and commits nothing new.
-        assert!(!ledger.ack(1, 1, SimTime::from_secs(3)));
-        assert_eq!(ledger.len(), 1);
-        assert_eq!(ledger.last_acked(1), Some(1));
+        assert_eq!(ledger.ack(1, 1, SimTime::from_secs(3)), None);
+        assert_eq!(ledger.entries().len(), 1);
+        assert_eq!(ledger.lag_of(1, 1), 0);
         assert_eq!(
             ledger.ack_trails()[2],
             vec![CommitEntry {
@@ -434,23 +499,28 @@ mod tests {
         // never enter the commit sequence twice.
         let mut ledger = CommitLedger::with_quorum(3, 3);
         for seq in 1..=3 {
-            ledger.ack(0, seq, SimTime::from_secs(seq));
-            ledger.ack(1, seq, SimTime::from_secs(seq));
+            assert_eq!(ledger.ack(0, seq, SimTime::from_secs(seq)), None);
+            assert_eq!(ledger.ack(1, seq, SimTime::from_secs(seq)), None);
         }
         assert_eq!(ledger.last_committed(), None);
-        assert!(ledger.ack(2, 3, SimTime::from_secs(9)));
+        let commit = ledger.ack(2, 3, SimTime::from_secs(9)).expect("quorum");
+        assert_eq!(commit.seq(), 3);
         assert_eq!(ledger.last_committed(), Some(3));
-        assert_eq!(ledger.len(), 1, "superseded epochs commit at most once");
+        assert_eq!(
+            ledger.entries().len(),
+            1,
+            "superseded epochs commit at most once"
+        );
     }
 
     #[test]
     fn duplicate_and_stale_acks_are_ignored() {
         let mut ledger = CommitLedger::with_quorum(2, 2);
-        assert!(!ledger.ack(0, 5, SimTime::from_secs(1)));
-        assert!(!ledger.ack(0, 5, SimTime::from_secs(2)));
-        assert!(!ledger.ack(0, 3, SimTime::from_secs(3)));
+        assert_eq!(ledger.ack(0, 5, SimTime::from_secs(1)), None);
+        assert_eq!(ledger.ack(0, 5, SimTime::from_secs(2)), None);
+        assert_eq!(ledger.ack(0, 3, SimTime::from_secs(3)), None);
         assert_eq!(ledger.ack_trails()[0].len(), 1);
-        assert!(ledger.ack(1, 5, SimTime::from_secs(4)));
+        assert!(ledger.ack(1, 5, SimTime::from_secs(4)).is_some());
         assert_eq!(ledger.last_committed(), Some(5));
     }
 
@@ -458,22 +528,25 @@ mod tests {
     fn best_replica_prefers_freshest_then_lowest_index() {
         let mut ledger = CommitLedger::with_quorum(3, 1);
         assert_eq!(ledger.best_replica(), 0, "no acks yet: lowest index");
-        ledger.ack(1, 2, SimTime::from_secs(1));
+        let _ = ledger.ack(1, 2, SimTime::from_secs(1));
         assert_eq!(ledger.best_replica(), 1);
-        ledger.ack(2, 2, SimTime::from_secs(2));
+        let _ = ledger.ack(2, 2, SimTime::from_secs(2));
         assert_eq!(ledger.best_replica(), 1, "tie breaks to the lowest");
-        ledger.ack(2, 4, SimTime::from_secs(3));
+        let _ = ledger.ack(2, 4, SimTime::from_secs(3));
         assert_eq!(ledger.best_replica(), 2);
-        // The best replica is never behind the commit watermark.
-        let best = ledger.best_replica();
-        assert!(ledger.last_acked(best) >= ledger.last_committed());
+        // The best replica is never behind the commit watermark, and it
+        // is the one activation picks.
+        let activation = ledger.activate();
+        assert_eq!(activation.replica(), 2);
+        assert_eq!(activation.resumed_from(), 4);
+        assert_eq!(ledger.lag_of(2, 4), 0);
     }
 
     #[test]
     fn into_parts_returns_trails_by_replica() {
         let mut ledger = CommitLedger::with_quorum(2, 1);
-        ledger.ack(1, 1, SimTime::from_secs(1));
-        ledger.ack(0, 1, SimTime::from_secs(2));
+        let _ = ledger.ack(1, 1, SimTime::from_secs(1));
+        let _ = ledger.ack(0, 1, SimTime::from_secs(2));
         let (entries, trails) = ledger.into_parts();
         assert_eq!(entries.len(), 1);
         assert_eq!(trails.len(), 2);
@@ -483,11 +556,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strictly monotone")]
-    fn ledger_rejects_replayed_sequence_numbers() {
+    fn replayed_acks_mint_no_second_commit() {
+        // A replayed ack — from the same replica or, once the epoch
+        // committed, from another — mints no second `Commit`.
+        let mut ledger = CommitLedger::with_quorum(2, 1);
+        assert!(ledger.ack(0, 5, SimTime::from_secs(1)).is_some());
+        assert_eq!(ledger.ack(0, 5, SimTime::from_secs(2)), None);
+        assert_eq!(ledger.ack(1, 5, SimTime::from_secs(2)), None);
+        assert_eq!(ledger.entries().len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-decreasing")]
+    fn a_commit_before_the_previous_one_is_an_engine_bug() {
         let mut ledger = CommitLedger::new();
-        ledger.record(5, SimTime::from_secs(1));
-        ledger.record(5, SimTime::from_secs(2));
+        let _ = ledger.ack(0, 1, SimTime::from_secs(5));
+        let _ = ledger.ack(0, 2, SimTime::from_secs(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "split-brain")]
+    fn double_activation_is_a_split_brain_panic() {
+        let mut ledger = CommitLedger::with_quorum(2, 2);
+        let first = ledger.activate();
+        // Nothing committed: replica 0 resumes from the seed.
+        assert_eq!((first.replica(), first.resumed_from()), (0, 0));
+        let _second = ledger.activate();
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! - [`transfer`]: the multithreaded data plane (per-vCPU seeding threads,
 //!   round-robin 2 MiB chunk workers, problematic-page tracking);
 //! - [`devmgr`]: outgoing-I/O buffering and the failover device switch;
-//! - [`failover`]: heartbeat-based detection, the commit ledger and
-//!   replica activation;
+//! - [`failover`]: heartbeat-based detection and the commit ledger, which
+//!   alone mints the [`Commit`](failover::Commit) that releases output
+//!   and the one-shot activation failover spends;
 //! - [`chaos`]: the deterministic fault-injection plane — seeded
 //!   [`FaultPlan`](chaos::FaultPlan)s that drop, corrupt or delay
 //!   transfers, flap the replication link, lose heartbeats or down the
@@ -25,8 +26,7 @@
 //! - [`migrate`]: the seeding phase (iterative pre-copy live migration);
 //! - [`checkpoint`]: the continuous phase — the epoch loop;
 //! - [`pipeline`]: the staged checkpoint pipeline
-//!   (Pause → Harvest → Translate → Transfer → Ack → Resume) and the
-//!   pluggable [`ReplicationStrategy`](pipeline::ReplicationStrategy);
+//!   (Pause → Harvest → Translate → Transfer → Ack → Resume);
 //! - [`trace`]: the session's one ordered event log —
 //!   [`SessionEvent`](trace::SessionEvent)s, among them the
 //!   [`StageEvent`](trace::StageEvent) of every stage boundary;
@@ -99,13 +99,12 @@ pub use engine::{
 };
 pub use error::{CoreError, CoreResult};
 pub use failover::{
-    detection_time, detection_time_with_loss, CommitEntry, CommitLedger, FailoverRecord,
+    detection_time, detection_time_with_loss, Commit, CommitEntry, CommitLedger, FailoverRecord,
     ReplicaAcks, STARVATION_DETECTION_FACTOR,
 };
 pub use period::{
     degradation, ClampReason, DynamicPeriodManager, PeriodAction, PeriodDecision, PeriodManager,
 };
-pub use pipeline::{HereStrategy, RemusStrategy, ReplicationStrategy};
 pub use postmortem::{
     IncidentBundle, IncidentSnapshot, IncidentTrigger, ReplayOutcome, ScenarioSpec, WorkloadSpec,
     BUNDLE_VERSION,

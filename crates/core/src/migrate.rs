@@ -7,11 +7,11 @@
 //! iteration cap [`DEFAULT_MAX_MIGRATION_ITERATIONS`] forces the final
 //! stop-and-copy (Xen's values; nothing varies them).
 //!
-//! Strategy differences are behind
-//! [`ReplicationStrategy`](crate::pipeline::ReplicationStrategy): HERE
-//! pays a one-time thread-pool setup, and its per-vCPU migrator threads
-//! feed the problematic-page tracker so cross-thread pages are resent in
-//! the stop-and-copy; Remus does neither.
+//! Strategy differences are methods of
+//! [`Strategy`](crate::config::Strategy): HERE pays a one-time
+//! thread-pool setup, and its per-vCPU migrator threads feed the
+//! problematic-page tracker so cross-thread pages are resent in the
+//! stop-and-copy; Remus does neither.
 
 use here_sim_core::time::SimDuration;
 
@@ -45,7 +45,7 @@ fn emit_iteration(
 pub(crate) fn seed(session: &mut Session) -> CoreResult<MigrationOutcome> {
     session.enter_phase(SessionPhase::Seeding);
     let costs = session.cfg.costs;
-    let strategy = session.strategy;
+    let strategy = session.cfg.strategy;
     let mut iterations = Vec::new();
     let mut pages_sent = 0u64;
     let mut tracker = ProblematicTracker::new();

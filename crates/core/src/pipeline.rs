@@ -1,4 +1,4 @@
-//! The staged checkpoint pipeline and the pluggable replication strategy.
+//! The staged checkpoint pipeline.
 //!
 //! Continuous replication advances one checkpoint at a time through six
 //! explicit, typed stages (§3.2):
@@ -17,170 +17,32 @@
 //! *Harvest*, the constant `C` for *Translate*, the wire term for
 //! *Transfer*, and one replication-link RTT for *Ack*. The sum of the
 //! pause-counting stages therefore equals
-//! [`CostModel::checkpoint_pause`] exactly — stage attribution can never
-//! drift from the total.
+//! [`CostModel::checkpoint_pause`](crate::config::CostModel::checkpoint_pause)
+//! exactly — stage attribution can never drift from the total.
 //!
-//! Everything Remus and HERE do *differently* lives behind
-//! [`ReplicationStrategy`]: the secondary-host pairing, the transfer
-//! thread policy, the seeding setup cost, problematic-page tracking, and
-//! the per-checkpoint extra constant. The pipeline itself is
+//! *Ack* feeds each replica's ack to the
+//! [`CommitLedger`](crate::failover::CommitLedger); the quorum-th one
+//! mints the [`Commit`](crate::failover::Commit) the session spends to
+//! release output and move the delta base. The stages decide nothing
+//! about commit themselves.
+//!
+//! What Remus and HERE do differently (the secondary-host pairing, the
+//! thread count, the seeding setup cost, problematic-page tracking and
+//! the per-checkpoint extra constant) is a `match` in the methods of
+//! [`Strategy`](crate::config::Strategy); the pipeline itself is
 //! strategy-agnostic.
 
 use std::fmt;
 
-use here_hypervisor::host::Hypervisor;
-use here_hypervisor::kind::HypervisorKind;
-use here_hypervisor::{KvmHypervisor, XenHypervisor, PAGE_SIZE};
-use here_sim_core::rate::ByteSize;
+use here_hypervisor::PAGE_SIZE;
 use here_sim_core::time::SimDuration;
-use here_vmstate::translate::StateTranslator;
 use here_vmstate::wire::{PAGE_META_BYTES, VERSION_V3};
 use here_vmstate::MemoryDelta;
 
-use crate::config::{CostModel, Strategy};
 use crate::error::CoreResult;
 use crate::session::{EpochStreams, Session};
 use crate::trace::Stage;
-use crate::transfer::{collect_chunked_into, ProblematicTracker};
-
-/// The replication-scheme plug point: everything that distinguishes the
-/// Remus baseline from HERE, factored out of the engine.
-///
-/// The checkpoint pipeline, seeding migration and session setup call
-/// these hooks instead of matching on [`Strategy`], so adding a scheme
-/// means implementing this trait — not editing the engine.
-pub trait ReplicationStrategy: fmt::Debug + Sync {
-    /// Human-readable scheme name.
-    fn name(&self) -> &'static str;
-
-    /// The [`Strategy`] tag this implementation realises.
-    fn kind(&self) -> Strategy;
-
-    /// Builds the secondary host and, for heterogeneous pairs, the state
-    /// translator between the two hypervisors' native formats.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the translator cannot be constructed for the pairing.
-    fn make_secondary(
-        &self,
-        host_memory: ByteSize,
-    ) -> CoreResult<(Box<dyn Hypervisor>, Option<StateTranslator>)>;
-
-    /// The thread count the data plane will use for a VM with `vcpus`
-    /// vCPUs (`P` of the pause model is given by the VM, not configured).
-    fn effective_threads(&self, vcpus: u32) -> u32;
-
-    /// One-time cost paid before the seeding migration starts (HERE's
-    /// thread-pool and per-vCPU PML ring setup; zero for Remus).
-    fn migration_setup(&self, costs: &CostModel) -> SimDuration;
-
-    /// Feeds one pre-copy round's delta into the problematic-page tracker
-    /// (§7.2). Remus has a single migration stream, so nothing is ever
-    /// problematic; HERE records each page's sending thread.
-    fn track_problematic(&self, tracker: &mut ProblematicTracker, delta: &MemoryDelta);
-
-    /// Extra constant this scheme pays in the *Pause* stage of every
-    /// checkpoint (Remus re-enters its toolstack; HERE keeps a persistent
-    /// session).
-    fn pause_extra(&self, costs: &CostModel) -> SimDuration;
-}
-
-/// The Remus baseline: homogeneous Xen → Xen pair, single-threaded data
-/// plane, toolstack re-entry on every checkpoint.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RemusStrategy;
-
-impl ReplicationStrategy for RemusStrategy {
-    fn name(&self) -> &'static str {
-        "remus"
-    }
-
-    fn kind(&self) -> Strategy {
-        Strategy::Remus
-    }
-
-    fn make_secondary(
-        &self,
-        host_memory: ByteSize,
-    ) -> CoreResult<(Box<dyn Hypervisor>, Option<StateTranslator>)> {
-        Ok((Box::new(XenHypervisor::new(host_memory)), None))
-    }
-
-    fn effective_threads(&self, _vcpus: u32) -> u32 {
-        1
-    }
-
-    fn migration_setup(&self, _costs: &CostModel) -> SimDuration {
-        SimDuration::ZERO
-    }
-
-    fn track_problematic(&self, _tracker: &mut ProblematicTracker, _delta: &MemoryDelta) {}
-
-    fn pause_extra(&self, costs: &CostModel) -> SimDuration {
-        costs.remus_extra_const
-    }
-}
-
-/// HERE: heterogeneous Xen → KVM/kvmtool pair with state translation,
-/// per-vCPU seeding threads and round-robin chunk workers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HereStrategy;
-
-impl ReplicationStrategy for HereStrategy {
-    fn name(&self) -> &'static str {
-        "here"
-    }
-
-    fn kind(&self) -> Strategy {
-        Strategy::Here
-    }
-
-    fn make_secondary(
-        &self,
-        host_memory: ByteSize,
-    ) -> CoreResult<(Box<dyn Hypervisor>, Option<StateTranslator>)> {
-        Ok((
-            Box::new(KvmHypervisor::new(host_memory)),
-            Some(StateTranslator::new(
-                HypervisorKind::Xen,
-                HypervisorKind::Kvm,
-            )?),
-        ))
-    }
-
-    fn effective_threads(&self, vcpus: u32) -> u32 {
-        vcpus.max(1)
-    }
-
-    fn migration_setup(&self, costs: &CostModel) -> SimDuration {
-        costs.here_migration_setup
-    }
-
-    fn track_problematic(&self, tracker: &mut ProblematicTracker, delta: &MemoryDelta) {
-        // Per-vCPU migrator threads: pages are sent by the thread of the
-        // vCPU that last wrote them; pages that hop between threads across
-        // rounds become problematic (§7.2).
-        for &(page, rec) in delta.entries() {
-            tracker.record(page, rec.last_writer);
-        }
-    }
-
-    fn pause_extra(&self, _costs: &CostModel) -> SimDuration {
-        SimDuration::ZERO
-    }
-}
-
-static REMUS: RemusStrategy = RemusStrategy;
-static HERE: HereStrategy = HereStrategy;
-
-/// The runtime strategy object for a [`Strategy`] tag.
-pub fn runtime(strategy: Strategy) -> &'static dyn ReplicationStrategy {
-    match strategy {
-        Strategy::Remus => &REMUS,
-        Strategy::Here => &HERE,
-    }
-}
+use crate::transfer::collect_chunked_into;
 
 /// What one completed trip through the pipeline produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,7 +63,7 @@ pub(crate) fn begin(session: &mut Session) -> CoreResult<Paused<'_>> {
     session.chaos_primary_fault(seq, Stage::Pause)?;
     let paused_at = session.clock;
     session.primary.vm_mut(session.pvm)?.pause()?;
-    let extra = session.strategy.pause_extra(&session.cfg.costs);
+    let extra = session.cfg.strategy.pause_extra(&session.cfg.costs);
     session.record_stage(seq, Stage::Pause, paused_at, extra, None, 0, 0);
     session.clock += extra;
     Ok(Paused {
@@ -573,9 +435,10 @@ impl<'s> Transferred<'s> {
     /// *Ack*: every replica that applied the epoch acks it back across
     /// its link — one RTT on a star fan-out, the prefix of chain RTTs on
     /// chained replication. The stage lasts until the quorum-th ack
-    /// lands; that ack drives the commit (buffered output is released to
-    /// the client), and later acks are per-replica catch-up bookkeeping.
-    /// The acks overlap the resume path, so they do not count toward the
+    /// lands; the ledger turns that ack into the epoch's `Commit`, which
+    /// the session spends (buffered output is released to the client),
+    /// and later acks are per-replica catch-up bookkeeping. The acks
+    /// overlap the resume path, so they do not count toward the
     /// VM-visible pause.
     pub(crate) fn ack(self) -> Acked<'s> {
         let Transferred {
@@ -610,19 +473,10 @@ impl<'s> Transferred<'s> {
         let at = session.clock;
         session.record_stage(seq, Stage::Ack, at, stage, None, 0, 0);
         session.clock += stage;
-        let mut committed = false;
         for &(rtt, replica) in &arrivals {
             let acked_at = session.rel(at + rtt);
-            committed |= session.ack(replica, seq, acked_at);
-        }
-        if committed && session.wire_v3_active() {
-            // The epoch is now the delta base every side agrees on: the
-            // primary and each replica that applied it advance to it.
-            // Replicas that missed the epoch keep their old base and
-            // re-base from backlog at their next apply.
-            session.pools.committed_epoch = seq;
-            for &replica in &applied {
-                session.replicas.get_mut(replica).base_epoch = seq;
+            if let Some(commit) = session.ack(replica, seq, acked_at) {
+                session.on_commit(commit, &applied);
             }
         }
         session.update_staleness(seq);
@@ -676,20 +530,17 @@ opaque_debug!(Paused, Harvested, Translated, Transferred, Acked);
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn runtime_maps_tags_to_strategies() {
-        assert_eq!(runtime(Strategy::Remus).kind(), Strategy::Remus);
-        assert_eq!(runtime(Strategy::Here).kind(), Strategy::Here);
-        assert_eq!(runtime(Strategy::Remus).name(), "remus");
-        assert_eq!(runtime(Strategy::Here).name(), "here");
-    }
+    use crate::config::{CostModel, Strategy};
+    use crate::transfer::ProblematicTracker;
+    use here_hypervisor::kind::HypervisorKind;
+    use here_sim_core::rate::ByteSize;
+    use here_sim_core::time::SimDuration;
+    use here_vmstate::MemoryDelta;
 
     #[test]
     fn remus_is_single_threaded_and_pays_the_toolstack_tax() {
         let costs = CostModel::default();
-        let remus = runtime(Strategy::Remus);
+        let remus = Strategy::Remus;
         assert_eq!(remus.effective_threads(4), 1);
         assert_eq!(remus.pause_extra(&costs), costs.remus_extra_const);
         assert_eq!(remus.migration_setup(&costs), SimDuration::ZERO);
@@ -698,7 +549,7 @@ mod tests {
     #[test]
     fn here_scales_threads_with_vcpus() {
         let costs = CostModel::default();
-        let here = runtime(Strategy::Here);
+        let here = Strategy::Here;
         assert_eq!(here.effective_threads(4), 4);
         assert_eq!(here.effective_threads(0), 1);
         assert_eq!(here.pause_extra(&costs), SimDuration::ZERO);
@@ -707,12 +558,12 @@ mod tests {
 
     #[test]
     fn secondaries_pair_per_the_paper() {
-        let (remus_sec, remus_tr) = runtime(Strategy::Remus)
+        let (remus_sec, remus_tr) = Strategy::Remus
             .make_secondary(ByteSize::from_gib(16))
             .unwrap();
         assert_eq!(remus_sec.kind(), HypervisorKind::Xen);
         assert!(remus_tr.is_none());
-        let (here_sec, here_tr) = runtime(Strategy::Here)
+        let (here_sec, here_tr) = Strategy::Here
             .make_secondary(ByteSize::from_gib(16))
             .unwrap();
         assert_eq!(here_sec.kind(), HypervisorKind::Kvm);
@@ -740,15 +591,13 @@ mod tests {
             },
         );
         let mut tracker = ProblematicTracker::new();
-        let here = runtime(Strategy::Here);
-        here.track_problematic(&mut tracker, &delta);
-        here.track_problematic(&mut tracker, &delta2);
+        Strategy::Here.track_problematic(&mut tracker, &delta);
+        Strategy::Here.track_problematic(&mut tracker, &delta2);
         assert_eq!(tracker.len(), 1);
 
         let mut tracker = ProblematicTracker::new();
-        let remus = runtime(Strategy::Remus);
-        remus.track_problematic(&mut tracker, &delta);
-        remus.track_problematic(&mut tracker, &delta2);
+        Strategy::Remus.track_problematic(&mut tracker, &delta);
+        Strategy::Remus.track_problematic(&mut tracker, &delta2);
         assert!(tracker.is_empty());
     }
 }

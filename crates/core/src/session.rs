@@ -49,9 +49,8 @@ use crate::dataplane::{
 };
 use crate::devmgr::DeviceManager;
 use crate::error::{CoreError, CoreResult};
-use crate::failover::{detection_time_with_loss, CommitLedger, FailoverRecord};
+use crate::failover::{detection_time_with_loss, Commit, CommitLedger, FailoverRecord};
 use crate::period::PeriodManager;
-use crate::pipeline::ReplicationStrategy;
 use crate::report::CheckpointRecord;
 use crate::telemetry::Planes;
 use crate::topology::{make_replica_hosts, Replica, ReplicaSet};
@@ -167,7 +166,6 @@ pub(crate) struct Session {
     /// replica carries its own failover translator.
     pub(crate) translator: Option<StateTranslator>,
     pub(crate) cfg: ReplicationConfig,
-    pub(crate) strategy: &'static dyn ReplicationStrategy,
     pub(crate) threads: u32,
     /// Helper threads the Transfer fan-out's phase 1 runs on beside the
     /// calling thread: `min(threads, replicas) − 1`, so a Remus pair
@@ -190,7 +188,8 @@ pub(crate) struct Session {
     pub(crate) chaos: Option<ChaosState>,
     // accounting
     pub(crate) seq: u64,
-    /// Fully-acked epochs; failover activation reads its tail.
+    /// Fully-acked epochs: mints each `Commit` and the failover's
+    /// `Activation`.
     pub(crate) ledger: CommitLedger,
     pub(crate) ops_committed: f64,
     pub(crate) ops_uncommitted: f64,
@@ -227,13 +226,12 @@ impl Session {
             verify_consistency,
             chaos,
         } = setup;
-        let strategy = crate::pipeline::runtime(cfg.strategy);
 
         // Hosts: HERE pairs Xen with KVM/kvmtool; Remus pairs Xen with Xen.
         // Beyond replica 0 the topology alternates families (HERE) or
         // stays homogeneous (Remus).
         let mut primary: Box<dyn Hypervisor> = Box::new(XenHypervisor::new(HOST_MEMORY));
-        let hosts = make_replica_hosts(strategy, HOST_MEMORY, cfg.topology.replicas.max(1))?;
+        let hosts = make_replica_hosts(cfg.strategy, HOST_MEMORY, cfg.topology.replicas.max(1))?;
         // The encode side always translates to the common format keyed by
         // the canonical secondary; each replica re-encodes natively.
         let translator = hosts[0].1;
@@ -303,7 +301,6 @@ impl Session {
             pool_rounds_seen: 0,
             latencies: Histogram::new(),
             cfg,
-            strategy,
         })
     }
 
@@ -406,7 +403,8 @@ impl Session {
             for emission in progress.emissions {
                 let at = slice_start + emission.offset;
                 if self.buffering {
-                    self.devmgr.buffer_outgoing(emission.size, at);
+                    // Output of the running epoch: the next checkpoint's.
+                    self.devmgr.buffer_outgoing(emission.size, at, self.seq + 1);
                 } else {
                     let latency =
                         self.client_link.transfer_time(emission.size) * 2 + CLIENT_STACK_OVERHEAD;
@@ -775,29 +773,24 @@ impl Session {
         }
     }
 
-    /// Records replica `replica`'s ack of epoch `seq` and, when it is the
-    /// quorum-th, commits the epoch. Returns whether it committed.
-    pub(crate) fn ack(&mut self, replica: u32, seq: u64, at: SimTime) -> bool {
+    /// Records replica `replica`'s ack of epoch `seq`; returns the
+    /// ledger's [`Commit`] when it is the quorum-th.
+    pub(crate) fn ack(&mut self, replica: u32, seq: u64, at: SimTime) -> Option<Commit> {
         self.emit(SessionEvent::Ack { replica, seq, at });
-        let committed = self.ledger.ack(replica, seq, at);
-        if committed {
-            let entry = *self.ledger.entries().last().expect("ack just committed");
-            self.emit(SessionEvent::Commit {
-                seq: entry.seq,
-                at: entry.at,
-            });
-            self.on_epoch_committed();
-        }
-        committed
+        self.ledger.ack(replica, seq, at)
     }
 
-    /// Runs the commit side effects once the ledger declared an epoch
-    /// committed (a quorum of replicas fully applied it): releases
-    /// buffered output at the commit instant and records client
-    /// latencies. The ledger entry itself is appended by
-    /// [`CommitLedger::ack`] as the quorum-th ack lands.
-    fn on_epoch_committed(&mut self) {
-        for released in self.devmgr.on_commit(self.clock) {
+    /// Spends `commit`, the one place commit side effects run: releases
+    /// the output of every epoch up to the committed one at the session
+    /// clock and records client latencies, counts the operations done so
+    /// far as committed and, under v3, makes the epoch the delta base the
+    /// primary and each replica in `applied` agree on (replicas that
+    /// missed it keep their old base and re-base from backlog at their
+    /// next apply).
+    pub(crate) fn on_commit(&mut self, commit: Commit, applied: &[u32]) {
+        let (seq, at) = (commit.seq(), commit.at());
+        self.emit(SessionEvent::Commit { seq, at });
+        for released in self.devmgr.release(commit, self.clock) {
             let latency = released.buffering_delay()
                 + self.client_link.transfer_time(released.packet.size) * 2
                 + CLIENT_STACK_OVERHEAD;
@@ -805,15 +798,22 @@ impl Session {
         }
         self.ops_committed += self.ops_uncommitted;
         self.ops_uncommitted = 0.0;
+        if self.wire_v3_active() {
+            self.pools.committed_epoch = seq;
+            for &replica in applied {
+                self.replicas.get_mut(replica).base_epoch = seq;
+            }
+        }
         self.emit_packets();
     }
 
-    /// Emits the device manager's cumulative packet counters.
+    /// Emits the I/O buffer's packet counts.
     fn emit_packets(&mut self) {
+        let io = self.devmgr.io();
         self.emit(SessionEvent::Packets {
-            buffered: self.devmgr.packets_buffered(),
-            released: self.devmgr.packets_released(),
-            discarded: self.devmgr.packets_discarded(),
+            buffered: io.total_buffered(),
+            released: io.total_released(),
+            discarded: io.total_discarded(),
         });
     }
 
@@ -859,7 +859,9 @@ impl Session {
         let observations = (0..self.replicas.len() as u32)
             .map(|replica| HealthObservation {
                 replica,
-                ack_mark: self.ledger.last_acked(replica).unwrap_or(0),
+                ack_mark: self.ledger.ack_trails()[replica as usize]
+                    .last()
+                    .map_or(0, |e| e.seq),
                 lag_epochs: self.ledger.lag_of(replica, record.seq),
                 backlog_pages: self.replicas.get(replica).backlog_pages(),
                 retries: 0, // counted by the health fold from the retry events
@@ -1055,10 +1057,14 @@ impl Session {
 
         // Activate the replica holding the freshest *committed* state —
         // the ledger tracks per-replica acks, so a stale or partitioned
-        // replica can never win over one that kept up. The set's
-        // activation latch asserts at most one replica ever activates.
-        let best = self.ledger.best_replica();
-        self.replicas.activate(best);
+        // replica can never win over one that kept up, and it mints at
+        // most one activation. It resumes from the last *fully-acked*
+        // epoch: an in-flight or aborted epoch (whose seq is already
+        // bumped) never entered the ledger.
+        let activation = self.ledger.activate();
+        let (activated_replica, resumed_from_checkpoint) =
+            (activation.replica(), activation.resumed_from());
+        self.replicas.activate(activation);
         let (switch, activation, family_kind) = {
             let member = self.replicas.active_mut();
             let translator = member.translator;
@@ -1078,11 +1084,8 @@ impl Session {
             failed_at: self.rel(failed_at),
             detected_at: self.rel(detected_at),
             resumed_at: self.rel(self.clock),
-            // Activation provably uses the last *fully-acked* epoch: the
-            // ledger is appended only at Ack, so an in-flight or aborted
-            // epoch (whose seq is already bumped) can never appear here.
-            resumed_from_checkpoint: self.ledger.last_committed().unwrap_or(0),
-            activated_replica: best,
+            resumed_from_checkpoint,
+            activated_replica,
             packets_lost: switch.packets_discarded,
             ops_lost,
             devices_switched: switch.devices_switched,

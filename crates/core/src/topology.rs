@@ -6,8 +6,9 @@
 //! Transfer stage fans each encoded epoch out across the set (star or
 //! chained, per [`FanoutMode`](crate::config::FanoutMode)), the
 //! [`CommitLedger`](crate::failover::CommitLedger) commits an epoch once a
-//! quorum of replicas acked it, and failover activates the replica
-//! holding the most recent applied state. A `ReplicaSet` of one replica
+//! quorum of replicas acked it, and failover activates the replica the
+//! ledger's one-shot activation names: the one holding the most recent
+//! applied state. A `ReplicaSet` of one replica
 //! is exactly the paper's 1→1 pair: replica 0 is always the strategy's
 //! canonical secondary.
 //!
@@ -27,8 +28,9 @@ use here_simnet::link::Link;
 use here_vmstate::translate::StateTranslator;
 use here_vmstate::MemoryDelta;
 
+use crate::config::Strategy;
 use crate::error::CoreResult;
-use crate::pipeline::ReplicationStrategy;
+use crate::failover::Activation;
 
 /// One replica of the protected VM: its host hypervisor, the never-run
 /// VM shell, the failover state translator for its family, its own
@@ -108,12 +110,12 @@ impl Replica {
     }
 }
 
-/// The set of replicas a session protects the primary with, plus the
-/// activation latch failover uses.
+/// The set of replicas a session protects the primary with, and which of
+/// them failover activated.
 ///
-/// The latch is the no-split-brain guard: [`ReplicaSet::activate`]
-/// asserts no replica activated before, so two replicas can never both
-/// take over the service.
+/// `ReplicaSet::activate` takes the ledger's one-shot activation, which
+/// the ledger mints at most once: two replicas can never both take over
+/// the service.
 #[derive(Debug)]
 pub struct ReplicaSet {
     replicas: Vec<Replica>,
@@ -163,18 +165,9 @@ impl ReplicaSet {
         self.replicas.iter_mut()
     }
 
-    /// Latches replica `index` as the activated one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any replica already activated — the no-split-brain
-    /// invariant: at most one replica ever takes over the service.
-    pub(crate) fn activate(&mut self, index: u32) {
-        assert!(
-            self.activated.is_none(),
-            "split-brain: replica {index} activating but replica {} already active",
-            self.activated.expect("checked some")
-        );
+    /// Activates the replica `activation` names.
+    pub(crate) fn activate(&mut self, activation: Activation) {
+        let index = activation.replica();
         assert!((index as usize) < self.replicas.len());
         self.activated = Some(index);
     }
@@ -201,7 +194,7 @@ pub(crate) type ReplicaHost = (Box<dyn Hypervisor>, Option<StateTranslator>);
 /// strategy stays all-Xen. Returns each host with its failover
 /// translator.
 pub(crate) fn make_replica_hosts(
-    strategy: &dyn ReplicationStrategy,
+    strategy: Strategy,
     host_memory: ByteSize,
     replicas: u32,
 ) -> CoreResult<Vec<ReplicaHost>> {
@@ -226,12 +219,12 @@ pub(crate) fn make_replica_hosts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Strategy;
-    use crate::pipeline::runtime;
+    use crate::failover::CommitLedger;
     use here_hypervisor::vm::VmConfig;
+    use here_sim_core::time::SimTime;
 
     fn tiny_set(n: u32) -> ReplicaSet {
-        let hosts = make_replica_hosts(runtime(Strategy::Here), ByteSize::from_gib(16), n).unwrap();
+        let hosts = make_replica_hosts(Strategy::Here, ByteSize::from_gib(16), n).unwrap();
         let replicas = hosts
             .into_iter()
             .enumerate()
@@ -266,8 +259,7 @@ mod tests {
 
     #[test]
     fn remus_sets_stay_homogeneous() {
-        let hosts =
-            make_replica_hosts(runtime(Strategy::Remus), ByteSize::from_gib(16), 3).unwrap();
+        let hosts = make_replica_hosts(Strategy::Remus, ByteSize::from_gib(16), 3).unwrap();
         for (host, translator) in &hosts {
             assert_eq!(host.kind(), HypervisorKind::Xen);
             assert!(translator.is_none());
@@ -278,16 +270,10 @@ mod tests {
     fn activation_latches_exactly_once() {
         let mut set = tiny_set(3);
         assert_eq!(set.activated(), None);
-        set.activate(1);
+        let mut ledger = CommitLedger::with_quorum(3, 2);
+        let _ = ledger.ack(1, 1, SimTime::from_secs(1));
+        set.activate(ledger.activate());
         assert_eq!(set.activated(), Some(1));
         assert_eq!(set.active_mut().index(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "split-brain")]
-    fn double_activation_is_a_split_brain_panic() {
-        let mut set = tiny_set(2);
-        set.activate(0);
-        set.activate(1);
     }
 }

@@ -165,15 +165,17 @@ pub enum SessionEvent {
         at: SimTime,
     },
     /// An ack completed the quorum: epoch `seq` is committed and its
-    /// buffered output released.
+    /// buffered output released. Plain data copied from the ledger's
+    /// [`Commit`](crate::failover::Commit): events are `Clone`, so the
+    /// token itself never rides in the log.
     Commit {
         /// The committed epoch.
         seq: u64,
         /// The commit instant (the quorum-th ack's arrival).
         at: SimTime,
     },
-    /// The device manager's cumulative packet counters, sampled after a
-    /// commit and after a failover's rollback.
+    /// The I/O buffer's packet counts since the measurement window opened,
+    /// sampled after a commit and after a failover's rollback.
     Packets {
         /// Packets held back for commit so far.
         buffered: u64,

@@ -15,17 +15,29 @@ use here_core::{
 };
 use here_hypervisor::fault::DosOutcome;
 use here_sim_core::time::SimDuration;
+use here_telemetry::MetricValue;
 use here_workloads::memstress::MemStress;
+use here_workloads::sockperf::{Sockperf, SockperfLoad};
+use here_workloads::traits::Workload;
 use proptest::prelude::*;
 
 /// A small replicated VM under memory pressure, with the given fault plan
 /// armed and replica/primary equality verified at every commit.
 fn chaos_run(run_seed: u64, plan: FaultPlan) -> RunReport {
+    chaos_run_with(
+        Box::new(MemStress::with_percent(30).with_rate(20_000)),
+        run_seed,
+        plan,
+    )
+}
+
+/// [`chaos_run`] with another guest workload.
+fn chaos_run_with(workload: Box<dyn Workload>, run_seed: u64, plan: FaultPlan) -> RunReport {
     Scenario::builder()
         .name("chaos")
         .vm_memory_mib(64)
         .vcpus(4)
-        .workload(Box::new(MemStress::with_percent(30).with_rate(20_000)))
+        .workload(workload)
         .config(ReplicationConfig::fixed_period(SimDuration::from_secs(2)))
         .duration(SimDuration::from_secs(30))
         .seed(run_seed)
@@ -158,6 +170,53 @@ fn nothing_observed_during_warmup_survives_into_the_measured_report() {
     assert_eq!(report.spans.first().expect("spans").id.get(), 0);
 }
 
+#[test]
+fn warmup_packets_and_pool_reclaims_are_not_counted_in_the_measured_window() {
+    // Sockperf emits replies in every epoch, warmup included. The packet
+    // counters and the encode pool's reclaim counters must start over
+    // with the ledger when warmup closes: the measured window counts the
+    // packets whose latency it measured, and the reclaims of its own
+    // checkpoints.
+    let run = |warmup: Option<SimDuration>| {
+        let mut builder = Scenario::builder()
+            .vm_memory_mib(256)
+            .vcpus(2)
+            .workload(Box::new(Sockperf::new(SockperfLoad::A)))
+            .config(ReplicationConfig::fixed_period(SimDuration::from_secs(1)))
+            .duration(SimDuration::from_secs(10));
+        if let Some(warmup) = warmup {
+            builder = builder.warmup_under_load(warmup);
+        }
+        builder.build().expect("valid scenario").run()
+    };
+    let counter = |report: &RunReport, name: &str| {
+        let telemetry = report.telemetry.as_ref().expect("telemetry is always on");
+        match telemetry.registry.find(name).expect(name).value {
+            MetricValue::Counter(v) => v,
+            ref other => panic!("{name} is not a counter: {other:?}"),
+        }
+    };
+    let cold = run(None);
+    let warm = run(Some(SimDuration::from_secs(10)));
+    let released = counter(&warm, "here_packets_released_total");
+    assert_eq!(released, warm.packet_latencies.count() as u64);
+    assert_eq!(counter(&warm, "here_packets_buffered_total"), released);
+    assert_eq!(counter(&warm, "here_packets_discarded_total"), 0);
+    // The measured checkpoints draw on a pool the warmup filled: every
+    // checkout hits, and there are no more of them than the cold run
+    // made, seeding included.
+    let checkouts = |r: &RunReport| {
+        counter(r, "here_pool_reclaim_hits_total") + counter(r, "here_pool_reclaim_misses_total")
+    };
+    assert_eq!(counter(&warm, "here_pool_reclaim_misses_total"), 0);
+    assert!(
+        checkouts(&warm) <= checkouts(&cold),
+        "{} checkouts in the measured window, {} in the whole cold run",
+        checkouts(&warm),
+        checkouts(&cold)
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -196,64 +255,107 @@ proptest! {
 
     /// No silent failure: every retry, recovery, abort and injected fault
     /// the run counted is in the event log exactly once, a primary downed
-    /// mid-epoch leaves one fault event and one failover event, and no
-    /// epoch commits before a quorum of replicas acknowledged it.
+    /// mid-epoch leaves one fault event and one failover event, no epoch
+    /// commits before a quorum of replicas acknowledged it, and no output
+    /// leaves except at a commit. Both guests run the plan: the memory
+    /// stress and a Sockperf guest, whose replies fill the output buffer.
     #[test]
     fn every_error_and_abort_path_leaves_exactly_one_event(
         plan_seed in 0u64..(1u64 << 48),
         run_seed in 0u64..(1u64 << 48),
     ) {
-        let report = chaos_run(run_seed, FaultPlan::generate(plan_seed, 12));
-        let stats = report.chaos.expect("plan armed");
-        let count = |pick: fn(&SessionEvent) -> bool| {
-            report.events.iter().filter(|e| pick(e)).count() as u64
-        };
-        prop_assert_eq!(
-            count(|e| matches!(e, SessionEvent::TransferRetry { .. })),
-            stats.transfer_retries
+        let plan = FaultPlan::generate(plan_seed, 12);
+        let replying = chaos_run_with(
+            Box::new(Sockperf::new(SockperfLoad::A)),
+            run_seed,
+            plan.clone(),
         );
-        prop_assert_eq!(
-            count(|e| matches!(e, SessionEvent::TransferRecovery { .. })),
-            stats.transfer_recoveries
-        );
-        prop_assert_eq!(
-            count(|e| matches!(e, SessionEvent::EpochAbort { .. })),
-            stats.epochs_aborted
-        );
-        prop_assert_eq!(
-            count(|e| matches!(e, SessionEvent::Fault { .. })),
-            stats.faults_injected
-        );
-        // `InjectedPrimaryFault` is the only way this run fails over.
-        let failovers = u64::from(report.failover.is_some());
-        prop_assert_eq!(
-            count(|e| matches!(
-                e,
-                SessionEvent::Fault { site: FaultSite::PrimaryAtStage { .. }, host_down: true, .. }
-            )),
-            failovers
-        );
-        prop_assert_eq!(count(|e| matches!(e, SessionEvent::Failover { .. })), failovers);
-        prop_assert_eq!(count(|e| matches!(e, SessionEvent::RunEnd { .. })), 1);
-        prop_assert!(matches!(report.events.last(), Some(SessionEvent::RunEnd { .. })));
+        prop_assert!(replying.packet_latencies.count() > 0);
+        for report in [chaos_run(run_seed, plan), replying] {
+            let stats = report.chaos.expect("plan armed");
+            let count = |pick: fn(&SessionEvent) -> bool| {
+                report.events.iter().filter(|e| pick(e)).count() as u64
+            };
+            prop_assert_eq!(
+                count(|e| matches!(e, SessionEvent::TransferRetry { .. })),
+                stats.transfer_retries
+            );
+            prop_assert_eq!(
+                count(|e| matches!(e, SessionEvent::TransferRecovery { .. })),
+                stats.transfer_recoveries
+            );
+            prop_assert_eq!(
+                count(|e| matches!(e, SessionEvent::EpochAbort { .. })),
+                stats.epochs_aborted
+            );
+            prop_assert_eq!(
+                count(|e| matches!(e, SessionEvent::Fault { .. })),
+                stats.faults_injected
+            );
+            // `InjectedPrimaryFault` is the only way this run fails over.
+            let failovers = u64::from(report.failover.is_some());
+            prop_assert_eq!(
+                count(|e| matches!(
+                    e,
+                    SessionEvent::Fault {
+                        site: FaultSite::PrimaryAtStage { .. },
+                        host_down: true,
+                        ..
+                    }
+                )),
+                failovers
+            );
+            prop_assert_eq!(count(|e| matches!(e, SessionEvent::Failover { .. })), failovers);
+            prop_assert_eq!(count(|e| matches!(e, SessionEvent::RunEnd { .. })), 1);
+            prop_assert!(matches!(report.events.last(), Some(SessionEvent::RunEnd { .. })));
 
-        let mut commits = Vec::new();
-        for (i, event) in report.events.iter().enumerate() {
-            let SessionEvent::Commit { seq, at } = *event else { continue };
-            let acks = report.events[..i]
-                .iter()
-                .filter(|e| matches!(e, SessionEvent::Ack { seq: acked, .. } if *acked == seq))
-                .count();
-            prop_assert!(acks >= 1, "epoch {} committed on {} acks (quorum 1)", seq, acks);
-            commits.push(CommitEntry { seq, at });
+            let mut commits = Vec::new();
+            for (i, event) in report.events.iter().enumerate() {
+                let SessionEvent::Commit { seq, at } = *event else { continue };
+                let acks = report.events[..i]
+                    .iter()
+                    .filter(|e| matches!(e, SessionEvent::Ack { seq: acked, .. } if *acked == seq))
+                    .count();
+                prop_assert!(acks >= 1, "epoch {} committed on {} acks (quorum 1)", seq, acks);
+                commits.push(CommitEntry { seq, at });
+            }
+            prop_assert_eq!(commits, report.commits.clone());
+            // Output leaves only at a commit: the released count rises only at
+            // the `Packets` event directly after the `Commit` of an epoch that
+            // did not abort, so never after an `EpochAbort` (or a failover's
+            // rollback).
+            let mut released_so_far = 0;
+            let mut aborted = Vec::new();
+            let mut previous: Option<&SessionEvent> = None;
+            for event in &report.events {
+                match *event {
+                    SessionEvent::EpochAbort { seq, .. } => aborted.push(seq),
+                    SessionEvent::Packets { released, .. } => {
+                        prop_assert!(released >= released_so_far);
+                        if released > released_so_far {
+                            let committed = match previous {
+                                Some(SessionEvent::Commit { seq, .. }) => Some(*seq),
+                                _ => None,
+                            };
+                            prop_assert!(
+                                committed.is_some_and(|seq| !aborted.contains(&seq)),
+                                "output released after {:?}",
+                                previous
+                            );
+                        }
+                        released_so_far = released;
+                    }
+                    _ => {}
+                }
+                previous = Some(event);
+            }
+            // And the planes are a fold of that log.
+            let cfg = ReplicationConfig::fixed_period(SimDuration::from_secs(2));
+            let (telemetry, spans, incident) = here_core::telemetry::fold(&cfg, &report.events);
+            prop_assert_eq!(Some(telemetry), report.telemetry.clone());
+            prop_assert_eq!(spans, report.spans.clone());
+            prop_assert_eq!(incident, report.incident.clone());
         }
-        prop_assert_eq!(commits, report.commits.clone());
-        // And the planes are a fold of that log.
-        let cfg = ReplicationConfig::fixed_period(SimDuration::from_secs(2));
-        let (telemetry, spans, incident) = here_core::telemetry::fold(&cfg, &report.events);
-        prop_assert_eq!(Some(telemetry), report.telemetry.clone());
-        prop_assert_eq!(spans, report.spans.clone());
-        prop_assert_eq!(incident, report.incident.clone());
     }
 
     /// Determinism: the same (plan seed, run seed) pair replays to an

@@ -25,6 +25,9 @@ pub struct Packet {
     pub size: ByteSize,
     /// When the guest emitted the packet.
     pub created_at: SimTime,
+    /// The epoch the guest emitted it in: the checkpoint whose commit
+    /// releases it.
+    pub epoch: u64,
 }
 
 /// A packet after release, annotated with the buffering delay it suffered.
@@ -54,10 +57,13 @@ impl ReleasedPacket {
 /// use here_sim_core::time::{SimDuration, SimTime};
 ///
 /// let mut buf = IoBuffer::new();
-/// buf.enqueue(ByteSize::from_bytes(1400), SimTime::from_secs(1));
-/// let released = buf.release_all(SimTime::from_secs(4));
+/// buf.enqueue(ByteSize::from_bytes(1400), SimTime::from_secs(1), 1);
+/// buf.enqueue(ByteSize::from_bytes(1400), SimTime::from_secs(3), 2);
+/// // Epoch 1 commits: only its packet leaves.
+/// let released = buf.release_through(1, SimTime::from_secs(4));
 /// assert_eq!(released.len(), 1);
 /// assert_eq!(released[0].buffering_delay(), SimDuration::from_secs(3));
+/// assert_eq!(buf.len(), 1);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct IoBuffer {
@@ -75,14 +81,25 @@ impl IoBuffer {
         IoBuffer::default()
     }
 
-    /// Buffers one outgoing packet; returns its id.
-    pub fn enqueue(&mut self, size: ByteSize, now: SimTime) -> u64 {
+    /// Buffers one outgoing packet emitted at `now` during `epoch`;
+    /// returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epoch` is older than the last buffered packet's: epochs
+    /// only move forward.
+    pub fn enqueue(&mut self, size: ByteSize, now: SimTime, epoch: u64) -> u64 {
+        assert!(
+            self.pending.last().is_none_or(|p| p.epoch <= epoch),
+            "packet of epoch {epoch} buffered after a later epoch's"
+        );
         let id = self.next_id;
         self.next_id += 1;
         self.pending.push(Packet {
             id,
             size,
             created_at: now,
+            epoch,
         });
         self.buffered_bytes += size;
         if self.buffered_bytes > self.high_watermark {
@@ -111,28 +128,46 @@ impl IoBuffer {
         self.high_watermark
     }
 
-    /// Lifetime count of packets released to clients.
+    /// Packets buffered since the counts were last reset: every one was
+    /// released, discarded, or is still held.
+    pub fn total_buffered(&self) -> u64 {
+        self.total_released + self.total_discarded + self.pending.len() as u64
+    }
+
+    /// Packets released to clients since the counts were last reset.
     pub fn total_released(&self) -> u64 {
         self.total_released
     }
 
-    /// Lifetime count of packets discarded by failovers.
+    /// Packets discarded by failovers since the counts were last reset.
     pub fn total_discarded(&self) -> u64 {
         self.total_discarded
     }
 
-    /// Checkpoint commit: every buffered packet is released to the outside
-    /// world at instant `now`, in emission order.
-    pub fn release_all(&mut self, now: SimTime) -> Vec<ReleasedPacket> {
-        self.buffered_bytes = ByteSize::ZERO;
-        self.total_released += self.pending.len() as u64;
-        std::mem::take(&mut self.pending)
-            .into_iter()
+    /// Zeroes the released and discarded counts (a new measurement
+    /// window); packets still held count as buffered in it.
+    pub fn reset_totals(&mut self) {
+        self.total_released = 0;
+        self.total_discarded = 0;
+    }
+
+    /// Checkpoint commit of `epoch`: every buffered packet emitted in
+    /// that epoch or an earlier one is released to the outside world at
+    /// instant `now`, in emission order. Later epochs' packets stay held.
+    pub fn release_through(&mut self, epoch: u64, now: SimTime) -> Vec<ReleasedPacket> {
+        let n = self.pending.partition_point(|p| p.epoch <= epoch);
+        self.total_released += n as u64;
+        let released: Vec<ReleasedPacket> = self
+            .pending
+            .drain(..n)
             .map(|packet| ReleasedPacket {
                 packet,
                 released_at: now,
             })
-            .collect()
+            .collect();
+        let bytes: u64 = released.iter().map(|r| r.packet.size.as_bytes()).sum();
+        self.buffered_bytes = ByteSize::from_bytes(self.buffered_bytes.as_bytes() - bytes);
+        released
     }
 
     /// Primary failure: buffered packets are discarded — the execution they
@@ -154,10 +189,10 @@ mod tests {
     #[test]
     fn release_preserves_emission_order_and_counts_delay() {
         let mut buf = IoBuffer::new();
-        buf.enqueue(ByteSize::from_bytes(100), SimTime::from_secs(1));
-        buf.enqueue(ByteSize::from_bytes(200), SimTime::from_secs(2));
+        buf.enqueue(ByteSize::from_bytes(100), SimTime::from_secs(1), 1);
+        buf.enqueue(ByteSize::from_bytes(200), SimTime::from_secs(2), 1);
         assert_eq!(buf.buffered_bytes(), ByteSize::from_bytes(300));
-        let out = buf.release_all(SimTime::from_secs(5));
+        let out = buf.release_through(1, SimTime::from_secs(5));
         assert_eq!(out.len(), 2);
         assert!(out[0].packet.id < out[1].packet.id);
         assert_eq!(out[0].buffering_delay(), SimDuration::from_secs(4));
@@ -165,35 +200,52 @@ mod tests {
         assert!(buf.is_empty());
         assert_eq!(buf.buffered_bytes(), ByteSize::ZERO);
         assert_eq!(buf.total_released(), 2);
+        assert_eq!(buf.total_buffered(), 2);
+    }
+
+    #[test]
+    fn release_holds_packets_of_later_epochs() {
+        let mut buf = IoBuffer::new();
+        buf.enqueue(ByteSize::from_bytes(100), SimTime::ZERO, 3);
+        buf.enqueue(ByteSize::from_bytes(200), SimTime::ZERO, 4);
+        assert!(buf.release_through(2, SimTime::ZERO).is_empty());
+        let out = buf.release_through(3, SimTime::ZERO);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].packet.epoch, 3);
+        assert_eq!(buf.len(), 1);
+        assert_eq!(buf.buffered_bytes(), ByteSize::from_bytes(200));
+        assert_eq!(buf.total_buffered(), 2);
     }
 
     #[test]
     fn discard_loses_uncommitted_output() {
         let mut buf = IoBuffer::new();
         for _ in 0..5 {
-            buf.enqueue(ByteSize::from_bytes(64), SimTime::ZERO);
+            buf.enqueue(ByteSize::from_bytes(64), SimTime::ZERO, 1);
         }
         assert_eq!(buf.discard_all(), 5);
         assert!(buf.is_empty());
         assert_eq!(buf.total_discarded(), 5);
         assert_eq!(buf.total_released(), 0);
+        buf.reset_totals();
+        assert_eq!(buf.total_buffered(), 0);
     }
 
     #[test]
     fn high_watermark_tracks_peak_backlog() {
         let mut buf = IoBuffer::new();
-        buf.enqueue(ByteSize::from_kib(10), SimTime::ZERO);
-        buf.release_all(SimTime::ZERO);
-        buf.enqueue(ByteSize::from_kib(4), SimTime::ZERO);
+        buf.enqueue(ByteSize::from_kib(10), SimTime::ZERO, 1);
+        buf.release_through(1, SimTime::ZERO);
+        buf.enqueue(ByteSize::from_kib(4), SimTime::ZERO, 2);
         assert_eq!(buf.high_watermark(), ByteSize::from_kib(10));
     }
 
     #[test]
     fn packet_ids_are_unique_and_monotonic() {
         let mut buf = IoBuffer::new();
-        let a = buf.enqueue(ByteSize::from_bytes(1), SimTime::ZERO);
-        buf.release_all(SimTime::ZERO);
-        let b = buf.enqueue(ByteSize::from_bytes(1), SimTime::ZERO);
+        let a = buf.enqueue(ByteSize::from_bytes(1), SimTime::ZERO, 1);
+        buf.release_through(1, SimTime::ZERO);
+        let b = buf.enqueue(ByteSize::from_bytes(1), SimTime::ZERO, 2);
         assert!(b > a);
     }
 }

@@ -18,9 +18,10 @@
 //!
 //! let repl_link = Link::omni_path_100g();
 //! let mut io = IoBuffer::new();
-//! io.enqueue(ByteSize::from_bytes(1400), SimTime::ZERO);
-//! // ... checkpoint copies state over repl_link, then commits:
-//! let released = io.release_all(SimTime::from_secs(3));
+//! // The guest emits a reply during epoch 1 ...
+//! io.enqueue(ByteSize::from_bytes(1400), SimTime::ZERO, 1);
+//! // ... checkpoint 1 copies state over repl_link, then commits:
+//! let released = io.release_through(1, SimTime::from_secs(3));
 //! assert_eq!(released.len(), 1);
 //! ```
 

@@ -358,11 +358,15 @@ proptest! {
         for &(r_seed, seq) in &acks {
             let replica = r_seed % n;
             at += 1;
-            if ledger.ack(replica, seq, SimTime::from_secs(at)) {
-                let s = ledger.last_committed().expect("ack returned true");
+            let mark = |ledger: &CommitLedger, r: u32| {
+                ledger.ack_trails()[r as usize].last().map(|e| e.seq)
+            };
+            if let Some(commit) = ledger.ack(replica, seq, SimTime::from_secs(at)) {
+                let s = commit.seq();
+                prop_assert_eq!(ledger.last_committed(), Some(s));
                 // The commit is supported by a full quorum of ack marks.
                 let support = (0..n)
-                    .filter(|&r| ledger.last_acked(r).is_some_and(|a| a >= s))
+                    .filter(|&r| mark(&ledger, r).is_some_and(|a| a >= s))
                     .count();
                 prop_assert!(
                     support >= quorum as usize,
@@ -375,7 +379,7 @@ proptest! {
             if let Some(watermark) = ledger.last_committed() {
                 let best = ledger.best_replica();
                 prop_assert!(
-                    ledger.last_acked(best).is_some_and(|a| a >= watermark),
+                    mark(&ledger, best).is_some_and(|a| a >= watermark),
                     "best replica {best} is behind the watermark {watermark}"
                 );
             }
@@ -412,8 +416,8 @@ proptest! {
 /// replica 2's link is cut for the whole retry budget of epoch 4, so its
 /// last ack trails the quorum when the primary crashes mid-transfer of
 /// epoch 5 — the engine must activate one of the up-to-date majority
-/// replicas, and the split-brain latch in `ReplicaSet::activate` would
-/// panic the run if a second activation were ever attempted.
+/// replicas, and the ledger's one-shot `Activation` would panic the run
+/// if a second activation were ever attempted.
 #[test]
 fn partitioned_minority_never_activates() {
     let plan = FaultPlan::new(7).with_partition(4, &[2], 4).with_event(
