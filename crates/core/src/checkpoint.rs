@@ -634,6 +634,30 @@ mod tests {
     }
 
     #[test]
+    fn steady_state_checkpoints_spawn_no_thread() {
+        // Seeding spawns the session's one set of workers; after that the
+        // harvest, the encode rounds and the fan-out all run on them.
+        let mut session = fanout_session(vec![3, 3, 3], FaultPlan::new(1));
+        crate::migrate::seed(&mut session).unwrap();
+        let seeded = session.pools.lanes.workers_spawned();
+        assert_eq!(seeded, session.threads as usize);
+        session.buffering = true;
+        session.workload_started = true;
+        let mut spawned = Vec::new();
+        for _ in 0..8 {
+            let t = session.period.current();
+            session.advance(t, true);
+            do_checkpoint(&mut session, t).unwrap();
+            spawned.push(session.pools.lanes.workers_spawned());
+        }
+        assert!(
+            session.pools.lanes.totals().rounds >= 7,
+            "encode rounds ran"
+        );
+        assert_eq!(spawned, vec![seeded; 8]);
+    }
+
+    #[test]
     fn a_staged_error_surfaces_where_the_serial_apply_raises_it() {
         // Replica 1's committed base is 5, the stream names 0 and it has
         // no backlog to rebase onto: its phase 1 fails. Replica 0 must

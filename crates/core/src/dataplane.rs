@@ -34,8 +34,9 @@
 //! [`crate::session::Session`].
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -271,10 +272,10 @@ struct LaneCell {
 }
 
 /// One dispatched encode round. Entries are *copied* in (≈16 bytes per
-/// page — trivial next to the encoded output), which is what lets the
-/// worker threads outlive any borrow of the caller's delta without
-/// `unsafe` lifetime laundering; the entry table itself is recycled
-/// round to round via [`RoundScratch`].
+/// page — trivial next to the encoded output), so a round borrows
+/// nothing from the caller's delta (only [`LanePool::scope`] lends a
+/// borrow to the workers); the entry table itself is recycled round to
+/// round via [`RoundScratch`].
 struct Round {
     entries: Vec<(PageId, PageVersion)>,
     tasks: Vec<(usize, usize)>,
@@ -347,10 +348,38 @@ impl Round {
     }
 }
 
+/// What the parked workers are woken for.
+#[derive(Clone)]
+enum Job {
+    /// An encode round: worker `i` plays lane `i`, the caller consumes.
+    Encode(Arc<Round>),
+    /// A [`LanePool::scope`] call: worker `i` plays lane `i + 1`, the
+    /// caller lane 0. The borrow's lifetime is erased; see `scope`.
+    Scope {
+        lanes: usize,
+        lane: &'static (dyn Fn(usize) + Sync),
+    },
+}
+
+impl Job {
+    /// How many workers the job engages: workers `0..engaged()`.
+    fn engaged(&self) -> usize {
+        match self {
+            Job::Encode(round) => round.lanes,
+            Job::Scope { lanes, .. } => lanes - 1,
+        }
+    }
+}
+
 struct PoolState {
-    round: Option<Arc<Round>>,
+    job: Option<Job>,
     epoch: u64,
-    idle: usize,
+    /// Engaged workers whose lane has not returned yet. The dispatcher
+    /// sets it to the job's `engaged()` when it posts the job and posts no
+    /// other while it is above zero; each engaged worker lowers it once
+    /// its lane has returned. `busy == 0` is the drain: every lane of the
+    /// posted job has finished.
+    busy: usize,
     shutdown: bool,
 }
 
@@ -367,12 +396,15 @@ struct RoundScratch {
     tasks: Vec<(usize, usize)>,
 }
 
-/// The persistent work-stealing encode pool.
+/// The persistent worker threads: the work-stealing encode rounds of
+/// [`encode_pages_round`] and the scoped lanes of [`LanePool::scope`]
+/// (harvest chunks, the replica fan-out) run on one set of them.
 ///
-/// Workers are spawned lazily the first time a round needs them, then
-/// parked on a condvar between rounds; [`Drop`] shuts them down and
-/// joins. All dispatch state is internally synchronised, so the pool is
-/// shared by `&` reference alongside a `&mut BufferPool`.
+/// Workers are spawned the first time a job needs them, then parked on a
+/// condvar between jobs; [`Drop`] shuts them down and joins. All
+/// dispatch state is internally synchronised, so the pool is shared by
+/// `&` reference alongside a `&mut BufferPool`. A lane must not call back
+/// into the pool it runs on.
 pub struct LanePool {
     shared: Arc<PoolShared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -395,9 +427,9 @@ impl Default for LanePool {
         LanePool {
             shared: Arc::new(PoolShared {
                 state: Mutex::new(PoolState {
-                    round: None,
+                    job: None,
                     epoch: 0,
-                    idle: 0,
+                    busy: 0,
                     shutdown: false,
                 }),
                 work_cv: Condvar::new(),
@@ -432,16 +464,103 @@ impl LanePool {
         self.last_round.lock().expect("last round lock").clone()
     }
 
-    fn ensure_workers(&self, needed: usize) {
+    /// Spawns workers until `needed` exist. The only place this crate
+    /// creates a thread.
+    pub(crate) fn ensure_workers(&self, needed: usize) {
         let mut workers = self.workers.lock().expect("workers lock");
         while workers.len() < needed {
             let idx = workers.len();
             let shared = Arc::clone(&self.shared);
+            // A worker takes the first job posted after this epoch, even
+            // if its thread starts only after the post.
+            let epoch = shared.state.lock().expect("pool state lock").epoch;
             let handle = std::thread::Builder::new()
-                .name(format!("encode-lane-{idx}"))
-                .spawn(move || worker_main(shared, idx))
-                .expect("spawn encode lane worker");
+                .name(format!("pool-lane-{idx}"))
+                .spawn(move || worker_main(shared, idx, epoch))
+                .expect("spawn pool lane worker");
             workers.push(handle);
+        }
+    }
+
+    /// Posts `job` once the previous job has drained, marking the workers
+    /// it engages busy.
+    fn dispatch(&self, job: Job) {
+        self.ensure_workers(job.engaged());
+        let mut st = self.shared.state.lock().expect("pool state lock");
+        while st.busy > 0 {
+            st = self.shared.done_cv.wait(st).expect("pool drain wait");
+        }
+        st.busy = job.engaged();
+        st.job = Some(job);
+        st.epoch += 1;
+        self.shared.work_cv.notify_all();
+    }
+
+    /// Waits until every lane of the posted job has returned, then drops
+    /// the posted job. No worker holds any part of it after that.
+    fn drain(&self) {
+        // The state lock is never held across a lane, so it cannot be
+        // poisoned by one; recovering anyway keeps the drain panic-free.
+        let mut st = self
+            .shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        while st.busy > 0 {
+            st = self
+                .shared
+                .done_cv
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        st.job = None;
+    }
+
+    /// Runs `lane(0)`, …, `lane(lanes - 1)`, each exactly once: lane 0 on
+    /// the calling thread, the others on the parked workers (spawning any
+    /// that are missing). Returns only after every lane has finished. A
+    /// panic in any lane is caught and, once every other lane has
+    /// finished, re-raised here. One lane runs inline, without the pool.
+    pub fn scope(&self, lanes: usize, lane: &(dyn Fn(usize) + Sync)) {
+        if lanes <= 1 {
+            if lanes == 1 {
+                lane(0);
+            }
+            return;
+        }
+        let panicked = Mutex::new(None);
+        let guarded = |i: usize| {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| lane(i))) {
+                panicked
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .get_or_insert(payload);
+            }
+        };
+        let guarded: &(dyn Fn(usize) + Sync) = &guarded;
+        // SAFETY: a worker reaches `guarded` only through the posted job,
+        // and this function does not return (nor unwind: `guarded` catches
+        // every lane's panic, and `drain` does not panic) before `drain`
+        // has seen `busy == 0`, the drain an encode round relies on too.
+        // Each engaged worker lowers `busy` only after its lane has
+        // returned and its copy of the reference is dead, no other job can
+        // be posted over this one before that, and `drain` then drops the
+        // posted job, so no worker can reach `guarded` once this function
+        // returns.
+        let erased = unsafe {
+            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(guarded)
+        };
+        self.dispatch(Job::Scope {
+            lanes,
+            lane: erased,
+        });
+        guarded(0);
+        self.drain();
+        if let Some(payload) = panicked
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+        {
+            resume_unwind(payload);
         }
     }
 
@@ -454,18 +573,8 @@ impl LanePool {
     ) -> (Vec<u64>, EncodeRoundStats) {
         let ntasks = round.tasks.len();
         let start = Instant::now();
-        self.ensure_workers(round.lanes);
-        let worker_total = self.workers_spawned();
         let round = Arc::new(round);
-        {
-            let mut st = self.shared.state.lock().expect("pool state lock");
-            while st.idle < worker_total {
-                st = self.shared.done_cv.wait(st).expect("pool idle wait");
-            }
-            st.round = Some(Arc::clone(&round));
-            st.epoch += 1;
-            self.shared.work_cv.notify_all();
-        }
+        self.dispatch(Job::Encode(Arc::clone(&round)));
         // Consume completed segments strictly in task order while the
         // lanes run; each consume opens one more window slot for them.
         let mut walls = vec![0u64; ntasks];
@@ -484,16 +593,11 @@ impl LanePool {
             *wall = seg.wall_nanos;
             on_segment(next, seg);
         }
-        // Reclaim the round: drop the dispatch slot, wait for every worker
-        // to park (each drops its Arc clone *before* raising `idle`), then
-        // unwrap the sole remaining Arc and recycle its allocations.
-        {
-            let mut st = self.shared.state.lock().expect("pool state lock");
-            st.round = None;
-            while st.idle < worker_total {
-                st = self.shared.done_cv.wait(st).expect("pool drain wait");
-            }
-        }
+        // Reclaim the round: wait for every engaged worker to finish (each
+        // drops its Arc clone *before* lowering `busy`) and drop the posted
+        // job, then unwrap the sole remaining Arc and recycle its
+        // allocations.
+        self.drain();
         let round = Arc::try_unwrap(round)
             .ok()
             .expect("round has no other holders once workers parked");
@@ -541,11 +645,8 @@ impl Drop for LanePool {
     }
 }
 
-fn worker_main(shared: Arc<PoolShared>, idx: usize) {
+fn worker_main(shared: Arc<PoolShared>, idx: usize, mut last_epoch: u64) {
     let mut guard = shared.state.lock().expect("pool state lock");
-    let mut last_epoch = guard.epoch;
-    guard.idle += 1;
-    shared.done_cv.notify_all();
     loop {
         while !guard.shutdown && guard.epoch == last_epoch {
             guard = shared.work_cv.wait(guard).expect("worker park");
@@ -554,44 +655,62 @@ fn worker_main(shared: Arc<PoolShared>, idx: usize) {
             return;
         }
         last_epoch = guard.epoch;
-        // Worker `idx` plays lane `idx`; a round narrower than the pool
-        // leaves the rest parked.
-        let engaged = guard.round.clone().filter(|round| idx < round.lanes);
-        if let Some(round) = engaged {
-            guard.idle -= 1;
-            drop(guard);
-            round.work(idx);
-            // The Arc clone must die before `idle` rises again: the
-            // dispatcher relies on `idle == workers` implying it holds
-            // the only reference to the round.
-            drop(round);
-            guard = shared.state.lock().expect("pool state lock");
-            guard.idle += 1;
-            shared.done_cv.notify_all();
+        // The dispatcher already counted workers `0..engaged()` busy; a
+        // job narrower than the pool leaves the rest parked.
+        let job = match &guard.job {
+            Some(job) if idx < job.engaged() => job.clone(),
+            _ => continue,
+        };
+        drop(guard);
+        match job {
+            Job::Encode(round) => round.work(idx),
+            // `scope` hands out a lane that catches its own panic.
+            Job::Scope { lane, .. } => lane(idx + 1),
         }
+        // The job (the round's Arc clone, the scope's reference) is dead
+        // before `busy` falls: the dispatcher relies on `busy == 0`
+        // implying no worker holds any part of it.
+        guard = shared.state.lock().expect("pool state lock");
+        guard.busy -= 1;
+        shared.done_cv.notify_all();
     }
 }
 
 /// Everything the primary side of a session carries from one checkpoint
 /// to the next: the harvest delta, the per-chunk collect counts, the
-/// encode buffer pool, the persistent encode lane pool, and the v3 delta
-/// base.
-#[derive(Debug, Default)]
+/// encode buffer pool, the session's one set of worker threads, and the
+/// v3 delta base.
+#[derive(Debug)]
 pub struct CheckpointPools {
     /// Reused harvest output (taken during Harvest, returned after
     /// Translate).
     pub delta: MemoryDelta,
-    /// Per-chunk dirty counts for `collect_chunked_into`.
+    /// Per-chunk dirty counts for `collect_chunked_into`; its chunk
+    /// workers are those of `lanes`.
     pub collect: CollectScratch,
     /// Encode segment buffers, reclaimed after each Transfer.
     pub buffers: BufferPool,
-    /// The persistent work-stealing encode pool.
-    pub lanes: LanePool,
+    /// The session's worker threads: encode rounds, harvest chunks and
+    /// the replica fan-out.
+    pub lanes: Arc<LanePool>,
     /// The last epoch that committed at quorum: the delta base v3
     /// records are encoded against (0 before any commit, and always under
     /// v2). An aborted epoch leaves it untouched, which is what makes
     /// re-encoding after an abort safe.
     pub committed_epoch: u64,
+}
+
+impl Default for CheckpointPools {
+    fn default() -> Self {
+        let lanes = Arc::new(LanePool::new());
+        CheckpointPools {
+            delta: MemoryDelta::new(),
+            collect: CollectScratch::sharing(Arc::clone(&lanes)),
+            buffers: BufferPool::new(),
+            lanes,
+            committed_epoch: 0,
+        }
+    }
 }
 
 impl CheckpointPools {
@@ -772,9 +891,22 @@ fn blob_to_cir(
     }
 }
 
-/// Translates captured vCPU blobs to the common format, fanning the
-/// (CPU-bound) decode across up to `lanes` scoped workers. Order is
-/// preserved: result `i` is blob `i`'s translation.
+/// Translates captured vCPU blobs to the common format, in order: result
+/// `i` is blob `i`'s translation.
+///
+/// # Errors
+///
+/// Returns the first translation error encountered (format mismatch).
+pub fn translate_vcpus(
+    blobs: &[VcpuStateBlob],
+    translator: Option<&StateTranslator>,
+) -> TranslateResult<Vec<CpuStateCir>> {
+    blobs.iter().map(|b| blob_to_cir(b, translator)).collect()
+}
+
+/// [`translate_vcpus`] under its older name. `_lanes` is unused: a vCPU
+/// translates in ≈ 150 ns, so even waking parked workers would cost more
+/// than the loop it splits, and the translate runs inline.
 ///
 /// # Errors
 ///
@@ -782,33 +914,9 @@ fn blob_to_cir(
 pub fn translate_vcpus_parallel(
     blobs: &[VcpuStateBlob],
     translator: Option<&StateTranslator>,
-    lanes: u32,
+    _lanes: u32,
 ) -> TranslateResult<Vec<CpuStateCir>> {
-    if lanes <= 1 || blobs.len() <= 1 {
-        return blobs.iter().map(|b| blob_to_cir(b, translator)).collect();
-    }
-    let chunk = blobs.len().div_ceil(lanes as usize);
-    let mut out = Vec::with_capacity(blobs.len());
-    let mut chunk_results: Vec<TranslateResult<Vec<CpuStateCir>>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = blobs
-            .chunks(chunk)
-            .map(|c| {
-                scope.spawn(move || {
-                    c.iter()
-                        .map(|b| blob_to_cir(b, translator))
-                        .collect::<TranslateResult<Vec<_>>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            chunk_results.push(h.join().expect("vCPU translate worker must not panic"));
-        }
-    });
-    for r in chunk_results {
-        out.extend(r?);
-    }
-    Ok(out)
+    translate_vcpus(blobs, translator)
 }
 
 /// Page images the content check compares against, kept across records
@@ -1068,9 +1176,6 @@ impl<'a> SegmentRestorer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use here_hypervisor::arch::ArchRegs;
-    use here_hypervisor::kind::HypervisorKind;
-    use here_hypervisor::vcpu::XenVcpuState;
     use here_hypervisor::PageId;
     use here_sim_core::rate::ByteSize;
     use here_vmstate::wire::{
@@ -1402,21 +1507,110 @@ mod tests {
         assert!(stats.round_wall_nanos > 0);
     }
 
+    /// Runs a scope of `lanes` on `lp` and returns how often each lane
+    /// ran and whether lane 0 ran on the calling thread.
+    fn lane_runs(lp: &LanePool, lanes: usize) -> (Vec<usize>, bool) {
+        let runs: Vec<AtomicU64> = (0..lanes).map(|_| AtomicU64::new(0)).collect();
+        let caller = std::thread::current().id();
+        let lane0_here = AtomicU64::new(0);
+        lp.scope(lanes, &|lane| {
+            runs[lane].fetch_add(1, Ordering::Relaxed);
+            if lane == 0 && std::thread::current().id() == caller {
+                lane0_here.store(1, Ordering::Relaxed);
+            }
+        });
+        let runs = runs.iter().map(|r| r.load(Ordering::Relaxed) as usize);
+        (runs.collect(), lane0_here.load(Ordering::Relaxed) == 1)
+    }
+
     #[test]
-    fn vcpu_translation_is_lane_count_invariant() {
-        let translator = StateTranslator::new(HypervisorKind::Xen, HypervisorKind::Kvm).unwrap();
-        let blobs: Vec<VcpuStateBlob> = (0..8u64)
-            .map(|i| {
-                let mut regs = ArchRegs::reset_state();
-                regs.tsc = i * 1000;
-                VcpuStateBlob::Xen(XenVcpuState::from_arch(&regs, true))
-            })
-            .collect();
-        let reference = translate_vcpus_parallel(&blobs, Some(&translator), 1).unwrap();
-        for lanes in [2u32, 4, 8] {
-            let got = translate_vcpus_parallel(&blobs, Some(&translator), lanes).unwrap();
-            assert_eq!(got, reference, "lanes={lanes}");
+    fn scope_runs_every_lane_exactly_once() {
+        let lp = LanePool::new();
+        // Up, then back down, then past the parked workers again: a scope
+        // wider than the pool spawns only what is missing.
+        for lanes in [1, 2, 3, 4, 5, 6, 7, 8, 3, 1] {
+            let (runs, lane0_here) = lane_runs(&lp, lanes);
+            assert_eq!(runs, vec![1; lanes], "lanes={lanes}");
+            assert!(lane0_here, "lanes={lanes}: lane 0 is the caller");
         }
+        assert_eq!(lp.workers_spawned(), 7);
+        assert_eq!(lp.totals().rounds, 0, "a scope is not an encode round");
+    }
+
+    #[test]
+    fn a_lane_panic_is_reraised_after_every_other_lane_finishes() {
+        let delta = delta_of(4096);
+        let reference = encode(&delta, SHARDS, &mut BufferPool::new(), &LanePool::new());
+        for panicking in [0usize, 2] {
+            let lp = LanePool::new();
+            let finished: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
+            let failing = AtomicU64::new(0);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                lp.scope(4, &|lane| {
+                    if lane == panicking {
+                        failing.store(1, Ordering::SeqCst);
+                        panic!("lane {lane} fails");
+                    }
+                    // The other lanes are still running when the panic is
+                    // raised, and for a while after.
+                    while failing.load(Ordering::SeqCst) == 0 {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    finished[lane].store(1, Ordering::SeqCst);
+                })
+            }));
+            // Every other lane had finished by the time the panic
+            // surfaced on the caller.
+            let finished: Vec<u64> = finished.iter().map(|f| f.load(Ordering::SeqCst)).collect();
+            let payload = caught.expect_err("the lane's panic reaches the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some(format!("lane {panicking} fails").as_str())
+            );
+            let mut expected = vec![1; 4];
+            expected[panicking] = 0;
+            assert_eq!(finished, expected, "panicking lane {panicking}");
+            // The pool still serves an encode round and another scope.
+            assert_eq!(
+                encode(&delta, SHARDS, &mut BufferPool::new(), &lp),
+                reference
+            );
+            assert_eq!(lane_runs(&lp, 4).0, vec![1; 4]);
+        }
+    }
+
+    #[test]
+    fn scopes_interleaved_with_encode_rounds_give_identical_output() {
+        let delta = delta_of(4096);
+        let chunked = EncodePlan {
+            chunk_pages: Some(256),
+            ..SHARDS
+        };
+        let mut pool = BufferPool::new();
+        let reference = encode(&delta, chunked, &mut pool, &LanePool::new());
+        let lp = LanePool::new();
+        for lanes in [2, 4, 8, 3] {
+            let sums: Vec<AtomicU64> = (0..lanes).map(|_| AtomicU64::new(0)).collect();
+            lp.scope(lanes, &|lane| {
+                let mine = delta.entries().iter().skip(lane).step_by(lanes);
+                let sum = mine.map(|(page, _)| page.frame()).sum();
+                sums[lane].store(sum, Ordering::Relaxed);
+            });
+            let total: u64 = sums.iter().map(|s| s.load(Ordering::Relaxed)).sum();
+            assert_eq!(
+                total,
+                (0..4096).map(|f| f * 2).sum::<u64>(),
+                "lanes={lanes}"
+            );
+            let segments = encode(&delta, chunked, &mut pool, &lp);
+            assert_eq!(segments, reference, "lanes={lanes}");
+            for seg in segments {
+                pool.recycle(seg);
+            }
+        }
+        assert_eq!(lp.totals().rounds, 4);
+        assert_eq!(lp.workers_spawned(), 7);
     }
 
     #[test]

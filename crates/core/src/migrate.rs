@@ -14,13 +14,14 @@
 //! stop-and-copy; Remus does neither.
 
 use here_sim_core::time::SimDuration;
+use here_vmstate::MemoryDelta;
 
 use crate::config::{DEFAULT_MAX_MIGRATION_ITERATIONS, DEFAULT_MIGRATION_DIRTY_THRESHOLD};
 use crate::error::CoreResult;
 use crate::report::{IterationStats, MigrationOutcome};
 use crate::session::{Session, SessionPhase};
 use crate::trace::SessionEvent;
-use crate::transfer::{collect_chunked, ProblematicTracker};
+use crate::transfer::{collect_chunked_into, ProblematicTracker};
 
 /// Says that one migration round of `duration` just ended at the session
 /// clock.
@@ -52,15 +53,19 @@ pub(crate) fn seed(session: &mut Session) -> CoreResult<MigrationOutcome> {
     let started = session.clock;
 
     // Thread-pool and per-vCPU PML setup (zero for Remus); the VM keeps
-    // running.
+    // running. The session's workers are spawned here, once: no harvest,
+    // encode round or fan-out after this creates a thread.
     session.advance(strategy.migration_setup(&costs), false);
+    if session.threads > 1 {
+        session.pools.lanes.ensure_workers(session.threads as usize);
+    }
 
     // Iteration 0: every page of the VM goes over.
     let total_pages = session.primary.vm(session.pvm)?.memory().num_pages();
     let round = costs.migration_round(total_pages, session.threads);
     // Content snapshot first (what iteration 0 sends), then the guest
     // keeps dirtying during the copy.
-    let full_delta: here_vmstate::MemoryDelta = session
+    let full_delta: MemoryDelta = session
         .primary
         .vm(session.pvm)?
         .memory()
@@ -88,10 +93,15 @@ pub(crate) fn seed(session: &mut Session) -> CoreResult<MigrationOutcome> {
             // Final stop-and-copy: pause, send remaining dirty pages
             // plus the problematic resend list, plus vCPU/device state.
             session.primary.vm_mut(session.pvm)?.pause()?;
-            let mut final_delta = {
-                let vm = session.primary.vm(session.pvm)?;
-                collect_chunked(vm.memory(), &snapshot, session.threads)
-            };
+            let mut final_delta = MemoryDelta::new();
+            let vm = session.primary.vm(session.pvm)?;
+            collect_chunked_into(
+                vm.memory(),
+                &snapshot,
+                session.threads,
+                &mut session.pools.collect,
+                &mut final_delta,
+            );
             let problematic = tracker.resend_list();
             let problematic_resent = problematic.len() as u64;
             let resend = session.pages_to_delta(&problematic)?;
@@ -126,10 +136,15 @@ pub(crate) fn seed(session: &mut Session) -> CoreResult<MigrationOutcome> {
         }
 
         // Copy this round's dirty set while the guest keeps running.
-        let delta = {
-            let vm = session.primary.vm(session.pvm)?;
-            collect_chunked(vm.memory(), &snapshot, session.threads)
-        };
+        let mut delta = MemoryDelta::new();
+        let vm = session.primary.vm(session.pvm)?;
+        collect_chunked_into(
+            vm.memory(),
+            &snapshot,
+            session.threads,
+            &mut session.pools.collect,
+            &mut delta,
+        );
         let before = tracker.len();
         strategy.track_problematic(&mut tracker, &delta);
         let problematic_new = (tracker.len() - before) as u64;

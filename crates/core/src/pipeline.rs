@@ -91,10 +91,10 @@ impl<'s> Paused<'s> {
         } = self;
         session.chaos_primary_fault(seq, Stage::Harvest)?;
         let snapshot = session.take_dirty_snapshot();
-        // The harvest reuses the session's pooled delta and per-chunk
-        // count scratch: neither is regrown in the steady state.
+        // The harvest reuses the session's pooled delta, per-chunk count
+        // scratch and workers: none is regrown or respawned in the steady
+        // state.
         let mut delta = std::mem::take(&mut session.pools.delta);
-        let mut scratch = std::mem::take(&mut session.pools.collect);
         delta.clear();
         let harvest_start = std::time::Instant::now();
         {
@@ -103,12 +103,11 @@ impl<'s> Paused<'s> {
                 vm.memory(),
                 &snapshot,
                 session.threads,
-                &mut scratch,
+                &mut session.pools.collect,
                 &mut delta,
             );
         }
         let wall = harvest_start.elapsed().as_nanos() as u64;
-        session.pools.collect = scratch;
         let pages = delta.len() as u64;
         let scan = session.cfg.costs.checkpoint_scan(pages, session.threads);
         let at = session.clock;

@@ -44,8 +44,8 @@ use here_workloads::traits::Workload;
 use crate::chaos::{ChaosState, FaultPlan, TransferFault};
 use crate::config::ReplicationConfig;
 use crate::dataplane::{
-    encode_pages_round, install_staged, stage_next, translate_vcpus_parallel, CheckpointPools,
-    EncodePlan, PayloadMode, ReceiveStep, PARALLEL_ENCODE_MIN_PAGES,
+    encode_pages_round, install_staged, stage_next, translate_vcpus, CheckpointPools, EncodePlan,
+    LanePool, PayloadMode, ReceiveStep, PARALLEL_ENCODE_MIN_PAGES,
 };
 use crate::devmgr::DeviceManager;
 use crate::error::{CoreError, CoreResult};
@@ -167,7 +167,7 @@ pub(crate) struct Session {
     pub(crate) translator: Option<StateTranslator>,
     pub(crate) cfg: ReplicationConfig,
     pub(crate) threads: u32,
-    /// Helper threads the Transfer fan-out's phase 1 runs on beside the
+    /// Pool workers the Transfer fan-out's phase 1 runs on beside the
     /// calling thread: `min(threads, replicas) − 1`, so a Remus pair
     /// stages serially.
     pub(crate) fanout_helpers: usize,
@@ -542,14 +542,14 @@ impl Session {
             });
         }
 
-        // Tail segment: vCPU state (capture serial, translate parallel),
+        // Tail segment: vCPU state (captured and translated inline),
         // device identities, and the cross-check trailer.
         let vcpu_count = self.primary.vm(self.pvm)?.vcpus().len() as u32;
         let mut blobs = Vec::with_capacity(vcpu_count as usize);
         for i in 0..vcpu_count {
             blobs.push(self.primary.get_vcpu_state(self.pvm, VcpuId::new(i))?);
         }
-        let cirs = translate_vcpus_parallel(&blobs, self.translator.as_ref(), self.threads)?;
+        let cirs = translate_vcpus(&blobs, self.translator.as_ref())?;
         let mut tail = self.pools.buffers.checkout(256);
         for (index, cir) in cirs.into_iter().enumerate() {
             encode_record_into(
@@ -683,7 +683,7 @@ impl Session {
             })
             .collect();
         let mut slots: Vec<Option<StagedEpoch>> = (0..count).map(|_| None).collect();
-        for (replica, epoch) in stage_all(jobs, self.fanout_helpers) {
+        for (replica, epoch) in stage_all(jobs, &self.pools.lanes, self.fanout_helpers) {
             slots[replica as usize] = Some(epoch);
         }
         slots
@@ -1313,37 +1313,32 @@ impl StageJob<'_> {
 /// it could not be built) and the replica's staging buffer.
 type LentStage<'a> = (u32, CoreResult<StageJob<'a>>, Vec<(PageId, PageVersion)>);
 
-/// Runs every job on the calling thread and up to `helpers` scoped helper
-/// threads, each claiming the next job from one atomic cursor, as the
-/// harvest's chunk workers share out chunks. Returns each job's replica
-/// and phase-1 result, in no particular order. A job whose `Err` says it
-/// could not be built keeps that error as its verdict.
-fn stage_all(jobs: Vec<LentStage<'_>>, helpers: usize) -> Vec<(u32, StagedEpoch)> {
+/// Runs every job on the calling thread and up to `helpers` of `pool`'s
+/// parked workers, each lane claiming the next job from one atomic
+/// cursor. Returns each job's replica and phase-1 result, in no
+/// particular order. A job whose `Err` says it could not be built keeps
+/// that error as its verdict.
+fn stage_all(jobs: Vec<LentStage<'_>>, pool: &LanePool, helpers: usize) -> Vec<(u32, StagedEpoch)> {
     let helpers = helpers.min(jobs.len().saturating_sub(1));
+    let done = Mutex::new(Vec::with_capacity(jobs.len()));
     let slots: Vec<Mutex<Option<LentStage<'_>>>> =
         jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
     let cursor = AtomicUsize::new(0);
-    let work = || {
-        let mut done = Vec::new();
+    pool.scope(helpers + 1, &|_| {
         while let Some(slot) = slots.get(cursor.fetch_add(1, Ordering::Relaxed)) {
             let (replica, job, mut staged) = slot
                 .lock()
-                .expect("no thread panics holding a stage slot")
+                .expect("no lane panics holding a stage slot")
                 .take()
                 .expect("the cursor hands each job out once");
             let verdict = job.and_then(|job| job.run(&mut staged));
-            done.push((replica, StagedEpoch { staged, verdict }));
+            done.lock()
+                .expect("no lane panics holding the results")
+                .push((replica, StagedEpoch { staged, verdict }));
         }
-        done
-    };
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
-        let mut done = work();
-        for handle in handles {
-            done.extend(handle.join().expect("a stage helper must not panic"));
-        }
-        done
-    })
+    });
+    done.into_inner()
+        .expect("no lane panics holding the results")
 }
 
 #[cfg(test)]

@@ -1,32 +1,29 @@
-//! The multithreaded replication data plane (§7.2).
+//! The multithreaded dirty-page harvest (§7.2).
 //!
-//! Two genuinely concurrent collection paths, matching the paper's two
-//! schemes:
+//! Guest memory is split into 2 MiB chunks, assigned round-robin to
+//! worker lanes; every lane scans the shared dirty bitmap over its own
+//! chunks and writes the pages it owns straight into their final slots
+//! of the delta ([`collect_chunked_into`]). Continuous checkpointing and
+//! every seeding round harvest this way. Seeding adds the paper's
+//! "problematic" pages: pages that different migrator threads sent across
+//! rounds (possible cross-vCPU write races), which [`ProblematicTracker`]
+//! keeps for mandatory resend in the final stop-and-copy.
 //!
-//! 1. **Continuous checkpointing** — guest memory is split into 2 MiB
-//!    chunks, assigned round-robin to worker threads; during each
-//!    checkpoint every worker scans the shared dirty bitmap over its own
-//!    chunks and writes the pages it owns straight into their final slots
-//!    of the delta ([`collect_chunked_into`]).
-//! 2. **Seeding** — one migrator thread per vCPU harvests that vCPU's PML
-//!    ring and sends its own dirty pages ([`collect_per_vcpu`]); pages
-//!    transferred by *different* threads across rounds are "problematic"
-//!    (possible cross-vCPU write races) and are tracked by
-//!    [`ProblematicTracker`] for mandatory resend in the final
-//!    stop-and-copy.
-//!
-//! The worker threads are real (`std::thread::scope`); only the *reported
-//! durations* come from the calibrated [`CostModel`], keeping results
-//! host-independent.
+//! The lanes are real threads, the parked workers of a [`LanePool`];
+//! only the *reported durations* come from the calibrated [`CostModel`],
+//! keeping results host-independent.
 //!
 //! [`CostModel`]: crate::config::CostModel
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use here_hypervisor::dirty::{DirtyBitmap, DirtyPagesIter};
 use here_hypervisor::memory::{GuestMemory, PageVersion};
 use here_hypervisor::PageId;
 use here_vmstate::MemoryDelta;
+
+use crate::dataplane::LanePool;
 
 /// HERE's chunk size: 2 MiB (§7.2).
 pub const CHUNK_BYTES: u64 = 2 * 1024 * 1024;
@@ -34,46 +31,46 @@ pub const CHUNK_BYTES: u64 = 2 * 1024 * 1024;
 pub const PAGES_PER_CHUNK: u64 = CHUNK_BYTES / here_hypervisor::PAGE_SIZE;
 
 /// Reusable scratch for [`collect_chunked_into`]: each chunk's dirty-page
-/// count, which places the chunk's pages in the output. Kept across
-/// checkpoints so the steady-state loop does not regrow it.
+/// count, which places the chunk's pages in the output, and the lane pool
+/// whose parked workers scan the chunks. Kept across checkpoints so the
+/// steady-state loop neither regrows the table nor creates a thread.
 #[derive(Debug, Default)]
 pub struct CollectScratch {
     counts: Vec<usize>,
+    lanes: Arc<LanePool>,
 }
 
 impl CollectScratch {
-    /// Empty scratch; the count table grows on first use and is kept after.
+    /// Empty scratch with a lane pool of its own; the count table grows on
+    /// first use and the workers spawn on first use, and both are kept.
     pub fn new() -> Self {
         CollectScratch::default()
     }
+
+    /// Empty scratch whose chunk workers are `lanes`' (a session's one
+    /// set of workers).
+    pub(crate) fn sharing(lanes: Arc<LanePool>) -> Self {
+        CollectScratch {
+            counts: Vec::new(),
+            lanes,
+        }
+    }
 }
 
-/// Scans `dirty` over `memory` with `workers` round-robin chunk workers and
-/// returns the combined delta (ascending frame order).
-///
-/// Every chunk belongs to exactly one worker, so workers write disjoint
-/// outputs and need no synchronisation — the same property the paper
-/// relies on for its round-robin region assignment.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn collect_chunked(memory: &GuestMemory, dirty: &DirtyBitmap, workers: u32) -> MemoryDelta {
-    let mut scratch = CollectScratch::new();
-    let mut out = MemoryDelta::new();
-    collect_chunked_into(memory, dirty, workers, &mut scratch, &mut out);
-    out
-}
-
-/// Allocation-reusing variant of [`collect_chunked`]: the per-chunk counts
-/// live in `scratch` and the result replaces the contents of `out`, both
-/// keeping their allocations across checkpoints.
+/// Scans `dirty` over `memory` with `workers` round-robin chunk lanes;
+/// the delta (ascending frame order) replaces the contents of `out`. The
+/// per-chunk counts live in `scratch`, and `scratch` and `out` both keep
+/// their allocations across checkpoints.
 ///
 /// The chunks' dirty counts (word popcounts, no per-page work) fix where
 /// each chunk's run of pages starts in `out`, so `out` is sized once and
-/// worker `c % workers` is lent chunk `c`'s disjoint slice of it. Each
-/// page is written once, into its final slot: the output is in ascending
-/// frame order by construction, with no lane buffers and no merge.
+/// lane `c % workers` is lent chunk `c`'s disjoint slice of it. Every
+/// chunk belongs to exactly one lane, so lanes write disjoint outputs —
+/// the property the paper relies on for its round-robin region
+/// assignment. Each page is written once, into its final slot: the
+/// output is in ascending frame order by construction, with no lane
+/// buffers and no merge. Lane 0 is the calling thread; the others run on
+/// `scratch`'s parked pool workers.
 ///
 /// # Panics
 ///
@@ -100,7 +97,10 @@ pub fn collect_chunked_into(
         return;
     }
 
-    let counts = &mut scratch.counts;
+    let CollectScratch {
+        counts,
+        lanes: pool,
+    } = scratch;
     counts.clear();
     counts.extend((0..num_chunks).map(|chunk| {
         let lo = chunk * PAGES_PER_CHUNK;
@@ -115,20 +115,15 @@ pub fn collect_chunked_into(
         lanes[chunk % workers].push((chunk as u64, slots));
         rest = tail;
     }
-    let fill_lane = |lane: Vec<ChunkSlots<'_>>| {
-        for (chunk, slots) in lane {
+    // Each lane takes its own chunk list once, so its lock is never
+    // contended; it only makes the disjoint slices lendable by `&`.
+    let lanes: Vec<Mutex<Vec<ChunkSlots<'_>>>> = lanes.into_iter().map(Mutex::new).collect();
+    pool.scope(workers, &|lane| {
+        let chunks = std::mem::take(&mut *lanes[lane].lock().expect("a lane's chunk list"));
+        for (chunk, slots) in chunks {
             let lo = chunk * PAGES_PER_CHUNK;
             fill_slots(memory, dirty.iter_range(lo, lo + PAGES_PER_CHUNK), slots);
         }
-    };
-    // The calling thread is worker 0, so a harvest spawns `workers - 1`.
-    let mut lanes = lanes.into_iter();
-    let own = lanes.next().expect("at least two workers");
-    std::thread::scope(|s| {
-        for lane in lanes {
-            s.spawn(move || fill_lane(lane));
-        }
-        fill_lane(own);
     });
 }
 
@@ -148,51 +143,6 @@ fn fill_slots(
             .expect("dirty bitmap only marks in-range pages");
         *slot = (page, rec);
     }
-}
-
-/// Per-vCPU seeding collection: turns each vCPU's harvested ring into its
-/// own delta, one real thread per vCPU.
-///
-/// Returns one delta per input ring (parallel arrays).
-pub fn collect_per_vcpu(memory: &GuestMemory, harvests: &[Vec<PageId>]) -> Vec<MemoryDelta> {
-    if harvests.len() <= 1 {
-        return harvests
-            .iter()
-            .map(|pages| pages_to_delta(memory, pages))
-            .collect();
-    }
-    let mut out: Vec<MemoryDelta> = Vec::with_capacity(harvests.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = harvests
-            .iter()
-            .map(|pages| s.spawn(move || pages_to_delta(memory, pages)))
-            .collect();
-        for h in handles {
-            out.push(h.join().expect("seeding worker must not panic"));
-        }
-    });
-    out
-}
-
-fn pages_to_delta(memory: &GuestMemory, pages: &[PageId]) -> MemoryDelta {
-    let mut delta = MemoryDelta::new();
-    // PML rings log every write, so the same frame can reappear anywhere
-    // in the ring, not just adjacently (vCPU touches A, B, then A again).
-    // Track seen frames so each page is sent once, in first-log order;
-    // the cheap adjacent check still short-circuits tight write loops.
-    let mut seen: HashSet<u64> = HashSet::with_capacity(pages.len());
-    let mut last = None;
-    for &page in pages {
-        if last == Some(page) || !seen.insert(page.frame()) {
-            continue;
-        }
-        last = Some(page);
-        let rec = memory
-            .page(page)
-            .expect("PML rings only log in-range pages");
-        delta.push(page, rec);
-    }
-    delta
 }
 
 /// Tracks pages sent by more than one seeding thread across migration
@@ -266,13 +216,19 @@ mod tests {
         (mem, bm)
     }
 
+    fn collect_fresh(mem: &GuestMemory, bm: &DirtyBitmap, workers: u32) -> MemoryDelta {
+        let mut out = MemoryDelta::new();
+        collect_chunked_into(mem, bm, workers, &mut CollectScratch::new(), &mut out);
+        out
+    }
+
     #[test]
     fn chunked_collection_matches_single_threaded() {
         let frames: Vec<u64> = (0..8192).step_by(7).collect();
         let (mem, bm) = memory_with_dirty(&frames);
-        let single = collect_chunked(&mem, &bm, 1);
+        let single = collect_fresh(&mem, &bm, 1);
         for workers in [2, 3, 4, 8] {
-            let multi = collect_chunked(&mem, &bm, workers);
+            let multi = collect_fresh(&mem, &bm, workers);
             assert_eq!(multi, single, "workers={workers}");
         }
         assert_eq!(single.len(), frames.len());
@@ -283,7 +239,7 @@ mod tests {
         let (mut mem, mut bm) = memory_with_dirty(&[10, 600, 4000]);
         mem.write_page(PageId::new(600), VcpuId::new(2)).unwrap();
         bm.mark(PageId::new(600));
-        let delta = collect_chunked(&mem, &bm, 4);
+        let delta = collect_fresh(&mem, &bm, 4);
         let v600 = delta
             .entries()
             .iter()
@@ -303,7 +259,7 @@ mod tests {
     fn empty_bitmap_collects_nothing() {
         let (mem, _) = memory_with_dirty(&[]);
         let bm = DirtyBitmap::new(mem.num_pages());
-        assert!(collect_chunked(&mem, &bm, 4).is_empty());
+        assert!(collect_fresh(&mem, &bm, 4).is_empty());
     }
 
     #[test]
@@ -312,45 +268,8 @@ mod tests {
         let mut bm = DirtyBitmap::new(mem.num_pages());
         mem.write_page(PageId::new(5), VcpuId::new(0)).unwrap();
         bm.mark(PageId::new(5));
-        let delta = collect_chunked(&mem, &bm, 64);
+        let delta = collect_fresh(&mem, &bm, 64);
         assert_eq!(delta.len(), 1);
-    }
-
-    #[test]
-    fn per_vcpu_collection_dedups_ring_repeats() {
-        let (mem, _) = memory_with_dirty(&[1, 2, 3]);
-        let harvests = vec![
-            vec![PageId::new(1), PageId::new(1), PageId::new(2)],
-            vec![PageId::new(3)],
-        ];
-        let deltas = collect_per_vcpu(&mem, &harvests);
-        assert_eq!(deltas.len(), 2);
-        assert_eq!(deltas[0].len(), 2);
-        assert_eq!(deltas[1].len(), 1);
-    }
-
-    #[test]
-    fn per_vcpu_collection_dedups_non_adjacent_ring_repeats() {
-        // Regression: a vCPU touching A, B, then A again logs A twice with
-        // B in between; only adjacent repeats used to be skipped, so A was
-        // sent twice.
-        let (mem, _) = memory_with_dirty(&[1, 2, 3]);
-        let harvests = vec![vec![
-            PageId::new(1),
-            PageId::new(2),
-            PageId::new(1),
-            PageId::new(3),
-            PageId::new(2),
-            PageId::new(1),
-        ]];
-        let deltas = collect_per_vcpu(&mem, &harvests);
-        assert_eq!(deltas[0].len(), 3, "each frame must appear exactly once");
-        let frames: Vec<u64> = deltas[0]
-            .entries()
-            .iter()
-            .map(|&(p, _)| p.frame())
-            .collect();
-        assert_eq!(frames, vec![1, 2, 3], "first-log order is preserved");
     }
 
     /// The one-lane scan [`collect_chunked_into`] must reproduce for every
@@ -432,9 +351,11 @@ mod tests {
 
     #[test]
     fn problematic_tracker_via_deltas() {
-        let (mem, _) = memory_with_dirty(&[1, 2]);
-        let d0 = pages_to_delta(&mem, &[PageId::new(1), PageId::new(2)]);
-        let d1 = pages_to_delta(&mem, &[PageId::new(2)]);
+        let rec = PageVersion::default();
+        let d0: MemoryDelta = [(PageId::new(1), rec), (PageId::new(2), rec)]
+            .into_iter()
+            .collect();
+        let d1: MemoryDelta = [(PageId::new(2), rec)].into_iter().collect();
         let mut t = ProblematicTracker::new();
         t.record_delta(&d0, 0);
         t.record_delta(&d1, 1);

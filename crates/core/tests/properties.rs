@@ -4,7 +4,7 @@
 use here_core::dataplane::{
     encode_pages_round, BufferPool, EncodePlan, LanePool, PayloadMode, SegmentRestorer,
 };
-use here_core::transfer::{collect_chunked, collect_chunked_into, CollectScratch};
+use here_core::transfer::{collect_chunked_into, CollectScratch};
 use here_hypervisor::dirty::DirtyBitmap;
 use here_hypervisor::memory::{materialize_content, GuestMemory, PageVersion, GROUP_PAGES};
 use here_hypervisor::{PageId, VcpuId, PAGE_SIZE};
@@ -40,9 +40,10 @@ fn serial_reference(memory: &GuestMemory, dirty: &DirtyBitmap) -> MemoryDelta {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `collect_chunked` at 2/4/8 workers is byte-identical to the
-    /// single-threaded reference, for arbitrary bitmaps and memory sizes
-    /// (including sizes that are not multiples of the 512-page chunk).
+    /// `collect_chunked_into` at 1/2/4/8 workers, on one scratch and its
+    /// one set of workers, is byte-identical to the single-threaded
+    /// reference, for arbitrary bitmaps and memory sizes (including sizes
+    /// that are not multiples of the 512-page chunk).
     #[test]
     fn collect_chunked_is_worker_invariant(
         num_pages in 1u64..6000,
@@ -50,8 +51,10 @@ proptest! {
     ) {
         let (memory, dirty) = guest_with_writes(num_pages, &writes);
         let reference = serial_reference(&memory, &dirty);
+        let mut scratch = CollectScratch::new();
+        let mut got = MemoryDelta::new();
         for workers in [1u32, 2, 4, 8] {
-            let got = collect_chunked(&memory, &dirty, workers);
+            collect_chunked_into(&memory, &dirty, workers, &mut scratch, &mut got);
             prop_assert_eq!(
                 got.entries(),
                 reference.entries(),
