@@ -343,6 +343,7 @@ mod tests {
     use here_hypervisor::{PageId, VcpuId};
     use here_sim_core::rate::ByteSize;
     use here_workloads::memstress::MemStress;
+    use proptest::prelude::*;
 
     fn small_scenario(cfg: ReplicationConfig) -> Scenario {
         Scenario::builder()
@@ -494,8 +495,10 @@ mod tests {
     }
 
     /// A 64 MiB, 4-vCPU MemStress session into three replicas at quorum
-    /// 2, wire v3 offered, with the given replica wire caps and fault plan.
-    fn fanout_session(caps: Vec<u16>, plan: FaultPlan) -> Session {
+    /// 2, wire v3 offered, with the given replica wire caps and fault plan,
+    /// writing `pages_per_sec` pages a second over a 4 915-page working
+    /// set.
+    fn fanout_session(caps: Vec<u16>, plan: FaultPlan, pages_per_sec: u64) -> Session {
         let cfg = ReplicationConfig::fixed_period(SimDuration::from_secs(2))
             .with_topology(TopologyConfig {
                 replicas: 3,
@@ -510,7 +513,7 @@ mod tests {
             memory: ByteSize::from_mib(64),
             vcpus: 4,
             cfg,
-            workload: Box::new(MemStress::with_percent(30).with_rate(20_000)),
+            workload: Box::new(MemStress::with_percent(30).with_rate(pages_per_sec)),
             seed: 0x4845_5245,
             load_during_seed: false,
             verify_consistency: false,
@@ -582,8 +585,96 @@ mod tests {
         events
     }
 
+    /// Runs `plan` with 0–3 fan-out helpers and the consistency check on:
+    /// every applied replica, a catch-up included, must equal the primary
+    /// after each transfer, and all four runs must leave identical replica
+    /// images, commits, logs (host clock aside) and fingerprints. Returns
+    /// the serial run.
+    fn helper_count_invariant(plan: &FaultPlan, pages_per_sec: u64) -> FanoutRun {
+        let mut runs = (0..=3).map(|helpers| {
+            let mut session = fanout_session(vec![3, 2, 3], plan.clone(), pages_per_sec);
+            session.fanout_helpers = helpers;
+            session.verify_consistency = true;
+            run_fanout(session)
+        });
+        let serial = runs.next().expect("four runs");
+        let (images, report) = &serial;
+        assert!(report.consistency_checks > 0, "{plan:?}");
+        for (helpers, (other_images, other)) in (1..).zip(runs) {
+            assert!(
+                &other_images == images,
+                "helpers {helpers}: replica images, {plan:?}"
+            );
+            assert_eq!(other.commits, report.commits, "helpers {helpers}, {plan:?}");
+            assert_eq!(
+                without_host_clock(&other.events),
+                without_host_clock(&report.events),
+                "helpers {helpers}, {plan:?}"
+            );
+            assert_eq!(
+                other.fingerprint(),
+                report.fingerprint(),
+                "helpers {helpers}, {plan:?}"
+            );
+        }
+        serial
+    }
+
+    /// A seeded fault plan over the first 15 epochs: up to two partition
+    /// spans over one or two replicas, for some or all of an epoch's
+    /// attempts; up to two drops and two corruptions of one replica's
+    /// first attempts; and perhaps a primary crash in the middle of a
+    /// transfer.
+    fn fault_plan() -> impl Strategy<Value = FaultPlan> {
+        const SETS: [&[u32]; 6] = [&[0], &[1], &[2], &[0, 1], &[1, 2], &[0, 2]];
+        let span = (1u64..15, 0u64..6, 0usize..SETS.len(), 1u32..=6);
+        let hit = (1u64..15, 0u32..3, 1u32..=4);
+        (
+            any::<u64>(),
+            proptest::collection::vec(span, 0..3),
+            proptest::collection::vec(hit.clone(), 0..3),
+            proptest::collection::vec(hit, 0..3),
+            proptest::option::of(4u64..15),
+        )
+            .prop_map(|(seed, spans, drops, corrupts, crash)| {
+                let mut plan = FaultPlan::new(seed);
+                for (start, len, set, attempts_down) in spans {
+                    plan = plan.with_partition_span(start..=start + len, SETS[set], attempts_down);
+                }
+                for (epoch, replica, attempts) in drops {
+                    plan = plan.with_event_on(epoch, replica, FaultKind::Drop { attempts });
+                }
+                for (epoch, replica, attempts) in corrupts {
+                    plan = plan.with_event_on(epoch, replica, FaultKind::Corrupt { attempts });
+                }
+                if let Some(epoch) = crash {
+                    let kind = FaultKind::PrimaryFault {
+                        outcome: DosOutcome::Crash,
+                        stage: Stage::Transfer,
+                    };
+                    plan = plan.with_event(epoch, kind);
+                }
+                plan
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The fan-out's helper count changes no decision under any
+        /// generated fault plan (see `helper_count_invariant`). At 1 500
+        /// pages a second an epoch rewrites 3 000 pages of the 4 915-page
+        /// working set, so a catch-up epoch leaves some backlog pages as
+        /// the backlog has them: which of two missed versions it keeps
+        /// shows in the consistency check.
+        #[test]
+        fn the_staged_fan_out_is_helper_count_invariant(plan in fault_plan()) {
+            helper_count_invariant(&plan, 1_500);
+        }
+    }
+
     #[test]
-    fn the_staged_fan_out_is_helper_count_invariant() {
+    fn the_quorum_faults_plan_fails_over_after_a_catch_up() {
         // The facade tests' `quorum_faults` plan: epoch 2 corrupts replica
         // 0's first attempt (it is staged on its retry), epoch 3 drops it
         // for good, replica 2 is partitioned over epochs 4–10 and catches
@@ -599,14 +690,7 @@ mod tests {
                     stage: Stage::Transfer,
                 },
             );
-        let runs: Vec<FanoutRun> = (0..=3)
-            .map(|helpers| {
-                let mut session = fanout_session(vec![3, 2, 3], plan.clone());
-                session.fanout_helpers = helpers;
-                run_fanout(session)
-            })
-            .collect();
-        let (images, report) = &runs[0];
+        let (_, report) = helper_count_invariant(&plan, 20_000);
         assert!(
             report.failover.is_some(),
             "the crash at epoch 13 fails over"
@@ -617,27 +701,13 @@ mod tests {
             .iter()
             .any(|e| matches!(e, SessionEvent::Ack { replica: 2, seq, .. } if *seq > 10));
         assert!(caught_up, "replica 2 must catch up after its partition");
-        for (helpers, (other_images, other)) in runs.iter().enumerate().skip(1) {
-            assert!(other_images == images, "helpers {helpers}: replica images");
-            assert_eq!(other.commits, report.commits, "helpers {helpers}");
-            assert_eq!(
-                without_host_clock(&other.events),
-                without_host_clock(&report.events),
-                "helpers {helpers}"
-            );
-            assert_eq!(
-                other.fingerprint(),
-                report.fingerprint(),
-                "helpers {helpers}"
-            );
-        }
     }
 
     #[test]
     fn steady_state_checkpoints_spawn_no_thread() {
         // Seeding spawns the session's one set of workers; after that the
         // harvest, the encode rounds and the fan-out all run on them.
-        let mut session = fanout_session(vec![3, 3, 3], FaultPlan::new(1));
+        let mut session = fanout_session(vec![3, 3, 3], FaultPlan::new(1), 20_000);
         crate::migrate::seed(&mut session).unwrap();
         let seeded = session.pools.lanes.workers_spawned();
         assert_eq!(seeded, session.threads as usize);
@@ -666,7 +736,7 @@ mod tests {
         // where the serial loop's does, whatever the helper count.
         let outcomes: Vec<_> = (0..=3)
             .map(|helpers| {
-                let mut session = fanout_session(vec![3, 3, 3], FaultPlan::new(1));
+                let mut session = fanout_session(vec![3, 3, 3], FaultPlan::new(1), 20_000);
                 session.fanout_helpers = helpers;
                 session.replicas.get_mut(1).base_epoch = 5;
                 for member in session.replicas.iter_mut() {

@@ -11,9 +11,10 @@
 //! - **Inline rule** — a single task, or one lane with no window, is
 //!   encoded on the calling thread and never touches the pool: the
 //!   choice follows from the input alone.
-//! - **Pool round** — every other round runs on the persistent
-//!   [`LanePool`], whose workers are spawned once and parked between
-//!   rounds. Tasks sit on per-lane queues (round-robin by task index, so
+//! - **Pool round** — every other round is a [`LanePool::scope`] on the
+//!   persistent pool, whose workers are spawned once and parked between
+//!   rounds, and which lends them the caller's delta: no lane copies it.
+//!   Tasks sit on per-lane queues (round-robin by task index, so
 //!   a lane re-encodes the same memory regions epoch after epoch); a lane
 //!   that drains its queue steals from the back of the fullest other.
 //!   The lanes produce and the calling thread consumes: it gets each
@@ -21,6 +22,8 @@
 //!   predecessors are done, so transfer/decode overlaps the encode still
 //!   running. Lanes block [`EncodePlan::window`] tasks ahead of the
 //!   consumer; the default depth is the whole round, so none ever does.
+//!   However the consumer leaves — done, or unwinding out of
+//!   `on_segment` — it releases the window on its way out.
 //!   The stream is byte-identical at every lane count and depth. Depth
 //!   is no memory bound: every task's buffer leaves the [`BufferPool`]
 //!   before the round starts.
@@ -28,10 +31,9 @@
 //! Allocation lifecycle: [`BufferPool`] hands out recycled `BytesMut`
 //! buffers and reclaims them from spent `Bytes` segments via
 //! `try_into_mut` (sole-owner, whole-allocation reclamation); the pool's
-//! round scratch (the copied entry table and task slots) is likewise
-//! reused across epochs, so the steady-state checkpoint loop performs no
-//! allocation once warm. [`CheckpointPools`] bundles all of it for
-//! [`crate::session::Session`].
+//! task table is likewise reused across epochs, so the steady-state
+//! checkpoint loop performs no allocation once warm. [`CheckpointPools`]
+//! bundles all of it for [`crate::session::Session`].
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -257,11 +259,14 @@ struct Segment {
 }
 
 /// Mutable round state shared between lanes and the consumer: task input
-/// buffers, completed output slots and the in-order window cursor.
+/// buffers, completed output slots, the in-order window cursor, and
+/// whether the round was abandoned (its consumer left, or a lane
+/// panicked), after which nobody waits on anybody.
 struct Progress {
     inputs: Vec<Option<BytesMut>>,
     slots: Vec<Option<Segment>>,
     consumed: usize,
+    abandoned: bool,
 }
 
 #[derive(Default)]
@@ -271,16 +276,13 @@ struct LaneCell {
     busy_nanos: AtomicU64,
 }
 
-/// One dispatched encode round. Entries are *copied* in (≈16 bytes per
-/// page — trivial next to the encoded output), so a round borrows
-/// nothing from the caller's delta (only [`LanePool::scope`] lends a
-/// borrow to the workers); the entry table itself is recycled round to
-/// round via [`RoundScratch`].
-struct Round {
-    entries: Vec<(PageId, PageVersion)>,
-    tasks: Vec<(usize, usize)>,
+/// One encode round, lent to the pool's workers for the life of one
+/// [`LanePool::scope`]: the lanes encode slices of the caller's entries in
+/// place, and the calling thread consumes their segments.
+struct Round<'a> {
+    entries: &'a [(PageId, PageVersion)],
+    tasks: &'a [(usize, usize)],
     mode: PayloadMode,
-    lanes: usize,
     depth: usize,
     queues: Vec<Mutex<VecDeque<usize>>>,
     progress: Mutex<Progress>,
@@ -289,7 +291,42 @@ struct Round {
     lane_stats: Vec<LaneCell>,
 }
 
-impl Round {
+impl<'a> Round<'a> {
+    /// A round over `tasks`, slices of `entries`, run on up to
+    /// `plan.lanes` lanes; task `t` encodes into `bufs[t]`.
+    fn new(
+        entries: &'a [(PageId, PageVersion)],
+        tasks: &'a [(usize, usize)],
+        plan: &EncodePlan,
+        bufs: Vec<BytesMut>,
+    ) -> Self {
+        let ntasks = tasks.len();
+        let lanes = (plan.lanes as usize).min(ntasks);
+        Round {
+            entries,
+            tasks,
+            mode: plan.mode,
+            depth: plan.window.map_or(ntasks, |d| (d as usize).max(1)),
+            queues: (0..lanes)
+                .map(|lane| Mutex::new((lane..ntasks).step_by(lanes).collect()))
+                .collect(),
+            progress: Mutex::new(Progress {
+                inputs: bufs.into_iter().map(Some).collect(),
+                slots: (0..ntasks).map(|_| None).collect(),
+                consumed: 0,
+                abandoned: false,
+            }),
+            producer_cv: Condvar::new(),
+            consumer_cv: Condvar::new(),
+            lane_stats: (0..lanes).map(|_| LaneCell::default()).collect(),
+        }
+    }
+
+    /// The lanes the round runs on, one queue each.
+    fn lanes(&self) -> usize {
+        self.queues.len()
+    }
+
     /// Claims the next task for `lane`: its own queue front first, then a
     /// steal from the back of the fullest other queue.
     fn claim(&self, lane: usize) -> Option<(usize, bool)> {
@@ -313,8 +350,17 @@ impl Round {
         }
     }
 
-    /// Runs `lane` until no tasks remain anywhere.
+    /// Runs `lane` until no tasks remain anywhere or the round is
+    /// abandoned. A panic here abandons the round before it propagates,
+    /// so the consumer stops waiting for this lane's segment.
     fn work(&self, lane: usize) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.produce(lane))) {
+            self.abandon();
+            resume_unwind(payload);
+        }
+    }
+
+    fn produce(&self, lane: usize) {
         while let Some((task, stolen)) = self.claim(lane) {
             let mut buf = {
                 let mut p = self.progress.lock().expect("progress lock");
@@ -322,9 +368,13 @@ impl Round {
                 // of the consumer. Safe against deadlock because lane
                 // queues ascend and steals take the *highest* index, so
                 // the owner of the lowest unconsumed chunk is never the
-                // one blocked here (see DESIGN.md).
-                while task >= p.consumed + self.depth {
+                // one blocked here, and a consumer that leaves abandons
+                // the round (see DESIGN.md).
+                while task >= p.consumed + self.depth && !p.abandoned {
                     p = self.producer_cv.wait(p).expect("window wait");
+                }
+                if p.abandoned {
+                    return;
                 }
                 p.inputs[task].take().expect("task buffer claimed once")
             };
@@ -346,36 +396,82 @@ impl Round {
             self.consumer_cv.notify_all();
         }
     }
-}
 
-/// What the parked workers are woken for.
-#[derive(Clone)]
-enum Job {
-    /// An encode round: worker `i` plays lane `i`, the caller consumes.
-    Encode(Arc<Round>),
-    /// A [`LanePool::scope`] call: worker `i` plays lane `i + 1`, the
-    /// caller lane 0. The borrow's lifetime is erased; see `scope`.
-    Scope {
-        lanes: usize,
-        lane: &'static (dyn Fn(usize) + Sync),
-    },
-}
+    /// The calling thread's part of the round: hands each segment to
+    /// `on_segment` strictly in task order, as soon as it and its
+    /// predecessors are done; each consume opens one more window slot
+    /// for the lanes. Returns per-task encode walls. However it leaves —
+    /// every segment consumed, a lane's panic, or unwinding out of
+    /// `on_segment` — it abandons the round on the way out, so no lane
+    /// is left waiting on the window for a consumer that is gone.
+    fn consume(&self, mut on_segment: impl FnMut(usize, Bytes)) -> Vec<u64> {
+        let consumed = catch_unwind(AssertUnwindSafe(|| {
+            let mut walls = vec![0u64; self.tasks.len()];
+            for next in 0..walls.len() {
+                let seg = {
+                    let mut p = self.progress.lock().expect("progress lock");
+                    loop {
+                        if let Some(seg) = p.slots[next].take() {
+                            p.consumed = next + 1;
+                            self.producer_cv.notify_all();
+                            break seg;
+                        }
+                        if p.abandoned {
+                            // A lane panicked; `scope` re-raises it.
+                            return walls;
+                        }
+                        p = self.consumer_cv.wait(p).expect("consumer wait");
+                    }
+                };
+                walls[next] = seg.wall_nanos;
+                on_segment(next, seg.bytes);
+            }
+            walls
+        }));
+        self.abandon();
+        consumed.unwrap_or_else(|payload| resume_unwind(payload))
+    }
 
-impl Job {
-    /// How many workers the job engages: workers `0..engaged()`.
-    fn engaged(&self) -> usize {
-        match self {
-            Job::Encode(round) => round.lanes,
-            Job::Scope { lanes, .. } => lanes - 1,
+    /// Ends the round for whoever still waits on it: lanes stop at the
+    /// window, the consumer stops waiting for a segment.
+    fn abandon(&self) {
+        let mut p = self.progress.lock().unwrap_or_else(PoisonError::into_inner);
+        p.abandoned = true;
+        self.producer_cv.notify_all();
+        self.consumer_cv.notify_all();
+    }
+
+    /// What the lanes did, once the scope has drained.
+    fn stats(&self, round_wall_nanos: u64) -> EncodeRoundStats {
+        EncodeRoundStats {
+            per_lane: self
+                .lane_stats
+                .iter()
+                .map(|c| LaneRoundStats {
+                    tasks: c.tasks.load(Ordering::Relaxed),
+                    steals: c.steals.load(Ordering::Relaxed),
+                    busy_nanos: c.busy_nanos.load(Ordering::Relaxed),
+                })
+                .collect(),
+            round_wall_nanos,
         }
     }
+}
+
+/// What the parked workers are woken for: a [`LanePool::scope`] call,
+/// whose worker `i` plays lane `i`. The borrow's lifetime is erased; see
+/// `scope`.
+#[derive(Clone, Copy)]
+struct Job {
+    lanes: usize,
+    lane: &'static (dyn Fn(usize) + Sync),
 }
 
 struct PoolState {
     job: Option<Job>,
     epoch: u64,
     /// Engaged workers whose lane has not returned yet. The dispatcher
-    /// sets it to the job's `engaged()` when it posts the job and posts no
+    /// sets it to the job's `lanes` when it posts the job and posts no
     /// other while it is above zero; each engaged worker lowers it once
     /// its lane has returned. `busy == 0` is the drain: every lane of the
     /// posted job has finished.
@@ -389,16 +485,9 @@ struct PoolShared {
     done_cv: Condvar,
 }
 
-/// Recycled allocations for round construction.
-#[derive(Default)]
-struct RoundScratch {
-    entries: Vec<(PageId, PageVersion)>,
-    tasks: Vec<(usize, usize)>,
-}
-
-/// The persistent worker threads: the work-stealing encode rounds of
-/// [`encode_pages_round`] and the scoped lanes of [`LanePool::scope`]
-/// (harvest chunks, the replica fan-out) run on one set of them.
+/// The persistent worker threads. Every job they run is a
+/// [`LanePool::scope`]: the work-stealing encode rounds of
+/// [`encode_pages_round`], the harvest chunks and the replica fan-out.
 ///
 /// Workers are spawned the first time a job needs them, then parked on a
 /// condvar between jobs; [`Drop`] shuts them down and joins. All
@@ -408,7 +497,8 @@ struct RoundScratch {
 pub struct LanePool {
     shared: Arc<PoolShared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    scratch: Mutex<RoundScratch>,
+    /// The task table of the last encode round, kept for its allocation.
+    tasks: Mutex<Vec<(usize, usize)>>,
     totals: Mutex<LanePoolTotals>,
     last_round: Mutex<EncodeRoundStats>,
 }
@@ -436,7 +526,7 @@ impl Default for LanePool {
                 done_cv: Condvar::new(),
             }),
             workers: Mutex::new(Vec::new()),
-            scratch: Mutex::new(RoundScratch::default()),
+            tasks: Mutex::new(Vec::new()),
             totals: Mutex::new(LanePoolTotals::default()),
             last_round: Mutex::new(EncodeRoundStats::default()),
         }
@@ -485,12 +575,12 @@ impl LanePool {
     /// Posts `job` once the previous job has drained, marking the workers
     /// it engages busy.
     fn dispatch(&self, job: Job) {
-        self.ensure_workers(job.engaged());
+        self.ensure_workers(job.lanes);
         let mut st = self.shared.state.lock().expect("pool state lock");
         while st.busy > 0 {
             st = self.shared.done_cv.wait(st).expect("pool drain wait");
         }
-        st.busy = job.engaged();
+        st.busy = job.lanes;
         st.job = Some(job);
         st.epoch += 1;
         self.shared.work_cv.notify_all();
@@ -516,17 +606,21 @@ impl LanePool {
         st.job = None;
     }
 
-    /// Runs `lane(0)`, …, `lane(lanes - 1)`, each exactly once: lane 0 on
-    /// the calling thread, the others on the parked workers (spawning any
-    /// that are missing). Returns only after every lane has finished. A
-    /// panic in any lane is caught and, once every other lane has
-    /// finished, re-raised here. One lane runs inline, without the pool.
-    pub fn scope(&self, lanes: usize, lane: &(dyn Fn(usize) + Sync)) {
-        if lanes <= 1 {
-            if lanes == 1 {
-                lane(0);
-            }
-            return;
+    /// Runs `lane(0)`, …, `lane(lanes - 1)`, each exactly once, on the
+    /// parked workers (spawning any that are missing) while the calling
+    /// thread runs `caller`, and returns what `caller` returns once every
+    /// lane has finished. `caller` needs neither `Send` nor `Sync`: it
+    /// never leaves this thread. A panic in `caller` or in any lane is
+    /// caught and, once every lane has finished, re-raised here
+    /// (`caller`'s first). With no lanes, `caller` runs alone.
+    pub fn scope<R>(
+        &self,
+        lanes: usize,
+        lane: &(dyn Fn(usize) + Sync),
+        caller: impl FnOnce() -> R,
+    ) -> R {
+        if lanes == 0 {
+            return caller();
         }
         let panicked = Mutex::new(None);
         let guarded = |i: usize| {
@@ -539,9 +633,9 @@ impl LanePool {
         };
         let guarded: &(dyn Fn(usize) + Sync) = &guarded;
         // SAFETY: a worker reaches `guarded` only through the posted job,
-        // and this function does not return (nor unwind: `guarded` catches
-        // every lane's panic, and `drain` does not panic) before `drain`
-        // has seen `busy == 0`, the drain an encode round relies on too.
+        // and this function does not return (nor unwind: `guarded` and
+        // the `catch_unwind` around `caller` catch every panic, and
+        // `drain` does not panic) before `drain` has seen `busy == 0`.
         // Each engaged worker lowers `busy` only after its lane has
         // returned and its copy of the reference is dead, no other job can
         // be posted over this one before that, and `drain` then drops the
@@ -550,76 +644,23 @@ impl LanePool {
         let erased = unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(guarded)
         };
-        self.dispatch(Job::Scope {
+        self.dispatch(Job {
             lanes,
             lane: erased,
         });
-        guarded(0);
+        let result = catch_unwind(AssertUnwindSafe(caller));
         self.drain();
-        if let Some(payload) = panicked
+        let lane_panic = panicked
             .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-        {
-            resume_unwind(payload);
+            .unwrap_or_else(PoisonError::into_inner);
+        match (result, lane_panic) {
+            (Err(payload), _) | (Ok(_), Some(payload)) => resume_unwind(payload),
+            (Ok(result), None) => result,
         }
     }
 
-    /// Dispatches one round and consumes its segments in task order via
-    /// `on_segment`. Returns per-task walls and the round's lane stats.
-    fn run_round(
-        &self,
-        round: Round,
-        mut on_segment: impl FnMut(usize, Segment),
-    ) -> (Vec<u64>, EncodeRoundStats) {
-        let ntasks = round.tasks.len();
-        let start = Instant::now();
-        let round = Arc::new(round);
-        self.dispatch(Job::Encode(Arc::clone(&round)));
-        // Consume completed segments strictly in task order while the
-        // lanes run; each consume opens one more window slot for them.
-        let mut walls = vec![0u64; ntasks];
-        for (next, wall) in walls.iter_mut().enumerate() {
-            let seg = {
-                let mut p = round.progress.lock().expect("progress lock");
-                loop {
-                    if let Some(seg) = p.slots[next].take() {
-                        p.consumed = next + 1;
-                        round.producer_cv.notify_all();
-                        break seg;
-                    }
-                    p = round.consumer_cv.wait(p).expect("consumer wait");
-                }
-            };
-            *wall = seg.wall_nanos;
-            on_segment(next, seg);
-        }
-        // Reclaim the round: wait for every engaged worker to finish (each
-        // drops its Arc clone *before* lowering `busy`) and drop the posted
-        // job, then unwrap the sole remaining Arc and recycle its
-        // allocations.
-        self.drain();
-        let round = Arc::try_unwrap(round)
-            .ok()
-            .expect("round has no other holders once workers parked");
-        let stats = EncodeRoundStats {
-            per_lane: round
-                .lane_stats
-                .iter()
-                .map(|c| LaneRoundStats {
-                    tasks: c.tasks.load(Ordering::Relaxed),
-                    steals: c.steals.load(Ordering::Relaxed),
-                    busy_nanos: c.busy_nanos.load(Ordering::Relaxed),
-                })
-                .collect(),
-            round_wall_nanos: start.elapsed().as_nanos() as u64,
-        };
-        {
-            let mut scratch = self.scratch.lock().expect("scratch lock");
-            scratch.entries = round.entries;
-            scratch.entries.clear();
-            scratch.tasks = round.tasks;
-            scratch.tasks.clear();
-        }
+    /// Folds one pool round's stats into the pool's counters.
+    fn record_round(&self, stats: &EncodeRoundStats) {
         {
             let mut totals = self.totals.lock().expect("totals lock");
             totals.rounds += 1;
@@ -628,7 +669,6 @@ impl LanePool {
             totals.busy_nanos += stats.per_lane.iter().map(|l| l.busy_nanos).sum::<u64>();
         }
         *self.last_round.lock().expect("last round lock") = stats.clone();
-        (walls, stats)
     }
 }
 
@@ -655,21 +695,17 @@ fn worker_main(shared: Arc<PoolShared>, idx: usize, mut last_epoch: u64) {
             return;
         }
         last_epoch = guard.epoch;
-        // The dispatcher already counted workers `0..engaged()` busy; a
-        // job narrower than the pool leaves the rest parked.
-        let job = match &guard.job {
-            Some(job) if idx < job.engaged() => job.clone(),
+        // The dispatcher already counted workers `0..lanes` busy; a job
+        // narrower than the pool leaves the rest parked.
+        let job = match guard.job {
+            Some(job) if idx < job.lanes => job,
             _ => continue,
         };
         drop(guard);
-        match job {
-            Job::Encode(round) => round.work(idx),
-            // `scope` hands out a lane that catches its own panic.
-            Job::Scope { lane, .. } => lane(idx + 1),
-        }
-        // The job (the round's Arc clone, the scope's reference) is dead
-        // before `busy` falls: the dispatcher relies on `busy == 0`
-        // implying no worker holds any part of it.
+        // `scope` hands out a lane that catches its own panic.
+        (job.lane)(idx);
+        // The job's reference is dead before `busy` falls: `scope` relies
+        // on `busy == 0` implying no worker holds it.
         guard = shared.state.lock().expect("pool state lock");
         guard.busy -= 1;
         shared.done_cv.notify_all();
@@ -799,82 +835,46 @@ pub fn encode_pages_round(
     assert!(plan.lanes >= 1, "at least one encode lane is required");
     let split_start = Instant::now();
     let entries = delta.entries();
-    let mut scratch = {
-        let mut s = lanes.scratch.lock().expect("scratch lock");
-        RoundScratch {
-            entries: std::mem::take(&mut s.entries),
-            tasks: std::mem::take(&mut s.tasks),
-        }
-    };
-    plan_tasks(entries.len(), plan, &mut scratch.tasks);
-    let ntasks = scratch.tasks.len();
-    if ntasks == 0 {
-        let mut s = lanes.scratch.lock().expect("scratch lock");
-        *s = scratch;
-        return (Vec::new(), EncodeRoundStats::default());
-    }
-    let mut bufs: Vec<BytesMut> = scratch
-        .tasks
+    let mut tasks = std::mem::take(&mut *lanes.tasks.lock().expect("task table lock"));
+    plan_tasks(entries.len(), plan, &mut tasks);
+    let ntasks = tasks.len();
+    let mut bufs: Vec<BytesMut> = tasks
         .iter()
         .map(|&(lo, hi)| pool.checkout(segment_capacity(hi - lo, plan.mode)))
         .collect();
 
-    let inline = ntasks == 1 || (plan.lanes == 1 && plan.window.is_none());
-    if inline {
-        // No pool, no entry copy: the caller encodes every task itself.
-        let mut walls = vec![0u64; ntasks];
+    let inline = ntasks <= 1 || (plan.lanes == 1 && plan.window.is_none());
+    let (mut walls, stats, split_nanos) = if inline {
+        // No pool: the caller encodes every task itself.
         let split_nanos = split_start.elapsed().as_nanos() as u64;
-        for (i, buf) in bufs.iter_mut().enumerate() {
-            let (lo, hi) = scratch.tasks[i];
+        let mut walls = vec![0u64; ntasks];
+        for ((wall, buf), &(lo, hi)) in walls.iter_mut().zip(&mut bufs).zip(&tasks) {
             let start = Instant::now();
             encode_shard(&entries[lo..hi], plan.mode, buf);
-            walls[i] = start.elapsed().as_nanos() as u64;
+            *wall = start.elapsed().as_nanos() as u64;
         }
-        // Task-split time belongs to lane 0, so attribution still sums
-        // to the whole encode (see the straggler detector in analyze.rs).
-        walls[0] += split_nanos;
         for (i, buf) in bufs.into_iter().enumerate() {
             on_segment(i, buf.freeze());
         }
-        let mut s = lanes.scratch.lock().expect("scratch lock");
-        *s = scratch;
-        return (walls, EncodeRoundStats::default());
-    }
-
-    let round_lanes = (plan.lanes as usize).min(ntasks).max(1);
-    scratch.entries.clear();
-    scratch.entries.extend_from_slice(entries);
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..round_lanes)
-        .map(|lane| {
-            Mutex::new(
-                (lane..ntasks)
-                    .step_by(round_lanes)
-                    .collect::<VecDeque<usize>>(),
-            )
-        })
-        .collect();
-    let depth = plan.window.map_or(ntasks, |d| (d as usize).max(1));
-    let round = Round {
-        entries: scratch.entries,
-        tasks: scratch.tasks,
-        mode: plan.mode,
-        lanes: round_lanes,
-        depth,
-        queues,
-        progress: Mutex::new(Progress {
-            inputs: bufs.into_iter().map(Some).collect(),
-            slots: (0..ntasks).map(|_| None).collect(),
-            consumed: 0,
-        }),
-        producer_cv: Condvar::new(),
-        consumer_cv: Condvar::new(),
-        lane_stats: (0..round_lanes).map(|_| LaneCell::default()).collect(),
+        (walls, EncodeRoundStats::default(), split_nanos)
+    } else {
+        let round = Round::new(entries, &tasks, plan, bufs);
+        let split_nanos = split_start.elapsed().as_nanos() as u64;
+        // Every lane is a worker; the caller only consumes.
+        let start = Instant::now();
+        let walls = lanes.scope(round.lanes(), &|lane| round.work(lane), || {
+            round.consume(on_segment)
+        });
+        let stats = round.stats(start.elapsed().as_nanos() as u64);
+        lanes.record_round(&stats);
+        (walls, stats, split_nanos)
     };
-    let split_nanos = split_start.elapsed().as_nanos() as u64;
-    let (mut walls, stats) = lanes.run_round(round, |i, seg| on_segment(i, seg.bytes));
+    // Task-split time belongs to the first task, so attribution still sums
+    // to the whole encode (see the straggler detector in analyze.rs).
     if let Some(first) = walls.first_mut() {
         *first += split_nanos;
     }
+    *lanes.tasks.lock().expect("task table lock") = tasks;
     (walls, stats)
 }
 
@@ -1508,19 +1508,25 @@ mod tests {
     }
 
     /// Runs a scope of `lanes` on `lp` and returns how often each lane
-    /// ran and whether lane 0 ran on the calling thread.
+    /// ran, and whether every lane ran off the calling thread and the
+    /// caller's part on it.
     fn lane_runs(lp: &LanePool, lanes: usize) -> (Vec<usize>, bool) {
         let runs: Vec<AtomicU64> = (0..lanes).map(|_| AtomicU64::new(0)).collect();
         let caller = std::thread::current().id();
-        let lane0_here = AtomicU64::new(0);
-        lp.scope(lanes, &|lane| {
-            runs[lane].fetch_add(1, Ordering::Relaxed);
-            if lane == 0 && std::thread::current().id() == caller {
-                lane0_here.store(1, Ordering::Relaxed);
-            }
-        });
+        let lane_here = AtomicU64::new(0);
+        let caller_here = lp.scope(
+            lanes,
+            &|lane| {
+                runs[lane].fetch_add(1, Ordering::Relaxed);
+                if std::thread::current().id() == caller {
+                    lane_here.store(1, Ordering::Relaxed);
+                }
+            },
+            || std::thread::current().id() == caller,
+        );
         let runs = runs.iter().map(|r| r.load(Ordering::Relaxed) as usize);
-        (runs.collect(), lane0_here.load(Ordering::Relaxed) == 1)
+        let placed = caller_here && lane_here.load(Ordering::Relaxed) == 0;
+        (runs.collect(), placed)
     }
 
     #[test]
@@ -1528,10 +1534,13 @@ mod tests {
         let lp = LanePool::new();
         // Up, then back down, then past the parked workers again: a scope
         // wider than the pool spawns only what is missing.
-        for lanes in [1, 2, 3, 4, 5, 6, 7, 8, 3, 1] {
-            let (runs, lane0_here) = lane_runs(&lp, lanes);
+        for lanes in [0, 1, 2, 3, 4, 5, 6, 7, 2, 0] {
+            let (runs, placed) = lane_runs(&lp, lanes);
             assert_eq!(runs, vec![1; lanes], "lanes={lanes}");
-            assert!(lane0_here, "lanes={lanes}: lane 0 is the caller");
+            assert!(
+                placed,
+                "lanes={lanes}: lanes on workers, the rest on the caller"
+            );
         }
         assert_eq!(lp.workers_spawned(), 7);
         assert_eq!(lp.totals().rounds, 0, "a scope is not an encode round");
@@ -1541,24 +1550,26 @@ mod tests {
     fn a_lane_panic_is_reraised_after_every_other_lane_finishes() {
         let delta = delta_of(4096);
         let reference = encode(&delta, SHARDS, &mut BufferPool::new(), &LanePool::new());
+        // Part 0 is the caller's, parts 1–3 are worker lanes 0–2.
         for panicking in [0usize, 2] {
             let lp = LanePool::new();
             let finished: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
             let failing = AtomicU64::new(0);
+            let part = |part: usize| {
+                if part == panicking {
+                    failing.store(1, Ordering::SeqCst);
+                    panic!("lane {part} fails");
+                }
+                // The other parts are still running when the panic is
+                // raised, and for a while after.
+                while failing.load(Ordering::SeqCst) == 0 {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                finished[part].store(1, Ordering::SeqCst);
+            };
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                lp.scope(4, &|lane| {
-                    if lane == panicking {
-                        failing.store(1, Ordering::SeqCst);
-                        panic!("lane {lane} fails");
-                    }
-                    // The other lanes are still running when the panic is
-                    // raised, and for a while after.
-                    while failing.load(Ordering::SeqCst) == 0 {
-                        std::thread::yield_now();
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    finished[lane].store(1, Ordering::SeqCst);
-                })
+                lp.scope(3, &|lane| part(lane + 1), || part(0))
             }));
             // Every other lane had finished by the time the panic
             // surfaced on the caller.
@@ -1580,6 +1591,86 @@ mod tests {
         }
     }
 
+    /// Runs `body` on a thread of its own and fails unless it finishes
+    /// within a minute: for the tests whose failure is a hang.
+    fn finishes(body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let body = std::thread::Builder::new()
+            .name("bounded-test-body".into())
+            .spawn(move || {
+                body();
+                done.send(()).expect("the test waits for the body");
+            })
+            .expect("spawn the test body");
+        let timeout = std::sync::mpsc::RecvTimeoutError::Timeout;
+        if finished.recv_timeout(std::time::Duration::from_secs(60)) == Err(timeout) {
+            panic!("the test body hung");
+        }
+        // Finished or failed: either way the thread has ended.
+        if let Err(payload) = body.join() {
+            resume_unwind(payload);
+        }
+    }
+
+    #[test]
+    fn a_panicking_windowed_consumer_releases_the_window() {
+        // Two lanes, eight 512-page tasks, one task of window: once the
+        // consumer is gone, every lane waits on the window for good unless
+        // the consumer's exit released it.
+        finishes(|| {
+            let delta = delta_of(4096);
+            let plan = EncodePlan {
+                lanes: 2,
+                chunk_pages: Some(512),
+                window: Some(1),
+                ..SHARDS
+            };
+            let reference = encode(&delta, plan, &mut BufferPool::new(), &LanePool::new());
+            assert_eq!(reference.len(), 8);
+            let lp = LanePool::new();
+            let mut pool = BufferPool::new();
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                encode_pages_round(&delta, &plan, &mut pool, &lp, |i, _| {
+                    assert_ne!(i, 0, "segment 0 refused");
+                })
+            }));
+            let payload = caught.expect_err("the consumer's panic reaches the caller");
+            let message = payload.downcast_ref::<String>().map(String::as_str);
+            assert!(message.is_some_and(|m| m.contains("segment 0 refused")));
+            // The pool still serves a windowed round and a scope, and
+            // shuts down.
+            assert_eq!(encode(&delta, plan, &mut pool, &lp), reference);
+            assert_eq!(lane_runs(&lp, 2).0, vec![1; 2]);
+        });
+    }
+
+    #[test]
+    fn a_panicking_encode_lane_ends_the_round() {
+        // Task 1 reaches past the entries, so the lane that takes it
+        // panics; the consumer, waiting for that segment, must stop and
+        // the lane's panic reach the caller.
+        finishes(|| {
+            let delta = delta_of(64);
+            let tasks = [(0, 32), (32, 65)];
+            let mut pool = BufferPool::new();
+            let bufs = tasks.iter().map(|_| pool.checkout(1024)).collect();
+            let round = Round::new(delta.entries(), &tasks, &SHARDS, bufs);
+            let lp = LanePool::new();
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                lp.scope(round.lanes(), &|lane| round.work(lane), || {
+                    round.consume(|_, _| {})
+                })
+            }));
+            let payload = caught.expect_err("the lane's panic reaches the caller");
+            let message = payload.downcast_ref::<String>().map(String::as_str);
+            assert!(
+                message.is_some_and(|m| m.contains("out of range")),
+                "{message:?}"
+            );
+            assert_eq!(lane_runs(&lp, 2).0, vec![1; 2]);
+        });
+    }
+
     #[test]
     fn scopes_interleaved_with_encode_rounds_give_identical_output() {
         let delta = delta_of(4096);
@@ -1592,11 +1683,12 @@ mod tests {
         let lp = LanePool::new();
         for lanes in [2, 4, 8, 3] {
             let sums: Vec<AtomicU64> = (0..lanes).map(|_| AtomicU64::new(0)).collect();
-            lp.scope(lanes, &|lane| {
+            let sum_lane = |lane: usize| {
                 let mine = delta.entries().iter().skip(lane).step_by(lanes);
                 let sum = mine.map(|(page, _)| page.frame()).sum();
                 sums[lane].store(sum, Ordering::Relaxed);
-            });
+            };
+            lp.scope(lanes - 1, &|worker| sum_lane(worker + 1), || sum_lane(0));
             let total: u64 = sums.iter().map(|s| s.load(Ordering::Relaxed)).sum();
             assert_eq!(
                 total,

@@ -105,7 +105,7 @@ pub(crate) fn seed(session: &mut Session) -> CoreResult<MigrationOutcome> {
             let problematic = tracker.resend_list();
             let problematic_resent = problematic.len() as u64;
             let resend = session.pages_to_delta(&problematic)?;
-            final_delta.merge(resend);
+            final_delta.merge(&resend);
             let downtime = costs.migration_round(final_delta.len() as u64, session.threads)
                 + costs.checkpoint_const;
             session.ship_checkpoint(&final_delta, 0)?;

@@ -720,7 +720,7 @@ impl Session {
             }
         };
         let member = self.replicas.get_mut(replica);
-        let backlog = std::mem::take(&mut member.backlog);
+        let mut backlog = std::mem::take(&mut member.backlog);
         if let Some(base) = rebase_to {
             // Backlog catch-up under v3: the parked pages *are* the
             // committed epochs this replica missed, so installing them
@@ -732,6 +732,9 @@ impl Session {
             vm.memory_mut().install_page(page, rec)?;
         }
         install_staged(vm.memory_mut(), &staged);
+        // The backlog keeps its allocation for the next missed epoch.
+        backlog.clear();
+        member.backlog = backlog;
         for (index, blob) in vcpus {
             member
                 .host
@@ -823,7 +826,7 @@ impl Session {
     /// apply, so a slow replica converges asynchronously instead of
     /// blocking the quorum.
     pub(crate) fn note_replica_backlog(&mut self, replica: u32, delta: &MemoryDelta) {
-        self.replicas.get_mut(replica).backlog.merge(delta.clone());
+        self.replicas.get_mut(replica).backlog.merge(delta);
     }
 
     /// Re-evaluates every replica's staleness after epoch `seq`'s acks
@@ -1324,7 +1327,7 @@ fn stage_all(jobs: Vec<LentStage<'_>>, pool: &LanePool, helpers: usize) -> Vec<(
     let slots: Vec<Mutex<Option<LentStage<'_>>>> =
         jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
     let cursor = AtomicUsize::new(0);
-    pool.scope(helpers + 1, &|_| {
+    let run = || {
         while let Some(slot) = slots.get(cursor.fetch_add(1, Ordering::Relaxed)) {
             let (replica, job, mut staged) = slot
                 .lock()
@@ -1336,7 +1339,8 @@ fn stage_all(jobs: Vec<LentStage<'_>>, pool: &LanePool, helpers: usize) -> Vec<(
                 .expect("no lane panics holding the results")
                 .push((replica, StagedEpoch { staged, verdict }));
         }
-    });
+    };
+    pool.scope(helpers, &|_| run(), run);
     done.into_inner()
         .expect("no lane panics holding the results")
 }

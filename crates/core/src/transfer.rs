@@ -118,13 +118,14 @@ pub fn collect_chunked_into(
     // Each lane takes its own chunk list once, so its lock is never
     // contended; it only makes the disjoint slices lendable by `&`.
     let lanes: Vec<Mutex<Vec<ChunkSlots<'_>>>> = lanes.into_iter().map(Mutex::new).collect();
-    pool.scope(workers, &|lane| {
+    let run = |lane: usize| {
         let chunks = std::mem::take(&mut *lanes[lane].lock().expect("a lane's chunk list"));
         for (chunk, slots) in chunks {
             let lo = chunk * PAGES_PER_CHUNK;
             fill_slots(memory, dirty.iter_range(lo, lo + PAGES_PER_CHUNK), slots);
         }
-    });
+    };
+    pool.scope(workers - 1, &|worker| run(worker + 1), || run(0));
 }
 
 /// A chunk's number and the slots its dirty pages fill.

@@ -152,23 +152,88 @@ impl MemoryDelta {
         ByteSize::from_bytes(self.entries.len() as u64 * here_hypervisor::PAGE_SIZE)
     }
 
-    /// Merges `other` into `self`, keeping the later version when both
-    /// carry the same frame.
-    pub fn merge(&mut self, other: MemoryDelta) {
-        self.entries.extend(other.entries);
-        // Keep only the newest record per frame (stable: last write wins).
-        self.entries.sort_by_key(|&(p, v)| (p, v.version));
-        self.entries.dedup_by(|later, earlier| {
-            if later.0 == earlier.0 {
-                // `earlier` is kept by dedup_by; overwrite it with the
-                // higher-versioned record (later in sort order).
-                *earlier = *later;
-                true
-            } else {
-                false
+    /// Merges `other` into `self`, leaving one entry per frame in
+    /// ascending frame order. Of the records a frame has in either input,
+    /// the one with the highest `version` is kept; on a tie `other`'s
+    /// wins over `self`'s, and within one input the later entry wins.
+    ///
+    /// Harvest output is already frame-ascending with one entry per frame,
+    /// and so is every merge result, so the common case is linear,
+    /// O(`self.len() + other.len()`), and works in `self`'s own
+    /// allocation: one pass settles the frames both carry in place and
+    /// counts the frames only `other` carries, and only if there are any
+    /// does a second pass, from the back, make room for them. An input
+    /// that is not in that shape is sorted first.
+    pub fn merge(&mut self, other: &MemoryDelta) {
+        normalise(&mut self.entries);
+        let sorted;
+        let other = if is_normal(&other.entries) {
+            &other.entries[..]
+        } else {
+            let mut copy = other.entries.to_vec();
+            normalise(&mut copy);
+            sorted = copy;
+            &sorted[..]
+        };
+        let entries = &mut self.entries;
+        let n = entries.len();
+        let mut only_other = 0;
+        let mut rest = other.iter().peekable();
+        for mine in entries.iter_mut() {
+            while rest.next_if(|theirs| theirs.0 < mine.0).is_some() {
+                only_other += 1;
             }
-        });
+            if let Some(theirs) = rest.next_if(|theirs| theirs.0 == mine.0) {
+                if theirs.1.version >= mine.1.version {
+                    *mine = *theirs;
+                }
+            }
+        }
+        only_other += rest.count();
+        if only_other == 0 {
+            return;
+        }
+        // Back to front: every entry moves to its final slot, and the
+        // pass ends once the last frame only `other` carries is placed,
+        // where the rest of `self` already sits.
+        entries.resize(n + only_other, Default::default());
+        let (mut w, mut i, mut j) = (n + only_other, n, other.len());
+        while w > i {
+            let theirs = other[j - 1];
+            if i > 0 && entries[i - 1].0 >= theirs.0 {
+                if entries[i - 1].0 == theirs.0 {
+                    j -= 1; // settled by the first pass
+                }
+                entries[w - 1] = entries[i - 1];
+                i -= 1;
+            } else {
+                entries[w - 1] = theirs;
+                j -= 1;
+            }
+            w -= 1;
+        }
     }
+}
+
+/// `true` when `entries` ascend strictly by frame: sorted, one per frame.
+fn is_normal(entries: &[(PageId, PageVersion)]) -> bool {
+    entries.windows(2).all(|pair| pair[0].0 < pair[1].0)
+}
+
+/// Sorts `entries` by frame and keeps one per frame: the highest
+/// version, and of equal versions the later entry.
+fn normalise(entries: &mut Vec<(PageId, PageVersion)>) {
+    if is_normal(entries) {
+        return;
+    }
+    entries.sort_by_key(|&(page, rec)| (page, rec.version));
+    entries.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            *kept = *later;
+        }
+        same
+    });
 }
 
 impl FromIterator<(PageId, PageVersion)> for MemoryDelta {
@@ -204,7 +269,7 @@ mod tests {
         let mut a =
             MemoryDelta::from_entries(vec![(PageId::new(1), pv(1)), (PageId::new(2), pv(3))]);
         let b = MemoryDelta::from_entries(vec![(PageId::new(1), pv(5)), (PageId::new(3), pv(1))]);
-        a.merge(b);
+        a.merge(&b);
         assert_eq!(a.len(), 3);
         let got: Vec<(u64, u32)> = a
             .entries()
@@ -212,6 +277,72 @@ mod tests {
             .map(|&(p, v)| (p.frame(), v.version))
             .collect();
         assert_eq!(got, vec![(1, 5), (2, 3), (3, 1)]);
+    }
+
+    /// The merge this crate shipped before the linear one: concatenate,
+    /// stable-sort by `(frame, version)`, keep the last of each frame.
+    fn merge_by_sort(a: &MemoryDelta, b: &MemoryDelta) -> Vec<(PageId, PageVersion)> {
+        let mut entries = a.entries.clone();
+        entries.extend_from_slice(&b.entries);
+        entries.sort_by_key(|&(p, v)| (p, v.version));
+        entries.dedup_by(|later, earlier| {
+            if later.0 == earlier.0 {
+                *earlier = *later;
+                true
+            } else {
+                false
+            }
+        });
+        entries
+    }
+
+    /// A delta drawn as `(frame, version, writer)` triples; `ascending`
+    /// sorts it and keeps the last entry per frame, the shape a harvest
+    /// leaves.
+    fn delta_from(raw: &[(u64, u32, u16)], ascending: bool) -> MemoryDelta {
+        let mut entries: Vec<_> = raw
+            .iter()
+            .map(|&(frame, version, last_writer)| {
+                let rec = PageVersion {
+                    version,
+                    last_writer,
+                };
+                (PageId::new(frame), rec)
+            })
+            .collect();
+        if ascending {
+            entries.reverse();
+            entries.sort_by_key(|&(page, _)| page);
+            entries.dedup_by_key(|&mut (page, _)| page);
+        }
+        MemoryDelta::from_entries(entries)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The linear merge keeps exactly the entries the sort-and-dedup
+        /// merge kept, writer included, whatever shape either input has:
+        /// unsorted, with repeated frames, empty or already ascending.
+        /// Versions and writers come from small ranges, so equal frames
+        /// often carry equal versions with different writers.
+        #[test]
+        fn linear_merge_matches_the_sort_and_dedup_merge(
+            a in proptest::collection::vec((0u64..48, 0u32..4, 0u16..4), 0..40),
+            b in proptest::collection::vec((0u64..48, 0u32..4, 0u16..4), 0..40),
+            a_ascending in proptest::prelude::any::<bool>(),
+            b_ascending in proptest::prelude::any::<bool>(),
+        ) {
+            let (a, b) = (delta_from(&a, a_ascending), delta_from(&b, b_ascending));
+            let mut merged = a.clone();
+            merged.merge(&b);
+            proptest::prop_assert_eq!(merged.entries(), &merge_by_sort(&a, &b)[..]);
+            // Merging again into the result, as a backlog does epoch after
+            // epoch, still agrees.
+            let again = merge_by_sort(&merged, &b);
+            merged.merge(&b);
+            proptest::prop_assert_eq!(merged.entries(), &again[..]);
+        }
     }
 
     #[test]

@@ -328,7 +328,7 @@ proptest! {
                 .collect()
         };
         let mut merged = mk(&a);
-        merged.merge(mk(&b));
+        merged.merge(&mk(&b));
         // Expected: max version per frame across both inputs.
         let mut expect = std::collections::BTreeMap::new();
         for &(f, v) in a.iter().chain(b.iter()) {
