@@ -985,15 +985,11 @@ pub(crate) fn stage_next(
     verify: Option<&mut VerifyScratch>,
     staged: &mut Vec<(PageId, PageVersion)>,
 ) -> CoreResult<Option<Staged>> {
-    let from = staged.len();
     let Some(next) = dec.next_record_into(staged)? else {
         return Ok(None);
     };
     match &next {
-        Staged::Pages { .. } => {
-            let top = staged[from..].iter().map(|(page, _)| page.frame()).max();
-            check_in_range(top.unwrap_or(0), replica)?;
-        }
+        Staged::Pages { top, .. } => check_in_range(*top, replica)?,
         Staged::Record(record) => stage(record, replica, verify, staged)?,
     }
     Ok(Some(next))

@@ -632,7 +632,7 @@ impl Session {
             vcpu_count: vm.vcpus().len() as u32,
             negotiated: member.wire_version,
             delta_base: member.base_epoch,
-            may_rebase: !member.backlog.is_empty(),
+            may_rebase: member.missed_epoch,
         })
     }
 
@@ -735,6 +735,7 @@ impl Session {
         // The backlog keeps its allocation for the next missed epoch.
         backlog.clear();
         member.backlog = backlog;
+        member.missed_epoch = false;
         for (index, blob) in vcpus {
             member
                 .host
@@ -821,12 +822,15 @@ impl Session {
     }
 
     /// Queues the pages of epoch `seq`'s delta as catch-up backlog for a
-    /// replica whose transfer failed this epoch: they are installed
+    /// replica whose transfer failed this epoch, and notes the miss even
+    /// when the delta is empty: the pages are installed
     /// (oldest first, newest version winning) on its next successful
     /// apply, so a slow replica converges asynchronously instead of
     /// blocking the quorum.
     pub(crate) fn note_replica_backlog(&mut self, replica: u32, delta: &MemoryDelta) {
-        self.replicas.get_mut(replica).backlog.merge(delta);
+        let member = self.replicas.get_mut(replica);
+        member.backlog.merge(delta);
+        member.missed_epoch = true;
     }
 
     /// Re-evaluates every replica's staleness after epoch `seq`'s acks
@@ -1198,8 +1202,9 @@ pub(crate) struct StageJob<'a> {
     negotiated: u16,
     /// The replica's delta base: the epoch columnar records must name.
     delta_base: u64,
-    /// Whether a newer base is acceptable: the replica holds the missed
-    /// epochs as parked backlog.
+    /// Whether a newer base is acceptable: the replica missed a committed
+    /// epoch since its base, and holds its pages, if any, as parked
+    /// backlog.
     may_rebase: bool,
 }
 
@@ -1244,7 +1249,7 @@ impl StageJob<'_> {
         let mut rebase_to: Option<u64> = None;
         while let Some(next) = receive(&mut dec, self.memory, None, staged)? {
             let columns_base = match &next {
-                Staged::Pages { base_epoch } => *base_epoch,
+                Staged::Pages { base_epoch, .. } => *base_epoch,
                 Staged::Record(Record::PageColumns(batch)) => Some(batch.base_epoch()),
                 Staged::Record(_) => None,
             };

@@ -59,6 +59,11 @@ pub struct Replica {
     /// its next successful apply (asynchronous catch-up), newest version
     /// winning on overlap.
     pub(crate) backlog: MemoryDelta,
+    /// Whether the replica missed an epoch since its delta base, with or
+    /// without pages: the quorum committed it, so the next stream may
+    /// name a newer base, which the replica adopts as its backlog
+    /// installs. Set with the backlog, cleared by an install.
+    pub(crate) missed_epoch: bool,
     /// True while the replica trails the primary past the configured
     /// staleness bound.
     pub(crate) stale: bool,
@@ -83,6 +88,7 @@ impl Replica {
             apply: Vec::new(),
             base_epoch: 0,
             backlog: MemoryDelta::new(),
+            missed_epoch: false,
             stale: false,
             wire_version: here_vmstate::wire::VERSION,
         }

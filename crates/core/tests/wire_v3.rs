@@ -662,3 +662,41 @@ fn v3_backlog_catchup_never_applies_against_the_wrong_base() {
     let seqs = |r: &RunReport| r.commits.iter().map(|c| c.seq).collect::<Vec<_>>();
     assert_eq!(seqs(&v2), seqs(&v3));
 }
+
+/// A replica that misses only epochs without dirty pages parks no
+/// backlog, yet the quorum commits those epochs and moves the delta base:
+/// its next stream names a base newer than its own, and it must rebase
+/// onto it rather than refuse the stream. An idle guest dirties nothing
+/// in most epochs; every commit is consistency-checked.
+#[test]
+fn a_v3_replica_that_missed_only_empty_epochs_rebases() {
+    for (period_ms, span) in [(500, 3..=3), (100, 4..=8)] {
+        let report = Scenario::builder()
+            .name("wirev3-empty-miss")
+            .vm_memory_mib(64)
+            .vcpus(2)
+            .config(
+                ReplicationConfig::fixed_period(SimDuration::from_millis(period_ms))
+                    .with_topology(three_replicas(FanoutMode::Star))
+                    .with_wire_v3(),
+            )
+            .duration(SimDuration::from_secs(6))
+            .seed(7)
+            .verify_consistency()
+            .chaos(FaultPlan::new(7).with_partition_span(span.clone(), &[2], 10))
+            .build()
+            .expect("scenario is valid")
+            .run();
+        assert_eq!(report.wire_versions, vec![VERSION_V3; 3]);
+        let acked: Vec<u64> = report.replica_acks[2].acks.iter().map(|a| a.seq).collect();
+        assert!(
+            acked.iter().all(|seq| !span.contains(seq)),
+            "{period_ms} ms: partitioned epochs are never acked: {acked:?}"
+        );
+        assert!(
+            acked.iter().any(|seq| seq > span.end()),
+            "{period_ms} ms: replica 2 catches up after the heal: {acked:?}"
+        );
+        assert!(report.consistency_checks > 0);
+    }
+}

@@ -259,6 +259,10 @@ pub enum Staged {
     Pages {
         /// The columns record's delta base epoch; `None` for a v2 batch.
         base_epoch: Option<u64>,
+        /// The highest frame among the appended pages (0 when there is
+        /// none), found by the parse, so a range check needs no second
+        /// walk.
+        top: u64,
     },
     /// Any other record, whole. A page record whose pages carry bytes
     /// comes back this way and appends nothing.
@@ -641,6 +645,33 @@ fn put_varint(out: &mut BytesMut, mut v: u64) {
     }
 }
 
+/// Appends `values` as a column of LEB128 varints, byte for byte what
+/// [`put_varint`] per value writes: eight values all below `0x80` are
+/// eight one-byte varints, stored as one little-endian word; any other
+/// value goes through [`put_varint`].
+fn put_varint_column(out: &mut BytesMut, mut values: impl Iterator<Item = u64>) {
+    loop {
+        let mut group = [0u64; 8];
+        let mut n = 0;
+        while n < 8 {
+            let Some(v) = values.next() else { break };
+            group[n] = v;
+            n += 1;
+        }
+        if n == 8 && group.iter().fold(0, |any, &v| any | v) < 0x80 {
+            let word = group.iter().rev().fold(0, |word, &v| word << 8 | v);
+            out.extend_from_slice(&word.to_le_bytes());
+            continue;
+        }
+        for &v in &group[..n] {
+            put_varint(out, v);
+        }
+        if n < 8 {
+            return;
+        }
+    }
+}
+
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
@@ -693,13 +724,17 @@ fn encode_columns_record(
     let header_at = out.len();
     out.extend_from_slice(&[0u8; COLUMNS_HEADER_BYTES]);
     let meta_at = out.len();
+    // Every page costs at least three meta bytes (frame gap, version,
+    // writer).
+    out.reserve(3 * pages.len());
     // Frame column: zigzag gaps from the previous frame (first from zero).
-    let mut prev: i64 = 0;
-    for (page, _, _) in pages.clone() {
+    let gaps = pages.clone().scan(0i64, |prev, (page, _, _)| {
         let f = page.frame() as i64;
-        put_varint(out, zigzag(f.wrapping_sub(prev)));
-        prev = f;
-    }
+        let gap = zigzag(f.wrapping_sub(*prev));
+        *prev = f;
+        Some(gap)
+    });
+    put_varint_column(out, gaps);
     // Mode column, run-length encoded.
     let mut modes = pages.clone().map(|(_, _, mode)| mode).peekable();
     while let Some(mode) = modes.next() {
@@ -711,12 +746,11 @@ fn encode_columns_record(
         put_varint(out, run);
     }
     // Version and writer columns (absolute values, abort-safe).
-    for (_, rec, _) in pages.clone() {
-        put_varint(out, u64::from(rec.version));
-    }
-    for (_, rec, _) in pages.clone() {
-        put_varint(out, u64::from(rec.last_writer));
-    }
+    put_varint_column(out, pages.clone().map(|(_, rec, _)| u64::from(rec.version)));
+    put_varint_column(
+        out,
+        pages.clone().map(|(_, rec, _)| u64::from(rec.last_writer)),
+    );
     let payload_at = out.len();
     payloads(out);
     patch_columns_header(
@@ -833,27 +867,29 @@ fn decode_page_columns(r: &mut Reader) -> WireResult<PageColumnsBatch> {
 /// The one parser of a columns record's meta column: appends `count`
 /// pairs to `out` from the frame gaps, then fills each pair's version and
 /// writer in place from their columns; the mode column's runs land in
-/// `runs` as `(mode, pages)`. On an error `out` may hold part of the
-/// record.
+/// `runs` as `(mode, pages)`. Returns the highest frame appended (0 when
+/// there is none). On an error `out` may hold part of the record.
 fn meta_column_into(
     meta: &Bytes,
     count: usize,
     runs: &mut Vec<(u8, usize)>,
     out: &mut Vec<(PageId, PageVersion)>,
-) -> WireResult<()> {
+) -> WireResult<u64> {
     let mut meta = Column::new(meta);
     let from = out.len();
     out.reserve(count);
-    let mut prev: i64 = 0;
-    for _ in 0..count {
-        let gap = unzigzag(meta.varint()?);
+    let (mut prev, mut top) = (0i64, 0i64);
+    meta.varints(count, |_, gap| {
+        // `checked_add`, never `+`: a multi-byte first gap may put `prev`
+        // at `i64::MAX`.
         let f = prev
-            .checked_add(gap)
+            .checked_add(unzigzag(gap))
             .filter(|f| *f >= 0)
             .ok_or(WireError::BadPayload("page frame gap out of range"))?;
         out.push((PageId::new(f as u64), PageVersion::default()));
-        prev = f;
-    }
+        (prev, top) = (f, top.max(f));
+        Ok(())
+    })?;
     runs.clear();
     let mut seen = 0;
     while seen < count {
@@ -876,15 +912,18 @@ fn meta_column_into(
         seen += run as usize;
     }
     let pairs = &mut out[from..];
-    for (_, rec) in pairs.iter_mut() {
-        rec.version = u32::try_from(meta.varint()?)
+    meta.varints(count, |i, version| {
+        pairs[i].1.version = u32::try_from(version)
             .map_err(|_| WireError::BadPayload("page version overflows u32"))?;
-    }
-    for (_, rec) in pairs.iter_mut() {
-        rec.last_writer = u16::try_from(meta.varint()?)
+        Ok(())
+    })?;
+    meta.varints(count, |i, writer| {
+        pairs[i].1.last_writer = u16::try_from(writer)
             .map_err(|_| WireError::BadPayload("page writer overflows u16"))?;
-    }
-    meta.finish()
+        Ok(())
+    })?;
+    meta.finish()?;
+    Ok(top as u64)
 }
 
 /// The one parser of a columns record's payload column: reads the payload
@@ -1686,18 +1725,19 @@ impl StreamDecoder {
         };
         let mut r = Reader(payload);
         let staged = match tag {
-            TAG_PAGE_BATCH => {
-                page_batch_into(&mut r, pages)?;
-                Staged::Pages { base_epoch: None }
-            }
+            TAG_PAGE_BATCH => Staged::Pages {
+                base_epoch: None,
+                top: page_batch_into(&mut r, pages)?,
+            },
             TAG_PAGE_COLUMNS => {
                 let header = ColumnsHeader::read(&mut r)?;
                 let from = pages.len();
-                meta_column_into(&header.meta, header.count, &mut self.runs, pages)?;
+                let top = meta_column_into(&header.meta, header.count, &mut self.runs, pages)?;
                 if self.runs.iter().all(|&(mode, _)| mode == MODE_META) {
                     payload_column(&header.payload, &self.runs, &[], &mut Vec::new())?;
                     Staged::Pages {
                         base_epoch: Some(header.base_epoch),
+                        top,
                     }
                 } else {
                     // Pages with bytes come back whole, for the content
@@ -1848,22 +1888,68 @@ impl Reader {
 }
 
 /// The cursor over one column of a page-columns record, checked like
-/// [`Reader`]. It indexes the column in place: a byte costs one bounds
-/// check and no reference count moves until a payload is sliced out.
+/// [`Reader`]. It indexes the column as a plain slice, dereferenced once:
+/// a byte costs one bounds check, and no reference count moves until
+/// `take` slices a payload out of `owner`.
 struct Column<'a> {
-    bytes: &'a Bytes,
+    bytes: &'a [u8],
+    /// The column the slice is, for zero-copy payloads.
+    owner: &'a Bytes,
     at: usize,
 }
 
 impl<'a> Column<'a> {
-    fn new(bytes: &'a Bytes) -> Self {
-        Column { bytes, at: 0 }
+    fn new(owner: &'a Bytes) -> Self {
+        Column {
+            bytes: owner,
+            owner,
+            at: 0,
+        }
     }
 
     fn u8(&mut self) -> WireResult<u8> {
         let b = *self.bytes.get(self.at).ok_or(WireError::Truncated)?;
         self.at += 1;
         Ok(b)
+    }
+
+    /// The next eight bytes as one little-endian word, consumed, when
+    /// every one has bit 7 clear: eight whole one-byte varints, value `k`
+    /// in byte `k`. Otherwise `None`, and nothing is consumed.
+    fn eight_short(&mut self) -> Option<u64> {
+        let word = u64::from_le_bytes(*self.bytes[self.at..].first_chunk()?);
+        if word & 0x8080_8080_8080_8080 != 0 {
+            return None;
+        }
+        self.at += 8;
+        Some(word)
+    }
+
+    /// Reads `n` varints, handing each to `each` with its index: eight at
+    /// a time while the next eight bytes are one-byte varints, any other
+    /// value through [`Column::varint`]. `each` sees the values in order,
+    /// and a one-byte varint is always valid, so the first error is the
+    /// one a value-at-a-time read raises.
+    fn varints(
+        &mut self,
+        n: usize,
+        mut each: impl FnMut(usize, u64) -> WireResult<()>,
+    ) -> WireResult<()> {
+        let mut i = 0;
+        while i < n {
+            if n - i >= 8 {
+                if let Some(word) = self.eight_short() {
+                    for k in 0..8 {
+                        each(i + k, word >> (8 * k) & 0x7f)?;
+                    }
+                    i += 8;
+                    continue;
+                }
+            }
+            each(i, self.varint()?)?;
+            i += 1;
+        }
+        Ok(())
     }
 
     /// The one LEB128 reader: a `u64` exactly as [`put_varint`] writes
@@ -1893,7 +1979,7 @@ impl<'a> Column<'a> {
         }
         let start = self.at;
         self.at += n;
-        Ok(self.bytes.slice(start..self.at))
+        Ok(self.owner.slice(start..self.at))
     }
 
     /// Ends a column: every byte must have been read.
@@ -1980,18 +2066,20 @@ fn decode_payload(tag: u8, payload: Bytes) -> WireResult<Record> {
 }
 
 /// The one parser of a v2 page batch's 14-byte meta slots: appends the
-/// record's pages to `out`. The count sizes nothing until that many slots
+/// record's pages to `out` and returns the highest frame among them (0
+/// when there is none). The count sizes nothing until that many slots
 /// are known to be there: they are taken in one checked read and parsed
 /// in one pass, into exactly `count` new entries.
-fn page_batch_into(r: &mut Reader, out: &mut Vec<(PageId, PageVersion)>) -> WireResult<()> {
+fn page_batch_into(r: &mut Reader, out: &mut Vec<(PageId, PageVersion)>) -> WireResult<u64> {
     let count = r.u32()? as usize;
     let metas = r.take(count.saturating_mul(PAGE_META_BYTES))?;
-    out.extend(
-        metas
-            .chunks_exact(PAGE_META_BYTES)
-            .map(|meta| read_page_meta(meta.try_into().expect("exact chunk"))),
-    );
-    Ok(())
+    let mut top = 0;
+    out.extend(metas.chunks_exact(PAGE_META_BYTES).map(|meta| {
+        let (page, rec) = read_page_meta(meta.try_into().expect("exact chunk"));
+        top = top.max(page.frame());
+        (page, rec)
+    }));
+    Ok(top)
 }
 
 fn decode_arch_regs(r: &mut Reader) -> WireResult<ArchRegs> {
@@ -2607,13 +2695,22 @@ mod tests {
         let mut dec = StreamDecoder::new(buf.freeze()).unwrap();
         let mut staged = vec![(PageId::new(1), PageVersion::default())];
         let mut next = || dec.next_record_into(&mut staged).unwrap();
+        // The top frame is the shard's, not the page staged before it.
+        let top = 1000 + 37 * 8;
         assert_eq!(
             next(),
             Some(Staged::Pages {
-                base_epoch: Some(9)
+                base_epoch: Some(9),
+                top
             })
         );
-        assert_eq!(next(), Some(Staged::Pages { base_epoch: None }));
+        assert_eq!(
+            next(),
+            Some(Staged::Pages {
+                base_epoch: None,
+                top
+            })
+        );
         assert_eq!(next(), Some(Staged::Record(Record::PageColumns(mixed))));
         assert_eq!(next(), Some(Staged::Record(Record::Ack { seq: 2 })));
         assert_eq!(next(), None);
@@ -3310,6 +3407,333 @@ mod tests {
             patch_frame(&mut forged, PREAMBLE_BYTES, payload_at, TAG_VCPU, sum);
             let mut dec = StreamDecoder::new(forged.freeze()).unwrap();
             assert_eq!(dec.next_record().unwrap_err(), WireError::BadPayload(why));
+        }
+    }
+
+    /// The value-at-a-time v3 meta codec the word-at-a-time column writer
+    /// and reader replaced: the references they must match, byte for byte
+    /// and verdict for verdict.
+    mod columns_codec_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The writer: one [`put_varint`] per value. Generated shards carry
+        /// no payload bytes, so the payload column stays empty.
+        fn encode_columns_per_value(batch: &PageColumnsBatch, out: &mut BytesMut) {
+            let frame_at = reserve_frame(out);
+            let header_at = out.len();
+            out.extend_from_slice(&[0u8; COLUMNS_HEADER_BYTES]);
+            let meta_at = out.len();
+            let mut prev: i64 = 0;
+            for (page, _, _) in &batch.entries {
+                let f = page.frame() as i64;
+                put_varint(out, zigzag(f.wrapping_sub(prev)));
+                prev = f;
+            }
+            let mut modes = batch.entries.iter().map(|(_, _, p)| mode_of(p)).peekable();
+            while let Some(mode) = modes.next() {
+                let mut run = 1u64;
+                while modes.next_if_eq(&mode).is_some() {
+                    run += 1;
+                }
+                out.put_u8(mode);
+                put_varint(out, run);
+            }
+            for (_, rec, _) in &batch.entries {
+                put_varint(out, u64::from(rec.version));
+            }
+            for (_, rec, _) in &batch.entries {
+                put_varint(out, u64::from(rec.last_writer));
+            }
+            let payload_at = out.len();
+            let count = batch.entries.len() as u32;
+            patch_columns_header(out, header_at, batch.base_epoch, count, meta_at, payload_at);
+            let outer = frame_checksum(
+                TAG_PAGE_COLUMNS,
+                &out[header_at..header_at + COLUMNS_HEADER_BYTES],
+            );
+            patch_frame(out, frame_at, header_at, TAG_PAGE_COLUMNS, outer);
+        }
+
+        /// The reader's cursor: one byte per call, through the `Bytes`.
+        struct ByteColumn<'a> {
+            column: &'a Bytes,
+            at: usize,
+        }
+
+        impl ByteColumn<'_> {
+            fn u8(&mut self) -> WireResult<u8> {
+                let b = *self.column.get(self.at).ok_or(WireError::Truncated)?;
+                self.at += 1;
+                Ok(b)
+            }
+
+            fn varint(&mut self) -> WireResult<u64> {
+                let mut v = 0u64;
+                for shift in (0..64).step_by(7) {
+                    let b = self.u8()?;
+                    if shift == 63 && b > 1 {
+                        break;
+                    }
+                    v |= u64::from(b & 0x7f) << shift;
+                    if b & 0x80 == 0 {
+                        if b == 0 && shift > 0 {
+                            return Err(WireError::BadPayload("varint is not minimal"));
+                        }
+                        return Ok(v);
+                    }
+                }
+                Err(WireError::BadPayload("varint overflows 64 bits"))
+            }
+        }
+
+        /// The reader: a `TAG_PAGE_COLUMNS` payload decoded one value at
+        /// a time, the reference for every accept and every error.
+        fn decode_columns_per_value(payload: Bytes) -> WireResult<PageColumnsBatch> {
+            let mut r = Reader(payload);
+            let header = ColumnsHeader::read(&mut r)?;
+            let mut meta = ByteColumn {
+                column: &header.meta,
+                at: 0,
+            };
+            let mut pages = Vec::new();
+            let mut prev: i64 = 0;
+            for _ in 0..header.count {
+                let gap = unzigzag(meta.varint()?);
+                let f = prev
+                    .checked_add(gap)
+                    .filter(|f| *f >= 0)
+                    .ok_or(WireError::BadPayload("page frame gap out of range"))?;
+                pages.push((PageId::new(f as u64), PageVersion::default()));
+                prev = f;
+            }
+            let mut runs: Vec<(u8, usize)> = Vec::new();
+            let mut seen = 0;
+            while seen < header.count {
+                let mode = meta.u8()?;
+                if mode > MODE_DELTA {
+                    return Err(WireError::BadPayload("unknown page mode"));
+                }
+                let run = meta.varint()?;
+                if run == 0 || run > (header.count - seen) as u64 {
+                    return Err(WireError::BadPayload("mode run overflows page count"));
+                }
+                if runs.last().is_some_and(|&(last, _)| last == mode) {
+                    return Err(WireError::BadPayload("adjacent mode runs not merged"));
+                }
+                runs.push((mode, run as usize));
+                seen += run as usize;
+            }
+            for (_, rec) in pages.iter_mut() {
+                rec.version = u32::try_from(meta.varint()?)
+                    .map_err(|_| WireError::BadPayload("page version overflows u32"))?;
+            }
+            for (_, rec) in pages.iter_mut() {
+                rec.last_writer = u16::try_from(meta.varint()?)
+                    .map_err(|_| WireError::BadPayload("page writer overflows u16"))?;
+            }
+            if meta.at != header.meta.len() {
+                return Err(WireError::BadPayload("trailing bytes"));
+            }
+            let mut batch = PageColumnsBatch::new(header.base_epoch);
+            payload_column(&header.payload, &runs, &pages, &mut batch.entries)?;
+            r.finish()?;
+            Ok(batch)
+        }
+
+        fn decode_columns(payload: Bytes) -> WireResult<PageColumnsBatch> {
+            match decode_payload(TAG_PAGE_COLUMNS, payload)? {
+                Record::PageColumns(batch) => Ok(batch),
+                other => panic!("a columns payload decoded as {other:?}"),
+            }
+        }
+
+        /// A column value: mostly one byte, often at the `0x7f`/`0x80`
+        /// boundary, sometimes anywhere up to `max`.
+        fn column_value(max: u64) -> impl Strategy<Value = u64> {
+            (0u8..9, 0..0x80u64, 0x7eu64..0x82, 0x80..=max).prop_map(|(pick, small, edge, big)| {
+                match pick {
+                    0..=5 => small,
+                    6 | 7 => edge,
+                    _ => big,
+                }
+            })
+        }
+
+        /// A frame step: zigzag puts |gap| < 64 in one byte, so the
+        /// boundary sits at ±64, on both sides of zero.
+        fn frame_gap() -> impl Strategy<Value = i64> {
+            (0u8..9, 0u64..128, 62u64..66, any::<bool>(), 0u64..1 << 25).prop_map(
+                |(pick, small, edge, down, big)| match pick {
+                    0..=5 => small as i64 - 64,
+                    6 | 7 if down => -(edge as i64),
+                    6 | 7 => edge as i64,
+                    _ => big as i64 - (1 << 24),
+                },
+            )
+        }
+
+        /// 0–40 pages of Meta and Zero modes, so the mode column has runs
+        /// and the payload column stays empty.
+        fn shard() -> impl Strategy<Value = PageColumnsBatch> {
+            let page = (
+                frame_gap(),
+                column_value(u64::from(u32::MAX)),
+                column_value(u64::from(u16::MAX)),
+                any::<bool>(),
+            );
+            (any::<u64>(), proptest::collection::vec(page, 0..=40)).prop_map(|(base, pages)| {
+                let mut batch = PageColumnsBatch::new(base);
+                let mut frame = 0i64;
+                for (gap, version, writer, zero) in pages {
+                    frame = (frame + gap).clamp(0, 1 << 40);
+                    let rec = PageVersion {
+                        version: version as u32,
+                        last_writer: writer as u16,
+                    };
+                    let payload = if zero {
+                        PagePayload::Zero
+                    } else {
+                        PagePayload::Meta
+                    };
+                    batch.push(PageId::new(frame as u64), rec, payload);
+                }
+                batch
+            })
+        }
+
+        /// `payload` with its meta column replaced by `meta`, the length
+        /// and the column digest resealed.
+        fn with_meta(payload: &[u8], meta: &[u8]) -> Bytes {
+            let (header, rest) = payload.split_at(COLUMNS_HEADER_BYTES);
+            let meta_len = u32::from_be_bytes(header[12..16].try_into().unwrap()) as usize;
+            let mut out = header.to_vec();
+            out[12..16].copy_from_slice(&(meta.len() as u32).to_be_bytes());
+            out[20..24].copy_from_slice(&checksum(meta).to_be_bytes());
+            out.extend_from_slice(meta);
+            out.extend_from_slice(&rest[meta_len..]);
+            Bytes::from(out)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The word-packed writer is byte-identical to the per-value
+            /// one, both decoders give back the shard, and a staging
+            /// decode's top frame is the shard's highest.
+            #[test]
+            fn columns_codec_is_the_value_at_a_time_codec(batch in shard()) {
+                let (mut words, mut values) = (BytesMut::new(), BytesMut::new());
+                encode_page_columns_into(&batch, &mut words);
+                encode_columns_per_value(&batch, &mut values);
+                prop_assert_eq!(&words[..], &values[..]);
+                if batch.entries.iter().all(|(_, _, p)| *p == PagePayload::Meta) {
+                    let metas: Vec<_> = batch.entries.iter().map(|&(p, r, _)| (p, r)).collect();
+                    let mut meta_only = BytesMut::new();
+                    encode_page_columns_meta_into(batch.base_epoch, &metas, &mut meta_only);
+                    prop_assert_eq!(&meta_only[..], &words[..]);
+                }
+
+                let payload = Bytes::from(words[FRAME_HEADER_BYTES..].to_vec());
+                prop_assert_eq!(decode_columns(payload.clone()), Ok(batch.clone()));
+                prop_assert_eq!(decode_columns_per_value(payload), Ok(batch.clone()));
+
+                let mut stream = v3_buf();
+                stream.extend_from_slice(&words);
+                let mut staged = Vec::new();
+                let got = StreamDecoder::new(stream.freeze())
+                    .unwrap()
+                    .next_record_into(&mut staged)
+                    .unwrap();
+                let top = batch.entries.iter().map(|(p, _, _)| p.frame()).max();
+                if let Some(Staged::Pages { top: staged_top, .. }) = got {
+                    prop_assert_eq!(staged_top, top.unwrap_or(0));
+                }
+            }
+
+            /// Flipped, truncated and spliced meta columns, resealed so the
+            /// column digest passes: the decoder's verdict, the pages or
+            /// the error, is the value-at-a-time reader's.
+            #[test]
+            fn hostile_meta_column_edits_get_the_reference_verdict(
+                batch in shard(),
+                edits in proptest::collection::vec(
+                    (0u8..4, any::<u16>(), any::<u8>(), 1usize..12),
+                    1..4,
+                ),
+            ) {
+                let mut record = BytesMut::new();
+                encode_page_columns_into(&batch, &mut record);
+                let payload = &record[FRAME_HEADER_BYTES..];
+                let meta_len =
+                    u32::from_be_bytes(payload[12..16].try_into().unwrap()) as usize;
+                let meta_at = COLUMNS_HEADER_BYTES;
+                let mut meta = payload[meta_at..meta_at + meta_len].to_vec();
+                const PALETTE: [u8; 6] = [0x7f, 0x80, 0x00, 0x01, 0xff, 0x02];
+                for (kind, at, byte, len) in edits {
+                    let at = usize::from(at) % (meta.len() + 1);
+                    match kind {
+                        0 if at < meta.len() => meta[at] ^= 1 << (byte % 8),
+                        1 => meta.truncate(at),
+                        // Splice boundary bytes in.
+                        2 => {
+                            let piece = (0..len).map(|k| PALETTE[(usize::from(byte) + k) % 6]);
+                            meta.splice(at..at, piece);
+                        }
+                        // Splice a range of the column over itself.
+                        _ => {
+                            let from = usize::from(byte) % (meta.len() + 1);
+                            let piece = meta[from..(from + len).min(meta.len())].to_vec();
+                            let over = (at + len).min(meta.len());
+                            meta.splice(at..over, piece);
+                        }
+                    }
+                }
+                let forged = with_meta(payload, &meta);
+                prop_assert_eq!(
+                    decode_columns(forged.clone()),
+                    decode_columns_per_value(forged)
+                );
+            }
+        }
+
+        /// A first gap that puts `prev` at `i64::MAX`, then eight one-byte
+        /// positive gaps: the word path must step with `checked_add` too,
+        /// or it panics in debug and wraps in release. The same record is
+        /// a `segment` line of the bench crate's `hostile_corpus.txt`.
+        #[test]
+        fn hostile_gap_past_i64_max_on_the_word_path_is_bad_payload() {
+            let mut meta = BytesMut::new();
+            put_varint(&mut meta, zigzag(i64::MAX));
+            meta.extend_from_slice(&[0x02; 8]);
+            meta.extend_from_slice(&[MODE_META, 9]);
+            meta.extend_from_slice(&[1; 9]);
+            meta.extend_from_slice(&[0; 9]);
+            let mut record = BytesMut::new();
+            encode_page_columns_meta_into(0, &[], &mut record);
+            let forged = with_meta(&record[FRAME_HEADER_BYTES..], &meta);
+            let mut forged = forged.to_vec();
+            forged[8..12].copy_from_slice(&9u32.to_be_bytes());
+            let forged = Bytes::from(forged);
+            let want = Err(WireError::BadPayload("page frame gap out of range"));
+            assert_eq!(decode_columns(forged.clone()), want);
+            assert_eq!(decode_columns_per_value(forged.clone()), want);
+            let mut frame = BytesMut::new();
+            let frame_at = reserve_frame(&mut frame);
+            frame.extend_from_slice(&forged);
+            let outer = frame_checksum(
+                TAG_PAGE_COLUMNS,
+                &frame[FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + COLUMNS_HEADER_BYTES],
+            );
+            patch_frame(
+                &mut frame,
+                frame_at,
+                FRAME_HEADER_BYTES,
+                TAG_PAGE_COLUMNS,
+                outer,
+            );
+            let corpus = include_str!("../../bench/tests/hostile_corpus.txt");
+            assert!(corpus.contains(&format!("segment:{}", hex(&frame))));
         }
     }
 
