@@ -136,7 +136,7 @@ fn run(
 }
 
 /// Mean Translate-stage bytes and Transfer-stage duration over the
-/// run's epochs (seq 0, the seeding stop-and-copy, excluded).
+/// run's epochs (seq 0, a seeding round, excluded).
 fn epoch_stats(report: &RunReport) -> (f64, f64) {
     let mean = |stage: Stage, value: fn(&here_core::StageEvent) -> f64| {
         let mut sum = 0.0;

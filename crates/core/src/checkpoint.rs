@@ -22,7 +22,6 @@ use crate::failover::CommitLedger;
 use crate::pipeline;
 use crate::report::{CheckpointRecord, RunReport};
 use crate::session::{Session, SessionSetup, CLIENT_STACK_OVERHEAD, MAX_SLICE};
-use crate::telemetry::Planes;
 use crate::trace::{epoch_stage_events, FaultSite, SessionEvent};
 
 /// One full checkpoint: drives the six pipeline stages, then derives the
@@ -149,7 +148,6 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
         // Measurement starts on a fresh workload run.
         session.workload.reset();
         session.log.clear();
-        session.planes = Planes::new(&session.cfg);
         session.ledger = CommitLedger::with_quorum(
             session.cfg.topology.replicas.max(1),
             session.cfg.topology.effective_quorum(),
@@ -739,8 +737,8 @@ mod tests {
                 let mut session = fanout_session(vec![3, 3, 3], FaultPlan::new(1), 20_000);
                 session.fanout_helpers = helpers;
                 session.replicas.get_mut(1).base_epoch = 5;
-                for member in session.replicas.iter_mut() {
-                    member.apply.reserve(8);
+                for replica in 0..3 {
+                    session.replicas.get_mut(replica).apply.reserve(8);
                 }
                 let vm = session.primary.vm_mut(session.pvm).unwrap();
                 for frame in [3, 4, 900] {

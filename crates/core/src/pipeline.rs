@@ -282,14 +282,7 @@ impl<'s> Translated<'s> {
                             // attempt.
                             session.replicas.get_mut(replica).link.set_up(true);
                         }
-                        let delivered = match prestaged[replica as usize].take() {
-                            Some(epoch) => session.install_checkpoint(replica, epoch),
-                            None => session.apply_checkpoint(stream.clone(), seq, replica),
-                        };
-                        if let Err(e) = delivered {
-                            session.unstage(prestaged);
-                            return Err(e);
-                        }
+                        session.deliver(&mut prestaged, stream, seq, replica)?;
                         if let Some(TransferFault::Delayed(by)) = fault {
                             spent = spent.saturating_add(by);
                         }

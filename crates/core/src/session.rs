@@ -4,9 +4,9 @@
 //! A [`Session`] owns the primary host, the protected VM and its
 //! [`ReplicaSet`], the links, the workload, and all run accounting. What
 //! it has to say to an observer it says once, through `Session::emit`: a
-//! [`SessionEvent`] appended to one ordered log and folded into the
-//! planes of [`crate::telemetry`] — nothing here knows which of them are
-//! armed. It moves through
+//! [`SessionEvent`] appended to one ordered log, which `Session::finish`
+//! folds into the planes of [`crate::telemetry`] — nothing here knows
+//! which of them are armed. It moves through
 //! [`SessionPhase`]s — created → seeding → replicating →
 //! (failed-over) → completed — and every transition is asserted, so the
 //! seeding code cannot run twice and nothing checkpoints before the seed.
@@ -52,7 +52,6 @@ use crate::error::{CoreError, CoreResult};
 use crate::failover::{detection_time_with_loss, Commit, CommitLedger, FailoverRecord};
 use crate::period::PeriodManager;
 use crate::report::CheckpointRecord;
-use crate::telemetry::Planes;
 use crate::topology::{make_replica_hosts, Replica, ReplicaSet};
 use crate::trace::{FaultSite, SessionEvent, Stage, StageEvent};
 
@@ -198,8 +197,6 @@ pub(crate) struct Session {
     /// [`RunReport::events`](crate::report::RunReport::events), and every
     /// per-checkpoint view of the report is read off it.
     pub(crate) log: Vec<SessionEvent>,
-    /// The observability planes, folded over `log` as it grows.
-    pub(crate) planes: Planes,
     /// Lane-pool rounds already reported, so each checkpoint emits at
     /// most one [`SessionEvent::EncodePool`].
     pub(crate) pool_rounds_seen: u64,
@@ -297,7 +294,6 @@ impl Session {
             ops_uncommitted: 0.0,
             disturbance_debt: SimDuration::ZERO,
             log: Vec::new(),
-            planes: Planes::new(&cfg),
             pool_rounds_seen: 0,
             latencies: Histogram::new(),
             cfg,
@@ -321,11 +317,9 @@ impl Session {
         SimTime::ZERO + t.saturating_duration_since(self.measure_base)
     }
 
-    /// Says that something happened: folds `event` into the planes and
-    /// appends it to the log. The only way the session reports anything
-    /// to an observer.
+    /// Says that something happened: appends `event` to the log. The only
+    /// way the session reports anything to an observer.
     pub(crate) fn emit(&mut self, event: SessionEvent) {
-        self.planes.observe(&event);
         self.log.push(event);
     }
 
@@ -646,9 +640,9 @@ impl Session {
     ///
     /// Only pure work runs here: the query draws nothing and says nothing,
     /// and every fault draw, event, retry and install stays with the
-    /// Transfer stage's attempt loop, in replica order, which installs a
-    /// slot's result where it would have decoded and gives every slot
-    /// nobody installs back through [`Session::unstage`].
+    /// caller's loop, in replica order, which installs a slot's result
+    /// through [`Session::deliver`] where it would have decoded and gives
+    /// every slot nobody installs back through [`Session::unstage`].
     pub(crate) fn prestage(
         &mut self,
         streams: &EpochStreams,
@@ -687,6 +681,27 @@ impl Session {
             slots[replica as usize] = Some(epoch);
         }
         slots
+    }
+
+    /// Delivers epoch `seq` to replica `replica`: installs the replica's
+    /// prestaged slot where phase 1 ran ahead, else decodes and installs a
+    /// clone of `stream`. On an error every slot nobody installed goes
+    /// back through [`Session::unstage`].
+    pub(crate) fn deliver(
+        &mut self,
+        prestaged: &mut Vec<Option<StagedEpoch>>,
+        stream: &ScatterStream,
+        seq: u64,
+        replica: u32,
+    ) -> CoreResult<()> {
+        let delivered = match prestaged[replica as usize].take() {
+            Some(epoch) => self.install_checkpoint(replica, epoch),
+            None => self.apply_checkpoint(stream.clone(), seq, replica),
+        };
+        if delivered.is_err() {
+            self.unstage(std::mem::take(prestaged));
+        }
+        delivered
     }
 
     /// Gives the staging buffer of every prestaged result nobody
@@ -747,14 +762,21 @@ impl Session {
     }
 
     /// Ships a delta plus vCPU/device state through the wire codec and
-    /// installs it on **every** replica (encode once + apply per replica —
-    /// the seeding migration's stop-and-copy uses this; the continuous
-    /// phase splits it across the Translate and Transfer stages).
+    /// installs it on **every** replica: encoded once per negotiated wire
+    /// version, staged on all replicas at once by [`Session::prestage`]
+    /// and installed in replica order by [`Session::deliver`], the fan-out
+    /// the Transfer stage runs, without its fault plane or retries.
+    ///
+    /// Every seeding round — the full copy, each pre-copy round and the
+    /// stop-and-copy — is such a seq-0 checkpoint stream, so a replica is
+    /// only ever written by the receive path; the continuous phase splits
+    /// the same work across the Translate and Transfer stages.
     pub(crate) fn ship_checkpoint(&mut self, delta: &MemoryDelta, seq: u64) -> CoreResult<()> {
         let streams = self.encode_checkpoint(delta, seq)?;
+        let mut prestaged = self.prestage(&streams, seq, delta.len());
         for replica in 0..self.replicas.len() as u32 {
-            let version = self.replicas.get(replica).wire_version();
-            self.apply_checkpoint(streams.for_version(version).clone(), seq, replica)?;
+            let stream = streams.for_version(self.replicas.get(replica).wire_version());
+            self.deliver(&mut prestaged, stream, seq, replica)?;
         }
         self.recycle_streams(streams);
         Ok(())
@@ -922,18 +944,6 @@ impl Session {
             delta.push(p, vm.memory().page(p)?);
         }
         Ok(delta)
-    }
-
-    /// Installs a pre-copy round's delta directly into every replica's
-    /// memory.
-    pub(crate) fn install_delta(&mut self, delta: &MemoryDelta) -> CoreResult<()> {
-        for member in self.replicas.iter_mut() {
-            let vm = member.host.vm_mut(member.vm)?;
-            for &(page, rec) in delta.entries() {
-                vm.memory_mut().install_page(page, rec)?;
-            }
-        }
-        Ok(())
     }
 
     /// Checks the fault plane for a primary-host fault scheduled at the
@@ -1157,8 +1167,13 @@ impl Session {
             seq: self.seq,
             at_nanos: self.now_nanos(),
         });
-        let (telemetry, spans, incident) = self.planes.finish();
         let wire_versions = self.replicas.iter().map(Replica::wire_version).collect();
+        // The planes are folded once, here, over the whole log, after the
+        // hosts, the replica set and the pools are released: the fold's
+        // allocations reuse their memory instead of adding to the run's
+        // peak.
+        drop((self.primary, self.replicas, self.pools, self.workload));
+        let (telemetry, spans, incident) = crate::telemetry::fold(&self.cfg, &self.log);
         let (commits, replica_acks) = self.ledger.into_parts();
         crate::report::RunReport {
             name: self.name,

@@ -10,7 +10,7 @@
 //! [`SessionEvent::EpochHealth`] are laid into the flight ring and the
 //! span tree and may trigger the capture, which keeps only the trigger
 //! and the index of the event that fired it. The session runs the same
-//! fold as it emits
+//! fold once, over its whole log, when it finishes
 //! ([`RunReport::events`](crate::report::RunReport::events) is the
 //! log, `telemetry`/`spans`/`incident` the result), so folding a recorded
 //! log again — with the health plane or the capture armed that were not
@@ -825,10 +825,11 @@ struct SpanFold {
     /// failover) closes it.
     epoch_span: Option<SpanId>,
     /// Lane walls of the latest [`SessionEvent::EncodeLanes`], drained
-    /// into lane spans by the next *Translate* stage. The seeding
-    /// stop-and-copy's are never drained — no stage follows it — and the
-    /// first epoch's encode replaces them, so that encode has a flight
-    /// event per lane but no span.
+    /// into lane spans by the next *Translate* stage. No seeding round's
+    /// are ever drained: every round (full copy, pre-copy, stop-and-copy)
+    /// is an encode with no stage after it, each replaces the last, and
+    /// the first epoch's encode replaces the stop-and-copy's, so a
+    /// seeding encode has a flight event per lane but no span.
     lane_walls: Vec<u64>,
     /// Credit of the latest [`SessionEvent::OverlapCredit`], drained into
     /// a `wire_overlap` span by the next *Transfer* stage.
@@ -1130,7 +1131,7 @@ impl Capture {
 /// Every observer of one session, as one value: the folds [`fold`] runs,
 /// in the order it runs them.
 #[derive(Debug)]
-pub(crate) struct Planes {
+struct Planes {
     telemetry: SessionTelemetry,
     spans: SpanFold,
     capture: Option<Capture>,
@@ -1140,7 +1141,7 @@ impl Planes {
     /// Builds the folds `cfg` arms. This is the only place the arming
     /// flags, the SLO policy and the topology are read on the planes'
     /// behalf.
-    pub(crate) fn new(cfg: &ReplicationConfig) -> Self {
+    fn new(cfg: &ReplicationConfig) -> Self {
         let replicas = cfg.topology.replicas.max(1);
         let quorum = cfg.topology.effective_quorum();
         Planes {
@@ -1167,7 +1168,7 @@ impl Planes {
 
     /// Folds one event into every plane: metrics + flight + SLO and the
     /// health plane, then spans, then the capture.
-    pub(crate) fn observe(&mut self, event: &SessionEvent) {
+    fn observe(&mut self, event: &SessionEvent) {
         let alerts = self.telemetry.observe(event);
         self.spans.observe(event, &alerts);
         if let Some(capture) = &mut self.capture {
@@ -1176,7 +1177,7 @@ impl Planes {
     }
 
     /// Freezes the planes into what a report carries.
-    pub(crate) fn finish(self) -> (TelemetrySnapshot, Vec<Span>, Option<IncidentTrigger>) {
+    fn finish(self) -> (TelemetrySnapshot, Vec<Span>, Option<IncidentTrigger>) {
         (
             self.telemetry.snapshot(),
             self.spans.recorder.into_spans(),
@@ -1190,7 +1191,7 @@ impl Planes {
 /// [`RunReport::spans`](crate::report::RunReport::spans) and
 /// [`RunReport::incident`](crate::report::RunReport::incident) would be
 /// had the run that recorded `events` been configured as `cfg` — the
-/// same fold the session runs while it emits. Only `cfg`'s arming flags,
+/// same fold the session runs when it finishes. Only `cfg`'s arming flags,
 /// period policy and topology matter; folding a run's own log under its
 /// own config reproduces its report exactly.
 pub fn fold(

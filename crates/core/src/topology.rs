@@ -167,10 +167,6 @@ impl ReplicaSet {
         self.replicas.iter()
     }
 
-    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut Replica> {
-        self.replicas.iter_mut()
-    }
-
     /// Activates the replica `activation` names.
     pub(crate) fn activate(&mut self, activation: Activation) {
         let index = activation.replica();

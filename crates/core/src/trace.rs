@@ -81,8 +81,8 @@ impl fmt::Display for Stage {
 /// One stage boundary of one checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StageEvent {
-    /// Checkpoint sequence number the stage belongs to (1-based; 0 is the
-    /// seeding stop-and-copy).
+    /// Checkpoint sequence number the stage belongs to (1-based; the
+    /// seeding rounds, seq 0, record no stages).
     pub seq: u64,
     /// The stage.
     pub stage: Stage,
@@ -140,7 +140,7 @@ pub enum SessionEvent {
     /// The lanes encoding epoch `seq`'s canonical stream finished;
     /// `walls[lane]` is the host time each took.
     EncodeLanes {
-        /// Epoch encoded (0 is the seeding stop-and-copy).
+        /// Epoch encoded (0 is a seeding round).
         seq: u64,
         /// When the encode ran.
         at_nanos: u64,
