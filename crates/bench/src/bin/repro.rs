@@ -272,7 +272,7 @@ fn install_dumper(format: DumpFormat) {
                 report
                     .telemetry
                     .as_ref()
-                    .map(|t| t.prometheus.clone())
+                    .map(|t| t.prometheus())
                     .unwrap_or_default(),
             ),
             DumpFormat::Chrome => (

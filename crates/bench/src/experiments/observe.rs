@@ -63,11 +63,11 @@ pub fn run_observe(scale: Scale) -> ObserveOutput {
         .telemetry
         .expect("replicated runs always carry telemetry");
     ObserveOutput {
+        prometheus: snapshot.prometheus(),
         metric_count: snapshot.registry.metrics.len(),
         flight_events_recorded: snapshot.flight_events_recorded,
         flight_events_dropped: snapshot.flight_events_dropped,
         slo: snapshot.slo,
-        prometheus: snapshot.prometheus,
         flight_recorder_json: snapshot.flight_recorder_json,
     }
 }

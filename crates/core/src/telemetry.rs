@@ -63,14 +63,12 @@ use serde::{Deserialize, Serialize};
 
 use here_sim_core::time::SimDuration;
 use here_telemetry::alert::{AlertEngine, AlertEvent, AlertRules, AlertSample, AlertState};
-use here_telemetry::export::prometheus;
+use here_telemetry::export;
 use here_telemetry::flight::{FlightEvent, FlightRecorder};
 use here_telemetry::health::{
     HealthObservation, HealthPolicy, HealthState, HealthTracker, HealthTransition,
 };
-use here_telemetry::metrics::{
-    CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry, RegistrySnapshot,
-};
+use here_telemetry::metrics::{Counter, Gauge, Histogram, MetricsRegistry, RegistrySnapshot};
 use here_telemetry::slo::{SloBreach, SloSummary, SloTracker};
 use here_telemetry::span::{Span, SpanDraft, SpanId, SpanRecorder, Track};
 use here_telemetry::timeseries::{SeriesKind, SeriesSet};
@@ -99,11 +97,11 @@ struct HealthPlane {
     series: SeriesSet,
     tracker: HealthTracker,
     engine: AlertEngine,
-    replica_lag_gauges: Vec<GaugeHandle>,
-    replica_backlog_gauges: Vec<GaugeHandle>,
-    replica_acked_gauges: Vec<GaugeHandle>,
-    replica_retry_counters: Vec<CounterHandle>,
-    flight_dropped_gauge: GaugeHandle,
+    replica_lag_gauges: Vec<Gauge>,
+    replica_backlog_gauges: Vec<Gauge>,
+    replica_acked_gauges: Vec<Gauge>,
+    replica_retry_counters: Vec<Counter>,
+    flight_dropped_gauge: Gauge,
     /// Cumulative transfer retries per replica.
     retry_totals: Vec<u64>,
     /// `retry_totals` as of the previous health tick (for epoch deltas).
@@ -117,27 +115,27 @@ struct SessionTelemetry {
     registry: MetricsRegistry,
     flight: FlightRecorder,
     slo: Option<SloTracker>,
-    checkpoints: CounterHandle,
-    pages_harvested: CounterHandle,
-    bytes_transferred: CounterHandle,
-    pages_seeded: CounterHandle,
-    pool_hits: CounterHandle,
-    pool_misses: CounterHandle,
-    packets_buffered: CounterHandle,
-    packets_released: CounterHandle,
-    packets_discarded: CounterHandle,
-    slo_breaches: CounterHandle,
-    failovers: CounterHandle,
-    faults_injected: CounterHandle,
-    transfer_retries: CounterHandle,
-    transfer_recoveries: CounterHandle,
-    epochs_aborted: CounterHandle,
-    pause_hist: HistogramHandle,
-    dirty_pages_hist: HistogramHandle,
-    stage_hists: [HistogramHandle; 6],
-    encode_lane_hist: HistogramHandle,
-    period_gauge: GaugeHandle,
-    degradation_gauge: GaugeHandle,
+    checkpoints: Counter,
+    pages_harvested: Counter,
+    bytes_transferred: Counter,
+    pages_seeded: Counter,
+    pool_hits: Counter,
+    pool_misses: Counter,
+    packets_buffered: Counter,
+    packets_released: Counter,
+    packets_discarded: Counter,
+    slo_breaches: Counter,
+    failovers: Counter,
+    faults_injected: Counter,
+    transfer_retries: Counter,
+    transfer_recoveries: Counter,
+    epochs_aborted: Counter,
+    pause_hist: Histogram,
+    dirty_pages_hist: Histogram,
+    stage_hists: [Histogram; 6],
+    encode_lane_hist: Histogram,
+    period_gauge: Gauge,
+    degradation_gauge: Gauge,
     health: Option<HealthPlane>,
 }
 
@@ -146,86 +144,6 @@ impl SessionTelemetry {
     /// policy arms the SLO tracker with its target `D` and cap `T_max`; a
     /// fixed policy has no stated target, so nothing is tracked.
     fn new(policy: PeriodPolicy) -> Self {
-        let mut registry = MetricsRegistry::new();
-        let checkpoints = registry.counter("here_checkpoints_total", "Checkpoints completed");
-        let pages_harvested = registry.counter(
-            "here_pages_harvested_total",
-            "Dirty pages copied across all checkpoints",
-        );
-        let bytes_transferred = registry.counter(
-            "here_bytes_transferred_total",
-            "Encoded checkpoint bytes shipped to the replica",
-        );
-        let pages_seeded = registry.counter(
-            "here_pages_seeded_total",
-            "Pages sent by the seeding migration",
-        );
-        let pool_hits = registry.counter(
-            "here_pool_reclaim_hits_total",
-            "Encode-buffer checkouts served from the pool",
-        );
-        let pool_misses = registry.counter(
-            "here_pool_reclaim_misses_total",
-            "Encode-buffer checkouts that had to allocate",
-        );
-        let packets_buffered = registry.counter(
-            "here_packets_buffered_total",
-            "Guest output packets held back until commit",
-        );
-        let packets_released = registry.counter(
-            "here_packets_released_total",
-            "Buffered packets released at checkpoint commit",
-        );
-        let packets_discarded = registry.counter(
-            "here_packets_discarded_total",
-            "Buffered packets dropped by a failover rollback",
-        );
-        let slo_breaches = registry.counter(
-            "here_slo_breaches_total",
-            "Degradation-target and period-cap SLO breaches",
-        );
-        let failovers = registry.counter("here_failovers_total", "Failovers performed");
-        let faults_injected = registry.counter(
-            "here_faults_injected_total",
-            "Faults laid into the run (exploits, accidents, fault plane)",
-        );
-        let transfer_retries = registry.counter(
-            "here_transfer_retries_total",
-            "Checkpoint transfer attempts that failed and were retried",
-        );
-        let transfer_recoveries = registry.counter(
-            "here_transfer_recoveries_total",
-            "Checkpoints delivered after at least one failed attempt",
-        );
-        let epochs_aborted = registry.counter(
-            "here_epochs_aborted_total",
-            "Checkpoints discarded after exhausting the transfer retry budget",
-        );
-        let pause_hist = registry.histogram(
-            "here_pause_nanos",
-            "VM-visible pause t per checkpoint (virtual ns)",
-        );
-        let dirty_pages_hist =
-            registry.histogram("here_dirty_pages", "Dirty pages N per checkpoint");
-        let stage_hists = Stage::ALL.map(|s| {
-            registry.histogram_with_label(
-                "here_stage_nanos",
-                "Virtual duration per pipeline stage (ns)",
-                Some(("stage", s.label())),
-            )
-        });
-        let encode_lane_hist = registry.histogram(
-            "here_encode_lane_wall_nanos",
-            "Wall-clock encode time per lane (ns)",
-        );
-        let period_gauge = registry.gauge(
-            "here_period_seconds",
-            "Checkpoint period T chosen for the next epoch",
-        );
-        let degradation_gauge = registry.gauge(
-            "here_degradation_ratio",
-            "Last measured degradation D_T = t/(t+T)",
-        );
         let slo = match policy {
             PeriodPolicy::Fixed(_) => None,
             PeriodPolicy::Dynamic {
@@ -235,32 +153,107 @@ impl SessionTelemetry {
                 Some(SloTracker::new(d_target, cap))
             }
         };
+        let mut r = MetricsRegistry::new();
         SessionTelemetry {
-            registry,
             flight: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
             slo,
-            checkpoints,
-            pages_harvested,
-            bytes_transferred,
-            pages_seeded,
-            pool_hits,
-            pool_misses,
-            packets_buffered,
-            packets_released,
-            packets_discarded,
-            slo_breaches,
-            failovers,
-            faults_injected,
-            transfer_retries,
-            transfer_recoveries,
-            epochs_aborted,
-            pause_hist,
-            dirty_pages_hist,
-            stage_hists,
-            encode_lane_hist,
-            period_gauge,
-            degradation_gauge,
+            checkpoints: r.counter("here_checkpoints_total", "Checkpoints completed", None),
+            pages_harvested: r.counter(
+                "here_pages_harvested_total",
+                "Dirty pages copied across all checkpoints",
+                None,
+            ),
+            bytes_transferred: r.counter(
+                "here_bytes_transferred_total",
+                "Encoded checkpoint bytes shipped to the replica",
+                None,
+            ),
+            pages_seeded: r.counter(
+                "here_pages_seeded_total",
+                "Pages sent by the seeding migration",
+                None,
+            ),
+            pool_hits: r.counter(
+                "here_pool_reclaim_hits_total",
+                "Encode-buffer checkouts served from the pool",
+                None,
+            ),
+            pool_misses: r.counter(
+                "here_pool_reclaim_misses_total",
+                "Encode-buffer checkouts that had to allocate",
+                None,
+            ),
+            packets_buffered: r.counter(
+                "here_packets_buffered_total",
+                "Guest output packets held back until commit",
+                None,
+            ),
+            packets_released: r.counter(
+                "here_packets_released_total",
+                "Buffered packets released at checkpoint commit",
+                None,
+            ),
+            packets_discarded: r.counter(
+                "here_packets_discarded_total",
+                "Buffered packets dropped by a failover rollback",
+                None,
+            ),
+            slo_breaches: r.counter(
+                "here_slo_breaches_total",
+                "Degradation-target and period-cap SLO breaches",
+                None,
+            ),
+            failovers: r.counter("here_failovers_total", "Failovers performed", None),
+            faults_injected: r.counter(
+                "here_faults_injected_total",
+                "Faults laid into the run (exploits, accidents, fault plane)",
+                None,
+            ),
+            transfer_retries: r.counter(
+                "here_transfer_retries_total",
+                "Checkpoint transfer attempts that failed and were retried",
+                None,
+            ),
+            transfer_recoveries: r.counter(
+                "here_transfer_recoveries_total",
+                "Checkpoints delivered after at least one failed attempt",
+                None,
+            ),
+            epochs_aborted: r.counter(
+                "here_epochs_aborted_total",
+                "Checkpoints discarded after exhausting the transfer retry budget",
+                None,
+            ),
+            pause_hist: r.histogram(
+                "here_pause_nanos",
+                "VM-visible pause t per checkpoint (virtual ns)",
+                None,
+            ),
+            dirty_pages_hist: r.histogram("here_dirty_pages", "Dirty pages N per checkpoint", None),
+            stage_hists: Stage::ALL.map(|s| {
+                r.histogram(
+                    "here_stage_nanos",
+                    "Virtual duration per pipeline stage (ns)",
+                    Some(("stage", s.label())),
+                )
+            }),
+            encode_lane_hist: r.histogram(
+                "here_encode_lane_wall_nanos",
+                "Wall-clock encode time per lane (ns)",
+                None,
+            ),
+            period_gauge: r.gauge(
+                "here_period_seconds",
+                "Checkpoint period T chosen for the next epoch",
+                None,
+            ),
+            degradation_gauge: r.gauge(
+                "here_degradation_ratio",
+                "Last measured degradation D_T = t/(t+T)",
+                None,
+            ),
             health: None,
+            registry: r,
         }
     }
 
@@ -284,30 +277,32 @@ impl SessionTelemetry {
         let mut replica_retry_counters = Vec::with_capacity(n as usize);
         for i in 0..n {
             let label = i.to_string();
-            replica_lag_gauges.push(t.registry.gauge_with_label(
+            let replica = Some(("replica", label.as_str()));
+            replica_lag_gauges.push(t.registry.gauge(
                 "here_replica_lag_epochs",
                 "Epochs the replica trails the just-committed sequence",
-                Some(("replica", &label)),
+                replica,
             ));
-            replica_backlog_gauges.push(t.registry.gauge_with_label(
+            replica_backlog_gauges.push(t.registry.gauge(
                 "here_replica_backlog_pages",
                 "Pages parked in the replica's catch-up backlog",
-                Some(("replica", &label)),
+                replica,
             ));
-            replica_acked_gauges.push(t.registry.gauge_with_label(
+            replica_acked_gauges.push(t.registry.gauge(
                 "here_replica_acked_epoch",
                 "The replica's ack high-water mark",
-                Some(("replica", &label)),
+                replica,
             ));
-            replica_retry_counters.push(t.registry.counter_with_label(
+            replica_retry_counters.push(t.registry.counter(
                 "here_replica_retries_total",
                 "Transfer retries charged to the replica",
-                Some(("replica", &label)),
+                replica,
             ));
         }
         let flight_dropped_gauge = t.registry.gauge(
             "here_flight_recorder_dropped_events",
             "Events the bounded flight-recorder ring has evicted",
+            None,
         );
         let stale_lag = stale_epoch_lag.max(1);
         let health_policy = HealthPolicy {
@@ -350,7 +345,7 @@ impl SessionTelemetry {
                 walls,
             } => {
                 for (lane, &wall_nanos) in walls.iter().enumerate() {
-                    self.encode_lane_hist.observe(wall_nanos);
+                    self.registry.observe(self.encode_lane_hist, wall_nanos);
                     self.flight.record(FlightEvent::EncodeLane {
                         seq: *seq,
                         at_nanos: *at_nanos,
@@ -364,9 +359,9 @@ impl SessionTelemetry {
                 released,
                 discarded,
             } => {
-                sync_counter(&self.packets_buffered, *buffered);
-                sync_counter(&self.packets_released, *released);
-                sync_counter(&self.packets_discarded, *discarded);
+                self.registry.raise(self.packets_buffered, *buffered);
+                self.registry.raise(self.packets_released, *released);
+                self.registry.raise(self.packets_discarded, *discarded);
             }
             // Recorded once per stale episode on the flight ring only (no
             // metric family: single-replica runs never emit it, so the
@@ -386,11 +381,12 @@ impl SessionTelemetry {
                 decision,
                 at_nanos,
             } => {
-                self.checkpoints.incr();
-                self.pause_hist.observe(record.pause.as_nanos());
-                self.dirty_pages_hist.observe(record.dirty_pages);
-                self.period_gauge.set(decision.chosen_period.as_secs_f64());
-                self.degradation_gauge.set(record.degradation);
+                let r = &mut self.registry;
+                r.add(self.checkpoints, 1);
+                r.observe(self.pause_hist, record.pause.as_nanos());
+                r.observe(self.dirty_pages_hist, record.dirty_pages);
+                r.set(self.period_gauge, decision.chosen_period.as_secs_f64());
+                r.set(self.degradation_gauge, record.degradation);
                 self.flight.record(FlightEvent::PeriodDecision {
                     seq: record.seq,
                     at_nanos: *at_nanos,
@@ -409,7 +405,7 @@ impl SessionTelemetry {
                         record.pause.as_nanos(),
                         record.period.as_nanos(),
                     );
-                    self.slo_breaches.add(breaches.len() as u64);
+                    r.add(self.slo_breaches, breaches.len() as u64);
                 }
             }
             SessionEvent::PoolStats {
@@ -418,8 +414,8 @@ impl SessionTelemetry {
                 pooled,
                 at_nanos,
             } => {
-                sync_counter(&self.pool_hits, *hits);
-                sync_counter(&self.pool_misses, *misses);
+                self.registry.raise(self.pool_hits, *hits);
+                self.registry.raise(self.pool_misses, *misses);
                 self.flight.record(FlightEvent::PoolReclaim {
                     at_nanos: *at_nanos,
                     pool: "encode",
@@ -465,7 +461,7 @@ impl SessionTelemetry {
                 at_nanos,
                 ..
             } => {
-                self.pages_seeded.add(*pages);
+                self.registry.add(self.pages_seeded, *pages);
                 self.flight.record(FlightEvent::Migration {
                     at_nanos: *at_nanos,
                     iteration: *iteration,
@@ -482,7 +478,7 @@ impl SessionTelemetry {
                 at_nanos,
                 ..
             } => {
-                self.faults_injected.incr();
+                self.registry.add(self.faults_injected, 1);
                 self.flight.record(FlightEvent::Fault {
                     at_nanos: *at_nanos,
                     fault,
@@ -501,13 +497,13 @@ impl SessionTelemetry {
                 backoff,
                 at_nanos,
             } => {
-                self.transfer_retries.incr();
+                self.registry.add(self.transfer_retries, 1);
                 if let Some(h) = self.health.as_mut() {
                     if let Some(total) = h.retry_totals.get_mut(*replica as usize) {
                         *total += 1;
                     }
-                    if let Some(counter) = h.replica_retry_counters.get(*replica as usize) {
-                        counter.incr();
+                    if let Some(&counter) = h.replica_retry_counters.get(*replica as usize) {
+                        self.registry.add(counter, 1);
                     }
                 }
                 self.flight.record(FlightEvent::Retry {
@@ -518,13 +514,15 @@ impl SessionTelemetry {
                     backoff_nanos: backoff.as_nanos(),
                 });
             }
-            SessionEvent::TransferRecovery { .. } => self.transfer_recoveries.incr(),
+            SessionEvent::TransferRecovery { .. } => {
+                self.registry.add(self.transfer_recoveries, 1);
+            }
             SessionEvent::EpochAbort {
                 seq,
                 attempts,
                 at_nanos,
             } => {
-                self.epochs_aborted.incr();
+                self.registry.add(self.epochs_aborted, 1);
                 self.flight.record(FlightEvent::Fault {
                     at_nanos: *at_nanos,
                     fault: "epoch_abort",
@@ -548,10 +546,11 @@ impl SessionTelemetry {
             .iter()
             .position(|&s| s == event.stage)
             .expect("Stage::ALL covers every stage");
-        self.stage_hists[idx].observe(event.duration.as_nanos());
+        let r = &mut self.registry;
+        r.observe(self.stage_hists[idx], event.duration.as_nanos());
         match event.stage {
-            Stage::Harvest => self.pages_harvested.add(event.pages),
-            Stage::Transfer => self.bytes_transferred.add(event.bytes),
+            Stage::Harvest => r.add(self.pages_harvested, event.pages),
+            Stage::Transfer => r.add(self.bytes_transferred, event.bytes),
             _ => {}
         }
         self.flight.record(FlightEvent::Stage {
@@ -569,7 +568,7 @@ impl SessionTelemetry {
     /// fail → detect → resume marks, then the device re-plug (which
     /// happened in the detection → activation window).
     fn failover(&mut self, record: &FailoverRecord, new_family: &str) {
-        self.failovers.incr();
+        self.registry.add(self.failovers, 1);
         self.flight.record(FlightEvent::Failover {
             at_nanos: record.failed_at.as_nanos(),
             phase: "failed",
@@ -687,19 +686,20 @@ impl SessionTelemetry {
                     1,
                 );
             }
-            if let Some(g) = h.replica_lag_gauges.get(i) {
-                g.set(o.lag_epochs as f64);
+            if let Some(&g) = h.replica_lag_gauges.get(i) {
+                self.registry.set(g, o.lag_epochs as f64);
             }
-            if let Some(g) = h.replica_backlog_gauges.get(i) {
-                g.set(o.backlog_pages as f64);
+            if let Some(&g) = h.replica_backlog_gauges.get(i) {
+                self.registry.set(g, o.backlog_pages as f64);
             }
-            if let Some(g) = h.replica_acked_gauges.get(i) {
-                g.set(o.ack_mark as f64);
+            if let Some(&g) = h.replica_acked_gauges.get(i) {
+                self.registry.set(g, o.ack_mark as f64);
             }
             obs.push(HealthObservation { retries, ..*o });
         }
         h.last_retry_totals.clone_from(&h.retry_totals);
-        h.flight_dropped_gauge.set(self.flight.dropped() as f64);
+        self.registry
+            .set(h.flight_dropped_gauge, self.flight.dropped() as f64);
         h.tracker.observe(epoch, at_nanos, &obs);
         let sample = AlertSample {
             epoch,
@@ -729,10 +729,8 @@ impl SessionTelemetry {
 
     /// Freezes the bundle into the plain-data report snapshot.
     fn snapshot(&self) -> TelemetrySnapshot {
-        let registry = self.registry.snapshot();
         TelemetrySnapshot {
-            prometheus: prometheus(&registry),
-            registry,
+            registry: self.registry.snapshot(),
             flight_recorder_json: self.flight.dump_json(),
             flight_events_recorded: self.flight.total_recorded(),
             flight_events_dropped: self.flight.dropped(),
@@ -758,22 +756,11 @@ impl SessionTelemetry {
     }
 }
 
-/// Raises a monotone counter to `target` (cumulative sources like the
-/// buffer pool keep their own totals; the metric mirrors them).
-fn sync_counter(counter: &CounterHandle, target: u64) {
-    let current = counter.get();
-    if target > current {
-        counter.add(target - current);
-    }
-}
-
 /// The frozen observability record of one run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
-    /// Every metric, frozen (counters, gauges, histograms).
+    /// Every metric (counters, gauges, histograms).
     pub registry: RegistrySnapshot,
-    /// The registry rendered in the Prometheus text exposition format.
-    pub prometheus: String,
     /// The flight recorder's JSON dump (most recent events).
     pub flight_recorder_json: String,
     /// Flight events recorded over the run (retained + evicted).
@@ -786,6 +773,13 @@ pub struct TelemetrySnapshot {
     pub slo_breaches: Vec<SloBreach>,
     /// The frozen health plane (`None` unless the config armed it).
     pub health: Option<HealthSnapshot>,
+}
+
+impl TelemetrySnapshot {
+    /// The registry rendered in the Prometheus text exposition format.
+    pub fn prometheus(&self) -> String {
+        export::prometheus(&self.registry)
+    }
 }
 
 /// The frozen health plane of one run: series, health trajectory, and
@@ -1295,11 +1289,14 @@ mod tests {
             snap.registry.find("here_period_seconds").unwrap().value,
             MetricValue::Gauge(1.0)
         );
-        let slo = snap.slo.expect("dynamic policy arms the SLO tracker");
+        let slo = snap
+            .slo
+            .as_ref()
+            .expect("dynamic policy arms the SLO tracker");
         assert_eq!(slo.evaluated, 1);
         assert_eq!(slo.compliant, 1);
         assert!(snap.flight_recorder_json.contains("period_decision"));
-        assert!(snap.prometheus.contains("here_checkpoints_total 1"));
+        assert!(snap.prometheus().contains("here_checkpoints_total 1"));
     }
 
     #[test]
@@ -1358,7 +1355,7 @@ mod tests {
             MetricValue::Counter(128 * 4096)
         );
         assert!(snap
-            .prometheus
+            .prometheus()
             .contains("here_stage_nanos_bucket{stage=\"harvest\""));
         assert!(snap.flight_recorder_json.contains("\"wall_nanos\":4200"));
         assert_eq!(snap.flight_events_recorded, 6);
@@ -1477,7 +1474,7 @@ mod tests {
         let snap = plain.snapshot();
         assert_eq!(snap.registry.metrics.len(), baseline);
         assert!(snap.health.is_none());
-        assert!(!snap.prometheus.contains("here_replica_lag_epochs"));
+        assert!(!snap.prometheus().contains("here_replica_lag_epochs"));
     }
 
     #[test]
@@ -1491,17 +1488,17 @@ mod tests {
         ));
         assert!(events.is_empty(), "one slow epoch is not an alert");
         let snap = t.snapshot();
-        let health = snap.health.expect("plane armed");
+        let health = snap.health.as_ref().expect("plane armed");
         assert_eq!(health.states[2], HealthState::Lagging);
         assert_eq!(health.transitions.len(), 1);
         assert!(snap
-            .prometheus
+            .prometheus()
             .contains("here_replica_lag_epochs{replica=\"2\"} 1.0"));
         assert!(snap
-            .prometheus
+            .prometheus()
             .contains("here_replica_backlog_pages{replica=\"2\"} 32.0"));
         assert!(snap
-            .prometheus
+            .prometheus()
             .contains("here_replica_retries_total{replica=\"2\"} 1"));
         assert!(health.series_jsonl.contains("here_degradation_ppm"));
         assert!(health

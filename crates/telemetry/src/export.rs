@@ -1,17 +1,13 @@
-//! Exporters: Prometheus text exposition and a JSON document, both
-//! rendered by hand from a [`RegistrySnapshot`] (the vendored `serde` is
-//! a no-op marker stand-in, so all real encoding in this workspace is
-//! hand-rolled).
+//! The Prometheus text exposition of a [`RegistrySnapshot`], and the
+//! JSON string escaper every renderer in the workspace shares — both by
+//! hand (the vendored `serde` is a no-op marker stand-in, so all real
+//! encoding in this workspace is hand-rolled).
 
 use std::fmt::Write as _;
 
 use crate::metrics::{
     bucket_upper_bound, HistogramSnapshot, MetricValue, RegistrySnapshot, HISTOGRAM_BUCKETS,
 };
-
-/// Quantiles surfaced for every histogram in the JSON export.
-pub const EXPORT_QUANTILES: [(&str, f64); 4] =
-    [("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p999", 0.999)];
 
 /// Escapes a string for inclusion in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
@@ -147,56 +143,6 @@ fn le_bound(bucket: usize) -> String {
     }
 }
 
-/// Renders a snapshot as a JSON document: one entry per metric with its
-/// kind, label, and value; histograms carry count/sum/min/max/mean and
-/// the [`EXPORT_QUANTILES`].
-pub fn json_snapshot(snapshot: &RegistrySnapshot) -> String {
-    let mut out = String::from("{\"metrics\":[");
-    for (i, metric) in snapshot.metrics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"name\":\"{}\"", json_escape(&metric.name));
-        if let Some((k, v)) = &metric.label {
-            let _ = write!(
-                out,
-                ",\"label\":{{\"{}\":\"{}\"}}",
-                json_escape(k),
-                json_escape(v)
-            );
-        }
-        match &metric.value {
-            MetricValue::Counter(v) => {
-                let _ = write!(out, ",\"kind\":\"counter\",\"value\":{v}}}");
-            }
-            MetricValue::Gauge(v) => {
-                let _ = write!(out, ",\"kind\":\"gauge\",\"value\":{}}}", render_f64(*v));
-            }
-            MetricValue::Histogram(h) => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"histogram\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{}",
-                    h.count,
-                    h.sum,
-                    if h.count == 0 { 0 } else { h.min },
-                    h.max,
-                    render_f64(h.mean().unwrap_or(0.0)),
-                );
-                for (label, q) in EXPORT_QUANTILES {
-                    let _ = write!(
-                        out,
-                        ",\"{label}\":{}",
-                        render_f64(h.quantile(q).unwrap_or(0.0))
-                    );
-                }
-                out.push('}');
-            }
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,28 +150,29 @@ mod tests {
 
     fn sample_registry() -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        reg.counter("here_checkpoints_total", "Checkpoints completed")
-            .add(3);
-        reg.gauge("here_period_seconds", "Current period").set(0.25);
-        let h = reg.histogram("here_pause_nanos", "Pause per checkpoint");
-        h.observe(1_000);
-        h.observe(2_000);
-        h.observe(500_000);
+        let checkpoints = reg.counter("here_checkpoints_total", "Checkpoints completed", None);
+        reg.add(checkpoints, 3);
+        let period = reg.gauge("here_period_seconds", "Current period", None);
+        reg.set(period, 0.25);
+        let pause = reg.histogram("here_pause_nanos", "Pause per checkpoint", None);
+        for v in [1_000, 2_000, 500_000] {
+            reg.observe(pause, v);
+        }
         // Per-replica families, as the health plane registers them.
         for (replica, lag) in [("0", 0.0), ("1", 3.0)] {
-            reg.gauge_with_label(
+            let g = reg.gauge(
                 "here_replica_lag_epochs",
                 "Ack lag per replica",
                 Some(("replica", replica)),
-            )
-            .set(lag);
+            );
+            reg.set(g, lag);
         }
-        reg.counter_with_label(
+        let retries = reg.counter(
             "here_replica_retries_total",
             "Transfer retries per replica",
             Some(("replica", "1")),
-        )
-        .add(2);
+        );
+        reg.add(retries, 2);
         reg
     }
 
@@ -262,31 +209,14 @@ mod tests {
     #[test]
     fn labelled_family_emits_one_header_block() {
         let mut reg = MetricsRegistry::new();
-        reg.histogram_with_label("stage_nanos", "per-stage", Some(("stage", "harvest")))
-            .observe(10);
-        reg.histogram_with_label("stage_nanos", "per-stage", Some(("stage", "pause")))
-            .observe(20);
+        for (stage, v) in [("harvest", 10), ("pause", 20)] {
+            let h = reg.histogram("stage_nanos", "per-stage", Some(("stage", stage)));
+            reg.observe(h, v);
+        }
         let text = prometheus(&reg.snapshot());
         assert_eq!(text.matches("# TYPE stage_nanos histogram").count(), 1);
         assert!(text.contains("stage_nanos_bucket{stage=\"harvest\",le=\"15\"} 1\n"));
         assert!(text.contains("stage_nanos_count{stage=\"pause\"} 1\n"));
-    }
-
-    #[test]
-    fn json_snapshot_shape() {
-        let json = json_snapshot(&sample_registry().snapshot());
-        assert!(json.starts_with("{\"metrics\":["));
-        assert!(json.contains(r#"{"name":"here_checkpoints_total","kind":"counter","value":3}"#));
-        assert!(json.contains(r#""kind":"gauge","value":0.25"#));
-        assert!(
-            json.contains(r#""kind":"histogram","count":3,"sum":503000,"min":1000,"max":500000"#)
-        );
-        assert!(json.contains(r#""p50":"#));
-        assert!(json.contains(r#""p999":"#));
-        assert!(json.contains(
-            r#"{"name":"here_replica_lag_epochs","label":{"replica":"1"},"kind":"gauge","value":3.0}"#
-        ));
-        assert!(json.ends_with("]}"));
     }
 
     #[test]
@@ -307,6 +237,5 @@ mod tests {
     fn empty_registry_renders_empty_documents() {
         let snap = MetricsRegistry::new().snapshot();
         assert_eq!(prometheus(&snap), "");
-        assert_eq!(json_snapshot(&snap), "{\"metrics\":[]}");
     }
 }

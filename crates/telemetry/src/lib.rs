@@ -1,16 +1,15 @@
-//! # here-telemetry — the always-on observability layer
+//! # here-telemetry — the observability layer
 //!
 //! The paper's control loop hinges on quantities that are invisible until
 //! a run ends: the pause `t = αN/P + C` (Eq. 4), the degradation
 //! `D_T = t / (t + T)` (Eq. 1), the dirty-page rate, and the failover
-//! downtime. This crate gives the replication stack a *live* surface for
-//! all of them, cheap enough to leave on in production:
+//! downtime. This crate holds the building blocks a fold over a run's
+//! event log fills in to report all of them — plain data, built on one
+//! thread:
 //!
 //! - [`metrics`]: a registry of counters, gauges and log2-bucketed
-//!   histograms. Metrics are registered once; hot paths update them
-//!   through cloneable atomic handles with no allocation and no locking.
-//!   Snapshots are plain data and merge across registries (e.g. one per
-//!   encode lane).
+//!   histograms. Each metric is registered once and returns a `Copy` id;
+//!   the fold updates it through the registry by that id.
 //! - [`flight`]: a bounded ring buffer — the **flight recorder** — that
 //!   always holds the most recent pipeline stage events, period-manager
 //!   decisions, buffer-pool reclaim stats, per-encode-lane timings and
@@ -23,8 +22,7 @@
 //!   replica-side apply across the simulated wire.
 //! - [`chrome`]: Chrome trace-event JSON (`chrome://tracing` / Perfetto)
 //!   and compact JSONL renderers for span records.
-//! - [`export`]: Prometheus text exposition and a JSON document rendered
-//!   from a registry snapshot.
+//! - [`export`]: the Prometheus text exposition of a registry snapshot.
 //! - [`timeseries`]: fixed-width windowed series on virtual time —
 //!   counter rates, last-write gauges, per-window histograms — keyed by
 //!   metric + label, bit-deterministic for seeded runs.
@@ -43,10 +41,10 @@
 //! use here_telemetry::export::prometheus;
 //!
 //! let mut registry = MetricsRegistry::new();
-//! let checkpoints = registry.counter("here_checkpoints_total", "Checkpoints completed");
-//! let pause = registry.histogram("here_pause_nanos", "VM-visible pause per checkpoint");
-//! checkpoints.incr();
-//! pause.observe(42_000_000);
+//! let checkpoints = registry.counter("here_checkpoints_total", "Checkpoints completed", None);
+//! let pause = registry.histogram("here_pause_nanos", "VM-visible pause per checkpoint", None);
+//! registry.add(checkpoints, 1);
+//! registry.observe(pause, 42_000_000);
 //! let text = prometheus(&registry.snapshot());
 //! assert!(text.contains("here_checkpoints_total 1"));
 //! ```
@@ -66,12 +64,12 @@ pub mod timeseries;
 
 pub use alert::{AlertEngine, AlertEvent, AlertRules, AlertSample, AlertSeverity, AlertState};
 pub use chrome::{chrome_trace, spans_jsonl};
-pub use export::{json_escape, json_snapshot, prometheus};
+pub use export::{json_escape, prometheus};
 pub use flight::{FlightEvent, FlightRecorder};
 pub use health::{HealthObservation, HealthPolicy, HealthState, HealthTracker, HealthTransition};
 pub use metrics::{
-    CounterHandle, GaugeHandle, HistogramHandle, HistogramSnapshot, MetricSnapshot, MetricValue,
-    MetricsRegistry, RegistrySnapshot,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, MetricsRegistry,
+    RegistrySnapshot,
 };
 pub use slo::{BreachKind, SloBreach, SloSummary, SloTracker};
 pub use span::{

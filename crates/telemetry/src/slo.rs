@@ -66,7 +66,6 @@ pub struct SloSummary {
 #[derive(Debug, Clone)]
 pub struct SloTracker {
     d_target: f64,
-    tolerance: f64,
     t_max_nanos: Option<u64>,
     evaluated: u64,
     compliant: u64,
@@ -81,24 +80,17 @@ impl SloTracker {
     /// expected; 10% separates "converging" from "lost the target".
     pub const DEFAULT_TOLERANCE: f64 = 0.10;
 
-    /// A tracker holding `D_T <= d_target * (1 + tolerance)` and, when
-    /// `t_max_nanos` is set, `T <= T_max`.
+    /// A tracker holding `D_T <= d_target * (1 + DEFAULT_TOLERANCE)` and,
+    /// when `t_max_nanos` is set, `T <= T_max`.
     pub fn new(d_target: f64, t_max_nanos: Option<u64>) -> Self {
         SloTracker {
             d_target,
-            tolerance: Self::DEFAULT_TOLERANCE,
             t_max_nanos,
             evaluated: 0,
             compliant: 0,
             worst_degradation: 0.0,
             breaches: Vec::new(),
         }
-    }
-
-    /// Overrides the relative tolerance (0.0 = breach exactly at target).
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
     }
 
     /// The degradation target being held.
@@ -127,7 +119,7 @@ impl SloTracker {
         if d_measured > self.worst_degradation {
             self.worst_degradation = d_measured;
         }
-        let d_bound = self.d_target * (1.0 + self.tolerance);
+        let d_bound = self.d_target * (1.0 + Self::DEFAULT_TOLERANCE);
         if d_measured > d_bound {
             new.push(SloBreach {
                 seq,
@@ -235,9 +227,8 @@ mod tests {
         // D = 0.105 with a 0.10 target: inside the 10% tolerance band.
         let mut slo = SloTracker::new(0.10, None);
         assert!(slo.observe(1, 0, 105, 895).is_empty());
-        // Zero tolerance makes the same observation a breach.
-        let mut strict = SloTracker::new(0.10, None).with_tolerance(0.0);
-        assert_eq!(strict.observe(1, 0, 105, 895).len(), 1);
+        // D = 0.115 lies above the band: a breach.
+        assert_eq!(slo.observe(2, 0, 115, 885).len(), 1);
     }
 
     #[test]

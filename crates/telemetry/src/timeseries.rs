@@ -29,10 +29,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Number of log2 histogram buckets a [`SeriesKind::Histogram`] window
-/// carries: bucket `i` counts values `v` with `64 - v.leading_zeros() == i`
-/// (bucket 0 is `v == 0`).
-pub const WINDOW_BUCKETS: usize = 65;
+use crate::metrics::{bucket_index, HISTOGRAM_BUCKETS};
 
 /// Default number of live windows a series retains before folding the
 /// oldest into the tail aggregate.
@@ -61,10 +58,6 @@ impl SeriesKind {
     }
 }
 
-fn bucket_index(value: u64) -> usize {
-    (64 - value.leading_zeros()) as usize
-}
-
 /// One fixed-width window of aggregated samples.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Window {
@@ -83,8 +76,9 @@ pub struct Window {
     /// Last-write-wins value; ties on `last_at_nanos` resolve to the
     /// larger value so merging commutes with recording order.
     pub last: u64,
-    /// Log2 bucket counts ([`WINDOW_BUCKETS`] entries); empty unless the
-    /// series kind is [`SeriesKind::Histogram`].
+    /// Log2 bucket counts, bucketed like a metrics histogram
+    /// ([`HISTOGRAM_BUCKETS`] entries, [`bucket_index`]); empty unless
+    /// the series kind is [`SeriesKind::Histogram`].
     pub buckets: Vec<u64>,
 }
 
@@ -101,7 +95,7 @@ impl Window {
             last_at_nanos: 0,
             last: 0,
             buckets: match kind {
-                SeriesKind::Histogram => vec![0; WINDOW_BUCKETS],
+                SeriesKind::Histogram => vec![0; HISTOGRAM_BUCKETS],
                 _ => Vec::new(),
             },
         }

@@ -15,29 +15,23 @@ use here_telemetry::{chrome_trace, prometheus, MetricsRegistry};
 /// histogram family with two variants.
 fn fixture() -> MetricsRegistry {
     let mut registry = MetricsRegistry::new();
-    let checkpoints = registry.counter("here_checkpoints_total", "Checkpoints completed");
-    checkpoints.add(42);
-    let period = registry.gauge("here_period_seconds", "Current checkpoint period");
-    period.set(2.5);
-    let deg = registry.gauge("here_degradation_ratio", "Measured degradation");
-    deg.set(0.25);
-    let pause = registry.histogram("here_pause_nanos", "Pause per checkpoint");
+    let checkpoints = registry.counter("here_checkpoints_total", "Checkpoints completed", None);
+    registry.add(checkpoints, 42);
+    let period = registry.gauge("here_period_seconds", "Current checkpoint period", None);
+    registry.set(period, 2.5);
+    let deg = registry.gauge("here_degradation_ratio", "Measured degradation", None);
+    registry.set(deg, 0.25);
+    let pause = registry.histogram("here_pause_nanos", "Pause per checkpoint", None);
     for v in [1_000, 2_000, 4_000, 40_000_000, 55_000_000] {
-        pause.observe(v);
+        registry.observe(pause, v);
     }
-    let harvest = registry.histogram_with_label(
-        "here_stage_nanos",
-        "Per-stage duration",
-        Some(("stage", "harvest")),
-    );
-    harvest.observe(10_000_000);
-    harvest.observe(12_000_000);
-    let translate = registry.histogram_with_label(
-        "here_stage_nanos",
-        "Per-stage duration",
-        Some(("stage", "translate")),
-    );
-    translate.observe(3_000_000);
+    let stage = |stage| Some(("stage", stage));
+    let harvest = registry.histogram("here_stage_nanos", "Per-stage duration", stage("harvest"));
+    registry.observe(harvest, 10_000_000);
+    registry.observe(harvest, 12_000_000);
+    let translate =
+        registry.histogram("here_stage_nanos", "Per-stage duration", stage("translate"));
+    registry.observe(translate, 3_000_000);
     registry
 }
 

@@ -1,111 +1,24 @@
-//! Property tests for the telemetry building blocks: histogram quantiles
-//! must bracket the true order statistics, snapshot merging must commute
-//! with merged observation, and the flight recorder's bounded ring must
-//! keep exactly the newest events in order.
+//! Property tests for the telemetry building blocks: a histogram's
+//! scalars are exact, the flight recorder's bounded ring keeps exactly
+//! the newest events in order, and a windowed series does not depend on
+//! recording order or lose counts to rotation.
 
 use here_telemetry::timeseries::{SeriesKind, Window, WindowedSeries};
-use here_telemetry::{FlightEvent, FlightRecorder, MetricsRegistry};
+use here_telemetry::{FlightEvent, FlightRecorder, HistogramSnapshot};
 use proptest::prelude::*;
-
-/// Tightest log2 bucket bound above `v` — the histogram cannot place a
-/// quantile estimate outside the bucket its sample fell into.
-fn bucket_upper(v: u64) -> u64 {
-    match v {
-        0 => 0,
-        _ => {
-            let b = u64::BITS - v.leading_zeros();
-            if b >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << b) - 1
-            }
-        }
-    }
-}
-
-fn bucket_lower(v: u64) -> u64 {
-    match v {
-        0 => 0,
-        _ => {
-            let b = u64::BITS - v.leading_zeros();
-            1u64 << (b - 1)
-        }
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// For every quantile, the estimate lands within the log2 bucket of
-    /// the true order statistic (nearest-rank), and inside [min, max].
-    #[test]
-    fn quantile_estimates_bracket_the_true_order_statistic(
-        mut values in proptest::collection::vec(0u64..u64::MAX / 2, 1..400),
-        q_millis in 0u32..=1000,
-    ) {
-        let q = f64::from(q_millis) / 1000.0;
-        let mut registry = MetricsRegistry::new();
-        let hist = registry.histogram("h", "test");
-        for &v in &values {
-            hist.observe(v);
-        }
-        values.sort_unstable();
-        let count = values.len();
-        let rank = ((q * count as f64).ceil() as usize).clamp(1, count);
-        let truth = values[rank - 1];
-        let est = hist.snapshot().quantile(q).expect("histogram is non-empty");
-        let min = *values.first().unwrap() as f64;
-        let max = *values.last().unwrap() as f64;
-        prop_assert!(est >= min && est <= max, "estimate {est} outside [{min}, {max}]");
-        let lo = (bucket_lower(truth) as f64).min(max);
-        let hi = (bucket_upper(truth) as f64).max(min);
-        prop_assert!(
-            est >= lo && est <= hi,
-            "estimate {est} outside the true statistic's bucket [{lo}, {hi}] (truth {truth})"
-        );
-    }
-
-    /// Merging two histogram snapshots equals observing both sample sets
-    /// into one histogram: identical buckets, count, sum, min, max — and
-    /// therefore identical quantiles.
-    #[test]
-    fn merge_commutes_with_combined_observation(
-        a in proptest::collection::vec(0u64..u64::MAX / 2, 0..200),
-        b in proptest::collection::vec(0u64..u64::MAX / 2, 0..200),
-    ) {
-        let mut registry = MetricsRegistry::new();
-        let ha = registry.histogram("a", "test");
-        let hb = registry.histogram("b", "test");
-        let hc = registry.histogram("c", "test");
-        for &v in &a {
-            ha.observe(v);
-            hc.observe(v);
-        }
-        for &v in &b {
-            hb.observe(v);
-            hc.observe(v);
-        }
-        let mut merged = ha.snapshot();
-        merged.merge_from(&hb.snapshot());
-        let combined = hc.snapshot();
-        prop_assert_eq!(&merged.buckets, &combined.buckets);
-        prop_assert_eq!(merged.count, combined.count);
-        prop_assert_eq!(merged.sum, combined.sum);
-        prop_assert_eq!(merged.min, combined.min);
-        prop_assert_eq!(merged.max, combined.max);
-    }
 
     /// Histogram sum/count/min/max are exact regardless of bucketing.
     #[test]
     fn histogram_scalars_are_exact(
         values in proptest::collection::vec(0u64..1_000_000, 1..300),
     ) {
-        let mut registry = MetricsRegistry::new();
-        let hist = registry.histogram("h", "test");
+        let mut snap = HistogramSnapshot::empty();
         for &v in &values {
-            hist.observe(v);
+            snap.observe(v);
         }
-        let snap = hist.snapshot();
         prop_assert_eq!(snap.count, values.len() as u64);
         prop_assert_eq!(snap.sum, values.iter().sum::<u64>());
         prop_assert_eq!(snap.min, *values.iter().min().unwrap());

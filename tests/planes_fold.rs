@@ -6,9 +6,12 @@
 
 mod common;
 
+use std::collections::BTreeMap;
+
 use common::{config, plan, scenario, spec, SCENARIOS};
 use here::replication::telemetry::fold;
-use here::replication::{IncidentBundle, IncidentSnapshot, SessionEvent};
+use here::replication::{IncidentBundle, IncidentSnapshot, SessionEvent, Stage, StageEvent};
+use here_telemetry::MetricValue;
 
 /// `event` with every host-clock measurement blanked.
 fn without_host_clock(event: &SessionEvent) -> SessionEvent {
@@ -123,5 +126,124 @@ fn a_bundle_is_a_seed_and_its_snapshot_a_fold_over_the_log_prefix() {
         assert!(replay.verified(), "{name}");
         let want = IncidentSnapshot::at(&config, &report.events, &trigger);
         assert_eq!(replay.snapshot, Some(want), "{name}");
+    }
+}
+
+/// Every counter of the metric tables in `here_core::telemetry`'s module
+/// doc, recomputed from the log alone, keyed by `(name, label)`.
+fn counters_from_the_log(
+    events: &[SessionEvent],
+    slo_breaches: usize,
+    replicas: Option<u32>,
+) -> BTreeMap<(String, Option<(String, String)>), u64> {
+    let count = |hit: fn(&SessionEvent) -> bool| events.iter().filter(|e| hit(e)).count() as u64;
+    let stage_sum = |stage: Stage, field: fn(&StageEvent) -> u64| -> u64 {
+        events
+            .iter()
+            .filter_map(SessionEvent::as_stage)
+            .filter(|e| e.stage == stage)
+            .map(field)
+            .sum()
+    };
+    let packets = events.iter().rev().find_map(|e| match *e {
+        SessionEvent::Packets {
+            buffered,
+            released,
+            discarded,
+        } => Some([buffered, released, discarded]),
+        _ => None,
+    });
+    let pool = events.iter().rev().find_map(|e| match *e {
+        SessionEvent::PoolStats { hits, misses, .. } => Some([hits, misses]),
+        _ => None,
+    });
+    let seeded = events
+        .iter()
+        .map(|e| match e {
+            SessionEvent::Migration { pages, .. } => *pages,
+            _ => 0,
+        })
+        .sum();
+    let [buffered, released, discarded] = packets.unwrap_or_default();
+    let [hits, misses] = pool.unwrap_or_default();
+    let mut want: BTreeMap<_, _> = [
+        (
+            "here_checkpoints_total",
+            count(|e| matches!(e, SessionEvent::Checkpoint { .. })),
+        ),
+        (
+            "here_pages_harvested_total",
+            stage_sum(Stage::Harvest, |e| e.pages),
+        ),
+        (
+            "here_bytes_transferred_total",
+            stage_sum(Stage::Transfer, |e| e.bytes),
+        ),
+        ("here_pages_seeded_total", seeded),
+        ("here_pool_reclaim_hits_total", hits),
+        ("here_pool_reclaim_misses_total", misses),
+        ("here_packets_buffered_total", buffered),
+        ("here_packets_released_total", released),
+        ("here_packets_discarded_total", discarded),
+        ("here_slo_breaches_total", slo_breaches as u64),
+        (
+            "here_failovers_total",
+            count(|e| matches!(e, SessionEvent::Failover { .. })),
+        ),
+        (
+            "here_faults_injected_total",
+            count(|e| matches!(e, SessionEvent::Fault { .. })),
+        ),
+        (
+            "here_transfer_retries_total",
+            count(|e| matches!(e, SessionEvent::TransferRetry { .. })),
+        ),
+        (
+            "here_transfer_recoveries_total",
+            count(|e| matches!(e, SessionEvent::TransferRecovery { .. })),
+        ),
+        (
+            "here_epochs_aborted_total",
+            count(|e| matches!(e, SessionEvent::EpochAbort { .. })),
+        ),
+    ]
+    .into_iter()
+    .map(|(name, value)| ((name.to_string(), None), value))
+    .collect();
+    for replica in 0..replicas.unwrap_or(0) {
+        let retries = events
+            .iter()
+            .filter(
+                |e| matches!(e, SessionEvent::TransferRetry { replica: r, .. } if *r == replica),
+            )
+            .count() as u64;
+        let label = Some(("replica".to_string(), replica.to_string()));
+        want.insert(("here_replica_retries_total".to_string(), label), retries);
+    }
+    want
+}
+
+#[test]
+fn every_counter_in_the_metric_table_is_a_fold_over_the_log() {
+    for name in SCENARIOS {
+        for armed in [false, true] {
+            let report = scenario(name, armed).run();
+            let telemetry = report.telemetry.as_ref().expect("replicated run");
+            let got: BTreeMap<_, _> = telemetry
+                .registry
+                .metrics
+                .iter()
+                .filter_map(|m| match m.value {
+                    MetricValue::Counter(n) => Some(((m.name.clone(), m.label.clone()), n)),
+                    _ => None,
+                })
+                .collect();
+            let replicas = telemetry.health.as_ref().map(|h| h.replicas);
+            let want =
+                counters_from_the_log(&report.events, telemetry.slo_breaches.len(), replicas);
+            assert_eq!(got, want, "{name} armed={armed}");
+            // The log has something to say in every scenario.
+            assert!(want[&("here_checkpoints_total".into(), None)] > 0, "{name}");
+        }
     }
 }

@@ -52,7 +52,7 @@ fn digest_line(name: &str, armed: bool) -> String {
     // The encode-lane histogram is the one metric family fed by the host
     // clock.
     let prometheus: String = telemetry
-        .prometheus
+        .prometheus()
         .lines()
         .filter(|l| !l.contains("here_encode_lane_wall_nanos"))
         .map(|l| format!("{l}\n"))
