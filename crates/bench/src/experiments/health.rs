@@ -191,7 +191,7 @@ fn summarize(report: &RunReport) -> HealthRunSummary {
         transition_sequence,
         series_points: health.series_points,
         series_hash: fnv32(health.series_jsonl.as_bytes()),
-        alert_log_hash: fnv32(health.alert_log_jsonl.as_bytes()),
+        alert_log_hash: fnv32(health.alert_log_jsonl().as_bytes()),
         fingerprint: report.fingerprint(),
     }
 }
@@ -210,13 +210,13 @@ pub fn run_health(scale: Scale) -> HealthOutput {
     let rerun = run(scale, "health-stale", Some(partition_plan()));
     let stale_health = health_of(&stale);
     let rerun_health = health_of(&rerun);
-    let alert_log_identical = stale_health.alert_log_jsonl == rerun_health.alert_log_jsonl;
+    let alert_log_identical = stale_health.alert_log_jsonl() == rerun_health.alert_log_jsonl();
     let series_identical = stale_health.series_jsonl == rerun_health.series_jsonl;
     let rerun_fingerprint = rerun.fingerprint();
     let deterministic =
         alert_log_identical && series_identical && rerun_fingerprint == stale.fingerprint();
 
-    let alert_log_jsonl = stale_health.alert_log_jsonl.clone();
+    let alert_log_jsonl = stale_health.alert_log_jsonl();
     let series_jsonl = stale_health.series_jsonl.clone();
     HealthOutput {
         quiet: summarize(&quiet),

@@ -561,28 +561,6 @@ mod tests {
         (images, session.finish(migration, failover, start))
     }
 
-    /// `events` with every host-clock reading blanked.
-    fn without_host_clock(events: &[SessionEvent]) -> Vec<SessionEvent> {
-        let mut events = events.to_vec();
-        for event in &mut events {
-            match event {
-                SessionEvent::Stage(stage) => stage.wall_nanos = None,
-                SessionEvent::EncodeLanes { walls, .. } => walls.fill(0),
-                SessionEvent::Checkpoint { record, .. } => record.wall_nanos = None,
-                SessionEvent::EncodePool {
-                    steals,
-                    occupancy_pct,
-                    ..
-                } => {
-                    *steals = 0;
-                    *occupancy_pct = 0.0;
-                }
-                _ => {}
-            }
-        }
-        events
-    }
-
     /// Runs `plan` with 0–3 fan-out helpers and the consistency check on:
     /// every applied replica, a catch-up included, must equal the primary
     /// after each transfer, and all four runs must leave identical replica
@@ -605,8 +583,16 @@ mod tests {
             );
             assert_eq!(other.commits, report.commits, "helpers {helpers}, {plan:?}");
             assert_eq!(
-                without_host_clock(&other.events),
-                without_host_clock(&report.events),
+                other
+                    .events
+                    .iter()
+                    .map(SessionEvent::without_host_clock)
+                    .collect::<Vec<_>>(),
+                report
+                    .events
+                    .iter()
+                    .map(SessionEvent::without_host_clock)
+                    .collect::<Vec<_>>(),
                 "helpers {helpers}, {plan:?}"
             );
             assert_eq!(
@@ -758,7 +744,12 @@ mod tests {
                         vm.memory().touched_pages()
                     })
                     .collect();
-                (err.to_string(), touched, without_host_clock(&session.log))
+                let log: Vec<_> = session
+                    .log
+                    .iter()
+                    .map(SessionEvent::without_host_clock)
+                    .collect();
+                (err.to_string(), touched, log)
             })
             .collect();
         let (err, touched, _) = &outcomes[0];

@@ -277,7 +277,8 @@ impl IncidentSnapshot {
                         )
                     })
                     .collect();
-                (transitions, tail, h.active_alerts, h.alert_log_jsonl)
+                let alert_log_jsonl = h.alert_log_jsonl();
+                (transitions, tail, h.active_alerts, alert_log_jsonl)
             }
             None => (Vec::new(), String::new(), Vec::new(), String::new()),
         };
@@ -1374,7 +1375,7 @@ mod tests {
         assert!(
             !health.active_alerts.is_empty(),
             "alerts still firing at run end must stay active: {:?}",
-            health.alert_log_jsonl
+            health.alert_log_jsonl()
         );
         assert!(health
             .active_alerts

@@ -59,12 +59,14 @@
 //! | `here_replica_retries_total{replica=…}` | counter | `TransferRetry` | transfer retries charged to each replica |
 //! | `here_flight_recorder_dropped_events` | gauge | `EpochHealth` | events the bounded flight ring has evicted |
 
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
 
-use here_sim_core::time::SimDuration;
+use here_sim_core::time::{SimDuration, SimTime};
 use here_telemetry::alert::{AlertEngine, AlertEvent, AlertRules, AlertSample, AlertState};
-use here_telemetry::export;
-use here_telemetry::flight::{FlightEvent, FlightRecorder};
+use here_telemetry::export::{self, json_escape};
+use here_telemetry::flight::FlightRecorder;
 use here_telemetry::health::{
     HealthObservation, HealthPolicy, HealthState, HealthTracker, HealthTransition,
 };
@@ -80,6 +82,18 @@ use crate::trace::{FaultSite, SessionEvent, Stage, StageEvent};
 
 /// Events the always-on flight recorder retains.
 pub const FLIGHT_RECORDER_CAPACITY: usize = 1024;
+
+/// A flight-entry value that may be absent: the value, or JSON `null`.
+struct OrNull<T>(Option<T>);
+
+impl<T: fmt::Display> fmt::Display for OrNull<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(value) => value.fmt(f),
+            None => f.write_str("null"),
+        }
+    }
+}
 
 /// Virtual-time width of one health-plane series window (2 s, matching
 /// the canonical checkpoint period so one window holds about one epoch).
@@ -346,12 +360,9 @@ impl SessionTelemetry {
             } => {
                 for (lane, &wall_nanos) in walls.iter().enumerate() {
                     self.registry.observe(self.encode_lane_hist, wall_nanos);
-                    self.flight.record(FlightEvent::EncodeLane {
-                        seq: *seq,
-                        at_nanos: *at_nanos,
-                        lane: lane as u64,
-                        wall_nanos,
-                    });
+                    self.flight.record(format_args!(
+                        r#"{{"kind":"encode_lane","seq":{seq},"at_nanos":{at_nanos},"lane":{lane},"wall_nanos":{wall_nanos}}}"#
+                    ));
                 }
             }
             SessionEvent::Packets {
@@ -370,12 +381,9 @@ impl SessionTelemetry {
                 replica,
                 lag_epochs,
                 at_nanos,
-            } => self.flight.record(FlightEvent::Fault {
-                at_nanos: *at_nanos,
-                fault: "replica_stale",
-                host_down: false,
-                detail: format!("replica {replica} trails the quorum by {lag_epochs} epochs"),
-            }),
+            } => self.flight.record(format_args!(
+                r#"{{"kind":"fault","at_nanos":{at_nanos},"fault":"replica_stale","host_down":false,"detail":"replica {replica} trails the quorum by {lag_epochs} epochs"}}"#
+            )),
             SessionEvent::Checkpoint {
                 record,
                 decision,
@@ -387,17 +395,17 @@ impl SessionTelemetry {
                 r.observe(self.dirty_pages_hist, record.dirty_pages);
                 r.set(self.period_gauge, decision.chosen_period.as_secs_f64());
                 r.set(self.degradation_gauge, record.degradation);
-                self.flight.record(FlightEvent::PeriodDecision {
-                    seq: record.seq,
-                    at_nanos: *at_nanos,
-                    dirty_pages: record.dirty_pages,
-                    measured_pause_nanos: record.pause.as_nanos(),
-                    previous_period_nanos: record.period.as_nanos(),
-                    chosen_period_nanos: decision.chosen_period.as_nanos(),
-                    predicted_degradation: decision.predicted_degradation,
-                    action: decision.action.label(),
-                    clamp: decision.clamp.map(|c| c.label()),
-                });
+                self.flight.record(format_args!(
+                    r#"{{"kind":"period_decision","seq":{},"at_nanos":{at_nanos},"dirty_pages":{},"measured_pause_nanos":{},"previous_period_nanos":{},"chosen_period_nanos":{},"predicted_degradation":{},"action":"{}","clamp":{}}}"#,
+                    record.seq,
+                    record.dirty_pages,
+                    record.pause.as_nanos(),
+                    record.period.as_nanos(),
+                    decision.chosen_period.as_nanos(),
+                    decision.predicted_degradation,
+                    decision.action.label(),
+                    OrNull(decision.clamp.map(|c| format!("\"{}\"", c.label()))),
+                ));
                 if let Some(slo) = &mut self.slo {
                     let breaches = slo.observe(
                         record.seq,
@@ -416,13 +424,9 @@ impl SessionTelemetry {
             } => {
                 self.registry.raise(self.pool_hits, *hits);
                 self.registry.raise(self.pool_misses, *misses);
-                self.flight.record(FlightEvent::PoolReclaim {
-                    at_nanos: *at_nanos,
-                    pool: "encode",
-                    hits: *hits,
-                    misses: *misses,
-                    pooled: *pooled,
-                });
+                self.flight.record(format_args!(
+                    r#"{{"kind":"pool_reclaim","at_nanos":{at_nanos},"pool":"encode","hits":{hits},"misses":{misses},"pooled":{pooled}}}"#
+                ));
             }
             SessionEvent::EncodePool {
                 seq,
@@ -430,13 +434,9 @@ impl SessionTelemetry {
                 steals,
                 occupancy_pct,
                 at_nanos,
-            } => self.flight.record(FlightEvent::EncodePool {
-                at_nanos: *at_nanos,
-                seq: *seq,
-                tasks: *tasks,
-                steals: *steals,
-                occupancy_pct: *occupancy_pct,
-            }),
+            } => self.flight.record(format_args!(
+                r#"{{"kind":"encode_pool","at_nanos":{at_nanos},"seq":{seq},"tasks":{tasks},"steals":{steals},"occupancy_pct":{occupancy_pct:.1}}}"#
+            )),
             SessionEvent::EpochHealth {
                 seq,
                 at_nanos,
@@ -462,12 +462,9 @@ impl SessionTelemetry {
                 ..
             } => {
                 self.registry.add(self.pages_seeded, *pages);
-                self.flight.record(FlightEvent::Migration {
-                    at_nanos: *at_nanos,
-                    iteration: *iteration,
-                    pages: *pages,
-                    phase,
-                });
+                self.flight.record(format_args!(
+                    r#"{{"kind":"migration","at_nanos":{at_nanos},"iteration":{iteration},"pages":{pages},"phase":"{phase}"}}"#
+                ));
             }
             // A timeline mark, so crash, hang and starvation runs show
             // *what* went wrong, not just the failover marks that follow.
@@ -479,12 +476,10 @@ impl SessionTelemetry {
                 ..
             } => {
                 self.registry.add(self.faults_injected, 1);
-                self.flight.record(FlightEvent::Fault {
-                    at_nanos: *at_nanos,
-                    fault,
-                    host_down: *host_down,
-                    detail: detail.clone(),
-                });
+                self.flight.record(format_args!(
+                    r#"{{"kind":"fault","at_nanos":{at_nanos},"fault":"{fault}","host_down":{host_down},"detail":"{}"}}"#,
+                    json_escape(detail),
+                ));
             }
             // With the health plane armed the retry is also charged to the
             // replica's labelled counter and to the next tick's
@@ -506,13 +501,10 @@ impl SessionTelemetry {
                         self.registry.add(counter, 1);
                     }
                 }
-                self.flight.record(FlightEvent::Retry {
-                    at_nanos: *at_nanos,
-                    seq: *seq,
-                    attempt: *attempt,
-                    reason,
-                    backoff_nanos: backoff.as_nanos(),
-                });
+                self.flight.record(format_args!(
+                    r#"{{"kind":"retry","at_nanos":{at_nanos},"seq":{seq},"attempt":{attempt},"reason":"{reason}","backoff_nanos":{}}}"#,
+                    backoff.as_nanos(),
+                ));
             }
             SessionEvent::TransferRecovery { .. } => {
                 self.registry.add(self.transfer_recoveries, 1);
@@ -523,14 +515,9 @@ impl SessionTelemetry {
                 at_nanos,
             } => {
                 self.registry.add(self.epochs_aborted, 1);
-                self.flight.record(FlightEvent::Fault {
-                    at_nanos: *at_nanos,
-                    fault: "epoch_abort",
-                    host_down: false,
-                    detail: format!(
-                        "checkpoint {seq} discarded after {attempts} failed transfer attempts"
-                    ),
-                });
+                self.flight.record(format_args!(
+                    r#"{{"kind":"fault","at_nanos":{at_nanos},"fault":"epoch_abort","host_down":false,"detail":"checkpoint {seq} discarded after {attempts} failed transfer attempts"}}"#
+                ));
             }
             SessionEvent::Failover { record, family, .. } => self.failover(record, family),
             SessionEvent::OverlapCredit { .. }
@@ -553,15 +540,16 @@ impl SessionTelemetry {
             Stage::Transfer => r.add(self.bytes_transferred, event.bytes),
             _ => {}
         }
-        self.flight.record(FlightEvent::Stage {
-            seq: event.seq,
-            stage: event.stage.label(),
-            at_nanos: event.at.as_nanos(),
-            duration_nanos: event.duration.as_nanos(),
-            wall_nanos: event.wall_nanos,
-            pages: event.pages,
-            bytes: event.bytes,
-        });
+        self.flight.record(format_args!(
+            r#"{{"kind":"stage","seq":{},"stage":"{}","at_nanos":{},"duration_nanos":{},"wall_nanos":{},"pages":{},"bytes":{}}}"#,
+            event.seq,
+            event.stage.label(),
+            event.at.as_nanos(),
+            event.duration.as_nanos(),
+            OrNull(event.wall_nanos),
+            event.pages,
+            event.bytes,
+        ));
     }
 
     /// Counts the failover and lays its timeline into the recorder: the
@@ -569,40 +557,43 @@ impl SessionTelemetry {
     /// happened in the detection → activation window).
     fn failover(&mut self, record: &FailoverRecord, new_family: &str) {
         self.registry.add(self.failovers, 1);
-        self.flight.record(FlightEvent::Failover {
-            at_nanos: record.failed_at.as_nanos(),
-            phase: "failed",
-            detail: String::new(),
-        });
-        self.flight.record(FlightEvent::Failover {
-            at_nanos: record.detected_at.as_nanos(),
-            phase: "detected",
-            detail: format!(
+        let mut mark = |at: SimTime, phase: &str, detail: fmt::Arguments<'_>| {
+            self.flight.record(format_args!(
+                r#"{{"kind":"failover","at_nanos":{},"phase":"{phase}","detail":"{}"}}"#,
+                at.as_nanos(),
+                json_escape(&detail.to_string()),
+            ))
+        };
+        mark(record.failed_at, "failed", format_args!(""));
+        mark(
+            record.detected_at,
+            "detected",
+            format_args!(
                 "heartbeat silent for {}",
                 record
                     .detected_at
                     .saturating_duration_since(record.failed_at)
             ),
-        });
-        self.flight.record(FlightEvent::Failover {
-            at_nanos: record.resumed_at.as_nanos(),
-            phase: "resumed",
-            detail: format!(
+        );
+        mark(
+            record.resumed_at,
+            "resumed",
+            format_args!(
                 "from checkpoint {}; {} packets and {:.0} ops rolled back; {} devices switched",
                 record.resumed_from_checkpoint,
                 record.packets_lost,
                 record.ops_lost,
                 record.devices_switched
             ),
-        });
-        self.flight.record(FlightEvent::Failover {
-            at_nanos: record.detected_at.as_nanos(),
-            phase: "device_switch",
-            detail: format!(
+        );
+        mark(
+            record.detected_at,
+            "device_switch",
+            format_args!(
                 "{} devices re-plugged as {new_family}; {} buffered packets discarded",
                 record.devices_switched, record.packets_lost
             ),
-        });
+        );
     }
 
     /// One committed epoch's health tick (a no-op — returning no events —
@@ -612,7 +603,7 @@ impl SessionTelemetry {
     /// period, pause, per-replica lag/backlog/retries), refreshes the
     /// replica-labelled gauges and the flight-drop gauge, steps every
     /// replica's health machine, and evaluates the alert rules. Alert
-    /// edges land on the flight recorder as [`FlightEvent::Alert`] and
+    /// edges land on the flight recorder as `alert` entries and
     /// are returned so the span fold can lay matching spans into the
     /// trace and the capture fold can trigger on them. `observations` carry each replica's ack mark, lag and
     /// backlog; retry deltas are filled in from the plane's own
@@ -715,14 +706,15 @@ impl SessionTelemetry {
         };
         let events = h.engine.evaluate(&sample);
         for event in &events {
-            self.flight.record(FlightEvent::Alert {
-                at_nanos: event.at_nanos,
-                seq: event.epoch,
-                rule: event.rule,
-                severity: event.severity.label(),
-                state: event.state.label(),
-                detail: event.detail.clone(),
-            });
+            self.flight.record(format_args!(
+                r#"{{"kind":"alert","at_nanos":{},"seq":{},"rule":"{}","severity":"{}","state":"{}","detail":"{}"}}"#,
+                event.at_nanos,
+                event.epoch,
+                event.rule,
+                event.severity.label(),
+                event.state.label(),
+                json_escape(&event.detail),
+            ));
         }
         events
     }
@@ -749,7 +741,6 @@ impl SessionTelemetry {
                 states: h.tracker.states(),
                 transitions: h.tracker.transitions().to_vec(),
                 alert_log: h.engine.log().to_vec(),
-                alert_log_jsonl: h.engine.render_jsonl(),
                 active_alerts: h.engine.active().iter().map(|r| r.to_string()).collect(),
             }),
         }
@@ -802,10 +793,20 @@ pub struct HealthSnapshot {
     pub transitions: Vec<HealthTransition>,
     /// The ordered alert log (firing/resolved edges).
     pub alert_log: Vec<AlertEvent>,
-    /// The alert log as JSONL, one event per line, byte-stable.
-    pub alert_log_jsonl: String,
     /// Rules still firing when the run ended, in declaration order.
     pub active_alerts: Vec<String>,
+}
+
+impl HealthSnapshot {
+    /// The alert log as JSONL, one event per line, byte-stable.
+    pub fn alert_log_jsonl(&self) -> String {
+        let mut out = String::new();
+        for event in &self.alert_log {
+            out.push_str(&event.render_json());
+            out.push('\n');
+        }
+        out
+    }
 }
 
 /// The span fold: the causal trace of the run, built from the events
@@ -1204,7 +1205,6 @@ mod tests {
     use super::*;
     use crate::period::{PeriodAction, PeriodDecision};
     use crate::report::CheckpointRecord;
-    use here_sim_core::time::SimTime;
     use here_telemetry::metrics::MetricValue;
 
     fn dynamic_policy() -> PeriodPolicy {
@@ -1533,7 +1533,7 @@ mod tests {
         let health = snap.health.expect("plane armed");
         assert_eq!(health.states, vec![HealthState::Healthy; 3]);
         assert!(health.active_alerts.is_empty());
-        assert!(health.alert_log_jsonl.contains("\"state\":\"resolved\""));
+        assert!(health.alert_log_jsonl().contains("\"state\":\"resolved\""));
         assert!(snap.flight_recorder_json.contains("\"kind\":\"alert\""));
     }
 
@@ -1588,9 +1588,12 @@ mod tests {
     }
 
     #[test]
-    fn armed_reset_keeps_the_plane_and_its_schema() {
-        // A warmup reset is a rebuild from the same config.
-        let cfg = ReplicationConfig::dynamic(0.3, SimDuration::from_secs(10))
+    fn an_armed_plane_registers_its_families_when_built() {
+        // Four replica-labelled families per replica plus the flight-drop
+        // gauge, registered before any event is folded.
+        let unarmed = ReplicationConfig::dynamic(0.3, SimDuration::from_secs(10));
+        let armed = unarmed
+            .clone()
             .with_topology(crate::config::TopologyConfig {
                 replicas: 2,
                 quorum: 2,
@@ -1598,49 +1601,93 @@ mod tests {
                 stale_epoch_lag: 8,
             })
             .with_health_plane();
-        let mut planes = Planes::new(&cfg);
-        planes.observe(&epoch_health(1, 0, &[(1, 0, 0)]));
-        let (before, _, _) = planes.finish();
-        let (after, _, _) = Planes::new(&cfg).finish();
-        assert_eq!(before.registry.metrics.len(), after.registry.metrics.len());
-        assert!(before.health.expect("armed").series_points > 0);
-        let health = after.health.expect("plane survives reset");
-        assert_eq!(health.series_points, 0);
-        assert!(health.alert_log.is_empty());
+        let (plain, _, _) = fold(&unarmed, &[]);
+        let (built, _, _) = fold(&armed, &[]);
+        let (ticked, _, _) = fold(&armed, &[epoch_health(1, 0, &[(1, 0, 0)])]);
+        assert_eq!(
+            built.registry.metrics.len(),
+            plain.registry.metrics.len() + 4 * 2 + 1
+        );
+        assert_eq!(ticked.registry.metrics.len(), built.registry.metrics.len());
+        assert!(ticked.health.expect("armed").series_points > 0);
     }
 
     #[test]
-    fn flight_capacity_is_configurable_and_survives_reset() {
+    fn the_flight_ring_holds_its_capacity_and_counts_drops() {
         // The ring holds FLIGHT_RECORDER_CAPACITY events and evicts the
-        // oldest past that; a rebuilt bundle has the same capacity.
-        let capacity = format!("\"capacity\":{FLIGHT_RECORDER_CAPACITY}");
+        // oldest past that.
         let mut t = SessionTelemetry::new(dynamic_policy());
-        assert!(t.snapshot().flight_recorder_json.contains(&capacity));
         let recorded = FLIGHT_RECORDER_CAPACITY as u64 + 2;
         for seq in 1..=recorded {
             t.observe(&checkpoint(sample_record(seq), 0));
         }
         let snap = t.snapshot();
+        assert!(snap.flight_recorder_json.starts_with(&format!(
+            "{{\"capacity\":{FLIGHT_RECORDER_CAPACITY},\"total_recorded\":{recorded},\"dropped\":2,"
+        )));
         assert_eq!(snap.flight_events_recorded, recorded);
         assert_eq!(snap.flight_events_dropped, 2);
-        let after = SessionTelemetry::new(dynamic_policy()).snapshot();
-        assert!(after.flight_recorder_json.contains(&capacity));
-        assert_eq!(after.flight_events_recorded, 0);
-        assert_eq!(after.flight_events_dropped, 0);
     }
 
     #[test]
-    fn reset_discards_history_but_keeps_schema() {
+    fn folding_events_registers_no_new_family() {
         let mut t = SessionTelemetry::new(dynamic_policy());
+        let families = t.snapshot().registry.metrics.len();
         t.observe(&checkpoint(sample_record(1), 0));
-        let before = t.snapshot();
-        let after = SessionTelemetry::new(dynamic_policy()).snapshot();
-        assert_eq!(
-            after.registry.find("here_checkpoints_total").unwrap().value,
-            MetricValue::Counter(0)
-        );
-        assert_eq!(after.flight_events_recorded, 0);
-        // Same metric families in both snapshots.
-        assert_eq!(before.registry.metrics.len(), after.registry.metrics.len());
+        t.observe(&sample_failover());
+        assert_eq!(t.snapshot().registry.metrics.len(), families);
+    }
+
+    #[test]
+    fn the_flight_dump_renders_each_entry_kind() {
+        let cfg = ReplicationConfig::dynamic(0.3, SimDuration::from_secs(10))
+            .with_topology(crate::config::TopologyConfig {
+                replicas: 3,
+                quorum: 2,
+                fanout: crate::config::FanoutMode::Star,
+                stale_epoch_lag: 4,
+            })
+            .with_health_plane();
+        let SessionEvent::Failover { record, seq, .. } = sample_failover() else {
+            unreachable!()
+        };
+        let mut events = vec![
+            SessionEvent::Stage(StageEvent {
+                seq: 1,
+                stage: Stage::Pause,
+                at: SimTime::from_nanos(10),
+                duration: SimDuration::from_nanos(5),
+                wall_nanos: Some(4200),
+                pages: 64,
+                bytes: 262_144,
+            }),
+            checkpoint(sample_record(1), 15),
+            SessionEvent::Failover {
+                record,
+                seq,
+                family: "\"kvm\"",
+            },
+            retry(2, 0, 1, "link_down"),
+        ];
+        for epoch in 1..=4 {
+            events.push(epoch_health(
+                epoch,
+                epoch * 2_000_000_000,
+                &[(epoch, 0, 0), (epoch, 0, 0), (0, epoch, 128)],
+            ));
+        }
+        let json = fold(&cfg, &events).0.flight_recorder_json;
+        assert!(json.starts_with(
+            r#"{"capacity":1024,"total_recorded":9,"dropped":0,"events":[{"kind":"stage","seq":1,"stage":"pause","at_nanos":10,"duration_nanos":5,"wall_nanos":4200,"pages":64,"bytes":262144},"#
+        ));
+        for entry in [
+            r#"{"kind":"period_decision","seq":1,"at_nanos":15,"dirty_pages":512,"measured_pause_nanos":40000000,"previous_period_nanos":2000000000,"chosen_period_nanos":1000000000,"predicted_degradation":0.038,"action":"fast_descent","clamp":null}"#,
+            r#"{"kind":"failover","at_nanos":10040000000,"phase":"device_switch","detail":"3 devices re-plugged as \"kvm\"; 3 buffered packets discarded"}"#,
+            r#"{"kind":"retry","at_nanos":10,"seq":2,"attempt":1,"reason":"link_down","backoff_nanos":500000}"#,
+            r#"{"kind":"alert","at_nanos":8000000000,"seq":4,"rule":"stale_replica","severity":"warning","state":"firing","detail":"stale replicas [2]"}"#,
+        ] {
+            assert!(json.contains(entry), "{entry}\nin {json}");
+        }
+        assert!(json.ends_with("}]}"));
     }
 }

@@ -325,6 +325,29 @@ pub enum SessionEvent {
 }
 
 impl SessionEvent {
+    /// This event with every host-clock measurement blanked (`wall_nanos`
+    /// and `walls` to none or zero, the lane pool's `steals` and
+    /// `occupancy_pct` to zero): what two runs of the same scenario must
+    /// agree on.
+    pub fn without_host_clock(&self) -> SessionEvent {
+        let mut event = self.clone();
+        match &mut event {
+            SessionEvent::Stage(stage) => stage.wall_nanos = None,
+            SessionEvent::EncodeLanes { walls, .. } => walls.fill(0),
+            SessionEvent::Checkpoint { record, .. } => record.wall_nanos = None,
+            SessionEvent::EncodePool {
+                steals,
+                occupancy_pct,
+                ..
+            } => {
+                *steals = 0;
+                *occupancy_pct = 0.0;
+            }
+            _ => {}
+        }
+        event
+    }
+
     /// The stage boundary this event records, if it is one.
     pub fn as_stage(&self) -> Option<&StageEvent> {
         match self {

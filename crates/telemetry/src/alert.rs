@@ -389,16 +389,6 @@ impl AlertEngine {
     pub fn log(&self) -> &[AlertEvent] {
         &self.log
     }
-
-    /// Renders the log as JSONL, one event per line.
-    pub fn render_jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in &self.log {
-            out.push_str(&event.render_json());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 fn push_capped(ring: &mut VecDeque<u64>, value: u64, cap: usize) {
@@ -550,9 +540,8 @@ mod tests {
         let mut s = quiet_sample(2);
         s.stale_replicas = vec![1];
         engine.evaluate(&s);
-        let jsonl = engine.render_jsonl();
-        assert_eq!(jsonl.lines().count(), 1);
-        assert!(jsonl.starts_with(
+        assert_eq!(engine.log().len(), 1);
+        assert!(engine.log()[0].render_json().starts_with(
             "{\"rule\":\"stale_replica\",\"severity\":\"warning\",\"state\":\"firing\",\"epoch\":2,"
         ));
     }

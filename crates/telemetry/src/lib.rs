@@ -11,9 +11,9 @@
 //!   histograms. Each metric is registered once and returns a `Copy` id;
 //!   the fold updates it through the registry by that id.
 //! - [`flight`]: a bounded ring buffer — the **flight recorder** — that
-//!   always holds the most recent pipeline stage events, period-manager
-//!   decisions, buffer-pool reclaim stats, per-encode-lane timings and
-//!   failover timeline, dumpable as JSON on demand or on failure.
+//!   always holds the most recent events, each as the JSON object its
+//!   writer rendered, dumpable as one JSON document on demand or on
+//!   failure.
 //! - [`slo`]: continuous evaluation of the measured degradation against
 //!   the configured target `D` and period cap `T_max`, emitting
 //!   structured breach events.
@@ -65,7 +65,7 @@ pub mod timeseries;
 pub use alert::{AlertEngine, AlertEvent, AlertRules, AlertSample, AlertSeverity, AlertState};
 pub use chrome::{chrome_trace, spans_jsonl};
 pub use export::{json_escape, prometheus};
-pub use flight::{FlightEvent, FlightRecorder};
+pub use flight::FlightRecorder;
 pub use health::{HealthObservation, HealthPolicy, HealthState, HealthTracker, HealthTransition};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, MetricsRegistry,

@@ -403,18 +403,6 @@ impl TraceTree {
         self.roots.iter().map(move |&i| &self.spans[i])
     }
 
-    /// Direct children of `id`, in emission order. Unknown ids yield an
-    /// empty iterator.
-    pub fn children_of(&self, id: SpanId) -> impl Iterator<Item = &Span> {
-        let indices = self
-            .spans
-            .iter()
-            .position(|s| s.id == id)
-            .map(|i| self.children[i].as_slice())
-            .unwrap_or(&[]);
-        indices.iter().map(move |&i| &self.spans[i])
-    }
-
     /// Every parent/child pair whose child interval escapes the parent's
     /// virtual interval. An empty result is the nesting invariant.
     pub fn nesting_violations(&self) -> Vec<NestingViolation> {
@@ -517,8 +505,6 @@ mod tests {
         rec.close(root, 40);
         let tree = TraceTree::build(rec.spans()).expect("valid tree");
         assert_eq!(tree.roots().count(), 1);
-        assert_eq!(tree.children_of(root).count(), 1);
-        assert_eq!(tree.children_of(a).count(), 1);
         assert_eq!(tree.epoch_roots().next().unwrap().epoch, Some(7));
         assert!(tree.nesting_violations().is_empty());
     }

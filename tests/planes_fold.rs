@@ -13,26 +13,6 @@ use here::replication::telemetry::fold;
 use here::replication::{IncidentBundle, IncidentSnapshot, SessionEvent, Stage, StageEvent};
 use here_telemetry::MetricValue;
 
-/// `event` with every host-clock measurement blanked.
-fn without_host_clock(event: &SessionEvent) -> SessionEvent {
-    let mut event = event.clone();
-    match &mut event {
-        SessionEvent::Stage(stage) => stage.wall_nanos = None,
-        SessionEvent::EncodeLanes { walls, .. } => walls.fill(0),
-        SessionEvent::Checkpoint { record, .. } => record.wall_nanos = None,
-        SessionEvent::EncodePool {
-            steals,
-            occupancy_pct,
-            ..
-        } => {
-            *steals = 0;
-            *occupancy_pct = 0.0;
-        }
-        _ => {}
-    }
-    event
-}
-
 #[test]
 fn folding_a_reports_log_reproduces_its_planes_exactly() {
     for name in SCENARIOS {
@@ -75,8 +55,12 @@ fn the_log_is_the_same_armed_or_not_and_a_plane_can_be_folded_in_afterwards() {
     for name in SCENARIOS {
         let unarmed = scenario(name, false).run();
         let armed = scenario(name, true).run();
-        let blank =
-            |events: &[SessionEvent]| -> Vec<_> { events.iter().map(without_host_clock).collect() };
+        let blank = |events: &[SessionEvent]| -> Vec<_> {
+            events
+                .iter()
+                .map(SessionEvent::without_host_clock)
+                .collect()
+        };
         assert_eq!(blank(&unarmed.events), blank(&armed.events), "{name}");
 
         // The recording never had the health plane or the capture on;

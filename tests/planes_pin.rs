@@ -58,10 +58,9 @@ fn digest_line(name: &str, armed: bool) -> String {
         .map(|l| format!("{l}\n"))
         .collect();
     let flight = blank(&telemetry.flight_recorder_json, &FLIGHT_HOST_KEYS);
-    let (series, alerts) = telemetry
-        .health
-        .as_ref()
-        .map_or((0, 0), |h| (fnv(&h.series_jsonl), fnv(&h.alert_log_jsonl)));
+    let (series, alerts) = telemetry.health.as_ref().map_or((0, 0), |h| {
+        (fnv(&h.series_jsonl), fnv(&h.alert_log_jsonl()))
+    });
     let spans: String = report
         .spans
         .iter()
