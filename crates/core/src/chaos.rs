@@ -36,10 +36,9 @@ use crate::trace::Stage;
 /// One injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultKind {
-    /// The replication link goes down
-    /// ([`Link::set_up(false)`](here_simnet::link::Link::set_up)) for the
-    /// first `attempts_down` transfer attempts of the epoch, then comes
-    /// back up.
+    /// The replication link is down for the first `attempts_down`
+    /// transfer attempts of the epoch: each fails as `link_down` and is
+    /// retried like any other failed attempt.
     LinkFlap {
         /// Transfer attempts that see the link down.
         attempts_down: u32,

@@ -520,6 +520,54 @@ mod tests {
         .unwrap()
     }
 
+    #[test]
+    fn seeding_follows_the_fault_plan_at_epoch_zero() {
+        // Every seeding round is seq 0; generated plans start at epoch 1,
+        // so none of them reaches the seed.
+        for seed in 0..256 {
+            let plan = FaultPlan::generate(seed, 20);
+            assert!(plan.events().iter().all(|e| e.epoch > 0), "seed {seed}");
+        }
+
+        // One dropped attempt toward replica 1 is retried in every round.
+        let plan = FaultPlan::new(1).with_event_on(0, 1, FaultKind::Drop { attempts: 1 });
+        let mut session = fanout_session(vec![3, 2, 3], plan, 20_000);
+        crate::migrate::seed(&mut session).unwrap();
+        let count =
+            |matches: fn(&SessionEvent) -> bool| session.log.iter().filter(|e| matches(e)).count();
+        let rounds = count(|e| matches!(e, SessionEvent::Migration { .. }));
+        let retries = count(|e| {
+            matches!(
+                e,
+                SessionEvent::TransferRetry {
+                    seq: 0,
+                    replica: 1,
+                    ..
+                }
+            )
+        });
+        assert!(rounds >= 2, "{rounds} seeding rounds");
+        assert_eq!(retries, rounds, "one retry per seeding round");
+        for replica in 0..3 {
+            session.assert_replica_matches_primary(0, replica).unwrap();
+        }
+
+        // Ten drops outlast the default budget of four attempts.
+        let plan = FaultPlan::new(1).with_event_on(0, 1, FaultKind::Drop { attempts: 10 });
+        let mut session = fanout_session(vec![3, 2, 3], plan, 20_000);
+        let err = crate::migrate::seed(&mut session).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::EpochAborted {
+                    seq: 0,
+                    attempts: 4
+                }
+            ),
+            "{err}"
+        );
+    }
+
     /// What a run leaves behind: every replica's image and vCPU register
     /// digests, and the report.
     type FanoutRun = (Vec<(GuestMemory, Vec<u64>)>, RunReport);

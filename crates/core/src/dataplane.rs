@@ -33,7 +33,7 @@
 //! `try_into_mut` (sole-owner, whole-allocation reclamation); the pool's
 //! task table is likewise reused across epochs, so the steady-state
 //! checkpoint loop performs no allocation once warm. [`CheckpointPools`]
-//! bundles all of it for [`crate::session::Session`].
+//! bundles all of it for `session::Session`.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -62,9 +62,6 @@ use here_vmstate::MemoryDelta;
 
 use crate::error::{CoreError, CoreResult};
 use crate::transfer::CollectScratch;
-
-#[cfg(test)]
-pub(crate) mod reference;
 
 /// Frame-header plus small-record slack reserved per lane segment.
 const SEGMENT_SLACK: usize = 64;
@@ -1168,6 +1165,9 @@ impl<'a> SegmentRestorer<'a> {
         self.installed
     }
 }
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -12,13 +12,13 @@
 //!   round-robin 2 MiB chunk workers, problematic-page tracking);
 //! - [`devmgr`]: outgoing-I/O buffering and the failover device switch;
 //! - [`failover`]: heartbeat-based detection and the commit ledger, which
-//!   alone mints the [`Commit`](failover::Commit) that releases output
+//!   alone mints the [`Commit`] that releases output
 //!   and the one-shot activation failover spends;
 //! - [`chaos`]: the deterministic fault-injection plane — seeded
-//!   [`FaultPlan`](chaos::FaultPlan)s that drop, corrupt or delay
+//!   [`FaultPlan`]s that drop, corrupt or delay
 //!   transfers, flap the replication link, lose heartbeats or down the
 //!   primary mid-epoch, replayed byte-identically from the same seed;
-//! - [`engine`]: [`Scenario`](engine::Scenario) — the public API tying the
+//! - [`engine`]: [`Scenario`] — the public API tying the
 //!   whole stack together;
 //! - [`topology`]: the replica-set topology — N heterogeneous replicas
 //!   behind one primary, with quorum commit and at-most-one activation;
@@ -28,8 +28,8 @@
 //! - [`pipeline`]: the staged checkpoint pipeline
 //!   (Pause → Harvest → Translate → Transfer → Ack → Resume);
 //! - [`trace`]: the session's one ordered event log —
-//!   [`SessionEvent`](trace::SessionEvent)s, among them the
-//!   [`StageEvent`](trace::StageEvent) of every stage boundary;
+//!   [`SessionEvent`]s, among them the
+//!   [`StageEvent`] of every stage boundary;
 //! - [`telemetry`]: the observability planes — metrics registry, flight
 //!   recorder, SLO tracker, health plane, span tree and postmortem
 //!   capture — as one [`fold`](telemetry::fold) over that log, frozen
@@ -39,7 +39,7 @@
 //!   period-oscillation detection and SLO-breach root-causing;
 //! - [`postmortem`]: the postmortem plane — deterministic incident
 //!   capture into checksummed, versioned
-//!   [`IncidentBundle`](postmortem::IncidentBundle)s and byte-identical
+//!   [`IncidentBundle`]s and byte-identical
 //!   bundle replay;
 //! - [`report`]: the measurements each run produces, derived from the
 //!   stage trace.

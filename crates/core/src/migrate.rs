@@ -11,9 +11,13 @@
 //! stop-and-copy — ships as a seq-0 checkpoint stream through
 //! `Session::ship_checkpoint`, in each replica's negotiated wire version:
 //! the replica is written only by the receive path (frame checksums,
-//! range checks, the two-phase staged apply) the continuous phase uses.
-//! The virtual clock is charged the migration cost model, not the
-//! checkpoint one, and the fault plane injects nothing into a round.
+//! range checks, the two-phase staged apply) the continuous phase uses,
+//! and reached only by the send loop it uses, `Session::fan_out`. The
+//! virtual clock is charged the migration cost model, not the checkpoint
+//! one. The fault plane governs a round as it governs a checkpoint: a
+//! plan event at epoch 0 fires in every round, a failed attempt is
+//! retried, and a replica that exhausts its retry budget fails the seed
+//! with `CoreError::EpochAborted { seq: 0, .. }`.
 //!
 //! Strategy differences are methods of
 //! [`Strategy`](crate::config::Strategy): HERE pays a one-time

@@ -200,28 +200,26 @@ pub struct Translated<'s> {
 }
 
 impl<'s> Translated<'s> {
-    /// *Transfer*: fan the encoded stream out across the replica set
-    /// (each replica decodes its own clone over its own link) and install
-    /// it, paying the per-page wire cost — in parallel across links for a
-    /// star fan-out (stage duration is the slowest replica), serially
-    /// along the chain for chained replication (stage duration is the
-    /// sum). Verifies replica/primary equality when the scenario asks for
-    /// it.
+    /// *Transfer*: send the encoded streams to the replica set through
+    /// [`Session::fan_out`], the send loop every seeding round uses too
+    /// (each replica decodes its own clone over its own link), charging
+    /// each attempt the per-page wire cost of the replica's wire version
+    /// — in parallel across links for a star fan-out (stage duration is
+    /// the slowest replica), serially along the chain for chained
+    /// replication (stage duration is the sum). Verifies replica/primary
+    /// equality when the scenario asks for it.
     ///
-    /// Under an active fault plane each per-replica attempt may be
-    /// dropped, corrupted on the wire, refused by the replica, or sent
-    /// into a downed link; a failed attempt pays the wire timeout plus
-    /// exponential backoff (see [`RetryPolicy`](crate::config::RetryPolicy))
-    /// and is retried. A replica that exhausts its budget misses the
-    /// epoch: its pages are queued as catch-up backlog and it converges
-    /// asynchronously. Only when so many replicas miss that a quorum
-    /// cannot apply does the stage return [`CoreError::EpochAborted`]:
+    /// The fan-out draws the fault plane and retries failed attempts; a
+    /// replica that exhausts its budget misses the epoch, and this stage
+    /// decides what that means: its pages are queued as catch-up backlog
+    /// and it converges asynchronously. Only when so many replicas miss
+    /// that a quorum cannot apply does the stage return
+    /// [`CoreError::EpochAborted`](crate::error::CoreError::EpochAborted):
     /// the stream is discarded and the epoch loop rolls the pages into
     /// the next checkpoint. Without a fault plane the single attempt per
     /// replica succeeds and, at N = 1, this stage is byte-identical to
     /// the unhardened path.
     pub(crate) fn transfer(self) -> CoreResult<Transferred<'s>> {
-        use crate::chaos::{corrupt_stream, TransferFault};
         let Translated {
             session,
             seq,
@@ -246,105 +244,30 @@ impl<'s> Translated<'s> {
         } else {
             wire_v2
         };
-        let policy = session.cfg.retry;
-        let max_attempts = policy.max_attempts.max(1);
         let fanout = session.cfg.topology.fanout;
         let replica_count = session.replicas.len() as u32;
-        let mut applied: Vec<u32> = Vec::with_capacity(replica_count as usize);
-        let mut spents: Vec<SimDuration> = Vec::with_capacity(replica_count as usize);
         // Each replica decodes a clone of the scattered segments; once
         // every apply lands, the clones are dropped and the original's
         // segments are sole-owner again, so the pool reclaims their
         // allocations.
         let apply_start = std::time::Instant::now();
-        // Phase 1 (decode + validate, pure) of every replica whose first
-        // attempt the plan delivers runs now, the replicas at once. The
-        // loop below still makes every decision, in replica order: it
-        // installs a prestaged result where it would have decoded, so a
-        // staged error surfaces exactly where the serial apply's would.
-        let mut prestaged = session.prestage(&streams, seq, pages as usize);
-        for replica in 0..replica_count {
-            let version = session.replicas.get(replica).wire_version();
-            let wire = if version >= VERSION_V3 {
+        let outcomes = session.fan_out(&streams, seq, pages as usize, |version| {
+            if version >= VERSION_V3 {
                 wire_v3
             } else {
                 wire_v2
-            };
-            let stream = streams.for_version(version);
-            let mut spent = SimDuration::ZERO;
-            let mut attempt = 0u32;
-            loop {
-                let fault = session.chaos_transfer_fault(seq, replica, attempt);
-                let failure: Option<&'static str> = match fault {
-                    None | Some(TransferFault::Delayed(_)) => {
-                        if !session.replicas.get(replica).link.is_up() {
-                            // The flap is over; the link carries this
-                            // attempt.
-                            session.replicas.get_mut(replica).link.set_up(true);
-                        }
-                        session.deliver(&mut prestaged, stream, seq, replica)?;
-                        if let Some(TransferFault::Delayed(by)) = fault {
-                            spent = spent.saturating_add(by);
-                        }
-                        None
-                    }
-                    Some(TransferFault::LinkDown) => {
-                        session.replicas.get_mut(replica).link.set_up(false);
-                        Some("link_down")
-                    }
-                    Some(TransferFault::Dropped) => Some("dropped"),
-                    Some(TransferFault::DecodeRefused) => Some("decode_refused"),
-                    Some(TransferFault::Corrupted {
-                        segment_salt,
-                        byte_salt,
-                    }) => {
-                        let corrupted = corrupt_stream(stream, segment_salt, byte_salt);
-                        match session.apply_checkpoint(corrupted, seq, replica) {
-                            // The decoder's frame checksums (or the trailer
-                            // cross-check) reject the flipped byte — and the
-                            // two-phase apply guarantees nothing partial was
-                            // installed.
-                            Err(_) => Some("corrupt_frame"),
-                            // Unreachable with checksummed framing; treat a
-                            // surviving flip as a delivered attempt.
-                            Ok(()) => None,
-                        }
-                    }
-                };
-                match failure {
-                    None => {
-                        spent = spent.saturating_add(wire);
-                        if attempt > 0 {
-                            session.note_transfer_recovery(seq, attempt);
-                        }
-                        applied.push(replica);
-                        break;
-                    }
-                    Some(reason) => {
-                        // The failed attempt still occupied the wire for
-                        // its timeout window.
-                        spent = spent.saturating_add(wire);
-                        attempt += 1;
-                        if attempt >= max_attempts {
-                            session.replicas.get_mut(replica).link.set_up(true);
-                            break;
-                        }
-                        let backoff = policy.backoff_after(attempt - 1);
-                        spent = spent.saturating_add(backoff);
-                        session.note_transfer_retry(seq, replica, attempt, reason, backoff);
-                    }
-                }
             }
-            spents.push(spent);
-        }
+        })?;
+        let applied: Vec<u32> = (0..replica_count)
+            .filter(|&replica| outcomes[replica as usize].0)
+            .collect();
+        let spents = outcomes.iter().map(|&(_, spent)| spent);
         // Star links run concurrently; a chain forwards hop by hop.
         let spent = match fanout {
-            crate::config::FanoutMode::Star => {
-                spents.iter().copied().max().unwrap_or(SimDuration::ZERO)
+            crate::config::FanoutMode::Star => spents.max().unwrap_or(SimDuration::ZERO),
+            crate::config::FanoutMode::Chain => {
+                spents.fold(SimDuration::ZERO, |acc, s| acc.saturating_add(s))
             }
-            crate::config::FanoutMode::Chain => spents
-                .iter()
-                .fold(SimDuration::ZERO, |acc, &s| acc.saturating_add(s)),
         };
         // Encode/transfer overlap (§overlap knob): with the bounded
         // channel streaming completed chunks onto the wire while later
@@ -376,7 +299,7 @@ impl<'s> Translated<'s> {
             session.clock += visible;
             return Err(crate::error::CoreError::EpochAborted {
                 seq,
-                attempts: max_attempts,
+                attempts: session.cfg.retry.max_attempts.max(1),
             });
         }
         // Replicas that missed the epoch catch up asynchronously: the

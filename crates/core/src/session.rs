@@ -1,15 +1,15 @@
 //! The live replication session: shared mutable state, its lifecycle FSM,
 //! and the data-plane primitives the pipeline stages call.
 //!
-//! A [`Session`] owns the primary host, the protected VM and its
+//! A `Session` owns the primary host, the protected VM and its
 //! [`ReplicaSet`], the links, the workload, and all run accounting. What
 //! it has to say to an observer it says once, through `Session::emit`: a
 //! [`SessionEvent`] appended to one ordered log, which `Session::finish`
 //! folds into the planes of [`crate::telemetry`] — nothing here knows
-//! which of them are armed. It moves through
-//! [`SessionPhase`]s — created → seeding → replicating →
-//! (failed-over) → completed — and every transition is asserted, so the
-//! seeding code cannot run twice and nothing checkpoints before the seed.
+//! which of them are armed. It moves through `SessionPhase`s — created
+//! → seeding → replicating → (failed-over) → completed — and every
+//! transition is asserted, so the seeding code cannot run twice and
+//! nothing checkpoints before the seed.
 //!
 //! The phase *drivers* live elsewhere: [`crate::migrate`] runs the seeding
 //! migration, [`crate::checkpoint`] runs the continuous phase through the
@@ -41,7 +41,7 @@ use here_vmstate::{reconcile, MemoryDelta, WireError};
 use here_workloads::idle::IdleGuest;
 use here_workloads::traits::Workload;
 
-use crate::chaos::{ChaosState, FaultPlan, TransferFault};
+use crate::chaos::{corrupt_stream, ChaosState, FaultPlan, TransferFault};
 use crate::config::ReplicationConfig;
 use crate::dataplane::{
     encode_pages_round, install_staged, stage_next, translate_vcpus, CheckpointPools, EncodePlan,
@@ -585,7 +585,7 @@ impl Session {
     /// A successful apply first drains the replica's catch-up backlog
     /// (pages it missed while its link misbehaved), then installs the
     /// staged epoch, so the newest version always wins on overlap.
-    pub(crate) fn apply_checkpoint(
+    fn apply_checkpoint(
         &mut self,
         stream: ScatterStream,
         seq: u64,
@@ -630,6 +630,131 @@ impl Session {
         })
     }
 
+    /// Sends epoch `seq` (of `pages` pages) to every replica, in replica
+    /// order, each in its negotiated wire version — the one send loop:
+    /// the Transfer stage and every seeding round go through it. Returns,
+    /// per replica, whether it applied the epoch and the wire time its
+    /// attempts took, `wire(version)` per attempt plus delay and backoff.
+    ///
+    /// Under a fault plan each attempt may be dropped, corrupted on the
+    /// wire, refused by the replica or sent into a downed link; a failed
+    /// attempt still occupies the wire for its timeout, then waits out
+    /// exponential backoff (see [`RetryPolicy`](crate::config::RetryPolicy))
+    /// and is retried, until the budget runs out and the replica misses
+    /// the epoch. What a miss means is the caller's to decide. An error
+    /// is a stream the replica refused outside the plan; the replicas
+    /// before it already hold the epoch.
+    pub(crate) fn fan_out(
+        &mut self,
+        streams: &EpochStreams,
+        seq: u64,
+        pages: usize,
+        wire: impl Fn(u16) -> SimDuration,
+    ) -> CoreResult<Vec<(bool, SimDuration)>> {
+        let policy = self.cfg.retry;
+        let max_attempts = policy.max_attempts.max(1);
+        let count = self.replicas.len() as u32;
+        let mut prestaged = self.prestage(streams, seq, pages);
+        let mut outcomes = Vec::with_capacity(count as usize);
+        for replica in 0..count {
+            let version = self.replicas.get(replica).wire_version();
+            let stream = streams.for_version(version);
+            let mut spent = SimDuration::ZERO;
+            let mut attempt = 0u32;
+            let applied = loop {
+                let fault = self
+                    .chaos
+                    .as_mut()
+                    .and_then(|chaos| chaos.transfer_fault(seq, replica, attempt));
+                if let Some(fault) = fault {
+                    let detail = if replica == 0 {
+                        format!("checkpoint {seq} transfer attempt {attempt}")
+                    } else {
+                        format!("checkpoint {seq} transfer attempt {attempt} replica {replica}")
+                    };
+                    self.emit(SessionEvent::Fault {
+                        fault: fault.reason(),
+                        host_down: false,
+                        detail,
+                        at_nanos: self.now_nanos(),
+                        site: FaultSite::Transfer,
+                    });
+                }
+                // A failed attempt still occupies the wire for its
+                // timeout window.
+                spent = spent.saturating_add(wire(version));
+                let failure = match fault {
+                    None | Some(TransferFault::Delayed(_)) => {
+                        // Installs the prestaged slot where phase 1 ran
+                        // ahead, else decodes a clone of the stream.
+                        let delivered = match prestaged[replica as usize].take() {
+                            Some(epoch) => self.install_checkpoint(replica, epoch),
+                            None => self.apply_checkpoint(stream.clone(), seq, replica),
+                        };
+                        if let Err(e) = delivered {
+                            self.unstage(prestaged);
+                            return Err(e);
+                        }
+                        if let Some(TransferFault::Delayed(by)) = fault {
+                            spent = spent.saturating_add(by);
+                        }
+                        None
+                    }
+                    Some(TransferFault::LinkDown) => Some("link_down"),
+                    Some(TransferFault::Dropped) => Some("dropped"),
+                    Some(TransferFault::DecodeRefused) => Some("decode_refused"),
+                    Some(TransferFault::Corrupted {
+                        segment_salt,
+                        byte_salt,
+                    }) => {
+                        let corrupted = corrupt_stream(stream, segment_salt, byte_salt);
+                        match self.apply_checkpoint(corrupted, seq, replica) {
+                            // The decoder's frame checksums (or the trailer
+                            // cross-check) reject the flipped byte — and the
+                            // two-phase apply guarantees nothing partial was
+                            // installed.
+                            Err(_) => Some("corrupt_frame"),
+                            // Unreachable with checksummed framing; treat a
+                            // surviving flip as a delivered attempt.
+                            Ok(()) => None,
+                        }
+                    }
+                };
+                let Some(reason) = failure else {
+                    if attempt > 0 {
+                        if let Some(chaos) = self.chaos.as_mut() {
+                            chaos.stats.transfer_recoveries += 1;
+                        }
+                        self.emit(SessionEvent::TransferRecovery {
+                            seq,
+                            failed_attempts: attempt,
+                        });
+                    }
+                    break true;
+                };
+                attempt += 1;
+                if attempt >= max_attempts {
+                    break false;
+                }
+                let backoff = policy.backoff_after(attempt - 1);
+                spent = spent.saturating_add(backoff);
+                if let Some(chaos) = self.chaos.as_mut() {
+                    chaos.stats.transfer_retries += 1;
+                }
+                self.emit(SessionEvent::TransferRetry {
+                    seq,
+                    replica,
+                    attempt,
+                    reason,
+                    backoff,
+                    at_nanos: self.now_nanos(),
+                });
+            };
+            outcomes.push((applied, spent));
+        }
+        Ok(outcomes)
+    }
+
     /// Phase 1 for every replica whose first transfer attempt of epoch
     /// `seq` (of `pages` pages) the fault plane delivers intact, run
     /// concurrently on the calling thread and up to
@@ -639,11 +764,11 @@ impl Session {
     /// attempt.
     ///
     /// Only pure work runs here: the query draws nothing and says nothing,
-    /// and every fault draw, event, retry and install stays with the
-    /// caller's loop, in replica order, which installs a slot's result
-    /// through [`Session::deliver`] where it would have decoded and gives
-    /// every slot nobody installs back through [`Session::unstage`].
-    pub(crate) fn prestage(
+    /// and every fault draw, event, retry and install stays with
+    /// [`Session::fan_out`]'s loop, in replica order, which installs a
+    /// slot's result where it would have decoded, so a staged error
+    /// surfaces exactly where the serial apply's would.
+    fn prestage(
         &mut self,
         streams: &EpochStreams,
         seq: u64,
@@ -683,30 +808,9 @@ impl Session {
         slots
     }
 
-    /// Delivers epoch `seq` to replica `replica`: installs the replica's
-    /// prestaged slot where phase 1 ran ahead, else decodes and installs a
-    /// clone of `stream`. On an error every slot nobody installed goes
-    /// back through [`Session::unstage`].
-    pub(crate) fn deliver(
-        &mut self,
-        prestaged: &mut Vec<Option<StagedEpoch>>,
-        stream: &ScatterStream,
-        seq: u64,
-        replica: u32,
-    ) -> CoreResult<()> {
-        let delivered = match prestaged[replica as usize].take() {
-            Some(epoch) => self.install_checkpoint(replica, epoch),
-            None => self.apply_checkpoint(stream.clone(), seq, replica),
-        };
-        if delivered.is_err() {
-            self.unstage(std::mem::take(prestaged));
-        }
-        delivered
-    }
-
     /// Gives the staging buffer of every prestaged result nobody
     /// installed back to its replica.
-    pub(crate) fn unstage(&mut self, prestaged: Vec<Option<StagedEpoch>>) {
+    fn unstage(&mut self, prestaged: Vec<Option<StagedEpoch>>) {
         for (replica, epoch) in prestaged.into_iter().enumerate() {
             if let Some(epoch) = epoch {
                 self.return_staging(replica as u32, epoch.staged);
@@ -718,11 +822,7 @@ impl Session {
     /// accepted — backlog first, so the staged (newer) versions win on
     /// overlap — or, when it refused the stream, hands the staging buffer
     /// back and returns the refusal, the replica untouched.
-    pub(crate) fn install_checkpoint(
-        &mut self,
-        replica: u32,
-        epoch: StagedEpoch,
-    ) -> CoreResult<()> {
+    fn install_checkpoint(&mut self, replica: u32, epoch: StagedEpoch) -> CoreResult<()> {
         let StagedEpoch {
             mut staged,
             verdict,
@@ -761,11 +861,11 @@ impl Session {
         Ok(())
     }
 
-    /// Ships a delta plus vCPU/device state through the wire codec and
-    /// installs it on **every** replica: encoded once per negotiated wire
-    /// version, staged on all replicas at once by [`Session::prestage`]
-    /// and installed in replica order by [`Session::deliver`], the fan-out
-    /// the Transfer stage runs, without its fault plane or retries.
+    /// Ships a delta plus vCPU/device state through the wire codec to
+    /// **every** replica: encoded once per negotiated wire version and
+    /// sent by [`Session::fan_out`] at no wire charge — the migration
+    /// cost model has already charged the round. A replica that exhausts
+    /// its retry budget fails the round with [`CoreError::EpochAborted`].
     ///
     /// Every seeding round — the full copy, each pre-copy round and the
     /// stop-and-copy — is such a seq-0 checkpoint stream, so a replica is
@@ -773,13 +873,16 @@ impl Session {
     /// the same work across the Translate and Transfer stages.
     pub(crate) fn ship_checkpoint(&mut self, delta: &MemoryDelta, seq: u64) -> CoreResult<()> {
         let streams = self.encode_checkpoint(delta, seq)?;
-        let mut prestaged = self.prestage(&streams, seq, delta.len());
-        for replica in 0..self.replicas.len() as u32 {
-            let stream = streams.for_version(self.replicas.get(replica).wire_version());
-            self.deliver(&mut prestaged, stream, seq, replica)?;
-        }
+        let outcomes = self.fan_out(&streams, seq, delta.len(), |_| SimDuration::ZERO)?;
         self.recycle_streams(streams);
-        Ok(())
+        if outcomes.iter().all(|&(applied, _)| applied) {
+            Ok(())
+        } else {
+            Err(CoreError::EpochAborted {
+                seq,
+                attempts: self.cfg.retry.max_attempts.max(1),
+            })
+        }
     }
 
     /// Returns a consumed stream's segment allocations to the buffer pool.
@@ -963,63 +1066,6 @@ impl Session {
             stage,
             outcome,
         })
-    }
-
-    /// Asks the fault plane what happens to transfer attempt `attempt` of
-    /// epoch `seq` toward replica `replica`, emitting any injected fault.
-    pub(crate) fn chaos_transfer_fault(
-        &mut self,
-        seq: u64,
-        replica: u32,
-        attempt: u32,
-    ) -> Option<TransferFault> {
-        let fault = self.chaos.as_mut()?.transfer_fault(seq, replica, attempt)?;
-        let detail = if replica == 0 {
-            format!("checkpoint {seq} transfer attempt {attempt}")
-        } else {
-            format!("checkpoint {seq} transfer attempt {attempt} replica {replica}")
-        };
-        self.emit(SessionEvent::Fault {
-            fault: fault.reason(),
-            host_down: false,
-            detail,
-            at_nanos: self.now_nanos(),
-            site: FaultSite::Transfer,
-        });
-        Some(fault)
-    }
-
-    /// Records one failed-and-retried transfer attempt.
-    pub(crate) fn note_transfer_retry(
-        &mut self,
-        seq: u64,
-        replica: u32,
-        attempt: u32,
-        reason: &'static str,
-        backoff: SimDuration,
-    ) {
-        if let Some(chaos) = self.chaos.as_mut() {
-            chaos.stats.transfer_retries += 1;
-        }
-        self.emit(SessionEvent::TransferRetry {
-            seq,
-            replica,
-            attempt,
-            reason,
-            backoff,
-            at_nanos: self.now_nanos(),
-        });
-    }
-
-    /// Records a transfer that succeeded after `failed_attempts` failures.
-    pub(crate) fn note_transfer_recovery(&mut self, seq: u64, failed_attempts: u32) {
-        if let Some(chaos) = self.chaos.as_mut() {
-            chaos.stats.transfer_recoveries += 1;
-        }
-        self.emit(SessionEvent::TransferRecovery {
-            seq,
-            failed_attempts,
-        });
     }
 
     /// Aborts epoch `seq` after its transfer exhausted the retry budget:

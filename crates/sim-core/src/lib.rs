@@ -8,11 +8,11 @@
 //!
 //! The crate provides:
 //!
-//! - [`time`]: [`SimTime`](time::SimTime) instants and
-//!   [`SimDuration`](time::SimDuration) spans with nanosecond resolution;
-//! - [`queue`]: a deterministic [`EventQueue`](queue::EventQueue) with FIFO
+//! - [`time`]: [`SimTime`] instants and
+//!   [`SimDuration`] spans with nanosecond resolution;
+//! - [`queue`]: a deterministic [`EventQueue`] with FIFO
 //!   tie-breaking for same-instant events;
-//! - [`rng`]: seeded, forkable random streams ([`SimRng`](rng::SimRng));
+//! - [`rng`]: seeded, forkable random streams ([`SimRng`]);
 //! - [`metrics`]: the exact-quantile [`Histogram`] behind the client
 //!   latency distribution (Fig. 17);
 //! - [`stats`]: summary statistics and the least-squares fit used to verify

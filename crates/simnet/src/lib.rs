@@ -3,8 +3,8 @@
 //! The network model of the HERE reproduction. The paper's testbed uses two
 //! separate networks (§8.1): a 100 Gb/s Omni-Path interconnect reserved for
 //! migration/replication, and a 10 GbE adapter for VM client traffic. This
-//! crate models both as [`link::Link`]s with bandwidth, propagation latency
-//! and failure state, and provides the outgoing-I/O buffer
+//! crate models both as [`link::Link`]s with bandwidth and propagation
+//! latency, and provides the outgoing-I/O buffer
 //! ([`buffer::IoBuffer`]) that gives asynchronous state replication its
 //! consistency guarantee — and its client-visible latency cost (Fig. 17).
 //!

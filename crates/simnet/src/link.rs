@@ -1,4 +1,4 @@
-//! Point-to-point links with bandwidth, latency, and failure state.
+//! Point-to-point links with bandwidth and latency.
 
 use serde::{Deserialize, Serialize};
 
@@ -27,17 +27,12 @@ use here_sim_core::time::SimDuration;
 pub struct Link {
     bandwidth: Bandwidth,
     latency: SimDuration,
-    up: bool,
 }
 
 impl Link {
     /// Creates a link with the given rate and one-way propagation latency.
     pub fn new(bandwidth: Bandwidth, latency: SimDuration) -> Self {
-        Link {
-            bandwidth,
-            latency,
-            up: true,
-        }
+        Link { bandwidth, latency }
     }
 
     /// The testbed's replication interconnect: Intel Omni-Path HFI 100,
@@ -61,32 +56,14 @@ impl Link {
         self.latency
     }
 
-    /// `true` while the link carries traffic.
-    pub fn is_up(&self) -> bool {
-        self.up
-    }
-
-    /// Sets the link's up/down state (failure injection for heartbeat
-    /// tests).
-    pub fn set_up(&mut self, up: bool) {
-        self.up = up;
-    }
-
     /// Time for `size` to arrive at the far end: serialisation plus
-    /// propagation. Returns [`SimDuration::MAX`] while the link is down —
-    /// the payload never arrives.
+    /// propagation.
     pub fn transfer_time(&self, size: ByteSize) -> SimDuration {
-        if !self.up {
-            return SimDuration::MAX;
-        }
         self.bandwidth.transfer_time(size) + self.latency
     }
 
     /// Round-trip time of a minimal message (e.g. a checkpoint ack).
     pub fn rtt(&self) -> SimDuration {
-        if !self.up {
-            return SimDuration::MAX;
-        }
         self.latency * 2
     }
 }
@@ -110,19 +87,6 @@ mod tests {
         // 64 B at 100 Gb/s serialises in ~5 ns; propagation is 5 us.
         assert!(t >= SimDuration::from_micros(5));
         assert!(t < SimDuration::from_micros(6));
-    }
-
-    #[test]
-    fn down_link_never_delivers() {
-        let mut link = Link::ethernet_10g();
-        link.set_up(false);
-        assert_eq!(
-            link.transfer_time(ByteSize::from_bytes(1)),
-            SimDuration::MAX
-        );
-        assert_eq!(link.rtt(), SimDuration::MAX);
-        link.set_up(true);
-        assert!(link.rtt() < SimDuration::from_millis(1));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! - [`cir`]: the hypervisor-neutral Common Intermediate Representation of
 //!   vCPU, platform, device and memory state;
-//! - [`translate`]: the [`StateTranslator`](translate::StateTranslator)
+//! - [`translate`]: the [`StateTranslator`]
 //!   doing Xen ⇄ CIR ⇄ KVM conversion, plus the device-set switch;
 //! - [`compat`]: CPUID/platform reconciliation so the guest never observes
 //!   a feature disappearing across a failover;
