@@ -1085,11 +1085,9 @@ pub(crate) fn stage(
 /// The *install* step: writes what [`stage`] verified. It cannot fail —
 /// `stage` checked every frame against this replica.
 pub(crate) fn install_staged(replica: &mut GuestMemory, staged: &[(PageId, PageVersion)]) {
-    for &(page, rec) in staged {
-        replica
-            .install_page(page, rec)
-            .expect("stage() checked the frame against this replica");
-    }
+    replica
+        .install_batch(staged)
+        .expect("stage() checked every frame against this replica");
 }
 
 /// The receive side of the data plane: accepts lane segments one at a

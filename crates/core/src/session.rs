@@ -843,9 +843,7 @@ impl Session {
             member.base_epoch = base;
         }
         let vm = member.host.vm_mut(member.vm)?;
-        for &(page, rec) in backlog.entries() {
-            vm.memory_mut().install_page(page, rec)?;
-        }
+        vm.memory_mut().install_batch(backlog.entries())?;
         install_staged(vm.memory_mut(), &staged);
         // The backlog keeps its allocation for the next missed epoch.
         backlog.clear();

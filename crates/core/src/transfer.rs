@@ -3,7 +3,11 @@
 //! Guest memory is split into 2 MiB chunks, assigned round-robin to
 //! worker lanes; every lane scans the shared dirty bitmap over its own
 //! chunks and writes the pages it owns straight into their final slots
-//! of the delta ([`collect_chunked_into`]). Continuous checkpointing and
+//! of the delta ([`collect_chunked_into`]). A lane walks its bitmap words
+//! by internal iteration (`DirtyPagesIter`'s `fold`: one
+//! `trailing_zeros` loop per word) and reads each version straight from
+//! the memory's record table ([`GuestMemory::records`]), so the per-page
+//! cost is a bit peel, a load and a store. Continuous checkpointing and
 //! every seeding round harvest this way. Seeding adds the paper's
 //! "problematic" pages: pages that different migrator threads sent across
 //! rounds (possible cross-vCPU write races), which [`ProblematicTracker`]
@@ -132,18 +136,23 @@ pub fn collect_chunked_into(
 type ChunkSlots<'a> = (u64, &'a mut [(PageId, PageVersion)]);
 
 /// Writes `(page, version)` for each of `pages` into `slots`, which the
-/// caller sized to the number of pages by popcount.
+/// caller sized to the number of pages by popcount. The bitmap is walked
+/// by internal iteration (one loop per word) and each version is read
+/// straight from the record table: the dirty bitmap marks only the
+/// memory's own frames, so an index replaces `page()`'s `Result`.
 fn fill_slots(
     memory: &GuestMemory,
     pages: DirtyPagesIter<'_>,
     slots: &mut [(PageId, PageVersion)],
 ) {
-    for (slot, page) in slots.iter_mut().zip(pages) {
-        let rec = memory
-            .page(page)
-            .expect("dirty bitmap only marks in-range pages");
-        *slot = (page, rec);
-    }
+    let records = memory.records();
+    let mut slots = slots.iter_mut();
+    pages.for_each(|page| {
+        let slot = slots
+            .next()
+            .expect("slots are sized by the range's popcount");
+        *slot = (page, records[page.frame() as usize]);
+    });
 }
 
 /// Tracks pages sent by more than one seeding thread across migration

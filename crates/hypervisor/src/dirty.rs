@@ -242,7 +242,10 @@ fn masked_word(words: &[u64], wi: u64, lo: u64, hi: u64) -> u64 {
 /// Walks one 64-bit word at a time, peeling set bits with
 /// `trailing_zeros`, so iterating N dirty pages over a W-word range costs
 /// O(W + N) with zero heap traffic — the scan primitive behind the
-/// steady-state checkpoint loop.
+/// steady-state checkpoint loop. Internal iteration (`fold`, and with it
+/// `for_each`, `sum`, `count`, …) runs one tight loop per word instead of
+/// re-entering `next`'s state machine for every set bit; the harvest
+/// consumes the iterator that way.
 #[derive(Debug, Clone)]
 pub struct DirtyPagesIter<'a> {
     words: &'a [u64],
@@ -293,6 +296,34 @@ impl Iterator for DirtyPagesIter<'_> {
             self.current = masked_word(self.words, self.word_index, self.lo, self.hi);
         }
     }
+
+    fn fold<B, F>(self, init: B, mut f: F) -> B
+    where
+        F: FnMut(B, PageId) -> B,
+    {
+        // `current` is already masked (and empty once `next` ran dry).
+        let acc = peel(init, self.word_index, self.current, &mut f);
+        (self.word_index + 1..self.end_word).fold(acc, |acc, wi| {
+            peel(
+                acc,
+                wi,
+                masked_word(self.words, wi, self.lo, self.hi),
+                &mut f,
+            )
+        })
+    }
+}
+
+/// Feeds the frames of the set bits of `w`, word `wi` of the bitmap, to `f`
+/// in ascending order.
+#[inline(always)]
+fn peel<B>(mut acc: B, wi: u64, mut w: u64, f: &mut impl FnMut(B, PageId) -> B) -> B {
+    let base = wi * 64;
+    while w != 0 {
+        acc = f(acc, PageId::new(base + w.trailing_zeros() as u64));
+        w &= w - 1;
+    }
+    acc
 }
 
 /// One vCPU's Page Modification Logging buffer.
@@ -374,12 +405,6 @@ impl PmlRing {
     pub(crate) fn clear(&mut self) {
         self.overflowed = false;
         self.entries.clear();
-    }
-
-    /// Entries the buffer holds without reallocating.
-    #[cfg(test)]
-    pub(crate) fn buffer_capacity(&self) -> usize {
-        self.entries.capacity()
     }
 
     /// Number of buffered entries.
@@ -522,6 +547,14 @@ impl DirtyTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl PmlRing {
+        /// Entries the buffer holds without reallocating.
+        pub(crate) fn buffer_capacity(&self) -> usize {
+            self.entries.capacity()
+        }
+    }
 
     #[test]
     fn bitmap_mark_and_drain() {
@@ -603,6 +636,60 @@ mod tests {
                 .collect();
             assert_eq!(via_iter, expected, "range [{lo}, {hi})");
             assert_eq!(bm.count_in_range(lo, hi), via_iter.len() as u64);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Internal iteration (`fold`, through `for_each`, `sum` and
+        /// `count`) yields exactly the frames a `next()` loop yields, in
+        /// order: on bitmaps whose page count is no multiple of 64, over
+        /// unaligned and empty ranges, from iterators already advanced by
+        /// `k` calls to `next`.
+        #[test]
+        fn fold_walks_what_next_walks(
+            num_pages in 1u64..700,
+            frames in proptest::collection::vec(0u64..760, 0..300),
+            runs in proptest::collection::vec((0u64..760, 0u64..200), 0..4),
+            lo in 0u64..760,
+            hi in 0u64..760,
+            k in 0usize..24,
+        ) {
+            let mut bm = DirtyBitmap::new(num_pages);
+            for &f in &frames {
+                bm.mark(PageId::new(f));
+            }
+            for &(first, count) in &runs {
+                bm.mark_run(first, count);
+            }
+            let mut it = bm.iter_range(lo, hi);
+            for _ in 0..k {
+                it.next();
+            }
+            // A `for` loop steps with `next()`, never `fold`.
+            let mut by_next = Vec::new();
+            let mut stepped = it.clone();
+            for page in stepped.by_ref() {
+                by_next.push(page);
+            }
+            let hi = hi.min(num_pages);
+            let expected: Vec<PageId> = bm
+                .peek()
+                .into_iter()
+                .filter(|p| (lo..hi).contains(&p.frame()))
+                .skip(k)
+                .collect();
+            prop_assert_eq!(&by_next, &expected);
+
+            let mut by_for_each = Vec::new();
+            it.clone().for_each(|page| by_for_each.push(page));
+            prop_assert_eq!(&by_for_each, &by_next);
+            let sum: u64 = it.clone().map(|p| p.frame()).sum();
+            prop_assert_eq!(sum, by_next.iter().map(|p| p.frame()).sum::<u64>());
+            prop_assert_eq!(it.clone().count(), by_next.len());
+            // An exhausted iterator folds to nothing.
+            prop_assert_eq!(stepped.count(), 0);
         }
     }
 

@@ -142,6 +142,13 @@ impl GuestMemory {
             })
     }
 
+    /// Every page's version record, indexed by frame number — the
+    /// harvest's read path, which takes frames from the dirty bitmap and so
+    /// needs no per-page range check.
+    pub fn records(&self) -> &[PageVersion] {
+        &self.pages
+    }
+
     /// Records a guest write to `page` by `vcpu`, bumping its version.
     ///
     /// Returns the new version record.
@@ -224,6 +231,34 @@ impl GuestMemory {
         Ok(())
     }
 
+    /// [`GuestMemory::install_page`] on every `(page, version)` of `batch`,
+    /// in order (a frame listed twice ends with its later record): every
+    /// frame is range-checked first, then one pass installs them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HvError::PageOutOfRange`] naming the first frame beyond
+    /// the address space; nothing is installed then.
+    pub fn install_batch(&mut self, batch: &[(PageId, PageVersion)]) -> HvResult<()> {
+        let limit = self.num_pages();
+        if let Some(&(page, _)) = batch.iter().find(|(page, _)| page.frame() >= limit) {
+            return Err(HvError::PageOutOfRange {
+                page: page.frame(),
+                limit,
+            });
+        }
+        // `touched` moves by +1 for 0 → v, −1 for v → 0 and 0 otherwise:
+        // a running signed sum instead of a branch per page.
+        let mut touched = self.touched as i64;
+        for &(page, incoming) in batch {
+            let rec = &mut self.pages[page.frame() as usize];
+            touched += i64::from(incoming.version != 0) - i64::from(rec.version != 0);
+            *rec = incoming;
+        }
+        self.touched = touched as u64;
+        Ok(())
+    }
+
     /// Iterates over all `(page, version)` pairs with a non-zero version.
     pub fn touched_iter(&self) -> impl Iterator<Item = (PageId, PageVersion)> + '_ {
         self.pages
@@ -250,8 +285,23 @@ impl GuestMemory {
     }
 
     /// `true` when every page of `self` matches `other` (same versions).
+    ///
+    /// Compares a chunk of records at a time, OR-folding each pair's
+    /// `version` and `last_writer` differences without a branch, so the
+    /// consistency check over the whole address space runs as a straight
+    /// vectorisable loop and stops at the first chunk that differs.
     pub fn content_equals(&self, other: &GuestMemory) -> bool {
-        self.pages == other.pages
+        const CHUNK: usize = 256;
+        self.pages.len() == other.pages.len()
+            && self
+                .pages
+                .chunks(CHUNK)
+                .zip(other.pages.chunks(CHUNK))
+                .all(|(a, b)| {
+                    a.iter().zip(b).fold(0u32, |diff, (x, y)| {
+                        diff | (x.version ^ y.version) | u32::from(x.last_writer ^ y.last_writer)
+                    }) == 0
+                })
     }
 
     /// Returns the frames at which `self` and `other` differ (for test
@@ -453,6 +503,114 @@ mod tests {
         assert!(primary.content_equals(&replica));
         assert_eq!(replica.touched_pages(), 3);
         assert!(primary.diff(&replica, 10).is_empty());
+    }
+
+    fn rec(version: u32, last_writer: u16) -> PageVersion {
+        PageVersion {
+            version,
+            last_writer,
+        }
+    }
+
+    /// The reference `install_batch` must equal: one `install_page` per
+    /// record, in order.
+    fn install_each(mem: &mut GuestMemory, batch: &[(PageId, PageVersion)]) {
+        for &(page, incoming) in batch {
+            mem.install_page(page, incoming).unwrap();
+        }
+    }
+
+    #[test]
+    fn install_batch_is_the_install_page_loop() {
+        let mut mem = mem_mib(1);
+        mem.write_page(PageId::new(3), VcpuId::new(1)).unwrap();
+        mem.write_page(PageId::new(4), VcpuId::new(1)).unwrap();
+        let batches: [&[(PageId, PageVersion)]; 4] = [
+            // 0 → v, v → 0, v → v′ and 0 → 0.
+            &[
+                (PageId::new(1), rec(5, 2)),
+                (PageId::new(3), rec(0, 0)),
+                (PageId::new(4), rec(9, 3)),
+                (PageId::new(6), rec(0, 0)),
+            ],
+            // A frame repeated in one batch: the later record wins, and
+            // 0 → v → 0 leaves `touched` where it was.
+            &[
+                (PageId::new(7), rec(2, 1)),
+                (PageId::new(7), rec(0, 0)),
+                (PageId::new(8), rec(0, 0)),
+                (PageId::new(8), rec(4, 0)),
+                (PageId::new(1), rec(6, 3)),
+                (PageId::new(1), rec(7, 1)),
+            ],
+            &[],
+            // The last frame of the address space.
+            &[(PageId::new(255), rec(1, 0))],
+        ];
+        let mut reference = mem.clone();
+        for batch in batches {
+            install_each(&mut reference, batch);
+            mem.install_batch(batch).unwrap();
+            assert_eq!(mem, reference, "batch {batch:?}");
+            assert_eq!(mem.touched_pages(), reference.touched_pages());
+        }
+        assert_eq!(mem.page(PageId::new(1)).unwrap(), rec(7, 1));
+        assert_eq!(mem.page(PageId::new(8)).unwrap(), rec(4, 0));
+        assert_eq!(mem.touched_pages(), 4, "frames 1, 4, 8 and 255");
+    }
+
+    #[test]
+    fn install_batch_out_of_range_installs_nothing() {
+        let mut mem = mem_mib(1);
+        mem.write_page(PageId::new(2), VcpuId::new(0)).unwrap();
+        let before = mem.clone();
+        let limit = mem.num_pages();
+        let batch = [
+            (PageId::new(1), rec(3, 1)),
+            (PageId::new(2), rec(0, 0)),
+            (PageId::new(limit + 7), rec(1, 0)),
+            (PageId::new(limit), rec(1, 0)),
+        ];
+        assert_eq!(
+            mem.install_batch(&batch),
+            Err(HvError::PageOutOfRange {
+                page: limit + 7,
+                limit
+            })
+        );
+        assert_eq!(mem, before);
+    }
+
+    #[test]
+    fn content_equals_is_the_field_wise_compare() {
+        let base = mem_mib(1);
+        let last = PageId::new(base.num_pages() - 1);
+        let mut cases: Vec<(&str, GuestMemory, GuestMemory)> = Vec::new();
+        let mut writer = base.clone();
+        writer.install_page(PageId::new(200), rec(1, 2)).unwrap();
+        let mut other_writer = base.clone();
+        other_writer
+            .install_page(PageId::new(200), rec(1, 3))
+            .unwrap();
+        cases.push(("only last_writer", writer.clone(), other_writer));
+        let mut version = base.clone();
+        version.install_page(PageId::new(44), rec(2, 2)).unwrap();
+        let mut other_version = base.clone();
+        other_version
+            .install_page(PageId::new(44), rec(3, 2))
+            .unwrap();
+        cases.push(("only version", version, other_version));
+        let mut tail = base.clone();
+        tail.install_page(last, rec(1, 0)).unwrap();
+        cases.push(("the last page", base.clone(), tail));
+        cases.push(("length", base.clone(), mem_mib(2)));
+        cases.push(("equal", writer.clone(), writer));
+        cases.push(("pristine", base.clone(), base));
+        for (what, a, b) in cases {
+            let field_wise = a.records() == b.records();
+            assert_eq!(a.content_equals(&b), field_wise, "{what}");
+            assert_eq!(b.content_equals(&a), field_wise, "{what}");
+        }
     }
 
     #[test]

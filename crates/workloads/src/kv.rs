@@ -183,7 +183,7 @@ impl KvStore {
     }
 
     /// Point read: no pages are dirtied.
-    pub fn read(&mut self, _vm: &mut Vm, _key: u64) {
+    pub fn read(&mut self, _vm: &mut Vm) {
         self.stats.reads += 1;
     }
 
@@ -213,14 +213,14 @@ impl KvStore {
         key
     }
 
-    /// Range scan of `len` records starting at `key`: read-only.
-    pub fn scan(&mut self, _vm: &mut Vm, _key: u64, _len: u64) {
+    /// Range scan of `len` records: read-only.
+    pub fn scan(&mut self, _vm: &mut Vm, _len: u64) {
         self.stats.scans += 1;
     }
 
     /// Read-modify-write: a read followed by an update of the same record.
     pub fn read_modify_write(&mut self, vm: &mut Vm, key: u64) {
-        self.read(vm, key);
+        self.read(vm);
         self.update(vm, key);
     }
 }
@@ -255,9 +255,9 @@ mod tests {
     fn reads_do_not_dirty_pages() {
         let (mut xen, id, mut store) = setup(1000);
         let vm = xen.vm_mut(id).unwrap();
-        for k in 0..100 {
-            store.read(vm, k);
-            store.scan(vm, k, 50);
+        for _ in 0..100 {
+            store.read(vm);
+            store.scan(vm, 50);
         }
         assert_eq!(vm.dirty().bitmap().count(), 0);
         assert_eq!(store.stats().reads, 100);

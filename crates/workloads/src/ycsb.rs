@@ -227,25 +227,34 @@ impl Ycsb {
         self.heap_pages
     }
 
+    /// Runs one operation and returns its CPU service time. Every op draws
+    /// the dice and then a key, in that order; only the update and
+    /// read-modify-write arms use the key, so the others
+    /// [`skip`](KeyChooser::skip) it, which keeps the RNG stream (and so
+    /// every later key) as if it had been computed.
     fn run_one_op(&mut self, vm: &mut Vm, rng: &mut SimRng) -> f64 {
         let [r, u, i, s, _f] = self.spec.mix.proportions();
         let dice = rng.unit_f64();
-        let key = self.chooser.next_key(rng);
         if dice < r {
-            self.store.read(vm, key);
+            self.chooser.skip(rng);
+            self.store.read(vm);
             service_us::READ
         } else if dice < r + u {
+            let key = self.chooser.next_key(rng);
             self.store.update(vm, key);
             service_us::UPDATE
         } else if dice < r + u + i {
+            self.chooser.skip(rng);
             self.store.insert(vm);
             self.chooser.grow(self.store.record_count());
             service_us::INSERT
         } else if dice < r + u + i + s {
+            self.chooser.skip(rng);
             let len = rng.range_inclusive(1, 100);
-            self.store.scan(vm, key, len);
+            self.store.scan(vm, len);
             service_us::SCAN
         } else {
+            let key = self.chooser.next_key(rng);
             self.store.read_modify_write(vm, key);
             service_us::RMW
         }
@@ -317,6 +326,59 @@ mod tests {
         let id = xen.create_vm(cfg).unwrap();
         xen.shadow_op_enable_logdirty(id).unwrap();
         (xen, id, driver)
+    }
+
+    /// `run_one_op` as it was before reads, inserts and scans skipped
+    /// their key: every op computes one. The reference the skipping
+    /// driver must match page for page and draw for draw.
+    fn run_one_op_computing_every_key(d: &mut Ycsb, vm: &mut Vm, rng: &mut SimRng) -> f64 {
+        let [r, u, i, s, _f] = d.spec.mix.proportions();
+        let dice = rng.unit_f64();
+        let key = d.chooser.next_key(rng);
+        if dice < r {
+            d.store.read(vm);
+            service_us::READ
+        } else if dice < r + u {
+            d.store.update(vm, key);
+            service_us::UPDATE
+        } else if dice < r + u + i {
+            d.store.insert(vm);
+            d.chooser.grow(d.store.record_count());
+            service_us::INSERT
+        } else if dice < r + u + i + s {
+            let len = rng.range_inclusive(1, 100);
+            d.store.scan(vm, len);
+            service_us::SCAN
+        } else {
+            d.store.read_modify_write(vm, key);
+            service_us::RMW
+        }
+    }
+
+    #[test]
+    fn skipped_keys_move_no_page_and_no_draw() {
+        for mix in ALL_MIXES {
+            let spec = YcsbSpec {
+                mix,
+                records: 2000,
+                operations: 20_000,
+            };
+            let (mut xen, id, mut driver) = setup(spec);
+            let (mut ref_xen, ref_id, mut reference) = setup(spec);
+            let (mut rng, mut ref_rng) = (SimRng::seed_from(13), SimRng::seed_from(13));
+            let vm = xen.vm_mut(id).unwrap();
+            let ref_vm = ref_xen.vm_mut(ref_id).unwrap();
+            for op in 0..spec.operations {
+                let cost = driver.run_one_op(vm, &mut rng);
+                let want = run_one_op_computing_every_key(&mut reference, ref_vm, &mut ref_rng);
+                assert_eq!(cost, want, "{mix} op {op}");
+            }
+            assert!(vm.dirty().bitmap().count() > 0 || mix == YcsbMix::C);
+            assert_eq!(vm.dirty(), ref_vm.dirty(), "{mix}");
+            assert_eq!(vm.memory().records(), ref_vm.memory().records(), "{mix}");
+            assert_eq!(driver.store().stats(), reference.store().stats(), "{mix}");
+            assert_eq!(rng.next_u64(), ref_rng.next_u64(), "{mix}");
+        }
     }
 
     #[test]

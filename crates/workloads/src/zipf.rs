@@ -15,6 +15,13 @@ pub trait KeyChooser: std::fmt::Debug {
     /// Draws the next record index.
     fn next_key(&mut self, rng: &mut SimRng) -> u64;
 
+    /// Advances `rng` exactly as [`KeyChooser::next_key`] would, without
+    /// computing the key — for an operation that draws a key and never
+    /// reads it, so the stream of every later draw stays the same.
+    fn skip(&mut self, rng: &mut SimRng) {
+        self.next_key(rng);
+    }
+
     /// Informs the generator that the keyspace grew (inserts).
     fn grow(&mut self, new_n: u64);
 }
@@ -127,6 +134,12 @@ impl KeyChooser for ZipfianChooser {
         k.min(self.n - 1)
     }
 
+    /// One `unit_f64`, the only draw `next_key` makes; the `powf` is not
+    /// paid.
+    fn skip(&mut self, rng: &mut SimRng) {
+        rng.unit_f64();
+    }
+
     fn grow(&mut self, new_n: u64) {
         if new_n > self.n {
             self.extend_zeta(new_n);
@@ -160,6 +173,10 @@ impl KeyChooser for ScrambledZipfianChooser {
     fn next_key(&mut self, rng: &mut SimRng) -> u64 {
         let raw = self.inner.next_key(rng);
         fnv_hash64(raw) % self.n
+    }
+
+    fn skip(&mut self, rng: &mut SimRng) {
+        self.inner.skip(rng);
     }
 
     fn grow(&mut self, new_n: u64) {
@@ -196,6 +213,10 @@ impl KeyChooser for LatestChooser {
     fn next_key(&mut self, rng: &mut SimRng) -> u64 {
         let back = self.inner.next_key(rng);
         self.n - 1 - back.min(self.n - 1)
+    }
+
+    fn skip(&mut self, rng: &mut SimRng) {
+        self.inner.skip(rng);
     }
 
     fn grow(&mut self, new_n: u64) {
@@ -278,6 +299,26 @@ mod tests {
                 let want = next_key_pow_per_draw(&c, &mut b);
                 assert_eq!(c.next_key(&mut a), want, "n={n} theta={theta} draw {draw}");
             }
+        }
+    }
+
+    #[test]
+    fn skip_draws_what_next_key_draws() {
+        let choosers: [Box<dyn KeyChooser>; 4] = [
+            Box::new(UniformChooser::new(1000)),
+            Box::new(ZipfianChooser::new(1000)),
+            Box::new(ScrambledZipfianChooser::new(1000)),
+            Box::new(LatestChooser::new(1000)),
+        ];
+        for mut chooser in choosers {
+            let (mut a, mut b) = (SimRng::seed_from(21), SimRng::seed_from(21));
+            for draw in 0..10_000 {
+                chooser.skip(&mut a);
+                chooser.next_key(&mut b);
+                let (got, want) = (chooser.next_key(&mut a), chooser.next_key(&mut b));
+                assert_eq!(got, want, "{chooser:?} draw {draw}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "{chooser:?}");
         }
     }
 
