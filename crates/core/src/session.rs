@@ -428,8 +428,7 @@ impl Session {
     }
 
     /// Snapshot-and-clear the primary's dirty bitmap, returning the
-    /// snapshot; the harvest also drains the PML rings so they do not grow
-    /// without bound. Delegates to the hypervisor's harvest primitive.
+    /// snapshot. Delegates to the hypervisor's harvest primitive.
     pub(crate) fn take_dirty_snapshot(&mut self) -> here_hypervisor::dirty::DirtyBitmap {
         self.primary
             .snapshot_dirty(self.pvm)

@@ -1,26 +1,20 @@
-//! Dirty page tracking: shadow-paging bitmap and per-vCPU PML rings.
+//! Dirty page tracking: the shadow-paging log-dirty bitmap.
 //!
 //! The paper's state manager (§7.2) extends Xen with *per-vCPU* dirty
 //! tracking built on Intel Page Modification Logging, so that each migrator
 //! thread can harvest its own vCPU's dirty pages "without having to
-//! interrupt other vCPUs". This module provides both mechanisms:
-//!
-//! - [`DirtyBitmap`] — the classic global log-dirty bitmap that Xen's shadow
-//!   paging maintains (used by the Remus baseline and as the PML overflow
-//!   fallback);
-//! - [`PmlRing`] — a fixed-capacity per-vCPU ring of dirtied frames, with an
-//!   overflow ("full") flag that forces a bitmap resync, mirroring PML's
-//!   512-entry hardware buffer semantics.
+//! interrupt other vCPUs". This reproduction keeps one global
+//! [`DirtyBitmap`] per VM, the log Xen's shadow paging maintains, and
+//! models the per-vCPU harvest as lane-parallel walks of disjoint bitmap
+//! ranges ([`DirtyBitmap::iter_range`]) plus the cost model's αN/P term.
+//! [`crate::host::Hypervisor::snapshot_dirty`] is the one read-and-clear
+//! path.
 
 use serde::{Deserialize, Serialize};
 
 use crate::memory::PageId;
 
-/// Capacity of a hardware PML buffer (512 entries of 8 bytes = one page).
-pub const PML_HW_CAPACITY: usize = 512;
-
-/// A global dirty-page bitmap, as maintained by shadow paging or harvested
-/// from PML buffers.
+/// A global dirty-page bitmap, as maintained by shadow paging.
 ///
 /// # Examples
 ///
@@ -119,27 +113,11 @@ impl DirtyBitmap {
         pages
     }
 
-    /// Like [`drain`](DirtyBitmap::drain), but fills a caller-owned buffer
-    /// so the steady-state checkpoint loop reuses one allocation across
-    /// rounds.
-    pub fn drain_into(&mut self, out: &mut Vec<PageId>) {
-        self.peek_into(out);
-        self.clear();
-    }
-
     /// Returns all dirty frames in ascending order without clearing.
     pub fn peek(&self) -> Vec<PageId> {
         let mut pages = Vec::with_capacity(self.count as usize);
-        self.peek_into(&mut pages);
+        pages.extend(self.iter());
         pages
-    }
-
-    /// Like [`peek`](DirtyBitmap::peek), into a caller-owned buffer
-    /// (cleared first, allocation kept).
-    pub fn peek_into(&self, out: &mut Vec<PageId>) {
-        out.clear();
-        out.reserve(self.count as usize);
-        out.extend(self.iter());
     }
 
     /// Allocation-free iterator over all dirty frames, ascending.
@@ -166,58 +144,19 @@ impl DirtyBitmap {
             .sum()
     }
 
-    /// Dirty frames whose number satisfies `frame % stride == lane`; used by
-    /// HERE's round-robin chunk assignment tests.
-    pub fn peek_lane(&self, stride: u64, lane: u64, pages_per_chunk: u64) -> Vec<PageId> {
-        assert!(
-            stride > 0 && pages_per_chunk > 0,
-            "stride and chunk size must be positive"
-        );
-        self.peek()
-            .into_iter()
-            .filter(|p| (p.frame() / pages_per_chunk) % stride == lane)
-            .collect()
-    }
-
     /// Dirty frames in the half-open range `[lo, hi)`, ascending. This is
     /// the primitive HERE's chunk workers scan with: each worker reads only
     /// its own chunks' words, so concurrent workers never contend.
-    /// Hot paths should prefer [`iter_range`](DirtyBitmap::iter_range) or
-    /// [`pages_in_range_into`](DirtyBitmap::pages_in_range_into), which do
-    /// not allocate.
+    /// Hot paths should prefer [`iter_range`](DirtyBitmap::iter_range),
+    /// which does not allocate.
     pub fn pages_in_range(&self, lo: u64, hi: u64) -> Vec<PageId> {
         self.iter_range(lo, hi).collect()
-    }
-
-    /// Like [`pages_in_range`](DirtyBitmap::pages_in_range), appending into
-    /// a caller-owned buffer (not cleared — lanes accumulate runs of
-    /// consecutive chunks into one buffer).
-    pub fn pages_in_range_into(&self, lo: u64, hi: u64, out: &mut Vec<PageId>) {
-        out.extend(self.iter_range(lo, hi));
     }
 
     /// Clears every dirty bit.
     pub fn clear(&mut self) {
         self.words.fill(0);
         self.count = 0;
-    }
-
-    /// Merges every dirty bit of `other` into `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two bitmaps cover a different number of frames.
-    pub fn union_with(&mut self, other: &DirtyBitmap) {
-        assert_eq!(
-            self.num_pages, other.num_pages,
-            "bitmap union requires equal coverage"
-        );
-        let mut count = 0;
-        for (a, &b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= b;
-            count += a.count_ones() as u64;
-        }
-        self.count = count;
     }
 }
 
@@ -326,160 +265,28 @@ fn peel<B>(mut acc: B, wi: u64, mut w: u64, f: &mut impl FnMut(B, PageId) -> B) 
     acc
 }
 
-/// One vCPU's Page Modification Logging buffer.
-///
-/// The hardware appends the guest-physical address of each newly dirtied
-/// page; when the buffer fills, a VM exit lets software harvest it. We model
-/// an overflow flag instead of the exit: once full, subsequent writes set
-/// [`PmlRing::overflowed`] and the harvester must fall back to a bitmap
-/// resync for correctness.
-///
-/// # Examples
-///
-/// ```
-/// use here_hypervisor::dirty::PmlRing;
-/// use here_hypervisor::memory::PageId;
-///
-/// let mut ring = PmlRing::with_capacity(2);
-/// ring.log(PageId::new(1));
-/// ring.log(PageId::new(2));
-/// ring.log(PageId::new(3)); // overflow
-/// assert!(ring.overflowed());
-/// assert_eq!(ring.harvest().len(), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PmlRing {
-    entries: Vec<PageId>,
-    capacity: usize,
-    overflowed: bool,
-    total_logged: u64,
-}
-
-impl PmlRing {
-    /// Creates a ring with the hardware capacity ([`PML_HW_CAPACITY`]).
-    pub fn new() -> Self {
-        PmlRing::with_capacity(PML_HW_CAPACITY)
-    }
-
-    /// Creates a ring holding at most `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "PML capacity must be positive");
-        PmlRing {
-            entries: Vec::with_capacity(capacity.min(PML_HW_CAPACITY * 16)),
-            capacity,
-            overflowed: false,
-            total_logged: 0,
-        }
-    }
-
-    /// Logs a dirtied frame. Duplicate frames are recorded as the hardware
-    /// records them (no dedup).
-    pub fn log(&mut self, page: PageId) {
-        self.total_logged += 1;
-        if self.entries.len() >= self.capacity {
-            self.overflowed = true;
-            return;
-        }
-        self.entries.push(page);
-    }
-
-    /// [`PmlRing::log`] on the `count` frames from `first`: appends as many
-    /// as fit and flags the overflow if the rest do not.
-    pub(crate) fn log_run(&mut self, first: u64, count: u64) {
-        self.total_logged += count;
-        let room = (self.capacity - self.entries.len()) as u64;
-        if count > room {
-            self.overflowed = true;
-        }
-        self.entries
-            .extend((first..first + count.min(room)).map(PageId::new));
-    }
-
-    /// Drops the buffered entries and the overflow flag, keeping the
-    /// buffer's allocation (unlike [`PmlRing::harvest`], which hands it
-    /// over).
-    pub(crate) fn clear(&mut self) {
-        self.overflowed = false;
-        self.entries.clear();
-    }
-
-    /// Number of buffered entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// `true` once at least one log was dropped for lack of space.
-    pub fn overflowed(&self) -> bool {
-        self.overflowed
-    }
-
-    /// Lifetime count of log attempts (including dropped ones).
-    pub fn total_logged(&self) -> u64 {
-        self.total_logged
-    }
-
-    /// Takes the buffered entries and resets the ring (including the
-    /// overflow flag). The caller must resync from the global bitmap if
-    /// [`PmlRing::overflowed`] was set before harvesting.
-    pub fn harvest(&mut self) -> Vec<PageId> {
-        self.overflowed = false;
-        std::mem::take(&mut self.entries)
-    }
-}
-
-impl Default for PmlRing {
-    fn default() -> Self {
-        PmlRing::new()
-    }
-}
-
-/// Combined per-VM dirty tracking state: one global bitmap plus one PML ring
-/// per vCPU, as built by the paper's modified Xen.
+/// Per-VM dirty tracking state: the global bitmap, fed while logging is
+/// on.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DirtyTracker {
     bitmap: DirtyBitmap,
-    rings: Vec<PmlRing>,
     logging_enabled: bool,
 }
 
 impl DirtyTracker {
-    /// Creates tracking state for `num_pages` frames and `vcpus` vCPUs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vcpus` is zero.
-    pub fn new(num_pages: u64, vcpus: usize) -> Self {
-        assert!(vcpus > 0, "a VM needs at least one vCPU");
+    /// Creates tracking state for `num_pages` frames, logging off.
+    pub fn new(num_pages: u64) -> Self {
         DirtyTracker {
             bitmap: DirtyBitmap::new(num_pages),
-            rings: (0..vcpus).map(|_| PmlRing::new()).collect(),
             logging_enabled: false,
         }
     }
 
     /// Turns dirty logging on (the `XEN_DOMCTL_SHADOW_OP_ENABLE_LOGDIRTY`
-    /// moment). Clears any stale state.
+    /// or `KVM_MEM_LOG_DIRTY_PAGES` moment). Clears any stale bits.
     pub fn enable_logging(&mut self) {
         self.logging_enabled = true;
         self.bitmap.clear();
-        self.clear_rings();
-    }
-
-    /// Discards every vCPU ring's entries and overflow flag, keeping each
-    /// ring's buffer so the next epoch's logging does not regrow it.
-    pub(crate) fn clear_rings(&mut self) {
-        for ring in &mut self.rings {
-            ring.clear();
-        }
     }
 
     /// `true` while dirty logging is active.
@@ -487,27 +294,17 @@ impl DirtyTracker {
         self.logging_enabled
     }
 
-    /// Records a write by `vcpu_index` to `page` into both mechanisms.
-    /// A no-op while logging is disabled.
-    pub fn record_write(&mut self, page: PageId, vcpu_index: usize) {
-        if !self.logging_enabled {
-            return;
-        }
-        self.bitmap.mark(page);
-        if let Some(ring) = self.rings.get_mut(vcpu_index) {
-            ring.log(page);
+    /// Records a write to `page`. A no-op while logging is disabled.
+    pub fn record_write(&mut self, page: PageId) {
+        if self.logging_enabled {
+            self.bitmap.mark(page);
         }
     }
 
-    /// [`DirtyTracker::record_write`] on the `count` frames from `first`,
-    /// all by `vcpu_index`.
-    pub(crate) fn record_run(&mut self, first: u64, count: u64, vcpu_index: usize) {
-        if !self.logging_enabled {
-            return;
-        }
-        self.bitmap.mark_run(first, count);
-        if let Some(ring) = self.rings.get_mut(vcpu_index) {
-            ring.log_run(first, count);
+    /// [`DirtyTracker::record_write`] on the `count` frames from `first`.
+    pub(crate) fn record_run(&mut self, first: u64, count: u64) {
+        if self.logging_enabled {
+            self.bitmap.mark_run(first, count);
         }
     }
 
@@ -521,40 +318,12 @@ impl DirtyTracker {
     pub fn bitmap_mut(&mut self) -> &mut DirtyBitmap {
         &mut self.bitmap
     }
-
-    /// The PML ring of `vcpu_index`, if it exists.
-    pub fn ring(&self, vcpu_index: usize) -> Option<&PmlRing> {
-        self.rings.get(vcpu_index)
-    }
-
-    /// Harvests the PML ring of `vcpu_index`: returns `(pages, overflowed)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vcpu_index` is out of range.
-    pub fn harvest_ring(&mut self, vcpu_index: usize) -> (Vec<PageId>, bool) {
-        let ring = &mut self.rings[vcpu_index];
-        let overflowed = ring.overflowed();
-        (ring.harvest(), overflowed)
-    }
-
-    /// Number of vCPU rings.
-    pub fn vcpu_count(&self) -> usize {
-        self.rings.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    impl PmlRing {
-        /// Entries the buffer holds without reallocating.
-        pub(crate) fn buffer_capacity(&self) -> usize {
-            self.entries.capacity()
-        }
-    }
 
     #[test]
     fn bitmap_mark_and_drain() {
@@ -581,33 +350,6 @@ mod tests {
         bm.mark(PageId::new(100));
         assert_eq!(bm.count(), 0);
         assert!(!bm.is_dirty(PageId::new(100)));
-    }
-
-    #[test]
-    fn bitmap_union() {
-        let mut a = DirtyBitmap::new(128);
-        let mut b = DirtyBitmap::new(128);
-        a.mark(PageId::new(1));
-        b.mark(PageId::new(1));
-        b.mark(PageId::new(2));
-        a.union_with(&b);
-        assert_eq!(a.count(), 2);
-    }
-
-    #[test]
-    fn bitmap_lane_partition_is_disjoint_and_complete() {
-        let mut bm = DirtyBitmap::new(4096);
-        for f in (0..4096).step_by(3) {
-            bm.mark(PageId::new(f));
-        }
-        let stride = 4;
-        let pages_per_chunk = 512 / 4; // 2 MiB chunks of 4 KiB pages = 512; use small here
-        let mut seen = Vec::new();
-        for lane in 0..stride {
-            seen.extend(bm.peek_lane(stride, lane, pages_per_chunk));
-        }
-        seen.sort();
-        assert_eq!(seen, bm.peek());
     }
 
     #[test]
@@ -693,71 +435,27 @@ mod tests {
         }
     }
 
-    #[test]
-    fn drain_into_reuses_allocation() {
-        let mut bm = DirtyBitmap::new(256);
-        let mut buf = Vec::with_capacity(64);
-        let cap = buf.capacity();
-        for round in 0..3 {
-            bm.mark(PageId::new(round));
-            bm.mark(PageId::new(round + 100));
-            bm.drain_into(&mut buf);
-            assert_eq!(buf, vec![PageId::new(round), PageId::new(round + 100)]);
-            assert!(bm.is_empty());
-            assert_eq!(buf.capacity(), cap, "round {round} reallocated");
-        }
-    }
-
-    #[test]
-    fn pages_in_range_into_appends_across_chunks() {
-        let mut bm = DirtyBitmap::new(512);
-        for f in [10u64, 200, 300, 450] {
-            bm.mark(PageId::new(f));
-        }
-        let mut out = Vec::new();
-        bm.pages_in_range_into(0, 256, &mut out);
-        bm.pages_in_range_into(256, 512, &mut out);
-        assert_eq!(out, bm.peek());
-    }
-
-    #[test]
-    fn pml_ring_overflow_semantics() {
-        let mut ring = PmlRing::with_capacity(3);
-        for f in 0..5 {
-            ring.log(PageId::new(f));
-        }
-        assert!(ring.overflowed());
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.total_logged(), 5);
-        let pages = ring.harvest();
-        assert_eq!(pages.len(), 3);
-        assert!(!ring.overflowed());
-        assert!(ring.is_empty());
-    }
-
+    /// Both ways a write reaches the tracker, one page and a run, mark the
+    /// bitmap only while logging is on.
     #[test]
     fn tracker_routes_writes_to_both_mechanisms() {
-        let mut t = DirtyTracker::new(1024, 2);
-        t.record_write(PageId::new(10), 0); // logging disabled: dropped
+        let mut t = DirtyTracker::new(1024);
+        t.record_write(PageId::new(10)); // logging disabled: dropped
+        t.record_run(20, 5);
         assert_eq!(t.bitmap().count(), 0);
         t.enable_logging();
-        t.record_write(PageId::new(10), 0);
-        t.record_write(PageId::new(20), 1);
-        assert_eq!(t.bitmap().count(), 2);
-        assert_eq!(t.ring(0).unwrap().len(), 1);
-        assert_eq!(t.ring(1).unwrap().len(), 1);
-        let (pages, overflow) = t.harvest_ring(0);
-        assert_eq!(pages, vec![PageId::new(10)]);
-        assert!(!overflow);
+        t.record_write(PageId::new(10));
+        t.record_run(20, 5);
+        assert_eq!(t.bitmap().count(), 6);
+        assert!(t.bitmap().is_dirty(PageId::new(24)));
     }
 
     #[test]
     fn tracker_enable_clears_stale_state() {
-        let mut t = DirtyTracker::new(64, 1);
+        let mut t = DirtyTracker::new(64);
         t.enable_logging();
-        t.record_write(PageId::new(1), 0);
+        t.record_write(PageId::new(1));
         t.enable_logging();
         assert_eq!(t.bitmap().count(), 0);
-        assert!(t.ring(0).unwrap().is_empty());
     }
 }

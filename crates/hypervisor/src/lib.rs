@@ -8,7 +8,8 @@
 //!
 //! - [`memory`]: sparse versioned guest memory with deterministic page
 //!   materialisation;
-//! - [`dirty`]: the global log-dirty bitmap and per-vCPU PML rings (§7.2);
+//! - [`dirty`]: the global log-dirty bitmap, read and cleared through
+//!   [`host::Hypervisor::snapshot_dirty`] (§7.2);
 //! - [`vcpu`]: architecture truth plus the incompatible Xen/KVM vCPU state
 //!   formats;
 //! - [`cpuid`]: feature policies and cross-hypervisor masking (§7.4);

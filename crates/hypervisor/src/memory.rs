@@ -86,7 +86,6 @@ pub struct PageVersion {
 pub struct GuestMemory {
     pages: Vec<PageVersion>,
     size: ByteSize,
-    touched: u64,
 }
 
 impl GuestMemory {
@@ -107,7 +106,6 @@ impl GuestMemory {
         Ok(GuestMemory {
             pages: vec![PageVersion::default(); num_pages as usize],
             size,
-            touched: 0,
         })
     }
 
@@ -121,9 +119,10 @@ impl GuestMemory {
         self.pages.len() as u64
     }
 
-    /// Number of pages written at least once.
+    /// Number of pages written at least once (a count over
+    /// [`GuestMemory::touched_iter`]).
     pub fn touched_pages(&self) -> u64 {
-        self.touched
+        self.touched_iter().count() as u64
     }
 
     /// The version record of `page`.
@@ -166,9 +165,6 @@ impl GuestMemory {
                 page: page.frame(),
                 limit,
             })?;
-        if rec.version == 0 {
-            self.touched += 1;
-        }
         rec.version = rec.version.wrapping_add(1).max(1);
         rec.last_writer = vcpu.index() as u16;
         Ok(*rec)
@@ -194,13 +190,10 @@ impl GuestMemory {
             });
         }
         let writer = vcpu.index() as u16;
-        let mut fresh = 0;
         for rec in &mut self.pages[first as usize..(first + count) as usize] {
-            fresh += u64::from(rec.version == 0);
             rec.version = rec.version.wrapping_add(1).max(1);
             rec.last_writer = writer;
         }
-        self.touched += fresh;
         Ok(())
     }
 
@@ -222,11 +215,6 @@ impl GuestMemory {
                 page: page.frame(),
                 limit,
             })?;
-        if rec.version == 0 && incoming.version != 0 {
-            self.touched += 1;
-        } else if rec.version != 0 && incoming.version == 0 {
-            self.touched -= 1;
-        }
         *rec = incoming;
         Ok(())
     }
@@ -247,15 +235,9 @@ impl GuestMemory {
                 limit,
             });
         }
-        // `touched` moves by +1 for 0 → v, −1 for v → 0 and 0 otherwise:
-        // a running signed sum instead of a branch per page.
-        let mut touched = self.touched as i64;
         for &(page, incoming) in batch {
-            let rec = &mut self.pages[page.frame() as usize];
-            touched += i64::from(incoming.version != 0) - i64::from(rec.version != 0);
-            *rec = incoming;
+            self.pages[page.frame() as usize] = incoming;
         }
-        self.touched = touched as u64;
         Ok(())
     }
 
@@ -534,7 +516,7 @@ mod tests {
                 (PageId::new(6), rec(0, 0)),
             ],
             // A frame repeated in one batch: the later record wins, and
-            // 0 → v → 0 leaves `touched` where it was.
+            // 0 → v → 0 leaves the frame pristine.
             &[
                 (PageId::new(7), rec(2, 1)),
                 (PageId::new(7), rec(0, 0)),
@@ -552,7 +534,6 @@ mod tests {
             install_each(&mut reference, batch);
             mem.install_batch(batch).unwrap();
             assert_eq!(mem, reference, "batch {batch:?}");
-            assert_eq!(mem.touched_pages(), reference.touched_pages());
         }
         assert_eq!(mem.page(PageId::new(1)).unwrap(), rec(7, 1));
         assert_eq!(mem.page(PageId::new(8)).unwrap(), rec(4, 0));

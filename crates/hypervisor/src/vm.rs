@@ -141,7 +141,7 @@ impl Vm {
             .map(|i| Vcpu::new(VcpuId::new(i)))
             .collect();
         let devices = standard_device_set(family);
-        let dirty = DirtyTracker::new(memory.num_pages(), config.vcpus as usize);
+        let dirty = DirtyTracker::new(memory.num_pages());
         let cpuid = config.cpuid.clone().unwrap_or_else(|| host_cpuid.clone());
         if !cpuid.is_subset_of(host_cpuid) {
             return Err(HvError::Incompatible(format!(
@@ -248,8 +248,9 @@ impl Vm {
         &mut self.dirty
     }
 
-    /// Records a guest write: bumps the page version and feeds both dirty
-    /// tracking mechanisms. Only legal while the VM runs.
+    /// Records a guest write: bumps the page version, records `vcpu` as its
+    /// writer and marks the page in the dirty bitmap while logging is on.
+    /// Only legal while the VM runs.
     ///
     /// # Errors
     ///
@@ -263,15 +264,15 @@ impl Vm {
             });
         }
         self.memory.write_page(page, vcpu)?;
-        self.dirty.record_write(page, vcpu.index() as usize);
+        self.dirty.record_write(page);
         Ok(())
     }
 
     /// Records guest writes by `vcpu` to the `count` consecutive frames
-    /// from `first`: versions, dirty bitmap, PML ring and every counter end
-    /// exactly as `count` [`Vm::guest_write`] calls in ascending order
-    /// leave them, at the cost of one bounds check and one pass per
-    /// structure. All or nothing: an error changes no state.
+    /// from `first`: versions, writers and the dirty bitmap end exactly as
+    /// `count` [`Vm::guest_write`] calls in ascending order leave them, at
+    /// the cost of one bounds check and one pass per structure. All or
+    /// nothing: an error changes no state.
     ///
     /// # Errors
     ///
@@ -285,8 +286,7 @@ impl Vm {
             });
         }
         self.memory.write_run(first.frame(), count, vcpu)?;
-        self.dirty
-            .record_run(first.frame(), count, vcpu.index() as usize);
+        self.dirty.record_run(first.frame(), count);
         Ok(())
     }
 
@@ -390,8 +390,9 @@ mod tests {
         vm.dirty_mut().enable_logging();
         vm.guest_write(PageId::new(7), VcpuId::new(1)).unwrap();
         assert!(vm.dirty().bitmap().is_dirty(PageId::new(7)));
-        assert_eq!(vm.dirty().ring(1).unwrap().len(), 1);
-        assert_eq!(vm.memory().page(PageId::new(7)).unwrap().version, 1);
+        assert_eq!(vm.dirty().bitmap().count(), 1);
+        let rec = vm.memory().page(PageId::new(7)).unwrap();
+        assert_eq!((rec.version, rec.last_writer), (1, 1));
     }
 
     #[test]
@@ -420,20 +421,18 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
         /// A run is `count` single-page writes in ascending order: the same
-        /// versions, writers, `touched` count, bitmap words and count, ring
-        /// entries, overflow flags and `total_logged`, rings pre-filled up
-        /// to around their 512-entry capacity included. A run that leaves
+        /// versions, writers, bitmap words and count, over pages some earlier
+        /// writes already dirtied. A run that leaves
         /// the address space, or lands on a paused VM, changes nothing.
         #[test]
         fn a_run_is_the_per_page_loop(
             first in 0u64..1100,
             count in 0u64..700,
             vcpu in 0u32..3,
-            prefill in 0u64..530,
+            prefill in 0u64..200,
             logging in proptest::prelude::any::<bool>(),
         ) {
-            // 4 MiB = 1024 frames and 2 vCPUs, so some runs overrun the
-            // address space and vCPU 2 has no ring.
+            // 4 MiB = 1024 frames, so some runs overrun the address space.
             let mut run = vm();
             if logging {
                 run.dirty_mut().enable_logging();

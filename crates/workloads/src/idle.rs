@@ -84,7 +84,7 @@ mod tests {
                 .unwrap()
                 .with_cpuid(CpuidPolicy::xen_default());
             let id = xen.create_vm(cfg).unwrap();
-            xen.shadow_op_enable_logdirty(id).unwrap();
+            xen.vm_mut(id).unwrap().dirty_mut().enable_logging();
             let vm = xen.vm_mut(id).unwrap();
             let mut idle = IdleGuest::new();
             let mut rng = SimRng::seed_from(3);

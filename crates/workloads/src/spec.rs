@@ -188,7 +188,7 @@ mod tests {
             .unwrap()
             .with_cpuid(CpuidPolicy::xen_default());
         let id = xen.create_vm(cfg).unwrap();
-        xen.shadow_op_enable_logdirty(id).unwrap();
+        xen.vm_mut(id).unwrap().dirty_mut().enable_logging();
         (xen, id)
     }
 

@@ -144,7 +144,7 @@ mod tests {
     #[test]
     fn sweep_wraps_and_caps_distinct_pages() {
         let (mut xen, id) = test_vm();
-        xen.shadow_op_enable_logdirty(id).unwrap();
+        xen.vm_mut(id).unwrap().dirty_mut().enable_logging();
         let vm = xen.vm_mut(id).unwrap();
         // Region of 16 pages; write 40 pages worth: all 16 distinct frames
         // dirty, cursor ends at (0 + 40) % 16 = 8.
@@ -185,10 +185,9 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
         /// Run-wise [`write_sweep`] leaves every page version and writer,
-        /// `touched_pages`, bitmap word and count, and every ring's entries,
-        /// overflow flag and `total_logged` exactly as the per-page loop
-        /// does, and returns the same cursor — with rings pre-filled to
-        /// either side of their 512-entry capacity and logging on or off.
+        /// `touched_pages`, and bitmap word and count exactly as the
+        /// per-page loop does, and returns the same cursor — over pages
+        /// earlier writes already dirtied, with logging on or off.
         #[test]
         fn sweep_runs_are_the_per_page_loop(
             mib in 1u64..4,
@@ -198,7 +197,7 @@ mod tests {
             start in 0u64..5000,
             count in 0u64..1500,
             sweep_vcpus in 1u32..6,
-            prefill in 0u64..530,
+            prefill in 0u64..200,
             logging in proptest::prelude::any::<bool>(),
         ) {
             let mut xen = XenHypervisor::new(ByteSize::from_gib(12));
@@ -231,12 +230,16 @@ mod tests {
     #[test]
     fn sweep_attributes_writes_across_vcpus() {
         let (mut xen, id) = test_vm();
-        xen.shadow_op_enable_logdirty(id).unwrap();
         let vm = xen.vm_mut(id).unwrap();
+        vm.dirty_mut().enable_logging();
         write_sweep(vm, 0, 256, 0, 256, 4);
-        let used: Vec<usize> = (0..4)
-            .filter(|&i| !vm.dirty().ring(i).unwrap().is_empty())
+        // Each 64-page stretch of the sweep is written by the next vCPU.
+        let writers: Vec<u16> = vm
+            .memory()
+            .touched_iter()
+            .map(|(_, rec)| rec.last_writer)
             .collect();
-        assert_eq!(used.len(), 4, "all four vCPUs should have logged writes");
+        let expected: Vec<u16> = (0..256).map(|f| f / 64).collect();
+        assert_eq!(writers, expected, "all four vCPUs should have written");
     }
 }

@@ -45,7 +45,7 @@ fn full_checkpoint_pipeline_xen_to_kvm() {
     }
 
     // Capture: dirty pages + vCPU state in Xen's native format.
-    let dirty = xen.shadow_op_clean(primary).unwrap();
+    let dirty = xen.snapshot_dirty(primary).unwrap().peek();
     assert_eq!(dirty.len(), 3);
     let translator = StateTranslator::new(HypervisorKind::Xen, HypervisorKind::Kvm).unwrap();
     let mut enc = StreamEncoder::new();
