@@ -71,7 +71,7 @@ pub fn run_analyze(scale: Scale) -> AnalyzeOutput {
         .run();
 
     let threads = cfg.effective_threads(4);
-    let analysis = TraceAnalyzer::default().analyze(&report, &cfg.costs, threads, cfg.strategy);
+    let analysis = TraceAnalyzer.analyze(&report, &cfg.costs, threads, cfg.strategy);
     let chrome_json = chrome_trace(&report.spans);
     let jsonl = spans_jsonl(&report.spans);
     AnalyzeOutput {

@@ -29,32 +29,20 @@ use crate::postmortem::IncidentBundle;
 use crate::report::RunReport;
 use crate::trace::{stage_totals, Stage};
 
-/// Tunables for the analyzer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnalyzerConfig {
-    /// A lane is a straggler when its wall time exceeds `k ×` the epoch's
-    /// median lane wall time.
-    pub straggler_k: f64,
-    /// Ignore lanes faster than this when hunting stragglers (wall-clock
-    /// noise floor, ns).
-    pub straggler_floor_nanos: u64,
-    /// Minimum decisions before oscillation can be declared.
-    pub oscillation_window: usize,
-    /// Fraction of direction changes (between consecutive period moves)
-    /// at which the controller counts as oscillating.
-    pub oscillation_flip_ratio: f64,
-}
+/// A lane is a straggler when its wall time exceeds `k ×` the epoch's
+/// median lane wall time.
+const STRAGGLER_K: f64 = 1.5;
 
-impl Default for AnalyzerConfig {
-    fn default() -> Self {
-        AnalyzerConfig {
-            straggler_k: 1.5,
-            straggler_floor_nanos: 1_000,
-            oscillation_window: 8,
-            oscillation_flip_ratio: 0.6,
-        }
-    }
-}
+/// Lanes faster than this are ignored when hunting stragglers (wall-clock
+/// noise floor, ns).
+const STRAGGLER_FLOOR_NANOS: u64 = 1_000;
+
+/// Minimum decisions before oscillation can be declared.
+const OSCILLATION_WINDOW: usize = 8;
+
+/// Fraction of direction changes (between consecutive period moves) at
+/// which the controller counts as oscillating.
+const OSCILLATION_FLIP_RATIO: f64 = 0.6;
 
 /// One stage's share of an epoch's pause.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,19 +167,12 @@ pub struct AnalysisReport {
     pub tree_error: Option<String>,
 }
 
-/// The analyzer. Construct with [`TraceAnalyzer::default`] or a custom
-/// [`AnalyzerConfig`], then [`TraceAnalyzer::analyze`] a finished run.
+/// The analyzer: [`TraceAnalyzer::analyze`] a finished run. Its straggler
+/// and oscillation thresholds are fixed.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TraceAnalyzer {
-    cfg: AnalyzerConfig,
-}
+pub struct TraceAnalyzer;
 
 impl TraceAnalyzer {
-    /// An analyzer with custom thresholds.
-    pub fn new(cfg: AnalyzerConfig) -> Self {
-        TraceAnalyzer { cfg }
-    }
-
     /// Analyzes a finished run against its cost model.
     pub fn analyze(
         &self,
@@ -324,10 +305,10 @@ impl TraceAnalyzer {
             walls.sort_unstable();
             let median = walls[walls.len() / 2];
             for (lane, wall) in lanes {
-                if wall < self.cfg.straggler_floor_nanos {
+                if wall < STRAGGLER_FLOOR_NANOS {
                     continue;
                 }
-                if wall as f64 > self.cfg.straggler_k * median as f64 {
+                if wall as f64 > STRAGGLER_K * median as f64 {
                     out.push(StragglerLane {
                         seq: epoch,
                         lane,
@@ -376,8 +357,7 @@ impl TraceAnalyzer {
             flip_ratio,
             walk_backs,
             midpoint_jumps,
-            oscillating: decisions >= self.cfg.oscillation_window
-                && flip_ratio >= self.cfg.oscillation_flip_ratio,
+            oscillating: decisions >= OSCILLATION_WINDOW && flip_ratio >= OSCILLATION_FLIP_RATIO,
         }
     }
 
@@ -908,7 +888,7 @@ mod tests {
         let (report, cfg) = run();
         assert!(!report.checkpoints.is_empty());
         let threads = cfg.effective_threads(4);
-        let analysis = TraceAnalyzer::default().analyze(&report, &cfg.costs, threads, cfg.strategy);
+        let analysis = TraceAnalyzer.analyze(&report, &cfg.costs, threads, cfg.strategy);
         assert_eq!(analysis.epochs.len(), report.checkpoints.len());
         // The stage spans sum to the pause by construction, so every
         // epoch attributes ≥ 95 % (in fact 100 %) of its pause.
@@ -935,7 +915,7 @@ mod tests {
 
     #[test]
     fn oscillation_flags_alternating_periods() {
-        let analyzer = TraceAnalyzer::default();
+        let analyzer = TraceAnalyzer;
         let mk = |prev_ms: u64, next_ms: u64, action| {
             let decision = PeriodDecision {
                 chosen_period: SimDuration::from_millis(next_ms),
@@ -980,7 +960,7 @@ mod tests {
                     .wall(wall),
             );
         }
-        let found = TraceAnalyzer::default().find_stragglers(rec.spans());
+        let found = TraceAnalyzer.find_stragglers(rec.spans());
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].lane, 3);
         assert_eq!(found[0].seq, 5);

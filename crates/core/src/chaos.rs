@@ -18,7 +18,7 @@
 //! Consumers are hardened rather than special-cased: corrupted frames are
 //! rejected by the wire checksums already in the decoder, the transfer
 //! stage retries with exponential backoff under
-//! [`RetryPolicy`](crate::config::RetryPolicy), and an exhausted retry
+//! [`RETRY`](crate::config::RETRY), and an exhausted retry
 //! budget aborts the epoch — the partially transferred checkpoint is
 //! discarded, its pages are re-marked dirty on the primary, and the
 //! previous committed epoch stays authoritative (see

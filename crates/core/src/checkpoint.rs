@@ -93,7 +93,6 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
         stop_when_workload_done,
         load_during_seed,
         warmup,
-        warmup_under_load,
         verify_consistency,
         chaos,
     } = scenario;
@@ -126,13 +125,11 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
     session.ops_uncommitted = 0.0;
     session.buffering = true;
 
-    // Optional warmup: replicate the idle guest without recording, then
-    // reset. The real workload starts only when measurement does, so
-    // bounded workloads and phase schedules are untouched by warmup.
+    // Optional warmup: replicate under the scenario's own workload without
+    // recording, then reset. Measurement starts on a fresh workload run,
+    // so bounded workloads and phase schedules begin again from zero.
+    session.workload_started = true;
     if !warmup.is_zero() {
-        if warmup_under_load {
-            session.workload_started = true;
-        }
         let warmup_end = replication_start + warmup;
         while session.clock < warmup_end {
             let t = session.period.current();
@@ -167,7 +164,6 @@ pub(crate) fn run_replicated(scenario: Scenario) -> CoreResult<RunReport> {
         session.measure_base = replication_start;
         session.workload_now_base = replication_start;
     }
-    session.workload_started = true;
     let end = replication_start + duration;
 
     let mut failover_record = None;

@@ -81,7 +81,6 @@ pub struct Scenario {
     pub(crate) stop_when_workload_done: bool,
     pub(crate) load_during_seed: bool,
     pub(crate) warmup: SimDuration,
-    pub(crate) warmup_under_load: bool,
     pub(crate) verify_consistency: bool,
     pub(crate) chaos: Option<FaultPlan>,
 }
@@ -100,7 +99,6 @@ pub struct ScenarioBuilder {
     stop_when_workload_done: bool,
     load_during_seed: bool,
     warmup: SimDuration,
-    warmup_under_load: bool,
     verify_consistency: bool,
     chaos: Option<FaultPlan>,
 }
@@ -123,7 +121,6 @@ impl Scenario {
             stop_when_workload_done: true,
             load_during_seed: false,
             warmup: SimDuration::ZERO,
-            warmup_under_load: false,
             verify_consistency: false,
             chaos: None,
         }
@@ -257,22 +254,14 @@ impl ScenarioBuilder {
     /// measurement starts, then discards everything observed so far. Lets
     /// the dynamic period manager converge from its conservative
     /// `T = T_max` start before a figure's recording window opens
-    /// (Fig. 9). The workload's own clock restarts at the end of warmup.
-    pub fn warmup(mut self, warmup: SimDuration) -> Self {
-        self.warmup = warmup;
-        self
-    }
-
-    /// Like [`ScenarioBuilder::warmup`], but the scenario's own workload
-    /// (at its initial phase) drives the system during warmup instead of
-    /// an idle guest, so the period manager converges against the load it
-    /// will actually see. The workload's clock is rebased to zero when
-    /// measurement starts; phase-scheduled workloads replay their schedule.
-    /// Not meaningful for bounded workloads (their progress would be
-    /// consumed by the warmup).
+    /// (Fig. 9). The scenario's own workload (at its initial phase) drives
+    /// the system during warmup, so the period manager converges against
+    /// the load it will actually see. The workload's clock is rebased to
+    /// zero when measurement starts; phase-scheduled workloads replay their
+    /// schedule. Bounded workloads cycle during warmup and start a fresh
+    /// run when measurement does.
     pub fn warmup_under_load(mut self, warmup: SimDuration) -> Self {
         self.warmup = warmup;
-        self.warmup_under_load = true;
         self
     }
 
@@ -330,7 +319,6 @@ impl ScenarioBuilder {
             stop_when_workload_done: self.stop_when_workload_done,
             load_during_seed: self.load_during_seed,
             warmup: self.warmup,
-            warmup_under_load: self.warmup_under_load,
             verify_consistency: self.verify_consistency,
             chaos: self.chaos,
         })

@@ -3,7 +3,8 @@
 //! "In the current implementation of HERE, we rely on a periodic heartbeat
 //! between the primary and replica hosts to ensure that the hypervisors are
 //! functioning normally" (§8.2). The secondary declares the primary dead
-//! after a configurable number of consecutive missed heartbeats, then
+//! after [`HEARTBEAT`](crate::config::HEARTBEAT)'s fixed number of
+//! consecutive missed heartbeats (3 at a 10 ms period), then
 //! activates the replica: load the last committed state, switch the device
 //! models, and unpause — in the order of 10 ms on kvmtool (Fig. 7).
 
@@ -19,12 +20,15 @@ use crate::config::HeartbeatConfig;
 pub const STARVATION_DETECTION_FACTOR: u64 = 10;
 
 /// Computes when the secondary detects a primary failure that occurred at
-/// `failed_at`, given the primary's post-failure health.
+/// `failed_at`, given the primary's post-failure health and the number of
+/// heartbeats lost on the wire before the detector fires (the fault
+/// plane's [`HeartbeatLoss`](crate::chaos::FaultKind::HeartbeatLoss)
+/// events; 0 when none were).
 ///
 /// Crashes and hangs silence the heartbeat immediately; the detector fires
-/// after `missed_threshold + 1` periods. A starved primary still emits
-/// *some* heartbeats, so the detector needs sustained evidence and fires a
-/// factor [`STARVATION_DETECTION_FACTOR`] later.
+/// after `missed_threshold + 1 + lost_heartbeats` periods. A starved
+/// primary still emits *some* heartbeats, so the detector needs sustained
+/// evidence and fires a factor [`STARVATION_DETECTION_FACTOR`] later.
 ///
 /// The branch consumes the health predicates rather than re-matching the
 /// enum: a host that cannot service at all
@@ -36,17 +40,6 @@ pub const STARVATION_DETECTION_FACTOR: u64 = 10;
 /// All arithmetic is checked: a detection instant past the representable
 /// range saturates to [`SimTime::MAX`] instead of overflowing.
 pub fn detection_time(
-    hb: &HeartbeatConfig,
-    failed_at: SimTime,
-    post_health: HostHealth,
-) -> SimTime {
-    detection_time_with_loss(hb, failed_at, post_health, 0)
-}
-
-/// [`detection_time`], with `lost_heartbeats` additional heartbeat
-/// periods lost on the wire before the detector fires (the fault plane's
-/// [`HeartbeatLoss`](crate::chaos::FaultKind::HeartbeatLoss) events).
-pub fn detection_time_with_loss(
     hb: &HeartbeatConfig,
     failed_at: SimTime,
     post_health: HostHealth,
@@ -379,29 +372,30 @@ impl FailoverRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HEARTBEAT;
 
     #[test]
     fn crash_detection_uses_heartbeat_budget() {
-        let hb = HeartbeatConfig::default(); // 10 ms × (3 + 1)
-        let t = detection_time(&hb, SimTime::from_secs(5), HostHealth::Crashed);
+        let hb = HEARTBEAT; // 10 ms × (3 + 1)
+        let t = detection_time(&hb, SimTime::from_secs(5), HostHealth::Crashed, 0);
         assert_eq!(t, SimTime::from_secs(5) + SimDuration::from_millis(40));
-        let h = detection_time(&hb, SimTime::from_secs(5), HostHealth::Hung);
+        let h = detection_time(&hb, SimTime::from_secs(5), HostHealth::Hung, 0);
         assert_eq!(h, t, "hangs are indistinguishable from crashes");
     }
 
     #[test]
     fn starvation_detection_is_slower() {
-        let hb = HeartbeatConfig::default();
-        let crash = detection_time(&hb, SimTime::ZERO, HostHealth::Crashed);
-        let starve = detection_time(&hb, SimTime::ZERO, HostHealth::Starved);
+        let hb = HEARTBEAT;
+        let crash = detection_time(&hb, SimTime::ZERO, HostHealth::Crashed, 0);
+        let starve = detection_time(&hb, SimTime::ZERO, HostHealth::Starved, 0);
         assert!(starve.as_nanos() == crash.as_nanos() * STARVATION_DETECTION_FACTOR);
     }
 
     #[test]
     fn healthy_primary_is_never_declared_dead() {
-        let hb = HeartbeatConfig::default();
+        let hb = HEARTBEAT;
         assert_eq!(
-            detection_time(&hb, SimTime::ZERO, HostHealth::Healthy),
+            detection_time(&hb, SimTime::ZERO, HostHealth::Healthy, 0),
             SimTime::MAX
         );
     }
@@ -415,39 +409,45 @@ mod tests {
             missed_threshold: 3,
         };
         for health in [HostHealth::Crashed, HostHealth::Hung, HostHealth::Starved] {
-            assert_eq!(detection_time(&hb, SimTime::ZERO, health), SimTime::MAX);
+            assert_eq!(detection_time(&hb, SimTime::ZERO, health, 0), SimTime::MAX);
         }
         // A failure instant near the end of representable time saturates
         // on the add.
-        let hb = HeartbeatConfig::default();
+        let hb = HEARTBEAT;
         let late = SimTime::MAX;
-        assert_eq!(detection_time(&hb, late, HostHealth::Crashed), SimTime::MAX);
-        assert_eq!(detection_time(&hb, late, HostHealth::Starved), SimTime::MAX);
+        assert_eq!(
+            detection_time(&hb, late, HostHealth::Crashed, 0),
+            SimTime::MAX
+        );
+        assert_eq!(
+            detection_time(&hb, late, HostHealth::Starved, 0),
+            SimTime::MAX
+        );
         // And a run-of-the-mill configuration is unchanged by the checks.
         assert_eq!(
-            detection_time(&hb, SimTime::from_secs(1), HostHealth::Crashed),
+            detection_time(&hb, SimTime::from_secs(1), HostHealth::Crashed, 0),
             SimTime::from_secs(1) + SimDuration::from_millis(40)
         );
     }
 
     #[test]
     fn lost_heartbeats_delay_detection_per_period() {
-        let hb = HeartbeatConfig::default(); // 10 ms period, 40 ms budget
-        let base = detection_time(&hb, SimTime::ZERO, HostHealth::Crashed);
-        let delayed = detection_time_with_loss(&hb, SimTime::ZERO, HostHealth::Crashed, 2);
+        let hb = HEARTBEAT; // 10 ms period, 40 ms budget
+        let base = detection_time(&hb, SimTime::ZERO, HostHealth::Crashed, 0);
+        let delayed = detection_time(&hb, SimTime::ZERO, HostHealth::Crashed, 2);
         assert_eq!(
             delayed.saturating_duration_since(base),
             SimDuration::from_millis(20)
         );
         // Starvation multiplies the whole (budget + loss) window.
-        let starved = detection_time_with_loss(&hb, SimTime::ZERO, HostHealth::Starved, 2);
+        let starved = detection_time(&hb, SimTime::ZERO, HostHealth::Starved, 2);
         assert_eq!(
             starved.as_nanos(),
             delayed.as_nanos() * STARVATION_DETECTION_FACTOR
         );
         // u32::MAX lost heartbeats saturates.
         assert_eq!(
-            detection_time_with_loss(&hb, SimTime::ZERO, HostHealth::Starved, u32::MAX),
+            detection_time(&hb, SimTime::ZERO, HostHealth::Starved, u32::MAX),
             SimTime::ZERO
                 + SimDuration::from_nanos(
                     hb.period.as_nanos() * (u32::MAX as u64 + 4) * STARVATION_DETECTION_FACTOR

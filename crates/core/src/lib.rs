@@ -85,22 +85,21 @@ pub mod trace;
 pub mod transfer;
 
 pub use analyze::{
-    AnalysisReport, AnalyzerConfig, BreachRoot, EpochAttribution, OscillationReport,
-    PostmortemAnalyzer, PostmortemReport, ReplicaDivergence, StageDelta, StageShare, StragglerLane,
-    TraceAnalyzer,
+    AnalysisReport, BreachRoot, EpochAttribution, OscillationReport, PostmortemAnalyzer,
+    PostmortemReport, ReplicaDivergence, StageDelta, StageShare, StragglerLane, TraceAnalyzer,
 };
 pub use chaos::{ChaosStats, FaultEvent, FaultKind, FaultPlan};
 pub use config::{
     CostModel, FanoutMode, HeartbeatConfig, PeriodPolicy, ReplicationConfig, RetryPolicy, Strategy,
-    TopologyConfig,
+    TopologyConfig, HEARTBEAT, RETRY,
 };
 pub use engine::{
     clear_run_observer, set_run_observer, FailureCause, FailurePlan, Scenario, ScenarioBuilder,
 };
 pub use error::{CoreError, CoreResult};
 pub use failover::{
-    detection_time, detection_time_with_loss, Commit, CommitEntry, CommitLedger, FailoverRecord,
-    ReplicaAcks, STARVATION_DETECTION_FACTOR,
+    detection_time, Commit, CommitEntry, CommitLedger, FailoverRecord, ReplicaAcks,
+    STARVATION_DETECTION_FACTOR,
 };
 pub use period::{
     degradation, ClampReason, DynamicPeriodManager, PeriodAction, PeriodDecision, PeriodManager,

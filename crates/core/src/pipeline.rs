@@ -299,7 +299,7 @@ impl<'s> Translated<'s> {
             session.clock += visible;
             return Err(crate::error::CoreError::EpochAborted {
                 seq,
-                attempts: session.cfg.retry.max_attempts.max(1),
+                attempts: crate::config::RETRY.max_attempts,
             });
         }
         // Replicas that missed the epoch catch up asynchronously: the

@@ -38,8 +38,7 @@ use here_workloads::traits::Workload;
 
 use crate::chaos::{FaultEvent, FaultKind, FaultPlan};
 use crate::config::{
-    CostModel, FanoutMode, HeartbeatConfig, PeriodPolicy, ReplicationConfig, RetryPolicy, Strategy,
-    TopologyConfig,
+    CostModel, FanoutMode, PeriodPolicy, ReplicationConfig, Strategy, TopologyConfig,
 };
 use crate::engine::Scenario;
 use crate::error::{CoreError, CoreResult};
@@ -53,8 +52,9 @@ use here_hypervisor::fault::DosOutcome;
 pub const BUNDLE_MAGIC: &str = "HEREBUNDLE";
 
 /// Bundle format version this build writes and accepts (3: the bundle
-/// carries the trigger, not a rendered snapshot).
-pub const BUNDLE_VERSION: u32 = 3;
+/// carries the trigger, not a rendered snapshot; 4: the config lines drop
+/// `heartbeat` and `retry`, which are constants, not settings).
+pub const BUNDLE_VERSION: u32 = 4;
 
 /// Lines of the windowed-series JSONL export the snapshot retains (the
 /// *tail* — the newest windows at capture time).
@@ -503,8 +503,6 @@ impl IncidentBundle {
         let c = &mut self.config;
         w.leaf("strategy", &mut c.strategy)?;
         w.leaf("period", &mut c.period)?;
-        w.leaf("heartbeat", &mut c.heartbeat)?;
-        w.leaf("retry", &mut c.retry)?;
         w.leaf("costs", &mut c.costs)?;
         w.leaf("topology", &mut c.topology)?;
         w.leaf("encode_chunk_pages", &mut c.encode_chunk_pages)?;
@@ -834,38 +832,6 @@ impl Leaf for PeriodPolicy {
     }
 }
 
-impl Leaf for HeartbeatConfig {
-    fn show(&self) -> String {
-        format!("{}:{}", self.period.show(), self.missed_threshold)
-    }
-    fn read(s: &str) -> Parsed<Self> {
-        let [period, missed_threshold] = parts(s)?;
-        Ok(HeartbeatConfig {
-            period: Leaf::read(period)?,
-            missed_threshold: Leaf::read(missed_threshold)?,
-        })
-    }
-}
-
-impl Leaf for RetryPolicy {
-    fn show(&self) -> String {
-        format!(
-            "{}:{}:{}",
-            self.max_attempts,
-            self.backoff_base.show(),
-            self.backoff_cap.show()
-        )
-    }
-    fn read(s: &str) -> Parsed<Self> {
-        let [max_attempts, backoff_base, backoff_cap] = parts(s)?;
-        Ok(RetryPolicy {
-            max_attempts: Leaf::read(max_attempts)?,
-            backoff_base: Leaf::read(backoff_base)?,
-            backoff_cap: Leaf::read(backoff_cap)?,
-        })
-    }
-}
-
 impl Leaf for CostModel {
     fn show(&self) -> String {
         [
@@ -1086,15 +1052,6 @@ mod tests {
         let millis = SimDuration::from_millis;
         let config = ReplicationConfig::dynamic(0.3, SimDuration::from_secs(25))
             .with_sigma(millis(100))
-            .with_heartbeat(HeartbeatConfig {
-                period: millis(7),
-                missed_threshold: 5,
-            })
-            .with_retry(RetryPolicy {
-                max_attempts: 6,
-                backoff_base: millis(1),
-                backoff_cap: millis(80),
-            })
             .with_topology(TopologyConfig {
                 replicas: 3,
                 quorum: 2,
@@ -1203,9 +1160,9 @@ mod tests {
 
     #[test]
     fn decode_rejects_unknown_version() {
-        // v3 is the only version read: a v2 document is as unknown as v4.
-        for other in ["v2", "v4"] {
-            let doc = sample_bundle().encode().replacen("v3", other, 1);
+        // v4 is the only version read: a v3 document is as unknown as v5.
+        for other in ["v3", "v5"] {
+            let doc = sample_bundle().encode().replacen("v4", other, 1);
             let err = IncidentBundle::decode(&doc).unwrap_err();
             assert!(format!("{err:?}").contains("unknown bundle version"));
         }

@@ -42,14 +42,14 @@ use here_workloads::idle::IdleGuest;
 use here_workloads::traits::Workload;
 
 use crate::chaos::{corrupt_stream, ChaosState, FaultPlan, TransferFault};
-use crate::config::ReplicationConfig;
+use crate::config::{ReplicationConfig, HEARTBEAT, RETRY};
 use crate::dataplane::{
     encode_pages_round, install_staged, stage_next, translate_vcpus, CheckpointPools, EncodePlan,
     LanePool, PayloadMode, ReceiveStep, PARALLEL_ENCODE_MIN_PAGES,
 };
 use crate::devmgr::DeviceManager;
 use crate::error::{CoreError, CoreResult};
-use crate::failover::{detection_time_with_loss, Commit, CommitLedger, FailoverRecord};
+use crate::failover::{detection_time, Commit, CommitLedger, FailoverRecord};
 use crate::period::PeriodManager;
 use crate::report::CheckpointRecord;
 use crate::topology::{make_replica_hosts, Replica, ReplicaSet};
@@ -638,7 +638,7 @@ impl Session {
     /// Under a fault plan each attempt may be dropped, corrupted on the
     /// wire, refused by the replica or sent into a downed link; a failed
     /// attempt still occupies the wire for its timeout, then waits out
-    /// exponential backoff (see [`RetryPolicy`](crate::config::RetryPolicy))
+    /// exponential backoff (see [`RETRY`])
     /// and is retried, until the budget runs out and the replica misses
     /// the epoch. What a miss means is the caller's to decide. An error
     /// is a stream the replica refused outside the plan; the replicas
@@ -650,8 +650,6 @@ impl Session {
         pages: usize,
         wire: impl Fn(u16) -> SimDuration,
     ) -> CoreResult<Vec<(bool, SimDuration)>> {
-        let policy = self.cfg.retry;
-        let max_attempts = policy.max_attempts.max(1);
         let count = self.replicas.len() as u32;
         let mut prestaged = self.prestage(streams, seq, pages);
         let mut outcomes = Vec::with_capacity(count as usize);
@@ -732,10 +730,10 @@ impl Session {
                     break true;
                 };
                 attempt += 1;
-                if attempt >= max_attempts {
+                if attempt >= RETRY.max_attempts {
                     break false;
                 }
-                let backoff = policy.backoff_after(attempt - 1);
+                let backoff = RETRY.backoff_after(attempt - 1);
                 spent = spent.saturating_add(backoff);
                 if let Some(chaos) = self.chaos.as_mut() {
                     chaos.stats.transfer_retries += 1;
@@ -877,7 +875,7 @@ impl Session {
         } else {
             Err(CoreError::EpochAborted {
                 seq,
-                attempts: self.cfg.retry.max_attempts.max(1),
+                attempts: RETRY.max_attempts,
             })
         }
     }
@@ -1107,8 +1105,7 @@ impl Session {
             .chaos
             .as_ref()
             .map_or(0, |c| c.heartbeat_loss_periods());
-        let detected_at =
-            detection_time_with_loss(&self.cfg.heartbeat, failed_at, post_health, lost_heartbeats);
+        let detected_at = detection_time(&HEARTBEAT, failed_at, post_health, lost_heartbeats);
         self.clock = detected_at;
 
         // Everything since the last commit is rolled back.

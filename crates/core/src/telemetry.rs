@@ -64,12 +64,12 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use here_sim_core::time::{SimDuration, SimTime};
-use here_telemetry::alert::{AlertEngine, AlertEvent, AlertRules, AlertSample, AlertState};
+use here_telemetry::alert::{
+    AlertEngine, AlertEvent, AlertSample, AlertState, DEFAULT_D_TARGET_PPM,
+};
 use here_telemetry::export::{self, json_escape};
 use here_telemetry::flight::FlightRecorder;
-use here_telemetry::health::{
-    HealthObservation, HealthPolicy, HealthState, HealthTracker, HealthTransition,
-};
+use here_telemetry::health::{HealthObservation, HealthState, HealthTracker, HealthTransition};
 use here_telemetry::metrics::{Counter, Gauge, Histogram, MetricsRegistry, RegistrySnapshot};
 use here_telemetry::slo::{SloBreach, SloSummary, SloTracker};
 use here_telemetry::span::{Span, SpanDraft, SpanId, SpanRecorder, Track};
@@ -319,22 +319,17 @@ impl SessionTelemetry {
             None,
         );
         let stale_lag = stale_epoch_lag.max(1);
-        let health_policy = HealthPolicy {
-            lagging_lag: (stale_lag / 4).max(1),
-            stale_lag,
-            recover_epochs: 2,
+        let d_target_ppm = match policy {
+            PeriodPolicy::Dynamic { d_target, .. } => (d_target * 1e6).round() as u64,
+            PeriodPolicy::Fixed(_) => DEFAULT_D_TARGET_PPM,
         };
-        let mut rules = AlertRules::default();
-        if let PeriodPolicy::Dynamic { d_target, .. } = policy {
-            rules.d_target_ppm = (d_target * 1e6).round() as u64;
-        }
         t.health = Some(HealthPlane {
             replicas: n,
             quorum,
             stale_lag,
             series: SeriesSet::new(HEALTH_SERIES_WINDOW_NANOS),
-            tracker: HealthTracker::new(n, health_policy),
-            engine: AlertEngine::new(rules),
+            tracker: HealthTracker::new(n, stale_lag),
+            engine: AlertEngine::new(d_target_ppm),
             replica_lag_gauges,
             replica_backlog_gauges,
             replica_acked_gauges,

@@ -145,7 +145,7 @@ fn nothing_observed_during_warmup_survives_into_the_measured_report() {
         .config(
             ReplicationConfig::fixed_period(SimDuration::from_secs(2)).with_postmortem_capture(),
         )
-        .warmup(SimDuration::from_secs(8))
+        .warmup_under_load(SimDuration::from_secs(8))
         .duration(SimDuration::from_secs(12))
         .chaos(FaultPlan::new(5).with_event(2, FaultKind::Drop { attempts: 10 }))
         .verify_consistency()

@@ -212,10 +212,9 @@ pub trait Hypervisor: std::fmt::Debug {
     ///
     /// Fails if the host is down or the VM does not exist.
     fn snapshot_dirty(&mut self, vm: VmId) -> HvResult<DirtyBitmap> {
-        let vm = self.vm_mut(vm)?;
-        let snapshot = vm.dirty().bitmap().clone();
-        vm.dirty_mut().bitmap_mut().clear();
-        Ok(snapshot)
+        let live = self.vm_mut(vm)?.dirty_mut().bitmap_mut();
+        let clean = DirtyBitmap::new(live.num_pages());
+        Ok(std::mem::replace(live, clean))
     }
 }
 
@@ -270,7 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_dirty_clears_the_bitmap_and_rings() {
+    fn snapshot_dirty_clears_the_bitmap() {
         use crate::xen::XenHypervisor;
         use crate::{PageId, VcpuId};
         let mut host = XenHypervisor::new(ByteSize::from_gib(16));
@@ -285,9 +284,13 @@ mod tests {
         let snap = host.snapshot_dirty(vm).unwrap();
         assert_eq!(snap.count(), 1);
         assert!(snap.pages_in_range(0, 16).contains(&PageId::new(3)));
+        // The snapshot covers the whole guest, not just the dirty prefix.
+        let pages = host.vm(vm).unwrap().memory().num_pages();
+        assert_eq!(snap.num_pages(), pages);
         // A second snapshot sees a clean slate.
         let snap2 = host.snapshot_dirty(vm).unwrap();
         assert_eq!(snap2.count(), 0);
+        assert_eq!(snap2.num_pages(), pages);
     }
 
     #[test]

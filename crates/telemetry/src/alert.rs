@@ -1,14 +1,17 @@
 //! Deterministic alert engine.
 //!
-//! A fixed, declaratively-parameterised rule set is evaluated once per
+//! A fixed rule set with fixed thresholds is evaluated once per
 //! committed epoch against an [`AlertSample`] — the epoch's degradation,
 //! period, retry count, health states, and flight-recorder drop
 //! counter. Rules keep just enough integer history (ring buffers of
 //! recent epochs) to evaluate multi-window conditions, and every
 //! firing/resolved edge is appended to an ordered [`AlertEvent`] log.
 //!
-//! Everything is integer arithmetic over virtual-time inputs, and rules
-//! are evaluated in a fixed declaration order, so the same seeded run
+//! The one input a run chooses is the SLO target `d_target` (its dynamic
+//! period policy's `D`, else [`DEFAULT_D_TARGET_PPM`]). Everything is
+//! integer arithmetic over virtual-time inputs, with ratios in
+//! parts-per-million (ppm), and rules are evaluated in a fixed
+//! declaration order, so the same seeded run
 //! produces a byte-identical alert log — the property `repro health`
 //! gates in CI.
 //!
@@ -16,12 +19,12 @@
 //!
 //! | rule | fires when |
 //! |---|---|
-//! | `slo_burn_rate` | mean `D_T` over the short *and* long window both exceed `burn_multiple_x × d_target` |
+//! | `slo_burn_rate` | mean `D_T` over the short (3-epoch) *and* long (12-epoch) window both exceed `2 × d_target` |
 //! | `stale_replica` | any replica's health state is `Stale` |
-//! | `retry_storm` | transfer retries over the retry window reach the storm threshold |
+//! | `retry_storm` | transfer retries over the last 4 epochs reach 6 |
 //! | `quorum_at_risk` | serviceable replicas have fallen to (or below) the quorum size |
-//! | `period_oscillation` | the controller's period direction flips ≥ `oscillation_min_flips` times in the window |
-//! | `flight_recorder_drops` | the flight ring dropped events in `drop_window_epochs` consecutive epochs |
+//! | `period_oscillation` | the controller's period direction flips ≥ 5 times in the last 8 epochs |
+//! | `flight_recorder_drops` | the flight ring dropped events in 3 consecutive epochs |
 
 use std::collections::VecDeque;
 
@@ -114,47 +117,29 @@ impl AlertEvent {
     }
 }
 
-/// Declarative rule thresholds. All integer; ratios are expressed in
-/// parts-per-million (ppm) so evaluation is exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AlertRules {
-    /// SLO target for client-visible degradation `D_T`, in ppm.
-    pub d_target_ppm: u64,
-    /// Burn multiple: the mean `D_T` must exceed `burn_multiple_x ×
-    /// d_target_ppm` in *both* burn windows to fire.
-    pub burn_multiple_x: u64,
-    /// Short burn window, in epochs.
-    pub burn_short_epochs: usize,
-    /// Long burn window, in epochs.
-    pub burn_long_epochs: usize,
-    /// Transfer retries within the retry window that count as a storm.
-    pub retry_storm_threshold: u64,
-    /// Retry-storm window, in epochs.
-    pub retry_window_epochs: usize,
-    /// Period-oscillation window, in epochs.
-    pub oscillation_window_epochs: usize,
-    /// Direction flips within the window that count as oscillation.
-    pub oscillation_min_flips: u64,
-    /// Consecutive epochs with fresh flight-recorder drops that fire
-    /// the drop alert.
-    pub drop_window_epochs: u64,
-}
+/// SLO target for client-visible degradation `D_T` when the run does not
+/// set one (a fixed period): 50 000 ppm, `D_T ≤ 5 %`, the paper's
+/// headline target.
+pub const DEFAULT_D_TARGET_PPM: u64 = 50_000;
 
-impl Default for AlertRules {
-    fn default() -> Self {
-        AlertRules {
-            d_target_ppm: 50_000, // D_T ≤ 5% — the paper's headline target
-            burn_multiple_x: 2,
-            burn_short_epochs: 3,
-            burn_long_epochs: 12,
-            retry_storm_threshold: 6,
-            retry_window_epochs: 4,
-            oscillation_window_epochs: 8,
-            oscillation_min_flips: 5,
-            drop_window_epochs: 3,
-        }
-    }
-}
+/// Burn multiple: the mean `D_T` must exceed this many times the target
+/// in *both* burn windows to fire.
+const BURN_MULTIPLE_X: u64 = 2;
+/// Short burn window, in epochs.
+const BURN_SHORT_EPOCHS: usize = 3;
+/// Long burn window, in epochs.
+const BURN_LONG_EPOCHS: usize = 12;
+/// Transfer retries within the retry window that count as a storm.
+const RETRY_STORM_THRESHOLD: u64 = 6;
+/// Retry-storm window, in epochs.
+const RETRY_WINDOW_EPOCHS: usize = 4;
+/// Period-oscillation window, in epochs.
+const OSCILLATION_WINDOW_EPOCHS: usize = 8;
+/// Direction flips within the window that count as oscillation.
+const OSCILLATION_MIN_FLIPS: u64 = 5;
+/// Consecutive epochs with fresh flight-recorder drops that fire the drop
+/// alert.
+const DROP_WINDOW_EPOCHS: u64 = 3;
 
 /// One epoch's inputs to the engine.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -184,7 +169,7 @@ pub struct AlertSample {
 /// Evaluates the rule set each epoch and keeps the ordered alert log.
 #[derive(Debug, Clone)]
 pub struct AlertEngine {
-    rules: AlertRules,
+    d_target_ppm: u64,
     firing: [bool; RULE_COUNT],
     degradation: VecDeque<u64>,
     retries: VecDeque<u64>,
@@ -195,10 +180,11 @@ pub struct AlertEngine {
 }
 
 impl AlertEngine {
-    /// An engine with the given thresholds and an empty log.
-    pub fn new(rules: AlertRules) -> Self {
+    /// An engine judging degradation against `d_target_ppm` (the SLO
+    /// target `D_T`, in ppm), with an empty log.
+    pub fn new(d_target_ppm: u64) -> Self {
         AlertEngine {
-            rules,
+            d_target_ppm,
             firing: [false; RULE_COUNT],
             degradation: VecDeque::new(),
             retries: VecDeque::new(),
@@ -209,11 +195,6 @@ impl AlertEngine {
         }
     }
 
-    /// The thresholds the engine was built with.
-    pub fn rules(&self) -> AlertRules {
-        self.rules
-    }
-
     /// Evaluates every rule against one epoch's sample, in declaration
     /// order, appending firing/resolved edges to the log. Returns the
     /// edges that fired this evaluation.
@@ -221,17 +202,13 @@ impl AlertEngine {
         push_capped(
             &mut self.degradation,
             sample.degradation_ppm,
-            self.rules.burn_long_epochs,
+            BURN_LONG_EPOCHS,
         );
-        push_capped(
-            &mut self.retries,
-            sample.retries,
-            self.rules.retry_window_epochs,
-        );
+        push_capped(&mut self.retries, sample.retries, RETRY_WINDOW_EPOCHS);
         push_capped(
             &mut self.periods,
             sample.period_nanos,
-            self.rules.oscillation_window_epochs,
+            OSCILLATION_WINDOW_EPOCHS,
         );
         let drop_delta = sample.flight_dropped.saturating_sub(self.prev_dropped);
         self.prev_dropped = sample.flight_dropped;
@@ -241,24 +218,19 @@ impl AlertEngine {
             0
         };
 
-        let burn_floor_ppm = self.rules.burn_multiple_x * self.rules.d_target_ppm;
-        let short_sum: u64 = self
-            .degradation
-            .iter()
-            .rev()
-            .take(self.rules.burn_short_epochs)
-            .sum();
-        let short_n = self.degradation.len().min(self.rules.burn_short_epochs) as u64;
+        let burn_floor_ppm = BURN_MULTIPLE_X * self.d_target_ppm;
+        let short_sum: u64 = self.degradation.iter().rev().take(BURN_SHORT_EPOCHS).sum();
+        let short_n = self.degradation.len().min(BURN_SHORT_EPOCHS) as u64;
         let long_sum: u64 = self.degradation.iter().sum();
         // The long window always divides by its full width: epochs that
         // have not happened yet count as zero burn, so a single early
         // spike cannot satisfy both windows at once.
-        let long_n = self.rules.burn_long_epochs as u64;
+        let long_n = BURN_LONG_EPOCHS as u64;
         // mean > floor  ⇔  sum > floor × n, exactly, in integers.
         let burning = short_sum > burn_floor_ppm * short_n && long_sum > burn_floor_ppm * long_n;
 
         let retry_sum: u64 = self.retries.iter().sum();
-        let storming = retry_sum >= self.rules.retry_storm_threshold;
+        let storming = retry_sum >= RETRY_STORM_THRESHOLD;
 
         let at_risk = sample.replicas > 1
             && sample.serviceable < sample.replicas
@@ -277,9 +249,9 @@ impl AlertEngine {
             }
             prev_dir = dir;
         }
-        let oscillating = flips >= self.rules.oscillation_min_flips;
+        let oscillating = flips >= OSCILLATION_MIN_FLIPS;
 
-        let dropping = self.drop_streak >= self.rules.drop_window_epochs;
+        let dropping = self.drop_streak >= DROP_WINDOW_EPOCHS;
 
         let conditions: [(usize, &'static str, AlertSeverity, bool, String); RULE_COUNT] = [
             (
@@ -306,10 +278,7 @@ impl AlertEngine {
                 RULE_RETRY_STORM,
                 AlertSeverity::Warning,
                 storming,
-                format!(
-                    "{} retries in the last {} epochs",
-                    retry_sum, self.rules.retry_window_epochs
-                ),
+                format!("{retry_sum} retries in the last {RETRY_WINDOW_EPOCHS} epochs"),
             ),
             (
                 3,
@@ -327,8 +296,7 @@ impl AlertEngine {
                 AlertSeverity::Warning,
                 oscillating,
                 format!(
-                    "{} period direction flips in the last {} epochs",
-                    flips, self.rules.oscillation_window_epochs
+                    "{flips} period direction flips in the last {OSCILLATION_WINDOW_EPOCHS} epochs"
                 ),
             ),
             (
@@ -393,7 +361,7 @@ impl AlertEngine {
 
 fn push_capped(ring: &mut VecDeque<u64>, value: u64, cap: usize) {
     ring.push_back(value);
-    while ring.len() > cap.max(1) {
+    while ring.len() > cap {
         ring.pop_front();
     }
 }
@@ -419,7 +387,7 @@ mod tests {
 
     #[test]
     fn quiet_run_fires_nothing() {
-        let mut engine = AlertEngine::new(AlertRules::default());
+        let mut engine = AlertEngine::new(DEFAULT_D_TARGET_PPM);
         for epoch in 1..=50 {
             assert!(engine.evaluate(&quiet_sample(epoch)).is_empty());
         }
@@ -429,7 +397,7 @@ mod tests {
 
     #[test]
     fn slo_burn_needs_both_windows_over_the_floor() {
-        let mut engine = AlertEngine::new(AlertRules::default());
+        let mut engine = AlertEngine::new(DEFAULT_D_TARGET_PPM);
         // One hot epoch: short window spikes but the long window holds.
         let mut s = quiet_sample(1);
         s.degradation_ppm = 900_000;
@@ -460,7 +428,7 @@ mod tests {
 
     #[test]
     fn stale_replica_and_quorum_fire_and_resolve_in_rule_order() {
-        let mut engine = AlertEngine::new(AlertRules::default());
+        let mut engine = AlertEngine::new(DEFAULT_D_TARGET_PPM);
         let mut s = quiet_sample(3);
         s.stale_replicas = vec![2];
         s.serviceable = 2;
@@ -478,7 +446,7 @@ mod tests {
 
     #[test]
     fn quorum_rule_ignores_single_replica_sets() {
-        let mut engine = AlertEngine::new(AlertRules::default());
+        let mut engine = AlertEngine::new(DEFAULT_D_TARGET_PPM);
         let mut s = quiet_sample(1);
         s.replicas = 1;
         s.quorum = 1;
@@ -488,7 +456,7 @@ mod tests {
 
     #[test]
     fn retry_storm_sums_over_the_window() {
-        let mut engine = AlertEngine::new(AlertRules::default());
+        let mut engine = AlertEngine::new(DEFAULT_D_TARGET_PPM);
         for epoch in 1..=3 {
             let mut s = quiet_sample(epoch);
             s.retries = 2;
@@ -504,7 +472,7 @@ mod tests {
 
     #[test]
     fn period_oscillation_counts_direction_flips() {
-        let mut engine = AlertEngine::new(AlertRules::default());
+        let mut engine = AlertEngine::new(DEFAULT_D_TARGET_PPM);
         for epoch in 1..=10 {
             let mut s = quiet_sample(epoch);
             s.period_nanos = if epoch % 2 == 0 {
@@ -519,7 +487,7 @@ mod tests {
 
     #[test]
     fn sustained_drops_fire_after_the_streak() {
-        let mut engine = AlertEngine::new(AlertRules::default());
+        let mut engine = AlertEngine::new(DEFAULT_D_TARGET_PPM);
         let mut dropped = 0;
         for epoch in 1..=3 {
             let mut s = quiet_sample(epoch);
@@ -536,7 +504,7 @@ mod tests {
 
     #[test]
     fn jsonl_log_is_ordered_and_escaped() {
-        let mut engine = AlertEngine::new(AlertRules::default());
+        let mut engine = AlertEngine::new(DEFAULT_D_TARGET_PPM);
         let mut s = quiet_sample(2);
         s.stale_replicas = vec![1];
         engine.evaluate(&s);

@@ -22,9 +22,11 @@
 //!
 //! with hysteresis in both directions: `Lagging` only clears once the
 //! replica is fully caught up, and a formerly-stale replica must stay
-//! clean for `recover_epochs` consecutive epochs before it counts as
-//! `Healthy` again. Driven only by epoch sequence numbers and virtual
-//! time, the trajectory is bit-deterministic for a seeded run.
+//! clean for `recover_epochs` (`RECOVER_EPOCHS`, 2) consecutive epochs
+//! before it counts as `Healthy` again. `stale_lag` is the topology's
+//! staleness bound, and `lagging_lag` follows from it: a quarter of it,
+//! at least 1. Driven only by epoch sequence numbers and virtual time, the
+//! trajectory is bit-deterministic for a seeded run.
 
 use serde::{Deserialize, Serialize};
 
@@ -61,28 +63,9 @@ impl HealthState {
     }
 }
 
-/// Thresholds for the state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HealthPolicy {
-    /// Epochs of ack lag at which a replica counts as lagging.
-    pub lagging_lag: u64,
-    /// Epochs of ack lag at which a replica counts as stale — align
-    /// this with the topology's `stale_epoch_lag`.
-    pub stale_lag: u64,
-    /// Consecutive clean epochs a recovering replica needs before it is
-    /// healthy again.
-    pub recover_epochs: u64,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            lagging_lag: 2,
-            stale_lag: 8,
-            recover_epochs: 2,
-        }
-    }
-}
+/// Consecutive clean epochs a recovering replica needs before it is
+/// healthy again.
+const RECOVER_EPOCHS: u64 = 2;
 
 /// One epoch's raw signals for one replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -123,17 +106,22 @@ struct ReplicaHealth {
 }
 
 impl ReplicaHealth {
-    fn step(&mut self, policy: &HealthPolicy, obs: &HealthObservation) -> Option<HealthState> {
+    fn step(
+        &mut self,
+        lagging_lag: u64,
+        stale_lag: u64,
+        obs: &HealthObservation,
+    ) -> Option<HealthState> {
         let clean = obs.lag_epochs == 0 && obs.backlog_pages == 0;
         self.clean_streak = if clean { self.clean_streak + 1 } else { 0 };
         let next = match self.state {
             HealthState::Healthy | HealthState::Lagging => {
-                if obs.lag_epochs >= policy.stale_lag {
+                if obs.lag_epochs >= stale_lag {
                     HealthState::Stale
                 } else if clean {
                     HealthState::Healthy
                 } else if self.state == HealthState::Lagging
-                    || obs.lag_epochs >= policy.lagging_lag
+                    || obs.lag_epochs >= lagging_lag
                     || obs.backlog_pages > 0
                 {
                     HealthState::Lagging
@@ -142,18 +130,18 @@ impl ReplicaHealth {
                 }
             }
             HealthState::Stale => {
-                if obs.lag_epochs >= policy.stale_lag {
+                if obs.lag_epochs >= stale_lag {
                     HealthState::Stale
-                } else if clean && self.clean_streak >= policy.recover_epochs {
+                } else if clean && self.clean_streak >= RECOVER_EPOCHS {
                     HealthState::Healthy
                 } else {
                     HealthState::Recovering
                 }
             }
             HealthState::Recovering => {
-                if obs.lag_epochs >= policy.stale_lag {
+                if obs.lag_epochs >= stale_lag {
                     HealthState::Stale
-                } else if clean && self.clean_streak >= policy.recover_epochs {
+                } else if clean && self.clean_streak >= RECOVER_EPOCHS {
                     HealthState::Healthy
                 } else {
                     HealthState::Recovering
@@ -169,16 +157,21 @@ impl ReplicaHealth {
 /// Tracks the health state machine for every replica of a set.
 #[derive(Debug, Clone)]
 pub struct HealthTracker {
-    policy: HealthPolicy,
+    lagging_lag: u64,
+    stale_lag: u64,
     replicas: Vec<ReplicaHealth>,
     transitions: Vec<HealthTransition>,
 }
 
 impl HealthTracker {
-    /// A tracker for `replicas` replicas, all starting healthy.
-    pub fn new(replicas: u32, policy: HealthPolicy) -> Self {
+    /// A tracker for `replicas` replicas, all starting healthy, that
+    /// judges a replica stale at `stale_lag` epochs of ack lag (the
+    /// topology's staleness bound) and lagging at a quarter of that, at
+    /// least 1.
+    pub fn new(replicas: u32, stale_lag: u64) -> Self {
         HealthTracker {
-            policy,
+            lagging_lag: (stale_lag / 4).max(1),
+            stale_lag,
             replicas: vec![
                 ReplicaHealth {
                     state: HealthState::Healthy,
@@ -188,11 +181,6 @@ impl HealthTracker {
             ],
             transitions: Vec::new(),
         }
-    }
-
-    /// The policy the tracker was built with.
-    pub fn policy(&self) -> HealthPolicy {
-        self.policy
     }
 
     /// Folds one epoch's observations into the machines and returns the
@@ -209,7 +197,7 @@ impl HealthTracker {
             let Some(replica) = self.replicas.get_mut(obs.replica as usize) else {
                 continue;
             };
-            if let Some(from) = replica.step(&self.policy, obs) {
+            if let Some(from) = replica.step(self.lagging_lag, self.stale_lag, obs) {
                 let transition = HealthTransition {
                     replica: obs.replica,
                     epoch,
@@ -273,17 +261,12 @@ mod tests {
         }
     }
 
-    fn policy() -> HealthPolicy {
-        HealthPolicy {
-            lagging_lag: 2,
-            stale_lag: 4,
-            recover_epochs: 2,
-        }
-    }
+    /// Stale at 8 epochs of lag, so lagging at 2.
+    const STALE_LAG: u64 = 8;
 
     #[test]
     fn quiet_replica_stays_healthy_with_no_transitions() {
-        let mut t = HealthTracker::new(2, policy());
+        let mut t = HealthTracker::new(2, STALE_LAG);
         for epoch in 1..=20 {
             let fired = t.observe(epoch, epoch * 1_000, &[obs(0, 0, 0), obs(1, 0, 0)]);
             assert!(fired.is_empty());
@@ -294,13 +277,13 @@ mod tests {
 
     #[test]
     fn full_degradation_and_recovery_trajectory() {
-        let mut t = HealthTracker::new(1, policy());
-        // Lag grows: healthy → lagging at 2 → stale at 4.
+        let mut t = HealthTracker::new(1, STALE_LAG);
+        // Lag grows: healthy → lagging at 2 → stale at 8.
         t.observe(1, 1, &[obs(0, 1, 0)]);
         assert_eq!(t.state(0), Some(HealthState::Healthy));
         t.observe(2, 2, &[obs(0, 2, 0)]);
         assert_eq!(t.state(0), Some(HealthState::Lagging));
-        t.observe(3, 3, &[obs(0, 4, 0)]);
+        t.observe(3, 3, &[obs(0, 8, 0)]);
         assert_eq!(t.state(0), Some(HealthState::Stale));
         assert_eq!(t.stale_replicas(), vec![0]);
         assert_eq!(t.serviceable(), 0);
@@ -328,7 +311,7 @@ mod tests {
 
     #[test]
     fn lagging_clears_only_when_fully_caught_up() {
-        let mut t = HealthTracker::new(1, policy());
+        let mut t = HealthTracker::new(1, STALE_LAG);
         t.observe(1, 1, &[obs(0, 2, 0)]);
         assert_eq!(t.state(0), Some(HealthState::Lagging));
         // Lag below the lagging threshold but non-zero: hysteresis holds.
@@ -339,8 +322,18 @@ mod tests {
     }
 
     #[test]
+    fn a_short_staleness_bound_still_marks_lag_one_lagging() {
+        // 3 / 4 rounds to 0; the floor keeps lagging below stale.
+        let mut t = HealthTracker::new(1, 3);
+        t.observe(1, 1, &[obs(0, 1, 0)]);
+        assert_eq!(t.state(0), Some(HealthState::Lagging));
+        t.observe(2, 2, &[obs(0, 3, 0)]);
+        assert_eq!(t.state(0), Some(HealthState::Stale));
+    }
+
+    #[test]
     fn backlog_alone_marks_a_replica_lagging() {
-        let mut t = HealthTracker::new(1, policy());
+        let mut t = HealthTracker::new(1, STALE_LAG);
         t.observe(1, 1, &[obs(0, 0, 64)]);
         assert_eq!(t.state(0), Some(HealthState::Lagging));
         t.observe(2, 2, &[obs(0, 0, 0)]);
@@ -349,12 +342,12 @@ mod tests {
 
     #[test]
     fn relapse_during_recovery_goes_back_to_stale() {
-        let mut t = HealthTracker::new(1, policy());
-        t.observe(1, 1, &[obs(0, 4, 0)]);
+        let mut t = HealthTracker::new(1, STALE_LAG);
+        t.observe(1, 1, &[obs(0, 8, 0)]);
         assert_eq!(t.state(0), Some(HealthState::Stale));
         t.observe(2, 2, &[obs(0, 1, 0)]);
         assert_eq!(t.state(0), Some(HealthState::Recovering));
-        t.observe(3, 3, &[obs(0, 5, 0)]);
+        t.observe(3, 3, &[obs(0, 9, 0)]);
         assert_eq!(t.state(0), Some(HealthState::Stale));
     }
 
@@ -363,8 +356,8 @@ mod tests {
         let feed: Vec<Vec<HealthObservation>> = (1..=30)
             .map(|e| vec![obs(0, e % 7, 0), obs(1, (e * 3) % 11, e % 2 * 10)])
             .collect();
-        let mut a = HealthTracker::new(2, policy());
-        let mut b = HealthTracker::new(2, policy());
+        let mut a = HealthTracker::new(2, STALE_LAG);
+        let mut b = HealthTracker::new(2, STALE_LAG);
         for (i, observations) in feed.iter().enumerate() {
             let epoch = i as u64 + 1;
             a.observe(epoch, epoch * 500, observations);

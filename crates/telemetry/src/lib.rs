@@ -28,11 +28,13 @@
 //!   metric + label, bit-deterministic for seeded runs.
 //! - [`health`]: the per-replica health state machine
 //!   (`Healthy → Lagging → Stale → Recovering`, with hysteresis) fed by
-//!   ack lag, backlog depth and retry counts.
-//! - [`alert`]: a deterministic alert engine evaluating declarative
-//!   rules (SLO burn rate, stale replica, retry storm, quorum at risk,
-//!   period oscillation, flight-recorder drops) each epoch into an
-//!   ordered firing/resolved log.
+//!   ack lag, backlog depth and retry counts; its thresholds follow from
+//!   the topology's staleness bound.
+//! - [`alert`]: a deterministic alert engine evaluating a fixed rule set
+//!   (SLO burn rate, stale replica, retry storm, quorum at risk, period
+//!   oscillation, flight-recorder drops) with fixed thresholds each epoch
+//!   into an ordered firing/resolved log; the SLO target is its one
+//!   input.
 //!
 //! ## Example
 //!
@@ -62,11 +64,13 @@ pub mod slo;
 pub mod span;
 pub mod timeseries;
 
-pub use alert::{AlertEngine, AlertEvent, AlertRules, AlertSample, AlertSeverity, AlertState};
+pub use alert::{
+    AlertEngine, AlertEvent, AlertSample, AlertSeverity, AlertState, DEFAULT_D_TARGET_PPM,
+};
 pub use chrome::{chrome_trace, spans_jsonl};
 pub use export::{json_escape, prometheus};
 pub use flight::FlightRecorder;
-pub use health::{HealthObservation, HealthPolicy, HealthState, HealthTracker, HealthTransition};
+pub use health::{HealthObservation, HealthState, HealthTracker, HealthTransition};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, MetricsRegistry,
     RegistrySnapshot,

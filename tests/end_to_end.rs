@@ -134,64 +134,53 @@ fn hang_and_starvation_failures_also_fail_over() {
 }
 
 #[test]
-fn failover_detection_matrix_scales_with_heartbeat_config_and_outcome() {
-    use here::replication::{HeartbeatConfig, STARVATION_DETECTION_FACTOR};
-    let heartbeats = [
-        (
-            "tight",
-            HeartbeatConfig {
-                period: SimDuration::from_millis(2),
-                missed_threshold: 1,
-            },
-        ),
-        ("default", HeartbeatConfig::default()),
-        (
-            "lossy",
-            HeartbeatConfig {
-                period: SimDuration::from_millis(25),
-                missed_threshold: 7,
-            },
-        ),
-    ];
-    let mut default_detection = Vec::new();
+fn failover_detection_matrix_scales_with_lost_heartbeats_and_outcome() {
+    use here::replication::{FaultKind, FaultPlan, HEARTBEAT, STARVATION_DETECTION_FACTOR};
+    let mut lossless_detection = Vec::new();
     for outcome in DosOutcome::ALL {
         let mut outages = Vec::new();
-        for (label, hb) in heartbeats {
+        for lost in [0u32, 2, 5] {
             let report = Scenario::builder()
                 .vm_memory_mib(64)
                 .vcpus(2)
                 .workload(Box::new(MemStress::with_percent(20).with_rate(5_000)))
-                .config(
-                    ReplicationConfig::fixed_period(SimDuration::from_secs(2)).with_heartbeat(hb),
-                )
+                .config(ReplicationConfig::fixed_period(SimDuration::from_secs(2)))
                 .duration(SimDuration::from_secs(30))
                 .failure(FailurePlan {
                     at: SimTime::from_secs(10),
                     cause: FailureCause::Accident(outcome),
                     reattack_secondary: false,
                 })
+                .chaos(FaultPlan::new(7).with_event(
+                    1,
+                    FaultKind::HeartbeatLoss {
+                        extra_periods: lost,
+                    },
+                ))
                 .build()
                 .expect("valid scenario")
                 .run();
             let fo = report
                 .failover
-                .unwrap_or_else(|| panic!("{outcome:?}/{label} must fail over"));
-            // Detection takes exactly the heartbeat budget — silenced
-            // heartbeats (crash/hang) at the base budget, a starved host's
-            // erratic ones a factor STARVATION_DETECTION_FACTOR slower.
+                .unwrap_or_else(|| panic!("{outcome:?}/lost {lost} must fail over"));
+            // Detection takes exactly the heartbeat budget plus the lost
+            // periods: silenced heartbeats (crash/hang) at the base
+            // budget, a starved host's erratic ones a factor
+            // STARVATION_DETECTION_FACTOR slower.
             let factor = if outcome == DosOutcome::Starvation {
                 STARVATION_DETECTION_FACTOR
             } else {
                 1
             };
+            let periods = u64::from(HEARTBEAT.missed_threshold + 1 + lost);
             let detection = fo.detected_at.saturating_duration_since(fo.failed_at);
             assert_eq!(
                 detection,
-                SimDuration::from_nanos(hb.detection_latency().as_nanos() * factor),
-                "{outcome:?}/{label}"
+                SimDuration::from_nanos(periods * HEARTBEAT.period.as_nanos() * factor),
+                "{outcome:?}/lost {lost}"
             );
-            if label == "default" {
-                default_detection.push(detection);
+            if lost == 0 {
+                lossless_detection.push(detection);
             }
             // Activation provably uses the last fully-acked epoch.
             assert_eq!(
@@ -201,22 +190,22 @@ fn failover_detection_matrix_scales_with_heartbeat_config_and_outcome() {
                     .last()
                     .expect("epochs committed before the failure")
                     .seq,
-                "{outcome:?}/{label}"
+                "{outcome:?}/lost {lost}"
             );
             assert!(report.ops_completed > 0.0);
             outages.push(fo.outage());
         }
         assert!(
             outages[0] < outages[1] && outages[1] < outages[2],
-            "{outcome:?}: outage must order tight < default < lossy, got {outages:?}"
+            "{outcome:?}: outage must rise with lost heartbeats, got {outages:?}"
         );
     }
-    // Across outcomes under the default config: hangs are indistinguishable
+    // Across outcomes with no heartbeat lost: hangs are indistinguishable
     // from crashes, starvation is exactly 10x slower to detect.
-    assert_eq!(default_detection[0], default_detection[1]);
+    assert_eq!(lossless_detection[0], lossless_detection[1]);
     assert_eq!(
-        default_detection[2].as_nanos(),
-        default_detection[0].as_nanos() * STARVATION_DETECTION_FACTOR
+        lossless_detection[2].as_nanos(),
+        lossless_detection[0].as_nanos() * STARVATION_DETECTION_FACTOR
     );
 }
 
