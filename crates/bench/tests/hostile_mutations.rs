@@ -751,6 +751,29 @@ fn hostile_mutations_incident_bundle() {
     });
 }
 
+/// Every `bundle:` corpus line is a non-canonical spelling of a valid
+/// bundle, sealed under the current version. The fuzz replay counts any
+/// rejection as a pass, so a line left at an old version (or with a stale
+/// `len`/`crc`) would pass at the header without reaching the payload
+/// parser it guards: each must fail at the canonical re-encode instead.
+#[test]
+fn hostile_mutations_bundle_corpus_reaches_the_payload() {
+    let mut lines = 0;
+    for line in CORPUS.lines() {
+        if let Some(input) = line.strip_prefix("bundle:") {
+            let bytes = unhex(input);
+            let text = std::str::from_utf8(&bytes).expect("corpus bundle is UTF-8");
+            let err = IncidentBundle::decode(text).expect_err("corpus bundle is rejected");
+            assert!(
+                format!("{err}").contains("not the canonical encoding"),
+                "bundle corpus line {lines}: {err}"
+            );
+            lines += 1;
+        }
+    }
+    assert_eq!(lines, 4, "bundle corpus lines");
+}
+
 #[test]
 fn hostile_mutations_json_parser() {
     let seeds = [
