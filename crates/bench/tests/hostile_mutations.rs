@@ -1,8 +1,8 @@
 //! Mutation fuzzing of the four decoders that take bytes from outside:
-//! the v2/v3 `StreamDecoder` (whole streams), `decode_page_columns` and
-//! the receive path behind `SegmentRestorer::accept` (bare lane
-//! segments), the `IncidentBundle` reader and `here-bench`'s
-//! `json::parse`.
+//! the v2/v3 `StreamDecoder` (whole streams, page-columns records
+//! included) and the two-pass receive path behind
+//! `SegmentRestorer::accept` (bare lane segments), the `IncidentBundle`
+//! reader and `here-bench`'s `json::parse`.
 //!
 //! Each target starts from valid encodings, applies one to three
 //! structure-aware mutations (bit flip, byte smash, truncate, splice, a

@@ -758,18 +758,14 @@ mod tests {
     #[test]
     fn a_staged_error_surfaces_where_the_serial_apply_raises_it() {
         // Replica 1's committed base is 5, the stream names 0 and it has
-        // no backlog to rebase onto: its phase 1 fails. Replica 0 must
-        // already hold the epoch, replica 2 must not, every staging
-        // buffer must be back with its replica, and the log must end
-        // where the serial loop's does, whatever the helper count.
+        // no backlog to rebase onto: its pass 1 fails. Replica 0 must
+        // already hold the epoch, replica 2 must not, and the log must
+        // end where the serial loop's does, whatever the helper count.
         let outcomes: Vec<_> = (0..=3)
             .map(|helpers| {
                 let mut session = fanout_session(vec![3, 3, 3], FaultPlan::new(1), 20_000);
                 session.fanout_helpers = helpers;
                 session.replicas.get_mut(1).base_epoch = 5;
-                for replica in 0..3 {
-                    session.replicas.get_mut(replica).apply.reserve(8);
-                }
                 let vm = session.primary.vm_mut(session.pvm).unwrap();
                 for frame in [3, 4, 900] {
                     vm.guest_write(PageId::new(frame), VcpuId::new(0)).unwrap();
@@ -783,7 +779,6 @@ mod tests {
                     .replicas
                     .iter()
                     .map(|member| {
-                        assert!(member.apply.is_empty() && member.apply.capacity() >= 8);
                         let vm = member.host.vm(member.vm).unwrap();
                         vm.memory().touched_pages()
                     })

@@ -54,9 +54,9 @@ use here_vmstate::cir::CpuStateCir;
 use here_vmstate::simd;
 use here_vmstate::translate::{StateTranslator, TranslateResult};
 use here_vmstate::wire::{
-    encode_page_batch_into, encode_page_columns_meta_into, write_preamble_versioned,
-    PageDataWriter, PagePayload, Record, ScatterStream, Staged, StreamDecoder, PAGE_CONTENT_BYTES,
-    PAGE_META_BYTES, VERSION,
+    encode_page_batch_into, encode_page_columns_meta_into, write_preamble_versioned, Checked,
+    PageDataWriter, PageFrame, PagePayload, Record, ScatterStream, StreamDecoder,
+    PAGE_CONTENT_BYTES, PAGE_META_BYTES, VERSION,
 };
 use here_vmstate::MemoryDelta;
 
@@ -961,35 +961,72 @@ impl VerifyScratch {
     }
 }
 
-/// One receive step: [`stage_next`], or in tests the reference it
-/// replaced.
-pub(crate) type ReceiveStep = fn(
+/// One record as the receive path's first pass hands it on: a page
+/// record's page count and delta base (its pages went to the pass's
+/// page sink), or any other record whole. Not boxed, for [`Record`]'s
+/// reason: one is built per frame and matched at once.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub(crate) enum Received {
+    Pages {
+        count: usize,
+        base_epoch: Option<u64>,
+    },
+    Record(Record),
+}
+
+/// Pass 1's receipt: the page records of one stream or segment, each
+/// checked whole with every frame inside the replica it was checked
+/// against, and none parsed into pages. Only [`verify_next`] adds to it;
+/// [`install_verified`] consumes it.
+#[derive(Debug, Default)]
+pub(crate) struct Verified(Vec<PageFrame>);
+
+impl Verified {
+    /// Pages the verified records carry.
+    pub(crate) fn pages(&self) -> u64 {
+        self.0.iter().map(|frame| frame.len() as u64).sum()
+    }
+}
+
+/// One step of the receive path's first pass, with its page sink:
+/// [`verify_next`] into a [`Verified`] receipt, or in tests the
+/// record-then-stage reference into a list of pairs.
+pub(crate) type ReceiveStep<P> = fn(
     &mut StreamDecoder,
     &GuestMemory,
     Option<&mut VerifyScratch>,
-    &mut Vec<(PageId, PageVersion)>,
-) -> CoreResult<Option<Staged>>;
+    &mut P,
+) -> CoreResult<Option<Received>>;
 
-/// The receive path's decode and verify, one record at a time: decodes
-/// the next record of `dec` and stages its pages onto `replica`. Pages
-/// that carry no bytes land in `staged` straight from the wire and only
-/// the range check remains; a record that comes back whole goes through
-/// [`stage`]. `None` at a clean end of stream. Nothing is written: after
-/// an `Err` the caller discards `staged` and the replica is as it was.
-pub(crate) fn stage_next(
+/// Pass 1 of the receive path, one record at a time: the next record of
+/// `dec`, checked whole ([`StreamDecoder::next_checked`]). A page record
+/// must name only frames inside `replica` and, when `verify` lends its
+/// scratch, carry in each payload the image its version record mandates;
+/// it joins `verified` with its pages parsed into nothing. `None` at a
+/// clean end of stream. Nothing is written: after an `Err` the caller
+/// drops `verified` and the replica is as it was.
+pub(crate) fn verify_next(
     dec: &mut StreamDecoder,
     replica: &GuestMemory,
     verify: Option<&mut VerifyScratch>,
-    staged: &mut Vec<(PageId, PageVersion)>,
-) -> CoreResult<Option<Staged>> {
-    let Some(next) = dec.next_record_into(staged)? else {
-        return Ok(None);
+    verified: &mut Verified,
+) -> CoreResult<Option<Received>> {
+    let frame = match dec.next_checked()? {
+        None => return Ok(None),
+        Some(Checked::Record(record)) => return Ok(Some(Received::Record(record))),
+        Some(Checked::Pages(frame)) => frame,
     };
-    match &next {
-        Staged::Pages { top, .. } => check_in_range(*top, replica)?,
-        Staged::Record(record) => stage(record, replica, verify, staged)?,
+    check_in_range(frame.top(), replica)?;
+    if let Some(scratch) = verify {
+        check_content(&frame.record(), replica, scratch)?;
     }
-    Ok(Some(next))
+    let received = Received::Pages {
+        count: frame.len(),
+        base_epoch: frame.base_epoch(),
+    };
+    verified.0.push(frame);
+    Ok(Some(received))
 }
 
 /// The range check: `top`, the highest frame a page record named, lies
@@ -1002,46 +1039,16 @@ fn check_in_range(top: u64, replica: &GuestMemory) -> CoreResult<()> {
     Ok(())
 }
 
-/// The *verify* step of the receive path: appends the pages `record`
-/// carries to `staged` once every frame is inside `replica` and, when
-/// `verify` lends its scratch, each payload's content is the
-/// deterministic image its `(frame, version)` record mandates — a delta
-/// is applied to the replica's present copy of the page, that is, the
-/// image before anything staged is installed. Records that carry no
-/// pages stage nothing. Nothing is written: after an `Err` the caller
-/// discards `staged` and the replica is as it was.
-pub(crate) fn stage(
+/// The content check: each payload `record` carries is the deterministic
+/// image its `(frame, version)` record mandates — a delta is applied to
+/// the replica's present copy of the page, that is, the image before
+/// anything of this stream is installed. Records that carry no page bytes
+/// pass.
+fn check_content(
     record: &Record,
     replica: &GuestMemory,
-    verify: Option<&mut VerifyScratch>,
-    staged: &mut Vec<(PageId, PageVersion)>,
+    scratch: &mut VerifyScratch,
 ) -> CoreResult<()> {
-    // The range check rides the copy: one pass, no second walk of an
-    // epoch's worth of entries.
-    let mut top = 0;
-    let mut note = |page: PageId, rec: PageVersion| {
-        top = top.max(page.frame());
-        (page, rec)
-    };
-    match record {
-        Record::PageBatch(batch) => {
-            staged.extend(batch.entries().iter().map(|&(page, rec)| note(page, rec)))
-        }
-        Record::PageDataBatch(batch) => {
-            staged.extend(batch.pages().iter().map(|&(page, rec, _)| note(page, rec)))
-        }
-        Record::PageColumns(batch) => staged.extend(
-            batch
-                .entries()
-                .iter()
-                .map(|&(page, rec, _)| note(page, rec)),
-        ),
-        _ => return Ok(()),
-    }
-    check_in_range(top, replica)?;
-    let Some(scratch) = verify else {
-        return Ok(());
-    };
     let diverged = |page: PageId| {
         CoreError::InvalidScenario(format!(
             "page {} content diverged from its version record",
@@ -1082,12 +1089,16 @@ pub(crate) fn stage(
     Ok(())
 }
 
-/// The *install* step: writes what [`stage`] verified. It cannot fail —
-/// `stage` checked every frame against this replica.
-pub(crate) fn install_staged(replica: &mut GuestMemory, staged: &[(PageId, PageVersion)]) {
-    replica
-        .install_batch(staged)
-        .expect("stage() checked every frame against this replica");
+/// Pass 2 of the receive path: installs what [`verify_next`] verified
+/// into `replica`, the memory it was checked against, each record's pages
+/// in stream order, so a frame listed twice ends with its later record.
+/// Parse and store only: pass 1 checked every byte and placed every frame
+/// inside `replica`, so nothing here can fail.
+pub(crate) fn install_verified(replica: &mut GuestMemory, verified: Verified) {
+    let records = replica.records_mut();
+    for frame in &verified.0 {
+        frame.for_each_page(|page, rec| records[page.frame() as usize] = rec);
+    }
 }
 
 /// The receive side of the data plane: accepts lane segments one at a
@@ -1095,21 +1106,20 @@ pub(crate) fn install_staged(replica: &mut GuestMemory, staged: &[(PageId, PageV
 /// the still-running encode lanes. Each accepted segment must hold
 /// complete records (every segment [`encode_pages_round`] produces does).
 ///
-/// A segment goes through three phases — *decode* (frame and column
-/// checksums, structure), *verify* (every frame inside the replica and,
+/// A segment is read in two passes over its own bytes: *verify* (frame
+/// and column checksums, structure, every frame inside the replica and,
 /// with `verify_content`, every payload the image its version record
-/// mandates; touches nothing), *install* (cannot fail) — and the third
-/// runs only when the whole segment passed the first two. So a segment
-/// [`accept`](SegmentRestorer::accept) rejects changes no page, and
-/// [`installed`](SegmentRestorer::installed) is always what the replica
-/// holds.
+/// mandates; stores no page and touches nothing), then *install* (parse
+/// and store, cannot fail), which runs only when the whole segment
+/// passed the first. So a segment [`accept`](SegmentRestorer::accept)
+/// rejects changes no page, and [`installed`](SegmentRestorer::installed)
+/// is always what the replica holds.
 #[derive(Debug)]
 pub struct SegmentRestorer<'a> {
     replica: &'a mut GuestMemory,
     /// The content check's page images; `None` when it is off.
     verify: Option<Box<VerifyScratch>>,
     preamble: Bytes,
-    staged: Vec<(PageId, PageVersion)>,
     installed: u64,
 }
 
@@ -1128,7 +1138,6 @@ impl<'a> SegmentRestorer<'a> {
             replica,
             verify: verify_content.then(|| Box::new(VerifyScratch::new())),
             preamble: head.freeze(),
-            staged: Vec::new(),
             installed: 0,
         }
     }
@@ -1146,15 +1155,15 @@ impl<'a> SegmentRestorer<'a> {
         let mut stream = ScatterStream::from(self.preamble.clone());
         stream.push(segment.clone());
         let mut dec = StreamDecoder::new_scattered(stream)?;
-        self.staged.clear();
+        let mut verified = Verified::default();
         loop {
-            let verify = self.verify.as_deref_mut();
-            if stage_next(&mut dec, self.replica, verify, &mut self.staged)?.is_none() {
+            let scratch = self.verify.as_deref_mut();
+            if verify_next(&mut dec, self.replica, scratch, &mut verified)?.is_none() {
                 break;
             }
         }
-        install_staged(self.replica, &self.staged);
-        self.installed += self.staged.len() as u64;
+        self.installed += verified.pages();
+        install_verified(self.replica, verified);
         Ok(())
     }
 
@@ -1174,7 +1183,7 @@ mod tests {
     use here_sim_core::rate::ByteSize;
     use here_vmstate::wire::{
         checksum, encode_record_into, frame_checksum, write_preamble, COLUMNS_HEADER_BYTES,
-        PREAMBLE_BYTES,
+        PREAMBLE_BYTES, VERSION_V3,
     };
     use proptest::prelude::*;
 
@@ -1861,14 +1870,18 @@ mod tests {
         }
     }
 
+    /// Pages of the replica the generated records are received into.
+    const REPLICA_PAGES: u64 = 1024;
+
     /// One page of a generated page record: frame, version, writer. The
-    /// frames make gaps of 0, negative, huge (and past `i64::MAX`), the
+    /// frames make gaps of 0, negative, huge (and past `i64::MAX`), and
+    /// about one in six falls outside a [`REPLICA_PAGES`] replica; the
     /// versions and writers sit near zero or their type's maximum.
     fn page_strategy() -> impl Strategy<Value = (u64, u32, u16)> {
         (0u8..8, any::<u64>()).prop_map(|(pick, x)| {
             let frame = match pick {
                 0..=3 => x % 64,
-                4..=5 => x % 20_000,
+                4..=5 => x % 1_200,
                 _ => x,
             };
             let near_max = pick % 4 == 3;
@@ -1942,31 +1955,54 @@ mod tests {
         here_vmstate::wire::encode_page_columns_into(&batch, out);
     }
 
-    /// `segment` received record by record through `receive` into a
-    /// 64 MiB replica: the pairs staged, or the error, variant and
-    /// message (`Debug`).
-    fn receive_all(
+    /// `segment` received by the two passes ([`SegmentRestorer::accept`])
+    /// into a copy of `base`: the records it leaves, or the error, variant
+    /// and message (`Debug`). A rejected segment must leave `base` as it
+    /// was.
+    fn two_pass(
         segment: &[u8],
         version: u16,
-        receive: ReceiveStep,
-        replica: &GuestMemory,
-    ) -> Result<Vec<u64>, String> {
+        base: &GuestMemory,
+    ) -> Result<Vec<PageVersion>, String> {
+        let mut replica = base.clone();
+        let mut restorer = SegmentRestorer::new_versioned(&mut replica, false, version);
+        match restorer.accept(&Bytes::from(segment.to_vec())) {
+            Ok(()) => Ok(replica.records().to_vec()),
+            Err(e) => {
+                assert_eq!(restorer.installed(), 0);
+                assert!(&replica == base, "a rejected segment installed pages");
+                Err(format!("{e:?}"))
+            }
+        }
+    }
+
+    /// `segment` through the record-then-stage reference, then its staged
+    /// pairs stored in order into a copy of `base`'s record table, as
+    /// `GuestMemory::install_batch` stores them (the reference
+    /// range-checked every frame): the records, or the error, variant and
+    /// message (`Debug`).
+    fn reference_install(
+        segment: &[u8],
+        version: u16,
+        base: &GuestMemory,
+    ) -> Result<Vec<PageVersion>, String> {
         let mut head = BytesMut::new();
         write_preamble_versioned(&mut head, version);
         head.extend_from_slice(segment);
         let mut dec = StreamDecoder::new(head.freeze()).map_err(|e| format!("{e:?}"))?;
         let mut staged = Vec::new();
         loop {
-            match receive(&mut dec, replica, None, &mut staged) {
+            match reference::stage_next(&mut dec, base, None, &mut staged) {
                 Ok(Some(_)) => {}
                 Ok(None) => break,
                 Err(e) => return Err(format!("{e:?}")),
             }
         }
-        Ok(staged
-            .iter()
-            .flat_map(|(page, rec)| [page.frame(), rec.version.into(), rec.last_writer.into()])
-            .collect())
+        let mut records = base.records().to_vec();
+        for (page, rec) in staged {
+            records[page.frame() as usize] = rec;
+        }
+        Ok(records)
     }
 
     /// Re-seals every whole frame of `segment` after an edit: a columns
@@ -2005,19 +2041,26 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The staging decode stages exactly the pairs the record-then-
-        /// `stage` reference stages, in order, and on every truncation
-        /// and every single-byte edit (raw, and re-sealed so it passes
-        /// the checksums) raises the same error, variant and message.
+        /// The two-pass receive installs exactly what the record-then-
+        /// `stage` reference installs (a frame listed twice ends with its
+        /// later record), on every truncation and every single-byte edit
+        /// re-sealed so it passes the checksums raises the same error,
+        /// variant and message, and refuses every single-byte edit left
+        /// unsealed, installing nothing. The replica's image is not empty
+        /// beforehand, so a page installed twice or not at all shows.
         #[test]
-        fn staging_decode_matches_the_reference(
+        fn two_pass_receive_installs_what_the_reference_installs(
             full_pages in any::<bool>(),
             records in proptest::collection::vec(record_strategy(false), 1..4),
             with_full in proptest::collection::vec(record_strategy(true), 1..3),
         ) {
             let records = if full_pages { with_full } else { records };
-            let replica = GuestMemory::new(ByteSize::from_mib(64)).unwrap();
-            for version in [VERSION, here_vmstate::wire::VERSION_V3] {
+            let mut base =
+                GuestMemory::new(ByteSize::from_bytes(REPLICA_PAGES * PAGE_SIZE)).unwrap();
+            for frame in (0..REPLICA_PAGES).step_by(3) {
+                base.write_page(PageId::new(frame), here_hypervisor::VcpuId::new(1)).unwrap();
+            }
+            for version in [VERSION, VERSION_V3] {
                 let mut segment = BytesMut::new();
                 for record in &records {
                     if version == VERSION && record.0 {
@@ -2025,33 +2068,41 @@ mod tests {
                     }
                     encode_generated(record, &mut segment);
                 }
+                if let Some(first) = records.iter().find(|r| version == VERSION_V3 || !r.0) {
+                    // The first record again, one version on: every frame
+                    // in it listed twice, and the later record must win.
+                    let mut again = first.clone();
+                    again.1.iter_mut().for_each(|page| page.1 = page.1.wrapping_add(1));
+                    encode_generated(&again, &mut segment);
+                }
                 encode_record_into(&Record::Ack { seq: 1 }, &mut segment);
                 let same = |bytes: &[u8]| {
-                    let staged = receive_all(bytes, version, stage_next, &replica);
-                    let want = receive_all(bytes, version, reference::stage_next, &replica);
-                    (staged == want).then_some(()).ok_or((staged, want))
+                    let got = two_pass(bytes, version, &base);
+                    let want = reference_install(bytes, version, &base);
+                    (got == want).then_some(()).ok_or((got, want))
                 };
-                if let Err((staged, want)) = same(&segment) {
-                    prop_assert_eq!(staged, want, "honest");
+                if let Err((got, want)) = same(&segment) {
+                    prop_assert_eq!(got, want, "honest");
                 }
                 if full_pages {
                     continue; // 4 KiB pages: the edits below would be slow
                 }
                 for cut in 0..segment.len() {
-                    if let Err((staged, want)) = same(&segment[..cut]) {
-                        prop_assert_eq!(staged, want, "cut at {}", cut);
+                    if let Err((got, want)) = same(&segment[..cut]) {
+                        prop_assert_eq!(got, want, "cut at {}", cut);
                     }
                 }
                 for at in 0..segment.len() {
                     for mask in [1u8, 2, 4, 8, 16, 32, 64, 128, 0xff] {
                         let mut edited = segment.to_vec();
                         edited[at] ^= mask;
-                        if let Err((staged, want)) = same(&edited) {
-                            prop_assert_eq!(staged, want, "byte {} ^ {:#x}", at, mask);
-                        }
+                        prop_assert!(
+                            two_pass(&edited, version, &base).is_err(),
+                            "byte {} ^ {:#x} was accepted", at, mask
+                        );
                         reseal(&mut edited);
-                        if let Err((staged, want)) = same(&edited) {
-                            prop_assert_eq!(staged, want, "byte {} ^ {:#x}, resealed", at, mask);
+                        if let Err((got, want)) = same(&edited) {
+                            prop_assert_eq!(got, want, "byte {} ^ {:#x}, resealed", at, mask);
                         }
                     }
                 }

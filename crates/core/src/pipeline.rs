@@ -93,9 +93,8 @@ impl<'s> Paused<'s> {
         let snapshot = session.take_dirty_snapshot();
         // The harvest reuses the session's pooled delta, per-chunk count
         // scratch and workers: none is regrown or respawned in the steady
-        // state.
+        // state, and last epoch's entries are overwritten, not cleared.
         let mut delta = std::mem::take(&mut session.pools.delta);
-        delta.clear();
         let harvest_start = std::time::Instant::now();
         {
             let vm = session.primary.vm(session.pvm)?;
@@ -251,7 +250,7 @@ impl<'s> Translated<'s> {
         // segments are sole-owner again, so the pool reclaims their
         // allocations.
         let apply_start = std::time::Instant::now();
-        let outcomes = session.fan_out(&streams, seq, pages as usize, |version| {
+        let outcomes = session.fan_out(&streams, seq, |version| {
             if version >= VERSION_V3 {
                 wire_v3
             } else {

@@ -22,7 +22,7 @@ use here_hypervisor::arch::Gpr;
 use here_hypervisor::fault::HostHealth;
 use here_hypervisor::host::Hypervisor;
 use here_hypervisor::kind::HypervisorKind;
-use here_hypervisor::memory::{GuestMemory, PageVersion};
+use here_hypervisor::memory::GuestMemory;
 use here_hypervisor::vcpu::{KvmVcpuState, VcpuStateBlob, XenVcpuState};
 use here_hypervisor::vm::{VmConfig, VmId};
 use here_hypervisor::{HvError, PageId, VcpuId, XenHypervisor, PAGE_SIZE};
@@ -34,8 +34,7 @@ use here_simnet::link::Link;
 use here_telemetry::health::HealthObservation;
 use here_vmstate::translate::StateTranslator;
 use here_vmstate::wire::{
-    encode_record_into, Record, ScatterStream, Staged, StreamDecoder, StreamEncoder, VERSION,
-    VERSION_V3,
+    encode_record_into, Record, ScatterStream, StreamDecoder, StreamEncoder, VERSION, VERSION_V3,
 };
 use here_vmstate::{reconcile, MemoryDelta, WireError};
 use here_workloads::idle::IdleGuest;
@@ -44,8 +43,8 @@ use here_workloads::traits::Workload;
 use crate::chaos::{corrupt_stream, ChaosState, FaultPlan, TransferFault};
 use crate::config::{ReplicationConfig, HEARTBEAT, RETRY};
 use crate::dataplane::{
-    encode_pages_round, install_staged, stage_next, translate_vcpus, CheckpointPools, EncodePlan,
-    LanePool, PayloadMode, ReceiveStep, PARALLEL_ENCODE_MIN_PAGES,
+    encode_pages_round, install_verified, translate_vcpus, verify_next, CheckpointPools,
+    EncodePlan, LanePool, PayloadMode, ReceiveStep, Received, Verified, PARALLEL_ENCODE_MIN_PAGES,
 };
 use crate::devmgr::DeviceManager;
 use crate::error::{CoreError, CoreResult};
@@ -166,9 +165,9 @@ pub(crate) struct Session {
     pub(crate) translator: Option<StateTranslator>,
     pub(crate) cfg: ReplicationConfig,
     pub(crate) threads: u32,
-    /// Pool workers the Transfer fan-out's phase 1 runs on beside the
+    /// Pool workers the Transfer fan-out's pass 1 runs on beside the
     /// calling thread: `min(threads, replicas) − 1`, so a Remus pair
-    /// stages serially.
+    /// checks serially.
     pub(crate) fanout_helpers: usize,
     pub(crate) period: PeriodManager,
     pub(crate) devmgr: DeviceManager,
@@ -572,10 +571,12 @@ impl Session {
     /// re-encoded in its host's native format, and the page count is
     /// cross-checked against the stream trailer.
     ///
-    /// The apply is **two-phase**: the whole stream is decoded and
-    /// validated into the replica's own staging buffer first (frame
-    /// checksums, every frame inside the replica's memory, trailer
-    /// cross-check, trailer presence), and only then installed. A torn,
+    /// The apply is **two passes over the stream's own bytes**: pass 1
+    /// ([`StageJob::run`]) checks the whole stream (frame and column
+    /// checksums, structure, every frame inside the replica, the vCPUs,
+    /// the delta base, the trailer cross-check and presence) and stores no
+    /// page; only then does pass 2 ([`Session::install_checkpoint`]) read
+    /// the verified page records again and install them. A torn,
     /// truncated or corrupted stream therefore can never leave a partial
     /// epoch on the replica — the previous committed epoch stays
     /// authoritative, which is the invariant the epoch-abort path and
@@ -583,37 +584,21 @@ impl Session {
     ///
     /// A successful apply first drains the replica's catch-up backlog
     /// (pages it missed while its link misbehaved), then installs the
-    /// staged epoch, so the newest version always wins on overlap.
+    /// epoch, so the newest version always wins on overlap.
     fn apply_checkpoint(
         &mut self,
         stream: ScatterStream,
         seq: u64,
         replica: u32,
     ) -> CoreResult<()> {
-        // Phase 1: decode + validate, touching nothing of the replica.
-        let mut staged = self.lend_staging(replica);
-        let verdict = self
+        let receipt = self
             .stage_job(stream, seq, replica)
-            .and_then(|job| job.run(&mut staged));
-        // Phase 2: install the fully validated epoch.
-        self.install_checkpoint(replica, StagedEpoch { staged, verdict })
+            .and_then(StageJob::run)?;
+        self.install_checkpoint(replica, receipt)
     }
 
-    /// Replica `replica`'s staging buffer, cleared, lent to one phase 1.
-    fn lend_staging(&mut self, replica: u32) -> Vec<(PageId, PageVersion)> {
-        let mut staged = std::mem::take(&mut self.replicas.get_mut(replica).apply);
-        staged.clear();
-        staged
-    }
-
-    /// Gives a lent staging buffer back to replica `replica`, cleared.
-    fn return_staging(&mut self, replica: u32, mut staged: Vec<(PageId, PageVersion)>) {
-        staged.clear();
-        self.replicas.get_mut(replica).apply = staged;
-    }
-
-    /// The phase-1 job for replica `replica`: `stream` and what its decode
-    /// is checked against, read from the replica.
+    /// The pass-1 job for replica `replica`: `stream` and what it is
+    /// checked against, read from the replica.
     fn stage_job(&self, stream: ScatterStream, seq: u64, replica: u32) -> CoreResult<StageJob<'_>> {
         let member = self.replicas.get(replica);
         let vm = member.host.vm(member.vm)?;
@@ -629,8 +614,8 @@ impl Session {
         })
     }
 
-    /// Sends epoch `seq` (of `pages` pages) to every replica, in replica
-    /// order, each in its negotiated wire version — the one send loop:
+    /// Sends epoch `seq` to every replica, in replica order, each in its
+    /// negotiated wire version — the one send loop:
     /// the Transfer stage and every seeding round go through it. Returns,
     /// per replica, whether it applied the epoch and the wire time its
     /// attempts took, `wire(version)` per attempt plus delay and backoff.
@@ -647,11 +632,10 @@ impl Session {
         &mut self,
         streams: &EpochStreams,
         seq: u64,
-        pages: usize,
         wire: impl Fn(u16) -> SimDuration,
     ) -> CoreResult<Vec<(bool, SimDuration)>> {
         let count = self.replicas.len() as u32;
-        let mut prestaged = self.prestage(streams, seq, pages);
+        let mut prestaged = self.prestage(streams, seq);
         let mut outcomes = Vec::with_capacity(count as usize);
         for replica in 0..count {
             let version = self.replicas.get(replica).wire_version();
@@ -682,15 +666,11 @@ impl Session {
                 spent = spent.saturating_add(wire(version));
                 let failure = match fault {
                     None | Some(TransferFault::Delayed(_)) => {
-                        // Installs the prestaged slot where phase 1 ran
-                        // ahead, else decodes a clone of the stream.
-                        let delivered = match prestaged[replica as usize].take() {
-                            Some(epoch) => self.install_checkpoint(replica, epoch),
-                            None => self.apply_checkpoint(stream.clone(), seq, replica),
-                        };
-                        if let Err(e) = delivered {
-                            self.unstage(prestaged);
-                            return Err(e);
+                        // Installs the prestaged receipt where pass 1 ran
+                        // ahead, else checks a clone of the stream.
+                        match prestaged[replica as usize].take() {
+                            Some(receipt) => self.install_checkpoint(replica, receipt?)?,
+                            None => self.apply_checkpoint(stream.clone(), seq, replica)?,
                         }
                         if let Some(TransferFault::Delayed(by)) = fault {
                             spent = spent.saturating_add(by);
@@ -708,7 +688,7 @@ impl Session {
                         match self.apply_checkpoint(corrupted, seq, replica) {
                             // The decoder's frame checksums (or the trailer
                             // cross-check) reject the flipped byte — and the
-                            // two-phase apply guarantees nothing partial was
+                            // two-pass apply guarantees nothing partial was
                             // installed.
                             Err(_) => Some("corrupt_frame"),
                             // Unreachable with checksummed framing; treat a
@@ -752,85 +732,47 @@ impl Session {
         Ok(outcomes)
     }
 
-    /// Phase 1 for every replica whose first transfer attempt of epoch
-    /// `seq` (of `pages` pages) the fault plane delivers intact, run
-    /// concurrently on the calling thread and up to
-    /// [`Session::fanout_helpers`] helpers, each replica decoding its own
-    /// stream clone into its own staging buffer against its own image.
-    /// One slot per replica, `None` where the plan touches the first
-    /// attempt.
+    /// Pass 1 for every replica whose first transfer attempt of epoch
+    /// `seq` the fault plane delivers intact, run concurrently on the
+    /// calling thread and up to [`Session::fanout_helpers`] helpers, each
+    /// replica checking its own stream clone against its own image. One
+    /// slot per replica, `None` where the plan touches the first attempt.
     ///
     /// Only pure work runs here: the query draws nothing and says nothing,
     /// and every fault draw, event, retry and install stays with
     /// [`Session::fan_out`]'s loop, in replica order, which installs a
-    /// slot's result where it would have decoded, so a staged error
+    /// slot's receipt where it would have decoded, so a pass-1 error
     /// surfaces exactly where the serial apply's would.
-    fn prestage(
-        &mut self,
-        streams: &EpochStreams,
-        seq: u64,
-        pages: usize,
-    ) -> Vec<Option<StagedEpoch>> {
+    fn prestage(&self, streams: &EpochStreams, seq: u64) -> Vec<Option<CoreResult<Receipt>>> {
         let count = self.replicas.len() as u32;
-        let mut lent = Vec::with_capacity(count as usize);
-        for replica in 0..count {
-            let delivers = self
-                .chaos
-                .as_ref()
-                .is_none_or(|chaos| chaos.delivers_first_attempt(seq, replica));
-            if delivers {
-                // Sized for the epoch here, on the calling thread, so a
-                // helper never grows a replica's buffer inside its own
-                // malloc arena, where the freed old buffer would stay.
-                let mut staged = self.lend_staging(replica);
-                staged.reserve(pages);
-                lent.push((replica, staged));
-            }
-        }
-        let jobs = lent
-            .into_iter()
-            .map(|(replica, staged)| {
+        let jobs = (0..count)
+            .filter(|&replica| {
+                self.chaos
+                    .as_ref()
+                    .is_none_or(|chaos| chaos.delivers_first_attempt(seq, replica))
+            })
+            .map(|replica| {
                 let stream = streams.for_version(self.replicas.get(replica).wire_version());
-                (
-                    replica,
-                    self.stage_job(stream.clone(), seq, replica),
-                    staged,
-                )
+                (replica, self.stage_job(stream.clone(), seq, replica))
             })
             .collect();
-        let mut slots: Vec<Option<StagedEpoch>> = (0..count).map(|_| None).collect();
-        for (replica, epoch) in stage_all(jobs, &self.pools.lanes, self.fanout_helpers) {
-            slots[replica as usize] = Some(epoch);
+        let mut slots: Vec<Option<CoreResult<Receipt>>> = (0..count).map(|_| None).collect();
+        for (replica, receipt) in stage_all(jobs, &self.pools.lanes, self.fanout_helpers) {
+            slots[replica as usize] = Some(receipt);
         }
         slots
     }
 
-    /// Gives the staging buffer of every prestaged result nobody
-    /// installed back to its replica.
-    fn unstage(&mut self, prestaged: Vec<Option<StagedEpoch>>) {
-        for (replica, epoch) in prestaged.into_iter().enumerate() {
-            if let Some(epoch) = epoch {
-                self.return_staging(replica as u32, epoch.staged);
-            }
-        }
-    }
-
-    /// Phase 2 of [`Session::apply_checkpoint`]: installs what phase 1
-    /// accepted — backlog first, so the staged (newer) versions win on
-    /// overlap — or, when it refused the stream, hands the staging buffer
-    /// back and returns the refusal, the replica untouched.
-    fn install_checkpoint(&mut self, replica: u32, epoch: StagedEpoch) -> CoreResult<()> {
-        let StagedEpoch {
-            mut staged,
-            verdict,
-        } = epoch;
-        let Validated { vcpus, rebase_to } = match verdict {
-            Ok(validated) => validated,
-            Err(e) => {
-                self.return_staging(replica, staged);
-                return Err(e);
-            }
-        };
+    /// Pass 2 of [`Session::apply_checkpoint`]: installs what pass 1
+    /// verified — backlog first, so the epoch's (newer) versions win on
+    /// overlap, then the page records straight from the stream's bytes,
+    /// then the vCPUs.
+    fn install_checkpoint(&mut self, replica: u32, receipt: Receipt) -> CoreResult<()> {
+        let Receipt {
+            pages,
+            vcpus,
+            rebase_to,
+        } = receipt;
         let member = self.replicas.get_mut(replica);
         let mut backlog = std::mem::take(&mut member.backlog);
         if let Some(base) = rebase_to {
@@ -841,7 +783,7 @@ impl Session {
         }
         let vm = member.host.vm_mut(member.vm)?;
         vm.memory_mut().install_batch(backlog.entries())?;
-        install_staged(vm.memory_mut(), &staged);
+        install_verified(vm.memory_mut(), pages);
         // The backlog keeps its allocation for the next missed epoch.
         backlog.clear();
         member.backlog = backlog;
@@ -851,8 +793,6 @@ impl Session {
                 .host
                 .set_vcpu_state(member.vm, VcpuId::new(index), blob)?;
         }
-        staged.clear();
-        member.apply = staged;
         Ok(())
     }
 
@@ -868,7 +808,7 @@ impl Session {
     /// the same work across the Translate and Transfer stages.
     pub(crate) fn ship_checkpoint(&mut self, delta: &MemoryDelta, seq: u64) -> CoreResult<()> {
         let streams = self.encode_checkpoint(delta, seq)?;
-        let outcomes = self.fan_out(&streams, seq, delta.len(), |_| SimDuration::ZERO)?;
+        let outcomes = self.fan_out(&streams, seq, |_| SimDuration::ZERO)?;
         self.recycle_streams(streams);
         if outcomes.iter().all(|&(applied, _)| applied) {
             Ok(())
@@ -1193,8 +1133,11 @@ impl Session {
                     .checkpoint_cpu_work(c.dirty_pages, self.threads)
             })
             .sum();
-        // The staging buffer holds full page payloads for the round in
-        // flight, windowed at 256 MiB (the engine recycles chunk buffers).
+        // The paper's engine stages full page payloads for the round in
+        // flight, windowed at 256 MiB (it recycles chunk buffers). This is
+        // that modelled term, not this reproduction's host: a replica
+        // here keeps no staging copy, installing straight from the
+        // checked stream.
         let peak_pages = checkpoints.iter().map(|c| c.dirty_pages).max();
         let staging_pages = peak_pages.unwrap_or(0).min(65_536);
         let rss = ByteSize::from_mib(self.cfg.costs.rss_base_mib)
@@ -1244,9 +1187,9 @@ impl Session {
     }
 }
 
-/// Phase 1 of an apply for one replica — the job the Transfer fan-out
-/// hands out: the stream clone to decode and everything its decode is
-/// checked against, read from the replica. Running it touches nothing.
+/// Pass 1 of an apply for one replica — the job the Transfer fan-out
+/// hands out: the stream clone to check and everything it is checked
+/// against, read from the replica. Running it touches nothing.
 pub(crate) struct StageJob<'a> {
     stream: ScatterStream,
     seq: u64,
@@ -1263,70 +1206,60 @@ pub(crate) struct StageJob<'a> {
     may_rebase: bool,
 }
 
-/// What phase 1 made of one replica's stream, with the replica's staging
-/// buffer, which goes back to it whatever the verdict.
-pub(crate) struct StagedEpoch {
-    staged: Vec<(PageId, PageVersion)>,
-    verdict: CoreResult<Validated>,
-}
-
-/// What phase 1 accepted beside the staged pages.
-struct Validated {
+/// Pass 1's receipt for one replica, what pass 2 installs: the verified
+/// page records (the stream's own bytes, parsed into no pages), the vCPU
+/// states in the replica's native format, and the newer delta base the
+/// replica adopts as its backlog installs. The tests' reference fills
+/// `pages` with staged pairs instead.
+pub(crate) struct Receipt<P = Verified> {
+    pages: P,
     vcpus: Vec<(u32, VcpuStateBlob)>,
-    /// The newer delta base the replica adopts as its backlog installs.
     rebase_to: Option<u64>,
 }
 
 impl StageJob<'_> {
-    fn run(self, staged: &mut Vec<(PageId, PageVersion)>) -> CoreResult<Validated> {
-        self.decode(staged, stage_next)
+    fn run(self) -> CoreResult<Receipt> {
+        self.decode(Verified::default(), verify_next)
     }
 
-    /// Decodes the job's stream into `staged` through `receive`,
-    /// validating every frame, every page's place in the replica, every
-    /// vCPU index against its `vcpu_count` (each exactly once) and the
-    /// trailer cross-check, without touching the replica.
+    /// Reads the job's stream through `receive`, whose page records go to
+    /// `pages`, validating every frame, every page's place in the replica,
+    /// every vCPU index against its `vcpu_count` (each exactly once) and
+    /// the trailer cross-check, without touching the replica.
     ///
     /// The decoder is pinned to the `negotiated` version — a stream in any
     /// other version is a protocol violation
     /// ([`WireError::StaleVersion`](here_vmstate::WireError::StaleVersion)).
     /// Columnar records must name `delta_base` as their delta base; a
-    /// newer base is accepted only when `may_rebase`, and comes back as
-    /// [`Validated::rebase_to`] for the install to adopt.
-    fn decode(
-        self,
-        staged: &mut Vec<(PageId, PageVersion)>,
-        receive: ReceiveStep,
-    ) -> CoreResult<Validated> {
+    /// newer base is accepted only when `may_rebase`, and comes back for
+    /// the install to adopt.
+    fn decode<P>(self, mut pages: P, receive: ReceiveStep<P>) -> CoreResult<Receipt<P>> {
         let mut dec = StreamDecoder::new_negotiated(self.stream, self.negotiated)?;
         let mut vcpus: Vec<(u32, VcpuStateBlob)> = Vec::new();
         let mut saw_trailer = false;
         let mut rebase_to: Option<u64> = None;
-        while let Some(next) = receive(&mut dec, self.memory, None, staged)? {
-            let columns_base = match &next {
-                Staged::Pages { base_epoch, .. } => *base_epoch,
-                Staged::Record(Record::PageColumns(batch)) => Some(batch.base_epoch()),
-                Staged::Record(_) => None,
-            };
-            if let Some(stream_base) = columns_base {
-                let base = rebase_to.unwrap_or(self.delta_base);
-                if stream_base != base {
-                    if self.may_rebase && rebase_to.is_none() && stream_base > self.delta_base {
-                        rebase_to = Some(stream_base);
-                    } else {
-                        return Err(WireError::DeltaBaseMismatch {
-                            stream_base,
-                            replica_base: base,
+        let mut pages_seen = 0u64;
+        while let Some(next) = receive(&mut dec, self.memory, None, &mut pages)? {
+            match next {
+                Received::Pages { count, base_epoch } => {
+                    pages_seen += count as u64;
+                    let base = rebase_to.unwrap_or(self.delta_base);
+                    match base_epoch {
+                        Some(stream_base) if stream_base != base => {
+                            if self.may_rebase && rebase_to.is_none() && stream_base > base {
+                                rebase_to = Some(stream_base);
+                            } else {
+                                return Err(WireError::DeltaBaseMismatch {
+                                    stream_base,
+                                    replica_base: base,
+                                }
+                                .into());
+                            }
                         }
-                        .into());
+                        _ => {}
                     }
                 }
-            }
-            let Staged::Record(record) = next else {
-                continue;
-            };
-            match record {
-                Record::VcpuState { index, cir } => {
+                Received::Record(Record::VcpuState { index, cir }) => {
                     if index >= self.vcpu_count {
                         return Err(HvError::NoSuchVcpu(index).into());
                     }
@@ -1343,8 +1276,7 @@ impl StageJob<'_> {
                     };
                     vcpus.push((index, blob));
                 }
-                Record::CheckpointEnd { pages_total, .. } => {
-                    let pages_seen = staged.len() as u64;
+                Received::Record(Record::CheckpointEnd { pages_total, .. }) => {
                     if pages_total != pages_seen {
                         return Err(CoreError::InvalidScenario(format!(
                             "checkpoint {}: {pages_seen} pages received, header says {pages_total}",
@@ -1368,36 +1300,39 @@ impl StageJob<'_> {
             // that vCPU from an older epoch than its memory.
             return Err(WireError::BadPayload("a vCPU's state is missing").into());
         }
-        Ok(Validated { vcpus, rebase_to })
+        Ok(Receipt {
+            pages,
+            vcpus,
+            rebase_to,
+        })
     }
 }
 
-/// A phase-1 job as the fan-out lends it out: the replica, the job (or why
-/// it could not be built) and the replica's staging buffer.
-type LentStage<'a> = (u32, CoreResult<StageJob<'a>>, Vec<(PageId, PageVersion)>);
-
 /// Runs every job on the calling thread and up to `helpers` of `pool`'s
 /// parked workers, each lane claiming the next job from one atomic
-/// cursor. Returns each job's replica and phase-1 result, in no
-/// particular order. A job whose `Err` says it could not be built keeps
-/// that error as its verdict.
-fn stage_all(jobs: Vec<LentStage<'_>>, pool: &LanePool, helpers: usize) -> Vec<(u32, StagedEpoch)> {
+/// cursor. Returns each job's replica and pass-1 result, in no particular
+/// order. A job whose `Err` says it could not be built keeps that error
+/// as its verdict.
+fn stage_all(
+    jobs: Vec<(u32, CoreResult<StageJob<'_>>)>,
+    pool: &LanePool,
+    helpers: usize,
+) -> Vec<(u32, CoreResult<Receipt>)> {
     let helpers = helpers.min(jobs.len().saturating_sub(1));
     let done = Mutex::new(Vec::with_capacity(jobs.len()));
-    let slots: Vec<Mutex<Option<LentStage<'_>>>> =
-        jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+    let slots: Vec<Mutex<Option<_>>> = jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
     let cursor = AtomicUsize::new(0);
     let run = || {
         while let Some(slot) = slots.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-            let (replica, job, mut staged) = slot
+            let (replica, job) = slot
                 .lock()
                 .expect("no lane panics holding a stage slot")
                 .take()
                 .expect("the cursor hands each job out once");
-            let verdict = job.and_then(|job| job.run(&mut staged));
+            let receipt = job.and_then(StageJob::run);
             done.lock()
                 .expect("no lane panics holding the results")
-                .push((replica, StagedEpoch { staged, verdict }));
+                .push((replica, receipt));
         }
     };
     pool.scope(helpers, &|_| run(), run);
@@ -1408,6 +1343,9 @@ fn stage_all(jobs: Vec<LentStage<'_>>, pool: &LanePool, helpers: usize) -> Vec<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{FanoutMode, TopologyConfig};
+    use here_hypervisor::memory::PageVersion;
+    use proptest::prelude::*;
 
     const MEMORY: ByteSize = ByteSize::from_mib(4);
 
@@ -1417,8 +1355,7 @@ mod tests {
 
     /// A one-vCPU, 4 MiB session that has not been seeded: the replica's
     /// image is empty, so anything a test installs shows. Page 9 waits in
-    /// its catch-up backlog, and its staging buffer has room, so a test
-    /// can see it come back.
+    /// its catch-up backlog.
     fn small_session(cfg: ReplicationConfig) -> Session {
         let mut session = Session::new(SessionSetup {
             name: "vm".into(),
@@ -1433,7 +1370,6 @@ mod tests {
         })
         .unwrap();
         session.note_replica_backlog(0, &delta_at(&[9]));
-        session.replicas.get_mut(0).apply.reserve(4);
         session
     }
 
@@ -1457,19 +1393,18 @@ mod tests {
         vm.vcpus().iter().map(|v| v.regs.digest()).collect()
     }
 
-    /// Phase 1 refused the stream: the parked backlog page is still
-    /// parked, the image is empty, and the staging buffer came back.
+    /// Pass 1 refused the stream: the parked backlog page is still
+    /// parked and the image is empty.
     fn assert_replica_untouched(session: &Session) {
         let member = session.replicas.get(0);
         assert_eq!(member.backlog.len(), 1);
         assert_eq!(image(session).touched_pages(), 0);
-        assert!(member.apply.is_empty() && member.apply.capacity() > 0);
     }
 
     #[test]
     fn hostile_frame_past_the_replica_is_rejected_before_anything_installs() {
         // A stream with honest checksums and an honest trailer whose third
-        // page lies one frame past the replica's memory: phase 1 must
+        // page lies one frame past the replica's memory: pass 1 must
         // refuse it, with the parked backlog and the image as they were.
         let mut session = small_session(v2());
         let limit = MEMORY.as_bytes() / PAGE_SIZE;
@@ -1491,7 +1426,7 @@ mod tests {
     fn hostile_vcpu_index_is_rejected_before_anything_installs() {
         // Honest pages, checksums and trailer, but the vCPU record names
         // a vCPU the replica does not have, names vCPU 0 twice, or is
-        // missing. Phase 2 would only find out after the backlog and the
+        // missing. Pass 2 would only find out after the backlog and the
         // pages are in — or, for the missing record, never: the epoch
         // installed with the previous epoch's registers.
         let mut session = small_session(v2());
@@ -1603,16 +1538,14 @@ mod tests {
         }
     }
 
-    /// Phase 1 of replica 0 through the record-then-`stage` receive step
-    /// the staging decode replaced: its verdict on `stream`, the replica
+    /// Pass 1 of replica 0 through the record-then-`stage` receive step
+    /// the two-pass receive replaced: its verdict on `stream`, the replica
     /// left as it was.
     fn reference_verdict(session: &mut Session, stream: ScatterStream) -> CoreResult<()> {
-        let mut staged = session.lend_staging(0);
-        let verdict = session
+        session
             .stage_job(stream, 1, 0)
-            .and_then(|job| job.decode(&mut staged, crate::dataplane::reference::stage_next));
-        session.return_staging(0, staged);
-        verdict.map(drop)
+            .and_then(|job| job.decode(Vec::new(), crate::dataplane::reference::stage_next))
+            .map(drop)
     }
 
     #[test]
@@ -1665,7 +1598,7 @@ mod tests {
                 assert_eq!(
                     applied.as_ref().map_err(ToString::to_string),
                     reference.as_ref().map_err(ToString::to_string),
-                    "{origin}: the staging decode and the reference disagree on {input:02x?}"
+                    "{origin}: the two-pass receive and the reference disagree on {input:02x?}"
                 );
                 match applied {
                     Err(_) => {
@@ -1685,6 +1618,133 @@ mod tests {
                 cfg.wire_version
             );
             assert!(accepted > 0 && rejected > 0);
+        }
+    }
+
+    /// A one-vCPU, 4 MiB, three-replica session that has not been seeded;
+    /// under v3 the replicas' caps are `[3, 2, 3]`, so replica 1 takes the
+    /// v2 stream.
+    fn trio(v3: bool) -> Session {
+        let mut cfg = v2().with_topology(TopologyConfig {
+            replicas: 3,
+            quorum: 2,
+            fanout: FanoutMode::Star,
+            stale_epoch_lag: 4,
+        });
+        if v3 {
+            cfg = cfg.with_wire_v3().with_replica_wire_caps(vec![3, 2, 3]);
+        }
+        Session::new(SessionSetup {
+            name: "trio".into(),
+            memory: MEMORY,
+            vcpus: 1,
+            cfg,
+            workload: Box::new(IdleGuest::new()),
+            seed: 1,
+            load_during_seed: false,
+            verify_consistency: false,
+            chaos: None,
+        })
+        .unwrap()
+    }
+
+    /// Replica `replica`'s records, delta base and backlog length.
+    fn replica_state(session: &Session, replica: u32) -> (Vec<PageVersion>, u64, usize) {
+        let member = session.replicas.get(replica);
+        let vm = member.host.vm(member.vm).unwrap();
+        let records = vm.memory().records().to_vec();
+        (records, member.base_epoch, member.backlog.len())
+    }
+
+    /// What the reference makes of `stream` on replica `replica`: pass 1
+    /// through the record-then-`stage` step, then the backlog and the
+    /// staged pairs stored in order into a copy of its record table, as
+    /// `GuestMemory::install_batch` stores them. The records, or the
+    /// verdict's message.
+    fn reference_records(
+        session: &Session,
+        stream: ScatterStream,
+        replica: u32,
+    ) -> Result<Vec<PageVersion>, String> {
+        let staged = session
+            .stage_job(stream, 1, replica)
+            .and_then(|job| job.decode(Vec::new(), crate::dataplane::reference::stage_next))
+            .map_err(|e| e.to_string())?
+            .pages;
+        let member = session.replicas.get(replica);
+        let (mut records, _, _) = replica_state(session, replica);
+        for &(page, rec) in member.backlog.entries().iter().chain(&staged) {
+            records[page.frame() as usize] = rec;
+        }
+        Ok(records)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Over v2 and mixed-cap v3 epochs whose frames may be listed
+        /// twice, with replica 2 holding a catch-up backlog (and, under
+        /// v3, re-basing onto the stream's newer base), the two-pass apply
+        /// installs on every replica exactly what the reference installs.
+        /// Before it, every single-byte edit of replica 2's stream is
+        /// refused and leaves its image, base and backlog as they were.
+        #[test]
+        fn the_two_pass_apply_installs_what_the_reference_installs(
+            pages in proptest::collection::vec((0u64..1024, 1u32..9), 0..48),
+            backlog in proptest::collection::vec(0u64..1024, 0..8),
+            rebase in any::<bool>(),
+        ) {
+            // The backlog holds the epoch's first frame too, at a version
+            // no epoch page has, so installing it last would show.
+            let parked: MemoryDelta = pages
+                .first()
+                .map(|&(frame, _)| frame)
+                .into_iter()
+                .chain(backlog.iter().copied())
+                .map(|frame| (PageId::new(frame), PageVersion { version: 11, last_writer: 1 }))
+                .collect();
+            for v3 in [false, true] {
+                let mut session = trio(v3);
+                session.note_replica_backlog(2, &parked);
+                if v3 && rebase {
+                    // Epoch 6 committed without replica 2, whose image is
+                    // still epoch 2 plus its backlog.
+                    session.replicas.get_mut(2).base_epoch = 2;
+                    let _ = session.ack(0, 6, SimTime::ZERO);
+                    let commit = session.ack(1, 6, SimTime::ZERO).expect("the quorum-th ack");
+                    session.on_commit(commit, &[0, 1]);
+                }
+                let delta: MemoryDelta = pages
+                    .iter()
+                    .map(|&(frame, version)| {
+                        (PageId::new(frame), PageVersion { version, last_writer: 0 })
+                    })
+                    .collect();
+                let streams = session.encode_checkpoint(&delta, 1).unwrap();
+                let stream_of = |session: &Session, replica: u32| {
+                    streams.for_version(session.replicas.get(replica).wire_version()).clone()
+                };
+                let honest = stream_of(&session, 2).gather().to_vec();
+                let before = replica_state(&session, 2);
+                for at in 0..honest.len() {
+                    let mut edited = honest.clone();
+                    edited[at] ^= 0xff;
+                    let edited = ScatterStream::from(bytes::Bytes::from(edited));
+                    prop_assert!(session.apply_checkpoint(edited, 1, 2).is_err(), "byte {}", at);
+                    prop_assert!(replica_state(&session, 2) == before, "byte {} installed", at);
+                }
+                for replica in 0..3 {
+                    let want = reference_records(&session, stream_of(&session, replica), replica);
+                    let got = session
+                        .apply_checkpoint(stream_of(&session, replica), 1, replica)
+                        .map(|()| replica_state(&session, replica).0)
+                        .map_err(|e| e.to_string());
+                    prop_assert_eq!(got, want, "v3 {} replica {}", v3, replica);
+                    prop_assert_eq!(session.replicas.get(replica).backlog.len(), 0);
+                }
+                let base = if v3 && rebase { 6 } else { 0 };
+                prop_assert_eq!(session.replicas.get(2).base_epoch, base);
+            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper's engine protects a VM with exactly one replica; this module
 //! generalises that pair into a [`ReplicaSet`] of N replicas, each with
-//! its own host, replication link, wire session and apply staging. The
+//! its own host, replication link, wire session and catch-up backlog. The
 //! Transfer stage fans each encoded epoch out across the set (star or
 //! chained, per [`FanoutMode`](crate::config::FanoutMode)), the
 //! [`CommitLedger`](crate::failover::CommitLedger) commits an epoch once a
@@ -20,9 +20,8 @@
 
 use here_hypervisor::host::Hypervisor;
 use here_hypervisor::kind::HypervisorKind;
-use here_hypervisor::memory::PageVersion;
 use here_hypervisor::vm::VmId;
-use here_hypervisor::{PageId, XenHypervisor};
+use here_hypervisor::XenHypervisor;
 use here_sim_core::rate::ByteSize;
 use here_simnet::link::Link;
 use here_vmstate::translate::StateTranslator;
@@ -34,7 +33,9 @@ use crate::failover::Activation;
 
 /// One replica of the protected VM: its host hypervisor, the never-run
 /// VM shell, the failover state translator for its family, its own
-/// replication link, and the per-replica apply/catch-up state.
+/// replication link, and its delta base and catch-up state. It keeps no
+/// staging copy of an epoch: an apply checks the stream, then installs
+/// straight from the stream's bytes.
 #[derive(Debug)]
 pub struct Replica {
     /// 0-based index within the set.
@@ -48,12 +49,10 @@ pub struct Replica {
     pub(crate) translator: Option<StateTranslator>,
     /// This replica's dedicated replication link.
     pub(crate) link: Link,
-    /// Decode staging: a stream's pages wait here until its trailer checks
-    /// out, so a torn stream never half-updates this or any other replica.
-    pub(crate) apply: Vec<(PageId, PageVersion)>,
     /// The committed epoch this replica's image reflects — the delta base
     /// it accepts v3 records against (0 before any commit and under v2).
-    /// The image itself is the base, because apply is two-phase.
+    /// The image itself is the base, because an apply checks the whole
+    /// stream before it installs any of it.
     pub(crate) base_epoch: u64,
     /// Pages this replica missed while its link misbehaved: installed on
     /// its next successful apply (asynchronous catch-up), newest version
@@ -85,7 +84,6 @@ impl Replica {
             vm,
             translator,
             link: Link::omni_path_100g(),
-            apply: Vec::new(),
             base_epoch: 0,
             backlog: MemoryDelta::new(),
             missed_epoch: false,

@@ -139,7 +139,8 @@ type ChunkSlots<'a> = (u64, &'a mut [(PageId, PageVersion)]);
 /// caller sized to the number of pages by popcount. The bitmap is walked
 /// by internal iteration (one loop per word) and each version is read
 /// straight from the record table: the dirty bitmap marks only the
-/// memory's own frames, so an index replaces `page()`'s `Result`.
+/// memory's own frames, so an index replaces `page()`'s `Result`. Every
+/// slot must be written: the slots still hold last epoch's entries.
 fn fill_slots(
     memory: &GuestMemory,
     pages: DirtyPagesIter<'_>,
@@ -153,6 +154,10 @@ fn fill_slots(
             .expect("slots are sized by the range's popcount");
         *slot = (page, records[page.frame() as usize]);
     });
+    assert!(
+        slots.next().is_none(),
+        "the range's popcount lent more slots than it has pages"
+    );
 }
 
 /// Tracks pages sent by more than one seeding thread across migration

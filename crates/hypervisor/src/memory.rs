@@ -148,6 +148,13 @@ impl GuestMemory {
         &self.pages
     }
 
+    /// Every page's version record, writable — a replica's install path,
+    /// which stores frames its check already placed inside this memory and
+    /// so needs no per-page range check.
+    pub fn records_mut(&mut self) -> &mut [PageVersion] {
+        &mut self.pages
+    }
+
     /// Records a guest write to `page` by `vcpu`, bumping its version.
     ///
     /// Returns the new version record.

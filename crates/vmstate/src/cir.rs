@@ -114,12 +114,13 @@ impl MemoryDelta {
         self.entries.clear();
     }
 
-    /// Replaces the contents with `len` placeholder entries and lends them
-    /// out to be overwritten in place, keeping the allocation. Harvest
-    /// workers fill disjoint sub-slices of it, each chunk's pages going
-    /// straight to their final position.
+    /// Resizes the delta to `len` entries and lends them out to be
+    /// overwritten in place, keeping the allocation. Harvest workers fill
+    /// disjoint sub-slices of it, each chunk's pages going straight to
+    /// their final position. The entries kept from the last round are
+    /// lent as they are and only growth is zero-filled, so the caller
+    /// must write every slot.
     pub fn slots_mut(&mut self, len: usize) -> &mut [(PageId, PageVersion)] {
-        self.entries.clear();
         self.entries.resize(len, Default::default());
         &mut self.entries
     }

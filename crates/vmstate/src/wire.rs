@@ -39,16 +39,22 @@
 //! [`StreamDecoder::next_record`], pinned by the mutation fuzzer in
 //! `crates/bench/tests/hostile_mutations.rs`).
 //!
-//! # Staging straight from the wire
+//! # The wire is the staging buffer
 //!
-//! A receiver that only needs each page's `(PageId, PageVersion)` decodes
-//! with [`StreamDecoder::next_record_into`]: a record whose pages carry no
-//! bytes (a v2 page batch, a v3 columns record whose every mode is
-//! [`PagePayload::Meta`]) is parsed straight into the caller's staging
-//! buffer and comes back as [`Staged::Pages`], with no copy of its own.
-//! Every other record comes back whole. [`StreamDecoder::next_record`]
-//! is built from the same per-layout parsers, so the two raise the same
-//! error at the same byte on every input.
+//! A receiver that only needs each page's `(PageId, PageVersion)` reads a
+//! stream twice, over the same immutable bytes.
+//! [`StreamDecoder::next_checked`] is the first pass: it checks every
+//! record whole (frame and column checksums, structure, every value) and
+//! hands a page record back as a [`PageFrame`] — its own bytes, parsed into
+//! no pages, with its page count and highest frame. Only after the whole
+//! stream passed does the receiver walk the frames it kept again with
+//! [`PageFrame::for_each_page`], which only parses, checking nothing a
+//! second time. So a stream that fails anywhere installs
+//! nothing, and no receive-side buffer is sized by an epoch's page count.
+//! [`StreamDecoder::next_record`] is built from the same check and the
+//! same second walk, so the two raise the same error at the same byte on
+//! every input, and the property tests that compare `next_record` with
+//! the value-at-a-time reference cover the second walk too.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -245,28 +251,141 @@ pub enum Record {
     },
 }
 
-/// What [`StreamDecoder::next_record_into`] decoded.
+/// What [`StreamDecoder::next_checked`] decoded.
 ///
 /// Not boxed, for [`Record`]'s reason: one is built per frame and
-/// matched at once, never stored.
+/// matched at once.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
-pub enum Staged {
-    /// A page record whose pages carry no bytes — a v2 page batch, or a
-    /// v3 columns record whose every mode is [`PagePayload::Meta`]. Its
-    /// `(PageId, PageVersion)` pairs were appended to the caller's buffer
-    /// and exist nowhere else.
-    Pages {
-        /// The columns record's delta base epoch; `None` for a v2 batch.
-        base_epoch: Option<u64>,
-        /// The highest frame among the appended pages (0 when there is
-        /// none), found by the parse, so a range check needs no second
-        /// walk.
-        top: u64,
-    },
-    /// Any other record, whole. A page record whose pages carry bytes
-    /// comes back this way and appends nothing.
+pub enum Checked {
+    /// A page record — a v2 page batch or page-data record, or a v3
+    /// columns record — checked whole and parsed into no pages.
+    Pages(PageFrame),
+    /// Any other record, whole.
     Record(Record),
+}
+
+/// A page record [`StreamDecoder::next_checked`] accepted: its frame and
+/// column checksums, its structure and every value in it were checked,
+/// and none of its pages was copied out. It holds the record's own bytes,
+/// a zero-copy slice of the received segment, so what was checked cannot
+/// change before [`PageFrame::for_each_page`] reads the pages out of them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PageFrame {
+    layout: PageLayout,
+    /// The record's payload, as its frame carried it.
+    payload: Bytes,
+    count: usize,
+    top: u64,
+}
+
+/// Where a checked page record keeps its pages' metadata.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum PageLayout {
+    /// A v2 page batch: `count` 14-byte slots after the count.
+    Batch,
+    /// A v2 page-data record: one 14-byte meta every 4110 bytes.
+    Data,
+    /// A v3 columns record: the frame gaps from the meta column's start,
+    /// the versions from `versions`, the writers from `writers`, each an
+    /// offset into the payload.
+    Columns {
+        base_epoch: u64,
+        versions: usize,
+        writers: usize,
+    },
+}
+
+impl PageFrame {
+    /// Pages the record carries.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// `true` if the record carries no page.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The highest frame the record names (0 when it names none), found
+    /// by the check, so a range check needs no walk of its own.
+    pub fn top(&self) -> u64 {
+        self.top
+    }
+
+    /// A columns record's delta base epoch; `None` for a v2 record.
+    pub fn base_epoch(&self) -> Option<u64> {
+        match self.layout {
+            PageLayout::Columns { base_epoch, .. } => Some(base_epoch),
+            PageLayout::Batch | PageLayout::Data => None,
+        }
+    }
+
+    /// The record decoded whole, payloads included, as
+    /// [`StreamDecoder::next_record`] returns it — for a receiver that
+    /// checks page contents.
+    pub fn record(&self) -> Record {
+        let tag = match self.layout {
+            PageLayout::Batch => TAG_PAGE_BATCH,
+            PageLayout::Data => TAG_PAGE_DATA,
+            PageLayout::Columns { .. } => TAG_PAGE_COLUMNS,
+        };
+        decode_page_record(tag, self.payload.clone()).expect("a checked page record decodes")
+    }
+
+    /// Hands each page's `(PageId, PageVersion)` to `each`, in record
+    /// order. Parse and store only: the check accepted every byte read
+    /// here, so nothing is checked again. A columns record's gap, version
+    /// and writer columns are read in lock-step, eight values of each into
+    /// stack arrays at a time.
+    pub fn for_each_page(&self, mut each: impl FnMut(PageId, PageVersion)) {
+        match self.layout {
+            PageLayout::Batch => {
+                for meta in self.payload[4..].chunks_exact(PAGE_META_BYTES) {
+                    let (page, rec) = read_page_meta(meta.try_into().expect("exact chunk"));
+                    each(page, rec);
+                }
+            }
+            PageLayout::Data => {
+                for page in self.payload.chunks_exact(PAGE_RECORD_BYTES) {
+                    let meta = page
+                        .first_chunk()
+                        .expect("a page record starts with its meta");
+                    let (page, rec) = read_page_meta(meta);
+                    each(page, rec);
+                }
+            }
+            PageLayout::Columns {
+                versions, writers, ..
+            } => {
+                let column = |at| Column {
+                    bytes: &self.payload,
+                    owner: &self.payload,
+                    at,
+                };
+                let mut gaps = column(COLUMNS_HEADER_BYTES);
+                let (mut versions, mut writers) = (column(versions), column(writers));
+                let (mut g, mut v, mut w) = ([0u64; 8], [0u64; 8], [0u64; 8]);
+                let mut frame = 0u64;
+                let mut left = self.count;
+                while left > 0 {
+                    let n = left.min(8);
+                    gaps.fill(&mut g[..n]);
+                    versions.fill(&mut v[..n]);
+                    writers.fill(&mut w[..n]);
+                    for k in 0..n {
+                        frame = frame.wrapping_add_signed(unzigzag(g[k]));
+                        let rec = PageVersion {
+                            version: v[k] as u32,
+                            last_writer: w[k] as u16,
+                        };
+                        each(PageId::new(frame), rec);
+                    }
+                    left -= n;
+                }
+            }
+        }
+    }
 }
 
 const TAG_HEADER: u8 = 0x01;
@@ -855,29 +974,117 @@ impl ColumnsHeader {
     }
 }
 
-fn decode_page_columns(r: &mut Reader) -> WireResult<PageColumnsBatch> {
-    let header = ColumnsHeader::read(r)?;
-    let (mut runs, mut pages) = (Vec::new(), Vec::new());
-    meta_column_into(&header.meta, header.count, &mut runs, &mut pages)?;
-    let mut batch = PageColumnsBatch::new(header.base_epoch);
-    payload_column(&header.payload, &runs, &pages, &mut batch.entries)?;
-    Ok(batch)
+/// The one check of a page record's payload: a v2 page batch's count
+/// and slots, a v2 page-data record's whole number of pages, or a v3
+/// columns record's header, meta column ([`check_meta_column`]) and
+/// payload column ([`payload_column`], each payload handed to `payloads`),
+/// and in every case nothing after them. `runs` is scratch for the mode
+/// runs. The record's pages are parsed into nothing: the frame keeps the
+/// payload and where each column starts.
+fn check_page_frame(
+    tag: u8,
+    payload: Bytes,
+    runs: &mut Vec<(u8, usize)>,
+    payloads: impl FnMut(PagePayload),
+) -> WireResult<PageFrame> {
+    let frame_of = |meta: &[u8]| u64::from_be_bytes(*meta.first_chunk().expect("a whole meta"));
+    let mut r = Reader(payload.clone());
+    let (layout, count, top) = match tag {
+        TAG_PAGE_BATCH => {
+            // The count sizes nothing: the slots are taken in one checked
+            // read before anything walks them.
+            let count = r.u32()? as usize;
+            let metas = r.take(count.saturating_mul(PAGE_META_BYTES))?;
+            let top = metas.chunks_exact(PAGE_META_BYTES).map(frame_of).max();
+            (PageLayout::Batch, count, top.unwrap_or(0))
+        }
+        TAG_PAGE_DATA => {
+            if !payload.len().is_multiple_of(PAGE_RECORD_BYTES) {
+                return Err(WireError::BadPayload(
+                    "page-data record is not a whole number of pages",
+                ));
+            }
+            let pages = r.take(payload.len())?;
+            let top = pages.chunks_exact(PAGE_RECORD_BYTES).map(frame_of).max();
+            (
+                PageLayout::Data,
+                pages.len() / PAGE_RECORD_BYTES,
+                top.unwrap_or(0),
+            )
+        }
+        _ => {
+            let header = ColumnsHeader::read(&mut r)?;
+            let meta = check_meta_column(&header.meta, header.count, runs)?;
+            payload_column(&header.payload, runs, payloads)?;
+            let layout = PageLayout::Columns {
+                base_epoch: header.base_epoch,
+                versions: COLUMNS_HEADER_BYTES + meta.versions,
+                writers: COLUMNS_HEADER_BYTES + meta.writers,
+            };
+            (layout, header.count, meta.top)
+        }
+    };
+    r.finish()?;
+    Ok(PageFrame {
+        layout,
+        payload,
+        count,
+        top,
+    })
 }
 
-/// The one parser of a columns record's meta column: appends `count`
-/// pairs to `out` from the frame gaps, then fills each pair's version and
-/// writer in place from their columns; the mode column's runs land in
-/// `runs` as `(mode, pages)`. Returns the highest frame appended (0 when
-/// there is none). On an error `out` may hold part of the record.
-fn meta_column_into(
+/// A page record decoded whole: [`check_page_frame`], then the pages read
+/// back by [`PageFrame::for_each_page`] and joined with their payloads.
+fn decode_page_record(tag: u8, payload: Bytes) -> WireResult<Record> {
+    // A columns record's payloads land in their final entries at once;
+    // the pages are filled in beside them below.
+    let mut entries: Vec<(PageId, PageVersion, PagePayload)> = Vec::new();
+    let frame = check_page_frame(tag, payload, &mut Vec::new(), |pay| {
+        entries.push((PageId::new(0), PageVersion::default(), pay));
+    })?;
+    if let PageLayout::Columns { base_epoch, .. } = frame.layout {
+        let mut slots = entries.iter_mut();
+        frame.for_each_page(|page, rec| {
+            let slot = slots.next().expect("the runs give every page a payload");
+            (slot.0, slot.1) = (page, rec);
+        });
+        let mut batch = PageColumnsBatch::new(base_epoch);
+        batch.entries = entries;
+        return Ok(Record::PageColumns(batch));
+    }
+    let mut pages = Vec::with_capacity(frame.count);
+    frame.for_each_page(|page, rec| pages.push((page, rec)));
+    if frame.layout == PageLayout::Batch {
+        return Ok(Record::PageBatch(MemoryDelta::from_entries(pages)));
+    }
+    let mut batch = PageDataBatch::with_capacity(pages.len());
+    for (k, (page, rec)) in pages.into_iter().enumerate() {
+        let at = k * PAGE_RECORD_BYTES + PAGE_META_BYTES;
+        batch.push(page, rec, frame.payload.slice(at..at + PAGE_CONTENT_BYTES));
+    }
+    Ok(Record::PageDataBatch(batch))
+}
+
+/// Where a checked meta column's version and writer columns start, and
+/// the highest frame it names.
+struct MetaColumn {
+    versions: usize,
+    writers: usize,
+    top: u64,
+}
+
+/// The one check of a columns record's meta column: `count` frame gaps,
+/// each frame inside `0..=i64::MAX`; the mode runs, into `runs` as
+/// `(mode, pages)`; `count` versions that fit a `u32` and `count` writers
+/// that fit a `u16`; and nothing after them. Nothing is stored but the
+/// runs: [`PageFrame::for_each_page`] reads the three columns again from
+/// the offsets this returns.
+fn check_meta_column(
     meta: &Bytes,
     count: usize,
     runs: &mut Vec<(u8, usize)>,
-    out: &mut Vec<(PageId, PageVersion)>,
-) -> WireResult<u64> {
+) -> WireResult<MetaColumn> {
     let mut meta = Column::new(meta);
-    let from = out.len();
-    out.reserve(count);
     let (mut prev, mut top) = (0i64, 0i64);
     meta.varints(count, |_, gap| {
         // `checked_add`, never `+`: a multi-byte first gap may put `prev`
@@ -886,7 +1093,6 @@ fn meta_column_into(
             .checked_add(unzigzag(gap))
             .filter(|f| *f >= 0)
             .ok_or(WireError::BadPayload("page frame gap out of range"))?;
-        out.push((PageId::new(f as u64), PageVersion::default()));
         (prev, top) = (f, top.max(f));
         Ok(())
     })?;
@@ -911,37 +1117,37 @@ fn meta_column_into(
         runs.push((mode, run as usize));
         seen += run as usize;
     }
-    let pairs = &mut out[from..];
-    meta.varints(count, |i, version| {
-        pairs[i].1.version = u32::try_from(version)
-            .map_err(|_| WireError::BadPayload("page version overflows u32"))?;
-        Ok(())
+    let versions = meta.at;
+    meta.varints(count, |_, version| {
+        u32::try_from(version)
+            .map(drop)
+            .map_err(|_| WireError::BadPayload("page version overflows u32"))
     })?;
-    meta.varints(count, |i, writer| {
-        pairs[i].1.last_writer = u16::try_from(writer)
-            .map_err(|_| WireError::BadPayload("page writer overflows u16"))?;
-        Ok(())
+    let writers = meta.at;
+    meta.varints(count, |_, writer| {
+        u16::try_from(writer)
+            .map(drop)
+            .map_err(|_| WireError::BadPayload("page writer overflows u16"))
     })?;
     meta.finish()?;
-    Ok(top as u64)
+    Ok(MetaColumn {
+        versions,
+        writers,
+        top: top as u64,
+    })
 }
 
-/// The one parser of a columns record's payload column: reads the payload
-/// of each of `pages`, in the modes `runs` gives, appends the page to
-/// `entries` with it, and requires the column consumed exactly. With no
-/// pages it only checks that a record whose runs are all
-/// [`PagePayload::Meta`] left the column empty.
+/// The one parser of a columns record's payload column: reads one payload
+/// per page, in the modes `runs` gives, hands each to `each` in page
+/// order, and requires the column consumed exactly.
 fn payload_column(
     payload: &Bytes,
     runs: &[(u8, usize)],
-    pages: &[(PageId, PageVersion)],
-    entries: &mut Vec<(PageId, PageVersion, PagePayload)>,
+    mut each: impl FnMut(PagePayload),
 ) -> WireResult<()> {
     let mut payload = Column::new(payload);
-    entries.reserve_exact(pages.len());
-    let mut pages = pages.iter();
     for &(mode, run) in runs {
-        for &(page, rec) in pages.by_ref().take(run) {
+        for _ in 0..run {
             let pay = match mode {
                 MODE_META => PagePayload::Meta,
                 MODE_ZERO => PagePayload::Zero,
@@ -968,7 +1174,7 @@ fn payload_column(
                     PagePayload::Delta(xor_runs)
                 }
             };
-            entries.push((page, rec, pay));
+            each(pay);
         }
     }
     payload.finish()
@@ -1572,8 +1778,8 @@ pub struct StreamDecoder {
     segments: VecDeque<Bytes>,
     remaining: usize,
     version: u16,
-    /// The mode runs of the last columns record staged, kept across
-    /// records so staging allocates nothing per record.
+    /// The mode runs of the last columns record checked, kept across
+    /// records so a check allocates nothing per record.
     runs: Vec<(u8, usize)>,
 }
 
@@ -1705,58 +1911,25 @@ impl StreamDecoder {
         decode_payload(tag, payload).map(Some)
     }
 
-    /// Decodes the next record, staging page metadata straight into
-    /// `pages`: a record whose pages carry no bytes appends its
-    /// `(PageId, PageVersion)` pairs and comes back as [`Staged::Pages`];
-    /// every other record comes back whole and appends nothing. `None` at
-    /// a clean end of stream.
+    /// Decodes the next record, a page record as a checked [`PageFrame`]
+    /// whose pages are parsed into nothing and every other record whole.
+    /// `None` at a clean end of stream.
     ///
     /// # Errors
     ///
     /// Exactly the [`WireError`] [`next_record`](Self::next_record) raises
-    /// on the same bytes. `pages` may then hold part of the rejected
-    /// record; the caller discards it.
-    pub fn next_record_into(
-        &mut self,
-        pages: &mut Vec<(PageId, PageVersion)>,
-    ) -> WireResult<Option<Staged>> {
+    /// on the same bytes.
+    pub fn next_checked(&mut self) -> WireResult<Option<Checked>> {
         let Some((tag, payload)) = self.next_frame()? else {
             return Ok(None);
         };
-        let mut r = Reader(payload);
-        let staged = match tag {
-            TAG_PAGE_BATCH => Staged::Pages {
-                base_epoch: None,
-                top: page_batch_into(&mut r, pages)?,
-            },
-            TAG_PAGE_COLUMNS => {
-                let header = ColumnsHeader::read(&mut r)?;
-                let from = pages.len();
-                let top = meta_column_into(&header.meta, header.count, &mut self.runs, pages)?;
-                if self.runs.iter().all(|&(mode, _)| mode == MODE_META) {
-                    payload_column(&header.payload, &self.runs, &[], &mut Vec::new())?;
-                    Staged::Pages {
-                        base_epoch: Some(header.base_epoch),
-                        top,
-                    }
-                } else {
-                    // Pages with bytes come back whole, for the content
-                    // check, and leave nothing staged.
-                    let mut batch = PageColumnsBatch::new(header.base_epoch);
-                    payload_column(
-                        &header.payload,
-                        &self.runs,
-                        &pages[from..],
-                        &mut batch.entries,
-                    )?;
-                    pages.truncate(from);
-                    Staged::Record(Record::PageColumns(batch))
-                }
+        let checked = match tag {
+            TAG_PAGE_BATCH | TAG_PAGE_DATA | TAG_PAGE_COLUMNS => {
+                Checked::Pages(check_page_frame(tag, payload, &mut self.runs, drop)?)
             }
-            _ => return decode_payload(tag, r.0).map(|record| Some(Staged::Record(record))),
+            _ => Checked::Record(decode_payload(tag, payload)?),
         };
-        r.finish()?;
-        Ok(Some(staged))
+        Ok(Some(checked))
     }
 
     /// The next frame's tag and payload, its frame checksum verified, or
@@ -1841,8 +2014,7 @@ impl Reader {
 
     // The scalars go through the fixed-width `get_*` rather than
     // `array`, whose `copy_to_slice` is an out-of-line copy of run-time
-    // length (≈ 3 ns a call). `page_meta` pays it once per 4 KiB page of
-    // a page-data record; page batches parse their metas without it.
+    // length (≈ 3 ns a call); page metas are parsed without either.
     fn u8(&mut self) -> WireResult<u8> {
         self.need(1)?;
         Ok(self.0.get_u8())
@@ -1870,11 +2042,6 @@ impl Reader {
             1 => Ok(true),
             _ => Err(WireError::BadPayload("flag byte is neither 0 nor 1")),
         }
-    }
-
-    /// One page's fixed-width metadata, as [`write_page_meta`] writes it.
-    fn page_meta(&mut self) -> WireResult<(PageId, PageVersion)> {
-        Ok(read_page_meta(&self.array()?))
     }
 
     /// Ends a decode: every byte must have been read.
@@ -1952,6 +2119,39 @@ impl<'a> Column<'a> {
         Ok(())
     }
 
+    /// The next `out.len()` (at most eight) varints of a column the check
+    /// already accepted: a whole word of one-byte varints at once where
+    /// there is one, any other value by [`Column::checked_varint`].
+    fn fill(&mut self, out: &mut [u64]) {
+        if let Ok(word_of) = <&mut [u64; 8]>::try_from(&mut *out) {
+            if let Some(word) = self.eight_short() {
+                for (k, v) in word_of.iter_mut().enumerate() {
+                    *v = word >> (8 * k) & 0x7f;
+                }
+                return;
+            }
+        }
+        for v in out {
+            *v = self.checked_varint();
+        }
+    }
+
+    /// A varint [`Column::varint`] already accepted, read again with no
+    /// check: seven bits a byte until the first byte with bit 7 clear.
+    fn checked_varint(&mut self) -> u64 {
+        let mut v = 0u64;
+        let mut shift = 0;
+        loop {
+            let b = self.bytes[self.at];
+            self.at += 1;
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+
     /// The one LEB128 reader: a `u64` exactly as [`put_varint`] writes
     /// it — no padding zero group, nothing in the tenth byte above bit 63.
     fn varint(&mut self) -> WireResult<u64> {
@@ -1993,6 +2193,9 @@ impl<'a> Column<'a> {
 }
 
 fn decode_payload(tag: u8, payload: Bytes) -> WireResult<Record> {
+    if matches!(tag, TAG_PAGE_BATCH | TAG_PAGE_DATA | TAG_PAGE_COLUMNS) {
+        return decode_page_record(tag, payload);
+    }
     let mut r = Reader(payload);
     let record = match tag {
         TAG_HEADER => {
@@ -2012,26 +2215,6 @@ fn decode_payload(tag: u8, payload: Bytes) -> WireResult<Record> {
             }
         }
         TAG_CKPT_BEGIN => Record::CheckpointBegin { seq: r.u64()? },
-        TAG_PAGE_BATCH => {
-            let mut entries = Vec::new();
-            page_batch_into(&mut r, &mut entries)?;
-            Record::PageBatch(MemoryDelta::from_entries(entries))
-        }
-        TAG_PAGE_DATA => {
-            if !r.0.len().is_multiple_of(PAGE_RECORD_BYTES) {
-                return Err(WireError::BadPayload(
-                    "page-data record is not a whole number of pages",
-                ));
-            }
-            let count = r.0.len() / PAGE_RECORD_BYTES;
-            let mut batch = PageDataBatch::with_capacity(count);
-            for _ in 0..count {
-                let (page, rec) = r.page_meta()?;
-                batch.push(page, rec, r.take(PAGE_CONTENT_BYTES)?);
-            }
-            Record::PageDataBatch(batch)
-        }
-        TAG_PAGE_COLUMNS => Record::PageColumns(decode_page_columns(&mut r)?),
         TAG_VCPU => {
             let index = r.u32()?;
             let online = r.flag()?;
@@ -2063,23 +2246,6 @@ fn decode_payload(tag: u8, payload: Bytes) -> WireResult<Record> {
     };
     r.finish()?;
     Ok(record)
-}
-
-/// The one parser of a v2 page batch's 14-byte meta slots: appends the
-/// record's pages to `out` and returns the highest frame among them (0
-/// when there is none). The count sizes nothing until that many slots
-/// are known to be there: they are taken in one checked read and parsed
-/// in one pass, into exactly `count` new entries.
-fn page_batch_into(r: &mut Reader, out: &mut Vec<(PageId, PageVersion)>) -> WireResult<u64> {
-    let count = r.u32()? as usize;
-    let metas = r.take(count.saturating_mul(PAGE_META_BYTES))?;
-    let mut top = 0;
-    out.extend(metas.chunks_exact(PAGE_META_BYTES).map(|meta| {
-        let (page, rec) = read_page_meta(meta.try_into().expect("exact chunk"));
-        top = top.max(page.frame());
-        (page, rec)
-    }));
-    Ok(top)
 }
 
 fn decode_arch_regs(r: &mut Reader) -> WireResult<ArchRegs> {
@@ -2556,7 +2722,16 @@ mod tests {
             r.need(count.saturating_mul(PAGE_META_BYTES))?;
             let mut entries = Vec::with_capacity(count);
             for _ in 0..count {
-                entries.push(r.page_meta()?);
+                let page = PageId::new(r.u64()?);
+                let version = r.u32()?;
+                let last_writer = r.u16()?;
+                entries.push((
+                    page,
+                    PageVersion {
+                        version,
+                        last_writer,
+                    },
+                ));
             }
             r.finish()?;
             Ok(Record::PageBatch(MemoryDelta::from_entries(entries)))
@@ -2684,45 +2859,66 @@ mod tests {
     }
 
     #[test]
-    fn staging_decode_appends_metadata_pages_and_returns_byte_pages_whole() {
+    fn checked_decode_keeps_page_records_as_frames_that_read_back_their_pages() {
         let pages = golden_shard();
         let mixed = sample_columns_batch();
         let mut buf = v3_buf();
         encode_page_columns_meta_into(9, &pages, &mut buf);
         encode_page_batch_into(&pages, &mut buf);
         encode_record_into(&Record::PageColumns(mixed.clone()), &mut buf);
+        let data: Vec<_> = pages[..2]
+            .iter()
+            .map(|&(page, rec)| (page, rec, Bytes::from(page_content(rec.version as u8))))
+            .collect();
+        let mut writer = PageDataWriter::new(&mut buf);
+        for (page, rec, content) in &data {
+            writer.push(*page, *rec, content);
+        }
+        writer.finish();
         encode_record_into(&Record::Ack { seq: 2 }, &mut buf);
         let mut dec = StreamDecoder::new(buf.freeze()).unwrap();
-        let mut staged = vec![(PageId::new(1), PageVersion::default())];
-        let mut next = || dec.next_record_into(&mut staged).unwrap();
-        // The top frame is the shard's, not the page staged before it.
+        let mut checked = std::iter::from_fn(|| dec.next_checked().unwrap());
+        let mut next = || {
+            let Some(Checked::Pages(frame)) = checked.next() else {
+                panic!("not a page record");
+            };
+            let mut read = Vec::new();
+            frame.for_each_page(|page, rec| read.push((page, rec)));
+            assert_eq!(read.len(), frame.len());
+            (frame.base_epoch(), frame.top(), read, frame.record())
+        };
         let top = 1000 + 37 * 8;
+        let (base, got_top, read, record) = next();
+        assert_eq!((base, got_top), (Some(9), top));
+        assert_eq!(read, pages);
+        let metas = pages.iter().map(|&(p, r)| (p, r, PagePayload::Meta));
+        let mut meta_only = PageColumnsBatch::new(9);
+        metas.for_each(|(p, r, pay)| meta_only.push(p, r, pay));
+        assert_eq!(record, Record::PageColumns(meta_only));
+        let (base, got_top, read, record) = next();
+        assert_eq!((base, got_top), (None, top));
+        assert_eq!(read, pages);
+        assert_eq!(record, Record::PageBatch(pages.iter().copied().collect()));
+        let (base, got_top, read, record) = next();
+        let want: Vec<_> = mixed.entries().iter().map(|&(p, r, _)| (p, r)).collect();
+        let mixed_top = want.iter().map(|(p, _)| p.frame()).max().unwrap();
         assert_eq!(
-            next(),
-            Some(Staged::Pages {
-                base_epoch: Some(9),
-                top
-            })
+            (base, got_top, read),
+            (Some(mixed.base_epoch()), mixed_top, want)
         );
+        assert_eq!(record, Record::PageColumns(mixed));
+        let (base, got_top, read, record) = next();
+        assert_eq!((base, got_top), (None, pages[1].0.frame()));
+        assert_eq!(read, pages[..2]);
+        let Record::PageDataBatch(batch) = record else {
+            panic!("a page-data record decoded as {record:?}");
+        };
+        assert_eq!(batch.pages(), &data[..]);
         assert_eq!(
-            next(),
-            Some(Staged::Pages {
-                base_epoch: None,
-                top
-            })
+            checked.next(),
+            Some(Checked::Record(Record::Ack { seq: 2 }))
         );
-        assert_eq!(next(), Some(Staged::Record(Record::PageColumns(mixed))));
-        assert_eq!(next(), Some(Staged::Record(Record::Ack { seq: 2 })));
-        assert_eq!(next(), None);
-        let want: Vec<_> = [(PageId::new(1), PageVersion::default())]
-            .into_iter()
-            .chain(pages.iter().copied())
-            .chain(pages.iter().copied())
-            .collect();
-        assert_eq!(
-            staged, want,
-            "appended after what was there, nothing for the mixed record"
-        );
+        assert_eq!(checked.next(), None);
     }
 
     #[test]
@@ -3536,7 +3732,11 @@ mod tests {
                 return Err(WireError::BadPayload("trailing bytes"));
             }
             let mut batch = PageColumnsBatch::new(header.base_epoch);
-            payload_column(&header.payload, &runs, &pages, &mut batch.entries)?;
+            let mut pages = pages.into_iter();
+            payload_column(&header.payload, &runs, |pay| {
+                let (page, rec) = pages.next().expect("the runs cover every page");
+                batch.push(page, rec, pay);
+            })?;
             r.finish()?;
             Ok(batch)
         }
@@ -3619,8 +3819,8 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             /// The word-packed writer is byte-identical to the per-value
-            /// one, both decoders give back the shard, and a staging
-            /// decode's top frame is the shard's highest.
+            /// one, both decoders give back the shard, and a checked
+            /// frame's top frame is the shard's highest.
             #[test]
             fn columns_codec_is_the_value_at_a_time_codec(batch in shard()) {
                 let (mut words, mut values) = (BytesMut::new(), BytesMut::new());
@@ -3640,15 +3840,15 @@ mod tests {
 
                 let mut stream = v3_buf();
                 stream.extend_from_slice(&words);
-                let mut staged = Vec::new();
                 let got = StreamDecoder::new(stream.freeze())
                     .unwrap()
-                    .next_record_into(&mut staged)
+                    .next_checked()
                     .unwrap();
                 let top = batch.entries.iter().map(|(p, _, _)| p.frame()).max();
-                if let Some(Staged::Pages { top: staged_top, .. }) = got {
-                    prop_assert_eq!(staged_top, top.unwrap_or(0));
-                }
+                let Some(Checked::Pages(frame)) = got else {
+                    panic!("a columns record checked as {got:?}");
+                };
+                prop_assert_eq!(frame.top(), top.unwrap_or(0));
             }
 
             /// Flipped, truncated and spliced meta columns, resealed so the
