@@ -54,14 +54,14 @@ use here_vmstate::cir::CpuStateCir;
 use here_vmstate::simd;
 use here_vmstate::translate::{StateTranslator, TranslateResult};
 use here_vmstate::wire::{
-    encode_page_batch_into, encode_page_columns_meta_into, write_preamble_versioned, Checked,
-    PageDataWriter, PageFrame, PagePayload, Record, ScatterStream, StreamDecoder,
-    PAGE_CONTENT_BYTES, PAGE_META_BYTES, VERSION,
+    encode_page_columns_meta_from, encode_page_columns_meta_into, write_preamble_versioned,
+    Checked, PageBatchWriter, PageDataWriter, PageFrame, PagePayload, Record, ScatterStream,
+    StreamDecoder, PAGE_CONTENT_BYTES, PAGE_META_BYTES, VERSION,
 };
 use here_vmstate::MemoryDelta;
 
 use crate::error::{CoreError, CoreResult};
-use crate::transfer::CollectScratch;
+use crate::transfer::{CollectScratch, DirtySnapshot};
 
 /// Frame-header plus small-record slack reserved per lane segment.
 const SEGMENT_SLACK: usize = 64;
@@ -250,8 +250,78 @@ pub struct LanePoolTotals {
 // LanePool internals
 // ---------------------------------------------------------------------------
 
+/// Where an encode round reads its pages from. Either way a task's pages
+/// arrive one at a time, in frame order, straight into the record writer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PageSource<'a> {
+    /// A page list: a seeding round's delta, or an external caller's.
+    Entries(&'a [(PageId, PageVersion)]),
+    /// The epoch's dirty snapshot over the paused primary's record table.
+    Snapshot {
+        snapshot: &'a DirtySnapshot,
+        records: &'a [PageVersion],
+    },
+}
+
+impl PageSource<'_> {
+    /// Pages the source holds.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            PageSource::Entries(entries) => entries.len(),
+            PageSource::Snapshot { snapshot, .. } => snapshot.len(),
+        }
+    }
+
+    /// Hands pages `lo..hi` to `each`, in frame order: one pass.
+    #[inline]
+    fn walk(&self, lo: usize, hi: usize, mut each: impl FnMut(PageId, PageVersion)) {
+        match *self {
+            PageSource::Entries(entries) => {
+                for &(page, rec) in &entries[lo..hi] {
+                    each(page, rec);
+                }
+            }
+            PageSource::Snapshot { snapshot, records } => snapshot
+                .pages(records, lo, hi)
+                .for_each(|(page, rec)| each(page, rec)),
+        }
+    }
+
+    /// Writes the metas of pages `lo..hi` into `writer`: one pass.
+    fn push_metas(&self, lo: usize, hi: usize, writer: &mut PageBatchWriter<'_>) {
+        match *self {
+            PageSource::Entries(entries) => writer.push_all(&entries[lo..hi]),
+            PageSource::Snapshot { .. } => self.walk(lo, hi, |page, rec| writer.push(page, rec)),
+        }
+    }
+
+    /// Appends the metadata-only v3 columns record of pages `lo..hi`,
+    /// reading them once per column straight from the source.
+    fn encode_columns(&self, lo: usize, hi: usize, base_epoch: u64, out: &mut BytesMut) {
+        match *self {
+            PageSource::Entries(entries) => {
+                encode_page_columns_meta_into(base_epoch, &entries[lo..hi], out)
+            }
+            PageSource::Snapshot { snapshot, records } => {
+                let pages = snapshot.pages(records, lo, hi);
+                encode_page_columns_meta_from(base_epoch, hi - lo, pages, out)
+            }
+        }
+    }
+}
+
+/// The buffers one task writes: its record, and in a round that encodes
+/// both wire versions the v2 page batch its columns are framed from.
+struct TaskBuffers {
+    out: BytesMut,
+    v2: Option<BytesMut>,
+}
+
+/// What one task produced.
 struct Segment {
     bytes: Bytes,
+    /// The task's v2 page batch, when the round encodes both versions.
+    v2: Option<Bytes>,
     wall_nanos: u64,
 }
 
@@ -260,7 +330,7 @@ struct Segment {
 /// whether the round was abandoned (its consumer left, or a lane
 /// panicked), after which nobody waits on anybody.
 struct Progress {
-    inputs: Vec<Option<BytesMut>>,
+    inputs: Vec<Option<TaskBuffers>>,
     slots: Vec<Option<Segment>>,
     consumed: usize,
     abandoned: bool,
@@ -274,10 +344,10 @@ struct LaneCell {
 }
 
 /// One encode round, lent to the pool's workers for the life of one
-/// [`LanePool::scope`]: the lanes encode slices of the caller's entries in
-/// place, and the calling thread consumes their segments.
+/// [`LanePool::scope`]: the lanes encode ranges of the caller's page
+/// source in place, and the calling thread consumes their segments.
 struct Round<'a> {
-    entries: &'a [(PageId, PageVersion)],
+    source: PageSource<'a>,
     tasks: &'a [(usize, usize)],
     mode: PayloadMode,
     depth: usize,
@@ -289,18 +359,18 @@ struct Round<'a> {
 }
 
 impl<'a> Round<'a> {
-    /// A round over `tasks`, slices of `entries`, run on up to
+    /// A round over `tasks`, ranges of `source`, run on up to
     /// `plan.lanes` lanes; task `t` encodes into `bufs[t]`.
     fn new(
-        entries: &'a [(PageId, PageVersion)],
+        source: PageSource<'a>,
         tasks: &'a [(usize, usize)],
         plan: &EncodePlan,
-        bufs: Vec<BytesMut>,
+        bufs: Vec<TaskBuffers>,
     ) -> Self {
         let ntasks = tasks.len();
         let lanes = (plan.lanes as usize).min(ntasks);
         Round {
-            entries,
+            source,
             tasks,
             mode: plan.mode,
             depth: plan.window.map_or(ntasks, |d| (d as usize).max(1)),
@@ -359,7 +429,7 @@ impl<'a> Round<'a> {
 
     fn produce(&self, lane: usize) {
         while let Some((task, stolen)) = self.claim(lane) {
-            let mut buf = {
+            let bufs = {
                 let mut p = self.progress.lock().expect("progress lock");
                 // Bounded window: never run more than `depth` chunks ahead
                 // of the consumer. Safe against deadlock because lane
@@ -375,21 +445,16 @@ impl<'a> Round<'a> {
                 }
                 p.inputs[task].take().expect("task buffer claimed once")
             };
-            let start = Instant::now();
-            let (lo, hi) = self.tasks[task];
-            encode_shard(&self.entries[lo..hi], self.mode, &mut buf);
-            let wall = start.elapsed().as_nanos() as u64;
+            let segment = encode_task(self.source, self.tasks[task], self.mode, bufs);
             let cell = &self.lane_stats[lane];
             cell.tasks.fetch_add(1, Ordering::Relaxed);
             if stolen {
                 cell.steals.fetch_add(1, Ordering::Relaxed);
             }
-            cell.busy_nanos.fetch_add(wall, Ordering::Relaxed);
+            cell.busy_nanos
+                .fetch_add(segment.wall_nanos, Ordering::Relaxed);
             let mut p = self.progress.lock().expect("progress lock");
-            p.slots[task] = Some(Segment {
-                bytes: buf.freeze(),
-                wall_nanos: wall,
-            });
+            p.slots[task] = Some(segment);
             self.consumer_cv.notify_all();
         }
     }
@@ -401,7 +466,7 @@ impl<'a> Round<'a> {
     /// every segment consumed, a lane's panic, or unwinding out of
     /// `on_segment` — it abandons the round on the way out, so no lane
     /// is left waiting on the window for a consumer that is gone.
-    fn consume(&self, mut on_segment: impl FnMut(usize, Bytes)) -> Vec<u64> {
+    fn consume(&self, mut on_segment: impl FnMut(usize, Segment)) -> Vec<u64> {
         let consumed = catch_unwind(AssertUnwindSafe(|| {
             let mut walls = vec![0u64; self.tasks.len()];
             for next in 0..walls.len() {
@@ -421,7 +486,7 @@ impl<'a> Round<'a> {
                     }
                 };
                 walls[next] = seg.wall_nanos;
-                on_segment(next, seg.bytes);
+                on_segment(next, seg);
             }
             walls
         }));
@@ -710,16 +775,18 @@ fn worker_main(shared: Arc<PoolShared>, idx: usize, mut last_epoch: u64) {
 }
 
 /// Everything the primary side of a session carries from one checkpoint
-/// to the next: the harvest delta, the per-chunk collect counts, the
-/// encode buffer pool, the session's one set of worker threads, and the
-/// v3 delta base.
+/// to the next: the epoch's dirty snapshot, the seeding rounds' per-chunk
+/// collect counts, the encode buffer pool, the session's one set of
+/// worker threads, and the v3 delta base.
 #[derive(Debug)]
 pub struct CheckpointPools {
-    /// Reused harvest output (taken during Harvest, returned after
-    /// Translate).
-    pub delta: MemoryDelta,
-    /// Per-chunk dirty counts for `collect_chunked_into`; its chunk
-    /// workers are those of `lanes`.
+    /// The epoch's harvest: its dirty snapshot and chunk count table, read
+    /// by Translate's encode lanes and, if the epoch aborts or a replica
+    /// misses it, by the abort and the backlog. Kept until the next
+    /// Harvest replaces it.
+    pub harvest: DirtySnapshot,
+    /// Per-chunk dirty counts for `collect_chunked_into`, which seeding
+    /// rounds harvest with; its chunk workers are those of `lanes`.
     pub collect: CollectScratch,
     /// Encode segment buffers, reclaimed after each Transfer.
     pub buffers: BufferPool,
@@ -737,7 +804,7 @@ impl Default for CheckpointPools {
     fn default() -> Self {
         let lanes = Arc::new(LanePool::new());
         CheckpointPools {
-            delta: MemoryDelta::new(),
+            harvest: DirtySnapshot::default(),
             collect: CollectScratch::sharing(Arc::clone(&lanes)),
             buffers: BufferPool::new(),
             lanes,
@@ -763,29 +830,58 @@ fn segment_capacity(pages: usize, mode: PayloadMode) -> usize {
     pages * per_page + SEGMENT_SLACK
 }
 
-fn encode_shard(
-    shard: &[(here_hypervisor::PageId, PageVersion)],
+/// Encodes pages `lo..hi` of `source` as one task into its buffers. A
+/// task with a v2 buffer in a columns round walks its pages once into the
+/// v2 page batch and frames the columns from those metas, so one walk
+/// yields both wire versions' records.
+fn encode_task(
+    source: PageSource<'_>,
+    (lo, hi): (usize, usize),
     mode: PayloadMode,
-    out: &mut BytesMut,
-) {
-    match mode {
-        PayloadMode::Metadata => encode_page_batch_into(shard, out),
-        PayloadMode::Columnar { base_epoch } => {
-            encode_page_columns_meta_into(base_epoch, shard, out)
+    TaskBuffers { mut out, v2 }: TaskBuffers,
+) -> Segment {
+    let start = Instant::now();
+    let mut v2_batch = None;
+    match (mode, v2) {
+        (PayloadMode::Columnar { base_epoch }, Some(mut v2)) => {
+            let mut writer = PageBatchWriter::new(&mut v2, hi - lo);
+            source.push_metas(lo, hi, &mut writer);
+            writer.encode_columns_into(base_epoch, &mut out);
+            writer.finish();
+            v2_batch = Some(v2.freeze());
         }
-        PayloadMode::Materialized => {
-            let mut writer = PageDataWriter::new(out);
-            let mut groups = shard.chunks_exact(GROUP_PAGES);
-            for group in &mut groups {
-                writer.push_group(group.try_into().expect("exact chunk"));
-            }
+        (PayloadMode::Columnar { base_epoch }, None) => {
+            source.encode_columns(lo, hi, base_epoch, &mut out)
+        }
+        (PayloadMode::Metadata, _) => {
+            let mut writer = PageBatchWriter::new(&mut out, hi - lo);
+            source.push_metas(lo, hi, &mut writer);
+            writer.finish();
+        }
+        (PayloadMode::Materialized, _) => {
+            let mut writer = PageDataWriter::new(&mut out);
+            let mut group = [(PageId::new(0), PageVersion::default()); GROUP_PAGES];
+            let mut held = 0;
+            source.walk(lo, hi, |page, rec| {
+                group[held] = (page, rec);
+                held += 1;
+                if held == GROUP_PAGES {
+                    writer.push_group(&group);
+                    held = 0;
+                }
+            });
             let mut image = [0u8; PAGE_SIZE as usize];
-            for &(page, rec) in groups.remainder() {
+            for &(page, rec) in &group[..held] {
                 materialize_content_into(page, rec, &mut image);
                 writer.push(page, rec, &image);
             }
             writer.finish();
         }
+    }
+    Segment {
+        bytes: out.freeze(),
+        v2: v2_batch,
+        wall_nanos: start.elapsed().as_nanos() as u64,
     }
 }
 
@@ -829,38 +925,66 @@ pub fn encode_pages_round(
     lanes: &LanePool,
     mut on_segment: impl FnMut(usize, Bytes),
 ) -> (Vec<u64>, EncodeRoundStats) {
+    let source = PageSource::Entries(delta.entries());
+    encode_round(source, plan, false, pool, lanes, |task, segment, _| {
+        on_segment(task, segment)
+    })
+}
+
+/// [`encode_pages_round`] over any page source. With `with_v2` a
+/// [`PayloadMode::Columnar`] round also writes each task's v2 page batch,
+/// from the same walk, and hands it to `on_segment` beside the columns
+/// record: one round encodes an epoch for a mixed v2/v3 replica set.
+/// Every buffer a task writes is checked out of `pool` before the round
+/// starts, so the lanes allocate nothing.
+///
+/// # Panics
+///
+/// Panics if `plan.lanes` is zero.
+pub(crate) fn encode_round(
+    source: PageSource<'_>,
+    plan: &EncodePlan,
+    with_v2: bool,
+    pool: &mut BufferPool,
+    lanes: &LanePool,
+    mut on_segment: impl FnMut(usize, Bytes, Option<Bytes>),
+) -> (Vec<u64>, EncodeRoundStats) {
     assert!(plan.lanes >= 1, "at least one encode lane is required");
     let split_start = Instant::now();
-    let entries = delta.entries();
     let mut tasks = std::mem::take(&mut *lanes.tasks.lock().expect("task table lock"));
-    plan_tasks(entries.len(), plan, &mut tasks);
+    plan_tasks(source.len(), plan, &mut tasks);
     let ntasks = tasks.len();
-    let mut bufs: Vec<BytesMut> = tasks
+    let with_v2 = with_v2 && matches!(plan.mode, PayloadMode::Columnar { .. });
+    let bufs: Vec<TaskBuffers> = tasks
         .iter()
-        .map(|&(lo, hi)| pool.checkout(segment_capacity(hi - lo, plan.mode)))
+        .map(|&(lo, hi)| TaskBuffers {
+            out: pool.checkout(segment_capacity(hi - lo, plan.mode)),
+            v2: with_v2.then(|| pool.checkout(segment_capacity(hi - lo, PayloadMode::Metadata))),
+        })
         .collect();
+    let mut deliver = |task: usize, segment: Segment| on_segment(task, segment.bytes, segment.v2);
 
     let inline = ntasks <= 1 || (plan.lanes == 1 && plan.window.is_none());
     let (mut walls, stats, split_nanos) = if inline {
         // No pool: the caller encodes every task itself.
         let split_nanos = split_start.elapsed().as_nanos() as u64;
-        let mut walls = vec![0u64; ntasks];
-        for ((wall, buf), &(lo, hi)) in walls.iter_mut().zip(&mut bufs).zip(&tasks) {
-            let start = Instant::now();
-            encode_shard(&entries[lo..hi], plan.mode, buf);
-            *wall = start.elapsed().as_nanos() as u64;
-        }
-        for (i, buf) in bufs.into_iter().enumerate() {
-            on_segment(i, buf.freeze());
+        let segments: Vec<Segment> = tasks
+            .iter()
+            .zip(bufs)
+            .map(|(&task, bufs)| encode_task(source, task, plan.mode, bufs))
+            .collect();
+        let walls = segments.iter().map(|seg| seg.wall_nanos).collect();
+        for (i, segment) in segments.into_iter().enumerate() {
+            deliver(i, segment);
         }
         (walls, EncodeRoundStats::default(), split_nanos)
     } else {
-        let round = Round::new(entries, &tasks, plan, bufs);
+        let round = Round::new(source, &tasks, plan, bufs);
         let split_nanos = split_start.elapsed().as_nanos() as u64;
         // Every lane is a worker; the caller only consumes.
         let start = Instant::now();
         let walls = lanes.scope(round.lanes(), &|lane| round.work(lane), || {
-            round.consume(on_segment)
+            round.consume(deliver)
         });
         let stats = round.stats(start.elapsed().as_nanos() as u64);
         lanes.record_round(&stats);
@@ -1179,11 +1303,13 @@ pub(crate) mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transfer::collect_chunked_into;
+    use here_hypervisor::dirty::DirtyBitmap;
     use here_hypervisor::PageId;
     use here_sim_core::rate::ByteSize;
     use here_vmstate::wire::{
-        checksum, encode_record_into, frame_checksum, write_preamble, COLUMNS_HEADER_BYTES,
-        PREAMBLE_BYTES, VERSION_V3,
+        checksum, encode_page_batch_into, encode_record_into, frame_checksum, write_preamble,
+        COLUMNS_HEADER_BYTES, PREAMBLE_BYTES, VERSION_V3,
     };
     use proptest::prelude::*;
 
@@ -1656,8 +1782,15 @@ mod tests {
             let delta = delta_of(64);
             let tasks = [(0, 32), (32, 65)];
             let mut pool = BufferPool::new();
-            let bufs = tasks.iter().map(|_| pool.checkout(1024)).collect();
-            let round = Round::new(delta.entries(), &tasks, &SHARDS, bufs);
+            let bufs = tasks
+                .iter()
+                .map(|_| TaskBuffers {
+                    out: pool.checkout(1024),
+                    v2: None,
+                })
+                .collect();
+            let source = PageSource::Entries(delta.entries());
+            let round = Round::new(source, &tasks, &SHARDS, bufs);
             let lp = LanePool::new();
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 lp.scope(round.lanes(), &|lane| round.work(lane), || {
@@ -2138,6 +2271,109 @@ mod tests {
                 prop_assert_eq!(cut, shards);
                 prop_assert!(tasks.len() <= n.min(lanes as usize));
             }
+        }
+    }
+
+    /// A guest of `pages` frames in which `shape` picks the dirty frames:
+    /// none, frame `one`, every frame, the last frame, or `frames`. Each
+    /// dirty frame is written `1 + frame % 3` times by vCPU `frame % 4`,
+    /// so versions and writers vary.
+    fn dirty_guest(pages: u64, shape: u8, one: u64, frames: &[u64]) -> (GuestMemory, DirtyBitmap) {
+        let dirty: Vec<u64> = match shape {
+            0 => Vec::new(),
+            1 => vec![one % pages],
+            2 => (0..pages).collect(),
+            3 => vec![pages - 1],
+            _ => frames.iter().map(|f| f % pages).collect(),
+        };
+        let mut memory = GuestMemory::new(ByteSize::from_bytes(pages * PAGE_SIZE)).unwrap();
+        let mut bitmap = DirtyBitmap::new(pages);
+        for f in dirty {
+            for _ in 0..=f % 3 {
+                let vcpu = here_hypervisor::VcpuId::new((f % 4) as u32);
+                memory.write_page(PageId::new(f), vcpu).unwrap();
+            }
+            bitmap.mark(PageId::new(f));
+        }
+        (memory, bitmap)
+    }
+
+    /// One round's segments and its task count.
+    type Encoded = (Vec<Bytes>, Vec<Bytes>, usize);
+
+    fn encode_source(
+        source: PageSource<'_>,
+        plan: &EncodePlan,
+        with_v2: bool,
+        pool: &mut BufferPool,
+        lp: &LanePool,
+    ) -> Encoded {
+        let (mut main, mut v2) = (Vec::new(), Vec::new());
+        let (walls, _) = encode_round(source, plan, with_v2, pool, lp, |task, segment, second| {
+            assert_eq!(task, main.len(), "delivered out of order");
+            main.push(segment);
+            v2.extend(second);
+        });
+        (main, v2, walls.len())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// Encode lanes walking the dirty snapshot over the record table
+        /// write, byte for byte and task for task, what they write from
+        /// the harvested delta (`collect_chunked_into`, then
+        /// `encode_pages_round`): on empty, one-page, dense, last-frame and
+        /// random bitmaps whose page counts are no multiple of 64 or 512,
+        /// on 1–4 lanes, in shard and chunk framing, for v2 metas, v3
+        /// columns, and the mixed round that keeps both from one walk.
+        #[test]
+        fn the_snapshot_source_encodes_what_the_delta_encodes(
+            pages in 1u64..2100,
+            shape in 0u8..5,
+            one in 0u64..2100,
+            frames in proptest::collection::vec(0u64..2100, 0..700),
+            lanes in 1u32..=4,
+            chunk_pages in proptest::option::of(1u32..600),
+            kind in 0u8..3,
+            base_epoch in 0u64..300,
+        ) {
+            let (memory, bitmap) = dirty_guest(pages, shape, one, &frames);
+            let mut delta = MemoryDelta::new();
+            collect_chunked_into(&memory, &bitmap, lanes, &mut CollectScratch::new(), &mut delta);
+            let mut snapshot = DirtySnapshot::default();
+            snapshot.retake(bitmap.clone());
+            prop_assert_eq!(snapshot.len(), delta.len());
+            let from_snapshot = PageSource::Snapshot {
+                snapshot: &snapshot,
+                records: memory.records(),
+            };
+            let columns = PayloadMode::Columnar { base_epoch };
+            let mode = if kind == 0 { PayloadMode::Metadata } else { columns };
+            let plan = EncodePlan { lanes, mode, chunk_pages, window: None };
+            let (mut pool, lp) = (BufferPool::new(), LanePool::new());
+            let delta_round = |mode: PayloadMode, pool: &mut BufferPool| {
+                let mut segments = Vec::new();
+                let plan = EncodePlan { mode, ..plan };
+                let (walls, _) = encode_pages_round(&delta, &plan, pool, &lp, |_, segment| {
+                    segments.push(segment)
+                });
+                (segments, walls.len())
+            };
+            let (main, v2, tasks) = encode_source(from_snapshot, &plan, kind == 2, &mut pool, &lp);
+            let (reference, reference_tasks) = delta_round(mode, &mut pool);
+            prop_assert_eq!(tasks, reference_tasks);
+            prop_assert_eq!(&main, &reference);
+            if kind == 2 {
+                let (reference_v2, _) = delta_round(PayloadMode::Metadata, &mut pool);
+                prop_assert_eq!(&v2, &reference_v2);
+            } else {
+                prop_assert!(v2.is_empty());
+            }
+            // The entry source is the same round as the public one.
+            let from_entries = PageSource::Entries(delta.entries());
+            let (main, _, _) = encode_source(from_entries, &plan, false, &mut pool, &lp);
+            prop_assert_eq!(&main, &reference);
         }
     }
 }

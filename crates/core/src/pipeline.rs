@@ -40,9 +40,8 @@ use here_vmstate::wire::{PAGE_META_BYTES, VERSION_V3};
 use here_vmstate::MemoryDelta;
 
 use crate::error::CoreResult;
-use crate::session::{EpochStreams, Session};
+use crate::session::{EpochPages, EpochStreams, Session};
 use crate::trace::Stage;
-use crate::transfer::collect_chunked_into;
 
 /// What one completed trip through the pipeline produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,8 +80,13 @@ pub struct Paused<'s> {
 }
 
 impl<'s> Paused<'s> {
-    /// *Harvest*: snapshot-and-clear the dirty bitmap, collect the dirty
-    /// pages with the chunk workers, and pay the parallel scan `αN/P`.
+    /// *Harvest*: snapshot-and-clear the dirty bitmap and keep the
+    /// snapshot, with its per-chunk dirty counts, as the epoch's harvest;
+    /// pay the parallel scan `αN/P`.
+    ///
+    /// No page list is built: the primary stays paused until *Resume*,
+    /// so the snapshot over its record table already is the list, and
+    /// *Translate*'s encode lanes walk it in place.
     pub(crate) fn harvest(self) -> CoreResult<Harvested<'s>> {
         let Paused {
             session,
@@ -90,24 +94,12 @@ impl<'s> Paused<'s> {
             mut pause,
         } = self;
         session.chaos_primary_fault(seq, Stage::Harvest)?;
-        let snapshot = session.take_dirty_snapshot();
-        // The harvest reuses the session's pooled delta, per-chunk count
-        // scratch and workers: none is regrown or respawned in the steady
-        // state, and last epoch's entries are overwritten, not cleared.
-        let mut delta = std::mem::take(&mut session.pools.delta);
         let harvest_start = std::time::Instant::now();
-        {
-            let vm = session.primary.vm(session.pvm)?;
-            collect_chunked_into(
-                vm.memory(),
-                &snapshot,
-                session.threads,
-                &mut session.pools.collect,
-                &mut delta,
-            );
-        }
+        let snapshot = session.take_dirty_snapshot();
+        // The count table is last epoch's, refilled in place.
+        session.pools.harvest.retake(snapshot);
         let wall = harvest_start.elapsed().as_nanos() as u64;
-        let pages = delta.len() as u64;
+        let pages = session.pools.harvest.len() as u64;
         let scan = session.cfg.costs.checkpoint_scan(pages, session.threads);
         let at = session.clock;
         session.record_stage(
@@ -125,19 +117,17 @@ impl<'s> Paused<'s> {
             session,
             seq,
             pause,
-            delta,
             pages,
             scan,
         })
     }
 }
 
-/// Stage token: dirty pages are collected; state has not been encoded.
+/// Stage token: the dirty snapshot is taken; state has not been encoded.
 pub struct Harvested<'s> {
     session: &'s mut Session,
     seq: u64,
     pause: SimDuration,
-    delta: MemoryDelta,
     pages: u64,
     /// The *Harvest* stage's parallel-scan duration, carried forward so
     /// *Transfer* can size the encode/transfer overlap window.
@@ -145,23 +135,23 @@ pub struct Harvested<'s> {
 }
 
 impl<'s> Harvested<'s> {
-    /// *Translate*: capture vCPU/device state, translate it to the common
-    /// format and encode the checkpoint stream, paying the constant `C`.
+    /// *Translate*: encode the harvested pages, read by the encode lanes
+    /// straight from the dirty snapshot and the paused primary's record
+    /// table (one walk per task, both wire versions' records from it for
+    /// a mixed replica set), then capture vCPU/device state and translate
+    /// it to the common format; pay the constant `C`.
     pub(crate) fn translate(self) -> CoreResult<Translated<'s>> {
         let Harvested {
             session,
             seq,
             mut pause,
-            delta,
             pages,
             scan,
         } = self;
         session.chaos_primary_fault(seq, Stage::Translate)?;
         let encode_start = std::time::Instant::now();
-        let streams = session.encode_checkpoint(&delta, seq)?;
+        let streams = session.encode_checkpoint(EpochPages::Harvest, seq)?;
         let wall = encode_start.elapsed().as_nanos() as u64;
-        // The delta's allocation goes back to the pool for the next round.
-        session.pools.delta = delta;
         let cost = session.cfg.costs.checkpoint_const;
         let at = session.clock;
         session.record_stage(
@@ -302,15 +292,17 @@ impl<'s> Translated<'s> {
             });
         }
         // Replicas that missed the epoch catch up asynchronously: the
-        // pages they missed ride their backlog into the next apply.
+        // pages they missed, collected from the snapshot only now, ride
+        // their backlog into the next apply.
         if applied.len() < replica_count as usize {
-            let delta = std::mem::take(&mut session.pools.delta);
+            let mut missed = MemoryDelta::new();
+            let vm = session.primary.vm(session.pvm)?;
+            session.pools.harvest.collect_into(vm.memory(), &mut missed);
             for replica in 0..replica_count {
                 if !applied.contains(&replica) {
-                    session.note_replica_backlog(replica, &delta);
+                    session.note_replica_backlog(replica, &missed);
                 }
             }
-            session.pools.delta = delta;
         }
         if session.verify_consistency {
             for &replica in &applied {

@@ -43,8 +43,8 @@ use here_workloads::traits::Workload;
 use crate::chaos::{corrupt_stream, ChaosState, FaultPlan, TransferFault};
 use crate::config::{ReplicationConfig, HEARTBEAT, RETRY};
 use crate::dataplane::{
-    encode_pages_round, install_verified, translate_vcpus, verify_next, CheckpointPools,
-    EncodePlan, LanePool, PayloadMode, ReceiveStep, Received, Verified, PARALLEL_ENCODE_MIN_PAGES,
+    encode_round, install_verified, translate_vcpus, verify_next, CheckpointPools, EncodePlan,
+    LanePool, PageSource, PayloadMode, ReceiveStep, Received, Verified, PARALLEL_ENCODE_MIN_PAGES,
 };
 use crate::devmgr::DeviceManager;
 use crate::error::{CoreError, CoreResult};
@@ -108,10 +108,20 @@ pub(crate) struct SessionSetup {
     pub(crate) chaos: Option<FaultPlan>,
 }
 
+/// The pages an epoch's stream carries.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum EpochPages<'a> {
+    /// The continuous phase's harvest: the dirty snapshot in the pools,
+    /// read from the paused primary.
+    Harvest,
+    /// A seeding round's page list.
+    Delta(&'a MemoryDelta),
+}
+
 /// One epoch's encoded checkpoint, in every wire version the replica set
 /// negotiated. A homogeneous set carries exactly one stream; a mixed
-/// v2/v3 set carries both, encoded from the same delta, and each replica
-/// decodes the stream matching its negotiated version.
+/// v2/v3 set carries both, encoded by one walk of the same pages, and
+/// each replica decodes the stream matching its negotiated version.
 #[derive(Debug, Default)]
 pub(crate) struct EpochStreams {
     /// Legacy v2 stream (present when any replica negotiated v2).
@@ -434,58 +444,36 @@ impl Session {
             .expect("primary must be alive at checkpoint")
     }
 
-    /// Encodes a checkpoint stream: the delta, every vCPU's state
+    /// Encodes a checkpoint stream: the epoch's pages, every vCPU's state
     /// (translated to the common format for heterogeneous pairs), and the
-    /// device identities. This is the *send side* of the data plane — real
-    /// bytes are produced and checksummed.
+    /// device identities, in every wire version the replica set
+    /// negotiated. This is the *send side* of the data plane — real bytes
+    /// are produced and checksummed.
     ///
-    /// The delta is sharded across encode lanes: pool workers each frame
-    /// their own page-batch record into a pooled buffer, and the frozen
-    /// lane segments are spliced scatter-gather style into the returned
-    /// [`ScatterStream`] — no concatenation, no re-sort. vCPU translation
-    /// fans out across the same lanes. Buffers come back to the pool via
+    /// The pages are encoded in one round across the encode lanes: each
+    /// task walks its range of the pages once, straight into its pooled
+    /// record buffer, and a mixed v2/v3 set gets both versions' records
+    /// from that one walk. The frozen segments are spliced scatter-gather
+    /// style into each version's [`ScatterStream`] — no concatenation, no
+    /// re-sort. Buffers come back to the pool via
     /// [`Session::recycle_stream`] once the transfer lands.
     pub(crate) fn encode_checkpoint(
         &mut self,
-        delta: &MemoryDelta,
+        pages: EpochPages<'_>,
         seq: u64,
     ) -> CoreResult<EpochStreams> {
         let need_v3 = self.wire_v3_active();
         let need_v2 = self.replicas.iter().any(|r| r.wire_version() < VERSION_V3);
-        let mut streams = EpochStreams::default();
-        if need_v3 {
-            // The v3 stream is canonical when present: its encode is the
-            // one the lane event reports.
-            let (stream, page_bytes) =
-                self.encode_checkpoint_stream(delta, seq, VERSION_V3, true)?;
-            streams.v3 = Some(stream);
-            streams.v3_page_bytes = page_bytes;
-        }
-        if need_v2 {
-            let (stream, _) = self.encode_checkpoint_stream(delta, seq, VERSION, !need_v3)?;
-            streams.v2 = Some(stream);
-        }
-        Ok(streams)
-    }
-
-    /// True when any replica negotiated wire v3 this session — the gate
-    /// for the delta-base bookkeeping, so an all-v2 session does none.
-    pub(crate) fn wire_v3_active(&self) -> bool {
-        self.replicas.iter().any(|r| r.wire_version() >= VERSION_V3)
-    }
-
-    /// Encodes one epoch stream in `version`. Returns the stream and the
-    /// byte count of its page records (the lanes' output, excluding the
-    /// head/tail segments). `canonical` gates the lane event so a mixed
-    /// set's double-encode reports each lane exactly once.
-    fn encode_checkpoint_stream(
-        &mut self,
-        delta: &MemoryDelta,
-        seq: u64,
-        version: u16,
-        canonical: bool,
-    ) -> CoreResult<(ScatterStream, u64)> {
-        let mode = if version >= VERSION_V3 {
+        // Head segments: preamble + begin record.
+        let mut head = |version: u16| {
+            let mut head =
+                StreamEncoder::with_buffer_versioned(self.pools.buffers.checkout(64), version);
+            head.push(&Record::CheckpointBegin { seq });
+            ScatterStream::from(head.finish())
+        };
+        let mut v3 = need_v3.then(|| head(VERSION_V3));
+        let mut v2 = need_v2.then(|| head(VERSION));
+        let mode = if need_v3 {
             // Delta records name the committed epoch both sides hold: the
             // primary's base advances only at quorum commit, so an
             // aborted epoch re-encodes against the same base.
@@ -496,17 +484,20 @@ impl Session {
             PayloadMode::Metadata
         };
 
-        // Head segment: preamble + begin record.
-        let mut head =
-            StreamEncoder::with_buffer_versioned(self.pools.buffers.checkout(64), version);
-        head.push(&Record::CheckpointBegin { seq });
-        let mut stream = ScatterStream::from(head.finish());
-
         // Page lanes, encoded concurrently into pooled buffers and spliced
         // in task order as they complete.
         let at_nanos = self.now_nanos();
+        let vm = self.primary.vm(self.pvm)?;
+        let source = match pages {
+            EpochPages::Harvest => PageSource::Snapshot {
+                snapshot: &self.pools.harvest,
+                records: vm.memory().records(),
+            },
+            EpochPages::Delta(delta) => PageSource::Entries(delta.entries()),
+        };
+        let pages_total = source.len() as u64;
         let plan = EncodePlan {
-            lanes: if delta.len() < PARALLEL_ENCODE_MIN_PAGES {
+            lanes: if source.len() < PARALLEL_ENCODE_MIN_PAGES {
                 1
             } else {
                 self.threads
@@ -515,27 +506,35 @@ impl Session {
             chunk_pages: self.cfg.encode_chunk_pages,
             window: None,
         };
-        let mut page_bytes = 0u64;
-        let (walls, _) = encode_pages_round(
-            delta,
+        let mut v3_page_bytes = 0u64;
+        let (walls, _) = encode_round(
+            source,
             &plan,
+            need_v3 && need_v2,
             &mut self.pools.buffers,
             &self.pools.lanes,
-            |_, segment| {
-                page_bytes += segment.len() as u64;
-                stream.push(segment)
+            |_, segment, v2_segment| {
+                match v3.as_mut() {
+                    Some(stream) => {
+                        v3_page_bytes += segment.len() as u64;
+                        stream.push(segment);
+                    }
+                    None => v2.as_mut().expect("a v2-only epoch").push(segment),
+                }
+                if let Some(segment) = v2_segment {
+                    v2.as_mut().expect("a mixed epoch").push(segment);
+                }
             },
         );
-        if canonical {
-            self.emit(SessionEvent::EncodeLanes {
-                seq,
-                at_nanos,
-                walls,
-            });
-        }
+        self.emit(SessionEvent::EncodeLanes {
+            seq,
+            at_nanos,
+            walls,
+        });
 
-        // Tail segment: vCPU state (captured and translated inline),
-        // device identities, and the cross-check trailer.
+        // Tail segments: vCPU state (captured and translated inline),
+        // device identities, and the cross-check trailer, written once and
+        // copied into each further stream.
         let vcpu_count = self.primary.vm(self.pvm)?.vcpus().len() as u32;
         let mut blobs = Vec::with_capacity(vcpu_count as usize);
         for i in 0..vcpu_count {
@@ -555,15 +554,26 @@ impl Session {
         for dev in self.primary.vm(self.pvm)?.devices() {
             encode_record_into(&Record::Device(dev.identity.clone()), &mut tail);
         }
-        encode_record_into(
-            &Record::CheckpointEnd {
-                seq,
-                pages_total: delta.len() as u64,
-            },
-            &mut tail,
-        );
-        stream.push(tail.freeze());
-        Ok((stream, page_bytes))
+        encode_record_into(&Record::CheckpointEnd { seq, pages_total }, &mut tail);
+        if let (Some(_), Some(stream)) = (&v3, v2.as_mut()) {
+            let mut copy = self.pools.buffers.checkout(256);
+            copy.extend_from_slice(&tail);
+            stream.push(copy.freeze());
+        }
+        if let Some(stream) = v3.as_mut().or(v2.as_mut()) {
+            stream.push(tail.freeze());
+        }
+        Ok(EpochStreams {
+            v2,
+            v3,
+            v3_page_bytes,
+        })
+    }
+
+    /// True when any replica negotiated wire v3 this session — the gate
+    /// for the delta-base bookkeeping, so an all-v2 session does none.
+    pub(crate) fn wire_v3_active(&self) -> bool {
+        self.replicas.iter().any(|r| r.wire_version() >= VERSION_V3)
     }
 
     /// Decodes a checkpoint stream and installs it on one replica — the
@@ -807,7 +817,7 @@ impl Session {
     /// only ever written by the receive path; the continuous phase splits
     /// the same work across the Translate and Transfer stages.
     pub(crate) fn ship_checkpoint(&mut self, delta: &MemoryDelta, seq: u64) -> CoreResult<()> {
-        let streams = self.encode_checkpoint(delta, seq)?;
+        let streams = self.encode_checkpoint(EpochPages::Delta(delta), seq)?;
         let outcomes = self.fan_out(&streams, seq, |_| SimDuration::ZERO)?;
         self.recycle_streams(streams);
         if outcomes.iter().all(|&(applied, _)| applied) {
@@ -1012,16 +1022,14 @@ impl Session {
     /// successful epoch, and the previous committed epoch stays
     /// authoritative on the replica.
     pub(crate) fn abort_epoch(&mut self, seq: u64, attempts: u32) -> CoreResult<()> {
-        {
-            // The harvested delta is still pooled (it is recycled, not
-            // cleared, after Translate): every page it names was wiped
-            // from the primary's dirty bitmap at Harvest but never reached
-            // the replica.
-            let vm = self.primary.vm_mut(self.pvm)?;
-            for &(page, _) in self.pools.delta.entries() {
-                vm.dirty_mut().bitmap_mut().mark(page);
-            }
-        }
+        // The epoch's snapshot is still pooled: every page it marks was
+        // wiped from the primary's dirty bitmap at Harvest but never
+        // reached the replica.
+        self.primary
+            .vm_mut(self.pvm)?
+            .dirty_mut()
+            .bitmap_mut()
+            .union(self.pools.harvest.bitmap());
         self.primary.vm_mut(self.pvm)?.resume()?;
         self.disturbance_debt += self.cfg.costs.pause_disturbance;
         if let Some(chaos) = self.chaos.as_mut() {
@@ -1344,6 +1352,7 @@ fn stage_all(
 mod tests {
     use super::*;
     use crate::config::{FanoutMode, TopologyConfig};
+    use here_hypervisor::dirty::DirtyBitmap;
     use here_hypervisor::memory::PageVersion;
     use proptest::prelude::*;
 
@@ -1401,6 +1410,52 @@ mod tests {
         assert_eq!(image(session).touched_pages(), 0);
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// An aborted epoch ORs its snapshot back into the live bitmap:
+        /// the live bitmap and its count are what a `mark` loop over the
+        /// harvested pages leaves, on sparse, dense, empty and last-frame
+        /// harvests, whatever the guest dirtied after the harvest.
+        #[test]
+        fn an_aborted_epoch_re_dirties_what_a_mark_loop_would(
+            harvested in proptest::collection::vec(0u64..1024, 0..300),
+            since in proptest::collection::vec(0u64..1024, 0..300),
+            dense in any::<bool>(),
+            last in any::<bool>(),
+        ) {
+            fn live(session: &mut Session) -> &mut DirtyBitmap {
+                let pvm = session.pvm;
+                session.primary.vm_mut(pvm).unwrap().dirty_mut().bitmap_mut()
+            }
+            let mut session = small_session(v2());
+            let pages = live(&mut session).num_pages();
+            let mut marked: Vec<u64> = if dense { (0..pages).collect() } else { harvested };
+            if last {
+                marked.push(pages - 1);
+            }
+            for &f in &marked {
+                live(&mut session).mark(PageId::new(f));
+            }
+            crate::pipeline::begin(&mut session).unwrap().harvest().unwrap();
+            prop_assert!(live(&mut session).is_empty());
+            marked.sort_unstable();
+            marked.dedup();
+            let harvest: Vec<u64> = session.pools.harvest.bitmap().iter().map(|p| p.frame()).collect();
+            prop_assert_eq!(harvest, marked);
+            for &f in &since {
+                live(&mut session).mark(PageId::new(f));
+            }
+            let mut expected = live(&mut session).clone();
+            for page in session.pools.harvest.bitmap().iter() {
+                expected.mark(page);
+            }
+            session.abort_epoch(session.seq, 4).unwrap();
+            prop_assert_eq!(live(&mut session).count(), expected.count());
+            prop_assert_eq!(&*live(&mut session), &expected);
+        }
+    }
+
     #[test]
     fn hostile_frame_past_the_replica_is_rejected_before_anything_installs() {
         // A stream with honest checksums and an honest trailer whose third
@@ -1409,7 +1464,7 @@ mod tests {
         let mut session = small_session(v2());
         let limit = MEMORY.as_bytes() / PAGE_SIZE;
         let streams = session
-            .encode_checkpoint(&delta_at(&[0, 1, limit]), 1)
+            .encode_checkpoint(EpochPages::Delta(&delta_at(&[0, 1, limit])), 1)
             .unwrap();
 
         let err = session
@@ -1430,7 +1485,9 @@ mod tests {
         // pages are in — or, for the missing record, never: the epoch
         // installed with the previous epoch's registers.
         let mut session = small_session(v2());
-        let streams = session.encode_checkpoint(&delta_at(&[0, 1]), 1).unwrap();
+        let streams = session
+            .encode_checkpoint(EpochPages::Delta(&delta_at(&[0, 1])), 1)
+            .unwrap();
         let forge = |to_index: u32, copies: usize| -> ScatterStream {
             let dec = StreamDecoder::new_negotiated(streams.canonical().clone(), VERSION)
                 .expect("honest preamble");
@@ -1571,7 +1628,9 @@ mod tests {
             let mut honest = small_session(cfg.clone());
             // Registers a fresh replica shell does not already hold.
             honest.tick_vcpus(SimDuration::from_secs(1));
-            let streams = honest.encode_checkpoint(&delta_at(&[0, 1, 2]), 1).unwrap();
+            let streams = honest
+                .encode_checkpoint(EpochPages::Delta(&delta_at(&[0, 1, 2])), 1)
+                .unwrap();
             let seed = streams.canonical().gather().to_vec();
             honest
                 .apply_checkpoint(streams.canonical().clone(), 1, 0)
@@ -1720,7 +1779,7 @@ mod tests {
                         (PageId::new(frame), PageVersion { version, last_writer: 0 })
                     })
                     .collect();
-                let streams = session.encode_checkpoint(&delta, 1).unwrap();
+                let streams = session.encode_checkpoint(EpochPages::Delta(&delta), 1).unwrap();
                 let stream_of = |session: &Session, replica: u32| {
                     streams.for_version(session.replicas.get(replica).wire_version()).clone()
                 };

@@ -1,17 +1,26 @@
-//! The multithreaded dirty-page harvest (§7.2).
+//! The dirty-page harvest (§7.2).
 //!
-//! Guest memory is split into 2 MiB chunks, assigned round-robin to
-//! worker lanes; every lane scans the shared dirty bitmap over its own
-//! chunks and writes the pages it owns straight into their final slots
-//! of the delta ([`collect_chunked_into`]). A lane walks its bitmap words
-//! by internal iteration (`DirtyPagesIter`'s `fold`: one
-//! `trailing_zeros` loop per word) and reads each version straight from
-//! the memory's record table ([`GuestMemory::records`]), so the per-page
-//! cost is a bit peel, a load and a store. Continuous checkpointing and
-//! every seeding round harvest this way. Seeding adds the paper's
-//! "problematic" pages: pages that different migrator threads sent across
-//! rounds (possible cross-vCPU write races), which [`ProblematicTracker`]
-//! keeps for mandatory resend in the final stop-and-copy.
+//! Continuous checkpointing builds no page list: the primary stays
+//! paused from *Pause* to *Resume*, so the epoch's dirty snapshot over
+//! the primary's record table already is one. A [`DirtySnapshot`] keeps
+//! the bitmap and how many dirty pages lie before each 2 MiB chunk, and
+//! an encode task walks its ordinal range of the dirty pages straight
+//! out of it (`DirtySnapshot::pages`).
+//!
+//! [`collect_chunked_into`] builds the list, and now serves the seeding
+//! rounds (a pre-copy round runs the guest between its collect and its
+//! ship, so its versions must be captured when it collects) and external
+//! callers only. Guest memory is split into 2 MiB chunks, assigned
+//! round-robin to worker lanes; every lane scans the shared dirty bitmap
+//! over its own chunks and writes the pages it owns straight into their
+//! final slots of the delta. Either way the bitmap words are walked by
+//! internal iteration (`DirtyPagesIter`'s `fold`: one `trailing_zeros`
+//! loop per word) and each version is read straight from the memory's
+//! record table ([`GuestMemory::records`]), so the per-page cost is a bit
+//! peel, a load and a store. Seeding adds the paper's "problematic"
+//! pages: pages that different migrator threads sent across rounds
+//! (possible cross-vCPU write races), which [`ProblematicTracker`] keeps
+//! for mandatory resend in the final stop-and-copy.
 //!
 //! The lanes are real threads, the parked workers of a [`LanePool`];
 //! only the *reported durations* come from the calibrated [`CostModel`],
@@ -106,10 +115,7 @@ pub fn collect_chunked_into(
         lanes: pool,
     } = scratch;
     counts.clear();
-    counts.extend((0..num_chunks).map(|chunk| {
-        let lo = chunk * PAGES_PER_CHUNK;
-        dirty.count_in_range(lo, lo + PAGES_PER_CHUNK) as usize
-    }));
+    counts.extend((0..num_chunks).map(|chunk| chunk_count(dirty, chunk)));
     let mut rest = out.slots_mut(counts.iter().sum());
     let mut lanes: Vec<Vec<ChunkSlots<'_>>> = (0..workers)
         .map(|_| Vec::with_capacity(counts.len().div_ceil(workers)))
@@ -130,6 +136,97 @@ pub fn collect_chunked_into(
         }
     };
     pool.scope(workers - 1, &|worker| run(worker + 1), || run(0));
+}
+
+/// Dirty pages in chunk `chunk` of `dirty`, by word popcounts.
+fn chunk_count(dirty: &DirtyBitmap, chunk: u64) -> usize {
+    let lo = chunk * PAGES_PER_CHUNK;
+    dirty.count_in_range(lo, lo + PAGES_PER_CHUNK) as usize
+}
+
+/// An epoch's harvest, kept whole while the primary stays paused: the
+/// dirty snapshot, and how many dirty pages lie before each 2 MiB chunk
+/// (the per-chunk popcounts [`collect_chunked_into`] places its chunks
+/// by, summed). No page list is built: an encode task reads an ordinal
+/// range of the dirty pages straight from the bitmap and the paused
+/// primary's record table (`DirtySnapshot::pages`), and the count table
+/// finds where that range starts without walking the pages before it.
+#[derive(Debug)]
+pub struct DirtySnapshot {
+    bitmap: DirtyBitmap,
+    /// `starts[c]`: dirty pages in the chunks before chunk `c`; one entry
+    /// more than there are chunks, the last the total.
+    starts: Vec<usize>,
+}
+
+impl Default for DirtySnapshot {
+    fn default() -> Self {
+        DirtySnapshot {
+            bitmap: DirtyBitmap::new(0),
+            starts: vec![0],
+        }
+    }
+}
+
+impl DirtySnapshot {
+    /// Makes `bitmap` the snapshot, counting its chunks into the table
+    /// kept from the last epoch (regrown only if the guest grew).
+    pub(crate) fn retake(&mut self, bitmap: DirtyBitmap) {
+        let chunks = bitmap.num_pages().div_ceil(PAGES_PER_CHUNK);
+        self.starts.clear();
+        self.starts.push(0);
+        let mut total = 0;
+        for chunk in 0..chunks {
+            total += chunk_count(&bitmap, chunk);
+            self.starts.push(total);
+        }
+        self.bitmap = bitmap;
+    }
+
+    /// The snapshot's dirty bitmap.
+    pub(crate) fn bitmap(&self) -> &DirtyBitmap {
+        &self.bitmap
+    }
+
+    /// Dirty pages in the snapshot.
+    pub(crate) fn len(&self) -> usize {
+        *self.starts.last().expect("the table ends with the total")
+    }
+
+    /// The frame dirty page `k` (in frame order, from 0) sits at; the
+    /// guest's end for `k` at or past the last.
+    fn frame_of(&self, k: usize) -> u64 {
+        if k >= self.len() {
+            return self.bitmap.num_pages();
+        }
+        let chunk = self.starts.partition_point(|&before| before <= k) - 1;
+        let first = chunk as u64 * PAGES_PER_CHUNK;
+        self.bitmap
+            .nth_from(first, (k - self.starts[chunk]) as u64)
+            .expect("the count table places page k in this chunk")
+    }
+
+    /// Dirty pages `lo..hi` in frame order, each with its version from
+    /// `records`, the paused memory's record table: the bitmap words
+    /// between the two pages, peeled by `DirtyPagesIter` (a `fold` when
+    /// consumed whole), and an index for each version (the bitmap marks
+    /// only the memory's own frames). Cloning it walks the range again.
+    pub(crate) fn pages<'a>(
+        &'a self,
+        records: &'a [PageVersion],
+        lo: usize,
+        hi: usize,
+    ) -> impl Iterator<Item = (PageId, PageVersion)> + Clone + 'a {
+        let pages = self.bitmap.iter_range(self.frame_of(lo), self.frame_of(hi));
+        pages.map(|page| (page, records[page.frame() as usize]))
+    }
+
+    /// The snapshot's pages with their versions in `memory` as a delta,
+    /// replacing `out`'s contents: the page list a replica that missed
+    /// the epoch takes into its backlog, built only then.
+    pub(crate) fn collect_into(&self, memory: &GuestMemory, out: &mut MemoryDelta) {
+        fill_slots(memory, self.bitmap.iter(), out.slots_mut(self.len()));
+    }
 }
 
 /// A chunk's number and the slots its dirty pages fill.
@@ -196,7 +293,7 @@ impl ProblematicTracker {
     }
 
     /// Number of problematic pages so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.problematic.len()
     }
 

@@ -144,6 +144,46 @@ impl DirtyBitmap {
             .sum()
     }
 
+    /// The frame of the `k`-th dirty page (counting from 0) at or after
+    /// frame `lo`, by word popcounts and then a bit select in one word;
+    /// `None` if fewer than `k + 1` dirty pages lie there. With a table
+    /// of per-chunk counts to start from, this finds where an ordinal
+    /// range of the dirty pages begins without walking the pages before
+    /// it.
+    pub fn nth_from(&self, lo: u64, k: u64) -> Option<u64> {
+        let mut k = k;
+        for wi in lo / 64..self.num_pages.div_ceil(64) {
+            let mut w = masked_word(&self.words, wi, lo, self.num_pages);
+            let ones = u64::from(w.count_ones());
+            if k < ones {
+                for _ in 0..k {
+                    w &= w - 1;
+                }
+                return Some(wi * 64 + u64::from(w.trailing_zeros()));
+            }
+            k -= ones;
+        }
+        None
+    }
+
+    /// Marks every frame `other` marks, a word at a time: `count` rises by
+    /// the popcount of the bits that were clear, so the result is what a
+    /// [`DirtyBitmap::mark`] of each of `other`'s pages leaves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two bitmaps cover different page counts.
+    pub fn union(&mut self, other: &DirtyBitmap) {
+        assert_eq!(
+            self.num_pages, other.num_pages,
+            "a union of bitmaps over different guests"
+        );
+        for (word, &theirs) in self.words.iter_mut().zip(&other.words) {
+            self.count += u64::from((theirs & !*word).count_ones());
+            *word |= theirs;
+        }
+    }
+
     /// Dirty frames in the half-open range `[lo, hi)`, ascending. This is
     /// the primitive HERE's chunk workers scan with: each worker reads only
     /// its own chunks' words, so concurrent workers never contend.
@@ -432,6 +472,68 @@ mod tests {
             prop_assert_eq!(it.clone().count(), by_next.len());
             // An exhausted iterator folds to nothing.
             prop_assert_eq!(stepped.count(), 0);
+        }
+    }
+
+    /// A bitmap over `num_pages` frames marking `frames` (out-of-range
+    /// ones ignored).
+    fn marked(num_pages: u64, frames: impl IntoIterator<Item = u64>) -> DirtyBitmap {
+        let mut bm = DirtyBitmap::new(num_pages);
+        for f in frames {
+            bm.mark(PageId::new(f));
+        }
+        bm
+    }
+
+    /// The union is a `mark` loop over the other bitmap's pages, on dense,
+    /// sparse, empty and last-frame bitmaps whose page counts are no
+    /// multiple of 64, each onto each: same words, same count.
+    #[test]
+    fn union_is_a_mark_loop() {
+        let n = 1000;
+        let shapes = [
+            marked(n, 0..n),
+            marked(n, (0..n).filter(|f| f % 3 != 0)),
+            marked(n, (0..n).step_by(97)),
+            marked(n, []),
+            marked(n, [n - 1]),
+            marked(n, [0, 63, 64, 511, 512, n - 1]),
+        ];
+        for live in &shapes {
+            for other in &shapes {
+                let mut by_union = live.clone();
+                by_union.union(other);
+                let mut by_mark = live.clone();
+                for page in other.iter() {
+                    by_mark.mark(page);
+                }
+                assert_eq!(by_union, by_mark);
+                assert_eq!(by_union.count(), by_union.iter().count() as u64);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different guests")]
+    fn union_refuses_another_guests_bitmap() {
+        DirtyBitmap::new(64).union(&DirtyBitmap::new(65));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `nth_from(lo, k)` is the `k`-th frame the iterator yields from
+        /// `lo`, and `None` past the last one.
+        #[test]
+        fn nth_from_is_the_kth_iterated_frame(
+            num_pages in 1u64..1300,
+            frames in proptest::collection::vec(0u64..1300, 0..400),
+            lo in 0u64..1300,
+            k in 0u64..500,
+        ) {
+            let bm = marked(num_pages, frames);
+            let expected = bm.iter_range(lo, num_pages).nth(k as usize).map(|p| p.frame());
+            prop_assert_eq!(bm.nth_from(lo, k), expected);
         }
     }
 

@@ -835,7 +835,8 @@ fn patch_columns_header(
 /// its own digest.
 fn encode_columns_record(
     base_epoch: u64,
-    pages: impl ExactSizeIterator<Item = (PageId, PageVersion, u8)> + Clone,
+    count: usize,
+    pages: impl Iterator<Item = (PageId, PageVersion, u8)> + Clone,
     payloads: impl FnOnce(&mut BytesMut),
     out: &mut BytesMut,
 ) {
@@ -845,7 +846,7 @@ fn encode_columns_record(
     let meta_at = out.len();
     // Every page costs at least three meta bytes (frame gap, version,
     // writer).
-    out.reserve(3 * pages.len());
+    out.reserve(3 * count);
     // Frame column: zigzag gaps from the previous frame (first from zero).
     let gaps = pages.clone().scan(0i64, |prev, (page, _, _)| {
         let f = page.frame() as i64;
@@ -876,7 +877,7 @@ fn encode_columns_record(
         out,
         header_at,
         base_epoch,
-        pages.len() as u32,
+        count as u32,
         meta_at,
         payload_at,
     );
@@ -909,19 +910,32 @@ pub fn encode_page_columns_into(batch: &PageColumnsBatch, out: &mut BytesMut) {
             }
         }
     };
-    encode_columns_record(batch.base_epoch, pages, payloads, out);
+    encode_columns_record(batch.base_epoch, batch.entries.len(), pages, payloads, out);
 }
 
 /// Encodes a metadata-only v3 page-columns record straight from a delta
-/// shard slice — the hot lane path: the record a [`PageColumnsBatch`] of
-/// [`PagePayload::Meta`] pages frames to, with no owned batch allocated.
+/// shard slice: the record a [`PageColumnsBatch`] of [`PagePayload::Meta`]
+/// pages frames to, with no owned batch allocated.
 pub fn encode_page_columns_meta_into(
     base_epoch: u64,
     entries: &[(PageId, PageVersion)],
     out: &mut BytesMut,
 ) {
-    let pages = entries.iter().map(|&(page, rec)| (page, rec, MODE_META));
-    encode_columns_record(base_epoch, pages, |_| {}, out);
+    encode_page_columns_meta_from(base_epoch, entries.len(), entries.iter().copied(), out);
+}
+
+/// [`encode_page_columns_meta_into`] over any re-walkable sequence of
+/// `count` pages — the hot lane path, which reads a v3 task's pages once
+/// per column, straight from where they are (a page list, or a dirty
+/// bitmap over a record table).
+pub fn encode_page_columns_meta_from(
+    base_epoch: u64,
+    count: usize,
+    pages: impl Iterator<Item = (PageId, PageVersion)> + Clone,
+    out: &mut BytesMut,
+) {
+    let pages = pages.map(|(page, rec)| (page, rec, MODE_META));
+    encode_columns_record(base_epoch, count, pages, |_| {}, out);
 }
 
 /// A page-columns record's fixed header, checked: the base epoch, the
@@ -977,15 +991,15 @@ impl ColumnsHeader {
 /// The one check of a page record's payload: a v2 page batch's count
 /// and slots, a v2 page-data record's whole number of pages, or a v3
 /// columns record's header, meta column ([`check_meta_column`]) and
-/// payload column ([`payload_column`], each payload handed to `payloads`),
-/// and in every case nothing after them. `runs` is scratch for the mode
-/// runs. The record's pages are parsed into nothing: the frame keeps the
-/// payload and where each column starts.
+/// payload column ([`payload_column`]), each value and payload handed to
+/// `sink` as it passes, and in every case nothing after them. `runs` is
+/// scratch for the mode runs. The frame keeps the payload and where each
+/// column starts.
 fn check_page_frame(
     tag: u8,
     payload: Bytes,
     runs: &mut Vec<(u8, usize)>,
-    payloads: impl FnMut(PagePayload),
+    sink: &mut impl PageSink,
 ) -> WireResult<PageFrame> {
     let frame_of = |meta: &[u8]| u64::from_be_bytes(*meta.first_chunk().expect("a whole meta"));
     let mut r = Reader(payload.clone());
@@ -1014,8 +1028,10 @@ fn check_page_frame(
         }
         _ => {
             let header = ColumnsHeader::read(&mut r)?;
-            let meta = check_meta_column(&header.meta, header.count, runs)?;
-            payload_column(&header.payload, runs, payloads)?;
+            let meta = check_meta_column(&header.meta, header.count, runs, |field, k, value| {
+                sink.meta(field, k, value)
+            })?;
+            payload_column(&header.payload, runs, |payload| sink.payload(payload))?;
             let layout = PageLayout::Columns {
                 base_epoch: header.base_epoch,
                 versions: COLUMNS_HEADER_BYTES + meta.versions,
@@ -1033,23 +1049,16 @@ fn check_page_frame(
     })
 }
 
-/// A page record decoded whole: [`check_page_frame`], then the pages read
-/// back by [`PageFrame::for_each_page`] and joined with their payloads.
+/// A page record decoded whole. A columns record's pages and payloads
+/// are filled in while [`check_page_frame`] reads them, so its meta column
+/// is read once; a v2 record's pages are read back by
+/// [`PageFrame::for_each_page`].
 fn decode_page_record(tag: u8, payload: Bytes) -> WireResult<Record> {
-    // A columns record's payloads land in their final entries at once;
-    // the pages are filled in beside them below.
-    let mut entries: Vec<(PageId, PageVersion, PagePayload)> = Vec::new();
-    let frame = check_page_frame(tag, payload, &mut Vec::new(), |pay| {
-        entries.push((PageId::new(0), PageVersion::default(), pay));
-    })?;
+    let mut sink = Entries::default();
+    let frame = check_page_frame(tag, payload, &mut Vec::new(), &mut sink)?;
     if let PageLayout::Columns { base_epoch, .. } = frame.layout {
-        let mut slots = entries.iter_mut();
-        frame.for_each_page(|page, rec| {
-            let slot = slots.next().expect("the runs give every page a payload");
-            (slot.0, slot.1) = (page, rec);
-        });
         let mut batch = PageColumnsBatch::new(base_epoch);
-        batch.entries = entries;
+        batch.entries = sink.entries;
         return Ok(Record::PageColumns(batch));
     }
     let mut pages = Vec::with_capacity(frame.count);
@@ -1065,6 +1074,60 @@ fn decode_page_record(tag: u8, payload: Bytes) -> WireResult<Record> {
     Ok(Record::PageDataBatch(batch))
 }
 
+/// Which column of a meta column a value [`check_meta_column`] hands its
+/// sink comes from.
+#[derive(Debug, Clone, Copy)]
+enum MetaField {
+    /// Page `k`'s frame number (the gaps summed).
+    Frame,
+    /// Page `k`'s version.
+    Version,
+    /// Page `k`'s last writer.
+    Writer,
+}
+
+/// What a columns record's check hands on as it reads: each value of the
+/// meta column, column by column, then each page's payload in page order.
+trait PageSink {
+    /// Value `value` of page `k` in column `field`, checked.
+    fn meta(&mut self, field: MetaField, k: usize, value: u64);
+    /// The next page's payload, checked.
+    fn payload(&mut self, payload: PagePayload);
+}
+
+/// The receive path's sink: the check keeps nothing.
+impl PageSink for () {
+    fn meta(&mut self, _: MetaField, _: usize, _: u64) {}
+    fn payload(&mut self, _: PagePayload) {}
+}
+
+/// A whole-record decode's sink: the record's entries, filled as the check
+/// reads the meta column once and then the payloads.
+#[derive(Default)]
+struct Entries {
+    entries: Vec<(PageId, PageVersion, PagePayload)>,
+    paid: usize,
+}
+
+impl PageSink for Entries {
+    fn meta(&mut self, field: MetaField, k: usize, value: u64) {
+        match field {
+            MetaField::Frame => self.entries.push((
+                PageId::new(value),
+                PageVersion::default(),
+                PagePayload::Meta,
+            )),
+            MetaField::Version => self.entries[k].1.version = value as u32,
+            MetaField::Writer => self.entries[k].1.last_writer = value as u16,
+        }
+    }
+
+    fn payload(&mut self, payload: PagePayload) {
+        self.entries[self.paid].2 = payload;
+        self.paid += 1;
+    }
+}
+
 /// Where a checked meta column's version and writer columns start, and
 /// the highest frame it names.
 struct MetaColumn {
@@ -1076,17 +1139,19 @@ struct MetaColumn {
 /// The one check of a columns record's meta column: `count` frame gaps,
 /// each frame inside `0..=i64::MAX`; the mode runs, into `runs` as
 /// `(mode, pages)`; `count` versions that fit a `u32` and `count` writers
-/// that fit a `u16`; and nothing after them. Nothing is stored but the
-/// runs: [`PageFrame::for_each_page`] reads the three columns again from
-/// the offsets this returns.
+/// that fit a `u16`; and nothing after them. Each frame, version and
+/// writer is handed to `sink` with its page index once it passed, column
+/// by column; the receive path stores nothing and reads the three columns
+/// again ([`PageFrame::for_each_page`]) from the offsets this returns.
 fn check_meta_column(
     meta: &Bytes,
     count: usize,
     runs: &mut Vec<(u8, usize)>,
+    mut sink: impl FnMut(MetaField, usize, u64),
 ) -> WireResult<MetaColumn> {
     let mut meta = Column::new(meta);
     let (mut prev, mut top) = (0i64, 0i64);
-    meta.varints(count, |_, gap| {
+    meta.varints(count, |k, gap| {
         // `checked_add`, never `+`: a multi-byte first gap may put `prev`
         // at `i64::MAX`.
         let f = prev
@@ -1094,6 +1159,7 @@ fn check_meta_column(
             .filter(|f| *f >= 0)
             .ok_or(WireError::BadPayload("page frame gap out of range"))?;
         (prev, top) = (f, top.max(f));
+        sink(MetaField::Frame, k, f as u64);
         Ok(())
     })?;
     runs.clear();
@@ -1118,16 +1184,16 @@ fn check_meta_column(
         seen += run as usize;
     }
     let versions = meta.at;
-    meta.varints(count, |_, version| {
-        u32::try_from(version)
-            .map(drop)
-            .map_err(|_| WireError::BadPayload("page version overflows u32"))
+    meta.varints(count, |k, version| {
+        u32::try_from(version).map_err(|_| WireError::BadPayload("page version overflows u32"))?;
+        sink(MetaField::Version, k, version);
+        Ok(())
     })?;
     let writers = meta.at;
-    meta.varints(count, |_, writer| {
-        u16::try_from(writer)
-            .map(drop)
-            .map_err(|_| WireError::BadPayload("page writer overflows u16"))
+    meta.varints(count, |k, writer| {
+        u16::try_from(writer).map_err(|_| WireError::BadPayload("page writer overflows u16"))?;
+        sink(MetaField::Writer, k, writer);
+        Ok(())
     })?;
     meta.finish()?;
     Ok(MetaColumn {
@@ -1379,9 +1445,15 @@ pub fn write_preamble_versioned(out: &mut BytesMut, version: u16) {
 /// payload occupying `payload_at..out.len()` is complete.
 fn patch_frame(out: &mut BytesMut, frame_at: usize, payload_at: usize, tag: u8, sum: u32) {
     let len = (out.len() - payload_at) as u32;
-    out[frame_at] = tag;
-    out[frame_at + 1..frame_at + 5].copy_from_slice(&len.to_be_bytes());
-    out[frame_at + 5..frame_at + 9].copy_from_slice(&sum.to_be_bytes());
+    write_frame_header(&mut out[frame_at..], tag, len, sum);
+}
+
+/// Writes a frame header (tag, payload length, checksum) over the
+/// placeholder bytes at the start of `frame`.
+fn write_frame_header(frame: &mut [u8], tag: u8, len: u32, sum: u32) {
+    frame[0] = tag;
+    frame[1..5].copy_from_slice(&len.to_be_bytes());
+    frame[5..9].copy_from_slice(&sum.to_be_bytes());
 }
 
 /// Reserves a frame header of placeholder bytes, returning its offset.
@@ -1452,22 +1524,101 @@ fn read_page_meta(meta: &[u8; PAGE_META_BYTES]) -> (PageId, PageVersion) {
 
 /// Encodes a metadata-only page batch record straight from an entry slice,
 /// so per-worker delta shards can be encoded without first cloning them
-/// into an owned [`MemoryDelta`].
-///
-/// The record is sized once and the metas are written in place, one
-/// fixed 14-byte slot per entry, before the frame checksum runs over them.
+/// into an owned [`MemoryDelta`]: a [`PageBatchWriter`] fed the slice.
 pub fn encode_page_batch_into(entries: &[(PageId, PageVersion)], out: &mut BytesMut) {
-    let frame_at = reserve_frame(out);
-    let payload_at = out.len();
-    let metas_at = payload_at + 4;
-    out.resize(metas_at + entries.len() * PAGE_META_BYTES, 0);
-    out[payload_at..metas_at].copy_from_slice(&(entries.len() as u32).to_be_bytes());
-    let slots = out[metas_at..].chunks_exact_mut(PAGE_META_BYTES);
-    for (slot, &(page, rec)) in slots.zip(entries) {
-        write_page_meta(slot.try_into().expect("exact chunk"), page, rec);
+    let mut writer = PageBatchWriter::new(out, entries.len());
+    writer.push_all(entries);
+    writer.finish();
+}
+
+/// Writes a metadata-only page batch record of a known page count into a
+/// buffer, one page at a time, so a caller that walks its pages (a dirty
+/// bitmap over a record table) frames them without a page list.
+///
+/// The record is sized once and each meta is written in place, one fixed
+/// 14-byte slot per page; [`finish`](PageBatchWriter::finish) runs the
+/// frame checksum over them. The slots written so far can also be framed
+/// as a v3 columns record ([`encode_columns_into`]), so one walk yields
+/// both wire versions. Dropped unfinished, the writer leaves a zero-tag
+/// frame, which the decoder rejects.
+///
+/// [`encode_columns_into`]: PageBatchWriter::encode_columns_into
+#[derive(Debug)]
+pub struct PageBatchWriter<'a> {
+    /// The frame header's placeholder bytes, then the page count.
+    head: &'a mut [u8],
+    /// One slot per page, the first `written` filled.
+    metas: &'a mut [[u8; PAGE_META_BYTES]],
+    written: usize,
+}
+
+impl<'a> PageBatchWriter<'a> {
+    /// Opens a page batch record of `count` pages in `out`.
+    pub fn new(out: &'a mut BytesMut, count: usize) -> Self {
+        let frame_at = reserve_frame(out);
+        let metas_at = out.len() + 4;
+        out.resize(metas_at + count * PAGE_META_BYTES, 0);
+        let (head, metas) = out[frame_at..].split_at_mut(FRAME_HEADER_BYTES + 4);
+        head[FRAME_HEADER_BYTES..].copy_from_slice(&(count as u32).to_be_bytes());
+        PageBatchWriter {
+            head,
+            metas: metas.as_chunks_mut().0,
+            written: 0,
+        }
     }
-    let sum = frame_checksum(TAG_PAGE_BATCH, &out[payload_at..]);
-    patch_frame(out, frame_at, payload_at, TAG_PAGE_BATCH, sum);
+
+    /// Writes the next page's meta.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record already holds the `count` pages it was opened
+    /// for.
+    #[inline]
+    pub fn push(&mut self, page: PageId, rec: PageVersion) {
+        write_page_meta(&mut self.metas[self.written], page, rec);
+        self.written += 1;
+    }
+
+    /// Writes the metas of `pages`, next after those written so far: one
+    /// pass over the slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that is more pages than the record was opened for.
+    pub fn push_all(&mut self, pages: &[(PageId, PageVersion)]) {
+        let slots = &mut self.metas[self.written..self.written + pages.len()];
+        for (slot, &(page, rec)) in slots.iter_mut().zip(pages) {
+            write_page_meta(slot, page, rec);
+        }
+        self.written += pages.len();
+    }
+
+    /// Appends to `out` the metadata-only v3 columns record of the pages
+    /// written so far, against `base_epoch`: byte for byte what
+    /// [`encode_page_columns_meta_into`] writes for the same pages.
+    pub fn encode_columns_into(&self, base_epoch: u64, out: &mut BytesMut) {
+        let pages = self.metas[..self.written].iter().map(read_page_meta);
+        encode_page_columns_meta_from(base_epoch, self.written, pages, out);
+    }
+
+    /// Closes the record, patching the frame header.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer pages were written than the record was opened for.
+    pub fn finish(self) {
+        assert_eq!(
+            self.written,
+            self.metas.len(),
+            "every page the record was opened for is written"
+        );
+        let metas = self.metas.as_flattened();
+        let mut sum = StreamingChecksum::tagged(TAG_PAGE_BATCH);
+        sum.update(&self.head[FRAME_HEADER_BYTES..]);
+        sum.update(metas);
+        let len = (4 + metas.len()) as u32;
+        write_frame_header(self.head, TAG_PAGE_BATCH, len, sum.finish());
+    }
 }
 
 /// Bytes one page occupies in a page-data record: metadata, then content.
@@ -1925,7 +2076,7 @@ impl StreamDecoder {
         };
         let checked = match tag {
             TAG_PAGE_BATCH | TAG_PAGE_DATA | TAG_PAGE_COLUMNS => {
-                Checked::Pages(check_page_frame(tag, payload, &mut self.runs, drop)?)
+                Checked::Pages(check_page_frame(tag, payload, &mut self.runs, &mut ())?)
             }
             _ => Checked::Record(decode_payload(tag, payload)?),
         };
@@ -3849,6 +4000,26 @@ mod tests {
                     panic!("a columns record checked as {got:?}");
                 };
                 prop_assert_eq!(frame.top(), top.unwrap_or(0));
+            }
+
+            /// A `PageBatchWriter` fed a shard's pages one at a time frames
+            /// the slice encoder's v2 record, and the columns it frames from
+            /// the same metas are the meta-only v3 record.
+            #[test]
+            fn one_batch_writer_frames_both_versions(batch in shard()) {
+                let metas: Vec<_> = batch.entries.iter().map(|&(p, r, _)| (p, r)).collect();
+                let (mut v2, mut v3) = (BytesMut::new(), BytesMut::new());
+                let mut writer = PageBatchWriter::new(&mut v2, metas.len());
+                for &(page, rec) in &metas {
+                    writer.push(page, rec);
+                }
+                writer.encode_columns_into(batch.base_epoch, &mut v3);
+                writer.finish();
+                let (mut slice_v2, mut slice_v3) = (BytesMut::new(), BytesMut::new());
+                encode_page_batch_into(&metas, &mut slice_v2);
+                encode_page_columns_meta_into(batch.base_epoch, &metas, &mut slice_v3);
+                prop_assert_eq!(&v2[..], &slice_v2[..]);
+                prop_assert_eq!(&v3[..], &slice_v3[..]);
             }
 
             /// Flipped, truncated and spliced meta columns, resealed so the
