@@ -57,18 +57,14 @@ pub(crate) fn do_checkpoint(session: &mut Session, period_used: SimDuration) -> 
         pooled: session.pools.buffers.pooled() as u64,
         at_nanos,
     });
-    // When the work-stealing lane pool ran for this checkpoint, say how
-    // its round went; single-lane (inline) encodes leave the pool
-    // untouched and emit nothing.
-    let pool_rounds = session.pools.lanes.totals().rounds;
-    if pool_rounds > session.pool_rounds_seen {
-        session.pool_rounds_seen = pool_rounds;
-        let last = session.pools.lanes.last_round();
+    // When this epoch's encode ran on the lane pool, say how its round
+    // went; an inline encode emits nothing.
+    if let Some(round) = session.encode_stats.take() {
         session.emit(SessionEvent::EncodePool {
             seq: summary.seq,
-            tasks: last.tasks(),
-            steals: last.steals(),
-            occupancy_pct: last.occupancy_pct(),
+            tasks: round.tasks(),
+            steals: round.steals(),
+            occupancy_pct: round.occupancy_pct(),
             at_nanos,
         });
     }
@@ -748,10 +744,12 @@ mod tests {
             do_checkpoint(&mut session, t).unwrap();
             spawned.push(session.pools.lanes.workers_spawned());
         }
-        assert!(
-            session.pools.lanes.totals().rounds >= 7,
-            "encode rounds ran"
-        );
+        let pool_rounds = session
+            .log
+            .iter()
+            .filter(|event| matches!(event, SessionEvent::EncodePool { .. }))
+            .count();
+        assert!(pool_rounds >= 7, "encode rounds ran: {pool_rounds}");
         assert_eq!(spawned, vec![seeded; 8]);
     }
 

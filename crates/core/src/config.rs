@@ -371,7 +371,7 @@ pub struct ReplicationConfig {
     /// Chunk-framed encode: `None` keeps the legacy one-record-per-lane
     /// shard framing (byte-identical streams to prior releases); `Some(p)`
     /// frames one page-batch record per `p`-page chunk, giving the
-    /// work-stealing lane pool enough tasks to balance.
+    /// lane pool enough tasks to balance.
     pub encode_chunk_pages: Option<u32>,
     /// Overlap the Transfer stage's wire time with the encode scan in
     /// *virtual* time: once the first chunk is framed the wire starts

@@ -1,4 +1,4 @@
-//! The zero-copy, work-stealing, pipelined checkpoint data plane.
+//! The zero-copy, pipelined checkpoint data plane.
 //!
 //! [`encode_pages_round`] is the one way a delta becomes wire bytes. An
 //! [`EncodePlan`] says how the round is split into tasks (one record per
@@ -7,16 +7,15 @@
 //! - **Framing** — `chunk_pages: None` cuts one near-equal shard per
 //!   lane (the session's default; the shard record sizes are in every
 //!   Transfer stage event, so the run fingerprints pin this framing).
-//!   `Some(p)` cuts fixed `p`-page chunks, enough tasks to steal.
+//!   `Some(p)` cuts fixed `p`-page chunks, enough tasks to balance.
 //! - **Inline rule** — a single task, or one lane with no window, is
 //!   encoded on the calling thread and never touches the pool: the
 //!   choice follows from the input alone.
 //! - **Pool round** — every other round is a [`LanePool::scope`] on the
 //!   persistent pool, whose workers are spawned once and parked between
 //!   rounds, and which lends them the caller's delta: no lane copies it.
-//!   Tasks sit on per-lane queues (round-robin by task index, so
-//!   a lane re-encodes the same memory regions epoch after epoch); a lane
-//!   that drains its queue steals from the back of the fullest other.
+//!   Lanes claim tasks in index order from one cursor (`Claim`, the one
+//!   way any pool job hands out work).
 //!   The lanes produce and the calling thread consumes: it gets each
 //!   segment, strictly in task order, as soon as that segment and its
 //!   predecessors are done, so transfer/decode overlaps the encode still
@@ -26,7 +25,8 @@
 //!   `on_segment` — it releases the window on its way out.
 //!   The stream is byte-identical at every lane count and depth. Depth
 //!   is no memory bound: every task's buffer leaves the [`BufferPool`]
-//!   before the round starts.
+//!   before the round starts. The round's lane stats come back with it
+//!   ([`EncodeRoundStats`]); the pool keeps none.
 //!
 //! Allocation lifecycle: [`BufferPool`] hands out recycled `BytesMut`
 //! buffers and reclaims them from spent `Bytes` segments via
@@ -35,9 +35,8 @@
 //! checkpoint loop performs no allocation once warm. [`CheckpointPools`]
 //! bundles all of it for `session::Session`.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -193,9 +192,10 @@ pub struct EncodePlan {
 /// Per-lane activity of one encode round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneRoundStats {
-    /// Tasks this lane executed (own + stolen).
+    /// Tasks this lane executed.
     pub tasks: u64,
-    /// Tasks this lane stole from another lane's queue.
+    /// Tasks this lane ran that the round-robin layout (task `t` to lane
+    /// `t % lanes`) gives another lane.
     pub steals: u64,
     /// Host nanoseconds this lane spent encoding.
     pub busy_nanos: u64,
@@ -216,7 +216,7 @@ impl EncodeRoundStats {
         self.per_lane.iter().map(|l| l.tasks).sum()
     }
 
-    /// Total steals.
+    /// Tasks run off the round-robin layout, summed over lanes.
     pub fn steals(&self) -> u64 {
         self.per_lane.iter().map(|l| l.steals).sum()
     }
@@ -231,19 +231,6 @@ impl EncodeRoundStats {
         let busy: u64 = self.per_lane.iter().map(|l| l.busy_nanos).sum();
         busy as f64 / (self.round_wall_nanos as f64 * lanes as f64) * 100.0
     }
-}
-
-/// Cumulative pool counters across all rounds since the pool was built.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LanePoolTotals {
-    /// Rounds dispatched through the pool (inline rounds not counted).
-    pub rounds: u64,
-    /// Tasks executed.
-    pub tasks: u64,
-    /// Tasks stolen.
-    pub steals: u64,
-    /// Encode busy nanoseconds summed over lanes.
-    pub busy_nanos: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -325,12 +312,47 @@ struct Segment {
     wall_nanos: u64,
 }
 
-/// Mutable round state shared between lanes and the consumer: task input
-/// buffers, completed output slots, the in-order window cursor, and
-/// whether the round was abandoned (its consumer left, or a lane
-/// panicked), after which nobody waits on anybody.
+/// Hands items `0..n` of one pool job out once each, in index order, to
+/// whichever claimer asks next: the one way a lane takes work. The cursor
+/// reaches each index once, so an item's lock is never contended; it only
+/// lets a claimer move the item out through `&`.
+struct Claim<T> {
+    items: Vec<Mutex<Option<T>>>,
+    next: AtomicUsize,
+}
+
+impl<T> Claim<T> {
+    fn new(items: impl IntoIterator<Item = T>) -> Self {
+        Claim {
+            items: items
+                .into_iter()
+                .map(|item| Mutex::new(Some(item)))
+                .collect(),
+            next: AtomicUsize::new(0),
+        }
+    }
+
+    /// Items the claim hands out.
+    fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// The lowest unclaimed item and its index; `None` once all are out.
+    fn next(&self) -> Option<(usize, T)> {
+        // The cursor publishes nothing (an item moves through its own
+        // lock), so it needs no ordering.
+        let index = self.next.fetch_add(1, Ordering::Relaxed);
+        let item = self.items.get(index)?;
+        let item = item.lock().unwrap_or_else(PoisonError::into_inner).take();
+        Some((index, item.expect("the cursor hands each item out once")))
+    }
+}
+
+/// Mutable round state shared between lanes and the consumer: completed
+/// output slots, the in-order window cursor, and whether the round was
+/// abandoned (its consumer left, or a lane panicked), after which nobody
+/// waits on anybody.
 struct Progress {
-    inputs: Vec<Option<TaskBuffers>>,
     slots: Vec<Option<Segment>>,
     consumed: usize,
     abandoned: bool,
@@ -344,14 +366,16 @@ struct LaneCell {
 }
 
 /// One encode round, lent to the pool's workers for the life of one
-/// [`LanePool::scope`]: the lanes encode ranges of the caller's page
-/// source in place, and the calling thread consumes their segments.
+/// [`LanePool::scope`]: the lanes claim tasks and encode ranges of the
+/// caller's page source in place, and the calling thread consumes their
+/// segments.
 struct Round<'a> {
     source: PageSource<'a>,
     tasks: &'a [(usize, usize)],
     mode: PayloadMode,
     depth: usize,
-    queues: Vec<Mutex<VecDeque<usize>>>,
+    /// Task `t`'s buffers, claimed with it.
+    claim: Claim<TaskBuffers>,
     progress: Mutex<Progress>,
     producer_cv: Condvar,
     consumer_cv: Condvar,
@@ -368,56 +392,31 @@ impl<'a> Round<'a> {
         bufs: Vec<TaskBuffers>,
     ) -> Self {
         let ntasks = tasks.len();
-        let lanes = (plan.lanes as usize).min(ntasks);
         Round {
             source,
             tasks,
             mode: plan.mode,
             depth: plan.window.map_or(ntasks, |d| (d as usize).max(1)),
-            queues: (0..lanes)
-                .map(|lane| Mutex::new((lane..ntasks).step_by(lanes).collect()))
-                .collect(),
+            claim: Claim::new(bufs),
             progress: Mutex::new(Progress {
-                inputs: bufs.into_iter().map(Some).collect(),
                 slots: (0..ntasks).map(|_| None).collect(),
                 consumed: 0,
                 abandoned: false,
             }),
             producer_cv: Condvar::new(),
             consumer_cv: Condvar::new(),
-            lane_stats: (0..lanes).map(|_| LaneCell::default()).collect(),
+            lane_stats: (0..(plan.lanes as usize).min(ntasks))
+                .map(|_| LaneCell::default())
+                .collect(),
         }
     }
 
-    /// The lanes the round runs on, one queue each.
+    /// The lanes the round runs on.
     fn lanes(&self) -> usize {
-        self.queues.len()
+        self.lane_stats.len()
     }
 
-    /// Claims the next task for `lane`: its own queue front first, then a
-    /// steal from the back of the fullest other queue.
-    fn claim(&self, lane: usize) -> Option<(usize, bool)> {
-        if let Some(task) = self.queues[lane].lock().expect("queue lock").pop_front() {
-            return Some((task, false));
-        }
-        loop {
-            let victim = self
-                .queues
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != lane)
-                .map(|(i, q)| (q.lock().expect("queue lock").len(), i))
-                .max()?;
-            if victim.0 == 0 {
-                return None;
-            }
-            if let Some(task) = self.queues[victim.1].lock().expect("queue lock").pop_back() {
-                return Some((task, true));
-            }
-        }
-    }
-
-    /// Runs `lane` until no tasks remain anywhere or the round is
+    /// Runs `lane` until every task is claimed or the round is
     /// abandoned. A panic here abandons the round before it propagates,
     /// so the consumer stops waiting for this lane's segment.
     fn work(&self, lane: usize) {
@@ -428,27 +427,24 @@ impl<'a> Round<'a> {
     }
 
     fn produce(&self, lane: usize) {
-        while let Some((task, stolen)) = self.claim(lane) {
-            let bufs = {
+        while let Some((task, bufs)) = self.claim.next() {
+            {
                 let mut p = self.progress.lock().expect("progress lock");
-                // Bounded window: never run more than `depth` chunks ahead
-                // of the consumer. Safe against deadlock because lane
-                // queues ascend and steals take the *highest* index, so
-                // the owner of the lowest unconsumed chunk is never the
-                // one blocked here, and a consumer that leaves abandons
-                // the round (see DESIGN.md).
+                // Bounded window: never run more than `depth` tasks ahead
+                // of the consumer. Claims ascend, so the lowest unconsumed
+                // task is held by a lane that is not waiting here, and a
+                // consumer that leaves abandons the round (see DESIGN.md).
                 while task >= p.consumed + self.depth && !p.abandoned {
                     p = self.producer_cv.wait(p).expect("window wait");
                 }
                 if p.abandoned {
                     return;
                 }
-                p.inputs[task].take().expect("task buffer claimed once")
-            };
+            }
             let segment = encode_task(self.source, self.tasks[task], self.mode, bufs);
             let cell = &self.lane_stats[lane];
             cell.tasks.fetch_add(1, Ordering::Relaxed);
-            if stolen {
+            if task % self.lanes() != lane {
                 cell.steals.fetch_add(1, Ordering::Relaxed);
             }
             cell.busy_nanos
@@ -548,8 +544,9 @@ struct PoolShared {
 }
 
 /// The persistent worker threads. Every job they run is a
-/// [`LanePool::scope`]: the work-stealing encode rounds of
-/// [`encode_pages_round`], the harvest chunks and the replica fan-out.
+/// [`LanePool::scope`] whose lanes claim their work from one `Claim`:
+/// the encode rounds of [`encode_pages_round`], the harvest chunks and
+/// the replica fan-out.
 ///
 /// Workers are spawned the first time a job needs them, then parked on a
 /// condvar between jobs; [`Drop`] shuts them down and joins. All
@@ -561,15 +558,12 @@ pub struct LanePool {
     workers: Mutex<Vec<JoinHandle<()>>>,
     /// The task table of the last encode round, kept for its allocation.
     tasks: Mutex<Vec<(usize, usize)>>,
-    totals: Mutex<LanePoolTotals>,
-    last_round: Mutex<EncodeRoundStats>,
 }
 
 impl std::fmt::Debug for LanePool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LanePool")
-            .field("workers", &self.workers.lock().expect("workers lock").len())
-            .field("totals", &self.totals())
+            .field("workers", &self.workers_spawned())
             .finish()
     }
 }
@@ -589,8 +583,6 @@ impl Default for LanePool {
             }),
             workers: Mutex::new(Vec::new()),
             tasks: Mutex::new(Vec::new()),
-            totals: Mutex::new(LanePoolTotals::default()),
-            last_round: Mutex::new(EncodeRoundStats::default()),
         }
     }
 }
@@ -604,16 +596,6 @@ impl LanePool {
     /// Worker threads currently alive.
     pub fn workers_spawned(&self) -> usize {
         self.workers.lock().expect("workers lock").len()
-    }
-
-    /// Cumulative counters since construction.
-    pub fn totals(&self) -> LanePoolTotals {
-        *self.totals.lock().expect("totals lock")
-    }
-
-    /// Stats of the most recent pool round (zeroes if none ran yet).
-    pub fn last_round(&self) -> EncodeRoundStats {
-        self.last_round.lock().expect("last round lock").clone()
     }
 
     /// Spawns workers until `needed` exist. The only place this crate
@@ -721,16 +703,24 @@ impl LanePool {
         }
     }
 
-    /// Folds one pool round's stats into the pool's counters.
-    fn record_round(&self, stats: &EncodeRoundStats) {
-        {
-            let mut totals = self.totals.lock().expect("totals lock");
-            totals.rounds += 1;
-            totals.tasks += stats.tasks();
-            totals.steals += stats.steals();
-            totals.busy_nanos += stats.per_lane.iter().map(|l| l.busy_nanos).sum::<u64>();
-        }
-        *self.last_round.lock().expect("last round lock") = stats.clone();
+    /// Runs `each` once on every item of `items`, on the calling thread
+    /// and up to `helpers` parked workers, each claiming the lowest
+    /// unclaimed item until none is left. A panic is re-raised as
+    /// [`LanePool::scope`] re-raises it, once every lane has finished.
+    pub(crate) fn for_each<T: Send>(
+        &self,
+        items: impl IntoIterator<Item = T>,
+        helpers: usize,
+        each: impl Fn(usize, T) + Sync,
+    ) {
+        let claim = Claim::new(items);
+        let run = || {
+            while let Some((index, item)) = claim.next() {
+                each(index, item);
+            }
+        };
+        let helpers = helpers.min(claim.len().saturating_sub(1));
+        self.scope(helpers, &|_| run(), run);
     }
 }
 
@@ -987,7 +977,6 @@ pub(crate) fn encode_round(
             round.consume(deliver)
         });
         let stats = round.stats(start.elapsed().as_nanos() as u64);
-        lanes.record_round(&stats);
         (walls, stats, split_nanos)
     };
     // Task-split time belongs to the first task, so attribution still sums
@@ -1343,12 +1332,22 @@ mod tests {
         pool: &mut BufferPool,
         lp: &LanePool,
     ) -> Vec<Bytes> {
+        encode_counted(delta, plan, pool, lp).0
+    }
+
+    /// [`encode`], with the round's lane stats.
+    fn encode_counted(
+        delta: &MemoryDelta,
+        plan: EncodePlan,
+        pool: &mut BufferPool,
+        lp: &LanePool,
+    ) -> (Vec<Bytes>, EncodeRoundStats) {
         let mut segments = Vec::new();
-        encode_pages_round(delta, &plan, pool, lp, |i, seg| {
+        let (_, stats) = encode_pages_round(delta, &plan, pool, lp, |i, seg| {
             assert_eq!(i, segments.len(), "{plan:?} delivered out of order");
             segments.push(seg);
         });
-        segments
+        (segments, stats)
     }
 
     fn splice(segments: Vec<Bytes>) -> ScatterStream {
@@ -1553,7 +1552,9 @@ mod tests {
             chunk_pages: Some(256),
             ..SHARDS
         };
-        assert_eq!(encode(&delta_of(4096), one_lane, &mut pool, &lp).len(), 16);
+        let (segments, stats) = encode_counted(&delta_of(4096), one_lane, &mut pool, &lp);
+        assert_eq!(segments.len(), 16);
+        assert_eq!(stats, EncodeRoundStats::default(), "an inline round");
         // A single task, whatever the lanes and window.
         let one_task = EncodePlan {
             lanes: 8,
@@ -1561,9 +1562,10 @@ mod tests {
             window: Some(2),
             ..SHARDS
         };
-        assert_eq!(encode(&delta_of(300), one_task, &mut pool, &lp).len(), 1);
+        let (segments, stats) = encode_counted(&delta_of(300), one_task, &mut pool, &lp);
+        assert_eq!(segments.len(), 1);
+        assert_eq!(stats, EncodeRoundStats::default(), "an inline round");
         assert_eq!(lp.workers_spawned(), 0);
-        assert_eq!(lp.totals().rounds, 0);
     }
 
     #[test]
@@ -1572,16 +1574,15 @@ mod tests {
         let mut pool = BufferPool::new();
         let lp = LanePool::new();
         for _ in 0..3 {
-            for seg in encode(&delta, SHARDS, &mut pool, &lp) {
+            let (segments, stats) = encode_counted(&delta, SHARDS, &mut pool, &lp);
+            assert_eq!((stats.per_lane.len(), stats.tasks()), (4, 4));
+            for seg in segments {
                 pool.recycle(seg);
             }
         }
         // Every lane is a pool worker (the caller only consumes), spawned
         // once and reused.
         assert_eq!(lp.workers_spawned(), 4);
-        let totals = lp.totals();
-        assert_eq!(totals.rounds, 3);
-        assert_eq!(totals.tasks, 12);
     }
 
     #[test]
@@ -1595,26 +1596,25 @@ mod tests {
             chunk_pages: Some(256),
             ..SHARDS
         };
-        let reference = encode(&delta, full_depth, &mut pool, &lp);
+        let (reference, stats) = encode_counted(&delta, full_depth, &mut pool, &lp);
         assert_eq!(reference.len(), 16);
-        assert_eq!(lp.totals().rounds, 1);
+        assert_eq!((stats.per_lane.len(), stats.tasks()), (4, 16));
         for depth in [1u32, 2, 4, 64] {
             let plan = EncodePlan {
                 window: Some(depth),
                 ..full_depth
             };
-            assert_eq!(
-                encode(&delta, plan, &mut pool, &lp),
-                reference,
-                "depth={depth}"
-            );
+            let (segments, stats) = encode_counted(&delta, plan, &mut pool, &lp);
+            assert_eq!(segments, reference, "depth={depth}");
+            assert_eq!((stats.per_lane.len(), stats.tasks()), (4, 16));
         }
         let inline = EncodePlan {
             lanes: 1,
             ..full_depth
         };
-        assert_eq!(encode(&delta, inline, &mut pool, &lp), reference);
-        assert_eq!(lp.totals().rounds, 5);
+        let (segments, stats) = encode_counted(&delta, inline, &mut pool, &lp);
+        assert_eq!(segments, reference);
+        assert_eq!(stats, EncodeRoundStats::default(), "an inline round");
     }
 
     #[test]
@@ -1634,6 +1634,46 @@ mod tests {
         assert!(stats.steals() <= 32);
         assert_eq!(stats.per_lane.len(), 4);
         assert!(stats.round_wall_nanos > 0);
+        // One lane is a pool round only with a window.
+        for lanes in 1..=4u32 {
+            let plan = EncodePlan {
+                lanes,
+                window: Some(32),
+                ..plan
+            };
+            let (_, stats) = encode_pages_round(&delta, &plan, &mut pool, &lp, |_, _| {});
+            assert_eq!(stats.per_lane.len(), lanes as usize);
+            let per_lane: u64 = stats.per_lane.iter().map(|l| l.tasks).sum();
+            assert_eq!(per_lane, 32, "lanes={lanes}");
+            assert!(stats.steals() <= 32, "lanes={lanes}");
+        }
+        // A steal is a task run off the round-robin layout: one lane that
+        // claims every task steals all but its own share of `t % lanes`.
+        let tasks: Vec<(usize, usize)> = (0..10).map(|t| (t * 8, t * 8 + 8)).collect();
+        for lanes in 1..=4usize {
+            for lane in 0..lanes {
+                let bufs = tasks
+                    .iter()
+                    .map(|_| TaskBuffers {
+                        out: pool.checkout(256),
+                        v2: None,
+                    })
+                    .collect();
+                let plan = EncodePlan {
+                    lanes: lanes as u32,
+                    ..plan
+                };
+                let round = Round::new(PageSource::Entries(delta.entries()), &tasks, &plan, bufs);
+                round.work(lane);
+                assert_eq!(round.consume(|_, _| {}).len(), 10);
+                let stats = round.stats(1);
+                let off_layout = (0..10).filter(|t| t % lanes != lane).count() as u64;
+                let mut expected = vec![(0, 0); lanes];
+                expected[lane] = (10, off_layout);
+                let got: Vec<_> = stats.per_lane.iter().map(|l| (l.tasks, l.steals)).collect();
+                assert_eq!(got, expected, "lanes={lanes} lane={lane}");
+            }
+        }
     }
 
     /// Runs a scope of `lanes` on `lp` and returns how often each lane
@@ -1672,7 +1712,66 @@ mod tests {
             );
         }
         assert_eq!(lp.workers_spawned(), 7);
-        assert_eq!(lp.totals().rounds, 0, "a scope is not an encode round");
+    }
+
+    #[test]
+    fn the_claim_runs_every_item_once_and_reraises_after_the_drain() {
+        let lp = LanePool::new();
+        for helpers in 0..=4 {
+            for n in 0..10usize {
+                let runs: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+                lp.for_each((0..n).map(|i| i * 3), helpers, |index, item| {
+                    assert_eq!(item, index * 3, "item {index} is its own");
+                    runs[index].fetch_add(1, Ordering::Relaxed);
+                });
+                let runs: Vec<u64> = runs.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+                assert_eq!(runs, vec![1; n], "helpers={helpers} n={n}");
+
+                // Item `n / 2` panics, and the items after it wait for that
+                // before they finish: with a helper they run on the other
+                // lanes, and the panic surfaces only once each of them has
+                // finished. Alone, the caller stops at the failing item.
+                if n == 0 {
+                    continue;
+                }
+                let failing = n / 2;
+                let panicked = AtomicU64::new(0);
+                let finished = AtomicU64::new(0);
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    lp.for_each(0..n, helpers, |index, _| {
+                        if index == failing {
+                            panicked.store(1, Ordering::SeqCst);
+                            panic!("item {index} fails");
+                        }
+                        if index > failing {
+                            // Claimed after the failing item: its holder
+                            // raises the flag without waiting on anything.
+                            while panicked.load(Ordering::SeqCst) == 0 {
+                                std::thread::yield_now();
+                            }
+                            std::thread::sleep(std::time::Duration::from_millis(1));
+                        }
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    })
+                }));
+                let payload = caught.expect_err("the item's panic reaches the caller");
+                assert_eq!(
+                    payload.downcast_ref::<String>().map(String::as_str),
+                    Some(format!("item {failing} fails").as_str())
+                );
+                let expected = if helpers.min(n - 1) == 0 {
+                    failing
+                } else {
+                    n - 1
+                };
+                assert_eq!(
+                    finished.load(Ordering::SeqCst),
+                    expected as u64,
+                    "helpers={helpers} n={n}"
+                );
+            }
+        }
+        assert_eq!(lp.workers_spawned(), 4);
     }
 
     #[test]
@@ -1831,13 +1930,13 @@ mod tests {
                 (0..4096).map(|f| f * 2).sum::<u64>(),
                 "lanes={lanes}"
             );
-            let segments = encode(&delta, chunked, &mut pool, &lp);
+            let (segments, stats) = encode_counted(&delta, chunked, &mut pool, &lp);
             assert_eq!(segments, reference, "lanes={lanes}");
+            assert_eq!((stats.per_lane.len(), stats.tasks()), (4, 16));
             for seg in segments {
                 pool.recycle(seg);
             }
         }
-        assert_eq!(lp.totals().rounds, 4);
         assert_eq!(lp.workers_spawned(), 7);
     }
 

@@ -62,7 +62,7 @@ pub const SERIES_TAIL_LINES: usize = 32;
 
 /// Normalizes the host-noise values out of a flight-recorder dump — the
 /// same keys the bench gate ignores: wall-clock stamps and the
-/// work-stealing pool's scheduler-timing diagnostics. Everything else in
+/// lane pool's scheduler-timing diagnostics. Everything else in
 /// the dump is virtual time, so with these neutralized the captured dump
 /// (and with it the whole encoded bundle) is byte-identical across hosts
 /// and runs.

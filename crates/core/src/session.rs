@@ -15,7 +15,6 @@
 //! migration, [`crate::checkpoint`] runs the continuous phase through the
 //! staged pipeline of [`crate::pipeline`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use here_hypervisor::arch::Gpr;
@@ -44,7 +43,8 @@ use crate::chaos::{corrupt_stream, ChaosState, FaultPlan, TransferFault};
 use crate::config::{ReplicationConfig, HEARTBEAT, RETRY};
 use crate::dataplane::{
     encode_round, install_verified, translate_vcpus, verify_next, CheckpointPools, EncodePlan,
-    LanePool, PageSource, PayloadMode, ReceiveStep, Received, Verified, PARALLEL_ENCODE_MIN_PAGES,
+    EncodeRoundStats, LanePool, PageSource, PayloadMode, ReceiveStep, Received, Verified,
+    PARALLEL_ENCODE_MIN_PAGES,
 };
 use crate::devmgr::DeviceManager;
 use crate::error::{CoreError, CoreResult};
@@ -206,9 +206,9 @@ pub(crate) struct Session {
     /// [`RunReport::events`](crate::report::RunReport::events), and every
     /// per-checkpoint view of the report is read off it.
     pub(crate) log: Vec<SessionEvent>,
-    /// Lane-pool rounds already reported, so each checkpoint emits at
-    /// most one [`SessionEvent::EncodePool`].
-    pub(crate) pool_rounds_seen: u64,
+    /// The lane stats of the last encode, `None` if it ran inline: what
+    /// the epoch's [`SessionEvent::EncodePool`] reports.
+    pub(crate) encode_stats: Option<EncodeRoundStats>,
     /// Client-observed packet latencies: per-packet data the log does not
     /// carry.
     pub(crate) latencies: Histogram,
@@ -303,7 +303,7 @@ impl Session {
             ops_uncommitted: 0.0,
             disturbance_debt: SimDuration::ZERO,
             log: Vec::new(),
-            pool_rounds_seen: 0,
+            encode_stats: None,
             latencies: Histogram::new(),
             cfg,
         })
@@ -507,7 +507,7 @@ impl Session {
             window: None,
         };
         let mut v3_page_bytes = 0u64;
-        let (walls, _) = encode_round(
+        let (walls, stats) = encode_round(
             source,
             &plan,
             need_v3 && need_v2,
@@ -526,6 +526,7 @@ impl Session {
                 }
             },
         );
+        self.encode_stats = (!stats.per_lane.is_empty()).then_some(stats);
         self.emit(SessionEvent::EncodeLanes {
             seq,
             at_nanos,
@@ -1317,33 +1318,22 @@ impl StageJob<'_> {
 }
 
 /// Runs every job on the calling thread and up to `helpers` of `pool`'s
-/// parked workers, each lane claiming the next job from one atomic
-/// cursor. Returns each job's replica and pass-1 result, in no particular
-/// order. A job whose `Err` says it could not be built keeps that error
-/// as its verdict.
+/// parked workers, each lane claiming the next job
+/// ([`LanePool::for_each`]). Returns each job's replica and pass-1
+/// result, in no particular order. A job whose `Err` says it could not be
+/// built keeps that error as its verdict.
 fn stage_all(
     jobs: Vec<(u32, CoreResult<StageJob<'_>>)>,
     pool: &LanePool,
     helpers: usize,
 ) -> Vec<(u32, CoreResult<Receipt>)> {
-    let helpers = helpers.min(jobs.len().saturating_sub(1));
     let done = Mutex::new(Vec::with_capacity(jobs.len()));
-    let slots: Vec<Mutex<Option<_>>> = jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
-    let cursor = AtomicUsize::new(0);
-    let run = || {
-        while let Some(slot) = slots.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-            let (replica, job) = slot
-                .lock()
-                .expect("no lane panics holding a stage slot")
-                .take()
-                .expect("the cursor hands each job out once");
-            let receipt = job.and_then(StageJob::run);
-            done.lock()
-                .expect("no lane panics holding the results")
-                .push((replica, receipt));
-        }
-    };
-    pool.scope(helpers, &|_| run(), run);
+    pool.for_each(jobs, helpers, |_, (replica, job)| {
+        let receipt = job.and_then(StageJob::run);
+        done.lock()
+            .expect("no lane panics holding the results")
+            .push((replica, receipt));
+    });
     done.into_inner()
         .expect("no lane panics holding the results")
 }

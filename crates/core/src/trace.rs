@@ -215,13 +215,16 @@ pub enum SessionEvent {
         /// When the sample was taken.
         at_nanos: u64,
     },
-    /// The work-stealing lane pool ran a multi-lane round for epoch `seq`.
+    /// Epoch `seq`'s encode ran on the lane pool; emitted after its
+    /// [`SessionEvent::Checkpoint`], from the stats the round returned. An
+    /// epoch encoded inline, and a seeding round, emit none.
     EncodePool {
         /// Epoch encoded.
         seq: u64,
         /// Chunks the round was split into.
         tasks: u64,
-        /// Chunks a lane took from another lane's share.
+        /// Chunks a lane took from another lane's share (the round-robin
+        /// layout, chunk `t` to lane `t % lanes`).
         steals: u64,
         /// Share of the round's lane-time spent encoding.
         occupancy_pct: f64,

@@ -10,17 +10,18 @@
 //! [`collect_chunked_into`] builds the list, and now serves the seeding
 //! rounds (a pre-copy round runs the guest between its collect and its
 //! ship, so its versions must be captured when it collects) and external
-//! callers only. Guest memory is split into 2 MiB chunks, assigned
-//! round-robin to worker lanes; every lane scans the shared dirty bitmap
-//! over its own chunks and writes the pages it owns straight into their
-//! final slots of the delta. Either way the bitmap words are walked by
-//! internal iteration (`DirtyPagesIter`'s `fold`: one `trailing_zeros`
-//! loop per word) and each version is read straight from the memory's
-//! record table ([`GuestMemory::records`]), so the per-page cost is a bit
-//! peel, a load and a store. Seeding adds the paper's "problematic"
-//! pages: pages that different migrator threads sent across rounds
-//! (possible cross-vCPU write races), which [`ProblematicTracker`] keeps
-//! for mandatory resend in the final stop-and-copy.
+//! callers only. Guest memory is split into the paper's 2 MiB chunks,
+//! which the worker lanes claim one at a time in chunk order; a lane
+//! scans the shared dirty bitmap over the chunk it claimed and writes its
+//! pages straight into their final slots of the delta. Either way the
+//! bitmap words are walked by internal iteration (`DirtyPagesIter`'s
+//! `fold`: one `trailing_zeros` loop per word) and each version is read
+//! straight from the memory's record table ([`GuestMemory::records`]), so
+//! the per-page cost is a bit peel, a load and a store. Seeding adds the
+//! paper's "problematic" pages: pages that different migrator threads
+//! sent across rounds (possible cross-vCPU write races), which
+//! [`ProblematicTracker`] keeps for mandatory resend in the final
+//! stop-and-copy.
 //!
 //! The lanes are real threads, the parked workers of a [`LanePool`];
 //! only the *reported durations* come from the calibrated [`CostModel`],
@@ -29,7 +30,7 @@
 //! [`CostModel`]: crate::config::CostModel
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use here_hypervisor::dirty::{DirtyBitmap, DirtyPagesIter};
 use here_hypervisor::memory::{GuestMemory, PageVersion};
@@ -70,20 +71,21 @@ impl CollectScratch {
     }
 }
 
-/// Scans `dirty` over `memory` with `workers` round-robin chunk lanes;
-/// the delta (ascending frame order) replaces the contents of `out`. The
-/// per-chunk counts live in `scratch`, and `scratch` and `out` both keep
-/// their allocations across checkpoints.
+/// Scans `dirty` over `memory` with `workers` chunk lanes; the delta
+/// (ascending frame order) replaces the contents of `out`. The per-chunk
+/// counts live in `scratch`, and `scratch` and `out` both keep their
+/// allocations across checkpoints.
 ///
 /// The chunks' dirty counts (word popcounts, no per-page work) fix where
 /// each chunk's run of pages starts in `out`, so `out` is sized once and
-/// lane `c % workers` is lent chunk `c`'s disjoint slice of it. Every
-/// chunk belongs to exactly one lane, so lanes write disjoint outputs —
-/// the property the paper relies on for its round-robin region
-/// assignment. Each page is written once, into its final slot: the
-/// output is in ascending frame order by construction, with no lane
-/// buffers and no merge. Lane 0 is the calling thread; the others run on
-/// `scratch`'s parked pool workers.
+/// cut into one disjoint slice per chunk. The lanes claim chunks, with
+/// their slices, one at a time in chunk order (`LanePool::for_each`);
+/// each chunk is handed out once, so lanes write disjoint outputs — the
+/// property the paper relies on for its per-thread region ownership.
+/// Each page is written once, into its final slot: the output is in
+/// ascending frame order by construction, with no lane buffers and no
+/// merge. The calling thread is one lane; the others run on `scratch`'s
+/// parked pool workers.
 ///
 /// # Panics
 ///
@@ -98,44 +100,26 @@ pub fn collect_chunked_into(
     assert!(workers >= 1, "at least one transfer worker is required");
     let num_pages = memory.num_pages();
     let num_chunks = num_pages.div_ceil(PAGES_PER_CHUNK);
-    let workers = if num_chunks <= 1 {
-        1
-    } else {
-        workers.min(num_chunks as u32) as usize
-    };
-    if workers == 1 {
+    if workers == 1 || num_chunks <= 1 {
         // One lane visiting every chunk is simply an ascending full scan.
         let slots = out.slots_mut(dirty.count_in_range(0, num_pages) as usize);
         fill_slots(memory, dirty.iter_range(0, num_pages), slots);
         return;
     }
 
-    let CollectScratch {
-        counts,
-        lanes: pool,
-    } = scratch;
+    let CollectScratch { counts, lanes } = scratch;
     counts.clear();
     counts.extend((0..num_chunks).map(|chunk| chunk_count(dirty, chunk)));
     let mut rest = out.slots_mut(counts.iter().sum());
-    let mut lanes: Vec<Vec<ChunkSlots<'_>>> = (0..workers)
-        .map(|_| Vec::with_capacity(counts.len().div_ceil(workers)))
-        .collect();
-    for (chunk, &count) in counts.iter().enumerate() {
+    let chunks = counts.iter().map(|&count| {
         let (slots, tail) = std::mem::take(&mut rest).split_at_mut(count);
-        lanes[chunk % workers].push((chunk as u64, slots));
         rest = tail;
-    }
-    // Each lane takes its own chunk list once, so its lock is never
-    // contended; it only makes the disjoint slices lendable by `&`.
-    let lanes: Vec<Mutex<Vec<ChunkSlots<'_>>>> = lanes.into_iter().map(Mutex::new).collect();
-    let run = |lane: usize| {
-        let chunks = std::mem::take(&mut *lanes[lane].lock().expect("a lane's chunk list"));
-        for (chunk, slots) in chunks {
-            let lo = chunk * PAGES_PER_CHUNK;
-            fill_slots(memory, dirty.iter_range(lo, lo + PAGES_PER_CHUNK), slots);
-        }
-    };
-    pool.scope(workers - 1, &|worker| run(worker + 1), || run(0));
+        slots
+    });
+    lanes.for_each(chunks, workers as usize - 1, |chunk, slots| {
+        let lo = chunk as u64 * PAGES_PER_CHUNK;
+        fill_slots(memory, dirty.iter_range(lo, lo + PAGES_PER_CHUNK), slots);
+    });
 }
 
 /// Dirty pages in chunk `chunk` of `dirty`, by word popcounts.
@@ -228,9 +212,6 @@ impl DirtySnapshot {
         fill_slots(memory, self.bitmap.iter(), out.slots_mut(self.len()));
     }
 }
-
-/// A chunk's number and the slots its dirty pages fill.
-type ChunkSlots<'a> = (u64, &'a mut [(PageId, PageVersion)]);
 
 /// Writes `(page, version)` for each of `pages` into `slots`, which the
 /// caller sized to the number of pages by popcount. The bitmap is walked
