@@ -88,14 +88,12 @@ pub use analyze::{
     AnalysisReport, BreachRoot, EpochAttribution, OscillationReport, PostmortemAnalyzer,
     PostmortemReport, ReplicaDivergence, StageDelta, StageShare, StragglerLane, TraceAnalyzer,
 };
-pub use chaos::{ChaosStats, FaultEvent, FaultKind, FaultPlan};
+pub use chaos::{ChaosStats, FaultEvent, FaultKind, FaultPlan, FaultTrigger};
 pub use config::{
     CostModel, FanoutMode, HeartbeatConfig, PeriodPolicy, ReplicationConfig, RetryPolicy, Strategy,
     TopologyConfig, HEARTBEAT, RETRY,
 };
-pub use engine::{
-    clear_run_observer, set_run_observer, FailureCause, FailurePlan, Scenario, ScenarioBuilder,
-};
+pub use engine::*;
 pub use error::{CoreError, CoreResult};
 pub use failover::{
     detection_time, Commit, CommitEntry, CommitLedger, FailoverRecord, ReplicaAcks,

@@ -113,8 +113,9 @@ pub enum FaultSite {
     /// corrupted, refused or delayed it, or downed the link). The retry
     /// that follows carries the span; the fault itself has none.
     Transfer,
-    /// The primary host, between epochs (the scenario's
-    /// [`FailurePlan`](crate::engine::FailurePlan)).
+    /// The primary host while its guest runs, between checkpoints (a
+    /// time-keyed plan event: an accident or an exploit, see
+    /// [`FaultTrigger::At`](crate::chaos::FaultTrigger)).
     Primary,
     /// The primary host at the entry of `stage` of epoch `seq` (the fault
     /// plane's [`FaultKind::PrimaryFault`](crate::chaos::FaultKind)).

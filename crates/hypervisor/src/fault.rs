@@ -27,15 +27,20 @@ impl DosOutcome {
     /// Every outcome category of the §8.2 study, in declaration order —
     /// for fault-injection sweeps and matrix tests.
     pub const ALL: [DosOutcome; 3] = [DosOutcome::Crash, DosOutcome::Hang, DosOutcome::Starvation];
+
+    /// Short lowercase label, as logs and bundles spell the outcome.
+    pub fn label(self) -> &'static str {
+        match self {
+            DosOutcome::Crash => "crash",
+            DosOutcome::Hang => "hang",
+            DosOutcome::Starvation => "starvation",
+        }
+    }
 }
 
 impl fmt::Display for DosOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DosOutcome::Crash => write!(f, "crash"),
-            DosOutcome::Hang => write!(f, "hang"),
-            DosOutcome::Starvation => write!(f, "starvation"),
-        }
+        f.write_str(self.label())
     }
 }
 
