@@ -48,24 +48,20 @@ pub fn scenario(name: &str, armed: bool) -> Scenario {
         .config(config(name, armed))
         .duration(spec.duration)
         .seed(spec.seed);
-    let builder = match plan(name) {
-        Some(plan) => builder.chaos(plan),
-        None => builder,
-    };
-    let builder = match name {
-        "pair_hang" => builder.failure(FailurePlan {
+    let builder = match (name, plan(name)) {
+        ("pair_hang", _) => builder.failure(FailurePlan {
             at: SimTime::from_secs(21),
             cause: FailureCause::Accident(DosOutcome::Hang),
             reattack_secondary: false,
         }),
-        _ => builder,
+        (_, Some(plan)) => builder.chaos(plan),
+        (_, None) => builder,
     };
     builder.build().expect("valid scenario")
 }
 
 /// [`scenario`]`(name, ..)` as an incident bundle records it — everything
-/// but the config and the fault plan. `pair_hang`'s hang is a
-/// `FailurePlan`, which a bundle does not carry.
+/// but the config and the fault plan.
 pub fn spec(name: &str) -> ScenarioSpec {
     ScenarioSpec {
         name: name.into(),
@@ -81,9 +77,17 @@ pub fn spec(name: &str) -> ScenarioSpec {
     }
 }
 
-/// The fault plan of scenario `name`, if it has one.
+/// The fault plan of scenario `name`, if it has one. `pair_hang` arms its
+/// hang as a `FailurePlan`, which lowers into this one time-keyed event.
 pub fn plan(name: &str) -> Option<FaultPlan> {
     match name {
+        "pair_hang" => Some(FaultPlan::new(0).with_event_at(
+            SimDuration::from_secs(21),
+            FaultKind::PrimaryFault {
+                outcome: DosOutcome::Hang,
+                stage: Stage::Pause,
+            },
+        )),
         "quorum_faults" => Some(
             FaultPlan::new(7)
                 .with_event(2, FaultKind::Corrupt { attempts: 1 })

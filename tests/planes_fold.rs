@@ -101,12 +101,6 @@ fn a_bundle_is_a_seed_and_its_snapshot_a_fold_over_the_log_prefix() {
             .expect("the bundle decodes")
             .replay()
             .expect("the bundle replays");
-        if name == "pair_hang" {
-            // Its hang is a `FailurePlan`, which a bundle does not carry:
-            // the replay must say so rather than verify.
-            assert!(!replay.fingerprint_matches && !replay.verified(), "{name}");
-            continue;
-        }
         assert!(replay.verified(), "{name}");
         let want = IncidentSnapshot::at(&config, &report.events, &trigger);
         assert_eq!(replay.snapshot, Some(want), "{name}");
