@@ -103,10 +103,10 @@ fn every_plane_of_the_four_scenarios_is_pinned() {
 /// segments out of and back into the buffer pool (the counts `PoolStats`
 /// samples). The series, alerts, spans and fingerprint did not move.
 const PINNED: &str = "\
-    pair_hang armed=false prom=8cf3e23b44b828bf flight=6f0522bb2b966b29 series=0000000000000000 alerts=0000000000000000 spans=0fb64f8dc03794f1 incident=669b18c6d2d9c95b fingerprint=654425ae7a5243ef\n\
-    pair_hang armed=true prom=0d8a88d401ec59c0 flight=6f0522bb2b966b29 series=d05c86407a5ad9fa alerts=cbf29ce484222325 spans=0fb64f8dc03794f1 incident=759d86c626aab109 fingerprint=654425ae7a5243ef\n\
-    quorum_faults armed=false prom=cc9a11456b671c24 flight=7526f2d6ae76b6b7 series=0000000000000000 alerts=0000000000000000 spans=6898fd63c2976266 incident=669b18c6d2d9c95b fingerprint=a15307143d8e211d\n\
-    quorum_faults armed=true prom=79c72b51f3291010 flight=c383e7b7813c5cea series=99b8c570d1fa2dbe alerts=2919e37ea4be9caf spans=d0f5c2159616a160 incident=e0ea7bfaebc667ec fingerprint=8aea75b0ad77bfa6\n\
+    pair_hang armed=false prom=8cf3e23b44b828bf flight=6f0522bb2b966b29 series=0000000000000000 alerts=0000000000000000 spans=0fb64f8dc03794f1 incident=669b18c6d2d9c95b fingerprint=3efd7d9b3eedbe86\n\
+    pair_hang armed=true prom=0d8a88d401ec59c0 flight=6f0522bb2b966b29 series=d05c86407a5ad9fa alerts=cbf29ce484222325 spans=0fb64f8dc03794f1 incident=759d86c626aab109 fingerprint=3efd7d9b3eedbe86\n\
+    quorum_faults armed=false prom=cc9a11456b671c24 flight=7526f2d6ae76b6b7 series=0000000000000000 alerts=0000000000000000 spans=6898fd63c2976266 incident=669b18c6d2d9c95b fingerprint=829c536e5b2094a9\n\
+    quorum_faults armed=true prom=79c72b51f3291010 flight=c383e7b7813c5cea series=99b8c570d1fa2dbe alerts=2919e37ea4be9caf spans=d0f5c2159616a160 incident=e0ea7bfaebc667ec fingerprint=5800706e5026041a\n\
     retry_dry armed=false prom=e87b4c1b1469b409 flight=8e5ade170ad07307 series=0000000000000000 alerts=0000000000000000 spans=364c307e6f4f10a6 incident=669b18c6d2d9c95b fingerprint=9de38bb0255baf36\n\
     retry_dry armed=true prom=f7bb4188fcc358bf flight=8e5ade170ad07307 series=eb5d41f06727ad7f alerts=cbf29ce484222325 spans=364c307e6f4f10a6 incident=621acbc57b56d714 fingerprint=9de38bb0255baf36\n\
     overlap armed=false prom=ccb2b8c79f5aea4b flight=94cab25a0e78cfbf series=0000000000000000 alerts=0000000000000000 spans=bb9e08aca7820925 incident=669b18c6d2d9c95b fingerprint=81bb85f3d092893a\n\

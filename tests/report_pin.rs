@@ -198,15 +198,15 @@ fn the_ycsb_kv_session_is_pinned() {
 /// single passes over slices.
 const PINNED_KV: &str = "ycsb_kv checkpoints=11 records=a61061096fc91958 \
     decisions=d3438e68eb34bf8a period=349492200f68737b degradation=0d2cde51fa806491 \
-    cpu=400840c1fc8f3237 rss=184979456 fingerprint=02dd656a70b7869d ops=412cd8b400000000";
+    cpu=400840c1fc8f3237 rss=184979456 fingerprint=83db9e70fdacbbb3 ops=412a40de00000000";
 
 /// Recorded at the commit before the report's checkpoint views became a
 /// fold over the event log.
 const PINNED: &str = "\
-    pair_hang armed=false checkpoints=10 records=22e9e9610f17bd7b decisions=0c0dd32a4dd19005 period=9b86bfb40b2479cc degradation=2fbc1d5601287cdc cpu=3fe304c756b2dbd1 rss=87240704 fingerprint=654425ae7a5243ef\n\
-    pair_hang armed=true checkpoints=10 records=22e9e9610f17bd7b decisions=0c0dd32a4dd19005 period=9b86bfb40b2479cc degradation=2fbc1d5601287cdc cpu=3fe304c756b2dbd1 rss=87240704 fingerprint=654425ae7a5243ef\n\
-    quorum_faults armed=false checkpoints=12 records=f04de4a440a354e1 decisions=dc5d051607aee935 period=5d4c3a0a177b41c4 degradation=cbbc892172bba6b2 cpu=3fe6d288ce703afc rss=87240704 fingerprint=a15307143d8e211d\n\
-    quorum_faults armed=true checkpoints=12 records=f04de4a440a354e1 decisions=dc5d051607aee935 period=5d4c3a0a177b41c4 degradation=cbbc892172bba6b2 cpu=3fe6d288ce703afc rss=87240704 fingerprint=8aea75b0ad77bfa6\n\
+    pair_hang armed=false checkpoints=10 records=22e9e9610f17bd7b decisions=0c0dd32a4dd19005 period=9b86bfb40b2479cc degradation=2fbc1d5601287cdc cpu=3fe304c756b2dbd1 rss=87240704 fingerprint=3efd7d9b3eedbe86\n\
+    pair_hang armed=true checkpoints=10 records=22e9e9610f17bd7b decisions=0c0dd32a4dd19005 period=9b86bfb40b2479cc degradation=2fbc1d5601287cdc cpu=3fe304c756b2dbd1 rss=87240704 fingerprint=3efd7d9b3eedbe86\n\
+    quorum_faults armed=false checkpoints=12 records=f04de4a440a354e1 decisions=dc5d051607aee935 period=5d4c3a0a177b41c4 degradation=cbbc892172bba6b2 cpu=3fe6d288ce703afc rss=87240704 fingerprint=829c536e5b2094a9\n\
+    quorum_faults armed=true checkpoints=12 records=f04de4a440a354e1 decisions=dc5d051607aee935 period=5d4c3a0a177b41c4 degradation=cbbc892172bba6b2 cpu=3fe6d288ce703afc rss=87240704 fingerprint=5800706e5026041a\n\
     retry_dry armed=false checkpoints=14 records=7e7964deb95771db decisions=97d4ca2cdc58fa8b period=37daf4c0d8387826 degradation=43c3716ff8aecf93 cpu=3fea9dec3e0265b5 rss=87242752 fingerprint=9de38bb0255baf36\n\
     retry_dry armed=true checkpoints=14 records=7e7964deb95771db decisions=97d4ca2cdc58fa8b period=37daf4c0d8387826 degradation=43c3716ff8aecf93 cpu=3fea9dec3e0265b5 rss=87242752 fingerprint=9de38bb0255baf36\n\
     overlap armed=false checkpoints=15 records=9b18bc7812106aab decisions=75c4fabe5dcd0b15 period=eb6c6167316bb9cf degradation=2a16abf7b31c3430 cpu=3fec851ff5a5b05d rss=87242752 fingerprint=81bb85f3d092893a\n\
