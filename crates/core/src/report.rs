@@ -119,7 +119,7 @@ pub struct MigrationOutcome {
 }
 
 /// Replication engine resource usage (§8.7).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ResourceUsage {
     /// CPU consumption as a percentage of one fully loaded core.
     pub cpu_core_pct: f64,
@@ -128,7 +128,7 @@ pub struct ResourceUsage {
 }
 
 /// Everything measured over one scenario run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Scenario name.
     pub name: String,
