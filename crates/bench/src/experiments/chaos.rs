@@ -208,7 +208,7 @@ mod tests {
         // Determinism, and the artifact carries only deterministic keys.
         assert!(out.deterministic);
         let doc = out.document();
-        crate::gate::tests::assert_gateable(&doc);
+        crate::gate::tests::assert_baseline("chaos", &doc);
         let flag = |section, key| doc.get(section).and_then(|s| s.get(key));
         assert_eq!(
             flag("crash", "crash_resumes_last_acked"),

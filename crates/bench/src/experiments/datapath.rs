@@ -294,7 +294,7 @@ mod tests {
         // Virtual time and byte counts only: nothing host-dependent may
         // reach the gated document, and a second run is identical.
         let doc = out.document();
-        crate::gate::tests::assert_gateable(&doc);
+        crate::gate::tests::assert_baseline("datapath", &doc);
         assert!(doc.get("wire_bytes").is_some() && doc.get("virtual_overlap").is_some());
         assert_eq!(doc, run_datapath(Scale::Quick).document());
     }

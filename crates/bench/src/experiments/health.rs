@@ -349,7 +349,7 @@ mod tests {
         assert!(out.deterministic);
         assert!(out.alert_log_identical && out.series_identical);
         let doc = out.document();
-        crate::gate::tests::assert_gateable(&doc);
+        crate::gate::tests::assert_baseline("health", &doc);
         assert_eq!(
             doc.get("determinism").and_then(|d| d.get("deterministic")),
             Some(&true.into())

@@ -111,7 +111,7 @@ mod tests {
         // carry wall-clock probes) stay out of the gated document, and a
         // second run is identical.
         let doc = out.document();
-        crate::gate::tests::assert_gateable(&doc);
+        crate::gate::tests::assert_baseline("observe", &doc);
         let families = doc.get("scenario").and_then(|s| s.get("metric_families"));
         assert_eq!(families, Some(&out.metric_count.into()));
         assert_eq!(doc, run_observe(Scale::Quick).document());

@@ -258,7 +258,7 @@ mod tests {
         assert!(out.postmortem_json.contains("\"trigger\": \"alert\""));
         assert!(out.postmortem_text.contains("POSTMORTEM"));
         let doc = out.document();
-        crate::gate::tests::assert_gateable(&doc);
+        crate::gate::tests::assert_baseline("postmortem", &doc);
         assert_eq!(
             doc.get("replay").and_then(|r| r.get("verified")),
             Some(&true.into())

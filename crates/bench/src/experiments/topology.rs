@@ -271,7 +271,7 @@ mod tests {
         assert!(latency(FanoutMode::Chain) > latency(FanoutMode::Star));
         // The artifact carries only deterministic keys.
         let doc = out.document();
-        crate::gate::tests::assert_gateable(&doc);
+        crate::gate::tests::assert_baseline("topology", &doc);
         let flag = |section, key| doc.get(section).and_then(|s| s.get(key));
         assert_eq!(flag("bit_compat", "bit_compatible"), Some(&true.into()));
         assert_eq!(flag("determinism", "deterministic"), Some(&true.into()));

@@ -435,6 +435,6 @@ mod tests {
             "v2-capped negotiation drifted from the default path"
         );
         assert!(out.deterministic, "same-seed v3 rerun drifted");
-        crate::gate::tests::assert_gateable(&out.document());
+        crate::gate::tests::assert_baseline("wire", &out.document());
     }
 }

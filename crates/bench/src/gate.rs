@@ -1,6 +1,8 @@
 //! The bench-trajectory regression gate: diffs a freshly produced
-//! `BENCH_*.json` against a committed baseline and reports every
-//! difference.
+//! `BENCH_*.json` document against a committed baseline and reports every
+//! difference. Each gated experiment's quick-scale unit test builds its
+//! document, writes and reads it back as `repro` would, and compares it
+//! with its `baselines/` copy, so `cargo test` runs the gate.
 //!
 //! `repro` reports virtual time, byte counts and fingerprints only
 //! (seeded RNG, threads derived from vCPUs), so there is one rule and no
@@ -8,13 +10,12 @@
 //! keys (in any order), same types, same array lengths, same strings,
 //! and numbers equal when their literals are (`4096` is not `4096.0`).
 //! Wall-clock numbers are measured and compared by the stand-alone
-//! `benchmark/` package, never here. Both files are read as the
-//! [`Json`] type `repro` wrote them from.
+//! `benchmark/` package, never here. Both documents are read as the
+//! [`Json`] type `repro` writes them from.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use crate::json::{parse, Json};
+use crate::json::Json;
 
 /// One difference between baseline and fresh documents.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,41 +124,82 @@ fn discriminant_name(v: &Json) -> &'static str {
     }
 }
 
-/// Runs the gate over two documents read from disk, rendering a report.
-/// Returns `Ok(report)` when the gate passes, `Err(report)` when it
-/// regresses (or either file fails to read/parse).
-pub fn gate_files(baseline_path: &str, fresh_path: &str) -> Result<String, String> {
-    let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"));
-    let baseline = parse(&read(baseline_path)?)
-        .map_err(|e| format!("baseline {baseline_path} is not valid JSON: {e}"))?;
-    let fresh = parse(&read(fresh_path)?)
-        .map_err(|e| format!("fresh output {fresh_path} is not valid JSON: {e}"))?;
-    let regressions = compare(&baseline, &fresh);
-    let mut report = String::new();
-    let _ = writeln!(report, "gate: {fresh_path} vs baseline {baseline_path}");
-    if regressions.is_empty() {
-        let _ = writeln!(report, "PASS: no regressions");
-        Ok(report)
-    } else {
-        for r in &regressions {
-            let _ = writeln!(report, "REGRESSION {}: {}", r.path, r.detail);
-        }
-        let _ = writeln!(report, "FAIL: {} regression(s)", regressions.len());
-        Err(report)
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::json::parse;
 
-    const CHAOS: &str = include_str!("../../../baselines/BENCH_chaos.json");
-    const DATAPATH: &str = include_str!("../../../baselines/BENCH_datapath.json");
-    const HEALTH: &str = include_str!("../../../baselines/BENCH_health.json");
-    const OBSERVE: &str = include_str!("../../../baselines/BENCH_observe.json");
-    const POSTMORTEM: &str = include_str!("../../../baselines/BENCH_postmortem.json");
-    const TOPOLOGY: &str = include_str!("../../../baselines/BENCH_topology.json");
-    const WIRE: &str = include_str!("../../../baselines/BENCH_wire.json");
+    /// `(name, text)` of `baselines/BENCH_<name>.json` for each name.
+    macro_rules! baselines {
+        ($($name:literal),*) => {
+            [$(($name, include_str!(concat!("../../../baselines/BENCH_", $name, ".json")))),*]
+        };
+    }
+
+    /// Every committed baseline, by the experiment that writes it. Each
+    /// experiment's own quick-scale test gates its document against its
+    /// entry ([`assert_baseline`]).
+    const BASELINES: [(&str, &str); 7] = baselines!(
+        "chaos",
+        "datapath",
+        "health",
+        "observe",
+        "postmortem",
+        "topology",
+        "wire"
+    );
+
+    fn baseline(name: &str) -> &'static str {
+        BASELINES
+            .iter()
+            .find_map(|(n, text)| (*n == name).then_some(*text))
+            .unwrap_or_else(|| panic!("no baseline BENCH_{name}.json"))
+    }
+
+    /// [`assert_gateable`], and the document as `repro` writes it equals
+    /// the committed `baselines/BENCH_<name>.json` exactly: a failure
+    /// lists every regression.
+    pub(crate) fn assert_baseline(name: &str, doc: &Json) {
+        assert_gateable(doc);
+        let base = parse(baseline(name)).expect("a committed baseline parses");
+        let fresh = parse(&doc.write()).expect("a written document parses");
+        let report: Vec<String> = compare(&base, &fresh)
+            .iter()
+            .map(|r| format!("REGRESSION {}: {}", r.path, r.detail))
+            .collect();
+        assert!(
+            report.is_empty(),
+            "BENCH_{name}.json differs from its baseline:\n{}",
+            report.join("\n")
+        );
+    }
+
+    #[test]
+    fn every_committed_baseline_is_gated() {
+        // A new baseline cannot go ungated: `baselines/` holds exactly the
+        // table's files, and each experiment's source gates its own.
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut on_disk: Vec<String> = std::fs::read_dir(format!("{root}/baselines"))
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .filter(|f| f.starts_with("BENCH_") && f.ends_with(".json"))
+            .collect();
+        on_disk.sort();
+        let table: Vec<String> = BASELINES
+            .iter()
+            .map(|(name, _)| format!("BENCH_{name}.json"))
+            .collect();
+        assert_eq!(on_disk, table);
+        for (name, _) in BASELINES {
+            let source = format!("{root}/crates/bench/src/experiments/{name}.rs");
+            let source = std::fs::read_to_string(&source).unwrap();
+            let call = format!("assert_baseline(\"{name}\",");
+            assert!(
+                source.contains(&call),
+                "experiments/{name}.rs never gates its document"
+            );
+        }
+    }
 
     /// What each experiment's own test asserts of the document it hands
     /// to `repro`: the writer's output reads back as the same value, the
@@ -328,14 +370,8 @@ pub(crate) mod tests {
         assert!(parse(&at_limit).is_ok());
         let err = parse(&format!("[{at_limit}]")).unwrap_err();
         assert_eq!(err, "nesting deeper than 64 at byte 64");
-        let path = std::env::temp_dir().join(format!("gate-nested-{}.json", std::process::id()));
-        std::fs::write(&path, &nested).unwrap();
-        let report = gate_files(path.to_str().unwrap(), path.to_str().unwrap()).unwrap_err();
-        assert!(
-            report.contains("is not valid JSON: nesting deeper than 64"),
-            "{report}"
-        );
-        let _ = std::fs::remove_file(path);
+        let err = parse(&nested).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 64"), "{err}");
     }
 
     #[test]
@@ -349,20 +385,6 @@ pub(crate) mod tests {
             assert!(err.contains("duplicate key 'fingerprint'"), "{err}");
         }
         assert!(parse(r#"{"a": {"k": 1}, "b": {"k": 1}}"#).is_ok());
-
-        let dir = std::env::temp_dir();
-        let good = dir.join(format!("gate-dup-{}-good.json", std::process::id()));
-        let dup = dir.join(format!("gate-dup-{}-dup.json", std::process::id()));
-        std::fs::write(&good, r#"{"fingerprint": "0xGOOD"}"#).unwrap();
-        std::fs::write(&dup, bad_first).unwrap();
-        let (good_path, dup_path) = (good.to_str().unwrap(), dup.to_str().unwrap());
-        let as_fresh = gate_files(good_path, dup_path).unwrap_err();
-        assert!(as_fresh.contains("is not valid JSON"), "{as_fresh}");
-        let as_baseline = gate_files(dup_path, good_path).unwrap_err();
-        assert!(as_baseline.contains("is not valid JSON"), "{as_baseline}");
-        assert!(gate_files(good_path, good_path).is_ok());
-        let _ = std::fs::remove_file(good);
-        let _ = std::fs::remove_file(dup);
     }
 
     #[test]
@@ -409,7 +431,7 @@ pub(crate) mod tests {
         // time, and each must surface as exactly the regression(s) at
         // that path.
         let (mut leaves, mut keys, mut arrays) = (0, 0, 0);
-        for text in [CHAOS, DATAPATH, HEALTH, OBSERVE, POSTMORTEM, TOPOLOGY, WIRE] {
+        for (_, text) in BASELINES {
             let base = parse(text).unwrap();
             assert!(compare(&base, &base).is_empty());
             for path in paths(&base) {
@@ -459,9 +481,10 @@ pub(crate) mod tests {
     fn silently_renamed_chaos_key_fails_as_missing_plus_unexpected() {
         // A rename must never slip through as "key went away, key
         // appeared": the gate reports both sides so the diff is loud.
-        let base = parse(CHAOS).unwrap();
+        let base = parse(baseline("chaos")).unwrap();
         let renamed =
-            parse(&CHAOS.replace("\"transfer_retries\"", "\"transfer_attempts\"")).unwrap();
+            parse(&baseline("chaos").replace("\"transfer_retries\"", "\"transfer_attempts\""))
+                .unwrap();
         let regressions = compare(&base, &renamed);
         assert_eq!(regressions.len(), 2);
         assert!(regressions
@@ -478,7 +501,7 @@ pub(crate) mod tests {
         // simulated time, and a key called `host_cpus` or a subtree
         // called `steals` gets no exemption either.
         assert_gate_catches(
-            CHAOS,
+            baseline("chaos"),
             &[
                 (".", ".1", "sweep.worst_staleness_ms"),
                 (".000", ".001", "crash.detection_ms"),
@@ -497,7 +520,7 @@ pub(crate) mod tests {
     #[test]
     fn chaos_invariant_and_fingerprint_flips_fail() {
         assert_gate_catches(
-            CHAOS,
+            baseline("chaos"),
             &[
                 ("true", "false", "crash.crash_resumes_last_acked"),
                 ("true", "false", "determinism.deterministic"),
@@ -512,9 +535,10 @@ pub(crate) mod tests {
         // Same loud-rename guarantee as the chaos artifact: dropping
         // `worst_staleness_ms` for a new name must report both sides, in
         // every row it occurs in.
-        let base = parse(TOPOLOGY).unwrap();
+        let base = parse(baseline("topology")).unwrap();
         let renamed =
-            parse(&TOPOLOGY.replace("\"worst_staleness_ms\"", "\"max_staleness_ms\"")).unwrap();
+            parse(&baseline("topology").replace("\"worst_staleness_ms\"", "\"max_staleness_ms\""))
+                .unwrap();
         let Some(Json::Arr(rows)) = base.get("rows") else {
             panic!("rows")
         };
@@ -535,7 +559,7 @@ pub(crate) mod tests {
     #[test]
     fn topology_invariant_and_fingerprint_flips_fail() {
         assert_gate_catches(
-            TOPOLOGY,
+            baseline("topology"),
             &[
                 ("true", "false", "bit_compat.bit_compatible"),
                 ("0x", "0y", "determinism.fingerprint"),
@@ -550,13 +574,13 @@ pub(crate) mod tests {
     fn quiet_run_growing_an_alert_fails() {
         // The plane's core promise: a fault-free run fires nothing. One
         // alert appearing in the quiet scenario must be a regression.
-        assert_gate_catches(HEALTH, &[("0", "1", "quiet.alerts_fired")]);
+        assert_gate_catches(baseline("health"), &[("0", "1", "quiet.alerts_fired")]);
     }
 
     #[test]
     fn reordered_or_renamed_alert_arcs_fail() {
         assert_gate_catches(
-            HEALTH,
+            baseline("health"),
             &[
                 // A different firing epoch for one alert changes the arc
                 // string; a renamed rule in the arc is equally loud.
@@ -573,7 +597,7 @@ pub(crate) mod tests {
     #[test]
     fn health_hash_and_invariant_flips_fail() {
         assert_gate_catches(
-            HEALTH,
+            baseline("health"),
             &[
                 ("0x", "0y", "stale.alert_log_hash"),
                 ("0x", "0y", "quiet.series_hash"),
@@ -590,7 +614,7 @@ pub(crate) mod tests {
     #[test]
     fn postmortem_integrity_and_replay_flips_fail() {
         assert_gate_catches(
-            POSTMORTEM,
+            baseline("postmortem"),
             &[
                 ("true", "false", "integrity.rejects_tampering"),
                 ("true", "false", "integrity.rejects_unknown_version"),
@@ -611,7 +635,7 @@ pub(crate) mod tests {
     #[test]
     fn wire_bytes_and_transfer_leaves_are_exact() {
         assert_gate_catches(
-            WIRE,
+            baseline("wire"),
             &[
                 (".", ".1", "rows[1].bytes_per_epoch"),
                 (".", ".1", "rows[1].mean_transfer_ms"),
@@ -623,7 +647,7 @@ pub(crate) mod tests {
     #[test]
     fn wire_negotiation_and_bitcompat_flips_fail() {
         assert_gate_catches(
-            WIRE,
+            baseline("wire"),
             &[
                 ("3,2,3", "3,3,3", "negotiation[1].negotiated"),
                 ("true", "false", "bit_compat.bit_compatible"),

@@ -1,8 +1,8 @@
 //! The one JSON document type of `here-bench`: every experiment builds
 //! its `BENCH_*.json` report as a [`Json`] value, [`Json::write`] is the
-//! only serializer, and the [`gate`](crate::gate) reads the same type
-//! back through [`parse`] — the vendored `serde` is a no-op, like
-//! everywhere else in this workspace.
+//! only serializer, and the regression gate (the experiments' tests)
+//! reads the same type back through [`parse`] — the vendored `serde` is
+//! a no-op, like everywhere else in this workspace.
 //!
 //! A number is kept as the literal it was written or read as
 //! (`Json::Num("40.000")`), never as an `f64`: the gate compares numbers

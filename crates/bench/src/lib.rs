@@ -4,10 +4,11 @@
 //! the simulated stack. Each experiment has a typed runner in
 //! [`experiments`]; the `repro` binary prints them as text tables and
 //! writes the `BENCH_*.json` documents — each built once as a
-//! [`json::Json`] value by its experiment's `document()` — that the
-//! [`gate`] reads back as the same type and compares for exact equality
-//! against `baselines/`. Everything here is virtual (cost-model) time;
-//! wall-clock cost is measured by the stand-alone `benchmark/` package.
+//! [`json::Json`] value by its experiment's `document()` — that each
+//! experiment's unit test reads back as the same type and compares for
+//! exact equality against `baselines/` (the test-only `gate` module).
+//! Everything here is virtual (cost-model) time; wall-clock cost is
+//! measured by the stand-alone `benchmark/` package.
 //!
 //! | Paper artefact | Runner |
 //! |---|---|
@@ -29,7 +30,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod experiments;
-pub mod gate;
+#[cfg(test)]
+mod gate;
 pub mod json;
 pub mod tables;
 
